@@ -30,9 +30,9 @@ from .effective import (
     rotating_generator,
     x_tau_integral,
 )
-from .engine import integrate
-from .linalg import dagger, frobenius, matrix_exp
-from .protocols import Protocol
+from .engine import NUMERICAL_ERRORS, integrate
+from .linalg import dagger, frobenius, matrix_exp, ordered_exponential
+from .protocols import Protocol, path_from_descriptor
 
 __all__ = [
     "purity",
@@ -108,21 +108,18 @@ def purity_prediction_general(
 
     Gamma_0 - (2 / gammaT^2) * int_0^gammaT Tr([rho, l^dag] l rho) dtau with
     l = V^dag ell V, evaluated on a Simpson grid; rho stays frozen at its
-    initial value, which is the order the reduced theory controls.
+    initial value, which is the order the reduced theory controls.  Since
+    Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is taken from
+    the frozen-state dissipator integral shared with the end-of-cycle state.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    gammaT = protocol.gammaT
-    taus = np.linspace(0.0, gammaT, n_grid + 1)
-    ells = eff._effective_jump_grid(protocol, ds, taus)
-    vs = eff._holonomy_grid(protocol, ds, taus)
-    vals = np.empty(taus.size)
-    for i, (ell, v) in enumerate(zip(ells, vs)):
-        l_rot = dagger(v) @ ell @ v
-        ld = dagger(l_rot)
-        comm = rho_d @ ld - ld @ rho_d
-        vals[i] = float(np.trace(comm @ l_rot @ rho_d).real)
-    loss = (2.0 / gammaT**2) * float(scipy.integrate.simpson(vals, x=taus))
-    return purity(rho_d) - loss
+    total, _ = eff._frozen_state_integral(rho_d, protocol, ds, n_grid)
+    return _purity_after(rho_d, total, protocol.gammaT)
+
+
+def _purity_after(rho_d: np.ndarray, total: np.ndarray, gammaT: float) -> float:
+    """Tr rho^2 + (2 / gammaT^2) Re Tr(rho total) for a dissipator integral total."""
+    return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
 def _spin32_h0(theta, dtheta, dphi):
@@ -228,17 +225,6 @@ class GaugeReport:
     tau_fractions: tuple
 
 
-def _tilted_objects(protocol: Protocol, ds: DarkSpace, gen_full: np.ndarray):
-    """Phase-dependent gauge omega(s) = exp(i ramp(s) G) and its pieces."""
-    w, v = np.linalg.eigh(gen_full)
-    vd = dagger(v)
-
-    def omega(s: float) -> np.ndarray:
-        return (v * np.exp(1j * _sin2_ramp(s) * w)) @ vd
-
-    return omega
-
-
 def _tilted_drive(protocol: Protocol, ds: DarkSpace, gen_full: np.ndarray, tau: float):
     """Drive s -> omega(tau)^dag H^omega(s) omega(tau) for the frozen-kernel integral.
 
@@ -273,40 +259,24 @@ def _tilted_purity(
     jump comes from the frozen-kernel integral at every grid time.
     """
     gammaT = protocol.gammaT
-    eps = 1.0 / gammaT
     taus = np.linspace(0.0, gammaT, n_grid + 1)
-    modes = eff._mode_cache(protocol, ds)
+    modes = eff._KernelModes(protocol, ds)
     g_dd = project_dark(ds, gen_full) if gen_full is not None else None
 
-    def h0_tilted(s: float) -> np.ndarray:
+    def tilted_generator(s: float) -> np.ndarray:
         h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, s), ds)
         if g_dd is None:
-            return h0
+            return -1j * h0
         omega_dd = matrix_exp(1j * _sin2_ramp(s) * g_dd)
-        return omega_dd @ h0 @ dagger(omega_dd) - _sin2_dramp(s) * g_dd
+        return -1j * (omega_dd @ h0 @ dagger(omega_dd) - _sin2_dramp(s) * g_dd)
 
-    # holonomy on the grid
-    v = np.eye(ds.d, dtype=complex)
-    vs = [v]
-    for t0, t1 in zip(taus[:-1], taus[1:]):
-        mid = 0.5 * (t0 + t1) / gammaT
-        v = matrix_exp(-1j * eps * (t1 - t0) * h0_tilted(mid)) @ v
-        vs.append(v)
-
-    vals = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        if tau == 0.0:
-            vals[i] = 0.0
-            continue
+    vs = ordered_exponential(tilted_generator, taus / gammaT)
+    ells = []
+    for tau in taus:
         drive = None if gen_full is None else _tilted_drive(protocol, ds, gen_full, tau)
         x = x_tau_integral(protocol, ds, tau, drive=drive, _modes=modes, quad_tol=1e-9)
-        ell = dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
-        l_rot = dagger(vs[i]) @ ell @ vs[i]
-        ld = dagger(l_rot)
-        comm = rho_d @ ld - ld @ rho_d
-        vals[i] = float(np.trace(comm @ l_rot @ rho_d).real)
-    loss = (2.0 / gammaT**2) * float(scipy.integrate.simpson(vals, x=taus))
-    return purity(rho_d) - loss
+        ells.append(dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis)
+    return _purity_after(rho_d, eff._dissipator_integral(rho_d, ells, vs, taus), gammaT)
 
 
 def gauge_covariance_check(
@@ -343,7 +313,7 @@ def gauge_covariance_check(
     purities_tilted = []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
-        modes = eff._mode_cache(proto, ds)
+        modes = eff._KernelModes(proto, ds)
         worst = 0.0
         for frac in tau_fractions:
             tau = frac * gammaT
@@ -448,8 +418,8 @@ def convergence_sweep(
                 lab_generator(proto), embed_dark(ds, rho_d), (0.0, gammaT),
                 rtol=rtol, atol=atol,
             )
-        except Exception as exc:  # pragma: no cover - surfaced, not raised
-            failures.append(f"gammaT={gammaT}: {exc}")
+        except NUMERICAL_ERRORS as exc:
+            failures.append(f"gammaT={gammaT}, tau={getattr(exc, 'tau', None)}: {exc}")
             continue
         final = traj.final
         losses.append(1.0 - purity(final))
@@ -459,12 +429,12 @@ def convergence_sweep(
         v_end = berry_holonomy(proto, ds, gammaT)
         first_errors.append(trace_distance(final_dd, v_end @ rho_d @ dagger(v_end)))
         losses12.append(1.0 - purity_prediction_general(rho_d, proto, ds))
-        if proto.descriptor.get("family") == "spin32" and ds.d == 2:
-            path = _path_from_descriptor(proto.descriptor.get("path", {}))
-            if path is not None and rho_arr.ndim == 1:
-                losses21.append(1.0 - purity_prediction_spin32(path, rho_arr, gammaT))
-            else:
-                losses21.append(math.nan)
+        # a hand-built PathSpec has an empty descriptor: no closed form for it
+        path_desc = proto.descriptor.get("path")
+        is_spin32 = proto.descriptor.get("family") == "spin32" and ds.d == 2
+        if is_spin32 and path_desc and rho_arr.ndim == 1:
+            path = path_from_descriptor(path_desc)
+            losses21.append(1.0 - purity_prediction_spin32(path, rho_arr, gammaT))
         else:
             losses21.append(math.nan)
         kept.append(gammaT)
@@ -489,22 +459,6 @@ def convergence_sweep(
         loss_prefactor=prefactor,
         failures=tuple(failures),
     )
-
-
-def _path_from_descriptor(desc: dict):
-    from . import protocols as prot
-
-    family = desc.get("family")
-    if family == "linear":
-        return prot.linear_path(desc["m_theta"], desc["m_phi"], desc["theta0"], desc["phi0"])
-    if family == "smoothstep":
-        return prot.smoothstep_path(desc["m_theta"], desc["m_phi"], desc["theta0"], desc["phi0"])
-    if family == "fourier":
-        return prot.fourier_path(
-            desc["m_theta"], desc["m_phi"], desc["theta0"], desc["phi0"],
-            desc.get("theta_knots", ()), desc.get("phi_knots", ()),
-        )
-    return None
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,21 @@ __all__ = ["CriterionResult", "AcceptanceContext", "run_battery", "CRITERIA"]
 
 SWEEP_GAMMATS = (100.0, 200.0, 400.0, 800.0)
 
+# Acceptance windows before tolerance scaling; the CLI's sweep and
+# gauge-check flags apply them unscaled.  Slopes are (target, half width).
+LOSS_SLOPE = (-1.0, 0.15)
+LOSS_FIT_R2_SHORTFALL = 0.01  # largest 1 - r^2 of the purity-loss fit
+EFFECTIVE_SLOPE = (-2.0, 0.4)
+FIRST_ORDER_SLOPE = (-1.0, 0.2)
+GAUGE_DEFECT_RATIO = 0.7  # largest ratio of the covariance defects
+GAUGE_PURITY_PREFACTOR = 10.0  # c in the gauge purity-difference bound c / gammaT^2
+
+
+def slope_window(window: tuple[float, float], scale: float = 1.0) -> tuple[float, float]:
+    """Bounds (lo, hi) of a (target, half width) window scaled by ``scale``."""
+    target, half_width = window
+    return target - half_width * scale, target + half_width * scale
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -118,6 +133,15 @@ class AcceptanceContext:
 
         return self._get(key, build)
 
+    def prediction(self, n0, gammaT):
+        key = ("prediction", tuple(n0), gammaT)
+        return self._get(
+            key,
+            lambda: purity_prediction_general(
+                dark_state_from_bloch(n0), self.factory(gammaT), self.ds
+            ),
+        )
+
     def effective_end(self, n0, gammaT):
         key = ("effective_end", tuple(n0), gammaT)
         return self._get(
@@ -128,8 +152,8 @@ class AcceptanceContext:
         )
 
 
-def _window(value: float, lo: float, hi: float) -> bool:
-    return lo <= value <= hi
+def in_window(value: float, lo: float, hi: float) -> bool:
+    return bool(lo <= value <= hi)
 
 
 def check_purity_law(ctx: AcceptanceContext) -> CriterionResult:
@@ -171,9 +195,9 @@ def check_loss_scaling(ctx: AcceptanceContext) -> CriterionResult:
     """Algebraic 1/(gamma T) scaling of the exact purity loss."""
     start = time.perf_counter()
     sweep = ctx.sweep
-    lo, hi = -1.0 - ctx.tol(0.15), -1.0 + ctx.tol(0.15)
-    r2_min = 1.0 - ctx.tol(0.01)
-    passed = _window(sweep.fitted_slope, lo, hi) and sweep.fit_r2 >= r2_min
+    lo, hi = slope_window(LOSS_SLOPE, ctx.scale)
+    r2_min = 1.0 - ctx.tol(LOSS_FIT_R2_SHORTFALL)
+    passed = in_window(sweep.fitted_slope, lo, hi) and sweep.fit_r2 >= r2_min
     return CriterionResult(
         2,
         "loss scales as the minus first power",
@@ -189,10 +213,10 @@ def check_effective_order(ctx: AcceptanceContext) -> CriterionResult:
     """Order of accuracy of the reduced equation and its unitary truncation."""
     start = time.perf_counter()
     sweep = ctx.sweep
-    lo2, hi2 = -2.0 - ctx.tol(0.4), -2.0 + ctx.tol(0.4)
-    lo1, hi1 = -1.0 - ctx.tol(0.2), -1.0 + ctx.tol(0.2)
-    ok2 = _window(sweep.error_slope, lo2, hi2)
-    ok1 = _window(sweep.first_order_slope, lo1, hi1)
+    lo2, hi2 = slope_window(EFFECTIVE_SLOPE, ctx.scale)
+    lo1, hi1 = slope_window(FIRST_ORDER_SLOPE, ctx.scale)
+    ok2 = in_window(sweep.error_slope, lo2, hi2)
+    ok1 = in_window(sweep.first_order_slope, lo1, hi1)
     return CriterionResult(
         3,
         "effective-equation accuracy orders",
@@ -252,15 +276,16 @@ def check_gauge_covariance(ctx: AcceptanceContext) -> CriterionResult:
     report = gauge_covariance_check(
         ctx.protocol_200, ctx.ds, (math.pi / 7.0) * sigma_z, gammaT_pair=(100.0, 200.0)
     )
-    ratio_ok = report.defect_ratio <= ctx.tol(0.7)
+    ratio_ok = report.defect_ratio <= ctx.tol(GAUGE_DEFECT_RATIO)
     purity_ok = all(
-        diff <= ctx.tol(10.0) / gammaT**2
+        diff <= ctx.tol(GAUGE_PURITY_PREFACTOR) / gammaT**2
         for diff, gammaT in zip(report.purity_differences, report.gammaT_values)
     )
     return CriterionResult(
         6,
         "gauge covariance of the effective jump",
-        f"defect ratio <= {ctx.tol(0.7):.2f}; purity gauge difference <= 10/(gammaT)^2",
+        f"defect ratio <= {ctx.tol(GAUGE_DEFECT_RATIO):.2f}; "
+        f"purity gauge difference <= {GAUGE_PURITY_PREFACTOR:g}/(gammaT)^2",
         f"ratio {report.defect_ratio:.3f}; purity diffs "
         + ", ".join(f"{d:.2e}" for d in report.purity_differences),
         ratio_ok and purity_ok,
@@ -361,10 +386,8 @@ def check_prediction_cross_check(ctx: AcceptanceContext) -> CriterionResult:
     residuals = {}
     agree = True
     for gammaT in (200.0, 800.0):
-        proto = ctx.factory(gammaT)
-        pred = purity_prediction_general(dark_state_from_bloch(n0), proto, ctx.ds)
         direct = purity(ctx.effective_end(n0, gammaT))
-        residuals[gammaT] = abs(pred - direct)
+        residuals[gammaT] = abs(ctx.prediction(n0, gammaT) - direct)
         agree = agree and residuals[gammaT] <= ctx.tol(10.0) / gammaT**2
     detail: dict = {"residuals": dict(residuals)}
     if agree:
@@ -374,10 +397,8 @@ def check_prediction_cross_check(ctx: AcceptanceContext) -> CriterionResult:
         grid = SWEEP_GAMMATS
         series = []
         for gammaT in grid:
-            proto = ctx.factory(gammaT)
-            pred = purity_prediction_general(dark_state_from_bloch(n0), proto, ctx.ds)
             direct = purity(ctx.effective_end(n0, gammaT))
-            series.append(abs(pred - direct))
+            series.append(abs(ctx.prediction(n0, gammaT) - direct))
         slope, intercept, r2 = fit_loglog(grid, series)
         detail["discrepancy_report"] = {
             "gammaT": list(grid),

@@ -32,19 +32,25 @@ from .analysis import (
     purity_prediction_spin32,
     trace_distance,
 )
-from .checks import battery_table, run_battery
-from .engine import (
-    GaplessLindbladianError,
-    InvariantViolationError,
-    StepSizeUnderflowError,
-    integrate,
+from .checks import (
+    EFFECTIVE_SLOPE,
+    FIRST_ORDER_SLOPE,
+    GAUGE_DEFECT_RATIO,
+    GAUGE_PURITY_PREFACTOR,
+    LOSS_FIT_R2_SHORTFALL,
+    LOSS_SLOPE,
+    battery_table,
+    in_window,
+    run_battery,
+    slope_window,
 )
+from .engine import NUMERICAL_ERRORS, integrate
 from .linalg import dagger
 from .protocols import (
     custom_protocol,
-    fourier_path,
-    linear_path,
-    smoothstep_path,
+    path_from_descriptor,
+    ramp_angle,
+    spin32_jump,
     spin32_protocol,
     spin_operators,
 )
@@ -60,14 +66,6 @@ from .reporting import (
 
 EXPERIMENTS = ("spin32-purity", "sweep", "gauge-check", "effective-vs-full", "custom")
 
-_NUMERICAL_ERRORS = (
-    StepSizeUnderflowError,
-    InvariantViolationError,
-    GaplessLindbladianError,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -80,7 +78,7 @@ DEFAULT_CONFIG = {
     },
     "gammaT": 200.0,
     "initial": {"bloch": [0.0, 0.0, 1.0]},
-    "tolerances": {"rtol": 1e-9, "atol": 1e-12, "kernel_tol": 1e-8},
+    "tolerances": {"rtol": 1e-9, "atol": 1e-12},
     "output_dir": ".",
     "seed": 0,
     "checkpoints": 64,
@@ -122,7 +120,10 @@ def validate_config(cfg: dict) -> dict:
     if cfg.get("experiment") not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     tols = cfg["tolerances"]
-    for name in ("rtol", "atol", "kernel_tol"):
+    unknown = sorted(set(tols) - set(DEFAULT_CONFIG["tolerances"]))
+    if unknown:
+        raise ConfigError(f"unknown tolerance(s) {', '.join(unknown)}")
+    for name in DEFAULT_CONFIG["tolerances"]:
         value = tols.get(name)
         if not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance {name} must be positive")
@@ -154,47 +155,13 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
-def _path_from_config(section: dict):
-    family = section.get("family", "linear")
-    kwargs = {
-        "m_theta": int(section.get("m_theta", 1)),
-        "m_phi": int(section.get("m_phi", 0)),
-        "theta0": float(section.get("theta0", 0.0)),
-        "phi0": float(section.get("phi0", 0.0)),
-    }
-    if family == "linear":
-        return linear_path(**kwargs)
-    if family == "smoothstep":
-        return smoothstep_path(**kwargs)
-    if family == "fourier":
-        return fourier_path(
-            **kwargs,
-            theta_knots=section.get("theta_knots", ()),
-            phi_knots=section.get("phi_knots", ()),
-        )
-    raise ConfigError(f"unknown path family {family!r}")
-
-
-def _angle_fn(section: dict):
-    family = section.get("family", "linear")
-    m = float(section.get("m", 0))
-    a0 = float(section.get("a0", 0.0))
-    w = 2.0 * math.pi * m
-    if family == "linear":
-        return (lambda s: a0 + w * s), (lambda s: w)
-    if family == "smoothstep":
-        return (
-            lambda s: a0 + w * s * s * (3.0 - 2.0 * s),
-            lambda s: w * 6.0 * s * (1.0 - s),
-        )
-    raise ConfigError(f"unknown angle family {family!r}")
-
-
 def build_protocol(cfg: dict, gammaT: float):
     section = cfg["protocol"]
     family = section.get("family", "spin32")
     if family == "spin32":
-        return spin32_protocol(_path_from_config(section.get("path", {})), gammaT)
+        # keys a config leaves out take the default path's values (linear family)
+        path = {**DEFAULT_CONFIG["protocol"]["path"], **section.get("path", {})}
+        return spin32_protocol(path_from_descriptor(path), gammaT)
     if family != "custom":
         raise ConfigError(f"unknown protocol family {family!r}")
     two_j = int(section.get("two_j", 1))
@@ -209,7 +176,9 @@ def build_protocol(cfg: dict, gammaT: float):
         raise ConfigError("need one angle entry per generator")
     angles, dangles = [], []
     for entry in angle_sections:
-        fn, dfn = _angle_fn(entry)
+        fn, dfn = ramp_angle(
+            entry.get("family", "linear"), float(entry.get("m", 0)), float(entry.get("a0", 0.0))
+        )
         angles.append(fn)
         dangles.append(dfn)
     jump_name = section.get("jump", "lowering")
@@ -219,7 +188,7 @@ def build_protocol(cfg: dict, gammaT: float):
     elif jump_name == "spin32":
         if two_j != 3:
             raise ConfigError("jump 'spin32' requires two_j = 3")
-        jump = sx @ (sz @ sz - 0.25 * np.eye(4))
+        jump = spin32_jump()
     else:
         raise ConfigError(f"unknown jump {jump_name!r}")
     try:
@@ -288,7 +257,7 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
         "dark_dimension": ds.d,
     }
     if proto.descriptor.get("family") == "spin32" and n0 is not None:
-        path = _path_from_config(cfg["protocol"].get("path", {}))
+        path = path_from_descriptor(proto.descriptor["path"])
         report["purity_loss_eq21"] = 1.0 - purity_prediction_spin32(path, n0, gammaT)
     return rows, report, list(TRAJECTORY_COLUMNS)
 
@@ -326,13 +295,12 @@ def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
         "loss_prefactor": result.loss_prefactor,
         "failures": list(result.failures),
         "flags": {
-            "slope_in_window": bool(-1.15 <= result.fitted_slope <= -0.85)
-            if not math.isnan(result.fitted_slope) else False,
-            "fit_r2_ok": bool(result.fit_r2 >= 0.99) if not math.isnan(result.fit_r2) else False,
-            "effective_order_in_window": bool(-2.4 <= result.error_slope <= -1.6)
-            if not math.isnan(result.error_slope) else False,
-            "first_order_in_window": bool(-1.2 <= result.first_order_slope <= -0.8)
-            if not math.isnan(result.first_order_slope) else False,
+            "slope_in_window": in_window(result.fitted_slope, *slope_window(LOSS_SLOPE)),
+            "fit_r2_ok": bool(result.fit_r2 >= 1.0 - LOSS_FIT_R2_SHORTFALL),
+            "effective_order_in_window":
+                in_window(result.error_slope, *slope_window(EFFECTIVE_SLOPE)),
+            "first_order_in_window":
+                in_window(result.first_order_slope, *slope_window(FIRST_ORDER_SLOPE)),
         },
     }
     return rows, report, list(SWEEP_COLUMNS)
@@ -376,9 +344,9 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         "purity_differences": list(report_obj.purity_differences),
         "dark_phase": phase,
         "flags": {
-            "defect_shrinks": bool(report_obj.defect_ratio <= 0.7),
+            "defect_shrinks": bool(report_obj.defect_ratio <= GAUGE_DEFECT_RATIO),
             "purity_gauge_invariant": bool(all(
-                diff <= 10.0 / g**2
+                diff <= GAUGE_PURITY_PREFACTOR / g**2
                 for diff, g in zip(report_obj.purity_differences, report_obj.gammaT_values)
             )),
         },
@@ -449,7 +417,7 @@ def run_experiment(cfg: dict) -> int:
     started = time.time()
     try:
         rows, report, columns = _RUNNERS[cfg["experiment"]](cfg)
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         diagnostic = {
             "experiment": cfg["experiment"],
             "error": type(exc).__name__,
@@ -542,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="seed for randomized test matrices")
     run_p.add_argument("--rtol", type=float, help="integration relative tolerance")
     run_p.add_argument("--atol", type=float, help="integration absolute tolerance")
-    run_p.add_argument("--kernel-tol", type=float, help="superoperator kernel threshold")
     run_p.add_argument("--checkpoints", type=int, help="number of trajectory checkpoints")
     run_p.add_argument("--gauge-phase", type=float, help="dark-block gauge phase")
     run_p.add_argument("--gnuplot", action="store_true", default=None,
@@ -579,8 +546,6 @@ def main(argv=None) -> int:
         tol_override["rtol"] = args.rtol
     if args.atol is not None:
         tol_override["atol"] = args.atol
-    if args.kernel_tol is not None:
-        tol_override["kernel_tol"] = args.kernel_tol
     if tol_override:
         overrides["tolerances"] = tol_override
     if args.gauge_phase is not None:

@@ -19,7 +19,7 @@ import scipy.integrate
 import scipy.linalg
 
 from .engine import LindbladGenerator, adaptive_rk45, validate_density_matrix
-from .linalg import dagger, frobenius, kernel_basis, matrix_exp, ordered_exponential, pseudo_inverse
+from .linalg import dagger, frobenius, kernel_basis, ordered_exponential, pseudo_inverse
 from .protocols import Protocol, lab_jump
 
 __all__ = [
@@ -133,7 +133,7 @@ def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
 
 
 class _KernelModes:
-    """Eigenmodes of L^dag L on the bright subspace, cached per (protocol, ds)."""
+    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds)."""
 
     def __init__(self, protocol: Protocol, ds: DarkSpace):
         m = dagger(protocol.L_rot) @ protocol.L_rot
@@ -151,10 +151,6 @@ class _KernelModes:
         """Bright-to-dark block of the adiabatic Hamiltonian: U_b^dag H B."""
         h = adiabatic_hamiltonian(self.protocol, tau / self.protocol.gammaT)
         return dagger(self.modes) @ h @ self.basis
-
-
-def _mode_cache(protocol: Protocol, ds: DarkSpace) -> _KernelModes:
-    return _KernelModes(protocol, ds)
 
 
 def x_tau_integral(
@@ -176,7 +172,7 @@ def x_tau_integral(
     """
     if tau < 0 or tau > protocol.gammaT + 1e-9:
         raise ValueError(f"tau={tau} outside [0, gammaT]")
-    modes = _modes if _modes is not None else _mode_cache(protocol, ds)
+    modes = _modes if _modes is not None else _KernelModes(protocol, ds)
     nb = modes.rates.size
     d = ds.d
     if nb == 0 or tau == 0.0:
@@ -239,7 +235,7 @@ def c_tau_ode_residual(
     quadrature-evaluated kernel, keeping the check independent of the
     defining equation.
     """
-    modes = _mode_cache(protocol, ds)
+    modes = _KernelModes(protocol, ds)
     m = dagger(protocol.L_rot) @ protocol.L_rot
     p_perp = np.eye(protocol.dim) - ds.projector
     stencil = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
@@ -285,10 +281,8 @@ def effective_rhs(
     eps = 1.0 / protocol.gammaT
     h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
     ell = effective_jump(protocol, ds, tau, source)
-    ld = dagger(ell)
-    ldl = ld @ ell
     out = -1j * eps * (h0 @ rho0 - rho0 @ h0)
-    out += eps**2 * (ell @ rho0 @ ld - 0.5 * (ldl @ rho0 + rho0 @ ldl))
+    out += eps**2 * _dissipator(ell, rho0)
     return out
 
 
@@ -306,13 +300,18 @@ def berry_holonomy(
     s1 = tau / protocol.gammaT
     if steps is None:
         steps = max(256, int(2048 * min(1.0, abs(s1)) + 0.5))
-
-    def gen(s):
-        return -1j * projected_hamiltonian(adiabatic_hamiltonian(protocol, s), ds)
-
     if s1 == 0.0:
         return np.eye(ds.d, dtype=complex)
-    return ordered_exponential(gen, 0.0, s1, steps)
+    return ordered_exponential(_berry_generator(protocol, ds), np.linspace(0.0, s1, steps + 1))[-1]
+
+
+def _berry_generator(protocol: Protocol, ds: DarkSpace) -> Callable[[float], np.ndarray]:
+    """Phase -> -i H0(s), the generator of the Berry holonomy."""
+
+    def gen(s: float) -> np.ndarray:
+        return -1j * projected_hamiltonian(adiabatic_hamiltonian(protocol, s), ds)
+
+    return gen
 
 
 def _effective_ode(
@@ -330,7 +329,7 @@ def _effective_ode(
     dX/dtau = -L^dag L X / 2 + drive, integrated alongside rho so the
     effective jump is always evaluated self-consistently.
     """
-    modes = _mode_cache(protocol, ds)
+    modes = _KernelModes(protocol, ds)
     d = ds.d
     nb = modes.rates.size
     eps = 1.0 / protocol.gammaT
@@ -350,10 +349,7 @@ def _effective_ode(
             drho += -1j * eps * (h0 @ rho - rho @ h0)
         dy = [drho.reshape(-1)]
         if need_x:
-            ell = modes.reduce_jump @ x
-            ld = dagger(ell)
-            ldl = ld @ ell
-            drho_diss = eps**2 * (ell @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl))
+            drho_diss = eps**2 * _dissipator(modes.reduce_jump @ x, rho)
             dy[0] = (drho + drho_diss).reshape(-1)
             g = modes.drive(tau if tau <= protocol.gammaT else protocol.gammaT)
             dx = -0.5 * modes.rates[:, None] * x + g
@@ -437,33 +433,43 @@ def end_of_cycle_state(
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
 
-    gammaT = protocol.gammaT
-    eps = 1.0 / gammaT
-    taus = np.linspace(0.0, gammaT, n_grid + 1)
-    ells = _effective_jump_grid(protocol, ds, taus)
-    vs = _holonomy_grid(protocol, ds, taus)
-    integrand = []
-    for ell, v in zip(ells, vs):
-        l_rot = dagger(v) @ ell @ v
-        ld = dagger(l_rot)
-        ldl = ld @ l_rot
-        integrand.append(l_rot @ rho_d @ ld - 0.5 * (ldl @ rho_d + rho_d @ ldl))
-    total = scipy.integrate.simpson(np.array(integrand), x=taus, axis=0)
-    v_end = vs[-1]
+    eps = 1.0 / protocol.gammaT
+    total, v_end = _frozen_state_integral(rho_d, protocol, ds, n_grid)
     return v_end @ (rho_d + eps**2 * total) @ dagger(v_end)
 
 
-def _holonomy_grid(protocol: Protocol, ds: DarkSpace, taus: np.ndarray) -> list[np.ndarray]:
-    """V_tau at grid points, accumulated by midpoint steps."""
-    eps = 1.0 / protocol.gammaT
-    v = np.eye(ds.d, dtype=complex)
-    out = [v]
-    for t0, t1 in zip(taus[:-1], taus[1:]):
-        mid = 0.5 * (t0 + t1) / protocol.gammaT
-        h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, mid), ds)
-        v = matrix_exp(-1j * eps * h0 * (t1 - t0)) @ v
-        out.append(v)
-    return out
+def _frozen_state_integral(
+    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, n_grid: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen-state dissipator integral over one cycle, and the holonomy V_end.
+
+    The effective jump comes from the exponential recurrence and V_tau from
+    the midpoint holonomy, both on n_grid + 1 uniform times.
+    """
+    gammaT = protocol.gammaT
+    taus = np.linspace(0.0, gammaT, n_grid + 1)
+    ells = _effective_jump_grid(protocol, ds, taus)
+    vs = ordered_exponential(_berry_generator(protocol, ds), taus / gammaT)
+    return _dissipator_integral(rho_d, ells, vs, taus), vs[-1]
+
+
+def _dissipator_integral(
+    rho_d: np.ndarray, ells: Sequence[np.ndarray], vs: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """Simpson integral over taus of D_l(rho) with l = V^dag ell V.
+
+    l is the effective jump in the frame co-moving with the holonomy;
+    ``ells`` and ``vs`` hold ell_tau and V_tau on the grid.
+    """
+    l_rot = np.swapaxes(vs.conj(), -1, -2) @ np.asarray(ells) @ vs
+    return scipy.integrate.simpson(_dissipator(l_rot, rho_d), x=taus, axis=0)
+
+
+def _dissipator(ell: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D_l(rho) = l rho l^dag - {l^dag l, rho}/2, for one jump or a stack of them."""
+    ld = np.swapaxes(ell.conj(), -1, -2)
+    ldl = ld @ ell
+    return ell @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
 
 
 def _effective_jump_grid(protocol: Protocol, ds: DarkSpace, taus: np.ndarray) -> list[np.ndarray]:
@@ -473,7 +479,7 @@ def _effective_jump_grid(protocol: Protocol, ds: DarkSpace, taus: np.ndarray) ->
     slow drive by three-point Gauss-Legendre, so the grid spacing only needs
     to resolve the protocol, not the dissipative rate.
     """
-    modes = _mode_cache(protocol, ds)
+    modes = _KernelModes(protocol, ds)
     nb = modes.rates.size
     d = ds.d
     if nb == 0:

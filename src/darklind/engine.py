@@ -26,6 +26,7 @@ __all__ = [
     "StepSizeUnderflowError",
     "InvariantViolationError",
     "GaplessLindbladianError",
+    "NUMERICAL_ERRORS",
     "lindblad_rhs",
     "integrate",
     "vectorize",
@@ -63,6 +64,11 @@ class InvariantViolationError(RuntimeError):
 
 class GaplessLindbladianError(RuntimeError):
     """Operation requires a spectrally gapped Lindbladian."""
+
+
+#: failures a numerical run reports, with their tau where known, instead of crashing
+NUMERICAL_ERRORS = (StepSizeUnderflowError, InvariantViolationError, GaplessLindbladianError,
+                    np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)

@@ -102,32 +102,35 @@ def pseudo_inverse(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     u, s, vh = np.linalg.svd(a)
     if s[0] == 0.0:
         return np.zeros_like(a)
-    inv = np.where(s < rel_tol * s[0], 0.0, np.divide(1.0, s, where=s > 0))
+    inv = np.zeros_like(s)
+    np.divide(1.0, s, out=inv, where=s >= rel_tol * s[0])
     return dagger(vh) @ (inv[:, None] * dagger(u))
 
 
 def ordered_exponential(
     gen: Callable[[float], np.ndarray],
-    s0: float,
-    s1: float,
-    steps: int,
+    grid: np.ndarray,
 ) -> np.ndarray:
-    """Path-ordered exponential of a matrix-valued generator.
+    """Path-ordered exponential of a matrix-valued generator on a phase grid.
 
-    Midpoint-rule product prod_k exp(G(s_k) ds) with later factors applied on
-    the left, i.e. the solution operator of dV/ds = G(s) V.  Second-order
-    accurate in 1/steps.  For anti-Hermitian G the result is unitary up to the
-    discretization error.
+    Cumulative midpoint-rule products prod_k exp(G(s_k) ds_k), later factors
+    applied on the left, i.e. the solution operator of dV/ds = G(s) V from
+    grid[0] to every grid point.  Returns an (n, d, d) array whose first
+    element is the identity.  Second-order accurate in the grid spacing; for
+    anti-Hermitian G each product is unitary up to the discretization error.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    ds = (s1 - s0) / steps
-    v = None
-    for k in range(steps):
-        s_mid = s0 + (k + 0.5) * ds
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be one-dimensional with at least 2 points")
+    points = grid.tolist()
+    out = None
+    for k, (s0, s1) in enumerate(zip(points[:-1], points[1:])):
+        s_mid = 0.5 * (s0 + s1)
         g = np.asarray(gen(s_mid), dtype=complex)
-        if not np.all(np.isfinite(g.real) & np.isfinite(g.imag)):
+        if not np.isfinite(g).all():
             raise ValueError(f"generator returned non-finite matrix at phase {s_mid}")
-        step = matrix_exp(g * ds)
-        v = step if v is None else step @ v
-    return v
+        if out is None:
+            out = np.empty((grid.size,) + g.shape, dtype=complex)
+            out[0] = np.eye(g.shape[0])
+        out[k + 1] = matrix_exp(g * (s1 - s0)) @ out[k]
+    return out

@@ -22,7 +22,10 @@ __all__ = [
     "linear_path",
     "smoothstep_path",
     "fourier_path",
+    "ramp_angle",
+    "path_from_descriptor",
     "Protocol",
+    "spin32_jump",
     "spin32_protocol",
     "custom_protocol",
     "lab_jump",
@@ -76,39 +79,38 @@ class PathSpec:
             raise ValueError("phi(1) - phi(0) is not 2*pi times the declared winding")
 
 
+def ramp_angle(family: str, turns: float, offset: float = 0.0):
+    """Angle offset + 2*pi*turns*r(s) and its derivative for a ramp profile r.
+
+    ``family`` names r: "linear" (r = s) or "smoothstep" (r = 3s^2 - 2s^3).
+    """
+    w = 2 * math.pi * turns
+    if family == "linear":
+        return (lambda s: offset + w * s), (lambda s: w)
+    if family == "smoothstep":
+        return (
+            (lambda s: offset + w * (s * s * (3.0 - 2.0 * s))),
+            (lambda s: w * (6.0 * s * (1.0 - s))),
+        )
+    raise ValueError(f"unknown ramp family {family!r}")
+
+
+def _ramp_path(family: str, m_theta: int, m_phi: int, theta0: float, phi0: float) -> PathSpec:
+    theta, dtheta = ramp_angle(family, m_theta, theta0)
+    phi, dphi = ramp_angle(family, m_phi, phi0)
+    descriptor = {"family": family, "m_theta": m_theta, "m_phi": m_phi,
+                  "theta0": theta0, "phi0": phi0}
+    return PathSpec(theta, phi, dtheta, dphi, winding=(m_theta, m_phi), descriptor=descriptor)
+
+
 def linear_path(m_theta: int = 1, m_phi: int = 0, theta0: float = 0.0, phi0: float = 0.0) -> PathSpec:
     """Uniform ramp: theta = theta0 + 2*pi*m_theta*s, likewise phi."""
-    wt, wp = 2 * math.pi * m_theta, 2 * math.pi * m_phi
-    return PathSpec(
-        theta=lambda s: theta0 + wt * s,
-        phi=lambda s: phi0 + wp * s,
-        dtheta=lambda s: wt,
-        dphi=lambda s: wp,
-        winding=(m_theta, m_phi),
-        descriptor={"family": "linear", "m_theta": m_theta, "m_phi": m_phi,
-                    "theta0": theta0, "phi0": phi0},
-    )
+    return _ramp_path("linear", m_theta, m_phi, theta0, phi0)
 
 
 def smoothstep_path(m_theta: int = 1, m_phi: int = 0, theta0: float = 0.0, phi0: float = 0.0) -> PathSpec:
     """Windings traversed with the cubic smoothstep profile 3s^2 - 2s^3."""
-    wt, wp = 2 * math.pi * m_theta, 2 * math.pi * m_phi
-
-    def ramp(s):
-        return s * s * (3.0 - 2.0 * s)
-
-    def dramp(s):
-        return 6.0 * s * (1.0 - s)
-
-    return PathSpec(
-        theta=lambda s: theta0 + wt * ramp(s),
-        phi=lambda s: phi0 + wp * ramp(s),
-        dtheta=lambda s: wt * dramp(s),
-        dphi=lambda s: wp * dramp(s),
-        winding=(m_theta, m_phi),
-        descriptor={"family": "smoothstep", "m_theta": m_theta, "m_phi": m_phi,
-                    "theta0": theta0, "phi0": phi0},
-    )
+    return _ramp_path("smoothstep", m_theta, m_phi, theta0, phi0)
 
 
 def fourier_path(
@@ -147,6 +149,23 @@ def fourier_path(
                     "theta0": theta0, "phi0": phi0,
                     "theta_knots": list(tk), "phi_knots": list(pk)},
     )
+
+
+_PATH_FAMILIES = {"linear": linear_path, "smoothstep": smoothstep_path, "fourier": fourier_path}
+
+
+def path_from_descriptor(desc: dict) -> PathSpec:
+    """Rebuild a path from its descriptor, the inverse of ``PathSpec.descriptor``.
+
+    Every family needs ``m_theta``, ``m_phi``, ``theta0`` and ``phi0``; the
+    Fourier family also reads optional ``theta_knots`` and ``phi_knots``.
+    """
+    family = desc.get("family")
+    if family not in _PATH_FAMILIES:
+        raise ValueError(f"unknown path family {family!r}")
+    knots = {k: desc.get(k, ()) for k in ("theta_knots", "phi_knots") if family == "fourier"}
+    windings = int(desc["m_theta"]), int(desc["m_phi"])
+    return _PATH_FAMILIES[family](*windings, float(desc["theta0"]), float(desc["phi0"]), **knots)
 
 
 @dataclass(frozen=True)
@@ -200,6 +219,12 @@ def _exp_factory(generator: np.ndarray) -> Callable[[float], np.ndarray]:
     return rot
 
 
+def spin32_jump() -> np.ndarray:
+    """Spin-3/2 jump operator S_x (S_z^2 - 1/4), dark on the S_z = +-1/2 states."""
+    sx, _, sz = spin_operators(3)
+    return sx @ (sz @ sz - 0.25 * np.eye(4))
+
+
 def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     """Spin-3/2 system with jump operator S_x (S_z^2 - 1/4).
 
@@ -207,8 +232,8 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     U(s) = exp(i theta S_y) exp(i phi S_z) with (theta, phi) from ``path``.
     The phase derivative dU is analytic.
     """
-    sx, sy, sz = spin_operators(3)
-    l_rot = sx @ (sz @ sz - 0.25 * np.eye(4))
+    _, sy, sz = spin_operators(3)
+    l_rot = spin32_jump()
     rot_y = _exp_factory(sy)
     rot_z = _exp_factory(sz)
 

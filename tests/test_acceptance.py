@@ -10,6 +10,8 @@ the README.  The windows are asserted as pinned, not widened.
 
 import pytest
 
+import darklind.checks as checks
+from darklind.analysis import dark_state_from_bloch
 from darklind.checks import CRITERIA, run_battery
 
 
@@ -71,3 +73,21 @@ def test_known_quantitative_signatures(battery):
     assert report is not None
     assert -2.2 <= report["exponent"] <= -1.6
     assert report["fit_r2"] >= 0.99
+
+
+def test_prediction_cross_check_computes_each_prediction_once(monkeypatch):
+    calls = {}
+
+    def prediction(rho, proto, ds):
+        calls[proto.gammaT] = calls.get(proto.gammaT, 0) + 1
+        return 1.0 - 100.0 / proto.gammaT**2  # misses the pure end state by 100/gammaT^2
+
+    monkeypatch.setattr(checks, "purity_prediction_general", prediction)
+    monkeypatch.setattr(
+        checks.AcceptanceContext, "effective_end",
+        lambda self, n0, gammaT: dark_state_from_bloch((0.0, 0.0, 1.0)),
+    )
+    result = checks.check_prediction_cross_check(checks.AcceptanceContext())
+    assert "discrepancy_report" in result.detail
+    assert result.passed
+    assert calls == {g: 1 for g in checks.SWEEP_GAMMATS}

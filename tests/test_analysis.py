@@ -17,9 +17,12 @@ from darklind.analysis import (
     purity_prediction_spin32,
     trace_distance,
 )
+import darklind.analysis as analysis
 from darklind.effective import end_of_cycle_state
+from darklind.engine import StepSizeUnderflowError, Trajectory
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
+    PathSpec,
     custom_protocol,
     linear_path,
     spin32_protocol,
@@ -206,6 +209,50 @@ class TestSweep:
         )
         assert all(loss <= 1e-10 for loss in result.losses)
         assert math.isnan(result.fitted_slope)
+
+    def test_integration_failure_recorded_with_tau(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise StepSizeUnderflowError(12.5, 1e-16)
+
+        monkeypatch.setattr(analysis, "integrate", failing)
+        result = convergence_sweep(
+            lambda g: spin32_protocol(linear_path(1, 0), g), [50.0, 100.0], (0.0, 0.0, 1.0)
+        )
+        assert result.gammaT_values == ()
+        assert len(result.failures) == 2
+        assert all("tau=12.5" in failure for failure in result.failures)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(analysis, "integrate", broken)
+        with pytest.raises(ValueError, match="not a numerical failure"):
+            convergence_sweep(
+                lambda g: spin32_protocol(linear_path(1, 0), g), [50.0], (0.0, 0.0, 1.0)
+            )
+
+    def test_hand_built_path_has_no_closed_form(self, monkeypatch):
+        # a PathSpec built by hand carries no descriptor, so the spin-3/2
+        # closed form cannot be rebuilt for it: NaN, not a linear-path value
+        path = PathSpec(
+            theta=lambda s: 2 * math.pi * s,
+            phi=lambda s: 0.0,
+            dtheta=lambda s: 2 * math.pi,
+            dphi=lambda s: 0.0,
+            winding=(1, 0),
+        )
+        assert path.descriptor == {}
+
+        def unchanged(gen_of_t, rho0, span, **kwargs):
+            return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
+
+        monkeypatch.setattr(analysis, "integrate", unchanged)
+        result = convergence_sweep(
+            lambda g: spin32_protocol(path, g), [50.0], (0.0, 0.0, 1.0)
+        )
+        assert math.isnan(result.losses_eq21[0])
+        assert not math.isnan(result.losses_eq12[0])
 
 
 class TestEffectiveVsFull:

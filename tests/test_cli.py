@@ -4,6 +4,7 @@ import numpy as np
 
 import darklind.cli as cli
 from darklind.checks import CriterionResult
+from darklind.protocols import linear_path
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -43,6 +44,23 @@ class TestValidation:
         cfg.write_text("{not json")
         rc = cli.main(["run", "sweep", "--config", str(cfg), "--outdir", str(tmp_path)])
         assert rc == 1
+
+    def test_rejects_removed_kernel_tol(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "spin32-purity",
+            "tolerances": {"kernel_tol": 1e-8},
+        }))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        assert "kernel_tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_path_section_without_family_is_linear(self):
+        cfg = {"protocol": {"family": "spin32", "path": {"m_phi": 1}}}
+        proto = cli.build_protocol(cfg, 100.0)
+        assert proto.descriptor["path"] == linear_path(1, 1).descriptor
 
     def test_low_gammaT_warns_but_runs(self, tmp_path, capsys):
         rc = cli.main([

@@ -101,6 +101,11 @@ class TestPseudoInverse:
         out = pseudo_inverse(np.diag([2.0, 0.0]).astype(complex))
         assert np.allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_singular_matrix_raises_no_warning(self):
+        out = pseudo_inverse(np.diag([4.0, 1e-14, 0.0]).astype(complex))
+        assert np.array_equal(out, np.diag([0.25, 0.0, 0.0]))
+
     def test_projector_is_own_pseudoinverse(self, rng):
         v = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         q, _ = np.linalg.qr(v)
@@ -130,12 +135,15 @@ class TestPseudoInverse:
 
 class TestOrderedExponential:
     def test_constant_full_rotation(self):
-        v = ordered_exponential(lambda s: -2j * np.pi * SIGMA_Y, 0.0, 1.0, 64)
-        assert np.linalg.norm(v - np.eye(2)) <= 1e-12
+        vs = ordered_exponential(lambda s: -2j * np.pi * SIGMA_Y, np.linspace(0.0, 1.0, 65))
+        assert vs.shape == (65, 2, 2)
+        assert np.linalg.norm(vs[-1] - np.eye(2)) <= 1e-12
+        # halfway through the 2 pi rotation the product is -1
+        assert np.linalg.norm(vs[32] + np.eye(2)) <= 1e-12
 
     def test_zero_generator(self):
-        v = ordered_exponential(lambda s: np.zeros((3, 3)), 0.0, 1.0, 8)
-        assert np.allclose(v, np.eye(3), atol=1e-15)
+        vs = ordered_exponential(lambda s: np.zeros((3, 3)), np.linspace(0.0, 1.0, 9))
+        assert np.allclose(vs, np.eye(3), atol=1e-15)
 
     def test_unitary_for_anti_hermitian(self, rng):
         h1 = random_matrix(rng, 3)
@@ -146,8 +154,8 @@ class TestOrderedExponential:
         def gen(s):
             return -1j * (np.cos(2 * np.pi * s) * h1 + np.sin(4 * np.pi * s) * h2)
 
-        v = ordered_exponential(gen, 0.0, 1.0, 512)
-        assert np.linalg.norm(dagger(v) @ v - np.eye(3)) <= 1e-9
+        for v in ordered_exponential(gen, np.linspace(0.0, 1.0, 513)):
+            assert np.linalg.norm(dagger(v) @ v - np.eye(3)) <= 1e-9
 
     def test_second_order_convergence(self, rng):
         h1 = random_matrix(rng, 2)
@@ -158,9 +166,9 @@ class TestOrderedExponential:
         def gen(s):
             return -1j * (h1 + s * s * h2)
 
-        exact = ordered_exponential(gen, 0.0, 1.0, 8192)
+        exact = ordered_exponential(gen, np.linspace(0.0, 1.0, 8193))[-1]
         err = [
-            np.linalg.norm(ordered_exponential(gen, 0.0, 1.0, n) - exact)
+            np.linalg.norm(ordered_exponential(gen, np.linspace(0.0, 1.0, n + 1))[-1] - exact)
             for n in (64, 128, 256)
         ]
         ratios = [err[i] / err[i + 1] for i in range(2)]
@@ -172,8 +180,8 @@ class TestOrderedExponential:
             return np.full((2, 2), np.nan) if s > 0.5 else np.zeros((2, 2))
 
         with pytest.raises(ValueError, match="phase"):
-            ordered_exponential(gen, 0.0, 1.0, 16)
+            ordered_exponential(gen, np.linspace(0.0, 1.0, 17))
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            ordered_exponential(lambda s: np.zeros((2, 2)), 0.0, 1.0, 0)
+            ordered_exponential(lambda s: np.zeros((2, 2)), np.array([0.0]))

@@ -11,6 +11,7 @@ from darklind.protocols import (
     fourier_path,
     lab_jump,
     linear_path,
+    path_from_descriptor,
     smoothstep_path,
     spin32_protocol,
     spin_operators,
@@ -68,6 +69,25 @@ class TestPaths:
                 dphi=lambda s: 0.0,
                 winding=(1, 0),
             )
+
+    @pytest.mark.parametrize("path", [
+        linear_path(2, -1, theta0=0.3, phi0=-0.1),
+        smoothstep_path(1, 1),
+        fourier_path(1, 0, theta_knots=(0.3, -0.2), phi_knots=(0.1,)),
+    ], ids=["linear", "smoothstep", "fourier"])
+    def test_descriptor_round_trip(self, path):
+        rebuilt = path_from_descriptor(path.descriptor)
+        assert rebuilt.descriptor == path.descriptor
+        for s in np.linspace(0.0, 1.0, 11):
+            got = (rebuilt.theta(s), rebuilt.phi(s), rebuilt.dtheta(s), rebuilt.dphi(s))
+            want = (path.theta(s), path.phi(s), path.dtheta(s), path.dphi(s))
+            assert got == want
+
+    @pytest.mark.parametrize("desc", [{}, {"family": "spiral", "m_theta": 1, "m_phi": 0,
+                                           "theta0": 0.0, "phi0": 0.0}])
+    def test_registry_rejects_unknown_family(self, desc):
+        with pytest.raises(ValueError, match="path family"):
+            path_from_descriptor(desc)
 
 
 class TestSpin32Protocol:
