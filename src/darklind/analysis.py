@@ -19,19 +19,17 @@ import scipy.integrate
 from . import effective as eff
 from .effective import (
     DarkSpace,
-    adiabatic_hamiltonian,
     berry_holonomy,
     dark_space,
     embed_dark,
     evolve_effective,
     lab_generator,
     project_dark,
-    projected_hamiltonian,
     rotating_generator,
     x_tau_integral,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import dagger, frobenius, matrix_exp, ordered_exponential
+from .linalg import dagger, frobenius, matrix_exp
 from .protocols import Protocol, path_from_descriptor
 
 __all__ = [
@@ -176,6 +174,25 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float, n_grid: i
     return purity(dark_state_from_bloch(n0)) - loss
 
 
+def _block_generator(
+    ds: DarkSpace, dark_generator: np.ndarray, bright_generator: np.ndarray | None = None
+) -> np.ndarray:
+    """Full-space generator P0 G P0 + P_perp G' P_perp of ``gauge_transform``."""
+    dark_generator = np.asarray(dark_generator, dtype=complex)
+    if frobenius(dark_generator - dagger(dark_generator)) > 1e-12 * max(
+        frobenius(dark_generator), 1.0
+    ):
+        raise ValueError("dark generator must be Hermitian")
+    gen = embed_dark(ds, dark_generator)
+    if bright_generator is not None:
+        perp = np.eye(ds.basis.shape[0]) - ds.projector
+        piece = perp @ np.asarray(bright_generator, dtype=complex) @ perp
+        if frobenius(piece - dagger(piece)) > 1e-12 * max(frobenius(piece), 1.0):
+            raise ValueError("bright generator block must be Hermitian")
+        gen = gen + piece
+    return gen
+
+
 def gauge_transform(
     ds: DarkSpace,
     dark_generator: np.ndarray,
@@ -187,29 +204,19 @@ def gauge_transform(
     ``bright_generator`` an optional full-space Hermitian matrix whose
     orthogonal-block part is used.  The result commutes with the projector.
     """
-    dark_generator = np.asarray(dark_generator, dtype=complex)
-    if frobenius(dark_generator - dagger(dark_generator)) > 1e-12 * max(
-        frobenius(dark_generator), 1.0
-    ):
-        raise ValueError("dark generator must be Hermitian")
-    dim = ds.basis.shape[0]
-    gen = embed_dark(ds, dark_generator)
-    if bright_generator is not None:
-        bright_generator = np.asarray(bright_generator, dtype=complex)
-        perp = np.eye(dim) - ds.projector
-        piece = perp @ bright_generator @ perp
-        if frobenius(piece - dagger(piece)) > 1e-12 * max(frobenius(piece), 1.0):
-            raise ValueError("bright generator block must be Hermitian")
-        gen = gen + piece
-    return matrix_exp(1j * gen)
+    return matrix_exp(1j * _block_generator(ds, dark_generator, bright_generator))
 
 
-def _sin2_ramp(s: float) -> float:
-    return math.sin(math.pi * s) ** 2
+def _sin2_gauge(gen_full: np.ndarray) -> eff.Gauge:
+    """Cyclic gauge s -> (omega, i omega' omega^dag) for omega(s) = exp(i sin^2(pi s) G)."""
+    w, v = np.linalg.eigh(gen_full)
+    vd = dagger(v)
 
+    def gauge(s: float) -> tuple[np.ndarray, np.ndarray]:
+        omega = (v * np.exp(1j * math.sin(math.pi * s) ** 2 * w)) @ vd
+        return omega, -math.pi * math.sin(2.0 * math.pi * s) * gen_full
 
-def _sin2_dramp(s: float) -> float:
-    return math.pi * math.sin(2.0 * math.pi * s)
+    return gauge
 
 
 @dataclass(frozen=True)
@@ -225,58 +232,18 @@ class GaugeReport:
     tau_fractions: tuple
 
 
-def _tilted_drive(protocol: Protocol, ds: DarkSpace, gen_full: np.ndarray, tau: float):
-    """Drive s -> omega(tau)^dag H^omega(s) omega(tau) for the frozen-kernel integral.
+def _tilted_drive(protocol: Protocol, gauge: eff.Gauge, tau: float):
+    """Drive s -> omega(tau)^dag H^omega(s) omega(tau) of the tilted quadrature kernel.
 
-    Only the bright-dark block matters downstream, where the inhomogeneous
-    -ramp'(s) G term of the tilted Hamiltonian drops out (G is block
-    diagonal), leaving the twisted conjugation of the plain Hamiltonian.
+    H^omega is the adiabatic Hamiltonian in the gauge frame.
     """
-    w, v = np.linalg.eigh(gen_full)
-    vd = dagger(v)
-    g_tau = _sin2_ramp(tau / protocol.gammaT)
+    omega_tau = gauge(tau / protocol.gammaT)[0]
 
     def drive(s_abs: float) -> np.ndarray:
-        delta = _sin2_ramp(s_abs / protocol.gammaT) - g_tau
-        twist = (v * np.exp(1j * delta * w)) @ vd
-        h = adiabatic_hamiltonian(protocol, s_abs / protocol.gammaT)
-        return twist @ h @ dagger(twist)
+        h = eff._gauged_hamiltonian(protocol, s_abs / protocol.gammaT, gauge)
+        return dagger(omega_tau) @ h @ omega_tau
 
     return drive
-
-
-def _tilted_purity(
-    protocol: Protocol,
-    ds: DarkSpace,
-    rho_d: np.ndarray,
-    gen_full: np.ndarray | None,
-    n_grid: int = 256,
-) -> float:
-    """End-of-cycle purity prediction computed in the tilted dark frame.
-
-    With ``gen_full`` None this reduces to the plain prediction on the same
-    grid, so the two gauges share quadrature error.  The tilted effective
-    jump comes from the frozen-kernel integral at every grid time.
-    """
-    gammaT = protocol.gammaT
-    taus = np.linspace(0.0, gammaT, n_grid + 1)
-    modes = eff._KernelModes(protocol, ds)
-    g_dd = project_dark(ds, gen_full) if gen_full is not None else None
-
-    def tilted_generator(s: float) -> np.ndarray:
-        h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, s), ds)
-        if g_dd is None:
-            return -1j * h0
-        omega_dd = matrix_exp(1j * _sin2_ramp(s) * g_dd)
-        return -1j * (omega_dd @ h0 @ dagger(omega_dd) - _sin2_dramp(s) * g_dd)
-
-    vs = ordered_exponential(tilted_generator, taus / gammaT)
-    ells = []
-    for tau in taus:
-        drive = None if gen_full is None else _tilted_drive(protocol, ds, gen_full, tau)
-        x = x_tau_integral(protocol, ds, tau, drive=drive, _modes=modes, quad_tol=1e-9)
-        ells.append(dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis)
-    return _purity_after(rho_d, eff._dissipator_integral(rho_d, ells, vs, taus), gammaT)
 
 
 def gauge_covariance_check(
@@ -294,23 +261,16 @@ def gauge_covariance_check(
     varies on the protocol scale, so the tilted jump matches its covariant
     image omega ell omega^dag only up to a defect of order 1/(gamma T); the
     report records the defect at both cycle durations (it should shrink when
-    gamma T grows) and the end-of-cycle purity computed in both gauges.
+    gamma T grows, checked against the quadrature kernel) and the end-of-cycle
+    purity prediction computed in both gauges by the frozen-state integral.
     """
-    dark_generator = np.asarray(dark_generator, dtype=complex)
-    gen_full = embed_dark(ds, dark_generator)
-    if bright_generator is not None:
-        perp = np.eye(ds.basis.shape[0]) - ds.projector
-        gen_full = gen_full + perp @ np.asarray(bright_generator, dtype=complex) @ perp
-    if frobenius(gen_full @ ds.projector - ds.projector @ gen_full) > 1e-12:
-        raise ValueError("gauge generator must commute with the dark projector")
+    gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
         rho_d = np.eye(ds.d, dtype=complex) / ds.d if ds.d != 2 else dark_state_from_bloch((0, 0, 1))
     else:
         rho_d = eff._coerce_dark_state(rho_init, ds)
 
-    defects = []
-    purities_plain = []
-    purities_tilted = []
+    defects, purities = [], []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
         modes = eff._KernelModes(proto, ds)
@@ -318,24 +278,27 @@ def gauge_covariance_check(
         for frac in tau_fractions:
             tau = frac * gammaT
             x_plain = x_tau_integral(proto, ds, tau, _modes=modes)
-            drive = _tilted_drive(proto, ds, gen_full, tau)
+            drive = _tilted_drive(proto, gauge, tau)
             x_tilted = x_tau_integral(proto, ds, tau, drive=drive, _modes=modes)
             defect = frobenius(
                 ds.projector @ proto.L_rot @ (x_tilted - x_plain) @ ds.projector
             )
             worst = max(worst, defect)
         defects.append(worst)
-        purities_plain.append(_tilted_purity(proto, ds, rho_d, None))
-        purities_tilted.append(_tilted_purity(proto, ds, rho_d, gen_full))
+        purities.append(tuple(
+            _purity_after(rho_d, eff._frozen_state_integral(rho_d, proto, ds, 2048, g)[0], gammaT)
+            for g in (None, gauge)
+        ))
+    plain, tilted = zip(*purities)
 
     ratio = defects[-1] / defects[0] if defects[0] > 0 else (0.0 if defects[-1] == 0 else math.inf)
     return GaugeReport(
         gammaT_values=tuple(float(g) for g in gammaT_pair),
         defects=tuple(defects),
         defect_ratio=float(ratio),
-        purity_plain=tuple(purities_plain),
-        purity_tilted=tuple(purities_tilted),
-        purity_differences=tuple(abs(a - b) for a, b in zip(purities_plain, purities_tilted)),
+        purity_plain=plain,
+        purity_tilted=tilted,
+        purity_differences=tuple(abs(a - b) for a, b in zip(plain, tilted)),
         tau_fractions=tuple(tau_fractions),
     )
 
@@ -399,13 +362,14 @@ def convergence_sweep(
     period from the dark-space initial state, record the purity loss, and
     compare the dark-block of the end state against the effective equation
     (and its unitary-only truncation).  Fits log-log slopes.  Per-point
-    integration failures are recorded and the sweep continues.
+    integration failures are recorded and the sweep continues; if fewer than
+    two cycle durations survive, the last failure (with its tau) is raised.
     """
     gammaTs = sorted(float(g) for g in gammaT_list)
     rho_arr = np.asarray(rho_init)
     losses, errors, first_errors = [], [], []
     losses12, losses21 = [], []
-    kept, failures = [], []
+    kept, failures, last_error = [], [], None
     for gammaT in gammaTs:
         proto = protocol_factory(gammaT)
         ds = dark_space(proto.L_rot)
@@ -420,6 +384,7 @@ def convergence_sweep(
             )
         except NUMERICAL_ERRORS as exc:
             failures.append(f"gammaT={gammaT}, tau={getattr(exc, 'tau', None)}: {exc}")
+            last_error = exc
             continue
         final = traj.final
         losses.append(1.0 - purity(final))
@@ -438,6 +403,8 @@ def convergence_sweep(
         else:
             losses21.append(math.nan)
         kept.append(gammaT)
+    if last_error is not None and len(kept) < 2:
+        raise last_error
 
     slope, _, r2 = fit_loglog(kept, losses)
     err_slope, _, err_r2 = fit_loglog(kept, errors)

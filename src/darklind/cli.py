@@ -90,6 +90,24 @@ DEFAULT_CONFIG = {
 #: config sections that are alternatives, replaced whole rather than merged
 _ATOMIC_KEYS = ("initial", "protocol")
 
+#: the keys each protocol family and custom angle entry reads
+_PROTOCOL_KEYS = {
+    "spin32": ("family", "path"),
+    "custom": ("family", "two_j", "generators", "angles", "jump"),
+}
+_ANGLE_KEYS = ("family", "m", "a0")
+
+
+def _section(value, name: str, allowed=None) -> dict:
+    """A config section: must be an object, with keys from ``allowed`` if given."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    if allowed is not None:
+        unknown = sorted(set(value) - set(allowed))
+        if unknown:
+            raise ConfigError(f"unknown {name} key(s) {', '.join(unknown)}")
+    return value
+
 
 def _merge(base: dict, override: dict, atomic: tuple = ()) -> dict:
     out = dict(base)
@@ -119,10 +137,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def validate_config(cfg: dict) -> dict:
     if cfg.get("experiment") not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    tols = cfg["tolerances"]
-    unknown = sorted(set(tols) - set(DEFAULT_CONFIG["tolerances"]))
-    if unknown:
-        raise ConfigError(f"unknown tolerance(s) {', '.join(unknown)}")
+    _section(cfg, "config", (*DEFAULT_CONFIG, "experiment"))
+    _section(cfg["gauge"], "gauge", DEFAULT_CONFIG["gauge"])
+    tols = _section(cfg["tolerances"], "tolerances", DEFAULT_CONFIG["tolerances"])
     for name in DEFAULT_CONFIG["tolerances"]:
         value = tols.get(name)
         if not isinstance(value, (int, float)) or value <= 0:
@@ -142,12 +159,14 @@ def validate_config(cfg: dict) -> dict:
     seed = cfg.get("seed")
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    init = cfg.get("initial", {})
+    init = _section(cfg["initial"], "initial", ("bloch", "density_matrix"))
     if "bloch" in init:
         n0 = np.asarray(init["bloch"], dtype=float)
         if n0.shape != (3,) or np.linalg.norm(n0) > 1.0 + 1e-9:
             raise ConfigError("initial.bloch must be a 3-vector of norm <= 1")
-    elif "density_matrix" not in init:
+    elif "density_matrix" in init:
+        _section(init["density_matrix"], "initial.density_matrix", ("re", "im"))
+    else:
         raise ConfigError("initial must provide bloch or density_matrix")
     n_cp = cfg.get("checkpoints")
     if not isinstance(n_cp, int) or n_cp < 1:
@@ -156,14 +175,18 @@ def validate_config(cfg: dict) -> dict:
 
 
 def build_protocol(cfg: dict, gammaT: float):
-    section = cfg["protocol"]
+    section = _section(cfg["protocol"], "protocol")
     family = section.get("family", "spin32")
+    if family not in _PROTOCOL_KEYS:
+        raise ConfigError(f"unknown protocol family {family!r}")
+    _section(section, "protocol", _PROTOCOL_KEYS[family])
     if family == "spin32":
         # keys a config leaves out take the default path's values (linear family)
-        path = {**DEFAULT_CONFIG["protocol"]["path"], **section.get("path", {})}
-        return spin32_protocol(path_from_descriptor(path), gammaT)
-    if family != "custom":
-        raise ConfigError(f"unknown protocol family {family!r}")
+        path = {**DEFAULT_CONFIG["protocol"]["path"],
+                **_section(section.get("path", {}), "protocol.path")}
+        spec = path_from_descriptor(path)
+        _section(path, "protocol.path", spec.descriptor)
+        return spin32_protocol(spec, gammaT)
     two_j = int(section.get("two_j", 1))
     sx, sy, sz = spin_operators(two_j)
     named = {"sx": sx, "sy": sy, "sz": sz}
@@ -176,6 +199,7 @@ def build_protocol(cfg: dict, gammaT: float):
         raise ConfigError("need one angle entry per generator")
     angles, dangles = [], []
     for entry in angle_sections:
+        _section(entry, "protocol.angles entry", _ANGLE_KEYS)
         fn, dfn = ramp_angle(
             entry.get("family", "linear"), float(entry.get("m", 0)), float(entry.get("a0", 0.0))
         )

@@ -47,6 +47,9 @@ __all__ = [
 #: decay exponent beyond which the memory kernel is numerically zero
 _KERNEL_CUTOFF_EXPONENT = 90.0
 
+#: a dark-space gauge: phase s -> (W(s), i W'(s) W(s)^dag), W unitary and commuting with P0
+Gauge = Callable[[float], tuple[np.ndarray, np.ndarray]]
+
 
 class NoDarkSpaceError(RuntimeError):
     """The jump operator has a trivial kernel."""
@@ -147,17 +150,25 @@ class _KernelModes:
         self.protocol = protocol
         self.ds = ds
 
-    def drive(self, tau: float) -> np.ndarray:
-        """Bright-to-dark block of the adiabatic Hamiltonian: U_b^dag H B."""
-        h = adiabatic_hamiltonian(self.protocol, tau / self.protocol.gammaT)
+    def drive(self, tau: float, gauge: Gauge | None = None) -> np.ndarray:
+        """Bright-to-dark block U_b^dag H B of the adiabatic Hamiltonian (H^W in a gauge)."""
+        h = _gauged_hamiltonian(self.protocol, tau / self.protocol.gammaT, gauge)
         return dagger(self.modes) @ h @ self.basis
+
+
+def _gauged_hamiltonian(protocol: Protocol, s: float, gauge: Gauge | None) -> np.ndarray:
+    """Adiabatic Hamiltonian in a gauge frame, W H W^dag + i W' W^dag (H without one)."""
+    h = adiabatic_hamiltonian(protocol, s)
+    if gauge is None:
+        return h
+    w, potential = gauge(s)
+    return w @ h @ dagger(w) + potential
 
 
 def x_tau_integral(
     protocol: Protocol,
     ds: DarkSpace,
     tau: float,
-    quad_tol: float = 1e-10,
     drive: Callable[[float], np.ndarray] | None = None,
     _modes: _KernelModes | None = None,
 ) -> np.ndarray:
@@ -195,7 +206,7 @@ def x_tau_integral(
             return np.stack([block.real, block.imag])
 
         res = scipy.integrate.quad_vec(
-            integrand, t_lo, tau, epsabs=quad_tol, epsrel=quad_tol, limit=400
+            integrand, t_lo, tau, epsabs=1e-10, epsrel=1e-10, limit=400
         )[0]
         reduced[group, :] = res[0] + 1j * res[1]
     return modes.modes @ reduced @ dagger(ds.basis)
@@ -305,11 +316,13 @@ def berry_holonomy(
     return ordered_exponential(_berry_generator(protocol, ds), np.linspace(0.0, s1, steps + 1))[-1]
 
 
-def _berry_generator(protocol: Protocol, ds: DarkSpace) -> Callable[[float], np.ndarray]:
-    """Phase -> -i H0(s), the generator of the Berry holonomy."""
+def _berry_generator(
+    protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None
+) -> Callable[[float], np.ndarray]:
+    """Phase -> -i H0(s), the generator of the Berry holonomy (in a gauge frame if given)."""
 
     def gen(s: float) -> np.ndarray:
-        return -1j * projected_hamiltonian(adiabatic_hamiltonian(protocol, s), ds)
+        return -1j * projected_hamiltonian(_gauged_hamiltonian(protocol, s, gauge), ds)
 
     return gen
 
@@ -439,17 +452,18 @@ def end_of_cycle_state(
 
 
 def _frozen_state_integral(
-    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, n_grid: int
+    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, n_grid: int, gauge: Gauge | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-state dissipator integral over one cycle, and the holonomy V_end.
 
     The effective jump comes from the exponential recurrence and V_tau from
-    the midpoint holonomy, both on n_grid + 1 uniform times.
+    the midpoint holonomy, both on n_grid + 1 uniform times and both in the
+    frame of ``gauge`` when one is given.
     """
     gammaT = protocol.gammaT
     taus = np.linspace(0.0, gammaT, n_grid + 1)
-    ells = _effective_jump_grid(protocol, ds, taus)
-    vs = ordered_exponential(_berry_generator(protocol, ds), taus / gammaT)
+    ells = _effective_jump_grid(protocol, ds, taus, gauge)
+    vs = ordered_exponential(_berry_generator(protocol, ds, gauge), taus / gammaT)
     return _dissipator_integral(rho_d, ells, vs, taus), vs[-1]
 
 
@@ -472,12 +486,21 @@ def _dissipator(ell: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return ell @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
 
 
-def _effective_jump_grid(protocol: Protocol, ds: DarkSpace, taus: np.ndarray) -> list[np.ndarray]:
+def _effective_jump_grid(
+    protocol: Protocol, ds: DarkSpace, taus: np.ndarray, gauge: Gauge | None = None
+) -> list[np.ndarray]:
     """ell_tau at grid points via the per-mode exponential recurrence.
 
-    Between grid points the decaying kernel factor is treated exactly and the
-    slow drive by three-point Gauss-Legendre, so the grid spacing only needs
-    to resolve the protocol, not the dissipative rate.
+    Between grid points the decay factor is applied exactly and the integral
+    of decay times drive over the step by three-point Gauss-Legendre.  That
+    product varies on the time 1/rate, so the grid must resolve it as well
+    as the protocol: the error falls at sixth order in the spacing, and 256
+    steps on the linear gammaT = 200 cycle still move the purity by 5e-7.
+
+    In a gauge frame W the drive seen at tau is W(tau)^dag H^W(s) W(tau), and
+    W(tau)^dag need not commute with the decay; the recurrence then runs per
+    (mode i, drive row j) pair, Y_ij(tau) = int e^{rate_i (s - tau)/2}
+    [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
     modes = _KernelModes(protocol, ds)
     nb = modes.rates.size
@@ -486,16 +509,24 @@ def _effective_jump_grid(protocol: Protocol, ds: DarkSpace, taus: np.ndarray) ->
         return [np.zeros((d, d), dtype=complex) for _ in taus]
     nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
     weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-    x = np.zeros((nb, d), dtype=complex)
-    out = [modes.reduce_jump @ x]
+    x = np.zeros((nb, d) if gauge is None else (nb, nb, d), dtype=complex)
+    rates = modes.rates.reshape((nb,) + (1,) * (x.ndim - 1))
+    xs = [x]
     for t0, t1 in zip(taus[:-1], taus[1:]):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
-        x = np.exp(-0.5 * modes.rates * (t1 - t0))[:, None] * x
+        x = np.exp(-0.5 * rates * (t1 - t0)) * x
         for node, weight in zip(nodes, weights):
             s = mid + half * node
-            x += weight * half * np.exp(0.5 * modes.rates * (s - t1))[:, None] * modes.drive(s)
-        out.append(modes.reduce_jump @ x)
+            x += weight * half * np.exp(0.5 * rates * (s - t1)) * modes.drive(s, gauge)
+        xs.append(x)
+    if gauge is None:
+        return [modes.reduce_jump @ x for x in xs]
+    out = []
+    for tau, x in zip(taus, xs):
+        w = gauge(tau / protocol.gammaT)[0]
+        x = np.einsum("ij,ijk->ik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
+        out.append(modes.reduce_jump @ x @ project_dark(ds, w))
     return out
 
 

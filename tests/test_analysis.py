@@ -18,13 +18,15 @@ from darklind.analysis import (
     trace_distance,
 )
 import darklind.analysis as analysis
-from darklind.effective import end_of_cycle_state
+import darklind.effective as eff
+from darklind.effective import dark_space, end_of_cycle_state, x_tau_integral
 from darklind.engine import StepSizeUnderflowError, Trajectory
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     PathSpec,
     custom_protocol,
     linear_path,
+    ramp_angle,
     spin32_protocol,
     spin_operators,
 )
@@ -145,9 +147,11 @@ class TestGauge:
         block = dagger(spin32_ds.basis) @ omega @ spin32_ds.basis
         assert np.linalg.norm(block - matrix_exp(1j * chi * SZ)) <= 1e-12
 
-    def test_rejects_non_hermitian_generator(self, spin32_ds):
+    def test_rejects_non_hermitian_generator(self, spin32_linear, spin32_ds):
         with pytest.raises(ValueError, match="Hermitian"):
             gauge_transform(spin32_ds, np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            gauge_covariance_check(spin32_linear, spin32_ds, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_identity_gauge_has_no_defect(self, spin32_linear, spin32_ds):
         report = gauge_covariance_check(
@@ -170,8 +174,41 @@ class TestGauge:
             tau_fractions=(0.4, 0.6), gammaT_pair=(60.0, 120.0),
         )
         assert 0.35 <= report.defect_ratio <= 0.7
-        for diff, gammaT in zip(report.purity_differences, report.gammaT_values):
+        # the quadrature defects, pinned to their values before the purities
+        # moved onto the frozen-state recurrence
+        for got, pinned in zip(report.defects, (0.08924371860716582, 0.042824051667802836)):
+            assert abs(got - pinned) <= 1e-12 * pinned
+        rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
+        for plain, diff, gammaT in zip(
+            report.purity_plain, report.purity_differences, report.gammaT_values
+        ):
+            proto = spin32_linear.with_gammaT(gammaT)
+            assert plain == purity_prediction_general(rho0, proto, spin32_ds)
             assert diff <= 10.0 / gammaT**2
+
+    def test_gauged_recurrence_matches_quadrature(self):
+        # spin-3/2 lowering jump (bright rates 3, 3, 4) with a bright gauge
+        # block that does not commute with L^dag L: the per-pair recurrence
+        # must reproduce the tilted quadrature kernel
+        sx, sy, sz = spin_operators(3)
+        jump = dagger(sx + 1j * sy)
+        theta, dtheta = ramp_angle("linear", 1.0)
+        phi, dphi = ramp_angle("smoothstep", 1.0)
+        proto = custom_protocol([sy, sz], [theta, phi], jump, 30.0, dangles=[dtheta, dphi])
+        ds = dark_space(proto.L_rot)
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gen = analysis._block_generator(ds, np.array([[0.4]]), b + dagger(b))
+        rates = dagger(jump) @ jump
+        assert np.linalg.norm(gen @ rates - rates @ gen) >= 1.0
+        gauge = analysis._sin2_gauge(gen)
+        taus = np.linspace(0.0, 30.0, 513)
+        ells = eff._effective_jump_grid(proto, ds, taus, gauge)
+        for k in (64, 300, 512):
+            drive = analysis._tilted_drive(proto, gauge, taus[k])
+            x = x_tau_integral(proto, ds, taus[k], drive=drive)
+            oracle = dagger(ds.basis) @ jump @ x @ ds.basis
+            assert np.linalg.norm(ells[k] - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
 
 class TestFits:
@@ -211,16 +248,20 @@ class TestSweep:
         assert math.isnan(result.fitted_slope)
 
     def test_integration_failure_recorded_with_tau(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise StepSizeUnderflowError(12.5, 1e-16)
+        def failing_at_150(gen_of_t, rho0, span, **kwargs):
+            if span[1] == 150.0:
+                raise StepSizeUnderflowError(12.5, 1e-16)
+            return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
 
-        monkeypatch.setattr(analysis, "integrate", failing)
-        result = convergence_sweep(
-            lambda g: spin32_protocol(linear_path(1, 0), g), [50.0, 100.0], (0.0, 0.0, 1.0)
-        )
-        assert result.gammaT_values == ()
-        assert len(result.failures) == 2
-        assert all("tau=12.5" in failure for failure in result.failures)
+        monkeypatch.setattr(analysis, "integrate", failing_at_150)
+        result = convergence_sweep(constant_protocol, [50.0, 100.0, 150.0], (0.0, 0.0, 1.0))
+        assert result.gammaT_values == (50.0, 100.0)
+        assert len(result.failures) == 1
+        assert "gammaT=150.0, tau=12.5" in result.failures[0]
+        # fewer than two survivors: no fit to report, the failure is raised
+        with pytest.raises(StepSizeUnderflowError) as caught:
+            convergence_sweep(constant_protocol, [100.0, 150.0], (0.0, 0.0, 1.0))
+        assert caught.value.tau == 12.5
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,9 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
+import darklind.analysis as analysis
 import darklind.cli as cli
 from darklind.checks import CriterionResult
+from darklind.engine import StepSizeUnderflowError
 from darklind.protocols import linear_path
 
 
@@ -56,6 +59,42 @@ class TestValidation:
         assert rc == 1
         assert "kernel_tol" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["tolerances", "initial", "protocol", "gauge"])
+    def test_rejects_non_object_section(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", section: 5}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{section} must be an object" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"gammaTT": 50}, "gammaTT"),
+        ({"gauge": {"dark_phse": 0.1}}, "dark_phse"),
+        ({"initial": {"bloch": [0, 0, 1], "blch": [0, 1, 0]}}, "blch"),
+        ({"initial": {"density_matrix": {"re": [[1.0]], "img": [[0.0]]}}}, "img"),
+        ({"protocol": {"family": "spin32", "genrators": ["sx"]}}, "genrators"),
+        ({"protocol": {"family": "spin32", "path": {"m_thta": 3}}}, "m_thta"),
+        ({"protocol": {"family": "custom", "genrators": ["sz"]}}, "genrators"),
+        ({"protocol": {"family": "custom", "generators": ["sz"],
+                       "angles": [{"family": "linear", "turns": 1}]}}, "turns"),
+    ])
+    def test_rejects_unknown_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", **config}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fourier_path_knots_are_known_keys(self):
+        path = {"family": "fourier", "theta_knots": [0.1], "phi_knots": [0.2]}
+        proto = cli.build_protocol({"protocol": {"family": "spin32", "path": path}}, 100.0)
+        assert proto.descriptor["path"]["theta_knots"] == [0.1]
 
     def test_path_section_without_family_is_linear(self):
         cfg = {"protocol": {"family": "spin32", "path": {"m_phi": 1}}}
@@ -139,6 +178,19 @@ class TestSweepExperiment:
             "first_order_in_window",
         }
         assert len(report["purity_loss_exact"]) == 2
+
+    def test_sweep_left_without_two_points_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise StepSizeUnderflowError(12.5, 1e-16)
+
+        monkeypatch.setattr(analysis, "integrate", failing)
+        rc = cli.main(["run", "sweep", "--gammaT", "50,100", "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
+        diagnostic = read_json(tmp_path / "sweep_diagnostic.json")
+        assert diagnostic["error"] == "StepSizeUnderflowError"
+        assert diagnostic["tau"] == 12.5
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import darklind.effective as eff
 from darklind.analysis import dark_state_from_bloch, purity, trace_distance
 from darklind.effective import (
     NoDarkSpaceError,
@@ -264,6 +265,15 @@ class TestEffectiveJump:
     def test_adiabatic_source(self, spin32_linear, spin32_ds):
         ell = effective_jump(spin32_linear, spin32_ds, 100.0, source="adiabatic")
         assert np.linalg.norm(ell - 2j * math.pi * SZ) <= 1e-10
+
+    def test_grid_recurrence_matches_quadrature(self, spin32_ds):
+        # the GL3 recurrence against the adaptive-quadrature kernel on a grid
+        # fine enough for the decay rate (measured 6.6e-11 at 2049 points)
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
+        taus = np.linspace(0.0, 200.0, 2049)
+        ells = eff._effective_jump_grid(proto, spin32_ds, taus)
+        for k in (3, 512, 1100, 2048):
+            assert np.linalg.norm(ells[k] - effective_jump(proto, spin32_ds, taus[k])) <= 1e-9
 
 
 class TestEffectiveRhs:
