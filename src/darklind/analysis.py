@@ -30,7 +30,7 @@ from .effective import (
 )
 from .engine import NUMERICAL_ERRORS, integrate
 from .linalg import dagger, frobenius, matrix_exp
-from .protocols import Protocol, path_from_descriptor
+from .protocols import Protocol, _is_grid, path_from_descriptor
 
 __all__ = [
     "purity",
@@ -208,13 +208,19 @@ def gauge_transform(
 
 
 def _sin2_gauge(gen_full: np.ndarray) -> eff.Gauge:
-    """Cyclic gauge s -> (omega, i omega' omega^dag) for omega(s) = exp(i sin^2(pi s) G)."""
+    """Cyclic gauge s -> (omega, i omega' omega^dag) for omega(s) = exp(i sin^2(pi s) G).
+
+    Takes one phase or a 1-D array of phases (then returns two stacks).
+    """
     w, v = np.linalg.eigh(gen_full)
     vd = dagger(v)
 
     def gauge(s: float) -> tuple[np.ndarray, np.ndarray]:
-        omega = (v * np.exp(1j * math.sin(math.pi * s) ** 2 * w)) @ vd
-        return omega, -math.pi * math.sin(2.0 * math.pi * s) * gen_full
+        sin = math.sin
+        if _is_grid(s):
+            s, sin = np.reshape(s, (-1, 1, 1)), np.sin
+        omega = (v * np.exp(1j * sin(math.pi * s) ** 2 * w)) @ vd
+        return omega, -math.pi * sin(2.0 * math.pi * s) * gen_full
 
     return gauge
 

@@ -159,7 +159,11 @@ def validate_config(cfg: dict) -> dict:
     seed = cfg.get("seed")
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError("output_dir must be a string")
     init = _section(cfg["initial"], "initial", ("bloch", "density_matrix"))
+    if "bloch" in init and "density_matrix" in init:
+        raise ConfigError("initial must provide bloch or density_matrix, not both")
     if "bloch" in init:
         n0 = np.asarray(init["bloch"], dtype=float)
         if n0.shape != (3,) or np.linalg.norm(n0) > 1.0 + 1e-9:

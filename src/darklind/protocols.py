@@ -34,6 +34,32 @@ __all__ = [
 _PHASE_SAMPLES = 64  # construction-time grid for unitarity/cyclicity checks
 
 
+def _is_grid(s) -> bool:
+    """True when ``s`` is an array of phases rather than one phase.
+
+    The test is ``np.ndim``; floats (NumPy's included) skip it, since the
+    scalar path runs once per RHS evaluation and ``np.ndim`` costs a
+    microsecond on a Python float.
+    """
+    return not isinstance(s, float) and np.ndim(s) > 0
+
+
+def _angle(fn: Callable, s):
+    """fn(s); for an array of n phases an (n, 1, 1) column, so that it scales a stack.
+
+    An angle constant in s may return a scalar for an array phase; it is broadcast.
+    """
+    if not _is_grid(s):
+        return fn(s)
+    return np.broadcast_to(fn(s), np.shape(s)).reshape(-1, 1, 1)
+
+
+def _identity(dim: int, s) -> np.ndarray:
+    """Identity matrix, or one per phase for an array of phases."""
+    eye = np.eye(dim, dtype=complex)
+    return np.broadcast_to(eye, (np.size(s), dim, dim)) if _is_grid(s) else eye
+
+
 def spin_operators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spin operators (S_x, S_y, S_z) for spin j = two_j / 2.
 
@@ -124,18 +150,21 @@ def fourier_path(
     """Winding plus periodic Fourier wiggles sum_k a_k sin(2*pi*k*s).
 
     The sine series vanishes at both endpoints, so the declared windings stay
-    exact whatever the knot amplitudes.
+    exact whatever the knot amplitudes.  The angles take one phase or an
+    array of phases.
     """
     wt, wp = 2 * math.pi * m_theta, 2 * math.pi * m_phi
     tk = tuple(float(a) for a in theta_knots)
     pk = tuple(float(a) for a in phi_knots)
 
     def series(knots, s):
-        return sum(a * math.sin(2 * math.pi * (k + 1) * s) for k, a in enumerate(knots))
+        sin = np.sin if _is_grid(s) else math.sin
+        return sum(a * sin(2 * math.pi * (k + 1) * s) for k, a in enumerate(knots))
 
     def dseries(knots, s):
+        cos = np.cos if _is_grid(s) else math.cos
         return sum(
-            a * 2 * math.pi * (k + 1) * math.cos(2 * math.pi * (k + 1) * s)
+            a * 2 * math.pi * (k + 1) * cos(2 * math.pi * (k + 1) * s)
             for k, a in enumerate(knots)
         )
 
@@ -177,6 +206,11 @@ class Protocol:
     spin windings, which no observable sees).  ``dU``, when provided, is the
     analytic phase derivative; otherwise a Richardson-checked central
     difference is used by consumers.
+
+    ``U`` and ``dU`` take one phase and return a (dim, dim) matrix, or a 1-D
+    array of n phases and return an (n, dim, dim) stack, element k belonging
+    to phase k.  Consumers evaluate whole phase grids in one call; they check
+    the shape and every element as they would check one matrix.
     """
 
     dim: int
@@ -209,7 +243,11 @@ class Protocol:
 
 
 def _exp_factory(generator: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Cached eigenbasis for exp(i * angle * G) with G Hermitian."""
+    """Cached eigenbasis for exp(i * angle * G) with G Hermitian.
+
+    The returned function takes one angle, or an (n, 1, 1) column of angles
+    (see ``_angle``) and then returns the (n, d, d) stack of exponentials.
+    """
     w, v = np.linalg.eigh(generator)
     vd = dagger(v)
 
@@ -238,13 +276,13 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     rot_z = _exp_factory(sz)
 
     def u_of(s: float) -> np.ndarray:
-        return rot_y(path.theta(s)) @ rot_z(path.phi(s))
+        return rot_y(_angle(path.theta, s)) @ rot_z(_angle(path.phi, s))
 
     def du_of(s: float) -> np.ndarray:
-        uy, uz = rot_y(path.theta(s)), rot_z(path.phi(s))
+        uy, uz = rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))
         return (
-            1j * path.dtheta(s) * (sy @ uy) @ uz
-            + 1j * path.dphi(s) * uy @ (sz @ uz)
+            1j * _angle(path.dtheta, s) * (sy @ uy) @ uz
+            + 1j * _angle(path.dphi, s) * uy @ (sz @ uz)
         )
 
     return Protocol(
@@ -281,9 +319,9 @@ def custom_protocol(
     rots = [_exp_factory(g) for g in gens]
 
     def u_of(s: float) -> np.ndarray:
-        u = np.eye(dim, dtype=complex)
+        u = _identity(dim, s)
         for rot, ang in zip(rots, angles):
-            u = u @ rot(ang(s))
+            u = u @ rot(_angle(ang, s))
         return u
 
     du_of = None
@@ -292,12 +330,12 @@ def custom_protocol(
             raise ValueError("need one derivative per angle function")
 
         def du_of(s: float) -> np.ndarray:  # noqa: F811
-            factors = [rot(ang(s)) for rot, ang in zip(rots, angles)]
-            total = np.zeros((dim, dim), dtype=complex)
+            factors = [rot(_angle(ang, s)) for rot, ang in zip(rots, angles)]
+            total = np.zeros_like(_identity(dim, s))
             for k in range(len(factors)):
-                term = np.eye(dim, dtype=complex)
+                term = _identity(dim, s)
                 for i, f in enumerate(factors):
-                    piece = 1j * dangles[k](s) * (gens[k] @ f) if i == k else f
+                    piece = 1j * _angle(dangles[k], s) * (gens[k] @ f) if i == k else f
                     term = term @ piece
                 total += term
             return total

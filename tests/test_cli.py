@@ -91,6 +91,30 @@ class TestValidation:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_non_string_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DARKLIND_OUTDIR", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "output_dir": 5}))
+        rc = cli.main(["run", "--config", str(cfg)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "output_dir must be a string" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_rejects_bloch_and_density_matrix_together(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "initial": {
+            "bloch": [0.0, 0.0, 1.0],
+            "density_matrix": {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        }}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "not both" in err
+        assert not out.exists()
+
     def test_fourier_path_knots_are_known_keys(self):
         path = {"family": "fourier", "theta_knots": [0.1], "phi_knots": [0.2]}
         proto = cli.build_protocol({"protocol": {"family": "spin32", "path": path}}, 100.0)

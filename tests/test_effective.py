@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -30,8 +31,10 @@ from darklind.engine import integrate
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     custom_protocol,
+    fourier_path,
     linear_path,
     smoothstep_path,
+    spin32_jump,
     spin32_protocol,
     spin_operators,
 )
@@ -149,6 +152,71 @@ class TestAdiabaticHamiltonian:
         )
         with pytest.raises(ValueError, match="unitary"):
             adiabatic_hamiltonian(broken, 0.5)
+
+
+_, _SY32, _SZ32 = spin_operators(3)
+_TURN = 2.0 * math.pi
+
+#: protocols of every array route: analytic spin-3/2 paths, a custom protocol
+#: with a constant angle, and the finite-difference derivative
+GRID_PROTOCOLS = {
+    "linear": lambda: spin32_protocol(linear_path(1, 0), 200.0),
+    "smoothstep": lambda: spin32_protocol(smoothstep_path(1, 1), 200.0),
+    "fourier": lambda: spin32_protocol(
+        fourier_path(1, 1, theta_knots=(0.2, -0.1), phi_knots=(0.15,)), 200.0
+    ),
+    "constant-angle": lambda: custom_protocol(
+        [_SY32, _SZ32], [lambda s: _TURN * s, lambda s: 0.0], spin32_jump(), 200.0,
+        dangles=[lambda s: _TURN, lambda s: 0.0],
+    ),
+    "finite-difference": lambda: custom_protocol(
+        [_SY32], [lambda s: _TURN * s], spin32_jump(), 200.0
+    ),
+}
+
+
+class TestHamiltonianOnGrid:
+    @pytest.mark.parametrize("name", list(GRID_PROTOCOLS))
+    def test_matches_scalar_phases(self, name):
+        proto = GRID_PROTOCOLS[name]()
+        s = np.linspace(0.0, 1.0, 37)
+        hs = adiabatic_hamiltonian(proto, s)
+        assert hs.shape == (37, 4, 4)
+        for k in range(s.size):
+            assert np.linalg.norm(hs[k] - adiabatic_hamiltonian(proto, float(s[k]))) <= 1e-14
+
+    def test_names_first_non_unitary_phase(self):
+        broken = types.SimpleNamespace(
+            dim=4,
+            U=lambda s: np.where(np.reshape(s, (-1, 1, 1)) == 0.5, 1.1, 1.0) * np.eye(4),
+            dU=lambda s: np.zeros((np.size(s), 4, 4)),
+            gammaT=100.0,
+        )
+        with pytest.raises(ValueError, match=r"U\(0\.5\) is not unitary"):
+            adiabatic_hamiltonian(broken, np.linspace(0.0, 1.0, 5))
+
+    def test_rejects_wrong_shape(self):
+        scalar_only = types.SimpleNamespace(
+            dim=4, U=lambda s: np.eye(4), dU=lambda s: np.zeros((4, 4)), gammaT=100.0
+        )
+        with pytest.raises(ValueError, match="shape"):
+            adiabatic_hamiltonian(scalar_only, np.linspace(0.0, 1.0, 5))
+
+    def test_reduced_ode_calls_u_once_per_rhs(self):
+        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
+        calls = []
+
+        def counted(s, u_of=proto.U):
+            calls.append(s)
+            return u_of(s)
+
+        proto = dataclasses.replace(proto, U=counted)
+        ds = dark_space(proto.L_rot)
+        calls.clear()  # construction samples the path
+        _, stats = eff._effective_ode(
+            dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds, [20.0], "full", 1e-10, 1e-13
+        )
+        assert len(calls) == stats.rhs_evaluations
 
 
 class TestProjectedHamiltonian:

@@ -58,6 +58,15 @@ class TestMatrixExp:
         with pytest.raises(ValueError):
             matrix_exp(bad)
 
+    def test_stack_matches_each_matrix(self, rng):
+        # one matrix per branch: Hermitian, anti-Hermitian, general
+        a = random_matrix(rng, 4)
+        stack = np.array([a + dagger(a), a - dagger(a), a])
+        out = matrix_exp(stack)
+        assert out.shape == (3, 4, 4)
+        for k in range(3):
+            assert np.linalg.norm(out[k] - matrix_exp(stack[k])) <= 1e-14 * np.linalg.norm(out[k])
+
 
 class TestKernelBasis:
     def test_simple_diagonal(self):
@@ -133,16 +142,24 @@ class TestPseudoInverse:
         assert np.linalg.norm(mp @ m - p_perp) <= 1e-12
 
 
+def midpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid of n + 1 points on [0, 1] and its n midpoints as an (n, 1, 1) column."""
+    grid = np.linspace(0.0, 1.0, n + 1)
+    return grid, (0.5 * (grid[:-1] + grid[1:]))[:, None, None]
+
+
 class TestOrderedExponential:
     def test_constant_full_rotation(self):
-        vs = ordered_exponential(lambda s: -2j * np.pi * SIGMA_Y, np.linspace(0.0, 1.0, 65))
+        grid, _ = midpoints(64)
+        vs = ordered_exponential(np.broadcast_to(-2j * np.pi * SIGMA_Y, (64, 2, 2)), grid)
         assert vs.shape == (65, 2, 2)
         assert np.linalg.norm(vs[-1] - np.eye(2)) <= 1e-12
         # halfway through the 2 pi rotation the product is -1
         assert np.linalg.norm(vs[32] + np.eye(2)) <= 1e-12
 
     def test_zero_generator(self):
-        vs = ordered_exponential(lambda s: np.zeros((3, 3)), np.linspace(0.0, 1.0, 9))
+        grid, _ = midpoints(8)
+        vs = ordered_exponential(np.zeros((8, 3, 3)), grid)
         assert np.allclose(vs, np.eye(3), atol=1e-15)
 
     def test_unitary_for_anti_hermitian(self, rng):
@@ -150,11 +167,9 @@ class TestOrderedExponential:
         h1 = h1 + dagger(h1)
         h2 = random_matrix(rng, 3)
         h2 = h2 + dagger(h2)
-
-        def gen(s):
-            return -1j * (np.cos(2 * np.pi * s) * h1 + np.sin(4 * np.pi * s) * h2)
-
-        for v in ordered_exponential(gen, np.linspace(0.0, 1.0, 513)):
+        grid, s = midpoints(512)
+        gens = -1j * (np.cos(2 * np.pi * s) * h1 + np.sin(4 * np.pi * s) * h2)
+        for v in ordered_exponential(gens, grid):
             assert np.linalg.norm(dagger(v) @ v - np.eye(3)) <= 1e-9
 
     def test_second_order_convergence(self, rng):
@@ -163,25 +178,22 @@ class TestOrderedExponential:
         h2 = random_matrix(rng, 2)
         h2 = h2 + dagger(h2)
 
-        def gen(s):
-            return -1j * (h1 + s * s * h2)
+        def last(n):
+            grid, s = midpoints(n)
+            return ordered_exponential(-1j * (h1 + s * s * h2), grid)[-1]
 
-        exact = ordered_exponential(gen, np.linspace(0.0, 1.0, 8193))[-1]
-        err = [
-            np.linalg.norm(ordered_exponential(gen, np.linspace(0.0, 1.0, n + 1))[-1] - exact)
-            for n in (64, 128, 256)
-        ]
+        exact = last(8192)
+        err = [np.linalg.norm(last(n) - exact) for n in (64, 128, 256)]
         ratios = [err[i] / err[i + 1] for i in range(2)]
         for r in ratios:
             assert 3.0 <= r <= 5.0, f"non-quadratic convergence: {ratios}"
 
     def test_rejects_nonfinite_generator(self):
-        def gen(s):
-            return np.full((2, 2), np.nan) if s > 0.5 else np.zeros((2, 2))
-
-        with pytest.raises(ValueError, match="phase"):
-            ordered_exponential(gen, np.linspace(0.0, 1.0, 17))
+        grid, s = midpoints(16)
+        gens = np.where(s > 0.5, np.nan, 0.0) * np.ones((2, 2))
+        with pytest.raises(ValueError, match="phase 0.53125"):
+            ordered_exponential(gens, grid)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
-            ordered_exponential(lambda s: np.zeros((2, 2)), np.array([0.0]))
+            ordered_exponential(np.zeros((0, 2, 2)), np.array([0.0]))
