@@ -9,6 +9,7 @@ theory, its scaling laws and its gauge covariance against brute force.
 
 from .linalg import kernel_basis, matrix_exp, ordered_exponential, pseudo_inverse
 from .engine import (
+    ConvergenceError,
     GaplessLindbladianError,
     InvariantViolationError,
     LindbladGenerator,

@@ -12,14 +12,29 @@ from the reduced state back to the full Hilbert space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .engine import LindbladGenerator, adaptive_rk45, validate_density_matrix
-from .linalg import _norms, dagger, frobenius, kernel_basis, ordered_exponential, pseudo_inverse
+from .engine import (
+    ConvergenceError,
+    LindbladGenerator,
+    check_invariants,
+    superoperator,
+    validate_density_matrix,
+)
+from .linalg import (
+    CF4_NODES,
+    _norms,
+    dagger,
+    frobenius,
+    kernel_basis,
+    ordered_exponential,
+    pseudo_inverse,
+)
 from .protocols import Protocol, _is_grid, lab_jump
 
 __all__ = [
@@ -392,65 +407,6 @@ def _blockwise(fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray
     ])
 
 
-def _effective_ode(
-    rho0_d: np.ndarray,
-    protocol: Protocol,
-    ds: DarkSpace,
-    taus: Sequence[float],
-    mode: str,
-    rtol: float,
-    atol: float,
-):
-    """Joint integration of the reduced state and the memory kernel.
-
-    The kernel block (bright rows x dark columns) obeys the linear equation
-    dX/dtau = -L^dag L X / 2 + drive, integrated alongside rho so the
-    effective jump is always evaluated self-consistently.
-    """
-    modes = _KernelModes(protocol, ds)
-    d = ds.d
-    nb = modes.rates.size
-    eps = 1.0 / protocol.gammaT
-    need_x = mode in ("full", "dissipator") and nb > 0
-
-    def unpack(y):
-        rho = y[: d * d].reshape(d, d)
-        x = y[d * d :].reshape(nb, d) if need_x else None
-        return rho, x
-
-    def fun(tau, y):
-        rho, x = unpack(y)
-        s = min(max(tau / protocol.gammaT, 0.0), 1.0)
-        h = adiabatic_hamiltonian(protocol, s)
-        h0 = projected_hamiltonian(h, ds)
-        drho = np.zeros((d, d), dtype=complex)
-        if mode in ("full", "unitary"):
-            drho += -1j * eps * (h0 @ rho - rho @ h0)
-        dy = [drho.reshape(-1)]
-        if need_x:
-            drho_diss = eps**2 * _dissipator(modes.reduce_jump @ x, rho)
-            dy[0] = (drho + drho_diss).reshape(-1)
-            dx = -0.5 * modes.rates[:, None] * x + modes.block(h)
-            dy.append(dx.reshape(-1))
-        return np.concatenate(dy)
-
-    y0 = [np.asarray(rho0_d, dtype=complex).reshape(-1)]
-    if need_x:
-        y0.append(np.zeros(nb * d, dtype=complex))
-    _, states, stats = adaptive_rk45(
-        fun,
-        np.concatenate(y0),
-        0.0,
-        float(max(taus)),
-        rtol=rtol,
-        atol=atol,
-        max_step=min(0.1 * protocol.gammaT, 2.0),
-        checkpoints=taus,
-        first_step=min(0.01, protocol.gammaT / 1e3),
-    )
-    return [unpack(y)[0] for y in states], stats
-
-
 def evolve_effective(
     rho0_d: np.ndarray,
     protocol: Protocol,
@@ -460,15 +416,115 @@ def evolve_effective(
     rtol: float = 1e-10,
     atol: float = 1e-13,
 ) -> list[np.ndarray]:
-    """Reduced dark-space states at the requested times.
+    """Reduced dark-space states at the requested times, in ascending order of time.
 
     ``mode`` selects the generator: "full" (Berry term plus dissipator),
-    "unitary" (first order only) or "dissipator" (purity decay only).
+    "unitary" (first order only, ell = 0) or "dissipator" (purity decay only,
+    H0 = 0).  The reduced equation d rho/d tau = S(tau) rho,
+    S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
+    the fourth-order commutator-free Magnus exponential (CF4, see
+    ``ordered_exponential``) of its d^2 x d^2 superoperator; ell at each step's
+    two Gauss points comes from the exact kernel recurrence that
+    ``_effective_jump_grid`` runs, carried from step to step.
+
+    The grid has the requested times as breakpoints.  Its first interval is
+    graded quadratically toward tau = 0, where the kernel's onset transient
+    (X_0 = 0, relaxing at half the slowest bright rate) lives, and is cut after
+    ``_ONSET_RELAXATION_TIMES`` relaxation times.  Each interval is stepped
+    with n and 2n steps, n doubling from ``_MAGNUS_FIRST_STEPS``, until the
+    two states differ by at most ``atol + rtol * |rho|`` (Frobenius norms);
+    the 2n-step state is kept.  ``rtol`` and ``atol`` set that target and
+    nothing else.  When ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet it, a
+    ``ConvergenceError`` names the interval and the estimate; a returned state
+    outside the engine's Hermiticity, trace or positivity tolerances raises
+    ``InvariantViolationError``.  States are never projected back.
     """
     if mode not in ("full", "unitary", "dissipator"):
         raise ValueError(f"unknown mode {mode!r}")
-    states, _ = _effective_ode(rho0_d, protocol, ds, list(taus), mode, rtol, atol)
-    return states
+    if not (rtol >= 0.0 and atol >= 0.0):
+        raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
+    checkpoints = sorted(float(t) for t in taus)
+    if checkpoints and not 0.0 <= checkpoints[0] <= checkpoints[-1] <= protocol.gammaT:
+        raise ValueError(f"times must lie in [0, gammaT = {protocol.gammaT}]")
+    rho = np.asarray(rho0_d, dtype=complex)
+    propagator = _MagnusPropagator(protocol, ds, mode)
+    state, x = rho.reshape(-1, 1), np.zeros((propagator.modes.rates.size, ds.d), dtype=complex)
+    reached = {0.0: rho.copy()}
+    for t0, t1 in pairwise(propagator.breakpoints(checkpoints)):
+        state, x = propagator.interval(t0, t1, state, x, rtol, atol)
+        reached[t1] = state.reshape(ds.d, ds.d).copy()
+        check_invariants(t1, reached[t1])
+    return [reached[t] for t in checkpoints]
+
+
+#: steps per interval on the first try, and the doublings allowed after it
+_MAGNUS_FIRST_STEPS = 8
+_MAGNUS_MAX_DOUBLINGS = 12
+#: length of the graded onset interval, in relaxation times 2/rate of the slowest bright mode
+_ONSET_RELAXATION_TIMES = 8.0
+
+
+class _MagnusPropagator:
+    """CF4 steps of the reduced equation of one (protocol, dark space, mode)."""
+
+    def __init__(self, protocol: Protocol, ds: DarkSpace, mode: str):
+        self.protocol = protocol
+        self.ds = ds
+        self.modes = _KernelModes(protocol, ds)
+        self.berry = mode in ("full", "unitary")
+        self.decay = mode in ("full", "dissipator") and self.modes.rates.size > 0
+
+    def breakpoints(self, checkpoints: list[float]) -> list[float]:
+        """0, the checkpoints and, below the first of them, the end of the onset interval."""
+        points = sorted({0.0, *checkpoints})
+        if self.decay and len(points) > 1:
+            onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
+            if onset < points[1]:
+                points.insert(1, onset)
+        return points
+
+    def interval(self, t0, t1, state, x, rtol, atol):
+        """(state, kernel block) at t1 from those at t0, by step doubling."""
+        n = _MAGNUS_FIRST_STEPS
+        coarse = self.steps(t0, t1, n, state, x)
+        for _ in range(_MAGNUS_MAX_DOUBLINGS):
+            fine = self.steps(t0, t1, 2 * n, state, x)
+            estimate = frobenius(fine[0] - coarse[0])
+            target = atol + rtol * frobenius(fine[0])
+            if estimate <= target:
+                return fine
+            n, coarse = 2 * n, fine
+        raise ConvergenceError(t0, t1, estimate, target)
+
+    def steps(self, t0, t1, n, state, x):
+        """n CF4 steps from t0 to t1, graded toward tau = 0 on the first interval."""
+        u = np.linspace(0.0, 1.0, n + 1)
+        grid = t0 + (t1 - t0) * (u * u if t0 == 0.0 else u)
+        for lo in range(0, n, _PHASE_BLOCK):
+            state, x = self._block(grid[lo:lo + _PHASE_BLOCK + 1], state, x)
+        return state, x
+
+    def _block(self, grid, state, x):
+        protocol, ds, d = self.protocol, self.ds, self.ds.d
+        eps = 1.0 / protocol.gammaT
+        nodes = grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES  # (m, 2) Gauss points
+        h0 = None
+        if self.berry:
+            h0 = _blockwise(
+                lambda t: projected_hamiltonian(adiabatic_hamiltonian(protocol, t * eps), ds),
+                nodes.ravel(),
+            ).reshape(nodes.shape + (d, d))
+        jumps = ()
+        if self.decay:
+            # the kernel on the grid refined by the Gauss points: t_k, g1_k, g2_k, t_k+1, ...
+            fine = np.append(np.column_stack([grid[:-1], nodes]).ravel(), grid[-1])
+            xs = _kernel_grid(self.modes, fine, start=x)
+            jumps = (eps * (self.modes.reduce_jump @ np.stack([xs[1::3], xs[2::3]], axis=1)),)
+            x = xs[-1]
+        if h0 is None and not jumps:
+            return state, x
+        gens = superoperator(h0, jumps, eps, d)
+        return ordered_exponential(gens, grid, start=state)[-1], x
 
 
 def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace, leak_tol: float = 1e-10) -> np.ndarray:
@@ -571,11 +627,34 @@ def _effective_jump_grid(
     [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
     modes = _KernelModes(protocol, ds)
-    nb = modes.rates.size
-    d = ds.d
     taus = np.asarray(taus, dtype=float)
-    if nb == 0:
-        return np.zeros((taus.size, d, d), dtype=complex)
+    if modes.rates.size == 0:
+        return np.zeros((taus.size, ds.d, ds.d), dtype=complex)
+    xs = _kernel_grid(modes, taus, gauge)
+    if gauge is None:
+        return modes.reduce_jump @ xs
+
+    def to_jump(t, x):
+        w = gauge(t / protocol.gammaT)[0]
+        x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
+        return modes.reduce_jump @ x @ project_dark(ds, w)
+
+    return _blockwise(to_jump, taus, xs)
+
+
+def _kernel_grid(
+    modes: _KernelModes,
+    taus: np.ndarray,
+    gauge: Gauge | None = None,
+    start: np.ndarray | None = None,
+) -> np.ndarray:
+    """Kernel blocks at the grid points by the per-mode exponential recurrence.
+
+    The (n, nb, d) stack of U_b^dag X_tau B, or in a gauge frame the
+    (n, nb, nb, d) stack of Y_ij(tau) (see ``_effective_jump_grid``); the
+    block at taus[0] is ``start``, zero by default.
+    """
+    nb, d = modes.rates.size, modes.basis.shape[1]
     nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
     weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
     t0, t1 = taus[:-1, None], taus[1:, None]
@@ -589,20 +668,14 @@ def _effective_jump_grid(
         terms = coef[..., None, None] * drives[:, :, None]
     decay = np.exp(-0.5 * modes.rates * (t1 - t0)).reshape((-1, nb) + (1,) * (terms.ndim - 3))
     xs = np.zeros((taus.size,) + terms.shape[2:], dtype=complex)
+    if start is not None:
+        xs[0] = start
     for k in range(taus.size - 1):
         x = decay[k] * xs[k]
         for term in terms[k]:
             x += term
         xs[k + 1] = x
-    if gauge is None:
-        return modes.reduce_jump @ xs
-
-    def to_jump(t, x):
-        w = gauge(t / protocol.gammaT)[0]
-        x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
-        return modes.reduce_jump @ x @ project_dark(ds, w)
-
-    return _blockwise(to_jump, taus, xs)
+    return xs
 
 
 def reconstruct_full_state(

@@ -26,16 +26,19 @@ __all__ = [
     "StepSizeUnderflowError",
     "InvariantViolationError",
     "GaplessLindbladianError",
+    "ConvergenceError",
     "NUMERICAL_ERRORS",
     "lindblad_rhs",
     "integrate",
     "vectorize",
+    "superoperator",
     "apply_superoperator",
     "spectral_gap",
     "asymptotic_channel",
     "kraus_from_channel",
     "dark_block_kraus",
     "validate_density_matrix",
+    "check_invariants",
 ]
 
 # physicality tolerances for integrated states; violations beyond 100x abort
@@ -66,9 +69,22 @@ class GaplessLindbladianError(RuntimeError):
     """Operation requires a spectrally gapped Lindbladian."""
 
 
+class ConvergenceError(RuntimeError):
+    """Step doubling reached its cap with the error estimate still above target."""
+
+    def __init__(self, t0: float, t1: float, estimate: float, target: float):
+        super().__init__(
+            f"no convergence on tau in [{t0:.6g}, {t1:.6g}]: error estimate {estimate:.3g} "
+            f"above target {target:.3g} at the step-doubling cap"
+        )
+        self.tau = t0
+        self.interval = (t0, t1)
+        self.estimate = estimate
+
+
 #: failures a numerical run reports, with their tau where known, instead of crashing
 NUMERICAL_ERRORS = (StepSizeUnderflowError, InvariantViolationError, GaplessLindbladianError,
-                    np.linalg.LinAlgError, FloatingPointError)
+                    ConvergenceError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -153,6 +169,23 @@ def validate_density_matrix(
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
     if min_eig < -positivity_tol:
         raise ValueError(f"negative eigenvalue {min_eig:.3g}")
+
+
+def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
+    """Raise InvariantViolationError, naming tau, unless rho is physical.
+
+    Hermiticity, unit trace and positivity are checked against ``margin``
+    times the standing tolerances; the state is never projected back.
+    """
+    herm = frobenius(rho - dagger(rho))
+    if herm > margin * HERMITICITY_TOL:
+        raise InvariantViolationError(tau, "hermiticity", herm)
+    tr_dev = abs(np.trace(rho) - 1.0)
+    if tr_dev > margin * TRACE_TOL:
+        raise InvariantViolationError(tau, "trace", tr_dev)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
+    if min_eig < -margin * POSITIVITY_TOL:
+        raise InvariantViolationError(tau, "positivity", min_eig)
 
 
 # Dormand-Prince 5(4) coefficients (FSAL)
@@ -306,16 +339,7 @@ def integrate(
         return lindblad_rhs(y.reshape(dim, dim), gen_of_t(tau)).reshape(-1)
 
     def watch(tau, y):
-        rho = y.reshape(dim, dim)
-        herm = frobenius(rho - dagger(rho))
-        if herm > 100 * HERMITICITY_TOL:
-            raise InvariantViolationError(tau, "hermiticity", herm)
-        tr_dev = abs(np.trace(rho) - 1.0)
-        if tr_dev > 100 * TRACE_TOL:
-            raise InvariantViolationError(tau, "trace", tr_dev)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
-        if min_eig < -100 * POSITIVITY_TOL:
-            raise InvariantViolationError(tau, "positivity", min_eig)
+        check_invariants(tau, y.reshape(dim, dim), 100.0)
 
     times, states, stats = adaptive_rk45(
         fun,
@@ -333,17 +357,40 @@ def integrate(
 
 def vectorize(gen: LindbladGenerator) -> np.ndarray:
     """Superoperator matrix S with S vec(rho) = vec(lindblad_rhs(rho, gen))."""
-    dim = gen.dim
+    return superoperator(gen.hamiltonian, gen.jumps, gen.hamiltonian_prefactor, gen.dim)
+
+
+def superoperator(
+    hamiltonian: np.ndarray | None,
+    jumps: Sequence[np.ndarray],
+    hamiltonian_prefactor: float,
+    dim: int,
+) -> np.ndarray:
+    """Vectorized -i pref [H, .] + sum_k D_{L_k}, for one generator or stacks of them.
+
+    ``hamiltonian`` and each jump are (dim, dim) matrices or (..., dim, dim)
+    stacks, element k of every stack belonging to generator k; the result
+    has the broadcast leading shape.  ``vectorize`` is the one-matrix case.
+    """
     eye = np.eye(dim, dtype=complex)
-    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
-    if gen.hamiltonian is not None:
-        h = gen.hamiltonian
-        sup += -1j * gen.hamiltonian_prefactor * (np.kron(h, eye) - np.kron(eye, h.T))
-    for jump in gen.jumps:
+    terms = list(jumps) + ([] if hamiltonian is None else [hamiltonian])
+    lead = np.broadcast_shapes(*(np.shape(t)[:-2] for t in terms))
+    sup = np.zeros(lead + (dim * dim, dim * dim), dtype=complex)
+    if hamiltonian is not None:
+        h = hamiltonian
+        sup += -1j * hamiltonian_prefactor * (_kron(h, eye) - _kron(eye, h.swapaxes(-1, -2)))
+    for jump in jumps:
         jdj = dagger(jump) @ jump
-        sup += np.kron(jump, jump.conj())
-        sup -= 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+        sup += _kron(jump, jump.conj())
+        sup -= 0.5 * (_kron(jdj, eye) + _kron(eye, jdj.swapaxes(-1, -2)))
     return sup
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, element by element over stacks (np.kron's values)."""
+    n, m = a.shape[-1], b.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (n * m, n * m))
 
 
 def apply_superoperator(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -274,12 +274,23 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     l_rot = spin32_jump()
     rot_y = _exp_factory(sy)
     rot_z = _exp_factory(sz)
+    # adiabatic_hamiltonian asks for U and then dU at the same phase: U leaves
+    # its two rotations (with the phase, copied if an array) for dU to take
+    left: dict = {}
+
+    def rotations(s):
+        return rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))
 
     def u_of(s: float) -> np.ndarray:
-        return rot_y(_angle(path.theta, s)) @ rot_z(_angle(path.phi, s))
+        uy, uz = left["pair"] = rotations(s)
+        left["s"], left["values"] = s, np.array(s) if _is_grid(s) else None
+        return uy @ uz
 
     def du_of(s: float) -> np.ndarray:
-        uy, uz = rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))
+        s_left, values, pair = (left.pop(key, None) for key in ("s", "values", "pair"))
+        if s is not s_left or (values is not None and not np.array_equal(s, values)):
+            pair = rotations(s)
+        uy, uz = pair
         return (
             1j * _angle(path.dtheta, s) * (sy @ uy) @ uz
             + 1j * _angle(path.dphi, s) * uy @ (sz @ uz)

@@ -202,8 +202,8 @@ class TestHamiltonianOnGrid:
         with pytest.raises(ValueError, match="shape"):
             adiabatic_hamiltonian(scalar_only, np.linspace(0.0, 1.0, 5))
 
-    def test_reduced_ode_calls_u_once_per_rhs(self):
-        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
+    def test_reduced_equation_calls_u_on_phase_blocks(self):
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         calls = []
 
         def counted(s, u_of=proto.U):
@@ -213,10 +213,10 @@ class TestHamiltonianOnGrid:
         proto = dataclasses.replace(proto, U=counted)
         ds = dark_space(proto.L_rot)
         calls.clear()  # construction samples the path
-        _, stats = eff._effective_ode(
-            dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds, [20.0], "full", 1e-10, 1e-13
-        )
-        assert len(calls) == stats.rhs_evaluations
+        evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds, [0.0, 50.0, 200.0])
+        assert calls
+        for s in calls:
+            assert isinstance(s, np.ndarray) and s.ndim == 1 and 0 < s.size <= eff._PHASE_BLOCK
 
 
 class TestProjectedHamiltonian:

@@ -6,14 +6,17 @@ from darklind.analysis import trace_distance
 from darklind.engine import (
     GaplessLindbladianError,
     LindbladGenerator,
+    InvariantViolationError,
     StepSizeUnderflowError,
     apply_superoperator,
+    check_invariants,
     asymptotic_channel,
     dark_block_kraus,
     integrate,
     kraus_from_channel,
     lindblad_rhs,
     spectral_gap,
+    superoperator,
     validate_density_matrix,
     vectorize,
 )
@@ -150,6 +153,17 @@ class TestIntegrate:
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+class TestCheckInvariants:
+    def test_names_tau_and_violation(self):
+        check_invariants(3.0, np.diag([0.7, 0.3]).astype(complex))
+        with pytest.raises(InvariantViolationError, match="positivity violated at tau=3"):
+            check_invariants(3.0, np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(InvariantViolationError, match="trace"):
+            check_invariants(1.0, np.diag([0.7, 0.4]).astype(complex))
+        # the margin scales the tolerances
+        check_invariants(1.0, np.diag([0.7, 0.3 + 5e-8]).astype(complex), 100.0)
+
+
 class TestVectorize:
     def test_hamiltonian_only_formula(self, rng):
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -179,6 +193,16 @@ class TestVectorize:
     def test_zero_generator(self):
         gen = LindbladGenerator(hamiltonian=np.zeros((3, 3)), jumps=())
         assert np.linalg.norm(vectorize(gen)) == 0.0
+
+    def test_stack_matches_each_generator(self, rng):
+        hs = rng.normal(size=(5, 2, 3, 3)) + 1j * rng.normal(size=(5, 2, 3, 3))
+        hs = hs + dagger(hs)
+        jumps = rng.normal(size=(5, 2, 3, 3)) + 1j * rng.normal(size=(5, 2, 3, 3))
+        sups = superoperator(hs, (jumps,), 0.4, 3)
+        assert sups.shape == (5, 2, 9, 9)
+        for k in np.ndindex(5, 2):
+            gen = LindbladGenerator(hamiltonian=hs[k], jumps=(jumps[k],), hamiltonian_prefactor=0.4)
+            assert np.array_equal(sups[k], vectorize(gen))
 
 
 class TestSpectralGap:

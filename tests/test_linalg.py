@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from darklind.linalg import (
+    CF4_NODES,
     dagger,
     kernel_basis,
     matrix_exp,
@@ -197,3 +198,55 @@ class TestOrderedExponential:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             ordered_exponential(np.zeros((0, 2, 2)), np.array([0.0]))
+
+    def test_rejects_misshapen_generators(self):
+        grid, _ = midpoints(4)
+        with pytest.raises(ValueError, match="per grid step"):
+            ordered_exponential(np.zeros((4, 3, 2, 2)), grid)
+        with pytest.raises(ValueError, match="per grid step"):
+            ordered_exponential(np.zeros((3, 2, 2, 2)), grid)
+
+
+def gauss_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform grid of n + 1 points on [0, 1] and its two Gauss points per step, (n, 2, 1, 1)."""
+    grid = np.linspace(0.0, 1.0, n + 1)
+    nodes = grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES
+    return grid, nodes[..., None, None]
+
+
+class TestMagnusExponential:
+    def test_fourth_order_convergence(self, rng):
+        h1 = random_matrix(rng, 2)
+        h2 = random_matrix(rng, 2)
+        h2 = h2 + dagger(h2)
+
+        def last(n):
+            grid, s = gauss_points(n)
+            return ordered_exponential(-1j * h2 * np.cos(3.0 * s) + s * s * h1, grid)[-1]
+
+        exact = last(4096)
+        err = [np.linalg.norm(last(n) - exact) for n in (8, 16, 32)]
+        ratios = [err[i] / err[i + 1] for i in range(2)]
+        for r in ratios:
+            assert 12.0 <= r <= 20.0, f"not fourth-order convergence: {ratios}"
+
+    def test_constant_generator_is_exact(self, rng):
+        a = random_matrix(rng, 3, scale=0.3)
+        grid, _ = gauss_points(5)
+        vs = ordered_exponential(np.broadcast_to(a, (5, 2, 3, 3)), grid)
+        assert np.linalg.norm(vs[-1] - scipy.linalg.expm(a)) <= 1e-13
+
+    def test_acts_on_a_block_of_states(self, rng):
+        grid, s = gauss_points(16)
+        gens = np.sin(s) * random_matrix(rng, 4)
+        start = random_matrix(rng, 4)[:, :2]
+        states = ordered_exponential(gens, grid, start=start)
+        assert states.shape == (17, 4, 2)
+        assert np.linalg.norm(states[-1] - ordered_exponential(gens, grid)[-1] @ start) <= 1e-13
+
+    def test_rejects_nonfinite_generator_naming_gauss_point(self):
+        grid, s = gauss_points(4)
+        gens = np.where(s > 0.8, np.nan, 0.0) * np.ones((2, 2))
+        expected = grid[3] + CF4_NODES[0] * 0.25
+        with pytest.raises(ValueError, match=f"phase {expected}"):
+            ordered_exponential(gens, grid)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from darklind.effective import dark_space
+from darklind import protocols
+from darklind.effective import adiabatic_hamiltonian, dark_space
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     PathSpec,
@@ -129,6 +130,39 @@ class TestSpin32Protocol:
     def test_rejects_nonpositive_gammaT(self):
         with pytest.raises(ValueError):
             spin32_protocol(linear_path(1, 0), 0.0)
+
+    def test_hamiltonian_builds_each_rotation_once(self, monkeypatch):
+        builds = []
+        factory = protocols._exp_factory
+
+        def counting_factory(generator):
+            rot = factory(generator)
+
+            def counted(angle):
+                builds.append(np.shape(angle))
+                return rot(angle)
+
+            return counted
+
+        monkeypatch.setattr(protocols, "_exp_factory", counting_factory)
+        proto = spin32_protocol(smoothstep_path(1, 1), 100.0)
+        phases = np.linspace(0.0, 1.0, 7)
+        for s in (0.3, phases):
+            builds.clear()
+            h = adiabatic_hamiltonian(proto, s)
+            assert len(builds) == 2  # exp(i theta S_y) and exp(i phi S_z)
+            builds.clear()
+            # a fresh U/dU pair at another phase builds both again
+            adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
+            assert len(builds) == 2
+        assert h.shape == (7, 4, 4)
+
+    def test_rotation_reuse_follows_the_phase_values(self, spin32_linear):
+        phases = np.linspace(0.0, 0.5, 5)
+        u = spin32_linear.U(phases)
+        phases *= 2.0  # the same array object, rewritten in place
+        assert np.array_equal(spin32_linear.dU(phases), spin32_linear.dU(phases.copy()))
+        assert np.array_equal(u, spin32_linear.U(phases / 2.0))
 
 
 class TestLabJump:
