@@ -10,6 +10,7 @@ battery.  Exit codes: 0 success, 1 validation failure, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -277,11 +278,7 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
         "gammaT": gammaT,
         "purity_loss_exact": loss_exact,
         "purity_loss_eq12": 1.0 - purity_prediction_general(rho_d, proto, ds),
-        "step_stats": {
-            "accepted": traj.step_stats.accepted,
-            "rejected": traj.step_stats.rejected,
-            "rhs_evaluations": traj.step_stats.rhs_evaluations,
-        },
+        "step_stats": dataclasses.asdict(traj.step_stats),
         "dark_dimension": ds.d,
     }
     if proto.descriptor.get("family") == "spin32" and n0 is not None:

@@ -707,23 +707,33 @@ def reconstruct_full_state(
     return raw / tr, correction
 
 
-def lab_generator(protocol: Protocol) -> Callable[[float], LindbladGenerator]:
-    """tau -> lab-frame generator with the rotated jump operator."""
+def lab_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGenerator]:
+    """tau -> lab-frame generator with the rotated jump operator.
 
-    def gen(tau: float) -> LindbladGenerator:
-        s = min(max(tau / protocol.gammaT, 0.0), 1.0)
+    tau is one time or a 1-D array of n times (then a stack of n jumps), the
+    ``gen_of_t`` contract of ``integrate``; phases are clipped to [0, 1].
+    """
+
+    def gen(tau) -> LindbladGenerator:
+        s = np.clip(np.asarray(tau, dtype=float) / protocol.gammaT, 0.0, 1.0)
         return LindbladGenerator(hamiltonian=None, jumps=(lab_jump(protocol, s),))
 
     return gen
 
 
-def rotating_generator(protocol: Protocol) -> Callable[[float], LindbladGenerator]:
-    """tau -> rotating-frame generator: fixed jump, 1/(gammaT)-weighted H."""
+def rotating_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGenerator]:
+    """tau -> rotating-frame generator: fixed jump, 1/(gammaT)-weighted H.
 
-    def gen(tau: float) -> LindbladGenerator:
-        s = min(max(tau / protocol.gammaT, 0.0), 1.0)
+    tau is one time or a 1-D array of n times (then a stack of n
+    Hamiltonians), the ``gen_of_t`` contract of ``integrate``; one time is
+    evaluated as a one-element array.
+    """
+
+    def gen(tau) -> LindbladGenerator:
+        s = np.clip(np.asarray(tau, dtype=float) / protocol.gammaT, 0.0, 1.0)
+        h = _adiabatic_hamiltonian_grid(protocol, s.reshape(-1))
         return LindbladGenerator(
-            hamiltonian=adiabatic_hamiltonian(protocol, s),
+            hamiltonian=h.reshape(np.shape(s) + h.shape[-2:]),
             jumps=(protocol.L_rot,),
             hamiltonian_prefactor=1.0 / protocol.gammaT,
         )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import dagger, frobenius, is_hermitian
+from .linalg import _norms, dagger, frobenius
 
 __all__ = [
     "LindbladGenerator",
@@ -93,7 +93,11 @@ class LindbladGenerator:
 
     ``hamiltonian_prefactor`` scales the commutator term; in the rotating
     frame it carries the adiabatic parameter 1/(gamma T) so the Hamiltonian
-    itself can stay O(1).
+    itself can stay O(1).  The Hamiltonian and each jump are (dim, dim)
+    matrices or (n, dim, dim) stacks, element k of every stack belonging to
+    generator k and a single matrix standing for all n; every element of a
+    Hamiltonian stack is checked.  ``lindblad_rhs`` takes single matrices
+    only, ``superoperator`` either.
     """
 
     hamiltonian: np.ndarray | None
@@ -101,24 +105,36 @@ class LindbladGenerator:
     hamiltonian_prefactor: float = 1.0
 
     def __post_init__(self):
-        if self.hamiltonian is not None and not is_hermitian(self.hamiltonian, 1e-10):
-            raise ValueError("hamiltonian must be Hermitian to 1e-10")
+        if self.hamiltonian is not None:
+            h = self.hamiltonian
+            bad = np.flatnonzero(_norms(h - dagger(h)) > 1e-10 * np.maximum(_norms(h), 1.0))
+            if bad.size:
+                where = f" (element {bad[0]} of the stack)" if np.ndim(h) > 2 else ""
+                raise ValueError(f"hamiltonian must be Hermitian to 1e-10{where}")
         object.__setattr__(self, "jumps", tuple(np.asarray(j, dtype=complex) for j in self.jumps))
 
     @property
     def dim(self) -> int:
         if self.hamiltonian is not None:
-            return self.hamiltonian.shape[0]
+            return self.hamiltonian.shape[-1]
         if self.jumps:
-            return self.jumps[0].shape[0]
+            return self.jumps[0].shape[-1]
         raise ValueError("empty generator has no dimension")
 
 
 @dataclass(frozen=True)
 class StepStats:
+    """Work of one adaptive run: steps, right-hand sides and generator evaluations.
+
+    ``rhs_evaluations`` counts six stage evaluations per step attempt plus
+    the first stage; ``generator_calls`` counts the stage-time batches, one
+    per attempt plus the first.
+    """
+
     accepted: int
     rejected: int
     rhs_evaluations: int
+    generator_calls: int
 
 
 @dataclass(frozen=True)
@@ -188,7 +204,7 @@ def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
         raise InvariantViolationError(tau, "positivity", min_eig)
 
 
-# Dormand-Prince 5(4) coefficients (FSAL)
+# Dormand-Prince 5(4) coefficients (FSAL); row i of _DP_A holds stage i's weights
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -204,10 +220,17 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = _DP_B5 - _DP_B4
+#: the distinct stage nodes of one step (stages 5 and 6 share c = 1), and the
+#: node of each of the stages 1-6
+_DP_NODES = _DP_C[1:6]
+_DP_STAGE_NODE = (None, 0, 1, 2, 3, 4, 4)
+
+#: right-hand sides of one step: times (1-D array) -> one function y -> f(time, y) per time
+StageRhs = Callable[[np.ndarray], Sequence[Callable[[np.ndarray], np.ndarray]]]
 
 
 def adaptive_rk45(
-    fun: Callable[[float, np.ndarray], np.ndarray],
+    stage_rhs: StageRhs,
     y0: np.ndarray,
     t0: float,
     t1: float,
@@ -218,7 +241,13 @@ def adaptive_rk45(
     checkpoints: Sequence[float] | None = None,
     on_accept: Callable[[float, np.ndarray], None] | None = None,
 ):
-    """Generic embedded RK 5(4) driver for complex vector ODEs.
+    """Generic embedded RK 5(4) driver for complex vector ODEs y' = f(t, y).
+
+    ``stage_rhs`` is asked once per step attempt for the right-hand sides at
+    the attempt's five distinct stage times, given as one 1-D array, and once
+    at the start for the first stage; it returns one function y -> f(time, y)
+    per time.  A plain ``f(t, y)`` wraps as
+    ``lambda times: [functools.partial(f, t) for t in times]``.
 
     PI step-size control (order-5 propagation, order-4 error estimate).  The
     step is capped so checkpoints are hit exactly; ``on_accept`` runs after
@@ -248,15 +277,15 @@ def adaptive_rk45(
     if span == 0.0:
         if not out_t:
             out_t, out_y = [t0], [y.copy()]
-        return np.array(out_t), out_y, StepStats(0, 0, 0)
+        return np.array(out_t), out_y, StepStats(0, 0, 0, 0)
 
     h_free = span / 1e3 if first_step is None else float(first_step)
     h_free = min(h_free, max_step, span)
-    n_accept = n_reject = n_eval = 0
+    n_accept = n_reject = 0
     err_prev = 1.0
-    k = [None] * 7
-    k[0] = fun(t, y)
-    n_eval += 1
+    k = np.empty((7,) + y.shape, dtype=complex)  # stage slopes; k[0] carries over (FSAL)
+    k[0] = stage_rhs(np.array([t]))[0](y)
+    n_batch = 1
     safety, beta, alpha = 0.9, 0.08, 0.7 / 5.0
     cp_idx = 0
 
@@ -277,12 +306,12 @@ def adaptive_rk45(
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t, h)
 
+        rhs = stage_rhs(t + h * _DP_NODES)
+        n_batch += 1
         for i in range(1, 7):
-            yi = y + h * sum(_DP_A[i][j] * k[j] for j in range(i))
-            k[i] = fun(t + _DP_C[i] * h, yi)
-        n_eval += 6
-        y_new = y + h * sum(_DP_B5[i] * k[i] for i in range(7) if _DP_B5[i] != 0.0)
-        err_vec = h * sum(_DP_ERR[i] * k[i] for i in range(7) if _DP_ERR[i] != 0.0)
+            k[i] = rhs[_DP_STAGE_NODE[i]](y + h * (_DP_A[i] @ k[:i]))
+        y_new = y + h * (_DP_B5 @ k)
+        err_vec = h * (_DP_ERR @ k)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
 
@@ -311,11 +340,12 @@ def adaptive_rk45(
     if not out_t or abs(out_t[-1] - t1) > 1e-12:
         out_t.append(t)
         out_y.append(y.copy())
-    return np.array(out_t), out_y, StepStats(n_accept, n_reject, n_eval)
+    attempts = n_accept + n_reject
+    return np.array(out_t), out_y, StepStats(n_accept, n_reject, 6 * attempts + 1, n_batch)
 
 
 def integrate(
-    gen_of_t: Callable[[float], LindbladGenerator],
+    gen_of_t: Callable[[np.ndarray], LindbladGenerator],
     rho0: np.ndarray,
     tau_span: tuple[float, float],
     rtol: float = 1e-9,
@@ -324,6 +354,14 @@ def integrate(
     checkpoints: Sequence[float] | None = None,
 ) -> Trajectory:
     """Integrate d(rho)/d(tau) = L_tau[rho] with adaptive error control.
+
+    ``gen_of_t`` is called once per step attempt (and once at the start)
+    with a 1-D array of n stage times and returns their generators as one
+    ``LindbladGenerator`` of (n, dim, dim) stacks, element k belonging to
+    time k, the contract of ``Protocol.U`` for phases.  A generator built of
+    single matrices, such as ``lambda tau: gen``, stands for all n times.
+    The stack becomes superoperators (``superoperator``), and each stage
+    right-hand side is one matrix-vector product.
 
     The initial state must be a valid density matrix; Hermiticity, trace and
     positivity are re-checked at every accepted step and a violation beyond
@@ -335,14 +373,18 @@ def integrate(
     dim = rho0.shape[0]
     t0, t1 = float(tau_span[0]), float(tau_span[1])
 
-    def fun(tau, y):
-        return lindblad_rhs(y.reshape(dim, dim), gen_of_t(tau)).reshape(-1)
+    def stage_rhs(taus):
+        gen = gen_of_t(taus)
+        if gen.dim != dim:
+            raise ValueError(f"dimension mismatch: generator {gen.dim} vs rho {dim}")
+        sup = superoperator(gen.hamiltonian, gen.jumps, gen.hamiltonian_prefactor, dim)
+        return [s.dot for s in np.broadcast_to(sup, taus.shape + sup.shape[-2:])]
 
     def watch(tau, y):
         check_invariants(tau, y.reshape(dim, dim), 100.0)
 
     times, states, stats = adaptive_rk45(
-        fun,
+        stage_rhs,
         rho0.reshape(-1),
         t0,
         t1,
@@ -389,8 +431,8 @@ def superoperator(
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices, element by element over stacks (np.kron's values)."""
     n, m = a.shape[-1], b.shape[-1]
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (n * m, n * m))
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (n * m, n * m))
 
 
 def apply_superoperator(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:

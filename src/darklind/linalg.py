@@ -17,7 +17,6 @@ __all__ = [
     "ordered_exponential",
     "dagger",
     "frobenius",
-    "is_hermitian",
 ]
 
 #: relative Frobenius tolerance below which a matrix counts as (anti-)Hermitian
@@ -43,12 +42,6 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True if ``a`` equals its adjoint to ``tol`` relative Frobenius error."""
-    scale = max(frobenius(a), 1.0)
-    return frobenius(a - dagger(a)) <= tol * scale
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import dagger, frobenius
+from .linalg import _norms, dagger, frobenius
 
 __all__ = [
     "spin_operators",
@@ -232,10 +232,14 @@ class Protocol:
         phase = np.trace(u1) / self.dim
         if abs(abs(phase) - 1.0) > 1e-10 or frobenius(u1 - phase * eye) > 1e-10:
             raise ValueError("path is not cyclic: U(1) is not the identity up to a phase")
-        for s in np.linspace(0.0, 1.0, _PHASE_SAMPLES):
-            u = self.U(float(s))
-            if frobenius(dagger(u) @ u - eye) > 1e-9:
-                raise ValueError(f"U({s}) is not unitary")
+        samples = np.linspace(0.0, 1.0, _PHASE_SAMPLES)
+        u = np.asarray(self.U(samples))
+        if u.shape != (samples.size, self.dim, self.dim):
+            raise ValueError(f"U returned shape {u.shape} for {samples.size} phases, "
+                             f"expected {(samples.size, self.dim, self.dim)}")
+        bad = np.flatnonzero(_norms(dagger(u) @ u - eye) > 1e-9)
+        if bad.size:
+            raise ValueError(f"U({samples[bad[0]]}) is not unitary")
 
     def with_gammaT(self, gammaT: float) -> "Protocol":
         """Same control path at a different cycle duration."""
@@ -257,6 +261,33 @@ def _exp_factory(generator: np.ndarray) -> Callable[[float], np.ndarray]:
     return rot
 
 
+class _Handoff:
+    """What ``U`` built at one phase, left for the ``dU`` call that follows.
+
+    ``adiabatic_hamiltonian`` asks for U and then dU at the same phase.
+    ``put`` builds the pieces and leaves them with the phase (copied unless
+    it is a float); ``take`` hands them over once, and builds them afresh for
+    another phase object or for an array rewritten in place since.
+    """
+
+    def __init__(self, build: Callable):
+        self.build = build
+        self.left = None
+
+    def put(self, s):
+        pieces = self.build(s)
+        self.left = (s, None if isinstance(s, float) else np.array(s), pieces)
+        return pieces
+
+    def take(self, s):
+        left, self.left = self.left, None
+        if left is None or s is not left[0] or (
+            left[1] is not None and not np.array_equal(s, left[1])
+        ):
+            return self.build(s)
+        return left[2]
+
+
 def spin32_jump() -> np.ndarray:
     """Spin-3/2 jump operator S_x (S_z^2 - 1/4), dark on the S_z = +-1/2 states."""
     sx, _, sz = spin_operators(3)
@@ -274,23 +305,14 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     l_rot = spin32_jump()
     rot_y = _exp_factory(sy)
     rot_z = _exp_factory(sz)
-    # adiabatic_hamiltonian asks for U and then dU at the same phase: U leaves
-    # its two rotations (with the phase, copied if an array) for dU to take
-    left: dict = {}
-
-    def rotations(s):
-        return rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))
+    handoff = _Handoff(lambda s: (rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))))
 
     def u_of(s: float) -> np.ndarray:
-        uy, uz = left["pair"] = rotations(s)
-        left["s"], left["values"] = s, np.array(s) if _is_grid(s) else None
+        uy, uz = handoff.put(s)
         return uy @ uz
 
     def du_of(s: float) -> np.ndarray:
-        s_left, values, pair = (left.pop(key, None) for key in ("s", "values", "pair"))
-        if s is not s_left or (values is not None and not np.array_equal(s, values)):
-            pair = rotations(s)
-        uy, uz = pair
+        uy, uz = handoff.take(s)
         return (
             1j * _angle(path.dtheta, s) * (sy @ uy) @ uz
             + 1j * _angle(path.dphi, s) * uy @ (sz @ uz)
@@ -328,11 +350,12 @@ def custom_protocol(
             raise ValueError("generators must be Hermitian")
     dim = gens[0].shape[0] if gens else np.asarray(L_rot).shape[0]
     rots = [_exp_factory(g) for g in gens]
+    handoff = _Handoff(lambda s: [rot(_angle(ang, s)) for rot, ang in zip(rots, angles)])
 
     def u_of(s: float) -> np.ndarray:
         u = _identity(dim, s)
-        for rot, ang in zip(rots, angles):
-            u = u @ rot(_angle(ang, s))
+        for f in handoff.put(s):
+            u = u @ f
         return u
 
     du_of = None
@@ -341,7 +364,7 @@ def custom_protocol(
             raise ValueError("need one derivative per angle function")
 
         def du_of(s: float) -> np.ndarray:  # noqa: F811
-            factors = [rot(_angle(ang, s)) for rot, ang in zip(rots, angles)]
+            factors = handoff.take(s)
             total = np.zeros_like(_identity(dim, s))
             for k in range(len(factors)):
                 term = _identity(dim, s)
@@ -362,9 +385,15 @@ def custom_protocol(
     )
 
 
-def lab_jump(protocol: Protocol, s: float) -> np.ndarray:
-    """Lab-frame jump operator U(s)^dag L_rot U(s)."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"phase {s} outside [0, 1]")
+def lab_jump(protocol: Protocol, s) -> np.ndarray:
+    """Lab-frame jump operator U(s)^dag L_rot U(s).
+
+    For a 1-D array of n phases it returns the (n, dim, dim) stack; every
+    phase must lie in [0, 1], and a failure names the first one outside.
+    """
+    phases = np.atleast_1d(s)
+    outside = np.flatnonzero(~((0.0 <= phases) & (phases <= 1.0)))
+    if outside.size:
+        raise ValueError(f"phase {phases[outside[0]]} outside [0, 1]")
     u = protocol.U(s)
     return dagger(u) @ protocol.L_rot @ u

@@ -154,6 +154,19 @@ class TestTrajectoryExperiment:
         # no files outside the output directory
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run1"]
 
+    def test_step_stats_count_generator_calls(self, tmp_path):
+        out = tmp_path / "run"
+        rc = cli.main([
+            "run", "spin32-purity", "--gammaT", "50", "--checkpoints", "4",
+            "--rtol", "1e-8", "--outdir", str(out),
+        ])
+        assert rc == 0
+        stats = read_json(out / "spin32_purity_report.json")["step_stats"]
+        attempts = stats["accepted"] + stats["rejected"]
+        assert attempts > 0
+        assert stats["generator_calls"] == attempts + 1
+        assert stats["rhs_evaluations"] == 6 * attempts + 1
+
     def test_determinism(self, tmp_path):
         args = [
             "run", "spin32-purity", "--gammaT", "50", "--n0", "0,1,0",

@@ -8,6 +8,7 @@ from darklind.effective import adiabatic_hamiltonian, dark_space
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     PathSpec,
+    Protocol,
     custom_protocol,
     fourier_path,
     lab_jump,
@@ -17,6 +18,24 @@ from darklind.protocols import (
     spin32_protocol,
     spin_operators,
 )
+
+
+def counting_rotations(monkeypatch) -> list:
+    """Record the angle shape of every rotation built by ``_exp_factory`` rotations."""
+    builds = []
+    factory = protocols._exp_factory
+
+    def counting_factory(generator):
+        rot = factory(generator)
+
+        def counted(angle):
+            builds.append(np.shape(angle))
+            return rot(angle)
+
+        return counted
+
+    monkeypatch.setattr(protocols, "_exp_factory", counting_factory)
+    return builds
 
 
 class TestSpinOperators:
@@ -132,19 +151,7 @@ class TestSpin32Protocol:
             spin32_protocol(linear_path(1, 0), 0.0)
 
     def test_hamiltonian_builds_each_rotation_once(self, monkeypatch):
-        builds = []
-        factory = protocols._exp_factory
-
-        def counting_factory(generator):
-            rot = factory(generator)
-
-            def counted(angle):
-                builds.append(np.shape(angle))
-                return rot(angle)
-
-            return counted
-
-        monkeypatch.setattr(protocols, "_exp_factory", counting_factory)
+        builds = counting_rotations(monkeypatch)
         proto = spin32_protocol(smoothstep_path(1, 1), 100.0)
         phases = np.linspace(0.0, 1.0, 7)
         for s in (0.3, phases):
@@ -201,6 +208,19 @@ class TestLabJump:
         with pytest.raises(ValueError):
             lab_jump(spin32_linear, 1.2)
 
+    def test_phase_array_gives_the_stack(self, spin32_linear):
+        phases = np.linspace(0.0, 1.0, 9)
+        stack = lab_jump(spin32_linear, phases)
+        assert stack.shape == (9, 4, 4)
+        for k, s in enumerate(phases):
+            assert np.linalg.norm(stack[k] - lab_jump(spin32_linear, float(s))) <= 1e-14
+
+    def test_names_first_phase_outside(self, spin32_linear):
+        with pytest.raises(ValueError, match=r"phase 1\.2 outside"):
+            lab_jump(spin32_linear, np.array([0.1, 1.2, -0.1]))
+        with pytest.raises(ValueError, match=r"phase nan outside"):
+            lab_jump(spin32_linear, np.array([0.5, np.nan]))
+
 
 class TestCustomProtocol:
     def test_constant_protocol(self):
@@ -253,3 +273,64 @@ class TestCustomProtocol:
             custom_protocol(
                 [sz], [lambda s: math.pi * s], np.eye(2), 50.0  # half winding
             )
+
+    @staticmethod
+    def two_generator_protocol():
+        _, sy, sz = spin_operators(3)
+        path = smoothstep_path(1, 1)
+        return custom_protocol(
+            [sy, sz], [path.theta, path.phi], protocols.spin32_jump(), 100.0,
+            dangles=[path.dtheta, path.dphi],
+        )
+
+    def test_hamiltonian_builds_each_rotation_once(self, monkeypatch):
+        builds = counting_rotations(monkeypatch)
+        proto = self.two_generator_protocol()
+        phases = np.linspace(0.0, 1.0, 7)
+        for s in (0.3, phases):
+            builds.clear()
+            adiabatic_hamiltonian(proto, s)
+            assert len(builds) == 2  # one rotation per generator, shared by U and dU
+            builds.clear()
+            adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
+            assert len(builds) == 2
+
+    def test_derivative_unchanged_by_rotation_reuse(self):
+        proto = self.two_generator_protocol()
+        for s in (0.3, np.linspace(0.0, 1.0, 7)):
+            fresh = proto.dU(s)  # no U call before it: every rotation is built
+            proto.U(s)
+            assert np.array_equal(proto.dU(s), fresh)
+
+    def test_rotation_reuse_follows_the_phase_values(self):
+        proto = self.two_generator_protocol()
+        phases = np.linspace(0.0, 0.5, 5)
+        u = proto.U(phases)
+        phases *= 2.0  # the same array object, rewritten in place
+        assert np.array_equal(proto.dU(phases), proto.dU(phases.copy()))
+        assert np.array_equal(u, proto.U(phases / 2.0))
+
+
+class TestConstruction:
+    def test_unitarity_checked_in_one_array_call(self, spin32_linear):
+        calls = []
+
+        def counted(s):
+            calls.append(np.shape(s))
+            return spin32_linear.U(s)
+
+        Protocol(4, spin32_linear.L_rot, counted, spin32_linear.dU, 50.0)
+        assert calls == [(), (), (protocols._PHASE_SAMPLES,)]  # U(0), U(1), the sample grid
+
+    def test_names_first_non_unitary_phase(self, spin32_linear):
+        def stretched(s):
+            scale = np.where(np.abs(np.reshape(s, (-1, 1, 1)) - 0.3) < 0.05, 1.1, 1.0)
+            return (scale * spin32_linear.U(s)).reshape(np.shape(spin32_linear.U(s)))
+
+        first_bad = 16 / 63  # the first of the 64 sample phases within 0.05 of 0.3
+        with pytest.raises(ValueError, match=rf"U\({first_bad}\) is not unitary"):
+            Protocol(4, spin32_linear.L_rot, stretched, None, 50.0)
+
+    def test_rejects_scalar_only_u(self, spin32_linear):
+        with pytest.raises(ValueError, match=r"U returned shape \(4, 4\) for 64 phases"):
+            Protocol(4, spin32_linear.L_rot, lambda s: np.eye(4), None, 50.0)

@@ -11,6 +11,7 @@ share the protocol and nothing else.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
     if need_x:
         y0.append(np.zeros(nb * d, dtype=complex))
     _, states, _ = adaptive_rk45(
-        fun, np.concatenate(y0), 0.0, float(max(taus)),
+        lambda times: [partial(fun, t) for t in times], np.concatenate(y0), 0.0, float(max(taus)),
         rtol=rtol, atol=rtol * 1e-3 if atol is None else atol,
         max_step=min(0.1 * protocol.gammaT, 2.0), checkpoints=taus,
         first_step=min(0.01, protocol.gammaT / 1e3),
