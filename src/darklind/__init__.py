@@ -15,7 +15,6 @@ from .engine import (
     LindbladGenerator,
     StepSizeUnderflowError,
     Trajectory,
-    apply_superoperator,
     asymptotic_channel,
     dark_block_kraus,
     integrate,

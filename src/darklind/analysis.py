@@ -50,6 +50,9 @@ __all__ = [
     "fit_loglog",
 ]
 
+#: uniform steps over the cycle of the spin-3/2 closed form
+_SPIN32_GRID = 4096
+
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
@@ -100,7 +103,6 @@ def purity_prediction_general(
     rho_init: np.ndarray,
     protocol: Protocol,
     ds: DarkSpace,
-    n_grid: int = 2048,
 ) -> float:
     """Purity after one cycle from the frozen-state commutator integral.
 
@@ -111,7 +113,7 @@ def purity_prediction_general(
     the frozen-state dissipator integral shared with the end-of-cycle state.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    total, _ = eff._frozen_state_integral(rho_d, protocol, ds, n_grid)
+    total, _ = eff._frozen_state_integral(rho_d, protocol, ds)
     return _purity_after(rho_d, total, protocol.gammaT)
 
 
@@ -128,7 +130,7 @@ def _spin32_h0(theta, dtheta, dphi):
     )
 
 
-def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float, n_grid: int = 4096) -> float:
+def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     """Closed-form purity after one cycle for the spin-3/2 protocol.
 
     Independent of the operator machinery: the scalar kernel coefficients
@@ -138,7 +140,7 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float, n_grid: i
     is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.
     """
     rate = 3.0
-    taus = np.linspace(0.0, float(gammaT), n_grid + 1)
+    taus = np.linspace(0.0, float(gammaT), _SPIN32_GRID + 1)
     nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
     weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
@@ -168,7 +170,7 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float, n_grid: i
         s_mid = mid / gammaT
         h0 = _spin32_h0(path.theta(s_mid), path.dtheta(s_mid), path.dphi(s_mid))
         v = matrix_exp(-1j * (t1 - t0) / gammaT * h0) @ v
-        m_t = bloch_of(v @ dark_state_from_bloch(n0) @ dagger(v))
+        m_t = bloch_transport(n0, v)
         integrand[j + 1] = b_val**2 * (m_t[0] ** 2 + m_t[1] ** 2)
     loss = (2.0 / gammaT**2) * float(scipy.integrate.simpson(integrand, x=taus))
     return purity(dark_state_from_bloch(n0)) - loss
@@ -292,7 +294,7 @@ def gauge_covariance_check(
             worst = max(worst, defect)
         defects.append(worst)
         purities.append(tuple(
-            _purity_after(rho_d, eff._frozen_state_integral(rho_d, proto, ds, 2048, g)[0], gammaT)
+            _purity_after(rho_d, eff._frozen_state_integral(rho_d, proto, ds, g)[0], gammaT)
             for g in (None, gauge)
         ))
     plain, tilted = zip(*purities)

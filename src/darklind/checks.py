@@ -43,6 +43,7 @@ from .engine import (
     POSITIVITY_TOL,
     TRACE_TOL,
     LindbladGenerator,
+    _physicality,
     asymptotic_channel,
     dark_block_kraus,
     integrate,
@@ -339,9 +340,10 @@ def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
     for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)):
         traj, _ = ctx.exact_run(n0, 200.0)
         for state in traj.states:
-            worst_trace = max(worst_trace, abs(np.trace(state).real - 1.0))
-            worst_herm = max(worst_herm, frobenius(state - dagger(state)))
-            worst_neg = max(worst_neg, -float(np.linalg.eigvalsh(state).min()))
+            herm, tr_dev, min_eig = _physicality(state)
+            worst_trace = max(worst_trace, tr_dev)
+            worst_herm = max(worst_herm, herm)
+            worst_neg = max(worst_neg, -min_eig)
     proto = ctx.factory(100.0)
     rho_full = embed_dark(ctx.ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
     fine = integrate(lab_generator(proto), rho_full, (0.0, 100.0),

@@ -27,6 +27,7 @@ from .analysis import (
     compare_effective_vs_full,
     convergence_sweep,
     dark_state_from_bloch,
+    fit_loglog,
     gauge_covariance_check,
     purity,
     purity_prediction_general,
@@ -45,7 +46,7 @@ from .checks import (
     run_battery,
     slope_window,
 )
-from .engine import NUMERICAL_ERRORS, integrate
+from .engine import NUMERICAL_ERRORS, _physicality, integrate
 from .linalg import dagger
 from .protocols import (
     custom_protocol,
@@ -58,6 +59,7 @@ from .protocols import (
 from .reporting import (
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
+    _jsonable,
     gnuplot_script,
     resolve_inside,
     write_csv,
@@ -268,7 +270,7 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
             tau,
             purity(state),
             float(np.trace(state).real),
-            float(np.linalg.eigvalsh(0.5 * (state + dagger(state))).min()),
+            _physicality(state)[2],
             nx, ny, nz,
             trace_distance(dd, rho_eff),
         ))
@@ -412,8 +414,6 @@ def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
             rtol=tols["rtol"], atol=tols["atol"],
         )
         finals.append(comparison.final_distance)
-    from .analysis import fit_loglog
-
     slope, _, r2 = fit_loglog(gammaTs, finals)
     rows = [(g, d) for g, d in zip(gammaTs, finals)]
     report = {
@@ -491,18 +491,12 @@ def run_check(args) -> int:
         "tolerance_scale": args.tolerance_scale,
     }
     if args.json:
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
+        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
     else:
         print(battery_table(results), end="")
     if args.output:
         write_json(Path(args.output), payload)
     return 0 if payload["all_passed"] else 3
-
-
-def _sanitize(obj):
-    from .reporting import _jsonable
-
-    return _jsonable(obj)
 
 
 def _parse_n0(text: str):

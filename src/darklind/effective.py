@@ -22,9 +22,11 @@ import scipy.linalg
 from .engine import (
     ConvergenceError,
     LindbladGenerator,
+    _dissipator,
     check_invariants,
-    superoperator,
+    lindblad_rhs,
     validate_density_matrix,
+    vectorize,
 )
 from .linalg import (
     CF4_NODES,
@@ -67,6 +69,13 @@ _KERNEL_CUTOFF_EXPONENT = 90.0
 #: small result before the next one is formed
 _PHASE_BLOCK = 256
 
+#: uniform steps over the cycle of the frozen-state dissipator integral
+_FROZEN_GRID = 2048
+#: step of the finite-difference stencil of ``c_tau_ode_residual``
+_FD_STEP = 0.05
+#: Frobenius norm of the part of a full-space initial state outside the dark space
+_LEAK_TOL = 1e-10
+
 #: a dark-space gauge: phase s -> (W(s), i W'(s) W(s)^dag), W unitary and commuting with P0;
 #: like ``Protocol.U`` it also takes a 1-D array of phases and then returns two stacks
 Gauge = Callable[[float], tuple[np.ndarray, np.ndarray]]
@@ -91,10 +100,10 @@ class DarkSpace:
     d: int
 
 
-def dark_space(L: np.ndarray, rel_tol: float = 1e-10) -> DarkSpace:
+def dark_space(L: np.ndarray) -> DarkSpace:
     """Extract the dark space (kernel) of a jump operator."""
     L = np.asarray(L, dtype=complex)
-    raw = kernel_basis(L, rel_tol)
+    raw = kernel_basis(L)
     d = raw.shape[1]
     if d == 0:
         raise NoDarkSpaceError("jump operator has no dark space")
@@ -262,7 +271,7 @@ def x_tau_integral(
         block_of = modes.drive
     else:
         def block_of(s):
-            return dagger(modes.modes) @ drive(s) @ ds.basis
+            return modes.block(drive(s))
 
     reduced = np.zeros((nb, d), dtype=complex)
     for rate in np.unique(np.round(modes.rates, 12)):
@@ -303,12 +312,7 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau: float, source: str) -> np.ndar
     raise ValueError(f"unknown X source {source!r}")
 
 
-def c_tau_ode_residual(
-    protocol: Protocol,
-    ds: DarkSpace,
-    taus: Sequence[float],
-    fd_step: float = 0.05,
-) -> float:
+def c_tau_ode_residual(protocol: Protocol, ds: DarkSpace, taus: Sequence[float]) -> float:
     """Max residual of dX/dtau + L^dag L X / 2 - P_perp H P0 over sample times.
 
     The derivative is taken by a sixth-order central difference of the
@@ -321,13 +325,13 @@ def c_tau_ode_residual(
     stencil = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
     worst = 0.0
     for tau in taus:
-        if tau - 3 * fd_step < 0 or tau + 3 * fd_step > protocol.gammaT:
+        if tau - 3 * _FD_STEP < 0 or tau + 3 * _FD_STEP > protocol.gammaT:
             raise ValueError(f"tau={tau} too close to the cycle boundary for the stencil")
         xs = [
-            x_tau_integral(protocol, ds, tau + k * fd_step, _modes=modes)
+            x_tau_integral(protocol, ds, tau + k * _FD_STEP, _modes=modes)
             for k in range(-3, 4)
         ]
-        dx = sum(c * x for c, x in zip(stencil, xs)) / fd_step
+        dx = sum(c * x for c, x in zip(stencil, xs)) / _FD_STEP
         h = adiabatic_hamiltonian(protocol, tau / protocol.gammaT)
         resid = dx + 0.5 * m @ xs[3] - p_perp @ h @ ds.projector
         worst = max(worst, frobenius(resid))
@@ -355,31 +359,24 @@ def effective_rhs(
     """Reduced evolution: Berry commutator at order eps, dissipator at eps^2.
 
     eps = 1/(gamma T); the commutator uses the dark block of the adiabatic
-    Hamiltonian at phase tau / (gamma T), the dissipator the effective jump.
+    Hamiltonian at phase tau / (gamma T), the dissipator the effective jump:
+    the Lindblad generator with Hamiltonian H0, prefactor eps and jump eps ell.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     eps = 1.0 / protocol.gammaT
     h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
     ell = effective_jump(protocol, ds, tau, source)
-    out = -1j * eps * (h0 @ rho0 - rho0 @ h0)
-    out += eps**2 * _dissipator(ell, rho0)
-    return out
+    return lindblad_rhs(rho0, LindbladGenerator(h0, (eps * ell,), eps))
 
 
-def berry_holonomy(
-    protocol: Protocol,
-    ds: DarkSpace,
-    tau: float,
-    steps: int | None = None,
-) -> np.ndarray:
+def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     """Holonomy V_tau: ordered exponential of -i H0 over phase [0, tau/gammaT].
 
     Unitary d x d; the generator is the dark block of the adiabatic
-    Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.
+    Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
+    takes 2048 steps per cycle, and at least 256.
     """
     s1 = tau / protocol.gammaT
-    if steps is None:
-        steps = max(256, int(2048 * min(1.0, abs(s1)) + 0.5))
+    steps = max(256, int(2048 * min(1.0, abs(s1)) + 0.5))
     if s1 == 0.0:
         return np.eye(ds.d, dtype=complex)
     grid = np.linspace(0.0, s1, steps + 1)
@@ -523,11 +520,11 @@ class _MagnusPropagator:
             x = xs[-1]
         if h0 is None and not jumps:
             return state, x
-        gens = superoperator(h0, jumps, eps, d)
+        gens = vectorize(LindbladGenerator(h0, jumps, eps))
         return ordered_exponential(gens, grid, start=state)[-1], x
 
 
-def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace, leak_tol: float = 1e-10) -> np.ndarray:
+def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace) -> np.ndarray:
     rho_init = np.asarray(rho_init, dtype=complex)
     dim = ds.basis.shape[0]
     if rho_init.shape == (ds.d, ds.d) and ds.d != dim:
@@ -535,7 +532,7 @@ def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace, leak_tol: float = 1e
         return rho_init
     if rho_init.shape == (dim, dim):
         leak = frobenius(rho_init - ds.projector @ rho_init @ ds.projector)
-        if leak > leak_tol:
+        if leak > _LEAK_TOL:
             raise ValueError(f"initial state leaks outside the dark space ({leak:.3g})")
         rho_d = project_dark(ds, rho_init)
         validate_density_matrix(rho_d)
@@ -551,7 +548,6 @@ def end_of_cycle_state(
     protocol: Protocol,
     ds: DarkSpace,
     method: str = "integrate",
-    n_grid: int = 2048,
 ) -> np.ndarray:
     """Reduced state after one full cycle.
 
@@ -568,21 +564,21 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    total, v_end = _frozen_state_integral(rho_d, protocol, ds, n_grid)
+    total, v_end = _frozen_state_integral(rho_d, protocol, ds)
     return v_end @ (rho_d + eps**2 * total) @ dagger(v_end)
 
 
 def _frozen_state_integral(
-    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, n_grid: int, gauge: Gauge | None = None
+    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-state dissipator integral over one cycle, and the holonomy V_end.
 
     The effective jump comes from the exponential recurrence and V_tau from
-    the midpoint holonomy, both on n_grid + 1 uniform times and both in the
-    frame of ``gauge`` when one is given.
+    the midpoint holonomy, both on _FROZEN_GRID + 1 uniform times and both in
+    the frame of ``gauge`` when one is given.
     """
     gammaT = protocol.gammaT
-    taus = np.linspace(0.0, gammaT, n_grid + 1)
+    taus = np.linspace(0.0, gammaT, _FROZEN_GRID + 1)
     ells = _effective_jump_grid(protocol, ds, taus, gauge)
     grid = taus / gammaT
     vs = ordered_exponential(_berry_generator(protocol, ds, grid, gauge), grid)
@@ -599,13 +595,6 @@ def _dissipator_integral(
     """
     l_rot = dagger(vs) @ ells @ vs
     return scipy.integrate.simpson(_dissipator(l_rot, rho_d), x=taus, axis=0)
-
-
-def _dissipator(ell: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D_l(rho) = l rho l^dag - {l^dag l, rho}/2, for one jump or a stack of them."""
-    ld = dagger(ell)
-    ldl = ld @ ell
-    return ell @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
 
 
 def _effective_jump_grid(
@@ -688,7 +677,7 @@ def reconstruct_full_state(
     """Full-space state from the reduced one via the order-eps^2 map.
 
     Embedding plus the commutator correction -i eps [C_tau, .] and the
-    second-order Lindblad-shaped correction eps^2 (C . C - {C^2, .}/2).
+    second-order correction eps^2 D_C, the dissipator of the Hermitian C.
     Returns (state, trace_correction); the trace is renormalized and the
     removed magnitude reported.
     """
@@ -697,9 +686,7 @@ def reconstruct_full_state(
     eps = 1.0 / protocol.gammaT
     c = c_tau(protocol, ds, tau, source)
     first = -1j * (c @ emb - emb @ c)
-    c2 = c @ c
-    second = c @ emb @ c - 0.5 * (c2 @ emb + emb @ c2)
-    raw = emb + eps * first + eps**2 * second
+    raw = emb + eps * first + eps**2 * _dissipator(c, emb)
     tr = float(np.trace(raw).real)
     correction = abs(tr - 1.0)
     if tr <= 0:

@@ -31,8 +31,6 @@ __all__ = [
     "lindblad_rhs",
     "integrate",
     "vectorize",
-    "superoperator",
-    "apply_superoperator",
     "spectral_gap",
     "asymptotic_channel",
     "kraus_from_channel",
@@ -45,7 +43,12 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 POSITIVITY_TOL = 1e-8
+#: eigenvalues within this fraction of the spectral radius count as the kernel
 KERNEL_TOL = 1e-8
+#: Choi eigenvalues below -_CP_TOL reject a channel; Kraus weights up to
+#: _KRAUS_WEIGHT_TOL are dropped
+_CP_TOL = 1e-8
+_KRAUS_WEIGHT_TOL = 1e-10
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -97,7 +100,9 @@ class LindbladGenerator:
     matrices or (n, dim, dim) stacks, element k of every stack belonging to
     generator k and a single matrix standing for all n; every element of a
     Hamiltonian stack is checked.  ``lindblad_rhs`` takes single matrices
-    only, ``superoperator`` either.
+    only, ``vectorize`` either.  The brute-force equation and the reduced
+    dark-space equation -i eps [H0, .] + eps^2 D_ell (jump eps ell, prefactor
+    eps) are both generators of this form.
     """
 
     hamiltonian: np.ndarray | None
@@ -162,28 +167,36 @@ def lindblad_rhs(rho: np.ndarray, gen: LindbladGenerator) -> np.ndarray:
     for jump in gen.jumps:
         if jump.shape != rho.shape:
             raise ValueError(f"dimension mismatch: L {jump.shape} vs rho {rho.shape}")
-        jd = dagger(jump)
-        jdj = jd @ jump
-        out += jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj)
+        out += _dissipator(jump, rho)
     return out
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    positivity_tol: float = POSITIVITY_TOL,
-) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace and positive."""
-    rho = np.asarray(rho, dtype=complex)
+def _dissipator(jump: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D_L(rho) = L rho L^dag - {L^dag L, rho}/2, for one jump or a stack of them."""
+    jd = dagger(jump)
+    jdj = jd @ jump
+    return jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj)
+
+
+def _physicality(rho: np.ndarray) -> tuple[float, float, float]:
+    """(|rho - rho^dag|_F, |tr rho - 1|, least eigenvalue of (rho + rho^dag)/2)."""
     herm = frobenius(rho - dagger(rho))
-    if herm > hermiticity_tol:
-        raise ValueError(f"not Hermitian: |rho - rho^dag| = {herm:.3g}")
-    tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
-        raise ValueError(f"trace deviates from 1 by {tr:.3g}")
+    tr_dev = abs(np.trace(rho) - 1.0)
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
-    if min_eig < -positivity_tol:
+    return herm, tr_dev, min_eig
+
+
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian, unit trace and positive.
+
+    Checked against ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``POSITIVITY_TOL``.
+    """
+    herm, tr, min_eig = _physicality(np.asarray(rho, dtype=complex))
+    if herm > HERMITICITY_TOL:
+        raise ValueError(f"not Hermitian: |rho - rho^dag| = {herm:.3g}")
+    if tr > TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {tr:.3g}")
+    if min_eig < -POSITIVITY_TOL:
         raise ValueError(f"negative eigenvalue {min_eig:.3g}")
 
 
@@ -193,13 +206,11 @@ def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
     Hermiticity, unit trace and positivity are checked against ``margin``
     times the standing tolerances; the state is never projected back.
     """
-    herm = frobenius(rho - dagger(rho))
+    herm, tr_dev, min_eig = _physicality(rho)
     if herm > margin * HERMITICITY_TOL:
         raise InvariantViolationError(tau, "hermiticity", herm)
-    tr_dev = abs(np.trace(rho) - 1.0)
     if tr_dev > margin * TRACE_TOL:
         raise InvariantViolationError(tau, "trace", tr_dev)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
     if min_eig < -margin * POSITIVITY_TOL:
         raise InvariantViolationError(tau, "positivity", min_eig)
 
@@ -350,7 +361,6 @@ def integrate(
     tau_span: tuple[float, float],
     rtol: float = 1e-9,
     atol: float = 1e-12,
-    max_step: float = 0.1,
     checkpoints: Sequence[float] | None = None,
 ) -> Trajectory:
     """Integrate d(rho)/d(tau) = L_tau[rho] with adaptive error control.
@@ -360,8 +370,9 @@ def integrate(
     ``LindbladGenerator`` of (n, dim, dim) stacks, element k belonging to
     time k, the contract of ``Protocol.U`` for phases.  A generator built of
     single matrices, such as ``lambda tau: gen``, stands for all n times.
-    The stack becomes superoperators (``superoperator``), and each stage
-    right-hand side is one matrix-vector product.
+    The generator becomes a stack of superoperators (``vectorize``), and each
+    stage right-hand side is one matrix-vector product.  Steps are at most
+    0.1 long (the ``max_step`` default of ``adaptive_rk45``).
 
     The initial state must be a valid density matrix; Hermiticity, trace and
     positivity are re-checked at every accepted step and a violation beyond
@@ -377,7 +388,7 @@ def integrate(
         gen = gen_of_t(taus)
         if gen.dim != dim:
             raise ValueError(f"dimension mismatch: generator {gen.dim} vs rho {dim}")
-        sup = superoperator(gen.hamiltonian, gen.jumps, gen.hamiltonian_prefactor, dim)
+        sup = vectorize(gen)
         return [s.dot for s in np.broadcast_to(sup, taus.shape + sup.shape[-2:])]
 
     def watch(tau, y):
@@ -390,7 +401,6 @@ def integrate(
         t1,
         rtol=rtol,
         atol=atol,
-        max_step=max_step,
         checkpoints=checkpoints,
         on_accept=watch,
     )
@@ -398,30 +408,21 @@ def integrate(
 
 
 def vectorize(gen: LindbladGenerator) -> np.ndarray:
-    """Superoperator matrix S with S vec(rho) = vec(lindblad_rhs(rho, gen))."""
-    return superoperator(gen.hamiltonian, gen.jumps, gen.hamiltonian_prefactor, gen.dim)
+    """Superoperator S with S vec(rho) = vec(lindblad_rhs(rho, gen)), for stacks too.
 
-
-def superoperator(
-    hamiltonian: np.ndarray | None,
-    jumps: Sequence[np.ndarray],
-    hamiltonian_prefactor: float,
-    dim: int,
-) -> np.ndarray:
-    """Vectorized -i pref [H, .] + sum_k D_{L_k}, for one generator or stacks of them.
-
-    ``hamiltonian`` and each jump are (dim, dim) matrices or (..., dim, dim)
+    The Hamiltonian and each jump are (dim, dim) matrices or (..., dim, dim)
     stacks, element k of every stack belonging to generator k; the result
-    has the broadcast leading shape.  ``vectorize`` is the one-matrix case.
+    has the broadcast leading shape.
     """
+    dim = gen.dim
     eye = np.eye(dim, dtype=complex)
-    terms = list(jumps) + ([] if hamiltonian is None else [hamiltonian])
+    h = gen.hamiltonian
+    terms = list(gen.jumps) + ([] if h is None else [h])
     lead = np.broadcast_shapes(*(np.shape(t)[:-2] for t in terms))
     sup = np.zeros(lead + (dim * dim, dim * dim), dtype=complex)
-    if hamiltonian is not None:
-        h = hamiltonian
-        sup += -1j * hamiltonian_prefactor * (_kron(h, eye) - _kron(eye, h.swapaxes(-1, -2)))
-    for jump in jumps:
+    if h is not None:
+        sup += -1j * gen.hamiltonian_prefactor * (_kron(h, eye) - _kron(eye, h.swapaxes(-1, -2)))
+    for jump in gen.jumps:
         jdj = dagger(jump) @ jump
         sup += _kron(jump, jump.conj())
         sup -= 0.5 * (_kron(jdj, eye) + _kron(eye, jdj.swapaxes(-1, -2)))
@@ -435,13 +436,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (n * m, n * m))
 
 
-def apply_superoperator(sup: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Apply a vectorized superoperator to a matrix."""
-    dim = rho.shape[0]
-    return (sup @ rho.reshape(-1)).reshape(dim, dim)
-
-
-def spectral_gap(sup: np.ndarray, kernel_tol: float = KERNEL_TOL) -> float | None:
+def spectral_gap(sup: np.ndarray) -> float | None:
     """Dissipative gap min(-Re lambda) over nonzero eigenvalues.
 
     Returns None for a gapless spectrum (every eigenvalue inside the kernel
@@ -449,7 +444,7 @@ def spectral_gap(sup: np.ndarray, kernel_tol: float = KERNEL_TOL) -> float | Non
     """
     lam = np.linalg.eigvals(sup)
     scale = max(float(np.abs(lam).max()), 1.0)
-    nonzero = lam[np.abs(lam) > kernel_tol * scale]
+    nonzero = lam[np.abs(lam) > KERNEL_TOL * scale]
     if nonzero.size == 0:
         return None
     gap = float(-nonzero.real.max())
@@ -458,7 +453,7 @@ def spectral_gap(sup: np.ndarray, kernel_tol: float = KERNEL_TOL) -> float | Non
     return gap
 
 
-def asymptotic_channel(sup: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
+def asymptotic_channel(sup: np.ndarray) -> np.ndarray:
     """Infinite-time limit R = lim e^(t S): spectral projector onto ker(S).
 
     Requires every nonzero eigenvalue to decay (gapped dynamics); rotating or
@@ -466,7 +461,7 @@ def asymptotic_channel(sup: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.nd
     """
     lam, vr = np.linalg.eig(sup)
     scale = max(float(np.abs(lam).max()), 1.0)
-    in_kernel = np.abs(lam) <= kernel_tol * scale
+    in_kernel = np.abs(lam) <= KERNEL_TOL * scale
     if not np.all(lam[~in_kernel].real < -1e-8):
         worst = lam[~in_kernel][np.argmax(lam[~in_kernel].real)]
         raise GaplessLindbladianError(
@@ -492,30 +487,26 @@ def choi_matrix(sup: np.ndarray) -> np.ndarray:
     return sup.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(n2, n2)
 
 
-def kraus_from_channel(
-    sup: np.ndarray,
-    cp_tol: float = 1e-8,
-    weight_tol: float = 1e-10,
-) -> list[np.ndarray]:
+def kraus_from_channel(sup: np.ndarray) -> list[np.ndarray]:
     """Kraus operators of a completely positive trace-preserving superoperator.
 
-    Eigendecomposition of the Choi matrix; eigenvalues below ``weight_tol``
-    are discarded.  Raises ValueError when the Choi matrix fails positivity
-    beyond ``cp_tol`` (reporting the offending eigenvalue) and when the
-    resulting set is not trace preserving.
+    Eigendecomposition of the Choi matrix; eigenvalues up to
+    ``_KRAUS_WEIGHT_TOL`` are discarded.  Raises ValueError when the Choi
+    matrix fails Hermiticity or positivity beyond ``_CP_TOL`` (reporting the
+    offending eigenvalue) and when the resulting set is not trace preserving.
     """
     choi = choi_matrix(sup)
     herm_defect = frobenius(choi - dagger(choi))
-    if herm_defect > cp_tol * max(frobenius(choi), 1.0):
+    if herm_defect > _CP_TOL * max(frobenius(choi), 1.0):
         raise ValueError(f"Choi matrix not Hermitian (defect {herm_defect:.3g})")
     w, v = np.linalg.eigh(0.5 * (choi + dagger(choi)))
-    if w[0] < -cp_tol:
+    if w[0] < -_CP_TOL:
         raise ValueError(f"channel not completely positive: Choi eigenvalue {w[0]:.3g}")
     dim = int(round(np.sqrt(sup.shape[0])))
     ops = [
         np.sqrt(wk) * v[:, i].reshape(dim, dim)
         for i, wk in enumerate(w)
-        if wk > weight_tol
+        if wk > _KRAUS_WEIGHT_TOL
     ]
     total = sum(dagger(m) @ m for m in ops)
     norm_defect = frobenius(total - np.eye(dim))

@@ -21,6 +21,8 @@ __all__ = [
 
 #: relative Frobenius tolerance below which a matrix counts as (anti-)Hermitian
 _HERM_DETECT_TOL = 1e-12
+#: singular values below this fraction of the largest count as exact zeros
+_SINGULAR_REL_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -120,36 +122,34 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(a, axis=(-2, -1))
 
 
-def kernel_basis(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def kernel_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space of ``a``.
 
     Returns a (dim, k) array whose columns are the right singular vectors with
-    singular value below ``rel_tol`` times the largest one.  k may be zero.
+    singular value below ``_SINGULAR_REL_TOL`` times the largest one.  k may
+    be zero.
     """
     a = _as_square(a)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     _, s, vh = np.linalg.svd(a)
     if s[0] == 0.0:
         return np.eye(a.shape[0], dtype=complex)
-    null_mask = s < rel_tol * s[0]
+    null_mask = s < _SINGULAR_REL_TOL * s[0]
     return dagger(vh[null_mask])
 
 
-def pseudo_inverse(a: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values below ``rel_tol`` times the largest are treated as exact
-    zeros, so the null space (the dark space, for L^dag L) stays annihilated.
+    Singular values below ``_SINGULAR_REL_TOL`` times the largest are treated
+    as exact zeros, so the null space (the dark space, for L^dag L) stays
+    annihilated.
     """
     a = _as_square(a)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     u, s, vh = np.linalg.svd(a)
     if s[0] == 0.0:
         return np.zeros_like(a)
     inv = np.zeros_like(s)
-    np.divide(1.0, s, out=inv, where=s >= rel_tol * s[0])
+    np.divide(1.0, s, out=inv, where=s >= _SINGULAR_REL_TOL * s[0])
     return dagger(vh) @ (inv[:, None] * dagger(u))
 
 

@@ -20,7 +20,7 @@ from darklind.effective import (
     lab_generator,
     rotating_generator,
 )
-from darklind.engine import LindbladGenerator, integrate, superoperator, vectorize
+from darklind.engine import LindbladGenerator, integrate, vectorize
 from darklind.linalg import dagger
 from darklind.protocols import (
     custom_protocol,
@@ -77,7 +77,7 @@ class TestGeneratorsOnTimeArrays:
         # stage-like times across the cycle, its two ends and one past each end (clipped)
         taus = np.concatenate([[-0.5, 0.0], np.linspace(0.3, 39.7, 17), [40.0, 40.5]])
         batch = FRAMES[frame](proto)(taus)
-        sups = superoperator(batch.hamiltonian, batch.jumps, batch.hamiltonian_prefactor, proto.dim)
+        sups = vectorize(batch)
         assert sups.shape == (taus.size, proto.dim**2, proto.dim**2)
         for k, tau in enumerate(taus):
             one = FRAMES[frame](proto)(float(tau))

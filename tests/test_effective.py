@@ -366,6 +366,23 @@ class TestEffectiveRhs:
         expected = -((2 * math.pi * eps) ** 2) * SX
         assert np.linalg.norm(dissipator - expected) <= 1e-8
 
+    def test_is_berry_commutator_plus_dissipator(self, spin32_linear, spin32_ds):
+        from darklind.effective import projected_hamiltonian
+
+        rho = dark_state_from_bloch((0.6, -0.3, 0.5))
+        tau = 37.0
+        eps = 1.0 / spin32_linear.gammaT
+        h0 = projected_hamiltonian(
+            adiabatic_hamiltonian(spin32_linear, tau / spin32_linear.gammaT), spin32_ds
+        )
+        ell = effective_jump(spin32_linear, spin32_ds, tau)
+        ld_l = dagger(ell) @ ell
+        expected = -1j * eps * (h0 @ rho - rho @ h0) + eps**2 * (
+            ell @ rho @ dagger(ell) - 0.5 * (ld_l @ rho + rho @ ld_l)
+        )
+        out = effective_rhs(rho, spin32_linear, spin32_ds, tau)
+        assert np.linalg.norm(out - expected) <= 1e-15 * np.linalg.norm(expected)
+
     def test_traceless(self, rng, spin32_linear, spin32_ds):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ dagger(a)
@@ -396,8 +413,8 @@ class TestBerryHolonomy:
         omega_dark = matrix_exp(1j * 0.7 * (SZ + 0.3 * SX))
         basis2 = spin32_ds.basis @ omega_dark
         ds2 = DarkSpace(basis=basis2, projector=spin32_ds.projector, d=2)
-        v1 = berry_holonomy(proto, spin32_ds, 130.0, steps=4096)
-        v2 = berry_holonomy(proto, ds2, 130.0, steps=4096)
+        v1 = berry_holonomy(proto, spin32_ds, 130.0)
+        v2 = berry_holonomy(proto, ds2, 130.0)
         # the conjugated basis transports the holonomy exactly
         assert np.linalg.norm(v2 - dagger(omega_dark) @ v1 @ omega_dark) <= 1e-10
         e1 = sorted(np.linalg.eigvals(v1), key=np.angle)

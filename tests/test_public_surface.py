@@ -1,0 +1,42 @@
+"""The package's public surface: each ``__all__`` and the names the package re-exports."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import darklind
+
+MODULES = ("linalg", "engine", "protocols", "effective", "analysis", "checks")
+
+
+def package_imports():
+    """(module, name) for every ``from .module import name`` of ``darklind/__init__.py``."""
+    tree = ast.parse(Path(darklind.__file__).read_text())
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(f"darklind.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_only_exported_names():
+    imports = package_imports()
+    assert {module for module, _ in imports} <= set(MODULES)
+    for module, name in imports:
+        assert name in importlib.import_module(f"darklind.{module}").__all__, (module, name)
+
+
+@pytest.mark.parametrize("removed", ["superoperator", "apply_superoperator"])
+def test_removed_superoperator_helpers_are_gone(removed):
+    assert not hasattr(darklind, removed)
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
