@@ -475,18 +475,7 @@ def run_check(args) -> int:
         tolerance_scale=args.tolerance_scale, rtol=args.rtol, atol=args.atol
     )
     payload = {
-        "criteria": [
-            {
-                "number": r.number,
-                "name": r.name,
-                "expected": r.expected,
-                "observed": r.observed,
-                "passed": r.passed,
-                "runtime_s": r.runtime_s,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "criteria": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
         "tolerance_scale": args.tolerance_scale,
     }

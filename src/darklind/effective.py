@@ -133,8 +133,7 @@ def adiabatic_hamiltonian(protocol: Protocol, s: float) -> np.ndarray:
 
     O(1) in the cycle duration by construction: the adiabatic prefactor
     1/(gamma T) is applied at the evolution layer, not here.  Uses the
-    protocol's analytic derivative when available, otherwise a central
-    difference with Richardson cross-check.  For a 1-D array of n phases it
+    protocol's analytic derivative ``dU``.  For a 1-D array of n phases it
     returns the (n, dim, dim) stack in one vectorised evaluation, with every
     phase checked as a single one is; a failure names the first bad phase.
     """
@@ -144,11 +143,7 @@ def adiabatic_hamiltonian(protocol: Protocol, s: float) -> np.ndarray:
     eye = np.eye(protocol.dim)
     if frobenius(dagger(u) @ u - eye) > 1e-8:
         raise ValueError(f"U({s}) is not unitary")
-    if protocol.dU is not None:
-        du = protocol.dU(s)
-    else:
-        du = _numeric_du(protocol.U, s)
-    h = 1j * du @ dagger(u)
+    h = 1j * protocol.dU(s) @ dagger(u)
     defect = frobenius(h - dagger(h))
     if defect > 1e-8 * max(frobenius(h), 1.0):
         raise ValueError(f"effective Hamiltonian not Hermitian (defect {defect:.3g})")
@@ -161,11 +156,7 @@ def _adiabatic_hamiltonian_grid(protocol: Protocol, s: np.ndarray) -> np.ndarray
     stack = (s.size, protocol.dim, protocol.dim)
     u = _phase_stack(protocol.U, s, stack, "U")
     _require_each(_norms(dagger(u) @ u - np.eye(protocol.dim)) <= 1e-8, s, "U({}) is not unitary")
-    if protocol.dU is not None:
-        du = _phase_stack(protocol.dU, s, stack, "dU")
-    else:
-        du = _numeric_du(protocol.U, s)
-    h = 1j * du @ dagger(u)
+    h = 1j * _phase_stack(protocol.dU, s, stack, "dU") @ dagger(u)
     _require_each(
         _norms(h - dagger(h)) <= 1e-8 * np.maximum(_norms(h), 1.0), s,
         "effective Hamiltonian not Hermitian at s={}",
@@ -186,17 +177,6 @@ def _require_each(ok: np.ndarray, s, message: str) -> None:
     bad = np.flatnonzero(~np.atleast_1d(ok))
     if bad.size:
         raise ValueError(message.format(np.atleast_1d(s)[bad[0]]))
-
-
-def _numeric_du(u_of: Callable[[float], np.ndarray], s, h: float = 1e-6) -> np.ndarray:
-    d1 = (u_of(s + h) - u_of(s - h)) / (2 * h)
-    d2 = (u_of(s + h / 2) - u_of(s - h / 2)) / h
-    richardson = (4.0 * d2 - d1) / 3.0
-    _require_each(
-        _norms(d2 - d1) <= 1e-4 * np.maximum(_norms(richardson), 1.0), s,
-        "finite-difference dU/ds inconsistent at s={}; path not smooth?",
-    )
-    return richardson
 
 
 def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
@@ -525,21 +505,24 @@ class _MagnusPropagator:
 
 
 def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace) -> np.ndarray:
+    """The initial state as a d x d density matrix in the dark basis.
+
+    A d x d state is taken as it is; a full-space state must lie in the dark
+    space and is projected onto it.  Both must be physical.
+    """
     rho_init = np.asarray(rho_init, dtype=complex)
     dim = ds.basis.shape[0]
     if rho_init.shape == (ds.d, ds.d) and ds.d != dim:
         validate_density_matrix(rho_init)
         return rho_init
     if rho_init.shape == (dim, dim):
+        validate_density_matrix(rho_init)  # a NaN entry would make the leak NaN, passing it
         leak = frobenius(rho_init - ds.projector @ rho_init @ ds.projector)
         if leak > _LEAK_TOL:
             raise ValueError(f"initial state leaks outside the dark space ({leak:.3g})")
         rho_d = project_dark(ds, rho_init)
         validate_density_matrix(rho_d)
         return rho_d
-    if rho_init.shape == (ds.d, ds.d):
-        validate_density_matrix(rho_init)
-        return rho_init
     raise ValueError(f"initial state has incompatible shape {rho_init.shape}")
 
 

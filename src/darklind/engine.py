@@ -12,6 +12,7 @@ act on row-major vectorized matrices, vec(A rho B) = (A kron B^T) vec(rho).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -179,7 +180,12 @@ def _dissipator(jump: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def _physicality(rho: np.ndarray) -> tuple[float, float, float]:
-    """(|rho - rho^dag|_F, |tr rho - 1|, least eigenvalue of (rho + rho^dag)/2)."""
+    """(|rho - rho^dag|_F, |tr rho - 1|, least eigenvalue of (rho + rho^dag)/2).
+
+    All three are NaN when rho has a NaN or infinite entry.
+    """
+    if not np.isfinite(rho).all():
+        return math.nan, math.nan, math.nan
     herm = frobenius(rho - dagger(rho))
     tr_dev = abs(np.trace(rho) - 1.0)
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
@@ -187,11 +193,13 @@ def _physicality(rho: np.ndarray) -> tuple[float, float, float]:
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise ValueError unless rho is Hermitian, unit trace and positive.
+    """Raise ValueError unless rho is finite, Hermitian, unit trace and positive.
 
     Checked against ``HERMITICITY_TOL``, ``TRACE_TOL`` and ``POSITIVITY_TOL``.
     """
     herm, tr, min_eig = _physicality(np.asarray(rho, dtype=complex))
+    if math.isnan(herm):
+        raise ValueError("state has a NaN or infinite entry")
     if herm > HERMITICITY_TOL:
         raise ValueError(f"not Hermitian: |rho - rho^dag| = {herm:.3g}")
     if tr > TRACE_TOL:
@@ -201,12 +209,14 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 
 def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
-    """Raise InvariantViolationError, naming tau, unless rho is physical.
+    """Raise InvariantViolationError, naming tau, unless rho is finite and physical.
 
     Hermiticity, unit trace and positivity are checked against ``margin``
     times the standing tolerances; the state is never projected back.
     """
     herm, tr_dev, min_eig = _physicality(rho)
+    if math.isnan(herm):
+        raise InvariantViolationError(tau, "finiteness", herm)
     if herm > margin * HERMITICITY_TOL:
         raise InvariantViolationError(tau, "hermiticity", herm)
     if tr_dev > margin * TRACE_TOL:

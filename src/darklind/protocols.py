@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,12 +53,6 @@ def _angle(fn: Callable, s):
     if not _is_grid(s):
         return fn(s)
     return np.broadcast_to(fn(s), np.shape(s)).reshape(-1, 1, 1)
-
-
-def _identity(dim: int, s) -> np.ndarray:
-    """Identity matrix, or one per phase for an array of phases."""
-    eye = np.eye(dim, dtype=complex)
-    return np.broadcast_to(eye, (np.size(s), dim, dim)) if _is_grid(s) else eye
 
 
 def spin_operators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,20 +198,21 @@ class Protocol:
 
     ``U(s)`` rotates the lab-frame jump, L_lab(s) = U(s)^dag L_rot U(s); the
     path is cyclic up to a global phase (exactly -1 can occur for half-integer
-    spin windings, which no observable sees).  ``dU``, when provided, is the
-    analytic phase derivative; otherwise a Richardson-checked central
-    difference is used by consumers.
+    spin windings, which no observable sees).  ``dU`` is the analytic phase
+    derivative and is required: no consumer falls back to finite differences.
 
     ``U`` and ``dU`` take one phase and return a (dim, dim) matrix, or a 1-D
     array of n phases and return an (n, dim, dim) stack, element k belonging
     to phase k.  Consumers evaluate whole phase grids in one call; they check
-    the shape and every element as they would check one matrix.
+    the shape and every element as they would check one matrix.  Construction
+    makes one ``U`` call, on a grid of phases from 0 to 1, and reads U(0) = 1,
+    cyclicity and unitarity off it.
     """
 
     dim: int
     L_rot: np.ndarray
     U: Callable[[float], np.ndarray]
-    dU: Callable[[float], np.ndarray] | None
+    dU: Callable[[float], np.ndarray]
     gammaT: float
     descriptor: dict = field(default_factory=dict)
 
@@ -225,18 +221,19 @@ class Protocol:
             raise ValueError("gammaT must be positive")
         if self.L_rot.shape != (self.dim, self.dim):
             raise ValueError("L_rot shape does not match protocol dimension")
-        eye = np.eye(self.dim)
-        if frobenius(self.U(0.0) - eye) > 1e-10:
-            raise ValueError("U(0) must be the identity")
-        u1 = self.U(1.0)
-        phase = np.trace(u1) / self.dim
-        if abs(abs(phase) - 1.0) > 1e-10 or frobenius(u1 - phase * eye) > 1e-10:
-            raise ValueError("path is not cyclic: U(1) is not the identity up to a phase")
+        if not callable(self.dU):
+            raise ValueError(f"dU must be the analytic phase derivative, got {self.dU!r}")
         samples = np.linspace(0.0, 1.0, _PHASE_SAMPLES)
         u = np.asarray(self.U(samples))
         if u.shape != (samples.size, self.dim, self.dim):
             raise ValueError(f"U returned shape {u.shape} for {samples.size} phases, "
                              f"expected {(samples.size, self.dim, self.dim)}")
+        eye = np.eye(self.dim)
+        if frobenius(u[0] - eye) > 1e-10:
+            raise ValueError("U(0) must be the identity")
+        phase = np.trace(u[-1]) / self.dim
+        if abs(abs(phase) - 1.0) > 1e-10 or frobenius(u[-1] - phase * eye) > 1e-10:
+            raise ValueError("path is not cyclic: U(1) is not the identity up to a phase")
         bad = np.flatnonzero(_norms(dagger(u) @ u - eye) > 1e-9)
         if bad.size:
             raise ValueError(f"U({samples[bad[0]]}) is not unitary")
@@ -298,32 +295,13 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     """Spin-3/2 system with jump operator S_x (S_z^2 - 1/4).
 
     The two S_z = +-1/2 states span the dark space; the control unitary is
-    U(s) = exp(i theta S_y) exp(i phi S_z) with (theta, phi) from ``path``.
-    The phase derivative dU is analytic.
+    the two-factor product U(s) = exp(i theta S_y) exp(i phi S_z) with
+    (theta, phi) and their analytic derivatives from ``path``.
     """
     _, sy, sz = spin_operators(3)
-    l_rot = spin32_jump()
-    rot_y = _exp_factory(sy)
-    rot_z = _exp_factory(sz)
-    handoff = _Handoff(lambda s: (rot_y(_angle(path.theta, s)), rot_z(_angle(path.phi, s))))
-
-    def u_of(s: float) -> np.ndarray:
-        uy, uz = handoff.put(s)
-        return uy @ uz
-
-    def du_of(s: float) -> np.ndarray:
-        uy, uz = handoff.take(s)
-        return (
-            1j * _angle(path.dtheta, s) * (sy @ uy) @ uz
-            + 1j * _angle(path.dphi, s) * uy @ (sz @ uz)
-        )
-
-    return Protocol(
-        dim=4,
-        L_rot=l_rot,
-        U=u_of,
-        dU=du_of,
-        gammaT=float(gammaT),
+    return custom_protocol(
+        [sy, sz], [path.theta, path.phi], spin32_jump(), gammaT,
+        dangles=[path.dtheta, path.dphi],
         descriptor={"family": "spin32", "path": dict(path.descriptor), "gammaT": float(gammaT)},
     )
 
@@ -333,46 +311,44 @@ def custom_protocol(
     angles: Sequence[Callable[[float], float]],
     L_rot: np.ndarray,
     gammaT: float,
-    dangles: Sequence[Callable[[float], float]] | None = None,
+    dangles: Sequence[Callable[[float], float]],
     descriptor: dict | None = None,
 ) -> Protocol:
     """Product-of-exponentials path U(s) = prod_k exp(i alpha_k(s) G_k).
 
-    Generators must be Hermitian.  With ``dangles`` supplied the phase
-    derivative is analytic; otherwise consumers fall back to finite
-    differences.  Construction rejects non-cyclic paths.
+    Generators must be Hermitian, and ``dangles`` holds the analytic
+    derivative alpha_k'(s) of every angle, from which dU is built; there is
+    no finite-difference fallback.  With no generators U = 1 and dU = 0.
+    Construction rejects non-cyclic paths.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if len(gens) != len(angles):
         raise ValueError("need one angle function per generator")
+    if len(dangles) != len(angles):
+        raise ValueError("need one derivative per angle function")
     for g in gens:
         if frobenius(g - dagger(g)) > 1e-10 * max(frobenius(g), 1.0):
             raise ValueError("generators must be Hermitian")
     dim = gens[0].shape[0] if gens else np.asarray(L_rot).shape[0]
+    if not gens:  # no rotation, which a config may ask for: exp(i 0 0) = 1, so dU = 0
+        gens = [np.zeros((dim, dim), dtype=complex)]
+        angles = dangles = [lambda s: 0.0]
+    n = len(gens)
     rots = [_exp_factory(g) for g in gens]
     handoff = _Handoff(lambda s: [rot(_angle(ang, s)) for rot, ang in zip(rots, angles)])
 
     def u_of(s: float) -> np.ndarray:
-        u = _identity(dim, s)
-        for f in handoff.put(s):
-            u = u @ f
-        return u
+        return reduce(np.matmul, handoff.put(s))
 
-    du_of = None
-    if dangles is not None:
-        if len(dangles) != len(angles):
-            raise ValueError("need one derivative per angle function")
-
-        def du_of(s: float) -> np.ndarray:  # noqa: F811
-            factors = handoff.take(s)
-            total = np.zeros_like(_identity(dim, s))
-            for k in range(len(factors)):
-                term = _identity(dim, s)
-                for i, f in enumerate(factors):
-                    piece = 1j * _angle(dangles[k], s) * (gens[k] @ f) if i == k else f
-                    term = term @ piece
-                total += term
-            return total
+    def du_of(s: float) -> np.ndarray:
+        # the sum over k of the product with F_k replaced by i alpha_k' G_k F_k
+        factors = handoff.take(s)
+        for k in range(n):
+            chain = factors.copy()
+            chain[k] = 1j * _angle(dangles[k], s) * (gens[k] @ factors[k])
+            term = reduce(np.matmul, chain)
+            du = du + term if k else term
+        return du
 
     return Protocol(
         dim=dim,
@@ -380,7 +356,7 @@ def custom_protocol(
         U=u_of,
         dU=du_of,
         gammaT=float(gammaT),
-        descriptor=descriptor or {"family": "custom", "n_generators": len(gens),
+        descriptor=descriptor or {"family": "custom", "n_generators": len(generators),
                                   "gammaT": float(gammaT)},
     )
 

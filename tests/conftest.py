@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from darklind.effective import dark_space
 from darklind.protocols import linear_path, spin32_protocol
+
+# property tests: the same examples on every run, none stored between runs,
+# and no per-example deadline (a first call may build caches)
+settings.register_profile("darklind", derandomize=True, deadline=None, database=None)
+settings.load_profile("darklind")
 
 
 @pytest.fixture(scope="session")

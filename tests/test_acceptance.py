@@ -8,6 +8,9 @@ measured numbers and the analysis are carried in the failure messages and
 the README.  The windows are asserted as pinned, not widened.
 """
 
+import math
+import time
+
 import pytest
 
 import darklind.checks as checks
@@ -47,8 +50,6 @@ def test_known_quantitative_signatures(battery):
     saturated (1 - e^{-2P})/2 of the linearized loss P, which at the pinned
     cycle durations sits a known distance from the first-order law.
     """
-    import math
-
     purity_detail = battery[1].detail
     dev_z = purity_detail["n0=(0.0, 0.0, 1.0)"]["relative_deviation"]
     dev_y = purity_detail["n0=(0.0, 1.0, 0.0)"]["relative_deviation"]
@@ -91,3 +92,15 @@ def test_prediction_cross_check_computes_each_prediction_once(monkeypatch):
     assert "discrepancy_report" in result.detail
     assert result.passed
     assert calls == {g: 1 for g in checks.SWEEP_GAMMATS}
+
+
+def test_run_battery_times_each_criterion(monkeypatch):
+    def slow(ctx):
+        time.sleep(0.02)
+        return checks.CriterionResult(7, "slow", "-", "-", True, detail={"k": 1})
+
+    monkeypatch.setattr(checks, "CRITERIA", (slow,))
+    [result] = run_battery()
+    assert 0.02 <= result.runtime_s < 10.0
+    assert (result.number, result.detail) == (7, {"k": 1})
+    assert math.isnan(slow(None).runtime_s)  # not timed outside the battery

@@ -115,6 +115,20 @@ class TestValidation:
         assert "invalid configuration" in err and "not both" in err
         assert not out.exists()
 
+    def test_rejects_nan_density_matrix(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "gammaT": 50.0, "initial": {
+            "density_matrix": {"re": [[0.5, float("nan")], [float("nan"), 0.5]],
+                               "im": [[0.0, 0.0], [0.0, 0.0]]},
+        }}))
+        assert "NaN" in cfg.read_text()  # the JSON literal json.load accepts
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "NaN" in err
+        assert not out.exists()
+
     def test_fourier_path_knots_are_known_keys(self):
         path = {"family": "fourier", "theta_knots": [0.1], "phi_knots": [0.2]}
         proto = cli.build_protocol({"protocol": {"family": "spin32", "path": path}}, 100.0)
@@ -340,6 +354,9 @@ class TestCheckCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is True
         assert len(payload["criteria"]) == 2
+        assert set(payload["criteria"][1]) == {
+            "number", "name", "expected", "observed", "passed", "runtime_s", "detail"}
+        assert payload["criteria"][1]["detail"] == {"y": 3}
         saved = read_json(target)
         assert saved["criteria"][0]["name"] == "alpha"
 

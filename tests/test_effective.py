@@ -133,16 +133,6 @@ class TestAdiabaticHamiltonian:
             h = adiabatic_hamiltonian(proto, float(s))
             assert np.linalg.norm(h - dagger(h)) <= 1e-10
 
-    def test_finite_difference_route(self, spin32_linear):
-        path = linear_path(1, 0)
-        proto = custom_protocol(
-            [spin_operators(3)[1]], [path.theta], spin32_linear.L_rot, 200.0
-        )  # no analytic derivative
-        for s in (0.2, 0.6):
-            h_fd = adiabatic_hamiltonian(proto, s)
-            h_exact = adiabatic_hamiltonian(spin32_linear, s)
-            assert np.linalg.norm(h_fd - h_exact) <= 1e-6
-
     def test_rejects_non_unitary_path(self, spin32_linear):
         broken = types.SimpleNamespace(
             dim=4,
@@ -157,8 +147,8 @@ class TestAdiabaticHamiltonian:
 _, _SY32, _SZ32 = spin_operators(3)
 _TURN = 2.0 * math.pi
 
-#: protocols of every array route: analytic spin-3/2 paths, a custom protocol
-#: with a constant angle, and the finite-difference derivative
+#: protocols of every array route: spin-3/2 paths and a custom protocol with
+#: a constant angle
 GRID_PROTOCOLS = {
     "linear": lambda: spin32_protocol(linear_path(1, 0), 200.0),
     "smoothstep": lambda: spin32_protocol(smoothstep_path(1, 1), 200.0),
@@ -168,9 +158,6 @@ GRID_PROTOCOLS = {
     "constant-angle": lambda: custom_protocol(
         [_SY32, _SZ32], [lambda s: _TURN * s, lambda s: 0.0], spin32_jump(), 200.0,
         dangles=[lambda s: _TURN, lambda s: 0.0],
-    ),
-    "finite-difference": lambda: custom_protocol(
-        [_SY32], [lambda s: _TURN * s], spin32_jump(), 200.0
     ),
 }
 
@@ -479,11 +466,39 @@ class TestEndOfCycle:
         with pytest.raises(ValueError, match="leak"):
             end_of_cycle_state(rho, spin32_linear, spin32_ds)
 
+    def test_rejects_nan_full_space_state(self, spin32_linear, spin32_ds):
+        rho = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+        rho[0, 3] = rho[3, 0] = np.nan  # outside the dark block, where projection would drop it
+        with pytest.raises(ValueError, match="NaN"):
+            end_of_cycle_state(rho, spin32_linear, spin32_ds)
+
     def test_accepts_full_dimensional_dark_state(self, spin32_linear, spin32_ds):
         rho_d = dark_state_from_bloch((0.0, 1.0, 0.0))
         out_full = end_of_cycle_state(embed_dark(spin32_ds, rho_d), spin32_linear, spin32_ds)
         out_reduced = end_of_cycle_state(rho_d, spin32_linear, spin32_ds)
         assert trace_distance(out_full, out_reduced) <= 1e-12
+
+
+class TestCoerceDarkState:
+    def test_dark_state_is_taken_as_it_is(self, spin32_ds):
+        rho_d = dark_state_from_bloch((0.6, 0.0, 0.8))
+        assert np.array_equal(eff._coerce_dark_state(rho_d, spin32_ds), rho_d)
+
+    def test_full_space_dark_state_is_projected(self, spin32_ds):
+        rho_d = dark_state_from_bloch((0.0, 0.6, 0.8))
+        out = eff._coerce_dark_state(embed_dark(spin32_ds, rho_d), spin32_ds)
+        assert out.shape == (2, 2)
+        assert np.linalg.norm(out - rho_d) <= 1e-15
+
+    def test_leaking_state_is_rejected_with_its_leak(self, spin32_ds):
+        rho = np.diag([0.1, 0.45, 0.45, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match=r"leaks outside the dark space \(0\.1\)"):
+            eff._coerce_dark_state(rho, spin32_ds)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+    def test_other_shapes_are_rejected(self, spin32_ds, shape):
+        with pytest.raises(ValueError, match="incompatible shape"):
+            eff._coerce_dark_state(np.zeros(shape), spin32_ds)
 
 
 class TestReconstruction:

@@ -155,6 +155,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="eigenvalue"):
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_validate_density_matrix_rejects_non_finite(self, bad, where):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[where] = bad
+        if where == (0, 1):
+            rho[1, 0] = np.conj(bad)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            validate_density_matrix(rho)
+
 
 class TestCheckInvariants:
     def test_names_tau_and_violation(self):
@@ -165,6 +175,13 @@ class TestCheckInvariants:
             check_invariants(1.0, np.diag([0.7, 0.4]).astype(complex))
         # the margin scales the tolerances
         check_invariants(1.0, np.diag([0.7, 0.3 + 5e-8]).astype(complex), 100.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_names_tau(self, bad):
+        rho = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+        with pytest.raises(InvariantViolationError, match="finiteness violated at tau=2.5") as exc:
+            check_invariants(2.5, rho, 100.0)
+        assert exc.value.tau == 2.5 and exc.value.what == "finiteness"
 
 
 class TestVectorize:

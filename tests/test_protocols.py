@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darklind import protocols
 from darklind.effective import adiabatic_hamiltonian, dark_space
-from darklind.linalg import dagger, matrix_exp
+from darklind.linalg import _norms, dagger, matrix_exp
 from darklind.protocols import (
     PathSpec,
     Protocol,
@@ -223,6 +225,26 @@ class TestLabJump:
 
 
 class TestCustomProtocol:
+    def test_spin32_is_the_two_factor_product(self):
+        _, sy, sz = spin_operators(3)
+        path = smoothstep_path(1, 1)
+        proto = spin32_protocol(path, 100.0)
+        s = np.linspace(0.0, 1.0, 9)
+        u = np.array([matrix_exp(1j * a * sy) @ matrix_exp(1j * b * sz)
+                      for a, b in zip(path.theta(s), path.phi(s))])
+        assert np.linalg.norm(proto.U(s) - u) <= 1e-12
+        du = 1j * (path.dtheta(s)[:, None, None] * sy @ u + path.dphi(s)[:, None, None] * u @ sz)
+        assert np.linalg.norm(proto.dU(s) - du) <= 1e-11
+        assert proto.descriptor == {"family": "spin32", "path": path.descriptor, "gammaT": 100.0}
+
+    def test_no_generators_is_the_identity_path(self):
+        proto = custom_protocol([], [], np.diag([0.0, 1.0]), 10.0, dangles=[])
+        phases = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(proto.U(0.3), np.eye(2))
+        assert np.array_equal(proto.U(phases), np.broadcast_to(np.eye(2), (5, 2, 2)))
+        assert not proto.dU(0.3).any() and proto.dU(phases).shape == (5, 2, 2)
+        assert not adiabatic_hamiltonian(proto, phases).any()
+
     def test_constant_protocol(self):
         sx, sy, sz = spin_operators(3)
         jump = sx @ (sz @ sz - 0.25 * np.eye(4))
@@ -265,13 +287,14 @@ class TestCustomProtocol:
     def test_rejects_non_hermitian_generator(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="Hermitian"):
-            custom_protocol([bad], [lambda s: s], np.eye(2), 50.0)
+            custom_protocol([bad], [lambda s: s], np.eye(2), 50.0, dangles=[lambda s: 1.0])
 
     def test_rejects_non_cyclic_path(self):
         _, _, sz = spin_operators(1)
         with pytest.raises(ValueError, match="cyclic"):
             custom_protocol(
-                [sz], [lambda s: math.pi * s], np.eye(2), 50.0  # half winding
+                [sz], [lambda s: math.pi * s], np.eye(2), 50.0,  # half winding
+                dangles=[lambda s: math.pi],
             )
 
     @staticmethod
@@ -320,7 +343,7 @@ class TestConstruction:
             return spin32_linear.U(s)
 
         Protocol(4, spin32_linear.L_rot, counted, spin32_linear.dU, 50.0)
-        assert calls == [(), (), (protocols._PHASE_SAMPLES,)]  # U(0), U(1), the sample grid
+        assert calls == [(protocols._PHASE_SAMPLES,)]  # U(0) and U(1) are its ends
 
     def test_names_first_non_unitary_phase(self, spin32_linear):
         def stretched(s):
@@ -329,8 +352,65 @@ class TestConstruction:
 
         first_bad = 16 / 63  # the first of the 64 sample phases within 0.05 of 0.3
         with pytest.raises(ValueError, match=rf"U\({first_bad}\) is not unitary"):
-            Protocol(4, spin32_linear.L_rot, stretched, None, 50.0)
+            Protocol(4, spin32_linear.L_rot, stretched, spin32_linear.dU, 50.0)
 
     def test_rejects_scalar_only_u(self, spin32_linear):
         with pytest.raises(ValueError, match=r"U returned shape \(4, 4\) for 64 phases"):
-            Protocol(4, spin32_linear.L_rot, lambda s: np.eye(4), None, 50.0)
+            Protocol(4, spin32_linear.L_rot, lambda s: np.eye(4), spin32_linear.dU, 50.0)
+
+    def test_rejects_path_not_starting_at_identity(self, spin32_linear):
+        def shifted(s):
+            return spin32_linear.U(np.asarray(s) * 0.5 + 0.25)
+
+        with pytest.raises(ValueError, match=r"U\(0\) must be the identity"):
+            Protocol(4, spin32_linear.L_rot, shifted, spin32_linear.dU, 50.0)
+
+    @pytest.mark.parametrize("du", [None, np.zeros((4, 4))])
+    def test_requires_a_callable_derivative(self, spin32_linear, du):
+        with pytest.raises(ValueError, match="dU"):
+            Protocol(4, spin32_linear.L_rot, spin32_linear.U, du, 50.0)
+
+    def test_custom_protocol_requires_dangles(self):
+        _, _, sz = spin_operators(1)
+        with pytest.raises(TypeError, match="dangles"):
+            custom_protocol([sz], [lambda s: 2 * math.pi * s], np.eye(2), 50.0)
+
+
+#: one factor exp(i alpha(s) n.S): the axis n by its polar and azimuthal
+#: angles, the integer winding of alpha and its sine knots
+_FACTOR = st.tuples(
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+    st.integers(-2, 2),
+    st.lists(st.floats(-0.4, 0.4), max_size=2),
+)
+
+
+@settings(max_examples=5)
+@given(two_j=st.integers(1, 5), factors=st.lists(_FACTOR, min_size=1, max_size=3))
+def test_random_custom_protocols_are_consistent(two_j, factors):
+    spin = spin_operators(two_j)
+    gens, angles, dangles = [], [], []
+    for polar, azimuth, winding, knots in factors:
+        axis = (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth),
+                math.cos(polar))
+        gens.append(sum(c * op for c, op in zip(axis, spin)))
+        alpha = fourier_path(winding, 0, theta_knots=knots)  # alpha(0) = 0, whole turns
+        angles.append(alpha.theta)
+        dangles.append(alpha.dtheta)
+    lowering = dagger(spin[0] + 1j * spin[1])
+    proto = custom_protocol(gens, angles, lowering, 50.0, dangles=dangles)
+
+    h = 1e-6
+    for s in (0.17, 0.5, 0.83):
+        du = proto.dU(s)
+        central = (proto.U(s + h) - proto.U(s - h)) / (2 * h)
+        assert np.linalg.norm(du - central) <= 1e-6 * max(1.0, np.linalg.norm(du))
+
+    grid = np.linspace(0.0, 1.0, 33)
+    raw = 1j * proto.dU(grid) @ dagger(proto.U(grid))
+    assert np.all(_norms(raw - dagger(raw)) <= 1e-12 * np.maximum(_norms(raw), 1.0))
+    stack = adiabatic_hamiltonian(proto, grid)
+    for k, s in enumerate(grid):
+        one = adiabatic_hamiltonian(proto, float(s))
+        assert np.linalg.norm(stack[k] - one) <= 1e-14 * max(1.0, np.linalg.norm(one))

@@ -136,7 +136,7 @@ def test_custom_protocol_matches_joint_ode():
     assert worst_distance(dark_state_from_bloch((0.0, 1.0, 0.0)), proto, taus) <= GATE
 
 
-@settings(max_examples=5, deadline=None, derandomize=True)
+@settings(max_examples=5)
 @given(
     theta_knots=st.lists(st.floats(-0.3, 0.3), min_size=1, max_size=2),
     phi_knots=st.lists(st.floats(-0.3, 0.3), max_size=2),
