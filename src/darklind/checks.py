@@ -5,11 +5,12 @@ value and a pass flag; the CLI ``check`` command and the test suite both run
 this battery.  Expensive artifacts (the exact-integration sweep, effective
 runs) are computed once per context and shared.
 
-Tolerance windows are pinned here, not calibrated at run time.  Two windows
-are knowingly tight at the pinned cycle durations because the first-order
-purity law carries large second-order corrections there; the battery reports
-those honestly rather than widening them (see the sweep and purity-law
-checks, and the cross-check report of the prediction criterion).
+Tolerance windows are pinned here, not calibrated at run time; the sweep and
+gauge verdicts (``sweep_flags``, ``gauge_flags``) also flag the CLI reports.
+Two windows are knowingly tight at the pinned cycle durations because the
+first-order purity law carries large second-order corrections there; the
+battery reports those honestly rather than widening them (see the sweep and
+purity-law checks, and the cross-check report of the prediction criterion).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (
+    GaugeReport,
+    SweepResult,
     convergence_sweep,
     dark_state_from_bloch,
     fit_loglog,
@@ -53,24 +56,19 @@ from .engine import (
 from .linalg import dagger, frobenius
 from .protocols import linear_path, spin32_protocol
 
-__all__ = ["CriterionResult", "AcceptanceContext", "run_battery", "CRITERIA"]
+__all__ = ["CriterionResult", "AcceptanceContext", "run_battery", "CRITERIA",
+           "sweep_flags", "gauge_flags"]
 
 SWEEP_GAMMATS = (100.0, 200.0, 400.0, 800.0)
+RTOL, ATOL = 1e-9, 1e-12  # integration tolerances of every battery run
 
-# Acceptance windows before tolerance scaling; the CLI's sweep and
-# gauge-check flags apply them unscaled.  Slopes are (target, half width).
-LOSS_SLOPE = (-1.0, 0.15)
+# Windows of the sweep and gauge verdicts; slopes are closed (lo, hi) bounds.
+LOSS_SLOPE = (-1.15, -0.85)
 LOSS_FIT_R2_SHORTFALL = 0.01  # largest 1 - r^2 of the purity-loss fit
-EFFECTIVE_SLOPE = (-2.0, 0.4)
-FIRST_ORDER_SLOPE = (-1.0, 0.2)
+EFFECTIVE_SLOPE = (-2.4, -1.6)
+FIRST_ORDER_SLOPE = (-1.2, -0.8)
 GAUGE_DEFECT_RATIO = 0.7  # largest ratio of the covariance defects
 GAUGE_PURITY_PREFACTOR = 10.0  # c in the gauge purity-difference bound c / gammaT^2
-
-
-def slope_window(window: tuple[float, float], scale: float = 1.0) -> tuple[float, float]:
-    """Bounds (lo, hi) of a (target, half width) window scaled by ``scale``."""
-    target, half_width = window
-    return target - half_width * scale, target + half_width * scale
 
 
 @dataclass(frozen=True)
@@ -87,17 +85,11 @@ class CriterionResult:
 class AcceptanceContext:
     """Shared lazily-computed artifacts for the battery."""
 
-    def __init__(self, tolerance_scale: float = 1.0, rtol: float = 1e-9, atol: float = 1e-12):
-        self.scale = float(tolerance_scale)
-        self.rtol = rtol
-        self.atol = atol
+    def __init__(self):
         self.path = linear_path(1, 0)
         self.protocol_200 = spin32_protocol(self.path, 200.0)
         self.ds = dark_space(self.protocol_200.L_rot)
         self._cache: dict = {}
-
-    def tol(self, value: float) -> float:
-        return value * self.scale
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -112,7 +104,7 @@ class AcceptanceContext:
         return self._get(
             "sweep",
             lambda: convergence_sweep(self.factory, SWEEP_GAMMATS, (0.0, 0.0, 1.0),
-                                      rtol=self.rtol, atol=self.atol),
+                                      rtol=RTOL, atol=ATOL),
         )
 
     def exact_run(self, n0, gammaT):
@@ -122,14 +114,8 @@ class AcceptanceContext:
             proto = self.factory(gammaT)
             rho_d = dark_state_from_bloch(n0)
             start = time.perf_counter()
-            traj = integrate(
-                lab_generator(proto),
-                embed_dark(self.ds, rho_d),
-                (0.0, gammaT),
-                rtol=self.rtol,
-                atol=self.atol,
-                checkpoints=np.linspace(0.0, gammaT, 33),
-            )
+            traj = integrate(lab_generator(proto), embed_dark(self.ds, rho_d), (0.0, gammaT),
+                             rtol=RTOL, atol=ATOL, checkpoints=np.linspace(0.0, gammaT, 33))
             return traj, time.perf_counter() - start
 
         return self._get(key, build)
@@ -157,9 +143,30 @@ def in_window(value: float, lo: float, hi: float) -> bool:
     return bool(lo <= value <= hi)
 
 
+def sweep_flags(sweep: SweepResult) -> dict[str, bool]:
+    """Verdicts of a convergence sweep: loss slope and fit, accuracy orders."""
+    return {
+        "slope_in_window": in_window(sweep.fitted_slope, *LOSS_SLOPE),
+        "fit_r2_ok": bool(sweep.fit_r2 >= 1.0 - LOSS_FIT_R2_SHORTFALL),
+        "effective_order_in_window": in_window(sweep.error_slope, *EFFECTIVE_SLOPE),
+        "first_order_in_window": in_window(sweep.first_order_slope, *FIRST_ORDER_SLOPE),
+    }
+
+
+def gauge_flags(report: GaugeReport) -> dict[str, bool]:
+    """Verdicts of a gauge check: defect ratio, purity gauge differences."""
+    return {
+        "defect_shrinks": bool(report.defect_ratio <= GAUGE_DEFECT_RATIO),
+        "purity_gauge_invariant": all(
+            diff <= GAUGE_PURITY_PREFACTOR / gammaT**2
+            for diff, gammaT in zip(report.purity_differences, report.gammaT_values)
+        ),
+    }
+
+
 def check_purity_law(ctx: AcceptanceContext) -> CriterionResult:
     """Exact one-cycle purity loss against the leading-order closed form."""
-    rel_window = ctx.tol(0.15)
+    rel_window = 0.15
     detail: dict = {}
     passed = True
     runtime_total = 0.0
@@ -193,15 +200,14 @@ def check_purity_law(ctx: AcceptanceContext) -> CriterionResult:
 def check_loss_scaling(ctx: AcceptanceContext) -> CriterionResult:
     """Algebraic 1/(gamma T) scaling of the exact purity loss."""
     sweep = ctx.sweep
-    lo, hi = slope_window(LOSS_SLOPE, ctx.scale)
-    r2_min = 1.0 - ctx.tol(LOSS_FIT_R2_SHORTFALL)
-    passed = in_window(sweep.fitted_slope, lo, hi) and sweep.fit_r2 >= r2_min
+    flags = sweep_flags(sweep)
+    lo, hi = LOSS_SLOPE
     return CriterionResult(
         2,
         "loss scales as the minus first power",
-        f"slope in [{lo:.2f}, {hi:.2f}], r^2 >= {r2_min:.2f}",
+        f"slope in [{lo:.2f}, {hi:.2f}], r^2 >= {1.0 - LOSS_FIT_R2_SHORTFALL:.2f}",
         f"slope {sweep.fitted_slope:.4f}, r^2 {sweep.fit_r2:.4f}",
-        passed,
+        flags["slope_in_window"] and flags["fit_r2_ok"],
         detail={"losses": sweep.losses, "gammaT": sweep.gammaT_values},
     )
 
@@ -209,16 +215,15 @@ def check_loss_scaling(ctx: AcceptanceContext) -> CriterionResult:
 def check_effective_order(ctx: AcceptanceContext) -> CriterionResult:
     """Order of accuracy of the reduced equation and its unitary truncation."""
     sweep = ctx.sweep
-    lo2, hi2 = slope_window(EFFECTIVE_SLOPE, ctx.scale)
-    lo1, hi1 = slope_window(FIRST_ORDER_SLOPE, ctx.scale)
-    ok2 = in_window(sweep.error_slope, lo2, hi2)
-    ok1 = in_window(sweep.first_order_slope, lo1, hi1)
+    flags = sweep_flags(sweep)
+    lo2, hi2 = EFFECTIVE_SLOPE
+    lo1, hi1 = FIRST_ORDER_SLOPE
     return CriterionResult(
         3,
         "effective-equation accuracy orders",
         f"full slope in [{lo2:.2f}, {hi2:.2f}], unitary-only in [{lo1:.2f}, {hi1:.2f}]",
         f"full {sweep.error_slope:.3f}, unitary-only {sweep.first_order_slope:.3f}",
-        ok2 and ok1,
+        flags["effective_order_in_window"] and flags["first_order_in_window"],
         detail={
             "distances": sweep.errors,
             "first_order_distances": sweep.first_order_errors,
@@ -230,7 +235,7 @@ def check_holonomy_trivial(ctx: AcceptanceContext) -> CriterionResult:
     """No Berry rotation accumulates over the single-winding cycle."""
     v = berry_holonomy(ctx.protocol_200, ctx.ds, 200.0)
     defect = frobenius(v - np.eye(ctx.ds.d))
-    bound = ctx.tol(1e-8)
+    bound = 1e-8
     return CriterionResult(
         4,
         "holonomy triviality for theta = 2 pi s",
@@ -249,7 +254,7 @@ def check_jump_closed_form(ctx: AcceptanceContext) -> CriterionResult:
         ell = effective_jump(ctx.protocol_200, ctx.ds, float(tau))
         b = 2 * math.pi * (1.0 - math.exp(-1.5 * float(tau)))
         worst = max(worst, frobenius(ell - 1j * b * sigma_z))
-    bound = ctx.tol(1e-6)
+    bound = 1e-6
     return CriterionResult(
         5,
         "effective jump closed form",
@@ -266,19 +271,15 @@ def check_gauge_covariance(ctx: AcceptanceContext) -> CriterionResult:
     report = gauge_covariance_check(
         ctx.protocol_200, ctx.ds, (math.pi / 7.0) * sigma_z, gammaT_pair=(100.0, 200.0)
     )
-    ratio_ok = report.defect_ratio <= ctx.tol(GAUGE_DEFECT_RATIO)
-    purity_ok = all(
-        diff <= ctx.tol(GAUGE_PURITY_PREFACTOR) / gammaT**2
-        for diff, gammaT in zip(report.purity_differences, report.gammaT_values)
-    )
+    flags = gauge_flags(report)
     return CriterionResult(
         6,
         "gauge covariance of the effective jump",
-        f"defect ratio <= {ctx.tol(GAUGE_DEFECT_RATIO):.2f}; "
+        f"defect ratio <= {GAUGE_DEFECT_RATIO:.2f}; "
         f"purity gauge difference <= {GAUGE_PURITY_PREFACTOR:g}/(gammaT)^2",
         f"ratio {report.defect_ratio:.3f}; purity diffs "
         + ", ".join(f"{d:.2e}" for d in report.purity_differences),
-        ratio_ok and purity_ok,
+        flags["defect_shrinks"] and flags["purity_gauge_invariant"],
         detail={
             "defects": report.defects,
             "purity_differences": report.purity_differences,
@@ -301,16 +302,16 @@ def check_kernel_and_channel(ctx: AcceptanceContext) -> CriterionResult:
     )
     n_offblock = sum(1 for m in kraus if frobenius(p0 @ m @ p0) <= 1e-8)
     ok = (
-        residual <= ctx.tol(1e-7)
-        and idem <= ctx.tol(1e-8)
-        and completeness <= ctx.tol(1e-8)
+        residual <= 1e-7
+        and idem <= 1e-8
+        and completeness <= 1e-8
         and n_dark == 1
         and n_dark + n_offblock == len(kraus)
     )
     return CriterionResult(
         7,
         "kernel residual, asymptotic channel, Kraus structure",
-        f"residual <= {ctx.tol(1e-7):.3g}; idempotence and completeness <= {ctx.tol(1e-8):.3g}; "
+        "residual <= 1e-07; idempotence and completeness <= 1e-08; "
         "exactly one Kraus operator with dark block P0",
         f"residual {residual:.2e}; idem {idem:.2e}; completeness {completeness:.2e}; "
         f"{n_dark} dark-block operator(s) of {len(kraus)}",
@@ -331,22 +332,22 @@ def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
             worst_neg = max(worst_neg, -min_eig)
     proto = ctx.factory(100.0)
     rho_full = embed_dark(ctx.ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
-    fine = integrate(lab_generator(proto), rho_full, (0.0, 100.0),
-                     rtol=ctx.rtol, atol=ctx.atol).final
+    fine = integrate(lab_generator(proto), rho_full, (0.0, 100.0), rtol=RTOL, atol=ATOL).final
     finer = integrate(lab_generator(proto), rho_full, (0.0, 100.0),
-                      rtol=ctx.rtol / 10.0, atol=ctx.atol / 10.0).final
+                      rtol=RTOL / 10.0, atol=ATOL / 10.0).final
     refinement = trace_distance(fine, finer)
+    refinement_bound = 10.0 * RTOL
     ok = (
-        worst_trace <= ctx.tol(TRACE_TOL)
-        and worst_herm <= ctx.tol(HERMITICITY_TOL)
-        and worst_neg <= ctx.tol(POSITIVITY_TOL)
-        and refinement <= ctx.tol(10.0 * ctx.rtol)
+        worst_trace <= TRACE_TOL
+        and worst_herm <= HERMITICITY_TOL
+        and worst_neg <= POSITIVITY_TOL
+        and refinement <= refinement_bound
     )
     return CriterionResult(
         8,
         "structural invariants and integrator self-consistency",
-        f"trace <= {ctx.tol(TRACE_TOL):.0e}, hermiticity <= {ctx.tol(HERMITICITY_TOL):.0e}, "
-        f"negativity <= {ctx.tol(POSITIVITY_TOL):.0e}, refinement <= {ctx.tol(1e-8):.0e}",
+        f"trace <= {TRACE_TOL:.0e}, hermiticity <= {HERMITICITY_TOL:.0e}, "
+        f"negativity <= {POSITIVITY_TOL:.0e}, refinement <= {refinement_bound:.0e}",
         f"trace {worst_trace:.1e}, herm {worst_herm:.1e}, neg {worst_neg:.1e}, "
         f"refinement {refinement:.1e}",
         ok,
@@ -373,7 +374,7 @@ def check_prediction_cross_check(ctx: AcceptanceContext) -> CriterionResult:
     for gammaT in (200.0, 800.0):
         direct = purity(ctx.effective_end(n0, gammaT))
         residuals[gammaT] = abs(ctx.prediction(n0, gammaT) - direct)
-        agree = agree and residuals[gammaT] <= ctx.tol(10.0) / gammaT**2
+        agree = agree and residuals[gammaT] <= 10.0 / gammaT**2
     detail: dict = {"residuals": dict(residuals)}
     if agree:
         passed = True
@@ -423,13 +424,9 @@ CRITERIA = (
 )
 
 
-def run_battery(
-    tolerance_scale: float = 1.0,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
-) -> list[CriterionResult]:
+def run_battery() -> list[CriterionResult]:
     """Run every acceptance criterion, sharing expensive artifacts."""
-    ctx = AcceptanceContext(tolerance_scale=tolerance_scale, rtol=rtol, atol=atol)
+    ctx = AcceptanceContext()
     results = []
     for criterion in CRITERIA:
         start = time.perf_counter()

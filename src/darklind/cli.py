@@ -34,18 +34,7 @@ from .analysis import (
     purity_prediction_spin32,
     trace_distance,
 )
-from .checks import (
-    EFFECTIVE_SLOPE,
-    FIRST_ORDER_SLOPE,
-    GAUGE_DEFECT_RATIO,
-    GAUGE_PURITY_PREFACTOR,
-    LOSS_FIT_R2_SHORTFALL,
-    LOSS_SLOPE,
-    battery_table,
-    in_window,
-    run_battery,
-    slope_window,
-)
+from .checks import battery_table, gauge_flags, run_battery, sweep_flags
 from .engine import NUMERICAL_ERRORS, _physicality, integrate
 from .linalg import dagger
 from .protocols import (
@@ -137,23 +126,29 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def validate_config(cfg: dict) -> dict:
     if cfg.get("experiment") not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
     _section(cfg, "config", (*DEFAULT_CONFIG, "experiment"))
     _section(cfg["gauge"], "gauge", DEFAULT_CONFIG["gauge"])
+    if not _is_finite_number(cfg["gauge"]["dark_phase"]):
+        raise ConfigError("gauge.dark_phase must be a finite number")
     tols = _section(cfg["tolerances"], "tolerances", DEFAULT_CONFIG["tolerances"])
     for name in DEFAULT_CONFIG["tolerances"]:
         value = tols.get(name)
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError(f"tolerance {name} must be positive")
+        if not _is_finite_number(value) or value <= 0:
+            raise ConfigError(f"tolerance {name} must be finite and positive")
     gammaTs = cfg["gammaT"]
     if isinstance(gammaTs, (int, float)):
         gammaTs = [float(gammaTs)]
     else:
         gammaTs = [float(g) for g in gammaTs]
-    if not gammaTs or any(g <= 0 for g in gammaTs):
-        raise ConfigError("gammaT must be positive")
+    if not gammaTs or any(not (math.isfinite(g) and g > 0) for g in gammaTs):
+        raise ConfigError("gammaT must be finite and positive")
     for g in gammaTs:
         if g < 10.0:
             print(f"warning: gammaT={g:g} < 10, adiabatic expansion unreliable", file=sys.stderr)
@@ -321,14 +316,7 @@ def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
         "first_order_slope": result.first_order_slope,
         "loss_prefactor": result.loss_prefactor,
         "failures": list(result.failures),
-        "flags": {
-            "slope_in_window": in_window(result.fitted_slope, *slope_window(LOSS_SLOPE)),
-            "fit_r2_ok": bool(result.fit_r2 >= 1.0 - LOSS_FIT_R2_SHORTFALL),
-            "effective_order_in_window":
-                in_window(result.error_slope, *slope_window(EFFECTIVE_SLOPE)),
-            "first_order_in_window":
-                in_window(result.first_order_slope, *slope_window(FIRST_ORDER_SLOPE)),
-        },
+        "flags": sweep_flags(result),
     }
     return rows, report, list(SWEEP_COLUMNS)
 
@@ -340,7 +328,7 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
     proto = build_protocol(cfg, gammaTs[0])
     ds = eff.dark_space(proto.L_rot)
     rho_d, _ = _initial_dark_state(cfg, ds)
-    phase = float(cfg.get("gauge", {}).get("dark_phase", math.pi / 7.0))
+    phase = float(cfg["gauge"]["dark_phase"])
     rng = np.random.default_rng(cfg["seed"])
     dim = proto.dim
     rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -370,13 +358,7 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         "purity_tilted": list(report_obj.purity_tilted),
         "purity_differences": list(report_obj.purity_differences),
         "dark_phase": phase,
-        "flags": {
-            "defect_shrinks": bool(report_obj.defect_ratio <= GAUGE_DEFECT_RATIO),
-            "purity_gauge_invariant": bool(all(
-                diff <= GAUGE_PURITY_PREFACTOR / g**2
-                for diff, g in zip(report_obj.purity_differences, report_obj.gammaT_values)
-            )),
-        },
+        "flags": gauge_flags(report_obj),
     }
     columns = ["gammaT", "covariance_defect", "purity_plain", "purity_tilted", "purity_difference"]
     return rows, report, columns
@@ -471,13 +453,10 @@ def run_experiment(cfg: dict) -> int:
 
 
 def run_check(args) -> int:
-    results = run_battery(
-        tolerance_scale=args.tolerance_scale, rtol=args.rtol, atol=args.atol
-    )
+    results = run_battery()
     payload = {
         "criteria": [dataclasses.asdict(r) for r in results],
         "all_passed": all(r.passed for r in results),
-        "tolerance_scale": args.tolerance_scale,
     }
     if args.json:
         print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
@@ -526,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run the acceptance battery")
     check_p.add_argument("--json", action="store_true", help="machine-readable results")
     check_p.add_argument("--output", help="also write the JSON results to a file")
-    check_p.add_argument("--tolerance-scale", type=float, default=1.0,
-                         help="scale factor on every acceptance window (testing aid)")
-    check_p.add_argument("--rtol", type=float, default=1e-9)
-    check_p.add_argument("--atol", type=float, default=1e-12)
     return parser
 
 

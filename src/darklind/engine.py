@@ -389,6 +389,8 @@ def integrate(
     100x the standing tolerances aborts the run (states are never projected
     back, so integrator bugs cannot hide).
     """
+    if not (rtol >= 0.0 and atol >= 0.0):
+        raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
     dim = rho0.shape[0]

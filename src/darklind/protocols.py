@@ -217,8 +217,8 @@ class Protocol:
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.gammaT <= 0:
-            raise ValueError("gammaT must be positive")
+        if not (math.isfinite(self.gammaT) and self.gammaT > 0):
+            raise ValueError(f"gammaT must be finite and positive, got {self.gammaT}")
         if self.L_rot.shape != (self.dim, self.dim):
             raise ValueError("L_rot shape does not match protocol dimension")
         if not callable(self.dU):

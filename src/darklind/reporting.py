@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TRAJECTORY_COLUMNS = ("tau", "purity", "trace", "min_eig", "nx", "ny", "nz", "td_effective")
 SWEEP_COLUMNS = (

@@ -10,11 +10,13 @@ the README.  The windows are asserted as pinned, not widened.
 
 import math
 import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import darklind.checks as checks
-from darklind.analysis import dark_state_from_bloch
+from darklind.analysis import GaugeReport, SweepResult, dark_state_from_bloch
 from darklind.checks import CRITERIA, run_battery
 
 
@@ -104,3 +106,54 @@ def test_run_battery_times_each_criterion(monkeypatch):
     assert 0.02 <= result.runtime_s < 10.0
     assert (result.number, result.detail) == (7, {"k": 1})
     assert math.isnan(slow(None).runtime_s)  # not timed outside the battery
+
+
+def _sweep(**fields):
+    """A hand-built sweep whose every verdict holds, with ``fields`` replaced."""
+    base = dict(gammaT_values=(100.0, 200.0), losses=(0.1, 0.05), errors=(4e-4, 1e-4),
+                fitted_slope=-1.0, fit_r2=1.0, error_slope=-2.0, first_order_slope=-1.0)
+    return SweepResult(**{**base, **fields})
+
+
+def _gauge(defect_ratio=0.5, purity_differences=(0.0, 0.0)):
+    return GaugeReport(gammaT_values=(100.0, 200.0), defects=(1.0, defect_ratio),
+                       defect_ratio=defect_ratio, purity_plain=(1.0, 1.0),
+                       purity_tilted=(1.0, 1.0), purity_differences=purity_differences,
+                       tau_fractions=(0.5,))
+
+
+@pytest.mark.parametrize("field, value, flag, holds", [
+    ("fitted_slope", -0.85, "slope_in_window", True),
+    ("fitted_slope", -0.8487, "slope_in_window", False),  # the measured criterion-2 slope
+    ("fitted_slope", -1.15, "slope_in_window", True),
+    ("fit_r2", 0.99, "fit_r2_ok", True),
+    ("fit_r2", 0.9899, "fit_r2_ok", False),
+    ("error_slope", -1.6, "effective_order_in_window", True),
+    ("error_slope", -1.59, "effective_order_in_window", False),
+    ("first_order_slope", -0.8, "first_order_in_window", True),
+    ("first_order_slope", -0.79, "first_order_in_window", False),
+])
+def test_sweep_window_edges(field, value, flag, holds):
+    sweep = _sweep(**{field: value})
+    flags = checks.sweep_flags(sweep)
+    assert flags == {**{k: True for k in flags}, flag: holds}
+    ctx = SimpleNamespace(sweep=sweep)  # criteria 2 and 3 pass exactly when their flags hold
+    assert checks.check_loss_scaling(ctx).passed is (
+        flags["slope_in_window"] and flags["fit_r2_ok"])
+    assert checks.check_effective_order(ctx).passed is (
+        flags["effective_order_in_window"] and flags["first_order_in_window"])
+
+
+@pytest.mark.parametrize("report, flags", [
+    (_gauge(defect_ratio=0.7), {"defect_shrinks": True, "purity_gauge_invariant": True}),
+    (_gauge(defect_ratio=0.7001), {"defect_shrinks": False, "purity_gauge_invariant": True}),
+    (_gauge(purity_differences=(10.0 / 100.0**2, 10.0 / 200.0**2)),
+     {"defect_shrinks": True, "purity_gauge_invariant": True}),
+    (_gauge(purity_differences=(0.0, np.nextafter(10.0 / 200.0**2, 1.0))),
+     {"defect_shrinks": True, "purity_gauge_invariant": False}),
+])
+def test_gauge_window_edges(monkeypatch, report, flags):
+    assert checks.gauge_flags(report) == flags
+    monkeypatch.setattr(checks, "gauge_covariance_check", lambda *args, **kwargs: report)
+    result = checks.check_gauge_covariance(SimpleNamespace(protocol_200=None, ds=None))
+    assert result.passed is all(flags.values())

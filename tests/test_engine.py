@@ -80,6 +80,12 @@ class TestIntegrate:
         traj = integrate(lambda t: gen, rho0, (0.0, 5.0))
         assert trace_distance(traj.final, rho0) <= 1e-12
 
+    @pytest.mark.parametrize("rtol, atol", [(np.nan, 1e-12), (1e-9, np.nan), (-1e-9, 1e-12)])
+    def test_rejects_negative_or_nan_tolerances(self, rtol, atol):
+        gen = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=())
+        with pytest.raises(ValueError, match="rtol and atol must be non-negative"):
+            integrate(lambda t: gen, np.eye(2) / 2, (0.0, 1.0), rtol=rtol, atol=atol)
+
     def test_relaxation_into_dark_space(self, spin32_linear, spin32_ds):
         rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0

@@ -354,6 +354,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"U\({first_bad}\) is not unitary"):
             Protocol(4, spin32_linear.L_rot, stretched, spin32_linear.dU, 50.0)
 
+    @pytest.mark.parametrize("gammaT", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_gammaT_not_finite_and_positive(self, gammaT):
+        with pytest.raises(ValueError, match="gammaT must be finite and positive"):
+            spin32_protocol(linear_path(1, 0), gammaT)
+
     def test_rejects_scalar_only_u(self, spin32_linear):
         with pytest.raises(ValueError, match=r"U returned shape \(4, 4\) for 64 phases"):
             Protocol(4, spin32_linear.L_rot, lambda s: np.eye(4), spin32_linear.dU, 50.0)
