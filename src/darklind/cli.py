@@ -126,8 +126,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a bool is neither here, though Python counts it an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, int)
+
+
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    return _is_number(value) and math.isfinite(value)
+
+
+#: the most gammaT values an experiment takes; the others take any number
+_MAX_GAMMATS = {"spin32-purity": 1, "custom": 1, "gauge-check": 2}
 
 
 def validate_config(cfg: dict) -> dict:
@@ -143,19 +156,24 @@ def validate_config(cfg: dict) -> dict:
         if not _is_finite_number(value) or value <= 0:
             raise ConfigError(f"tolerance {name} must be finite and positive")
     gammaTs = cfg["gammaT"]
-    if isinstance(gammaTs, (int, float)):
-        gammaTs = [float(gammaTs)]
-    else:
-        gammaTs = [float(g) for g in gammaTs]
+    if not isinstance(gammaTs, list):
+        gammaTs = [gammaTs]
+    if not all(_is_number(g) for g in gammaTs):
+        raise ConfigError("gammaT must be a number or a list of numbers")
+    gammaTs = [float(g) for g in gammaTs]
     if not gammaTs or any(not (math.isfinite(g) and g > 0) for g in gammaTs):
         raise ConfigError("gammaT must be finite and positive")
+    most = _MAX_GAMMATS.get(cfg["experiment"], len(gammaTs))
+    if len(gammaTs) > most:
+        raise ConfigError(f"{cfg['experiment']} takes at most {most} gammaT, got {len(gammaTs)}")
+    if len(set(gammaTs)) != len(gammaTs):
+        raise ConfigError("gammaT values must be distinct")
     for g in gammaTs:
         if g < 10.0:
             print(f"warning: gammaT={g:g} < 10, adiabatic expansion unreliable", file=sys.stderr)
     cfg = dict(cfg)
     cfg["gammaT_list"] = gammaTs
-    seed = cfg.get("seed")
-    if not isinstance(seed, int):
+    if not _is_integer(cfg.get("seed")):
         raise ConfigError("seed must be an integer")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
@@ -171,7 +189,7 @@ def validate_config(cfg: dict) -> dict:
     else:
         raise ConfigError("initial must provide bloch or density_matrix")
     n_cp = cfg.get("checkpoints")
-    if not isinstance(n_cp, int) or n_cp < 1:
+    if not _is_integer(n_cp) or n_cp < 1:
         raise ConfigError("checkpoints must be a positive integer")
     return cfg
 
@@ -339,7 +357,7 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         diag = np.arange(ds.d) - 0.5 * (ds.d - 1)
         dark_gen = phase * np.diag(diag).astype(complex)
     report_obj = gauge_covariance_check(
-        proto, ds, dark_gen, gammaT_pair=tuple(gammaTs[:2]),
+        proto, ds, dark_gen, gammaT_pair=tuple(gammaTs),
         rho_init=rho_d, bright_generator=bright_gen,
     )
     rows = [
@@ -392,7 +410,7 @@ def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
     finals = []
     for g in gammaTs:
         comparison = compare_effective_vs_full(
-            build_protocol(cfg, g), init, n_checkpoints=8,
+            build_protocol(cfg, g), init, n_checkpoints=cfg["checkpoints"],
             rtol=tols["rtol"], atol=tols["atol"],
         )
         finals.append(comparison.final_distance)

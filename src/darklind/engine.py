@@ -246,123 +246,8 @@ _DP_ERR = _DP_B5 - _DP_B4
 _DP_NODES = _DP_C[1:6]
 _DP_STAGE_NODE = (None, 0, 1, 2, 3, 4, 4)
 
-#: right-hand sides of one step: times (1-D array) -> one function y -> f(time, y) per time
-StageRhs = Callable[[np.ndarray], Sequence[Callable[[np.ndarray], np.ndarray]]]
-
-
-def adaptive_rk45(
-    stage_rhs: StageRhs,
-    y0: np.ndarray,
-    t0: float,
-    t1: float,
-    rtol: float,
-    atol: float,
-    max_step: float = 0.1,
-    first_step: float | None = None,
-    checkpoints: Sequence[float] | None = None,
-    on_accept: Callable[[float, np.ndarray], None] | None = None,
-):
-    """Generic embedded RK 5(4) driver for complex vector ODEs y' = f(t, y).
-
-    ``stage_rhs`` is asked once per step attempt for the right-hand sides at
-    the attempt's five distinct stage times, given as one 1-D array, and once
-    at the start for the first stage; it returns one function y -> f(time, y)
-    per time.  A plain ``f(t, y)`` wraps as
-    ``lambda times: [functools.partial(f, t) for t in times]``.
-
-    PI step-size control (order-5 propagation, order-4 error estimate).  The
-    step is capped so checkpoints are hit exactly; ``on_accept`` runs after
-    every accepted step.  Returns (checkpoint_times, checkpoint_states,
-    StepStats).
-    """
-    y = np.asarray(y0, dtype=complex).copy()
-    t = float(t0)
-    span = t1 - t0
-    if span < 0:
-        raise ValueError("backward integration not supported")
-    if checkpoints is None:
-        cps = [t1]
-    else:
-        cps = sorted(float(c) for c in checkpoints)
-        if cps and (cps[0] < t0 - 1e-12 or cps[-1] > t1 + 1e-12):
-            raise ValueError("checkpoints outside integration span")
-        if not cps or abs(cps[-1] - t1) > 1e-12:
-            cps.append(t1)
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
-    if abs(cps[0] - t0) <= 1e-12:
-        out_t.append(t0)
-        out_y.append(y.copy())
-        cps = cps[1:]
-
-    if span == 0.0:
-        if not out_t:
-            out_t, out_y = [t0], [y.copy()]
-        return np.array(out_t), out_y, StepStats(0, 0, 0, 0)
-
-    h_free = span / 1e3 if first_step is None else float(first_step)
-    h_free = min(h_free, max_step, span)
-    n_accept = n_reject = 0
-    err_prev = 1.0
-    k = np.empty((7,) + y.shape, dtype=complex)  # stage slopes; k[0] carries over (FSAL)
-    k[0] = stage_rhs(np.array([t]))[0](y)
-    n_batch = 1
-    safety, beta, alpha = 0.9, 0.08, 0.7 / 5.0
-    cp_idx = 0
-
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        hit_cp = False
-        h = min(h_free, max_step, t1 - t)
-        if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
-            h = cps[cp_idx] - t
-            hit_cp = True
-            # roundoff accumulation can leave a negligible gap; snap to the
-            # checkpoint instead of forcing a degenerate step
-            if h < 1e-12 * max(1.0, abs(t)):
-                t = cps[cp_idx]
-                out_t.append(t)
-                out_y.append(y.copy())
-                cp_idx += 1
-                continue
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflowError(t, h)
-
-        rhs = stage_rhs(t + h * _DP_NODES)
-        n_batch += 1
-        for i in range(1, 7):
-            k[i] = rhs[_DP_STAGE_NODE[i]](y + h * (_DP_A[i] @ k[:i]))
-        y_new = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_ERR @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
-
-        if err <= 1.0:
-            t_new = t + h
-            err = max(err, 1e-10)
-            factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
-            err_prev = err
-            t, y = t_new, y_new
-            k[0] = k[6]  # FSAL
-            n_accept += 1
-            if on_accept is not None:
-                on_accept(t, y)
-            if hit_cp:
-                out_t.append(t)
-                out_y.append(y.copy())
-                cp_idx += 1
-                # a clamped landing says nothing about the natural step scale
-                h_free = max(h_free, h * factor)
-            else:
-                h_free = h * factor
-        else:
-            n_reject += 1
-            h_free = h * min(1.0, max(0.2, safety * err ** (-0.2)))
-
-    if not out_t or abs(out_t[-1] - t1) > 1e-12:
-        out_t.append(t)
-        out_y.append(y.copy())
-    attempts = n_accept + n_reject
-    return np.array(out_t), out_y, StepStats(n_accept, n_reject, 6 * attempts + 1, n_batch)
+#: longest step of ``integrate``
+_MAX_STEP = 0.1
 
 
 def integrate(
@@ -375,14 +260,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate d(rho)/d(tau) = L_tau[rho] with adaptive error control.
 
-    ``gen_of_t`` is called once per step attempt (and once at the start)
-    with a 1-D array of n stage times and returns their generators as one
+    Dormand-Prince RK 5(4) with FSAL and PI step-size control (order-5
+    propagation, order-4 error estimate).  Steps are at most ``_MAX_STEP``
+    long, the first one span/1000, and a step is shortened to land exactly
+    on each checkpoint.
+
+    ``gen_of_t`` is called once per step attempt, with the attempt's five
+    distinct stage times (stages 5 and 6 share c = 1) as one 1-D array, and
+    once at the start with ``[t0]``.  It returns their generators as one
     ``LindbladGenerator`` of (n, dim, dim) stacks, element k belonging to
     time k, the contract of ``Protocol.U`` for phases.  A generator built of
     single matrices, such as ``lambda tau: gen``, stands for all n times.
     The generator becomes a stack of superoperators (``vectorize``), and each
-    stage right-hand side is one matrix-vector product.  Steps are at most
-    0.1 long (the ``max_step`` default of ``adaptive_rk45``).
+    stage right-hand side is one matrix-vector product.
 
     The initial state must be a valid density matrix; Hermiticity, trace and
     positivity are re-checked at every accepted step and a violation beyond
@@ -395,28 +285,95 @@ def integrate(
     validate_density_matrix(rho0)
     dim = rho0.shape[0]
     t0, t1 = float(tau_span[0]), float(tau_span[1])
+    span = t1 - t0
+    if span < 0:
+        raise ValueError("backward integration not supported")
+    if checkpoints is None:
+        cps = [t1]
+    else:
+        cps = sorted(float(c) for c in checkpoints)
+        if cps and (cps[0] < t0 - 1e-12 or cps[-1] > t1 + 1e-12):
+            raise ValueError("checkpoints outside integration span")
+        if not cps or abs(cps[-1] - t1) > 1e-12:
+            cps.append(t1)
+    out_t: list[float] = []
+    out_rho: list[np.ndarray] = []
+    if abs(cps[0] - t0) <= 1e-12:
+        out_t.append(t0)
+        out_rho.append(rho0.copy())
+        cps = cps[1:]
+    if span == 0.0:
+        return Trajectory(np.array(out_t), out_rho, StepStats(0, 0, 0, 0))
 
-    def stage_rhs(taus):
+    def superoperators(taus):
         gen = gen_of_t(taus)
         if gen.dim != dim:
             raise ValueError(f"dimension mismatch: generator {gen.dim} vs rho {dim}")
         sup = vectorize(gen)
-        return [s.dot for s in np.broadcast_to(sup, taus.shape + sup.shape[-2:])]
+        return np.broadcast_to(sup, taus.shape + sup.shape[-2:])
 
-    def watch(tau, y):
-        check_invariants(tau, y.reshape(dim, dim), 100.0)
+    t, y = t0, rho0.reshape(-1)
+    h_free = min(span / 1e3, _MAX_STEP)
+    n_accept = n_reject = 0
+    err_prev = 1.0
+    k = np.empty((7,) + y.shape, dtype=complex)  # stage slopes; k[0] carries over (FSAL)
+    k[0] = superoperators(np.array([t]))[0].dot(y)
+    n_batch = 1
+    safety, beta, alpha = 0.9, 0.08, 0.7 / 5.0
+    cp_idx = 0
 
-    times, states, stats = adaptive_rk45(
-        stage_rhs,
-        rho0.reshape(-1),
-        t0,
-        t1,
-        rtol=rtol,
-        atol=atol,
-        checkpoints=checkpoints,
-        on_accept=watch,
-    )
-    return Trajectory(times, [y.reshape(dim, dim) for y in states], stats)
+    while t < t1 - 1e-12 * max(1.0, abs(t1)):
+        hit_cp = False
+        h = min(h_free, _MAX_STEP, t1 - t)
+        if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
+            h = cps[cp_idx] - t
+            hit_cp = True
+            # roundoff accumulation can leave a negligible gap; snap to the
+            # checkpoint instead of forcing a degenerate step
+            if h < 1e-12 * max(1.0, abs(t)):
+                t = cps[cp_idx]
+                out_t.append(t)
+                out_rho.append(y.reshape(dim, dim).copy())
+                cp_idx += 1
+                continue
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflowError(t, h)
+
+        sups = superoperators(t + h * _DP_NODES)
+        n_batch += 1
+        for i in range(1, 7):
+            k[i] = sups[_DP_STAGE_NODE[i]].dot(y + h * (_DP_A[i] @ k[:i]))
+        y_new = y + h * (_DP_B5 @ k)
+        err_vec = h * (_DP_ERR @ k)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+
+        if err <= 1.0:
+            err = max(err, 1e-10)
+            factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
+            err_prev = err
+            t, y = t + h, y_new
+            k[0] = k[6]  # FSAL
+            n_accept += 1
+            check_invariants(t, y.reshape(dim, dim), 100.0)
+            if hit_cp:
+                out_t.append(t)
+                out_rho.append(y.reshape(dim, dim).copy())
+                cp_idx += 1
+                # a clamped landing says nothing about the natural step scale
+                h_free = max(h_free, h * factor)
+            else:
+                h_free = h * factor
+        else:
+            n_reject += 1
+            h_free = h * min(1.0, max(0.2, safety * err ** (-0.2)))
+
+    if not out_t or abs(out_t[-1] - t1) > 1e-12:
+        out_t.append(t)
+        out_rho.append(y.reshape(dim, dim).copy())
+    attempts = n_accept + n_reject
+    return Trajectory(np.array(out_t), out_rho,
+                      StepStats(n_accept, n_reject, 6 * attempts + 1, n_batch))
 
 
 def vectorize(gen: LindbladGenerator) -> np.ndarray:

@@ -109,6 +109,49 @@ class TestValidation:
         assert "invalid configuration" in err and name in err and "finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"gammaT": "77"}, "gammaT must be a number or a list of numbers"),
+        ({"gammaT": True}, "gammaT must be a number or a list of numbers"),
+        ({"gammaT": [[100]]}, "gammaT must be a number or a list of numbers"),
+        ({"gammaT": [50, "77"]}, "gammaT must be a number or a list of numbers"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"checkpoints": True}, "checkpoints must be a positive integer"),
+        ({"tolerances": {"rtol": True}}, "tolerance rtol must be finite and positive"),
+        ({"gauge": {"dark_phase": False}}, "gauge.dark_phase must be a finite number"),
+    ])
+    def test_rejects_strings_bools_and_nested_lists(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", **config}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, gammaT, message", [
+        ("spin32-purity", [20, 40], "spin32-purity takes at most 1 gammaT, got 2"),
+        ("custom", [20, 40], "custom takes at most 1 gammaT, got 2"),
+        ("gauge-check", [20, 40, 80], "gauge-check takes at most 2 gammaT, got 3"),
+        ("sweep", [10, 10], "gammaT values must be distinct"),
+        ("effective-vs-full", [10, 10], "gammaT values must be distinct"),
+    ])
+    def test_rejects_gammaT_list_the_experiment_cannot_use(
+        self, tmp_path, capsys, monkeypatch, experiment, gammaT, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected configuration started work")
+
+        monkeypatch.setattr(cli, "build_protocol", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "gammaT": gammaT}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not out.exists()
+
     def test_rejects_non_string_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("DARKLIND_OUTDIR", raising=False)
@@ -291,6 +334,23 @@ class TestOtherExperiments:
         report = read_json(tmp_path / "effective_vs_full_report.json")
         assert report["max_distance"] >= report["final_distance"] * 0.0
         assert report["max_distance"] < 0.1
+
+    def test_effective_vs_full_sweep_uses_checkpoints(self, tmp_path, monkeypatch):
+        seen = []
+
+        def comparison(protocol, init, n_checkpoints, rtol, atol):
+            seen.append(n_checkpoints)
+            return analysis.EffectiveComparison((), (), 0.0, 1.0 / protocol.gammaT**2, (), ())
+
+        monkeypatch.setattr(cli, "compare_effective_vs_full", comparison)
+        rc = cli.main([
+            "run", "effective-vs-full", "--gammaT", "50,100", "--checkpoints", "5",
+            "--outdir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert seen == [5, 5]
+        report = read_json(tmp_path / "effective_vs_full_report.json")
+        assert report["distance_slope"] == pytest.approx(-2.0)
 
     def test_gauge_check(self, tmp_path):
         rc = cli.main([

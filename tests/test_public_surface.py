@@ -35,7 +35,7 @@ def test_package_reexports_only_exported_names():
         assert name in importlib.import_module(f"darklind.{module}").__all__, (module, name)
 
 
-@pytest.mark.parametrize("removed", ["superoperator", "apply_superoperator"])
+@pytest.mark.parametrize("removed", ["superoperator", "apply_superoperator", "adaptive_rk45"])
 def test_removed_superoperator_helpers_are_gone(removed):
     assert not hasattr(darklind, removed)
     for name in MODULES:
