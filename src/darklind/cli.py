@@ -166,6 +166,8 @@ def validate_config(cfg: dict) -> dict:
     most = _MAX_GAMMATS.get(cfg["experiment"], len(gammaTs))
     if len(gammaTs) > most:
         raise ConfigError(f"{cfg['experiment']} takes at most {most} gammaT, got {len(gammaTs)}")
+    if cfg["experiment"] == "sweep" and len(gammaTs) < 2:  # a sweep fits a slope
+        raise ConfigError(f"sweep takes at least 2 gammaT, got {len(gammaTs)}")
     if len(set(gammaTs)) != len(gammaTs):
         raise ConfigError("gammaT values must be distinct")
     for g in gammaTs:

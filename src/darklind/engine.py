@@ -1,9 +1,9 @@
 """Exact evolution under the time-dependent Lindblad equation.
 
 Brute-force reference dynamics for everything the effective dark-space theory
-predicts: an embedded Runge-Kutta 5(4) integrator with PI step control and
-per-step physicality checks, superoperator vectorization and spectral
-analysis, the infinite-time channel and its Kraus decomposition.
+predicts: an embedded Runge-Kutta 8(5,3) integrator (DOP853) with PI step
+control and per-step physicality checks, superoperator vectorization and
+spectral analysis, the infinite-time channel and its Kraus decomposition.
 
 Conventions: the dissipation rate is absorbed into the jump operators
 (gamma = 1) and time is the dimensionless tau = gamma * t.  Superoperators
@@ -132,9 +132,10 @@ class LindbladGenerator:
 class StepStats:
     """Work of one adaptive run: steps, right-hand sides and generator evaluations.
 
-    ``rhs_evaluations`` counts six stage evaluations per step attempt plus
-    the first stage; ``generator_calls`` counts the stage-time batches, one
-    per attempt plus the first.
+    ``rhs_evaluations`` counts twelve evaluations per step attempt (eleven
+    stages and the FSAL slope at the step's end) plus the first stage;
+    ``generator_calls`` counts the stage-time batches, one per attempt plus
+    the first.
     """
 
     accepted: int
@@ -225,29 +226,81 @@ def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
         raise InvariantViolationError(tau, "positivity", min_eig)
 
 
-# Dormand-Prince 5(4) coefficients (FSAL); row i of _DP_A holds stage i's weights
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
+# Dormand-Prince 8(5,3) coefficients (FSAL; Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, sec. II.10).  Row i of _DOP_A holds stage
+# i's weights on stages 0..i-1; stage 0 is the previous step's final slope.
+_DOP_C = np.array([
+    0.0,
+    0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510,
+    0.281649658092772603273242802490,
+    0.333333333333333333333333333333,
+    0.25,
+    0.307692307692307692307692307692,
+    0.651282051282051282051282051282,
+    0.6,
+    0.857142857142857142857142857142,
+    1.0,
+])
+_DOP_A = [
     np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    np.array([5.26001519587677318785587544488e-2]),
+    np.array([1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]),
+    np.array([2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2]),
+    np.array([2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+              9.24834003261792003115737966543e-1]),
+    np.array([3.7037037037037037037037037037e-2, 0.0, 0.0,
+              1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1]),
+    np.array([3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+              6.02165389804559606850219397283e-2, -1.7578125e-2]),
+    np.array([3.70920001185047927108779319836e-2, 0.0, 0.0,
+              1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+              -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3]),
+    np.array([6.24110958716075717114429577812e-1, 0.0, 0.0,
+              -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+              2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+              -4.34898841810699588477366255144e1]),
+    np.array([4.77662536438264365890433908527e-1, 0.0, 0.0,
+              -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+              2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+              -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2]),
+    np.array([-9.3714243008598732571704021658e-1, 0.0, 0.0,
+              5.18637242884406370830023853209, 1.09143734899672957818500254654,
+              -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+              2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+              -3.0467644718982195003823669022]),
+    np.array([2.27331014751653820792359768449, 0.0, 0.0,
+              -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+              -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+              -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+              1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_ERR = _DP_B5 - _DP_B4
-#: the distinct stage nodes of one step (stages 5 and 6 share c = 1), and the
-#: node of each of the stages 1-6
-_DP_NODES = _DP_C[1:6]
-_DP_STAGE_NODE = (None, 0, 1, 2, 3, 4, 4)
-
-#: longest step of ``integrate``
-_MAX_STEP = 0.1
+#: eighth-order weights of the twelve stages
+_DOP_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2,
+])
+#: fifth-order error weights, and the third-order ones (the eighth-order
+#: weights minus the embedded third-order formula's)
+_DOP_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1,
+])
+_DOP_E3 = _DOP_B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+])
+#: the eleven distinct stage nodes c_2..c_12 in increasing order (the c's are
+#: not monotone; the FSAL stage reuses c_12 = 1), and each stage's node index
+_DOP_NODES = np.unique(_DOP_C[1:])
+_DOP_STAGE_NODE = np.searchsorted(_DOP_NODES, _DOP_C)
 
 
 def integrate(
@@ -260,16 +313,18 @@ def integrate(
 ) -> Trajectory:
     """Integrate d(rho)/d(tau) = L_tau[rho] with adaptive error control.
 
-    Dormand-Prince RK 5(4) with FSAL and PI step-size control (order-5
-    propagation, order-4 error estimate).  Steps are at most ``_MAX_STEP``
-    long, the first one span/1000, and a step is shortened to land exactly
-    on each checkpoint.
+    Dormand-Prince RK 8(5,3) (DOP853) with FSAL and PI step-size control:
+    order-8 propagation, and the error norm of Hairer's DOP853 built from
+    the fifth- and third-order estimates, controlled as an order-7 estimate.
+    The first step is span/1000, steps are not capped, and a step is
+    shortened to land exactly on each checkpoint.
 
-    ``gen_of_t`` is called once per step attempt, with the attempt's five
-    distinct stage times (stages 5 and 6 share c = 1) as one 1-D array, and
-    once at the start with ``[t0]``.  It returns their generators as one
-    ``LindbladGenerator`` of (n, dim, dim) stacks, element k belonging to
-    time k, the contract of ``Protocol.U`` for phases.  A generator built of
+    ``gen_of_t`` is called once per step attempt, with the attempt's eleven
+    distinct stage times (c_2..c_12 in increasing order; the final FSAL
+    stage reuses c_12 = 1) as one 1-D array, and once at the start with
+    ``[t0]``.  It returns their generators as one ``LindbladGenerator`` of
+    (n, dim, dim) stacks, element k belonging to time k, the contract of
+    ``Protocol.U`` for phases.  A generator built of
     single matrices, such as ``lambda tau: gen``, stands for all n times.
     The generator becomes a stack of superoperators (``vectorize``), and each
     stage right-hand side is one matrix-vector product.
@@ -281,6 +336,9 @@ def integrate(
     """
     if not (rtol >= 0.0 and atol >= 0.0):
         raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
+    if atol == 0.0:
+        raise ValueError("atol must be positive: the error scale atol + rtol*|rho| "
+                         "vanishes on zero entries of rho")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density_matrix(rho0)
     dim = rho0.shape[0]
@@ -313,18 +371,19 @@ def integrate(
         return np.broadcast_to(sup, taus.shape + sup.shape[-2:])
 
     t, y = t0, rho0.reshape(-1)
-    h_free = min(span / 1e3, _MAX_STEP)
+    h_free = span / 1e3
     n_accept = n_reject = 0
     err_prev = 1.0
-    k = np.empty((7,) + y.shape, dtype=complex)  # stage slopes; k[0] carries over (FSAL)
+    k = np.empty((13,) + y.shape, dtype=complex)  # stage slopes; k[0] carries over (FSAL)
     k[0] = superoperators(np.array([t]))[0].dot(y)
     n_batch = 1
-    safety, beta, alpha = 0.9, 0.08, 0.7 / 5.0
+    # PI control for an order-7 error estimate
+    safety, beta, alpha = 0.9, 0.4 / 8.0, 0.7 / 8.0
     cp_idx = 0
 
     while t < t1 - 1e-12 * max(1.0, abs(t1)):
         hit_cp = False
-        h = min(h_free, _MAX_STEP, t1 - t)
+        h = min(h_free, t1 - t)
         if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
             h = cps[cp_idx] - t
             hit_cp = True
@@ -339,21 +398,25 @@ def integrate(
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflowError(t, h)
 
-        sups = superoperators(t + h * _DP_NODES)
+        sups = superoperators(t + h * _DOP_NODES)
         n_batch += 1
-        for i in range(1, 7):
-            k[i] = sups[_DP_STAGE_NODE[i]].dot(y + h * (_DP_A[i] @ k[:i]))
-        y_new = y + h * (_DP_B5 @ k)
-        err_vec = h * (_DP_ERR @ k)
+        for i in range(1, 12):
+            k[i] = sups[_DOP_STAGE_NODE[i]].dot(y + h * _DOP_A[i].dot(k[:i]))
+        y_new = y + h * _DOP_B.dot(k[:12])
+        k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2)))
+        r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
+        r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
+        e5 = r5.dot(r5)
+        denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
+        err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
 
         if err <= 1.0:
             err = max(err, 1e-10)
             factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
             err_prev = err
             t, y = t + h, y_new
-            k[0] = k[6]  # FSAL
+            k[0] = k[12]  # FSAL
             n_accept += 1
             check_invariants(t, y.reshape(dim, dim), 100.0)
             if hit_cp:
@@ -366,14 +429,14 @@ def integrate(
                 h_free = h * factor
         else:
             n_reject += 1
-            h_free = h * min(1.0, max(0.2, safety * err ** (-0.2)))
+            h_free = h * min(1.0, max(0.2, safety * err ** (-1.0 / 8.0)))
 
     if not out_t or abs(out_t[-1] - t1) > 1e-12:
         out_t.append(t)
         out_rho.append(y.reshape(dim, dim).copy())
     attempts = n_accept + n_reject
     return Trajectory(np.array(out_t), out_rho,
-                      StepStats(n_accept, n_reject, 6 * attempts + 1, n_batch))
+                      StepStats(n_accept, n_reject, 12 * attempts + 1, n_batch))
 
 
 def vectorize(gen: LindbladGenerator) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""The brute-force RK5(4) integrator, one generator call per step attempt.
+"""The brute-force DOP853 integrator, one generator call per step attempt.
 
-``integrate`` asks ``gen_of_t`` once per step attempt for the attempt's five
-distinct stage times, as one array, and turns the generator stack into
-superoperators.  These tests gate the array generators against their scalar
-evaluation, the integrator at its default tolerances against itself at a
-tight one in both frames, and its step counters.
+``integrate`` asks ``gen_of_t`` once per step attempt for the attempt's eleven
+distinct stage times, in increasing order, as one array, and turns the
+generator stack into superoperators.  These tests gate the array generators
+against their scalar evaluation, the integrator at its default tolerances
+against itself at a tight one in both frames, and its step counters.
 """
 
 import math
@@ -130,10 +130,10 @@ class TestIntegrate:
         stats = traj.step_stats
         attempts = stats.accepted + stats.rejected
         assert stats.generator_calls == attempts + 1 == len(calls)
-        assert stats.rhs_evaluations == 6 * attempts + 1
+        assert stats.rhs_evaluations == 12 * attempts + 1
         assert np.array_equal(calls[0], [0.0])
         for taus in calls[1:]:
-            assert taus.shape == (5,) and np.all(np.diff(taus) > 0.0)
+            assert taus.shape == (11,) and np.all(np.diff(taus) > 0.0)
         assert calls[-1][-1] == 20.0  # the last attempt's c = 1 node ends the run
 
     def test_counters_repeat(self):

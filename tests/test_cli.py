@@ -135,6 +135,7 @@ class TestValidation:
         ("gauge-check", [20, 40, 80], "gauge-check takes at most 2 gammaT, got 3"),
         ("sweep", [10, 10], "gammaT values must be distinct"),
         ("effective-vs-full", [10, 10], "gammaT values must be distinct"),
+        ("sweep", 60, "sweep takes at least 2 gammaT, got 1"),
     ])
     def test_rejects_gammaT_list_the_experiment_cannot_use(
         self, tmp_path, capsys, monkeypatch, experiment, gammaT, message
@@ -240,7 +241,7 @@ class TestTrajectoryExperiment:
         attempts = stats["accepted"] + stats["rejected"]
         assert attempts > 0
         assert stats["generator_calls"] == attempts + 1
-        assert stats["rhs_evaluations"] == 6 * attempts + 1
+        assert stats["rhs_evaluations"] == 12 * attempts + 1
 
     def test_determinism(self, tmp_path):
         args = [
@@ -313,12 +314,12 @@ class TestSweepExperiment:
             "output_dir": str(tmp_path / "cfg_dir"),
         }))
         rc = cli.main([
-            "run", "--config", str(cfg), "--gammaT", "60",
+            "run", "--config", str(cfg), "--gammaT", "60,120",
             "--outdir", str(tmp_path / "flag_dir"),
         ])
         assert rc == 0
         report = read_json(tmp_path / "flag_dir" / "sweep_report.json")
-        assert report["gammaT"] == [60.0]
+        assert report["gammaT"] == [60.0, 120.0]
         assert not (tmp_path / "cfg_dir").exists()
 
 

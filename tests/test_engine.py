@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from darklind import engine
 from darklind.analysis import trace_distance
 from darklind.engine import (
     GaplessLindbladianError,
@@ -80,11 +81,24 @@ class TestIntegrate:
         traj = integrate(lambda t: gen, rho0, (0.0, 5.0))
         assert trace_distance(traj.final, rho0) <= 1e-12
 
-    @pytest.mark.parametrize("rtol, atol", [(np.nan, 1e-12), (1e-9, np.nan), (-1e-9, 1e-12)])
+    @pytest.mark.parametrize("rtol, atol", [
+        (np.nan, 1e-12), (1e-9, np.nan), (-1e-9, 1e-12), (1e-9, 0.0), (0.0, 0.0),
+    ])
     def test_rejects_negative_or_nan_tolerances(self, rtol, atol):
+        # a zero atol leaves the error scale atol + rtol|rho| zero on vanishing entries
+        message = "atol must be positive" if atol == 0.0 else "rtol and atol must be non-negative"
         gen = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=())
-        with pytest.raises(ValueError, match="rtol and atol must be non-negative"):
+        with pytest.raises(ValueError, match=message):
             integrate(lambda t: gen, np.eye(2) / 2, (0.0, 1.0), rtol=rtol, atol=atol)
+
+    def test_constant_generator_matches_matrix_exponential(self, rng, spin32_linear):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gen = LindbladGenerator(h + dagger(h), (spin32_linear.L_rot,), 0.3)
+        rho0 = random_density(rng, 4)
+        tau = 3.0
+        traj = integrate(lambda t: gen, rho0, (0.0, tau), rtol=1e-11, atol=1e-14)
+        exact = scipy.linalg.expm(tau * vectorize(gen)) @ rho0.reshape(-1)
+        assert np.max(np.abs(traj.final.reshape(-1) - exact)) <= 1e-12
 
     def test_relaxation_into_dark_space(self, spin32_linear, spin32_ds):
         rho0 = np.zeros((4, 4), dtype=complex)
@@ -170,6 +184,27 @@ class TestIntegrate:
             rho[1, 0] = np.conj(bad)
         with pytest.raises(ValueError, match="NaN or infinite"):
             validate_density_matrix(rho)
+
+
+class TestDop853Tableau:
+    """The hand-typed Dormand-Prince 8(5,3) coefficients of ``integrate``."""
+
+    def test_nodes_are_row_sums(self):
+        for i, row in enumerate(engine._DOP_A):
+            assert abs(row.sum() - engine._DOP_C[i]) <= 1e-15
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_quadrature_conditions(self, q):
+        assert abs(engine._DOP_B @ engine._DOP_C ** (q - 1) - 1.0 / q) <= 1e-14
+
+    def test_error_weights_sum_to_zero(self):
+        assert abs(engine._DOP_E5.sum()) <= 1e-15
+        assert abs(engine._DOP_E3.sum()) <= 1e-15
+
+    def test_stage_nodes_sorted_and_mapped(self):
+        nodes = engine._DOP_NODES
+        assert nodes.shape == (11,) and np.all(np.diff(nodes) > 0.0) and nodes[-1] == 1.0
+        assert np.array_equal(nodes[engine._DOP_STAGE_NODE[1:]], engine._DOP_C[1:])
 
 
 class TestCheckInvariants:
