@@ -52,6 +52,8 @@ __all__ = [
 
 #: uniform steps over the cycle of the spin-3/2 closed form
 _SPIN32_GRID = 4096
+#: Gauss-Legendre nodes of one closed-form step, as fractions of the step
+_SPIN32_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -122,58 +124,90 @@ def _purity_after(rho_d: np.ndarray, total: np.ndarray, gammaT: float) -> float:
     return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
-def _spin32_h0(theta, dtheta, dphi):
-    """Dark-block Hamiltonian of the spin-3/2 family from the path angles."""
-    return (
-        -dtheta * _PAULI[1]
-        - dphi * (0.5 * math.cos(theta) * _PAULI[2] - math.sin(theta) * _PAULI[0])
-    )
+def _spin32_step_weights(z: float) -> np.ndarray:
+    """Weights of the three Gauss nodes for one step of decay exponent z = rate h / 2.
+
+    The weights w_i, as fractions of the step, integrate 1, u and u^2 against
+    e^{-z (1 - u)} over u in [0, 1] exactly, so they are exact for the decay
+    at any z and interpolate only the drive.  The moments are k! phi_{k+1}(-z)
+    of the phi-functions: a Taylor series for z < 0.5, the recurrence
+    phi_{j+1} = (phi_j - 1/j!)/(-z) above.
+    """
+    if z < 0.5:
+        phi = [
+            sum((-z) ** n / math.factorial(n + j) for n in range(20)) for j in (1, 2, 3)
+        ]
+    else:
+        phi1 = -math.expm1(-z) / z
+        phi2 = (1.0 - phi1) / z
+        phi = [phi1, phi2, (0.5 - phi2) / z]
+    moments = np.array([phi[0], phi[1], 2.0 * phi[2]])
+    return np.linalg.solve(np.vander(_SPIN32_NODES, 3, increasing=True).T, moments)
+
+
+def _prefix_scan(
+    x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """Inclusive prefix of ``x`` along axis 0 in log2(n) vectorised passes (Hillis-Steele).
+
+    Before the pass with offset k, entry j holds the prefix over the window of
+    k entries ending at j; ``combine(late, early, k)`` joins it with the
+    window just before, for all j >= k at once.
+    """
+    x = x.copy()
+    k = 1
+    while k < x.shape[0]:
+        x[k:] = combine(x[k:], x[:-k], k)
+        k *= 2
+    return x
 
 
 def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     """Closed-form purity after one cycle for the spin-3/2 protocol.
 
-    Independent of the operator machinery: the scalar kernel coefficients
-    a_tau = (3/2) int e^{3(s-tau)/2} phi' sin(theta), b_tau likewise with
-    theta', are integrated by an exponentially exact recurrence, the Bloch
-    vector is transported with the dark-block holonomy, and the degradation
-    is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.
+    Independent of the operator machinery: the scalar kernel coefficient
+    b_tau = (3/2) int e^{3(s-tau)/2} theta'(s) ds is integrated on a fixed
+    uniform grid of _SPIN32_GRID steps with its own exact-decay node weights,
+    the Bloch vector is transported with the dark-block holonomy, and the
+    degradation is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.  The path
+    angles are evaluated on all nodes at once; the constant-decay recurrence
+    for b and the product of the 2x2 holonomy steps, each an SU(2) rotation
+    in closed form, are prefix scans of log2 depth.
     """
     rate = 3.0
-    taus = np.linspace(0.0, float(gammaT), _SPIN32_GRID + 1)
-    nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-    weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+    gammaT = float(gammaT)
+    taus = np.linspace(0.0, gammaT, _SPIN32_GRID + 1)
+    step = gammaT / _SPIN32_GRID
+    phases = (taus[:-1, None] + step * _SPIN32_NODES) / gammaT  # (steps, 3) Gauss nodes
+    mid = phases[:, 1]  # the middle Gauss node is the step's midpoint
 
-    def a_drive(s_abs):
-        s = s_abs / gammaT
-        return 1.5 * path.dphi(s) * math.sin(path.theta(s))
+    def angle(fn, s):  # a constant derivative may come back as one number
+        return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
 
-    def b_drive(s_abs):
-        return 1.5 * path.dtheta(s_abs / gammaT)
+    z = 0.5 * rate * step
+    gains = 1.5 * angle(path.dtheta, phases) @ (step * _spin32_step_weights(z))
+    b = _prefix_scan(gains, lambda late, early, k: late + math.exp(-z * k) * early)
 
-    a_val = b_val = 0.0
-    m = np.asarray(bloch_of(dark_state_from_bloch(n0)), dtype=float)
-    v = np.eye(2, dtype=complex)
-    integrand = np.empty(taus.size)
-    integrand[0] = 0.0
-    for j, (t0, t1) in enumerate(zip(taus[:-1], taus[1:])):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        decay = math.exp(-0.5 * rate * (t1 - t0))
-        a_val *= decay
-        b_val *= decay
-        for node, weight in zip(nodes, weights):
-            s_abs = mid + half * node
-            w = weight * half * math.exp(0.5 * rate * (s_abs - t1))
-            a_val += w * a_drive(s_abs)
-            b_val += w * b_drive(s_abs)
-        s_mid = mid / gammaT
-        h0 = _spin32_h0(path.theta(s_mid), path.dtheta(s_mid), path.dphi(s_mid))
-        v = matrix_exp(-1j * (t1 - t0) / gammaT * h0) @ v
-        m_t = bloch_transport(n0, v)
-        integrand[j + 1] = b_val**2 * (m_t[0] ** 2 + m_t[1] ** 2)
+    theta, dtheta, dphi = angle(path.theta, mid), angle(path.dtheta, mid), angle(path.dphi, mid)
+    # the dark-block Hamiltonian h.sigma, h = (phi' sin theta, -theta', -phi' cos theta / 2),
+    # acts for the phase step d; exp(-i d h.sigma) = cos(|h| d) 1 - i d sinc(|h| d) h.sigma
+    hx, hy, hz = dphi * np.sin(theta), -dtheta, -0.5 * dphi * np.cos(theta)
+    d = step / gammaT
+    rotation = np.sqrt(hx * hx + hy * hy + hz * hz) * d
+    c, s = np.cos(rotation), d * np.sinc(rotation / math.pi)
+    steps = np.empty((_SPIN32_GRID, 2, 2), dtype=complex)
+    steps[:, 0, 0] = c - 1j * s * hz
+    steps[:, 1, 1] = c + 1j * s * hz
+    steps[:, 0, 1] = -s * (1j * hx + hy)
+    steps[:, 1, 0] = -s * (1j * hx - hy)
+    v = _prefix_scan(steps, lambda late, early, k: late @ early)
+
+    rho0 = dark_state_from_bloch(n0)
+    rho = v @ rho0 @ dagger(v)
+    # m_x^2 + m_y^2 = 4 |rho_01|^2
+    integrand = np.concatenate([[0.0], b**2 * 4.0 * np.abs(rho[:, 0, 1]) ** 2])
     loss = (2.0 / gammaT**2) * float(scipy.integrate.simpson(integrand, x=taus))
-    return purity(dark_state_from_bloch(n0)) - loss
+    return purity(rho0) - loss
 
 
 def _block_generator(

@@ -79,6 +79,10 @@ DEFAULT_CONFIG = {
 }
 
 
+#: the gammaT list of a sweep that neither the config nor ``--gammaT`` sets:
+#: a sweep fits a slope, so the single default gammaT cannot serve it
+SWEEP_GAMMATS = [100.0, 200.0, 400.0, 800.0]
+
 #: config sections that are alternatives, replaced whole rather than merged
 _ATOMIC_KEYS = ("initial", "protocol")
 
@@ -112,7 +116,7 @@ def _merge(base: dict, override: dict, atomic: tuple = ()) -> dict:
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    user = {}
     if path is not None:
         try:
             with open(path) as handle:
@@ -121,8 +125,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be an object")
-        cfg = _merge(cfg, user, atomic=_ATOMIC_KEYS)
-    cfg = _merge(cfg, overrides, atomic=_ATOMIC_KEYS)
+    cfg = _merge(_merge(DEFAULT_CONFIG, user, atomic=_ATOMIC_KEYS), overrides, atomic=_ATOMIC_KEYS)
+    if cfg.get("experiment") == "sweep" and all(src.get("gammaT") is None for src in (user, overrides)):
+        cfg["gammaT"] = list(SWEEP_GAMMATS)
     return cfg
 
 

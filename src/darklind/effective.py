@@ -11,6 +11,7 @@ from the reduced state back to the full Hilbert space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable, Sequence
@@ -407,7 +408,11 @@ def evolve_effective(
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
     (X_0 = 0, relaxing at half the slowest bright rate) lives, and is cut after
-    ``_ONSET_RELAXATION_TIMES`` relaxation times.  Each interval is stepped
+    ``_ONSET_RELAXATION_TIMES`` = 30 relaxation times, where the transient is
+    e^{-30}: the kernel weights are exact in the decay, so one coarse step
+    can span many relaxation times, and a shorter onset would leave a
+    transient inside the first coarse step of both doubling grids, missed by
+    both and so by their comparison.  Each interval is stepped
     with n and 2n steps, n doubling from ``_MAGNUS_FIRST_STEPS``, until the
     two states differ by at most ``atol + rtol * |rho|`` (Frobenius norms);
     the 2n-step state is kept.  ``rtol`` and ``atol`` set that target and
@@ -438,7 +443,7 @@ def evolve_effective(
 _MAGNUS_FIRST_STEPS = 8
 _MAGNUS_MAX_DOUBLINGS = 12
 #: length of the graded onset interval, in relaxation times 2/rate of the slowest bright mode
-_ONSET_RELAXATION_TIMES = 8.0
+_ONSET_RELAXATION_TIMES = 30.0
 
 
 class _MagnusPropagator:
@@ -585,13 +590,13 @@ def _effective_jump_grid(
 ) -> np.ndarray:
     """ell_tau at grid points via the per-mode exponential recurrence, an (n, d, d) stack.
 
-    Between grid points the decay factor is applied exactly and the integral
-    of decay times drive over the step by three-point Gauss-Legendre.  That
-    product varies on the time 1/rate, so the grid must resolve it as well
-    as the protocol: the error falls at sixth order in the spacing, and 256
-    steps on the linear gammaT = 200 cycle still move the purity by 5e-7.
-    The drive is evaluated at all nodes at once, in blocks of phases; only
-    the recurrence itself steps through the grid.
+    Between grid points the decay is applied exactly, and so is the integral
+    of the decay against the drive's quadratic interpolant through three
+    Gauss-Legendre nodes (``_kernel_grid``).  The grid only has to resolve
+    the drive, whatever the step's rate h: 2048 steps on the smoothstep
+    gammaT = 200 cycle match the quadrature kernel to 1e-13.  The drive is
+    evaluated at all nodes at once, in blocks of phases; only the recurrence
+    itself steps through the grid.
 
     In a gauge frame W the drive seen at tau is W(tau)^dag H^W(s) W(tau), and
     W(tau)^dag need not commute with the decay; the recurrence then runs per
@@ -614,6 +619,44 @@ def _effective_jump_grid(
     return _blockwise(to_jump, taus, xs)
 
 
+#: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step
+_GL3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+#: column i: coefficients of 1, u, u^2 in the Lagrange basis polynomial of node i
+_GL3_LAGRANGE = np.linalg.inv(np.vander(_GL3_NODES, 3, increasing=True))
+#: below this decay exponent the moments come from their Taylor series, whose
+#: first _MOMENT_SERIES_TERMS terms reach roundoff there; above it the
+#: recurrence loses at most about a digit
+_MOMENT_SERIES_BELOW = 0.5
+_MOMENT_SERIES_TERMS = 16
+#: row n: the series coefficients (-1)^n k! / (n + k + 1)! of the moments k = 0, 1, 2
+_MOMENT_SERIES = np.array([
+    [(-1) ** n * math.factorial(k) / math.factorial(n + k + 1) for k in range(3)]
+    for n in range(_MOMENT_SERIES_TERMS)
+])
+
+
+def _decay_weights(z: np.ndarray) -> np.ndarray:
+    """Node weights int_0^1 e^{-z (1 - u)} l_i(u) du of one step, shape z.shape + (3,).
+
+    z = rate h / 2 is the decay exponent of the step and l_i the quadratic
+    Lagrange basis on the Gauss nodes, so h times these weights integrates
+    e^{rate (s - t1)/2} times the drive's interpolant exactly over [t0, t1]:
+    the decay is exact for any z >= 0 and only the drive is interpolated.
+    The weights come from the moments m_k = int_0^1 e^{-z (1 - u)} u^k du
+    (k! times the phi-functions phi_{k+1}(-z)): a series below
+    _MOMENT_SERIES_BELOW, else m_0 = (1 - e^{-z})/z, m_k = (1 - k m_{k-1})/z.
+    """
+    z = np.asarray(z, dtype=float)
+    moments = np.empty(z.shape + (3,))
+    small = z < _MOMENT_SERIES_BELOW
+    moments[small] = np.polynomial.polynomial.polyval(z[small], _MOMENT_SERIES).T
+    zb = z[~small]
+    m0 = -np.expm1(-zb) / zb
+    m1 = (1.0 - m0) / zb
+    moments[~small] = np.stack([m0, m1, (1.0 - 2.0 * m1) / zb], axis=-1)
+    return moments @ _GL3_LAGRANGE
+
+
 def _kernel_grid(
     modes: _KernelModes,
     taus: np.ndarray,
@@ -624,21 +667,25 @@ def _kernel_grid(
 
     The (n, nb, d) stack of U_b^dag X_tau B, or in a gauge frame the
     (n, nb, nb, d) stack of Y_ij(tau) (see ``_effective_jump_grid``); the
-    block at taus[0] is ``start``, zero by default.
+    block at taus[0] is ``start``, zero by default.  Over each step the block
+    decays by e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s) ds, the
+    drive interpolated through its values at the three Gauss-Legendre nodes
+    and the exponential integrated exactly (``_decay_weights``).  The weights
+    are computed once per distinct step length, and a grid has few: all of a
+    uniform grid's steps are one length up to roundoff.
     """
     nb, d = modes.rates.size, modes.basis.shape[1]
-    nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-    weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
-    t0, t1 = taus[:-1, None], taus[1:, None]
-    half = 0.5 * (t1 - t0)
-    s = 0.5 * (t0 + t1) + half * nodes  # (steps, 3) node times
+    h = np.diff(taus)
+    lengths, which = np.unique(h, return_inverse=True)
+    s = taus[:-1, None] + h[:, None] * _GL3_NODES  # (steps, 3) node times
     drives = _blockwise(lambda t: modes.drive(t, gauge), s.ravel()).reshape(s.shape + (nb, d))
-    coef = (weights * half)[..., None] * np.exp(0.5 * modes.rates * (s - t1)[..., None])
+    z = 0.5 * lengths[:, None] * modes.rates  # (lengths, nb)
+    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, nb)
     if gauge is None:
         terms = coef[..., None] * drives
     else:
         terms = coef[..., None, None] * drives[:, :, None]
-    decay = np.exp(-0.5 * modes.rates * (t1 - t0)).reshape((-1, nb) + (1,) * (terms.ndim - 3))
+    decay = np.exp(-z)[which].reshape((-1, nb) + (1,) * (terms.ndim - 3))
     xs = np.zeros((taus.size,) + terms.shape[2:], dtype=complex)
     if start is not None:
         xs[0] = start

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from darklind.analysis import (
     bloch_of,
@@ -25,8 +26,10 @@ from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     PathSpec,
     custom_protocol,
+    fourier_path,
     linear_path,
     ramp_angle,
+    smoothstep_path,
     spin32_protocol,
     spin_operators,
 )
@@ -89,7 +92,72 @@ class TestObservables:
             dark_state_from_bloch((1.0, 1.0, 0.0))
 
 
+def spin32_loop(path, n0s, gammaT):
+    """The spin-3/2 closed form one grid step at a time, the oracle of the array version.
+
+    The purity after one cycle for each Bloch vector of ``n0s``: b_tau by the
+    scalar recurrence with Gauss-Legendre node weights that sample the decay,
+    the holonomy by one matrix exponential per step, the Bloch vector moved
+    as ``bloch_transport`` moves it.
+    """
+    rate = 3.0
+    taus = np.linspace(0.0, float(gammaT), analysis._SPIN32_GRID + 1)
+    nodes = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+    weights = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+    b_val = 0.0
+    v = np.eye(2, dtype=complex)
+    integrands = np.zeros((len(n0s), taus.size))
+    rho0s = [dark_state_from_bloch(n0) for n0 in n0s]
+    for j, (t0, t1) in enumerate(zip(taus[:-1], taus[1:])):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        b_val *= math.exp(-0.5 * rate * (t1 - t0))
+        for node, weight in zip(nodes, weights):
+            s_abs = mid + half * node
+            w = weight * half * math.exp(0.5 * rate * (s_abs - t1))
+            b_val += w * 1.5 * path.dtheta(s_abs / gammaT)
+        s_mid = mid / gammaT
+        theta, dtheta, dphi = path.theta(s_mid), path.dtheta(s_mid), path.dphi(s_mid)
+        h0 = -dtheta * SY - dphi * (0.5 * math.cos(theta) * SZ - math.sin(theta) * SX)
+        v = matrix_exp(-1j * (t1 - t0) / gammaT * h0) @ v
+        for i, rho0 in enumerate(rho0s):
+            m_t = bloch_of(v @ rho0 @ dagger(v))
+            integrands[i, j + 1] = b_val**2 * (m_t[0] ** 2 + m_t[1] ** 2)
+    return [
+        purity(rho0) - (2.0 / gammaT**2) * float(scipy.integrate.simpson(integrand, x=taus))
+        for rho0, integrand in zip(rho0s, integrands)
+    ]
+
+
+LOOP_PATHS = {
+    "linear": linear_path(1, 0),
+    "smoothstep": smoothstep_path(1, 1),
+    "fourier": fourier_path(1, 1, theta_knots=(0.1, -0.2), phi_knots=(0.25,)),
+}
+
+
 class TestPurityPredictions:
+    @pytest.mark.parametrize("gammaT", [50.0, 200.0, 800.0])
+    @pytest.mark.parametrize("name", list(LOOP_PATHS))
+    def test_spin32_matches_step_loop(self, name, gammaT):
+        # the scans and exact-decay weights against the scalar loop: measured
+        # within 6.2e-11, the largest at gammaT 800 where rate h = 0.6
+        n0s = [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.5, 0.3)]
+        oracle = spin32_loop(LOOP_PATHS[name], n0s, gammaT)
+        for n0, expected in zip(n0s, oracle):
+            assert abs(purity_prediction_spin32(LOOP_PATHS[name], n0, gammaT) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("gammaT", [6400.0, 12800.0])
+    def test_large_gammaT_predictions_follow_first_order_law(self, spin32_ds, gammaT):
+        # rate h >> 1 on the fixed grids: both predictions must stay on
+        # 1 - 4 pi^2 / gammaT from n0 = z (measured within 4e-4 / gammaT^2)
+        proto = spin32_protocol(linear_path(1, 0), gammaT)
+        law = 1.0 - 4.0 * math.pi**2 / gammaT
+        general = purity_prediction_general(dark_state_from_bloch((0, 0, 1)), proto, spin32_ds)
+        closed = purity_prediction_spin32(linear_path(1, 0), (0, 0, 1), gammaT)
+        assert abs(general - law) <= 1.0 / gammaT**2
+        assert abs(closed - law) <= 1.0 / gammaT**2
+
     def test_spin32_simplest_case_values(self):
         # leading order 1 - 4 pi^2 (1 + n_y^2) / gammaT at gammaT = 1000
         got = purity_prediction_spin32(linear_path(1, 0), (0, 0, 1), 1000.0)

@@ -305,6 +305,31 @@ class TestSweepExperiment:
         assert diagnostic["tau"] == 12.5
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("config, args, expected", [
+        (None, [], cli.SWEEP_GAMMATS),
+        ({"experiment": "sweep"}, [], cli.SWEEP_GAMMATS),
+        ({"experiment": "sweep", "gammaT": [60, 120]}, [], [60.0, 120.0]),
+        (None, ["--gammaT", "70,140"], [70.0, 140.0]),
+    ])
+    def test_bare_sweep_passes_validation(self, tmp_path, monkeypatch, config, args, expected):
+        # with no gammaT from the config or the flag a sweep runs its own
+        # default list, not the single default gammaT of the other experiments
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg["gammaT_list"])
+            return [], {}, ["gammaT"]
+
+        monkeypatch.setitem(cli._RUNNERS, "sweep", record)
+        argv = ["run", "sweep", "--outdir", str(tmp_path), *args]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["run", "--config", str(path), "--outdir", str(tmp_path), *args]
+        assert cli.main(argv) == 0
+        assert seen == [expected]
+        assert read_json(tmp_path / "sweep_report.json")["config"]["gammaT"] == expected
+
     def test_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import darklind.analysis as analysis
 import darklind.effective as eff
 from darklind.analysis import dark_state_from_bloch, purity, trace_distance
 from darklind.effective import (
@@ -322,13 +323,47 @@ class TestEffectiveJump:
         assert np.linalg.norm(ell - 2j * math.pi * SZ) <= 1e-10
 
     def test_grid_recurrence_matches_quadrature(self, spin32_ds):
-        # the GL3 recurrence against the adaptive-quadrature kernel on a grid
-        # fine enough for the decay rate (measured 6.6e-11 at 2049 points)
+        # the exact-decay recurrence against the adaptive-quadrature kernel
+        # (measured 7.1e-14 at 2049 points, 1.2e-8 at 257)
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         taus = np.linspace(0.0, 200.0, 2049)
         ells = eff._effective_jump_grid(proto, spin32_ds, taus)
         for k in (3, 512, 1100, 2048):
             assert np.linalg.norm(ells[k] - effective_jump(proto, spin32_ds, taus[k])) <= 1e-9
+
+
+def lagrange_decay_weight(z, i):
+    """int_0^1 e^{-z (1 - u)} l_i(u) du by adaptive quadrature, l_i the Gauss-node Lagrange basis."""
+    nodes = 0.5 + 0.5 * math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
+    others = np.delete(nodes, i)
+
+    def integrand(u):
+        return math.exp(-z * (1.0 - u)) * float(np.prod((u - others) / (nodes[i] - others)))
+
+    points = [1.0 - 1.0 / z] if z > 1.0 else None  # where the exponential rises
+    return scipy.integrate.quad(integrand, 0.0, 1.0, points=points, epsabs=0.0,
+                                epsrel=1e-13, limit=200)[0]
+
+
+class TestDecayWeights:
+    @pytest.mark.parametrize("weights", [
+        lambda z: eff._decay_weights(np.array([z]))[0],
+        analysis._spin32_step_weights,
+    ], ids=["kernel-recurrence", "spin32-closed-form"])
+    @pytest.mark.parametrize("z", [0.0, 1e-6, 0.3, 0.5, 5.0, 1e4])
+    def test_match_quadrature(self, weights, z):
+        # both sides of the series switch at 0.5, and no underflow at rate h >> 1
+        got = weights(z)
+        for i in range(3):
+            ref = lagrange_decay_weight(z, i)
+            assert abs(got[i] - ref) <= 1e-12 * abs(ref)
+
+    def test_kernel_weights_broadcast(self):
+        z = np.array([[0.0, 0.2], [0.7, 300.0]])
+        got = eff._decay_weights(z)
+        assert got.shape == (2, 2, 3)
+        for idx in np.ndindex(z.shape):
+            assert np.array_equal(got[idx], eff._decay_weights(np.array([z[idx]]))[0])
 
 
 class TestEffectiveRhs:
@@ -427,6 +462,17 @@ class TestEffectiveEvolution:
         assert abs(n[2] - 0.6) <= 1e-9
         assert abs(n[0]) < 0.5
         assert abs(n[1]) < 0.4
+
+    @pytest.mark.parametrize("gammaT", [6400.0, 12800.0])
+    def test_large_gammaT_loss_is_the_resummed_law(self, spin32_ds, gammaT):
+        # rate h >> 1 on most steps, where Gauss-node decay weights underflow
+        # and the loss came out near 1e-10: it must be (1 - e^{-2P})/2 with
+        # P = 4 pi^2 / gammaT (measured within 0.03 / gammaT^2)
+        proto = spin32_protocol(linear_path(1, 0), gammaT)
+        rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
+        final = evolve_effective(rho0, proto, spin32_ds, [gammaT])[-1]
+        p = 4.0 * math.pi**2 / gammaT
+        assert abs(1.0 - purity(final) - 0.5 * (1.0 - math.exp(-2.0 * p))) <= 1.0 / gammaT**2
 
     def test_unitary_mode_keeps_purity(self, spin32_ds):
         proto = spin32_protocol(smoothstep_path(1, 1), 150.0)

@@ -106,6 +106,38 @@ def test_reduced_paths_match_joint_ode(name):
     assert worst_distance(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, taus) <= GATE
 
 
+@pytest.mark.parametrize("n0", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)], ids=["z", "y"])
+def test_large_gammaT_matches_joint_ode(n0):
+    # rate h >> 1 on every step but the onset's: the kernel weights must stay
+    # exact in the decay, where Gauss-Legendre node weights would underflow;
+    # one oracle run serves the 33 checkpoints and the single time gammaT
+    proto = spin32_protocol(linear_path(1, 0), 3200.0)
+    ds = dark_space(proto.L_rot)
+    rho0 = dark_state_from_bloch(n0)
+    taus = np.linspace(0.0, 3200.0, 33)
+    slow = joint_ode_states(rho0, proto, ds, taus)
+    fast = evolve_effective(rho0, proto, ds, taus)
+    assert max(trace_distance(a, b) for a, b in zip(fast, slow)) <= GATE
+    single = evolve_effective(rho0, proto, ds, [3200.0])[-1]
+    assert trace_distance(single, slow[-1]) <= GATE
+
+
+def test_fast_jump_matches_joint_ode():
+    # the spin-3/2 jump scaled by 4 (bright rates 48): the loss depends on
+    # rate * gammaT, so it must be near the rate-3 value at gammaT 12800
+    path = linear_path(1, 0)
+    _, sy, sz = spin_operators(3)
+    proto = custom_protocol(
+        [sy, sz], [path.theta, path.phi], 4.0 * spin32_jump(), 800.0,
+        dangles=[path.dtheta, path.dphi],
+    )
+    rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
+    assert worst_distance(rho0, proto, [400.0, 800.0]) <= GATE
+    final = evolve_effective(rho0, proto, dark_space(proto.L_rot), [800.0])[-1]
+    loss = 1.0 - np.trace(final @ final).real
+    assert abs(loss - 3.0748e-3) <= 1e-6
+
+
 @pytest.mark.parametrize("mode", ["full", "unitary", "dissipator"])
 @pytest.mark.parametrize(
     "path", [linear_path(1, 0), smoothstep_path(1, 1)], ids=["linear", "smoothstep"]
