@@ -52,8 +52,6 @@ __all__ = [
 
 #: uniform steps over the cycle of the spin-3/2 closed form
 _SPIN32_GRID = 4096
-#: Gauss-Legendre nodes of one closed-form step, as fractions of the step
-_SPIN32_NODES = np.array([0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15)])
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -101,6 +99,33 @@ def dark_state_from_bloch(n: Sequence[float]) -> np.ndarray:
     return rho
 
 
+def _dark_state(rho_init: np.ndarray | Sequence[float], ds: DarkSpace) -> np.ndarray:
+    """The initial state as a d x d density matrix in the dark basis.
+
+    A real 3-vector is a Bloch vector, which needs d = 2; any other state is
+    taken as ``effective._coerce_dark_state`` takes it.
+    """
+    rho_arr = np.asarray(rho_init)
+    if rho_arr.ndim == 1 and np.isrealobj(rho_arr):
+        if ds.d != 2:
+            raise ValueError("a Bloch vector requires a two-dimensional dark space")
+        return dark_state_from_bloch(rho_arr)
+    return eff._coerce_dark_state(rho_arr, ds)
+
+
+def _closed_form_loss(protocol: Protocol, ds: DarkSpace, rho_d: np.ndarray) -> float:
+    """One-cycle loss of the spin-3/2 closed form from rho_d, NaN where it does not apply.
+
+    It applies to the spin32 family with d = 2; a hand-built PathSpec has an
+    empty descriptor, so it has no closed form.
+    """
+    path_desc = protocol.descriptor.get("path")
+    if protocol.descriptor.get("family") != "spin32" or not path_desc or ds.d != 2:
+        return math.nan
+    path = path_from_descriptor(path_desc)
+    return 1.0 - purity_prediction_spin32(path, bloch_of(rho_d), protocol.gammaT)
+
+
 def purity_prediction_general(
     rho_init: np.ndarray,
     protocol: Protocol,
@@ -124,27 +149,6 @@ def _purity_after(rho_d: np.ndarray, total: np.ndarray, gammaT: float) -> float:
     return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
-def _spin32_step_weights(z: float) -> np.ndarray:
-    """Weights of the three Gauss nodes for one step of decay exponent z = rate h / 2.
-
-    The weights w_i, as fractions of the step, integrate 1, u and u^2 against
-    e^{-z (1 - u)} over u in [0, 1] exactly, so they are exact for the decay
-    at any z and interpolate only the drive.  The moments are k! phi_{k+1}(-z)
-    of the phi-functions: a Taylor series for z < 0.5, the recurrence
-    phi_{j+1} = (phi_j - 1/j!)/(-z) above.
-    """
-    if z < 0.5:
-        phi = [
-            sum((-z) ** n / math.factorial(n + j) for n in range(20)) for j in (1, 2, 3)
-        ]
-    else:
-        phi1 = -math.expm1(-z) / z
-        phi2 = (1.0 - phi1) / z
-        phi = [phi1, phi2, (0.5 - phi2) / z]
-    moments = np.array([phi[0], phi[1], 2.0 * phi[2]])
-    return np.linalg.solve(np.vander(_SPIN32_NODES, 3, increasing=True).T, moments)
-
-
 def _prefix_scan(
     x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
 ) -> np.ndarray:
@@ -165,11 +169,13 @@ def _prefix_scan(
 def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     """Closed-form purity after one cycle for the spin-3/2 protocol.
 
-    Independent of the operator machinery: the scalar kernel coefficient
-    b_tau = (3/2) int e^{3(s-tau)/2} theta'(s) ds is integrated on a fixed
-    uniform grid of _SPIN32_GRID steps with its own exact-decay node weights,
-    the Bloch vector is transported with the dark-block holonomy, and the
-    degradation is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.  The path
+    Independent of the operator machinery, with which it shares only the
+    scalar step rule: the kernel coefficient b_tau = (3/2) int e^{3(s-tau)/2}
+    theta'(s) ds is integrated on a fixed uniform grid of _SPIN32_GRID steps
+    with the exact-decay node weights of the kernel recurrence
+    (``effective._decay_weights`` on ``effective._GL3_NODES``), the Bloch
+    vector is transported with the dark-block holonomy, and the degradation
+    is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.  The path
     angles are evaluated on all nodes at once; the constant-decay recurrence
     for b and the product of the 2x2 holonomy steps, each an SU(2) rotation
     in closed form, are prefix scans of log2 depth.
@@ -178,14 +184,14 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     gammaT = float(gammaT)
     taus = np.linspace(0.0, gammaT, _SPIN32_GRID + 1)
     step = gammaT / _SPIN32_GRID
-    phases = (taus[:-1, None] + step * _SPIN32_NODES) / gammaT  # (steps, 3) Gauss nodes
+    phases = (taus[:-1, None] + step * eff._GL3_NODES) / gammaT  # (steps, 3) Gauss nodes
     mid = phases[:, 1]  # the middle Gauss node is the step's midpoint
 
     def angle(fn, s):  # a constant derivative may come back as one number
         return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
 
     z = 0.5 * rate * step
-    gains = 1.5 * angle(path.dtheta, phases) @ (step * _spin32_step_weights(z))
+    gains = 1.5 * angle(path.dtheta, phases) @ (step * eff._decay_weights(z))
     b = _prefix_scan(gains, lambda late, early, k: late + math.exp(-z * k) * early)
 
     theta, dtheta, dphi = angle(path.theta, mid), angle(path.dtheta, mid), angle(path.dphi, mid)
@@ -310,7 +316,7 @@ def gauge_covariance_check(
     if rho_init is None:
         rho_d = np.eye(ds.d, dtype=complex) / ds.d if ds.d != 2 else dark_state_from_bloch((0, 0, 1))
     else:
-        rho_d = eff._coerce_dark_state(rho_init, ds)
+        rho_d = _dark_state(rho_init, ds)
 
     defects, purities = [], []
     for gammaT in gammaT_pair:
@@ -408,17 +414,13 @@ def convergence_sweep(
     two cycle durations survive, the last failure (with its tau) is raised.
     """
     gammaTs = sorted(float(g) for g in gammaT_list)
-    rho_arr = np.asarray(rho_init)
     losses, errors, first_errors = [], [], []
     losses12, losses21 = [], []
     kept, failures, last_error = [], [], None
     for gammaT in gammaTs:
         proto = protocol_factory(gammaT)
         ds = dark_space(proto.L_rot)
-        if rho_arr.ndim == 1:
-            rho_d = dark_state_from_bloch(rho_arr)
-        else:
-            rho_d = eff._coerce_dark_state(rho_arr, ds)
+        rho_d = _dark_state(rho_init, ds)
         try:
             traj = integrate(
                 lab_generator(proto), embed_dark(ds, rho_d), (0.0, gammaT),
@@ -436,14 +438,7 @@ def convergence_sweep(
         v_end = berry_holonomy(proto, ds, gammaT)
         first_errors.append(trace_distance(final_dd, v_end @ rho_d @ dagger(v_end)))
         losses12.append(1.0 - purity_prediction_general(rho_d, proto, ds))
-        # a hand-built PathSpec has an empty descriptor: no closed form for it
-        path_desc = proto.descriptor.get("path")
-        is_spin32 = proto.descriptor.get("family") == "spin32" and ds.d == 2
-        if is_spin32 and path_desc and rho_arr.ndim == 1:
-            path = path_from_descriptor(path_desc)
-            losses21.append(1.0 - purity_prediction_spin32(path, rho_arr, gammaT))
-        else:
-            losses21.append(math.nan)
+        losses21.append(_closed_form_loss(proto, ds, rho_d))
         kept.append(gammaT)
     if last_error is not None and len(kept) < 2:
         raise last_error
@@ -491,8 +486,7 @@ def compare_effective_vs_full(
 ) -> EffectiveComparison:
     """Trace-distance series between exact and effective reduced dynamics."""
     ds = dark_space(protocol.L_rot)
-    rho_arr = np.asarray(rho_init)
-    rho_d = dark_state_from_bloch(rho_arr) if rho_arr.ndim == 1 else eff._coerce_dark_state(rho_arr, ds)
+    rho_d = _dark_state(rho_init, ds)
     gammaT = protocol.gammaT
     taus = np.linspace(0.0, gammaT, n_checkpoints + 1)
     traj = integrate(

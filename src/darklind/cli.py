@@ -20,18 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from . import effective as eff
 from .analysis import (
+    _closed_form_loss,
+    _dark_state,
     bloch_of,
     compare_effective_vs_full,
     convergence_sweep,
-    dark_state_from_bloch,
     fit_loglog,
     gauge_covariance_check,
     purity,
     purity_prediction_general,
-    purity_prediction_spin32,
     trace_distance,
 )
 from .checks import battery_table, gauge_flags, run_battery, sweep_flags
@@ -80,8 +80,8 @@ DEFAULT_CONFIG = {
 
 
 #: the gammaT list of a sweep that neither the config nor ``--gammaT`` sets:
-#: a sweep fits a slope, so the single default gammaT cannot serve it
-SWEEP_GAMMATS = [100.0, 200.0, 400.0, 800.0]
+#: a sweep fits a slope, so the single default gammaT cannot serve it; the battery's list
+SWEEP_GAMMATS = list(checks.SWEEP_GAMMATS)
 
 #: config sections that are alternatives, replaced whole rather than merged
 _ATOMIC_KEYS = ("initial", "protocol")
@@ -201,6 +201,21 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _require_numbers(section: dict, name: str, integers=(), numbers=(), lists=()) -> None:
+    """Reject a present key of ``integers`` that is no integer, of ``numbers`` that is
+    no finite number, or of ``lists`` that is no list of finite numbers."""
+    for key in integers:
+        if key in section and not _is_integer(section[key]):
+            raise ConfigError(f"{name}.{key} must be an integer")
+    for key in numbers:
+        if key in section and not _is_finite_number(section[key]):
+            raise ConfigError(f"{name}.{key} must be a finite number")
+    for key in lists:
+        value = section.get(key, [])
+        if not (isinstance(value, list) and all(_is_finite_number(v) for v in value)):
+            raise ConfigError(f"{name}.{key} must be a list of finite numbers")
+
+
 def build_protocol(cfg: dict, gammaT: float):
     section = _section(cfg["protocol"], "protocol")
     family = section.get("family", "spin32")
@@ -211,10 +226,14 @@ def build_protocol(cfg: dict, gammaT: float):
         # keys a config leaves out take the default path's values (linear family)
         path = {**DEFAULT_CONFIG["protocol"]["path"],
                 **_section(section.get("path", {}), "protocol.path")}
+        _require_numbers(path, "protocol.path", ("m_theta", "m_phi"), ("theta0", "phi0"),
+                         ("theta_knots", "phi_knots"))
         spec = path_from_descriptor(path)
         _section(path, "protocol.path", spec.descriptor)
         return spin32_protocol(spec, gammaT)
-    two_j = int(section.get("two_j", 1))
+    two_j = section.get("two_j", 1)
+    if not _is_integer(two_j) or two_j < 1:
+        raise ConfigError("protocol.two_j must be an integer >= 1")
     sx, sy, sz = spin_operators(two_j)
     named = {"sx": sx, "sy": sy, "sz": sz}
     try:
@@ -227,6 +246,7 @@ def build_protocol(cfg: dict, gammaT: float):
     angles, dangles = [], []
     for entry in angle_sections:
         _section(entry, "protocol.angles entry", _ANGLE_KEYS)
+        _require_numbers(entry, "protocol.angles entry", numbers=("m", "a0"))
         fn, dfn = ramp_angle(
             entry.get("family", "linear"), float(entry.get("m", 0)), float(entry.get("a0", 0.0))
         )
@@ -253,24 +273,20 @@ def build_protocol(cfg: dict, gammaT: float):
         raise ConfigError(str(exc)) from exc
 
 
-def _initial_dark_state(cfg: dict, ds) -> tuple[np.ndarray, np.ndarray | None]:
+def _initial_state(cfg: dict) -> np.ndarray:
+    """The config's initial state: a real Bloch vector or a complex matrix."""
     init = cfg["initial"]
     if "bloch" in init:
-        if ds.d != 2:
-            raise ConfigError("bloch initial state requires a two-dimensional dark space")
-        n0 = np.asarray(init["bloch"], dtype=float)
-        return dark_state_from_bloch(n0), n0
+        return np.asarray(init["bloch"], dtype=float)
     raw = init["density_matrix"]
-    mat = np.asarray(raw.get("re"), dtype=float) + 1j * np.asarray(raw.get("im", 0.0), dtype=float)
-    rho = eff._coerce_dark_state(mat, ds)
-    return rho, None
+    return np.asarray(raw.get("re"), dtype=float) + 1j * np.asarray(raw.get("im", 0.0), dtype=float)
 
 
 def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
     gammaT = cfg["gammaT_list"][0]
     proto = build_protocol(cfg, gammaT)
     ds = eff.dark_space(proto.L_rot)
-    rho_d, n0 = _initial_dark_state(cfg, ds)
+    rho_d = _dark_state(_initial_state(cfg), ds)
     tols = cfg["tolerances"]
     taus = np.linspace(0.0, gammaT, cfg["checkpoints"] + 1)
     traj = integrate(
@@ -303,21 +319,16 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
         "step_stats": dataclasses.asdict(traj.step_stats),
         "dark_dimension": ds.d,
     }
-    if proto.descriptor.get("family") == "spin32" and n0 is not None:
-        path = path_from_descriptor(proto.descriptor["path"])
-        report["purity_loss_eq21"] = 1.0 - purity_prediction_spin32(path, n0, gammaT)
+    loss_eq21 = _closed_form_loss(proto, ds, rho_d)
+    if not math.isnan(loss_eq21):
+        report["purity_loss_eq21"] = loss_eq21
     return rows, report, list(TRAJECTORY_COLUMNS)
 
 
 def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
-    gammaTs = cfg["gammaT_list"]
-    ds_probe = eff.dark_space(build_protocol(cfg, gammaTs[0]).L_rot)
-    rho_d, n0 = _initial_dark_state(cfg, ds_probe)
     tols = cfg["tolerances"]
     result = convergence_sweep(
-        lambda g: build_protocol(cfg, g),
-        gammaTs,
-        n0 if n0 is not None else rho_d,
+        lambda g: build_protocol(cfg, g), cfg["gammaT_list"], _initial_state(cfg),
         rtol=tols["rtol"], atol=tols["atol"],
     )
     rows = [
@@ -352,7 +363,6 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         gammaTs = [gammaTs[0], 2.0 * gammaTs[0]]
     proto = build_protocol(cfg, gammaTs[0])
     ds = eff.dark_space(proto.L_rot)
-    rho_d, _ = _initial_dark_state(cfg, ds)
     phase = float(cfg["gauge"]["dark_phase"])
     rng = np.random.default_rng(cfg["seed"])
     dim = proto.dim
@@ -365,7 +375,7 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         dark_gen = phase * np.diag(diag).astype(complex)
     report_obj = gauge_covariance_check(
         proto, ds, dark_gen, gammaT_pair=tuple(gammaTs),
-        rho_init=rho_d, bright_generator=bright_gen,
+        rho_init=_initial_state(cfg), bright_generator=bright_gen,
     )
     rows = [
         (g, d, pp, pt, diff)
@@ -392,9 +402,7 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
 def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
     gammaTs = cfg["gammaT_list"]
     tols = cfg["tolerances"]
-    ds_probe = eff.dark_space(build_protocol(cfg, gammaTs[0]).L_rot)
-    rho_d, n0 = _initial_dark_state(cfg, ds_probe)
-    init = n0 if n0 is not None else rho_d
+    init = _initial_state(cfg)
     if len(gammaTs) == 1:
         comparison = compare_effective_vs_full(
             build_protocol(cfg, gammaTs[0]), init,

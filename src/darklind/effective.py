@@ -682,18 +682,15 @@ def _kernel_grid(
     z = 0.5 * lengths[:, None] * modes.rates  # (lengths, nb)
     coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, nb)
     if gauge is None:
-        terms = coef[..., None] * drives
+        gains = (coef[..., None] * drives).sum(axis=1)
     else:
-        terms = coef[..., None, None] * drives[:, :, None]
-    decay = np.exp(-z)[which].reshape((-1, nb) + (1,) * (terms.ndim - 3))
-    xs = np.zeros((taus.size,) + terms.shape[2:], dtype=complex)
+        gains = (coef[..., None, None] * drives[:, :, None]).sum(axis=1)
+    decay = np.exp(-z)[which].reshape((-1, nb) + (1,) * (gains.ndim - 2))
+    xs = np.zeros((taus.size,) + gains.shape[1:], dtype=complex)
     if start is not None:
         xs[0] = start
     for k in range(taus.size - 1):
-        x = decay[k] * xs[k]
-        for term in terms[k]:
-            x += term
-        xs[k + 1] = x
+        xs[k + 1] = decay[k] * xs[k] + gains[k]
     return xs
 
 

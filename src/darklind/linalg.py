@@ -49,25 +49,16 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential e^A, of one matrix or of each matrix in an (n, d, d) stack.
 
-    Hermitian and anti-Hermitian inputs (the two cases occurring in the
-    dissipative kernel and the unitary evolution respectively) go through an
-    eigendecomposition, which is exact up to roundoff; everything else (the
-    dissipative superoperators of the reduced equation) goes through a Taylor
-    series with scaling and squaring.  In a stack each matrix takes its own
-    branch.
+    Hermitian and anti-Hermitian inputs (the latter are the unitary steps of
+    the holonomy and the gauge transforms) go through an eigendecomposition,
+    which is exact up to roundoff; everything else (the dissipative
+    superoperators of the reduced equation) goes through a Taylor series with
+    scaling and squaring.  Each matrix of a stack takes its own branch; one
+    matrix is a stack of one.
     """
     if np.ndim(a) == 3:
         return _matrix_exp_stack(a)
-    a = _as_square(a)
-    scale = max(frobenius(a), 1.0)
-    if frobenius(a - dagger(a)) <= _HERM_DETECT_TOL * scale:
-        w, v = np.linalg.eigh(a)
-        return (v * np.exp(w)) @ dagger(v)
-    if frobenius(a + dagger(a)) <= _HERM_DETECT_TOL * scale:
-        # a = iB with B Hermitian
-        w, v = np.linalg.eigh(-1j * a)
-        return (v * np.exp(1j * w)) @ dagger(v)
-    return _expm_series(a[None])[0]
+    return _matrix_exp_stack(_as_square(a)[None])[0]
 
 
 def _matrix_exp_stack(a: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -254,6 +255,17 @@ class TestGauge:
             assert plain == purity_prediction_general(rho0, proto, spin32_ds)
             assert diff <= 10.0 / gammaT**2
 
+    def test_bloch_start_gives_the_matrix_report(self, spin32_linear, spin32_ds):
+        n0 = (0.6, 0.0, 0.8)
+        reports = [
+            gauge_covariance_check(
+                spin32_linear, spin32_ds, (math.pi / 7.0) * SZ, tau_fractions=(0.5,),
+                gammaT_pair=(60.0, 120.0), rho_init=rho_init,
+            )
+            for rho_init in (n0, dark_state_from_bloch(n0))
+        ]
+        assert reports[0] == reports[1]
+
     def test_gauged_recurrence_matches_quadrature(self):
         # spin-3/2 lowering jump (bright rates 3, 3, 4) with a bright gauge
         # block that does not commute with L^dag L: the per-pair recurrence
@@ -307,6 +319,18 @@ class TestSweep:
         assert all(not math.isnan(l) for l in result.losses_eq21)
         assert result.errors[0] > result.errors[1] > 0.0
         assert not result.failures
+
+    def test_density_matrix_start_matches_bloch_start(self):
+        # one resolver for both forms of the initial state, so the closed form
+        # runs from a matrix start as well
+        results = [
+            dataclasses.asdict(convergence_sweep(
+                lambda g: spin32_protocol(linear_path(1, 0), g), [20.0, 40.0], rho_init
+            ))
+            for rho_init in ((0.0, 0.0, 1.0), np.diag([1.0, 0.0]))
+        ]
+        assert results[0] == results[1]
+        assert not any(math.isnan(loss) for loss in results[1]["losses_eq21"])
 
     def test_constant_protocol_flagged(self):
         result = convergence_sweep(

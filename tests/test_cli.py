@@ -153,6 +153,53 @@ class TestValidation:
         assert "invalid configuration" in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("protocol, message", [
+        ({"path": {"m_theta": 1.7}}, "protocol.path.m_theta must be an integer"),
+        ({"path": {"m_phi": True}}, "protocol.path.m_phi must be an integer"),
+        ({"path": {"theta0": "0.5"}}, "protocol.path.theta0 must be a finite number"),
+        ({"path": {"phi0": math.nan}}, "protocol.path.phi0 must be a finite number"),
+        ({"path": {"family": "fourier", "theta_knots": [0.1, True]}},
+         "protocol.path.theta_knots must be a list of finite numbers"),
+        ({"path": {"family": "fourier", "phi_knots": 0.2}},
+         "protocol.path.phi_knots must be a list of finite numbers"),
+        ({"family": "custom", "two_j": 1.9}, "protocol.two_j must be an integer >= 1"),
+        ({"family": "custom", "two_j": True}, "protocol.two_j must be an integer >= 1"),
+        ({"family": "custom", "two_j": 0}, "protocol.two_j must be an integer >= 1"),
+        ({"family": "custom", "generators": ["sz"], "angles": [{"m": True}]},
+         "protocol.angles entry.m must be a finite number"),
+        ({"family": "custom", "generators": ["sz"], "angles": [{"m": "1"}]},
+         "protocol.angles entry.m must be a finite number"),
+        ({"family": "custom", "generators": ["sz"], "angles": [{"a0": math.inf}]},
+         "protocol.angles entry.a0 must be a finite number"),
+    ])
+    def test_rejects_protocol_numbers_of_the_wrong_kind(self, tmp_path, capsys, protocol, message):
+        # path windings and two_j are integers, the other numbers finite; none is
+        # coerced, so a run never differs from the config its report echoes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "protocol": protocol}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["custom", "sweep", "effective-vs-full", "gauge-check"])
+    def test_bloch_start_needs_a_two_dimensional_dark_space(self, tmp_path, capsys, experiment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": experiment,
+            "protocol": {"family": "custom", "two_j": 1, "generators": ["sz"],
+                         "angles": [{"family": "linear", "m": 1}]},
+            "gammaT": [40.0, 80.0] if experiment == "sweep" else 40.0,
+            "initial": {"bloch": [0.0, 0.0, 1.0]},
+        }))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        assert "two-dimensional dark space" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_non_string_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("DARKLIND_OUTDIR", raising=False)
@@ -229,6 +276,16 @@ class TestTrajectoryExperiment:
         assert len(report["csv_rows"]) == 9
         # no files outside the output directory
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run1"]
+
+    def test_density_matrix_start_matches_bloch_start(self, tmp_path):
+        args = ["run", "spin32-purity", "--gammaT", "50", "--checkpoints", "4", "--rtol", "1e-8"]
+        assert cli.main(args + ["--n0", "0,0,1", "--outdir", str(tmp_path / "bloch")]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial": {"density_matrix": {"re": [[1.0, 0.0], [0.0, 0.0]]}}}))
+        assert cli.main(args + ["--config", str(cfg), "--outdir", str(tmp_path / "matrix")]) == 0
+        reports = [read_json(tmp_path / d / "spin32_purity_report.json") for d in ("bloch", "matrix")]
+        assert reports[1]["purity_loss_eq21"] == reports[0]["purity_loss_eq21"]
+        assert reports[1]["csv_rows"] == reports[0]["csv_rows"]
 
     def test_step_stats_count_generator_calls(self, tmp_path):
         out = tmp_path / "run"

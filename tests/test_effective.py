@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-import darklind.analysis as analysis
 import darklind.effective as eff
 from darklind.analysis import dark_state_from_bloch, purity, trace_distance
 from darklind.effective import (
@@ -348,10 +347,12 @@ def lagrange_decay_weight(z, i):
 class TestDecayWeights:
     @pytest.mark.parametrize("weights", [
         lambda z: eff._decay_weights(np.array([z]))[0],
-        analysis._spin32_step_weights,
+        eff._decay_weights,
     ], ids=["kernel-recurrence", "spin32-closed-form"])
     @pytest.mark.parametrize("z", [0.0, 1e-6, 0.3, 0.5, 5.0, 1e4])
     def test_match_quadrature(self, weights, z):
+        # the one step rule, called with an array of z as the kernel recurrence
+        # calls it and with one float z as the spin-3/2 closed form calls it;
         # both sides of the series switch at 0.5, and no underflow at rate h >> 1
         got = weights(z)
         for i in range(3):

@@ -40,3 +40,9 @@ def test_removed_superoperator_helpers_are_gone(removed):
     assert not hasattr(darklind, removed)
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
+
+
+@pytest.mark.parametrize("removed", ["_spin32_step_weights", "_SPIN32_NODES"])
+def test_closed_form_has_no_private_step_rule(removed):
+    # the spin-3/2 closed form takes the kernel recurrence's exact-decay rule
+    assert not hasattr(importlib.import_module("darklind.analysis"), removed)
