@@ -30,7 +30,7 @@ from .effective import (
 )
 from .engine import NUMERICAL_ERRORS, integrate
 from .linalg import dagger, frobenius, matrix_exp
-from .protocols import Protocol, _is_grid, path_from_descriptor
+from .protocols import Protocol, _angle_values, _is_grid, path_from_descriptor
 
 __all__ = [
     "purity",
@@ -187,14 +187,11 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     phases = (taus[:-1, None] + step * eff._GL3_NODES) / gammaT  # (steps, 3) Gauss nodes
     mid = phases[:, 1]  # the middle Gauss node is the step's midpoint
 
-    def angle(fn, s):  # a constant derivative may come back as one number
-        return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
-
     z = 0.5 * rate * step
-    gains = 1.5 * angle(path.dtheta, phases) @ (step * eff._decay_weights(z))
+    gains = 1.5 * _angle_values(path.dtheta, phases) @ (step * eff._decay_weights(z))
     b = _prefix_scan(gains, lambda late, early, k: late + math.exp(-z * k) * early)
 
-    theta, dtheta, dphi = angle(path.theta, mid), angle(path.dtheta, mid), angle(path.dphi, mid)
+    theta, dtheta, dphi = (_angle_values(fn, mid) for fn in (path.theta, path.dtheta, path.dphi))
     # the dark-block Hamiltonian h.sigma, h = (phi' sin theta, -theta', -phi' cos theta / 2),
     # acts for the phase step d; exp(-i d h.sigma) = cos(|h| d) 1 - i d sinc(|h| d) h.sigma
     hx, hy, hz = dphi * np.sin(theta), -dtheta, -0.5 * dphi * np.cos(theta)
@@ -381,6 +378,7 @@ class SweepResult:
     fit_r2: float
     losses_eq12: tuple = ()
     losses_eq21: tuple = ()
+    losses_reduced: tuple = ()
     first_order_errors: tuple = ()
     error_slope: float = math.nan
     error_r2: float = math.nan
@@ -398,7 +396,7 @@ class SweepResult:
 
 
 def convergence_sweep(
-    protocol_factory: Callable[[float], Protocol],
+    protocol: Protocol,
     gammaT_list: Sequence[float],
     rho_init: np.ndarray | Sequence[float],
     rtol: float = 1e-9,
@@ -406,21 +404,23 @@ def convergence_sweep(
 ) -> SweepResult:
     """Exact lab-frame purity loss and effective-theory error versus gamma T.
 
-    For each cycle duration: integrate the lab-frame equation across one
-    period from the dark-space initial state, record the purity loss, and
-    compare the dark-block of the end state against the effective equation
-    (and its unitary-only truncation).  Fits log-log slopes.  Per-point
-    integration failures are recorded and the sweep continues; if fewer than
-    two cycle durations survive, the last failure (with its tau) is raised.
+    ``protocol`` is run at each cycle duration through ``with_gammaT``; its
+    own gammaT is not used.  For each cycle duration: integrate the lab-frame
+    equation across one period from the dark-space initial state, record the
+    purity loss, and compare the dark-block of the end state against the
+    effective equation (whose loss is recorded too) and its unitary-only
+    truncation.  Fits log-log slopes.  Per-point integration failures are
+    recorded and the sweep continues; if fewer than two cycle durations
+    survive, the last failure (with its tau) is raised.
     """
     gammaTs = sorted(float(g) for g in gammaT_list)
+    ds = dark_space(protocol.L_rot)  # the dark space and the start depend on L_rot only
+    rho_d = _dark_state(rho_init, ds)
     losses, errors, first_errors = [], [], []
-    losses12, losses21 = [], []
+    losses12, losses21, losses_reduced = [], [], []
     kept, failures, last_error = [], [], None
     for gammaT in gammaTs:
-        proto = protocol_factory(gammaT)
-        ds = dark_space(proto.L_rot)
-        rho_d = _dark_state(rho_init, ds)
+        proto = protocol.with_gammaT(gammaT)
         try:
             traj = integrate(
                 lab_generator(proto), embed_dark(ds, rho_d), (0.0, gammaT),
@@ -434,6 +434,7 @@ def convergence_sweep(
         losses.append(1.0 - purity(final))
         final_dd = project_dark(ds, final)
         rho_eff = evolve_effective(rho_d, proto, ds, [gammaT])[-1]
+        losses_reduced.append(1.0 - purity(rho_eff))
         errors.append(trace_distance(final_dd, rho_eff))
         v_end = berry_holonomy(proto, ds, gammaT)
         first_errors.append(trace_distance(final_dd, v_end @ rho_d @ dagger(v_end)))
@@ -455,6 +456,7 @@ def convergence_sweep(
         fit_r2=r2,
         losses_eq12=tuple(losses12),
         losses_eq21=tuple(losses21),
+        losses_reduced=tuple(losses_reduced),
         first_order_errors=tuple(first_errors),
         error_slope=err_slope,
         error_r2=err_r2,

@@ -184,17 +184,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("seed must be an integer")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
-    init = _section(cfg["initial"], "initial", ("bloch", "density_matrix"))
-    if "bloch" in init and "density_matrix" in init:
-        raise ConfigError("initial must provide bloch or density_matrix, not both")
-    if "bloch" in init:
-        n0 = np.asarray(init["bloch"], dtype=float)
-        if n0.shape != (3,) or np.linalg.norm(n0) > 1.0 + 1e-9:
-            raise ConfigError("initial.bloch must be a 3-vector of norm <= 1")
-    elif "density_matrix" in init:
-        _section(init["density_matrix"], "initial.density_matrix", ("re", "im"))
-    else:
-        raise ConfigError("initial must provide bloch or density_matrix")
+    _initial_state(cfg)
     n_cp = cfg.get("checkpoints")
     if not _is_integer(n_cp) or n_cp < 1:
         raise ConfigError("checkpoints must be a positive integer")
@@ -267,19 +257,38 @@ def build_protocol(cfg: dict, gammaT: float):
             generators, angles, jump, gammaT, dangles=dangles,
             descriptor={"family": "custom", "two_j": two_j,
                         "generators": list(section.get("generators", [])),
-                        "jump": jump_name, "gammaT": gammaT},
+                        "jump": jump_name},
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    """A number or nested list of finite numbers as a float array; nothing else is coerced."""
+    def entries(v):
+        return [x for item in v for x in entries(item)] if isinstance(v, list) else [v]
+
+    for x in entries(value):
+        if not _is_finite_number(x):
+            raise ConfigError(f"{name} entries must be finite numbers, got {json.dumps(x)}")
+    return np.asarray(value, dtype=float)
+
+
 def _initial_state(cfg: dict) -> np.ndarray:
-    """The config's initial state: a real Bloch vector or a complex matrix."""
-    init = cfg["initial"]
+    """The config's initial state, checked: a real Bloch vector or a complex matrix."""
+    init = _section(cfg["initial"], "initial", ("bloch", "density_matrix"))
+    if "bloch" in init and "density_matrix" in init:
+        raise ConfigError("initial must provide bloch or density_matrix, not both")
     if "bloch" in init:
-        return np.asarray(init["bloch"], dtype=float)
-    raw = init["density_matrix"]
-    return np.asarray(raw.get("re"), dtype=float) + 1j * np.asarray(raw.get("im", 0.0), dtype=float)
+        n0 = _finite_array(init["bloch"], "initial.bloch")
+        if n0.shape != (3,) or np.linalg.norm(n0) > 1.0 + 1e-9:
+            raise ConfigError("initial.bloch must be a 3-vector of norm <= 1")
+        return n0
+    if "density_matrix" not in init:
+        raise ConfigError("initial must provide bloch or density_matrix")
+    raw = _section(init["density_matrix"], "initial.density_matrix", ("re", "im"))
+    return (_finite_array(raw.get("re"), "initial.density_matrix.re")
+            + 1j * _finite_array(raw.get("im", 0.0), "initial.density_matrix.im"))
 
 
 def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
@@ -328,22 +337,20 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
 def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
     tols = cfg["tolerances"]
     result = convergence_sweep(
-        lambda g: build_protocol(cfg, g), cfg["gammaT_list"], _initial_state(cfg),
+        build_protocol(cfg, cfg["gammaT_list"][0]), cfg["gammaT_list"], _initial_state(cfg),
         rtol=tols["rtol"], atol=tols["atol"],
     )
-    rows = [
-        (g, loss, l12, l21, dist)
-        for g, loss, l12, l21, dist in zip(
-            result.gammaT_values, result.losses, result.losses_eq12,
-            result.losses_eq21, result.errors,
-        )
-    ]
+    rows = list(zip(
+        result.gammaT_values, result.losses, result.losses_eq12,
+        result.losses_eq21, result.losses_reduced, result.errors,
+    ))
     report = {
         "experiment": "sweep",
         "gammaT": list(result.gammaT_values),
         "purity_loss_exact": list(result.losses),
         "purity_loss_eq12": list(result.losses_eq12),
         "purity_loss_eq21": list(result.losses_eq21),
+        "purity_loss_reduced": list(result.losses_reduced),
         "trace_distance_final": list(result.errors),
         "first_order_trace_distance_final": list(result.first_order_errors),
         "fitted_slope": result.fitted_slope,
@@ -402,19 +409,17 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
 def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
     gammaTs = cfg["gammaT_list"]
     tols = cfg["tolerances"]
+    proto = build_protocol(cfg, gammaTs[0])
     init = _initial_state(cfg)
+    comparisons = [
+        compare_effective_vs_full(proto.with_gammaT(g), init, n_checkpoints=cfg["checkpoints"],
+                                  rtol=tols["rtol"], atol=tols["atol"])
+        for g in gammaTs
+    ]
     if len(gammaTs) == 1:
-        comparison = compare_effective_vs_full(
-            build_protocol(cfg, gammaTs[0]), init,
-            n_checkpoints=cfg["checkpoints"], rtol=tols["rtol"], atol=tols["atol"],
-        )
-        rows = [
-            (tau, dist, pe, pf)
-            for tau, dist, pe, pf in zip(
-                comparison.taus, comparison.distances,
-                comparison.puritys_exact, comparison.puritys_effective,
-            )
-        ]
+        [comparison] = comparisons
+        rows = list(zip(comparison.taus, comparison.distances,
+                        comparison.puritys_exact, comparison.puritys_effective))
         report = {
             "experiment": "effective-vs-full",
             "gammaT": gammaTs[0],
@@ -422,15 +427,9 @@ def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
             "final_distance": comparison.final_distance,
         }
         return rows, report, ["tau", "trace_distance", "purity_exact", "purity_effective"]
-    finals = []
-    for g in gammaTs:
-        comparison = compare_effective_vs_full(
-            build_protocol(cfg, g), init, n_checkpoints=cfg["checkpoints"],
-            rtol=tols["rtol"], atol=tols["atol"],
-        )
-        finals.append(comparison.final_distance)
+    finals = [c.final_distance for c in comparisons]
     slope, _, r2 = fit_loglog(gammaTs, finals)
-    rows = [(g, d) for g, d in zip(gammaTs, finals)]
+    rows = list(zip(gammaTs, finals))
     report = {
         "experiment": "effective-vs-full",
         "gammaT": list(gammaTs),

@@ -45,14 +45,19 @@ def _is_grid(s) -> bool:
     return not isinstance(s, float) and np.ndim(s) > 0
 
 
-def _angle(fn: Callable, s):
-    """fn(s); for an array of n phases an (n, 1, 1) column, so that it scales a stack.
+def _angle_values(fn: Callable, s) -> np.ndarray:
+    """fn(s) as a float array of shape np.shape(s).
 
     An angle constant in s may return a scalar for an array phase; it is broadcast.
     """
+    return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
+
+
+def _angle(fn: Callable, s):
+    """fn(s); for an array of n phases an (n, 1, 1) column, so that it scales a stack."""
     if not _is_grid(s):
         return fn(s)
-    return np.broadcast_to(fn(s), np.shape(s)).reshape(-1, 1, 1)
+    return _angle_values(fn, s).reshape(-1, 1, 1)
 
 
 def spin_operators(two_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +307,7 @@ def spin32_protocol(path: PathSpec, gammaT: float) -> Protocol:
     return custom_protocol(
         [sy, sz], [path.theta, path.phi], spin32_jump(), gammaT,
         dangles=[path.dtheta, path.dphi],
-        descriptor={"family": "spin32", "path": dict(path.descriptor), "gammaT": float(gammaT)},
+        descriptor={"family": "spin32", "path": dict(path.descriptor)},
     )
 
 
@@ -356,8 +361,7 @@ def custom_protocol(
         U=u_of,
         dU=du_of,
         gammaT=float(gammaT),
-        descriptor=descriptor or {"family": "custom", "n_generators": len(generators),
-                                  "gammaT": float(gammaT)},
+        descriptor=descriptor or {"family": "custom", "n_generators": len(generators)},
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 TRAJECTORY_COLUMNS = ("tau", "purity", "trace", "min_eig", "nx", "ny", "nz", "td_effective")
 SWEEP_COLUMNS = (
@@ -25,6 +25,7 @@ SWEEP_COLUMNS = (
     "purity_loss_exact",
     "purity_loss_eq12",
     "purity_loss_eq21",
+    "purity_loss_reduced",
     "trace_distance_final",
 )
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import darklind.checks as checks
-from darklind.analysis import GaugeReport, SweepResult, dark_state_from_bloch
+from darklind.analysis import GaugeReport, SweepResult
 from darklind.checks import CRITERIA, run_battery
 
 
@@ -78,22 +78,39 @@ def test_known_quantitative_signatures(battery):
     assert report["fit_r2"] >= 0.99
 
 
-def test_prediction_cross_check_computes_each_prediction_once(monkeypatch):
-    calls = {}
+def _cross_check(gammaTs, residual):
+    """Criterion 9 on a hand-built sweep whose reduced loss misses eq. 12 by residual(gammaT).
 
-    def prediction(rho, proto, ds):
-        calls[proto.gammaT] = calls.get(proto.gammaT, 0) + 1
-        return 1.0 - 100.0 / proto.gammaT**2  # misses the pure end state by 100/gammaT^2
+    The context holds the sweep alone, so the criterion can compute nothing else.
+    """
+    eq12 = tuple(4 * math.pi**2 / g for g in gammaTs)
+    sweep = _sweep(gammaT_values=gammaTs, losses=eq12, errors=eq12, losses_eq12=eq12,
+                   losses_reduced=tuple(loss + residual(g) for loss, g in zip(eq12, gammaTs)))
+    return checks.check_prediction_cross_check(SimpleNamespace(sweep=sweep))
 
-    monkeypatch.setattr(checks, "purity_prediction_general", prediction)
-    monkeypatch.setattr(
-        checks.AcceptanceContext, "effective_end",
-        lambda self, n0, gammaT: dark_state_from_bloch((0.0, 0.0, 1.0)),
-    )
-    result = checks.check_prediction_cross_check(checks.AcceptanceContext())
-    assert "discrepancy_report" in result.detail
+
+def test_prediction_cross_check_agreement_reads_the_sweep():
+    result = _cross_check(checks.SWEEP_GAMMATS, lambda g: 1.0 / g**2)
+    assert result.passed and result.observed.startswith("agreement")
+    assert "discrepancy_report" not in result.detail
+    assert result.detail["residuals"] == pytest.approx({g: 1.0 / g**2 for g in (200.0, 800.0)})
+
+
+def test_prediction_cross_check_reports_a_systematic_residual():
+    result = _cross_check(checks.SWEEP_GAMMATS, lambda g: 100.0 / g**2)
+    report = result.detail["discrepancy_report"]
     assert result.passed
-    assert calls == {g: 1 for g in checks.SWEEP_GAMMATS}
+    assert report["gammaT"] == list(checks.SWEEP_GAMMATS)
+    assert report["residuals"] == pytest.approx([100.0 / g**2 for g in checks.SWEEP_GAMMATS])
+    assert report["exponent"] == pytest.approx(-2.0)
+    assert report["prefactor"] == pytest.approx(100.0)
+
+
+def test_prediction_cross_check_fails_on_a_sweep_without_gammaT_800():
+    result = _cross_check((100.0, 200.0, 400.0), lambda g: 0.0)
+    assert not result.passed
+    assert "800" in result.observed
+    assert result.detail == {"missing_gammaT": [800.0]}
 
 
 def test_run_battery_times_each_criterion(monkeypatch):

@@ -305,10 +305,15 @@ class TestFits:
         assert math.isnan(slope) and math.isnan(r2)
 
 
+def _unchanged(gen_of_t, rho0, span, **kwargs):
+    """An ``integrate`` stand-in that leaves the state where it started."""
+    return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
+
+
 class TestSweep:
     def test_small_grid_mechanics(self):
         result = convergence_sweep(
-            lambda g: spin32_protocol(linear_path(1, 0), g),
+            spin32_protocol(linear_path(1, 0), 50.0),
             [50.0, 100.0],
             (0.0, 0.0, 1.0),
         )
@@ -325,7 +330,7 @@ class TestSweep:
         # runs from a matrix start as well
         results = [
             dataclasses.asdict(convergence_sweep(
-                lambda g: spin32_protocol(linear_path(1, 0), g), [20.0, 40.0], rho_init
+                spin32_protocol(linear_path(1, 0), 20.0), [20.0, 40.0], rho_init
             ))
             for rho_init in ((0.0, 0.0, 1.0), np.diag([1.0, 0.0]))
         ]
@@ -334,7 +339,7 @@ class TestSweep:
 
     def test_constant_protocol_flagged(self):
         result = convergence_sweep(
-            lambda g: constant_protocol(g), [50.0, 100.0], (0.0, 0.6, 0.8)
+            constant_protocol(50.0), [50.0, 100.0], (0.0, 0.6, 0.8)
         )
         assert all(loss <= 1e-10 for loss in result.losses)
         assert math.isnan(result.fitted_slope)
@@ -346,13 +351,15 @@ class TestSweep:
             return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
 
         monkeypatch.setattr(analysis, "integrate", failing_at_150)
-        result = convergence_sweep(constant_protocol, [50.0, 100.0, 150.0], (0.0, 0.0, 1.0))
+        result = convergence_sweep(
+            constant_protocol(50.0), [50.0, 100.0, 150.0], (0.0, 0.0, 1.0)
+        )
         assert result.gammaT_values == (50.0, 100.0)
         assert len(result.failures) == 1
         assert "gammaT=150.0, tau=12.5" in result.failures[0]
         # fewer than two survivors: no fit to report, the failure is raised
         with pytest.raises(StepSizeUnderflowError) as caught:
-            convergence_sweep(constant_protocol, [100.0, 150.0], (0.0, 0.0, 1.0))
+            convergence_sweep(constant_protocol(50.0), [100.0, 150.0], (0.0, 0.0, 1.0))
         assert caught.value.tau == 12.5
 
     def test_other_errors_propagate(self, monkeypatch):
@@ -362,7 +369,7 @@ class TestSweep:
         monkeypatch.setattr(analysis, "integrate", broken)
         with pytest.raises(ValueError, match="not a numerical failure"):
             convergence_sweep(
-                lambda g: spin32_protocol(linear_path(1, 0), g), [50.0], (0.0, 0.0, 1.0)
+                spin32_protocol(linear_path(1, 0), 50.0), [50.0], (0.0, 0.0, 1.0)
             )
 
     def test_hand_built_path_has_no_closed_form(self, monkeypatch):
@@ -377,15 +384,20 @@ class TestSweep:
         )
         assert path.descriptor == {}
 
-        def unchanged(gen_of_t, rho0, span, **kwargs):
-            return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
-
-        monkeypatch.setattr(analysis, "integrate", unchanged)
-        result = convergence_sweep(
-            lambda g: spin32_protocol(path, g), [50.0], (0.0, 0.0, 1.0)
-        )
+        monkeypatch.setattr(analysis, "integrate", _unchanged)
+        result = convergence_sweep(spin32_protocol(path, 50.0), [50.0], (0.0, 0.0, 1.0))
         assert math.isnan(result.losses_eq21[0])
         assert not math.isnan(result.losses_eq12[0])
+
+    def test_losses_reduced_is_the_reduced_end_state_loss(self, monkeypatch):
+        monkeypatch.setattr(analysis, "integrate", _unchanged)  # the exact run plays no part
+        proto = spin32_protocol(linear_path(1, 0), 20.0)
+        result = convergence_sweep(proto, [20.0, 40.0], (0.0, 1.0, 0.0))
+        ds, rho_d = dark_space(proto.L_rot), dark_state_from_bloch((0.0, 1.0, 0.0))
+        assert result.losses_reduced == tuple(
+            1.0 - purity(eff.evolve_effective(rho_d, proto.with_gammaT(g), ds, [g])[-1])
+            for g in (20.0, 40.0)
+        )
 
 
 class TestEffectiveVsFull:

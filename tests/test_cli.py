@@ -238,6 +238,31 @@ class TestValidation:
         assert "invalid configuration" in err and "NaN" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial, field", [
+        ({"bloch": ["0", "0", "1"]}, "initial.bloch"),
+        ({"bloch": [True, False, False]}, "initial.bloch"),
+        ({"density_matrix": {"re": [["1", 0], [0, 0]]}}, "initial.density_matrix.re"),
+        ({"density_matrix": {"re": [[1, 0], [0, 0]], "im": [["0", 0], [0, 0]]}},
+         "initial.density_matrix.im"),
+    ])
+    def test_rejects_initial_state_numbers_of_the_wrong_kind(
+        self, tmp_path, capsys, monkeypatch, initial, field
+    ):
+        # strings and bools are not coerced to numbers, so a run never differs
+        # from the initial state its report echoes
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected configuration started work")
+
+        monkeypatch.setattr(cli, "build_protocol", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "initial": initial}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{field} entries must be finite numbers" in err
+        assert not out.exists()
+
     def test_fourier_path_knots_are_known_keys(self):
         path = {"family": "fourier", "theta_knots": [0.1], "phi_knots": [0.2]}
         proto = cli.build_protocol({"protocol": {"family": "spin32", "path": path}}, 100.0)
@@ -269,7 +294,7 @@ class TestTrajectoryExperiment:
         assert csv_lines[0] == "tau,purity,trace,min_eig,nx,ny,nz,td_effective"
         assert len(csv_lines) == 10  # header + checkpoints + 1
         report = read_json(out / "spin32_purity_report.json")
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["gammaT"] == 50.0
         assert 0.0 < report["purity_loss_exact"] < 1.0
         assert report["csv_columns"] == csv_lines[0].split(",")
@@ -340,7 +365,8 @@ class TestSweepExperiment:
         ])
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "gammaT,purity_loss_exact,purity_loss_eq12,purity_loss_eq21,trace_distance_final"
+        assert lines[0] == ("gammaT,purity_loss_exact,purity_loss_eq12,purity_loss_eq21,"
+                            "purity_loss_reduced,trace_distance_final")
         assert len(lines) == 3
         report = read_json(tmp_path / "sweep_report.json")
         assert set(report["flags"]) == {
@@ -434,6 +460,23 @@ class TestOtherExperiments:
         assert seen == [5, 5]
         report = read_json(tmp_path / "effective_vs_full_report.json")
         assert report["distance_slope"] == pytest.approx(-2.0)
+
+    @pytest.mark.parametrize("experiment", ["sweep", "effective-vs-full"])
+    def test_two_gammaT_run_builds_one_protocol(self, tmp_path, monkeypatch, experiment):
+        # the other cycle durations come from Protocol.with_gammaT
+        built, build = [], cli.build_protocol
+
+        def counting(cfg, gammaT):
+            built.append(gammaT)
+            return build(cfg, gammaT)
+
+        monkeypatch.setattr(cli, "build_protocol", counting)
+        rc = cli.main([
+            "run", experiment, "--gammaT", "20,40", "--checkpoints", "2",
+            "--rtol", "1e-7", "--outdir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert built == [20.0]
 
     def test_gauge_check(self, tmp_path):
         rc = cli.main([

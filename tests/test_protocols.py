@@ -235,7 +235,17 @@ class TestCustomProtocol:
         assert np.linalg.norm(proto.U(s) - u) <= 1e-12
         du = 1j * (path.dtheta(s)[:, None, None] * sy @ u + path.dphi(s)[:, None, None] * u @ sz)
         assert np.linalg.norm(proto.dU(s) - du) <= 1e-11
-        assert proto.descriptor == {"family": "spin32", "path": path.descriptor, "gammaT": 100.0}
+        assert proto.descriptor == {"family": "spin32", "path": path.descriptor}
+
+    def test_descriptor_survives_with_gammaT(self):
+        # gammaT lives in Protocol.gammaT alone, so a rescaled protocol
+        # carries no stale copy of it
+        for proto in (spin32_protocol(linear_path(1, 0), 200.0),
+                      custom_protocol([], [], np.diag([0.0, 1.0]), 200.0, dangles=[])):
+            moved = proto.with_gammaT(400.0)
+            assert moved.gammaT == 400.0
+            assert moved.descriptor == proto.descriptor
+            assert "gammaT" not in moved.descriptor
 
     def test_no_generators_is_the_identity_path(self):
         proto = custom_protocol([], [], np.diag([0.0, 1.0]), 10.0, dangles=[])
