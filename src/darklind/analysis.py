@@ -26,11 +26,10 @@ from .effective import (
     lab_generator,
     project_dark,
     rotating_generator,
-    x_tau_integral,
 )
 from .engine import NUMERICAL_ERRORS, integrate
 from .linalg import dagger, frobenius, matrix_exp
-from .protocols import Protocol, _angle_values, _is_grid, path_from_descriptor
+from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
     "purity",
@@ -249,17 +248,15 @@ def gauge_transform(
 def _sin2_gauge(gen_full: np.ndarray) -> eff.Gauge:
     """Cyclic gauge s -> (omega, i omega' omega^dag) for omega(s) = exp(i sin^2(pi s) G).
 
-    Takes one phase or a 1-D array of phases (then returns two stacks).
+    Takes a 1-D array of phases and returns two stacks (``eff.Gauge``).
     """
     w, v = np.linalg.eigh(gen_full)
     vd = dagger(v)
 
-    def gauge(s: float) -> tuple[np.ndarray, np.ndarray]:
-        sin = math.sin
-        if _is_grid(s):
-            s, sin = np.reshape(s, (-1, 1, 1)), np.sin
-        omega = (v * np.exp(1j * sin(math.pi * s) ** 2 * w)) @ vd
-        return omega, -math.pi * sin(2.0 * math.pi * s) * gen_full
+    def gauge(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = np.reshape(s, (-1, 1, 1))
+        omega = (v * np.exp(1j * np.sin(math.pi * s) ** 2 * w)) @ vd
+        return omega, -math.pi * np.sin(2.0 * math.pi * s) * gen_full
 
     return gauge
 
@@ -277,20 +274,6 @@ class GaugeReport:
     tau_fractions: tuple
 
 
-def _tilted_drive(protocol: Protocol, gauge: eff.Gauge, tau: float):
-    """Drive s -> omega(tau)^dag H^omega(s) omega(tau) of the tilted quadrature kernel.
-
-    H^omega is the adiabatic Hamiltonian in the gauge frame.
-    """
-    omega_tau = gauge(tau / protocol.gammaT)[0]
-
-    def drive(s_abs: float) -> np.ndarray:
-        h = eff._gauged_hamiltonian(protocol, s_abs / protocol.gammaT, gauge)
-        return dagger(omega_tau) @ h @ omega_tau
-
-    return drive
-
-
 def gauge_covariance_check(
     protocol: Protocol,
     ds: DarkSpace,
@@ -304,10 +287,12 @@ def gauge_covariance_check(
 
     The gauge omega(s) = exp(i sin^2(pi s) G) closes over the cycle and
     varies on the protocol scale, so the tilted jump matches its covariant
-    image omega ell omega^dag only up to a defect of order 1/(gamma T); the
-    report records the defect at both cycle durations (it should shrink when
-    gamma T grows, checked against the quadrature kernel) and the end-of-cycle
-    purity prediction computed in both gauges by the frozen-state integral.
+    image omega ell omega^dag only up to a defect of order 1/(gamma T).  The
+    report records the defect |ell^omega_tau - ell_tau|_F, the worst over the
+    tau fractions, at both cycle durations (it should shrink when gamma T
+    grows), and the end-of-cycle purity prediction computed in both gauges by
+    the frozen-state integral.  Both run the exact-decay recurrence, plain and
+    gauged; the defects on the grid of every per-tau query (``eff._phase_grid``).
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -318,17 +303,11 @@ def gauge_covariance_check(
     defects, purities = [], []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
-        modes = eff._KernelModes(proto, ds)
         worst = 0.0
         for frac in tau_fractions:
-            tau = frac * gammaT
-            x_plain = x_tau_integral(proto, ds, tau, _modes=modes)
-            drive = _tilted_drive(proto, gauge, tau)
-            x_tilted = x_tau_integral(proto, ds, tau, drive=drive, _modes=modes)
-            defect = frobenius(
-                ds.projector @ proto.L_rot @ (x_tilted - x_plain) @ ds.projector
-            )
-            worst = max(worst, defect)
+            taus = proto.gammaT * eff._phase_grid(proto, frac * proto.gammaT)
+            ells = [eff._effective_jump_grid(proto, ds, taus, g)[-1] for g in (None, gauge)]
+            worst = max(worst, frobenius(ells[1] - ells[0]))
         defects.append(worst)
         purities.append(tuple(
             _purity_after(rho_d, eff._frozen_state_integral(rho_d, proto, ds, g)[0], gammaT)

@@ -56,7 +56,7 @@ from .linalg import dagger, frobenius
 from .protocols import linear_path, spin32_protocol
 
 __all__ = ["CriterionResult", "AcceptanceContext", "run_battery", "CRITERIA",
-           "sweep_flags", "gauge_flags"]
+           "sweep_flags", "gauge_flags", "prediction_flags"]
 
 SWEEP_GAMMATS = (100.0, 200.0, 400.0, 800.0)
 RTOL, ATOL = 1e-9, 1e-12  # integration tolerances of every battery run
@@ -124,13 +124,23 @@ def in_window(value: float, lo: float, hi: float) -> bool:
     return bool(lo <= value <= hi)
 
 
+def prediction_flags(*losses: float) -> dict[str, bool]:
+    """Verdict on predicted purity losses: every finite one is a loss in [0, 1]."""
+    return {
+        "predictions_in_unit_interval": all(
+            in_window(loss, 0.0, 1.0) for loss in losses if math.isfinite(loss)
+        ),
+    }
+
+
 def sweep_flags(sweep: SweepResult) -> dict[str, bool]:
-    """Verdicts of a convergence sweep: loss slope and fit, accuracy orders."""
+    """Verdicts of a convergence sweep: loss slope and fit, accuracy orders, predictions."""
     return {
         "slope_in_window": in_window(sweep.fitted_slope, *LOSS_SLOPE),
         "fit_r2_ok": bool(sweep.fit_r2 >= 1.0 - LOSS_FIT_R2_SHORTFALL),
         "effective_order_in_window": in_window(sweep.error_slope, *EFFECTIVE_SLOPE),
         "first_order_in_window": in_window(sweep.first_order_slope, *FIRST_ORDER_SLOPE),
+        **prediction_flags(*sweep.losses_eq12, *sweep.losses_eq21),
     }
 
 

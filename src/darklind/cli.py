@@ -34,7 +34,7 @@ from .analysis import (
     purity_prediction_general,
     trace_distance,
 )
-from .checks import battery_table, gauge_flags, run_battery, sweep_flags
+from .checks import battery_table, gauge_flags, prediction_flags, run_battery, sweep_flags
 from .engine import NUMERICAL_ERRORS, _physicality, integrate
 from .linalg import dagger
 from .protocols import (
@@ -319,16 +319,17 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
             nx, ny, nz,
             trace_distance(dd, rho_eff),
         ))
-    loss_exact = 1.0 - purity(traj.final)
+    loss_eq12 = 1.0 - purity_prediction_general(rho_d, proto, ds)
+    loss_eq21 = _closed_form_loss(proto, ds, rho_d)
     report = {
         "experiment": cfg["experiment"],
         "gammaT": gammaT,
-        "purity_loss_exact": loss_exact,
-        "purity_loss_eq12": 1.0 - purity_prediction_general(rho_d, proto, ds),
+        "purity_loss_exact": 1.0 - purity(traj.final),
+        "purity_loss_eq12": loss_eq12,
         "step_stats": dataclasses.asdict(traj.step_stats),
         "dark_dimension": ds.d,
+        "flags": prediction_flags(loss_eq12, loss_eq21),
     }
-    loss_eq21 = _closed_form_loss(proto, ds, rho_d)
     if not math.isnan(loss_eq21):
         report["purity_loss_eq21"] = loss_eq21
     return rows, report, list(TRAJECTORY_COLUMNS)

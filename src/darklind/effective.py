@@ -70,16 +70,17 @@ _KERNEL_CUTOFF_EXPONENT = 90.0
 #: small result before the next one is formed
 _PHASE_BLOCK = 256
 
-#: uniform steps over the cycle of the frozen-state dissipator integral
+#: uniform steps over the cycle of the frozen-state dissipator integral and of
+#: every per-tau query (``_phase_grid``)
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
 _FD_STEP = 0.05
 #: Frobenius norm of the part of a full-space initial state outside the dark space
 _LEAK_TOL = 1e-10
 
-#: a dark-space gauge: phase s -> (W(s), i W'(s) W(s)^dag), W unitary and commuting with P0;
-#: like ``Protocol.U`` it also takes a 1-D array of phases and then returns two stacks
-Gauge = Callable[[float], tuple[np.ndarray, np.ndarray]]
+#: a dark-space gauge: a 1-D array of n phases s -> the two (n, dim, dim) stacks
+#: W(s) and i W'(s) W(s)^dag, W unitary and commuting with P0
+Gauge = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class NoDarkSpaceError(RuntimeError):
@@ -205,17 +206,14 @@ class _KernelModes:
 
         For an array of n times it returns the (n, nb, d) stack.
         """
-        return self.block(_gauged_hamiltonian(self.protocol, tau / self.protocol.gammaT, gauge))
-
-    def block(self, h: np.ndarray) -> np.ndarray:
-        """Bright-to-dark block U_b^dag h B of a full-space matrix or stack."""
+        h = _gauged_hamiltonian(self.protocol, tau / self.protocol.gammaT, gauge)
         return dagger(self.modes) @ h @ self.basis
 
 
 def _gauged_hamiltonian(protocol: Protocol, s: float, gauge: Gauge | None) -> np.ndarray:
     """Adiabatic Hamiltonian in a gauge frame, W H W^dag + i W' W^dag (H without one).
 
-    ``s`` may be an array of phases, giving stacks.
+    ``s`` may be a 1-D array of phases, giving stacks; with a gauge it must be one.
     """
     h = adiabatic_hamiltonian(protocol, s)
     if gauge is None:
@@ -224,35 +222,39 @@ def _gauged_hamiltonian(protocol: Protocol, s: float, gauge: Gauge | None) -> np
     return w @ h @ dagger(w) + potential
 
 
+def _phase_grid(protocol: Protocol, tau: float) -> np.ndarray:
+    """Uniform phase grid over [0, tau / gammaT] of every per-tau query.
+
+    ceil(_FROZEN_GRID tau / gammaT) steps, at least one; a tau that is not a
+    number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    """
+    if not 0.0 <= tau <= protocol.gammaT + 1e-9:
+        raise ValueError(f"tau={tau} outside [0, gammaT]")
+    steps = max(1, math.ceil(_FROZEN_GRID * tau / protocol.gammaT))
+    return np.linspace(0.0, tau / protocol.gammaT, steps + 1)
+
+
 def x_tau_integral(
     protocol: Protocol,
     ds: DarkSpace,
     tau: float,
-    drive: Callable[[float], np.ndarray] | None = None,
     _modes: _KernelModes | None = None,
 ) -> np.ndarray:
     """Memory kernel X_tau = int_0^tau ds e^{L^dag L (s - tau)/2} P_perp H_s P0.
 
-    Evaluated exactly per eigenmode of L^dag L (which is time independent in
-    the rotating frame), with the remaining slow scalar integrals done by
-    adaptive quadrature; the kernel window is truncated where the exponential
-    has decayed below machine relevance.  ``drive`` may replace the adiabatic
-    Hamiltonian with another full-space matrix function of absolute time (the
-    gauge machinery tilts it).
+    The adaptive-quadrature oracle of the kernel, called in the package only
+    by ``c_tau_ode_residual``; every other query runs the exact-decay
+    recurrence (``_x_of``).  Evaluated exactly per eigenmode of L^dag L (time
+    independent in the rotating frame), the remaining slow scalar integrals
+    by adaptive quadrature; the kernel window is truncated where the
+    exponential has decayed below machine relevance.
     """
-    if tau < 0 or tau > protocol.gammaT + 1e-9:
-        raise ValueError(f"tau={tau} outside [0, gammaT]")
+    _phase_grid(protocol, tau)  # checks tau as every per-tau query does
     modes = _modes if _modes is not None else _KernelModes(protocol, ds)
     nb = modes.rates.size
     d = ds.d
     if nb == 0 or tau == 0.0:
         return np.zeros((protocol.dim, protocol.dim), dtype=complex)
-
-    if drive is None:
-        block_of = modes.drive
-    else:
-        def block_of(s):
-            return modes.block(drive(s))
 
     reduced = np.zeros((nb, d), dtype=complex)
     for rate in np.unique(np.round(modes.rates, 12)):
@@ -260,7 +262,7 @@ def x_tau_integral(
         t_lo = max(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
 
         def integrand(s):
-            g = block_of(s)[group, :]
+            g = modes.drive(s)[group, :]
             block = np.exp(0.5 * rate * (s - tau)) * g
             return np.stack([block.real, block.imag])
 
@@ -280,14 +282,20 @@ def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray
 
 
 def c_tau(protocol: Protocol, ds: DarkSpace, tau: float, source: str = "integral") -> np.ndarray:
-    """Hermitian kernel C_tau = X_tau + X_tau^dag."""
+    """Hermitian kernel C_tau = X_tau + X_tau^dag.
+
+    X_tau as in ``effective_jump``: the exact-decay recurrence on the _FROZEN_GRID rule.
+    """
     x = _x_of(protocol, ds, tau, source)
     return x + dagger(x)
 
 
 def _x_of(protocol: Protocol, ds: DarkSpace, tau: float, source: str) -> np.ndarray:
+    """X_tau by the recurrence ``_kernel_grid`` on ``_phase_grid`` ("integral") or adiabatic."""
+    grid = _phase_grid(protocol, tau)
     if source == "integral":
-        return x_tau_integral(protocol, ds, tau)
+        modes = _KernelModes(protocol, ds)
+        return modes.modes @ _kernel_grid(modes, protocol.gammaT * grid)[-1] @ dagger(ds.basis)
     if source == "adiabatic":
         return x_tau_adiabatic(protocol, ds, tau)
     raise ValueError(f"unknown X source {source!r}")
@@ -325,7 +333,11 @@ def effective_jump(
     tau: float,
     source: str = "integral",
 ) -> np.ndarray:
-    """Effective dark-space jump operator P0 L X_tau P0 (d x d, dark basis)."""
+    """Effective dark-space jump operator P0 L X_tau P0 (d x d, dark basis).
+
+    With ``source="integral"`` X_tau comes from the exact-decay recurrence on
+    the uniform grid of ``_FROZEN_GRID`` steps per cycle (``_x_of``).
+    """
     x = _x_of(protocol, ds, tau, source)
     return dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
 
@@ -344,8 +356,8 @@ def effective_rhs(
     the Lindblad generator with Hamiltonian H0, prefactor eps and jump eps ell.
     """
     eps = 1.0 / protocol.gammaT
-    h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
     ell = effective_jump(protocol, ds, tau, source)
+    h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
     return lindblad_rhs(rho0, LindbladGenerator(h0, (eps * ell,), eps))
 
 
@@ -354,13 +366,10 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
 
     Unitary d x d; the generator is the dark block of the adiabatic
     Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
-    takes 2048 steps per cycle, and at least 256.
+    runs on the grid of every per-tau query (``_phase_grid``): _FROZEN_GRID
+    steps per cycle, ceil(_FROZEN_GRID tau / gammaT) and at least one.
     """
-    s1 = tau / protocol.gammaT
-    steps = max(256, int(2048 * min(1.0, abs(s1)) + 0.5))
-    if s1 == 0.0:
-        return np.eye(ds.d, dtype=complex)
-    grid = np.linspace(0.0, s1, steps + 1)
+    grid = _phase_grid(protocol, tau)
     return ordered_exponential(_berry_generator(protocol, ds, grid), grid)[-1]
 
 
@@ -604,10 +613,7 @@ def _effective_jump_grid(
     [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
     modes = _KernelModes(protocol, ds)
-    taus = np.asarray(taus, dtype=float)
-    if modes.rates.size == 0:
-        return np.zeros((taus.size, ds.d, ds.d), dtype=complex)
-    xs = _kernel_grid(modes, taus, gauge)
+    xs = _kernel_grid(modes, np.asarray(taus, dtype=float), gauge)
     if gauge is None:
         return modes.reduce_jump @ xs
 
@@ -685,7 +691,7 @@ def _kernel_grid(
         gains = (coef[..., None] * drives).sum(axis=1)
     else:
         gains = (coef[..., None, None] * drives[:, :, None]).sum(axis=1)
-    decay = np.exp(-z)[which].reshape((-1, nb) + (1,) * (gains.ndim - 2))
+    decay = np.exp(-z)[which][(...,) + (None,) * (gains.ndim - 2)]
     xs = np.zeros((taus.size,) + gains.shape[1:], dtype=complex)
     if start is not None:
         xs[0] = start
@@ -704,7 +710,9 @@ def reconstruct_full_state(
     """Full-space state from the reduced one via the order-eps^2 map.
 
     Embedding plus the commutator correction -i eps [C_tau, .] and the
-    second-order correction eps^2 D_C, the dissipator of the Hermitian C.
+    second-order correction eps^2 D_C, the dissipator of the Hermitian C; with
+    ``source="integral"`` C_tau comes from the exact-decay recurrence on the
+    ``_FROZEN_GRID`` rule (``_x_of``).
     Returns (state, trace_correction); the trace is renormalized and the
     removed magnitude reported.
     """

@@ -174,3 +174,15 @@ def test_gauge_window_edges(monkeypatch, report, flags):
     monkeypatch.setattr(checks, "gauge_covariance_check", lambda *args, **kwargs: report)
     result = checks.check_gauge_covariance(SimpleNamespace(protocol_200=None, ds=None))
     assert result.passed is all(flags.values())
+
+
+@pytest.mark.parametrize("losses, expected", [
+    ((0.0, 0.4, 1.0), True),
+    ((0.4, math.nan), True),
+    ((), True),
+    ((0.4, 1.9246), False),
+    ((-1e-3, 0.4), False),
+])
+def test_prediction_flags(losses, expected):
+    # a finite predicted loss outside [0, 1] is no prediction; a missing (NaN) one is not flagged
+    assert checks.prediction_flags(*losses) == {"predictions_in_unit_interval": expected}

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from darklind.analysis import (
     bloch_of,
@@ -21,7 +22,7 @@ from darklind.analysis import (
 )
 import darklind.analysis as analysis
 import darklind.effective as eff
-from darklind.effective import dark_space, end_of_cycle_state, x_tau_integral
+from darklind.effective import adiabatic_hamiltonian, dark_space, end_of_cycle_state
 from darklind.engine import StepSizeUnderflowError, Trajectory
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
@@ -269,7 +270,9 @@ class TestGauge:
     def test_gauged_recurrence_matches_quadrature(self):
         # spin-3/2 lowering jump (bright rates 3, 3, 4) with a bright gauge
         # block that does not commute with L^dag L: the per-pair recurrence
-        # must reproduce the tilted quadrature kernel
+        # must reproduce the tilted kernel, int_0^tau expm(L^dag L (s - tau)/2)
+        # P_perp omega(tau)^dag H^omega(s) omega(tau) P0 ds, here a full-space
+        # quadrature with matrix exponentials
         sx, sy, sz = spin_operators(3)
         jump = dagger(sx + 1j * sy)
         theta, dtheta = ramp_angle("linear", 1.0)
@@ -284,10 +287,24 @@ class TestGauge:
         gauge = analysis._sin2_gauge(gen)
         taus = np.linspace(0.0, 30.0, 513)
         ells = eff._effective_jump_grid(proto, ds, taus, gauge)
+        p_perp = np.eye(4) - ds.projector
+
+        def tilted_hamiltonian(s):
+            omega, potential = gauge(np.array([s / 30.0]))
+            h = adiabatic_hamiltonian(proto, s / 30.0)
+            return omega[0] @ h @ dagger(omega[0]) + potential[0]
+
         for k in (64, 300, 512):
-            drive = analysis._tilted_drive(proto, gauge, taus[k])
-            x = x_tau_integral(proto, ds, taus[k], drive=drive)
-            oracle = dagger(ds.basis) @ jump @ x @ ds.basis
+            tau = taus[k]
+            omega_tau = gauge(np.array([tau / 30.0]))[0][0]
+
+            def integrand(s):
+                x = (scipy.linalg.expm(0.5 * rates * (s - tau)) @ p_perp @ dagger(omega_tau)
+                     @ tilted_hamiltonian(s) @ omega_tau @ ds.projector)
+                return np.stack([x.real, x.imag])
+
+            re, im = scipy.integrate.quad_vec(integrand, 0.0, tau, epsabs=1e-12, epsrel=1e-12)[0]
+            oracle = dagger(ds.basis) @ jump @ (re + 1j * im) @ ds.basis
             assert np.linalg.norm(ells[k] - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
 

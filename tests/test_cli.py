@@ -302,6 +302,16 @@ class TestTrajectoryExperiment:
         # no files outside the output directory
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run1"]
 
+    @pytest.mark.parametrize("gammaT, in_unit_interval", [("50", True), ("20", False)])
+    def test_flags_predictions_outside_unit_interval(self, tmp_path, gammaT, in_unit_interval):
+        rc = cli.main([
+            "run", "spin32-purity", "--gammaT", gammaT, "--n0", "0,0,1",
+            "--checkpoints", "4", "--rtol", "1e-8", "--outdir", str(tmp_path),
+        ])
+        assert rc == 0
+        report = read_json(tmp_path / "spin32_purity_report.json")
+        assert report["flags"] == {"predictions_in_unit_interval": in_unit_interval}
+
     def test_density_matrix_start_matches_bloch_start(self, tmp_path):
         args = ["run", "spin32-purity", "--gammaT", "50", "--checkpoints", "4", "--rtol", "1e-8"]
         assert cli.main(args + ["--n0", "0,0,1", "--outdir", str(tmp_path / "bloch")]) == 0
@@ -371,9 +381,21 @@ class TestSweepExperiment:
         report = read_json(tmp_path / "sweep_report.json")
         assert set(report["flags"]) == {
             "slope_in_window", "fit_r2_ok", "effective_order_in_window",
-            "first_order_in_window",
+            "first_order_in_window", "predictions_in_unit_interval",
         }
+        assert report["flags"]["predictions_in_unit_interval"] is True
         assert len(report["purity_loss_exact"]) == 2
+
+    def test_flags_predicted_losses_above_one(self, tmp_path):
+        # at gammaT 20 both first-order predictions exceed a loss of 1
+        rc = cli.main([
+            "run", "sweep", "--gammaT", "20,40", "--n0", "0,0,1",
+            "--rtol", "1e-8", "--outdir", str(tmp_path),
+        ])
+        assert rc == 0
+        report = read_json(tmp_path / "sweep_report.json")
+        assert report["purity_loss_eq12"][0] > 1.0
+        assert report["flags"]["predictions_in_unit_interval"] is False
 
     def test_sweep_left_without_two_points_exits_2(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):

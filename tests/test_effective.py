@@ -328,7 +328,68 @@ class TestEffectiveJump:
         taus = np.linspace(0.0, 200.0, 2049)
         ells = eff._effective_jump_grid(proto, spin32_ds, taus)
         for k in (3, 512, 1100, 2048):
-            assert np.linalg.norm(ells[k] - effective_jump(proto, spin32_ds, taus[k])) <= 1e-9
+            x = x_tau_integral(proto, spin32_ds, taus[k])
+            oracle = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis
+            assert np.linalg.norm(ells[k] - oracle) <= 1e-9
+
+    @pytest.mark.parametrize("path", [
+        smoothstep_path(1, 1),
+        fourier_path(1, 1, theta_knots=(0.2, -0.1), phi_knots=(0.15,)),
+    ], ids=["smoothstep", "fourier"])
+    @pytest.mark.parametrize("tau", [0.5, 37.0, 150.0])
+    def test_per_tau_queries_match_quadrature(self, spin32_ds, path, tau):
+        # the recurrence behind effective_jump and c_tau against the quadrature oracle
+        proto = spin32_protocol(path, 150.0)
+        x = x_tau_integral(proto, spin32_ds, tau)
+        jump = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis
+        assert np.linalg.norm(effective_jump(proto, spin32_ds, tau) - jump) <= 1e-10
+        assert np.linalg.norm(c_tau(proto, spin32_ds, tau) - (x + dagger(x))) <= 1e-10
+
+
+class TestOneKernelAlgorithm:
+    def test_quadrature_only_behind_the_ode_residual(self, monkeypatch, spin32_linear, spin32_ds):
+        import darklind.analysis
+        import darklind.checks
+
+        calls = []
+        quadrature = eff.x_tau_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(eff, "x_tau_integral", counted)
+        monkeypatch.setattr(darklind.analysis, "x_tau_integral", counted, raising=False)
+        rho_d = dark_state_from_bloch((0.0, 0.0, 1.0))
+        effective_jump(spin32_linear, spin32_ds, 12.0)
+        c_tau(spin32_linear, spin32_ds, 12.0)
+        reconstruct_full_state(rho_d, spin32_linear, spin32_ds, 12.0)
+        darklind.analysis.gauge_covariance_check(
+            spin32_linear, spin32_ds, 0.3 * SZ, tau_fractions=(0.5,), gammaT_pair=(60.0, 120.0)
+        )
+        darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
+        assert calls == []
+        c_tau_ode_residual(spin32_linear, spin32_ds, [1.0, 4.0])
+        assert len(calls) == 14
+
+
+@pytest.mark.parametrize("query", [
+    lambda p, ds, tau: effective_jump(p, ds, tau),
+    lambda p, ds, tau: effective_jump(p, ds, tau, source="adiabatic"),
+    lambda p, ds, tau: c_tau(p, ds, tau),
+    lambda p, ds, tau: c_tau(p, ds, tau, source="adiabatic"),
+    lambda p, ds, tau: effective_rhs(np.eye(2) / 2, p, ds, tau),
+    lambda p, ds, tau: effective_rhs(np.eye(2) / 2, p, ds, tau, source="adiabatic"),
+    lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau),
+    lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau, source="adiabatic"),
+    lambda p, ds, tau: x_tau_integral(p, ds, tau),
+    lambda p, ds, tau: berry_holonomy(p, ds, tau),
+], ids=["jump", "jump-adiabatic", "c_tau", "c_tau-adiabatic", "rhs", "rhs-adiabatic",
+        "reconstruct", "reconstruct-adiabatic", "x_tau_integral", "holonomy"])
+@pytest.mark.parametrize("tau", [300.0, -50.0, 200.0 + 1e-6, math.nan, math.inf, -math.inf])
+def test_per_tau_queries_reject_tau_outside_the_cycle(spin32_linear, spin32_ds, query, tau):
+    with pytest.raises(ValueError, match=r"outside \[0, gammaT\]"):
+        query(spin32_linear, spin32_ds, tau)
 
 
 def lagrange_decay_weight(z, i):

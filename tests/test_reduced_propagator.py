@@ -66,7 +66,8 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
         dy = [drho.reshape(-1)]
         if need_x:
             dy[0] = dy[0] + eps**2 * eff._dissipator(modes.reduce_jump @ x, rho).reshape(-1)
-            dy.append((-0.5 * modes.rates[:, None] * x + modes.block(h)).reshape(-1))
+            drive = dagger(modes.modes) @ h @ ds.basis
+            dy.append((-0.5 * modes.rates[:, None] * x + drive).reshape(-1))
         return np.concatenate(dy)
 
     y0 = [np.asarray(rho0_d, dtype=complex).reshape(-1)]
