@@ -64,6 +64,10 @@ __all__ = [
 
 #: decay exponent beyond which the memory kernel is numerically zero
 _KERNEL_CUTOFF_EXPONENT = 90.0
+#: tolerances of the quadrature oracle, and the subintervals it may add to
+#: those its breakpoints make
+_QUAD_TOL = 1e-10
+_QUAD_SPLITS = 400
 
 #: phases per vectorised evaluation of the adiabatic Hamiltonian on a grid;
 #: bounds the (block, dim, dim) temporaries, each block being reduced to its
@@ -222,55 +226,81 @@ def _gauged_hamiltonian(protocol: Protocol, s: float, gauge: Gauge | None) -> np
     return w @ h @ dagger(w) + potential
 
 
-def _phase_grid(protocol: Protocol, tau: float) -> np.ndarray:
-    """Uniform phase grid over [0, tau / gammaT] of every per-tau query.
+def _check_taus(protocol: Protocol, tau) -> None:
+    """Raise ValueError naming the first of one tau or an array that is not in [0, gammaT].
 
-    ceil(_FROZEN_GRID tau / gammaT) steps, at least one; a tau that is not a
-    number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    NaN and infinities fail; 1e-9 of slack is allowed above gammaT.
     """
-    if not 0.0 <= tau <= protocol.gammaT + 1e-9:
-        raise ValueError(f"tau={tau} outside [0, gammaT]")
-    steps = max(1, math.ceil(_FROZEN_GRID * tau / protocol.gammaT))
-    return np.linspace(0.0, tau / protocol.gammaT, steps + 1)
+    t = np.asarray(tau, dtype=float)
+    _require_each((0.0 <= t) & (t <= protocol.gammaT + 1e-9), t, "tau={} outside [0, gammaT]")
 
 
-def x_tau_integral(
-    protocol: Protocol,
-    ds: DarkSpace,
-    tau: float,
-    _modes: _KernelModes | None = None,
-) -> np.ndarray:
+def _window_start(tau, rate):
+    """Start of the kernel window at tau for one decay rate, where the decay reaches e^-90."""
+    return np.maximum(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
+
+
+def _phase_grid(protocol: Protocol, tau: float, start: float = 0.0) -> np.ndarray:
+    """Uniform phase grid over [start, tau] / gammaT of every per-tau query.
+
+    ceil(_FROZEN_GRID (tau - start) / gammaT) steps, at least one; a tau that
+    is not a number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    """
+    _check_taus(protocol, tau)
+    steps = max(1, math.ceil(_FROZEN_GRID * (tau - start) / protocol.gammaT))
+    return np.linspace(start / protocol.gammaT, tau / protocol.gammaT, steps + 1)
+
+
+def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     """Memory kernel X_tau = int_0^tau ds e^{L^dag L (s - tau)/2} P_perp H_s P0.
 
     The adaptive-quadrature oracle of the kernel, called in the package only
     by ``c_tau_ode_residual``; every other query runs the exact-decay
-    recurrence (``_x_of``).  Evaluated exactly per eigenmode of L^dag L (time
-    independent in the rotating frame), the remaining slow scalar integrals
-    by adaptive quadrature; the kernel window is truncated where the
-    exponential has decayed below machine relevance.
-    """
-    _phase_grid(protocol, tau)  # checks tau as every per-tau query does
-    modes = _modes if _modes is not None else _KernelModes(protocol, ds)
-    nb = modes.rates.size
-    d = ds.d
-    if nb == 0 or tau == 0.0:
-        return np.zeros((protocol.dim, protocol.dim), dtype=complex)
+    recurrence (``_x_of``).  ``tau`` is one time, giving a dim x dim matrix,
+    or a 1-D array of n times, giving the (n, dim, dim) stack; a time outside
+    [0, gammaT] raises ValueError naming it.
 
-    reduced = np.zeros((nb, d), dtype=complex)
-    for rate in np.unique(np.round(modes.rates, 12)):
+    The decay is exact per eigenmode of L^dag L (time independent in the
+    rotating frame), and each member's window starts where the exponential
+    has decayed below machine relevance (``_window_start``).  One
+    ``quad_vec`` per group of equal rates integrates every member at once:
+    its integrand is the vector over members k of 1[t_lo_k <= s <= tau_k]
+    e^{rate (s - tau_k)/2} drive(s), so the drive is evaluated once per node
+    for all of them, and every tau_k and t_lo_k is a breakpoint.  The
+    tolerances are 1e-10 absolute and relative in the max norm.  A
+    ``quad_vec`` that ends short of them raises ``ConvergenceError`` naming
+    the window, its status message and the error estimate.
+    """
+    taus = np.asarray(tau, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError(f"tau must be one time or a 1-D array, got shape {taus.shape}")
+    taus = taus.reshape(-1)
+    _check_taus(protocol, taus)
+    modes = _KernelModes(protocol, ds)
+    reduced = np.zeros((taus.size, modes.rates.size, ds.d), dtype=complex)
+    # X_0 = 0: without a positive time there is nothing to integrate
+    for rate in np.unique(np.round(modes.rates, 12)) if taus.any() else ():
         group = np.abs(modes.rates - rate) < 1e-9 * max(rate, 1.0)
-        t_lo = max(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
+        t_lo = _window_start(taus, rate)
 
         def integrand(s):
-            g = modes.drive(s)[group, :]
-            block = np.exp(0.5 * rate * (s - tau)) * g
-            return np.stack([block.real, block.imag])
+            inside = (t_lo <= s) & (s <= taus)
+            weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
+            # real and imaginary parts side by side: a real vector for quad_vec
+            return weight[:, None, None] * modes.drive(s)[group, :].view(float)
 
-        res = scipy.integrate.quad_vec(
-            integrand, t_lo, tau, epsabs=1e-10, epsrel=1e-10, limit=400
-        )[0]
-        reduced[group, :] = res[0] + 1j * res[1]
-    return modes.modes @ reduced @ dagger(ds.basis)
+        a, b = t_lo.min(), taus.max()
+        points = np.unique(np.concatenate([t_lo, taus]))
+        res, estimate, info = scipy.integrate.quad_vec(
+            integrand, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, norm="max",
+            limit=_QUAD_SPLITS + points.size, points=points, full_output=True,
+        )
+        if info.status != 0:
+            target = _QUAD_TOL * max(1.0, np.abs(res).max())
+            raise ConvergenceError(a, b, estimate, target, f"in quad_vec: {info.message}")
+        reduced[:, group, :] = res.view(complex)
+    x = modes.modes @ reduced @ dagger(ds.basis)
+    return x if _is_grid(tau) else x[0]
 
 
 def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
@@ -291,11 +321,18 @@ def c_tau(protocol: Protocol, ds: DarkSpace, tau: float, source: str = "integral
 
 
 def _x_of(protocol: Protocol, ds: DarkSpace, tau: float, source: str) -> np.ndarray:
-    """X_tau by the recurrence ``_kernel_grid`` on ``_phase_grid`` ("integral") or adiabatic."""
-    grid = _phase_grid(protocol, tau)
+    """X_tau by the recurrence ``_kernel_grid`` ("integral") or adiabatic.
+
+    The recurrence starts from zero where the oracle's window for the slowest
+    bright rate starts (``_window_start``), and steps ``_phase_grid``'s
+    uniform grid from there: ceil(_FROZEN_GRID (tau - start) / gammaT) steps.
+    """
+    _check_taus(protocol, tau)
     if source == "integral":
         modes = _KernelModes(protocol, ds)
-        return modes.modes @ _kernel_grid(modes, protocol.gammaT * grid)[-1] @ dagger(ds.basis)
+        start = _window_start(tau, np.min(modes.rates, initial=np.inf))
+        grid = protocol.gammaT * _phase_grid(protocol, tau, start)
+        return modes.modes @ _kernel_grid(modes, grid)[-1] @ dagger(ds.basis)
     if source == "adiabatic":
         return x_tau_adiabatic(protocol, ds, tau)
     raise ValueError(f"unknown X source {source!r}")
@@ -306,25 +343,24 @@ def c_tau_ode_residual(protocol: Protocol, ds: DarkSpace, taus: Sequence[float])
 
     The derivative is taken by a sixth-order central difference of the
     quadrature-evaluated kernel, keeping the check independent of the
-    defining equation.
+    defining equation.  One ``x_tau_integral`` call evaluates the kernel at
+    all 7 n stencil times tau + k _FD_STEP, k = -3..3, of the n sample times;
+    a sample time whose stencil leaves the cycle raises ValueError naming it.
     """
-    modes = _KernelModes(protocol, ds)
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    _require_each(
+        (taus - 3 * _FD_STEP >= 0) & (taus + 3 * _FD_STEP <= protocol.gammaT), taus,
+        "tau={} too close to the cycle boundary for the stencil",
+    )
     m = dagger(protocol.L_rot) @ protocol.L_rot
     p_perp = np.eye(protocol.dim) - ds.projector
     stencil = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-    worst = 0.0
-    for tau in taus:
-        if tau - 3 * _FD_STEP < 0 or tau + 3 * _FD_STEP > protocol.gammaT:
-            raise ValueError(f"tau={tau} too close to the cycle boundary for the stencil")
-        xs = [
-            x_tau_integral(protocol, ds, tau + k * _FD_STEP, _modes=modes)
-            for k in range(-3, 4)
-        ]
-        dx = sum(c * x for c, x in zip(stencil, xs)) / _FD_STEP
-        h = adiabatic_hamiltonian(protocol, tau / protocol.gammaT)
-        resid = dx + 0.5 * m @ xs[3] - p_perp @ h @ ds.projector
-        worst = max(worst, frobenius(resid))
-    return worst
+    times = taus[:, None] + _FD_STEP * np.arange(-3, 4)
+    xs = x_tau_integral(protocol, ds, times.ravel()).reshape(times.shape + m.shape)
+    dx = np.einsum("k,nkij->nij", stencil, xs) / _FD_STEP
+    h = [adiabatic_hamiltonian(protocol, t / protocol.gammaT) for t in taus.tolist()]
+    resid = dx + 0.5 * m @ xs[:, 3] - p_perp @ np.reshape(h, dx.shape) @ ds.projector
+    return float(_norms(resid).max(initial=0.0))
 
 
 def effective_jump(

@@ -74,12 +74,18 @@ class GaplessLindbladianError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Step doubling reached its cap with the error estimate still above target."""
+    """A numerical scheme stopped with its error estimate still above target.
 
-    def __init__(self, t0: float, t1: float, estimate: float, target: float):
+    ``cause`` says where it stopped: the step-doubling cap by default.
+    """
+
+    def __init__(
+        self, t0: float, t1: float, estimate: float, target: float,
+        cause: str = "at the step-doubling cap",
+    ):
         super().__init__(
             f"no convergence on tau in [{t0:.6g}, {t1:.6g}]: error estimate {estimate:.3g} "
-            f"above target {target:.3g} at the step-doubling cap"
+            f"above target {target:.3g} {cause}"
         )
         self.tau = t0
         self.interval = (t0, t1)

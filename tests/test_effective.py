@@ -27,7 +27,7 @@ from darklind.effective import (
     x_tau_adiabatic,
     x_tau_integral,
 )
-from darklind.engine import integrate
+from darklind.engine import ConvergenceError, integrate
 from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     custom_protocol,
@@ -250,6 +250,11 @@ class TestMemoryKernel:
         )
         assert residual <= 1e-7
 
+    @pytest.mark.parametrize("tau", [0.1, 199.9, math.nan])
+    def test_ode_residual_rejects_a_stencil_outside_the_cycle(self, spin32_linear, spin32_ds, tau):
+        with pytest.raises(ValueError, match=f"tau={tau} too close to the cycle boundary"):
+            c_tau_ode_residual(spin32_linear, spin32_ds, [1.0, tau])
+
     def test_adiabatic_limit_value(self, spin32_linear, spin32_ds):
         x = x_tau_adiabatic(spin32_linear, spin32_ds, 120.0)
         block = spin32_ds.projector @ spin32_linear.L_rot @ x @ spin32_ds.projector
@@ -336,9 +341,10 @@ class TestEffectiveJump:
         smoothstep_path(1, 1),
         fourier_path(1, 1, theta_knots=(0.2, -0.1), phi_knots=(0.15,)),
     ], ids=["smoothstep", "fourier"])
-    @pytest.mark.parametrize("tau", [0.5, 37.0, 150.0])
+    @pytest.mark.parametrize("tau", [0.5, 37.0, 90.0, 150.0])
     def test_per_tau_queries_match_quadrature(self, spin32_ds, path, tau):
-        # the recurrence behind effective_jump and c_tau against the quadrature oracle
+        # the recurrence behind effective_jump and c_tau against the quadrature oracle;
+        # past tau = 60 (= 2 * 90 / 3) both start at the kernel window, not at 0
         proto = spin32_protocol(path, 150.0)
         x = x_tau_integral(proto, spin32_ds, tau)
         jump = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis
@@ -370,7 +376,78 @@ class TestOneKernelAlgorithm:
         darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
         assert calls == []
         c_tau_ode_residual(spin32_linear, spin32_ds, [1.0, 4.0])
-        assert len(calls) == 14
+        assert len(calls) == 1 and np.shape(calls[0]) == (14,)
+
+    def test_ode_residual_integrand_evaluations(self, monkeypatch, spin32_linear, spin32_ds):
+        # one drive evaluation per quadrature node shared by every stencil time
+        # (1,218 measured; 3,528 with one quadrature per stencil time)
+        evaluations = []
+        drive = eff._KernelModes.drive
+
+        def counted(self, *args, **kwargs):
+            evaluations.append(args[0])
+            return drive(self, *args, **kwargs)
+
+        monkeypatch.setattr(eff._KernelModes, "drive", counted)
+        c_tau_ode_residual(spin32_linear, spin32_ds, np.linspace(0.2, 20.0, 64)[:8])
+        assert 0 < len(evaluations) <= 1500
+
+
+PATHS = [
+    linear_path(1, 0),
+    smoothstep_path(1, 1),
+    fourier_path(1, 1, theta_knots=(0.2, -0.1), phi_knots=(0.15,)),
+]
+PATH_IDS = ["linear", "smoothstep", "fourier"]
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    def test_array_matches_scalar(self, spin32_ds, path):
+        # past tau = 60 (= 2 * 90 / 3) each member's window starts at its own time
+        proto = spin32_protocol(path, 150.0)
+        taus = np.array([0.0, 0.5, 37.0, 61.0, 90.0, 149.0])
+        stack = x_tau_integral(proto, spin32_ds, taus)
+        assert stack.shape == (taus.size, 4, 4)
+        for tau, x in zip(taus, stack):
+            single = x_tau_integral(proto, spin32_ds, float(tau))
+            assert single.shape == (4, 4)
+            assert np.linalg.norm(x - single) <= 1e-12
+
+    def test_rejects_a_two_dimensional_tau(self, spin32_linear, spin32_ds):
+        with pytest.raises(ValueError, match="1-D array"):
+            x_tau_integral(spin32_linear, spin32_ds, np.ones((2, 2)))
+
+    def test_non_convergence_raises(self, monkeypatch, spin32_linear, spin32_ds):
+        # a drive switching sign 1,600 times on [0, 10] needs far more than the
+        # allowed subintervals to reach 1e-10
+        def rough(self, tau, gauge=None):
+            return np.sign(np.sin(1e3 * tau)) * np.ones((self.rates.size, self.basis.shape[1]))
+
+        monkeypatch.setattr(eff._KernelModes, "drive", rough)
+        with pytest.raises(ConvergenceError,
+                           match=r"tau in \[0, 10\]: error estimate .* quad_vec: Target precision"):
+            x_tau_integral(spin32_linear, spin32_ds, 10.0)
+        with pytest.raises(ConvergenceError, match=r"tau in \[0, 12\]"):
+            x_tau_integral(spin32_linear, spin32_ds, np.array([3.0, 12.0]))
+
+    @pytest.mark.parametrize("tau, start, points", [(150.0, 90.0, 616), (60.0, 0.0, 616),
+                                                    (12.0, 0.0, 124)])
+    def test_recurrence_starts_at_the_window(self, monkeypatch, spin32_linear, spin32_ds,
+                                             tau, start, points):
+        # ceil(2048 (tau - start) / gammaT) steps from max(0, tau - 2 * 90 / 3)
+        grids = []
+        recurrence = eff._kernel_grid
+
+        def spied(modes, taus, *args, **kwargs):
+            grids.append(taus)
+            return recurrence(modes, taus, *args, **kwargs)
+
+        monkeypatch.setattr(eff, "_kernel_grid", spied)
+        reconstruct_full_state(np.eye(2) / 2, spin32_linear, spin32_ds, tau)
+        assert len(grids) == 1 and grids[0].size == points
+        assert grids[0][0] == pytest.approx(start, abs=1e-12)
+        assert grids[0][-1] == pytest.approx(tau, rel=1e-15)
 
 
 @pytest.mark.parametrize("query", [
@@ -383,12 +460,14 @@ class TestOneKernelAlgorithm:
     lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau),
     lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau, source="adiabatic"),
     lambda p, ds, tau: x_tau_integral(p, ds, tau),
+    lambda p, ds, tau: x_tau_integral(p, ds, np.array([1.0, tau, 5.0])),
     lambda p, ds, tau: berry_holonomy(p, ds, tau),
 ], ids=["jump", "jump-adiabatic", "c_tau", "c_tau-adiabatic", "rhs", "rhs-adiabatic",
-        "reconstruct", "reconstruct-adiabatic", "x_tau_integral", "holonomy"])
+        "reconstruct", "reconstruct-adiabatic", "x_tau_integral", "x_tau_integral-array",
+        "holonomy"])
 @pytest.mark.parametrize("tau", [300.0, -50.0, 200.0 + 1e-6, math.nan, math.inf, -math.inf])
 def test_per_tau_queries_reject_tau_outside_the_cycle(spin32_linear, spin32_ds, query, tau):
-    with pytest.raises(ValueError, match=r"outside \[0, gammaT\]"):
+    with pytest.raises(ValueError, match=rf"tau={tau} outside \[0, gammaT\]"):
         query(spin32_linear, spin32_ds, tau)
 
 
