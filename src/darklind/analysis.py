@@ -139,7 +139,7 @@ def purity_prediction_general(
     the frozen-state dissipator integral shared with the end-of-cycle state.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    total, _ = eff._frozen_state_integral(rho_d, protocol, ds)
+    (total, _), = eff._frozen_state_integral(rho_d, protocol, ds)
     return _purity_after(rho_d, total, protocol.gammaT)
 
 
@@ -292,7 +292,8 @@ def gauge_covariance_check(
     tau fractions, at both cycle durations (it should shrink when gamma T
     grows), and the end-of-cycle purity prediction computed in both gauges by
     the frozen-state integral.  Both run the exact-decay recurrence, plain and
-    gauged; the defects on the grid of every per-tau query (``eff._phase_grid``).
+    gauged, on one evaluation of the Hamiltonian per node for both gauges; the
+    defects on the grid of every per-tau query (``eff._phase_grid``).
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -300,18 +301,19 @@ def gauge_covariance_check(
     else:
         rho_d = _dark_state(rho_init, ds)
 
+    frames = (None, gauge)
     defects, purities = [], []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
         worst = 0.0
         for frac in tau_fractions:
             taus = proto.gammaT * eff._phase_grid(proto, frac * proto.gammaT)
-            ells = [eff._effective_jump_grid(proto, ds, taus, g)[-1] for g in (None, gauge)]
-            worst = max(worst, frobenius(ells[1] - ells[0]))
+            plain, tilted = eff._end_jumps(proto, ds, taus, frames)
+            worst = max(worst, frobenius(tilted - plain))
         defects.append(worst)
         purities.append(tuple(
-            _purity_after(rho_d, eff._frozen_state_integral(rho_d, proto, ds, g)[0], gammaT)
-            for g in (None, gauge)
+            _purity_after(rho_d, total, gammaT)
+            for total, _ in eff._frozen_state_integral(rho_d, proto, ds, frames)
         ))
     plain, tilted = zip(*purities)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import groupby, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,10 @@ from .engine import (
 )
 from .linalg import (
     CF4_NODES,
+    _cf4_steps,
+    _gemm,
     _norms,
+    _ordered_product,
     dagger,
     frobenius,
     kernel_basis,
@@ -202,28 +205,42 @@ class _KernelModes:
         self.modes = vec[:, bright]  # columns: bright eigenvectors
         self.basis = ds.basis
         self.reduce_jump = dagger(ds.basis) @ protocol.L_rot @ self.modes  # d x nb
+        #: (nb + d) x dim: the bright modes' rows over the dark basis' rows
+        self.rows = dagger(np.hstack([self.modes, ds.basis]))
         self.protocol = protocol
         self.ds = ds
 
-    def drive(self, tau: float, gauge: Gauge | None = None) -> np.ndarray:
-        """Bright-to-dark block U_b^dag H B of the adiabatic Hamiltonian (H^W in a gauge).
-
-        For an array of n times it returns the (n, nb, d) stack.
-        """
-        h = _gauged_hamiltonian(self.protocol, tau / self.protocol.gammaT, gauge)
+    def drive(self, tau: float) -> np.ndarray:
+        """Bright-to-dark block U_b^dag H B of the adiabatic Hamiltonian at one time."""
+        h = adiabatic_hamiltonian(self.protocol, tau / self.protocol.gammaT)
         return dagger(self.modes) @ h @ self.basis
 
 
-def _gauged_hamiltonian(protocol: Protocol, s: float, gauge: Gauge | None) -> np.ndarray:
-    """Adiabatic Hamiltonian in a gauge frame, W H W^dag + i W' W^dag (H without one).
+def _node_blocks(
+    modes: _KernelModes, s: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Drive and dark block of the adiabatic Hamiltonian at phases s, in each frame of ``gauges``.
 
-    ``s`` may be a 1-D array of phases, giving stacks; with a gauge it must be one.
+    H is evaluated once per phase, in blocks of _PHASE_BLOCK phases (one U and
+    one dU call each), and shared by every frame: H itself for None, else
+    W H W^dag + i W' W^dag.  Each frame's U_b^dag H^W B and B^dag H^W B come
+    from one GEMM on each side (``modes.rows``).  Returns per frame the pair
+    of (n, nb, d) drives and (n, d, d) dark blocks.
     """
-    h = adiabatic_hamiltonian(protocol, s)
-    if gauge is None:
-        return h
-    w, potential = gauge(s)
-    return w @ h @ dagger(w) + potential
+    def block(t):
+        h = adiabatic_hamiltonian(modes.protocol, t)
+        frames = []
+        for gauge in gauges:
+            hw = h
+            if gauge is not None:
+                w, potential = gauge(t)
+                hw = w @ h @ dagger(w) + potential
+            frames.append(_gemm(modes.rows, _gemm(hw, modes.basis)))
+        return np.stack(frames, axis=1)
+
+    out = _blockwise(block, s)
+    nb = modes.rates.size
+    return [(out[:, k, :nb], out[:, k, nb:]) for k in range(len(gauges))]
 
 
 def _check_taus(protocol: Protocol, tau) -> None:
@@ -332,7 +349,8 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau: float, source: str) -> np.ndar
         modes = _KernelModes(protocol, ds)
         start = _window_start(tau, np.min(modes.rates, initial=np.inf))
         grid = protocol.gammaT * _phase_grid(protocol, tau, start)
-        return modes.modes @ _kernel_grid(modes, grid)[-1] @ dagger(ds.basis)
+        (xs, _), = _kernel_frames(modes, grid)
+        return modes.modes @ xs[-1] @ dagger(ds.basis)
     if source == "adiabatic":
         return x_tau_adiabatic(protocol, ds, tau)
     raise ValueError(f"unknown X source {source!r}")
@@ -406,20 +424,8 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     steps per cycle, ceil(_FROZEN_GRID tau / gammaT) and at least one.
     """
     grid = _phase_grid(protocol, tau)
-    return ordered_exponential(_berry_generator(protocol, ds, grid), grid)[-1]
-
-
-def _berry_generator(
-    protocol: Protocol, ds: DarkSpace, grid: np.ndarray, gauge: Gauge | None = None
-) -> np.ndarray:
-    """-i H0(s) at the midpoints of a phase grid, the Berry holonomy's generator stack.
-
-    In a gauge frame if one is given.
-    """
-    return _blockwise(
-        lambda s: -1j * projected_hamiltonian(_gauged_hamiltonian(protocol, s, gauge), ds),
-        0.5 * (grid[:-1] + grid[1:]),
-    )
+    (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
+    return ordered_exponential(-1j * h0, grid)[-1]
 
 
 def _blockwise(fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
@@ -447,8 +453,7 @@ def evolve_effective(
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
     the fourth-order commutator-free Magnus exponential (CF4, see
     ``ordered_exponential``) of its d^2 x d^2 superoperator; ell at each step's
-    two Gauss points comes from the exact kernel recurrence that
-    ``_effective_jump_grid`` runs, carried from step to step.
+    two Gauss points comes from the exact kernel recurrence (``_kernel_grid``).
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -458,13 +463,25 @@ def evolve_effective(
     can span many relaxation times, and a shorter onset would leave a
     transient inside the first coarse step of both doubling grids, missed by
     both and so by their comparison.  Each interval is stepped
-    with n and 2n steps, n doubling from ``_MAGNUS_FIRST_STEPS``, until the
-    two states differ by at most ``atol + rtol * |rho|`` (Frobenius norms);
-    the 2n-step state is kept.  ``rtol`` and ``atol`` set that target and
+    with n and 2n steps, n doubling from ``_MAGNUS_FIRST_STEPS``, from the same
+    state and the same kernel start, until the two states differ by at most
+    ``atol + rtol * |rho|`` (Frobenius norms); the 2n-step state is kept.
+    The kernel start of an interval is the end of the previous interval's
+    recurrence on its accepted grid.  ``rtol`` and ``atol`` set that target and
     nothing else.  When ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet it, a
     ``ConvergenceError`` names the interval and the estimate; a returned state
     outside the engine's Hermiticity, trace or positivity tolerances raises
-    ``InvariantViolationError``.  States are never projected back.
+    ``InvariantViolationError`` at the first such breakpoint.  States are
+    never projected back.
+
+    The work is batched by doubling level (``_MagnusPropagator.states``).  The
+    part of a level that does not depend on the kernel start, the
+    Hamiltonians, drives and kernel recurrence from a zero start, is built
+    for the first two levels of every interval in one vectorised pass.  The
+    intervals are then walked in order: each builds its propagators (the
+    superoperators, CF4 exponentials and their product) from the kernel
+    start its predecessor accepted, applies them to that predecessor's
+    state, and builds finer levels only for itself.
     """
     if mode not in ("full", "unitary", "dissipator"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -475,12 +492,8 @@ def evolve_effective(
         raise ValueError(f"times must lie in [0, gammaT = {protocol.gammaT}]")
     rho = np.asarray(rho0_d, dtype=complex)
     propagator = _MagnusPropagator(protocol, ds, mode)
-    state, x = rho.reshape(-1, 1), np.zeros((propagator.modes.rates.size, ds.d), dtype=complex)
-    reached = {0.0: rho.copy()}
-    for t0, t1 in pairwise(propagator.breakpoints(checkpoints)):
-        state, x = propagator.interval(t0, t1, state, x, rtol, atol)
-        reached[t1] = state.reshape(ds.d, ds.d).copy()
-        check_invariants(t1, reached[t1])
+    points = propagator.breakpoints(checkpoints)
+    reached = dict(zip(points, [rho.copy()] + propagator.states(rho, points, rtol, atol)))
     return [reached[t] for t in checkpoints]
 
 
@@ -489,6 +502,24 @@ _MAGNUS_FIRST_STEPS = 8
 _MAGNUS_MAX_DOUBLINGS = 12
 #: length of the graded onset interval, in relaxation times 2/rate of the slowest bright mode
 _ONSET_RELAXATION_TIMES = 30.0
+#: steps that a batch builds at once: a step takes a few kB of temporaries, so
+#: this bounds them when the doubling goes deep
+_LEVEL_CHUNK = 2048
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The part of n CF4 steps over one interval that does not depend on the kernel start x0.
+
+    The kernel at a time t of the interval [t0, t1] is part + e^{-rate (t - t0)/2} x0.
+    """
+
+    lengths: np.ndarray  # (n,) step lengths
+    h0: np.ndarray | None  # (n, 2, d, d) dark block of H at the Gauss points
+    part: np.ndarray | None  # (n, 2, nb, d) kernel from a zero start at the Gauss points
+    decay: np.ndarray | None  # (n, 2, nb, 1) e^{-rate (t - t0)/2} at the Gauss points
+    end: np.ndarray | None  # (nb, d) kernel from a zero start at t1
+    end_decay: np.ndarray | None  # (nb, 1) e^{-rate (t1 - t0)/2}
 
 
 class _MagnusPropagator:
@@ -510,48 +541,127 @@ class _MagnusPropagator:
                 points.insert(1, onset)
         return points
 
-    def interval(self, t0, t1, state, x, rtol, atol):
-        """(state, kernel block) at t1 from those at t0, by step doubling."""
-        n = _MAGNUS_FIRST_STEPS
-        coarse = self.steps(t0, t1, n, state, x)
-        for _ in range(_MAGNUS_MAX_DOUBLINGS):
-            fine = self.steps(t0, t1, 2 * n, state, x)
-            estimate = frobenius(fine[0] - coarse[0])
-            target = atol + rtol * frobenius(fine[0])
-            if estimate <= target:
-                return fine
-            n, coarse = 2 * n, fine
-        raise ConvergenceError(t0, t1, estimate, target)
+    def states(self, rho: np.ndarray, points: list[float], rtol: float, atol: float) -> list:
+        """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
 
-    def steps(self, t0, t1, n, state, x):
-        """n CF4 steps from t0 to t1, graded toward tau = 0 on the first interval."""
+        The ``_Level``s of _MAGNUS_FIRST_STEPS and twice as many steps are
+        built for every interval in one batch; then the intervals are walked
+        in order, each doubling from the state and kernel start its
+        predecessor accepted, and building its finer levels as it needs them.
+        """
+        spans = list(pairwise(points))
+        if not (self.berry or self.decay):  # nothing drives the state
+            for t in points[1:]:
+                check_invariants(t, rho)
+            return [rho.copy() for _ in spans]
+        first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
+        levels: list[dict] = [{} for _ in spans]
+        self._add_levels(spans, levels, [(i, n) for i in range(len(spans)) for n in first])
+        found: list[np.ndarray] = []
+        state = rho.reshape(-1, 1)
+        x0 = np.zeros((self.modes.rates.size, self.ds.d), dtype=complex)
+        for i, span in enumerate(spans):
+            n, reached = _MAGNUS_FIRST_STEPS, {}
+            for _ in range(_MAGNUS_MAX_DOUBLINGS):
+                wanted = [m for m in (n, 2 * n) if m not in reached]
+                self._add_levels(spans, levels, [(i, m) for m in wanted if m not in levels[i]])
+                built = self._propagators([levels[i][m] for m in wanted], x0)
+                reached.update((m, propagator @ state) for m, propagator in zip(wanted, built))
+                estimate = frobenius(reached[2 * n] - reached[n])
+                target = atol + rtol * frobenius(reached[2 * n])
+                if estimate <= target:
+                    break
+                n *= 2
+            else:
+                raise ConvergenceError(*span, estimate, target)
+            state, x0 = reached[2 * n], self._carry(levels[i][2 * n], x0)
+            levels[i] = None  # done with: a deep doubling keeps no levels past its interval
+            found.append(state.reshape(rho.shape))
+            check_invariants(span[1], found[-1])
+        return found
+
+    def _carry(self, level: _Level, x0: np.ndarray) -> np.ndarray:
+        """Kernel start of the next interval: the end of this one's recurrence from x0."""
+        return level.end + level.end_decay * x0 if self.decay else x0
+
+    def _add_levels(self, spans: list, levels: list[dict], wanted: list[tuple[int, int]]) -> None:
+        """Build the ``_Level`` of each (interval, step count) in ``wanted``.
+
+        Members with equal step counts are built side by side, at most
+        _LEVEL_CHUNK of their steps at a time: the Gauss points and kernel
+        nodes of a chunk go through one ``_node_blocks`` call, and the kernel
+        recurrences (``_kernel_grid``) run on from chunk to chunk.
+        """
+        rates, gammaT = self.modes.rates[:, None], self.protocol.gammaT
+        nb, d = self.modes.rates.size, self.ds.d
+        for n, members in groupby(sorted(set(wanted), key=lambda w: w[1]), key=lambda w: w[1]):
+            members = list(members)
+            grids = np.stack([self._grid(*spans[i], n) for i, _ in members], axis=1)  # (n + 1, P)
+            gauss = grids[:-1, :, None] + np.diff(grids, axis=0)[..., None] * CF4_NODES  # (n, P, 2)
+            h0 = np.empty(gauss.shape + (d, d), dtype=complex) if self.berry else None
+            part = np.empty(gauss.shape + (nb, d), dtype=complex) if self.decay else None
+            x = decay = end_decay = None
+            size = max(1, _LEVEL_CHUNK // len(members))
+            for lo in range(0, n, size):
+                chunk = gauss[lo:lo + size]
+                # the kernel grid refined by the Gauss points: t_k, g1_k, g2_k, t_k+1, ...
+                fine = np.empty((3 * len(chunk) + 1, len(members)))
+                fine[0::3] = grids[lo:lo + size + 1]
+                fine[1::3], fine[2::3] = chunk[..., 0], chunk[..., 1]
+                nodes = _kernel_nodes(fine)
+                phases = []
+                if self.berry:
+                    phases.append(chunk.ravel())
+                if self.decay:
+                    phases.append(nodes.ravel())
+                (drives, dark), = _node_blocks(self.modes, np.concatenate(phases) / gammaT)
+                if self.berry:
+                    h0[lo:lo + size] = dark[:chunk.size].reshape(h0[lo:lo + size].shape)
+                if self.decay:
+                    block = drives[-nodes.size:]
+                    block = block.reshape(nodes.shape + block.shape[1:])
+                    xs = _kernel_grid(self.modes, fine, block, start=x)
+                    part[lo:lo + size] = np.stack([xs[1::3], xs[2::3]], axis=2)
+                    x = xs[-1]
+            if self.decay:
+                decay = np.exp(-0.5 * rates * (gauss - grids[0, :, None])[..., None, None])
+                end_decay = np.exp(-0.5 * rates * (grids[-1] - grids[0])[:, None, None])
+            for p, (i, _) in enumerate(members):
+                levels[i][n] = _Level(
+                    np.diff(grids[:, p]),
+                    *(None if a is None else a[:, p] for a in (h0, part, decay)),
+                    *(None if a is None else a[p] for a in (x, end_decay)),
+                )
+
+    def _propagators(self, wanted: list[_Level], x0: np.ndarray) -> list[np.ndarray]:
+        """The d^2 x d^2 propagator of each level in ``wanted`` from kernel start x0.
+
+        The steps of all levels are formed in one stack, _LEVEL_CHUNK at a
+        time: the jumps, the superoperators and their CF4 exponentials.  Each
+        level's steps are then multiplied pairwise.
+        """
+        modes, d, eps = self.modes, self.ds.d, 1.0 / self.protocol.gammaT
+        lengths = np.concatenate([level.lengths for level in wanted])
+        h0 = np.concatenate([level.h0 for level in wanted]) if self.berry else None
+        if self.decay:  # (steps, 2, nb, d) kernel at the Gauss points
+            x = np.concatenate([level.part + level.decay * x0 for level in wanted])
+        steps = np.empty(lengths.shape + (d * d, d * d), dtype=complex)
+        for lo in range(0, lengths.size, _LEVEL_CHUNK):
+            cut = slice(lo, lo + _LEVEL_CHUNK)
+            jumps = ()
+            if self.decay:
+                ell = _gemm(modes.reduce_jump, x[cut].reshape((-1,) + x.shape[-2:]))
+                jumps = (eps * ell.reshape(x[cut].shape[:-2] + (d, d)),)
+            gens = vectorize(LindbladGenerator(None if h0 is None else h0[cut], jumps, eps))
+            steps[cut] = _cf4_steps(gens, lengths[cut])
+        ends = np.cumsum([level.lengths.size for level in wanted])[:-1]
+        return [_ordered_product(own) for own in np.split(steps, ends)]
+
+    @staticmethod
+    def _grid(t0: float, t1: float, n: int) -> np.ndarray:
+        """n steps from t0 to t1, graded toward tau = 0 on the first interval."""
         u = np.linspace(0.0, 1.0, n + 1)
-        grid = t0 + (t1 - t0) * (u * u if t0 == 0.0 else u)
-        for lo in range(0, n, _PHASE_BLOCK):
-            state, x = self._block(grid[lo:lo + _PHASE_BLOCK + 1], state, x)
-        return state, x
-
-    def _block(self, grid, state, x):
-        protocol, ds, d = self.protocol, self.ds, self.ds.d
-        eps = 1.0 / protocol.gammaT
-        nodes = grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES  # (m, 2) Gauss points
-        h0 = None
-        if self.berry:
-            h0 = _blockwise(
-                lambda t: projected_hamiltonian(adiabatic_hamiltonian(protocol, t * eps), ds),
-                nodes.ravel(),
-            ).reshape(nodes.shape + (d, d))
-        jumps = ()
-        if self.decay:
-            # the kernel on the grid refined by the Gauss points: t_k, g1_k, g2_k, t_k+1, ...
-            fine = np.append(np.column_stack([grid[:-1], nodes]).ravel(), grid[-1])
-            xs = _kernel_grid(self.modes, fine, start=x)
-            jumps = (eps * (self.modes.reduce_jump @ np.stack([xs[1::3], xs[2::3]], axis=1)),)
-            x = xs[-1]
-        if h0 is None and not jumps:
-            return state, x
-        gens = vectorize(LindbladGenerator(h0, jumps, eps))
-        return ordered_exponential(gens, grid, start=state)[-1], x
+        return t0 + (t1 - t0) * (u * u if t0 == 0.0 else u)
 
 
 def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace) -> np.ndarray:
@@ -597,25 +707,32 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    total, v_end = _frozen_state_integral(rho_d, protocol, ds)
+    (total, v_end), = _frozen_state_integral(rho_d, protocol, ds)
     return v_end @ (rho_d + eps**2 * total) @ dagger(v_end)
 
 
 def _frozen_state_integral(
-    rho_d: np.ndarray, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen-state dissipator integral over one cycle, and the holonomy V_end.
+    rho_d: np.ndarray,
+    protocol: Protocol,
+    ds: DarkSpace,
+    gauges: Sequence[Gauge | None] = (None,),
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Frozen-state dissipator integral over one cycle, and the holonomy V_end, per frame.
 
     The effective jump comes from the exponential recurrence and V_tau from
     the midpoint holonomy, both on _FROZEN_GRID + 1 uniform times and both in
-    the frame of ``gauge`` when one is given.
+    the frame of each of ``gauges`` (None for none).  H is evaluated once per
+    kernel node for all frames; the middle node of each step is its midpoint,
+    where the holonomy takes the dark block (``_kernel_frames``).
     """
     gammaT = protocol.gammaT
     taus = np.linspace(0.0, gammaT, _FROZEN_GRID + 1)
-    ells = _effective_jump_grid(protocol, ds, taus, gauge)
-    grid = taus / gammaT
-    vs = ordered_exponential(_berry_generator(protocol, ds, grid, gauge), grid)
-    return _dissipator_integral(rho_d, ells, vs, taus), vs[-1]
+    modes = _KernelModes(protocol, ds)
+    out = []
+    for (xs, h0), gauge in zip(_kernel_frames(modes, taus, gauges), gauges):
+        vs = ordered_exponential(-1j * h0, taus / gammaT)
+        out.append((_dissipator_integral(rho_d, _jumps(modes, taus, xs, gauge), vs, taus), vs[-1]))
+    return out
 
 
 def _dissipator_integral(
@@ -630,38 +747,70 @@ def _dissipator_integral(
     return scipy.integrate.simpson(_dissipator(l_rot, rho_d), x=taus, axis=0)
 
 
-def _effective_jump_grid(
-    protocol: Protocol, ds: DarkSpace, taus: np.ndarray, gauge: Gauge | None = None
-) -> np.ndarray:
-    """ell_tau at grid points via the per-mode exponential recurrence, an (n, d, d) stack.
+def _kernel_frames(
+    modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kernel blocks on a time grid and the dark block at its step midpoints, per frame.
 
-    Between grid points the decay is applied exactly, and so is the integral
-    of the decay against the drive's quadratic interpolant through three
-    Gauss-Legendre nodes (``_kernel_grid``).  The grid only has to resolve
-    the drive, whatever the step's rate h: 2048 steps on the smoothstep
-    gammaT = 200 cycle match the quadrature kernel to 1e-13.  The drive is
-    evaluated at all nodes at once, in blocks of phases; only the recurrence
-    itself steps through the grid.
+    The drive is evaluated at every kernel node (``_kernel_nodes``), once for
+    all frames of ``gauges`` (``_node_blocks``), and the recurrence
+    (``_kernel_grid``) runs from zero in each frame.  The grid only has to
+    resolve the drive, whatever the step's rate h: 2048 steps on the
+    smoothstep gammaT = 200 cycle match the quadrature kernel to 1e-13.
+    Returns per frame (xs, h0): xs the kernel blocks at the grid points, in a
+    gauge frame per (mode, drive row) pair (see ``_jumps``), and h0 the
+    (steps, d, d) dark block at the middle node, which is the step's midpoint.
+    """
+    nodes = _kernel_nodes(taus)
+    blocks = _node_blocks(modes, nodes.ravel() / modes.protocol.gammaT, gauges)
+    frames = []
+    for (drives, h0), gauge in zip(blocks, gauges):
+        drives = drives.reshape(nodes.shape + drives.shape[1:])
+        if gauge is not None:
+            drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
+        h0 = h0.reshape(nodes.shape + h0.shape[1:])[:, 1]
+        frames.append((_kernel_grid(modes, taus, drives), h0))
+    return frames
+
+
+def _jumps(
+    modes: _KernelModes, taus: np.ndarray, xs: np.ndarray, gauge: Gauge | None = None
+) -> np.ndarray:
+    """ell_tau = B^dag L X_tau B at the times ``taus`` from their kernel blocks ``xs``, (n, d, d).
 
     In a gauge frame W the drive seen at tau is W(tau)^dag H^W(s) W(tau), and
     W(tau)^dag need not commute with the decay; the recurrence then runs per
     (mode i, drive row j) pair, Y_ij(tau) = int e^{rate_i (s - tau)/2}
     [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
-    modes = _KernelModes(protocol, ds)
-    xs = _kernel_grid(modes, np.asarray(taus, dtype=float), gauge)
     if gauge is None:
         return modes.reduce_jump @ xs
 
     def to_jump(t, x):
-        w = gauge(t / protocol.gammaT)[0]
+        w = gauge(t / modes.protocol.gammaT)[0]
         x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
-        return modes.reduce_jump @ x @ project_dark(ds, w)
+        return modes.reduce_jump @ x @ project_dark(modes.ds, w)
 
     return _blockwise(to_jump, taus, xs)
 
 
-#: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step
+def _end_jumps(
+    protocol: Protocol, ds: DarkSpace, taus: np.ndarray, gauges: Sequence[Gauge | None]
+) -> list[np.ndarray]:
+    """ell at the last time of the grid ``taus`` in each frame of ``gauges``.
+
+    H is evaluated once per kernel node for all frames, and only the last
+    point is turned into a jump.
+    """
+    modes = _KernelModes(protocol, ds)
+    return [
+        _jumps(modes, taus[-1:], xs[-1:], gauge)[0]
+        for (xs, _), gauge in zip(_kernel_frames(modes, taus, gauges), gauges)
+    ]
+
+
+#: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step; the
+#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_kernel_frames``)
 _GL3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 #: column i: coefficients of 1, u, u^2 in the Lagrange basis polynomial of node i
 _GL3_LAGRANGE = np.linalg.inv(np.vander(_GL3_NODES, 3, increasing=True))
@@ -699,16 +848,28 @@ def _decay_weights(z: np.ndarray) -> np.ndarray:
     return moments @ _GL3_LAGRANGE
 
 
+def _kernel_nodes(taus: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre node times of each step of the grids ``taus``, steps along axis 0.
+
+    Returns the (steps, ..., 3) array.
+    """
+    return taus[:-1, ..., None] + np.diff(taus, axis=0)[..., None] * _GL3_NODES
+
+
 def _kernel_grid(
     modes: _KernelModes,
     taus: np.ndarray,
-    gauge: Gauge | None = None,
+    drives: np.ndarray,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Kernel blocks at the grid points by the per-mode exponential recurrence.
 
-    The (n, nb, d) stack of U_b^dag X_tau B, or in a gauge frame the
-    (n, nb, nb, d) stack of Y_ij(tau) (see ``_effective_jump_grid``); the
+    ``taus`` holds its steps along axis 0; further axes index independent
+    grids of the same step count.  ``drives`` holds the drive at their
+    kernel nodes (``_kernel_nodes``), a (steps, ..., 3, nb, d) stack, giving
+    the (points, ..., nb, d) stack of U_b^dag X_tau B; drive rows given as a
+    (steps, 3, 1, nb, d) stack give one recurrence per (mode i, drive row j)
+    pair, the (points, nb, nb, d) stack of Y_ij(tau) (see ``_jumps``).  The
     block at taus[0] is ``start``, zero by default.  Over each step the block
     decays by e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s) ds, the
     drive interpolated through its values at the three Gauss-Legendre nodes
@@ -716,22 +877,19 @@ def _kernel_grid(
     are computed once per distinct step length, and a grid has few: all of a
     uniform grid's steps are one length up to roundoff.
     """
-    nb, d = modes.rates.size, modes.basis.shape[1]
-    h = np.diff(taus)
+    h = np.diff(taus, axis=0)
     lengths, which = np.unique(h, return_inverse=True)
-    s = taus[:-1, None] + h[:, None] * _GL3_NODES  # (steps, 3) node times
-    drives = _blockwise(lambda t: modes.drive(t, gauge), s.ravel()).reshape(s.shape + (nb, d))
+    which = which.reshape(h.shape)
     z = 0.5 * lengths[:, None] * modes.rates  # (lengths, nb)
-    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, nb)
-    if gauge is None:
-        gains = (coef[..., None] * drives).sum(axis=1)
-    else:
-        gains = (coef[..., None, None] * drives[:, :, None]).sum(axis=1)
-    decay = np.exp(-z)[which][(...,) + (None,) * (gains.ndim - 2)]
-    xs = np.zeros((taus.size,) + gains.shape[1:], dtype=complex)
+    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, ..., 3, nb)
+    coef = coef.reshape(coef.shape + (1,) * (drives.ndim - coef.ndim))
+    gains = (coef * drives).sum(axis=h.ndim)
+    decay = np.exp(-z)[which]
+    decay = decay.reshape(decay.shape + (1,) * (gains.ndim - decay.ndim))
+    xs = np.zeros((taus.shape[0],) + gains.shape[1:], dtype=complex)
     if start is not None:
         xs[0] = start
-    for k in range(taus.size - 1):
+    for k in range(h.shape[0]):
         xs[k + 1] = decay[k] * xs[k] + gains[k]
     return xs
 

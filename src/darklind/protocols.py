@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import _norms, dagger, frobenius
+from .linalg import _gemm, _norms, dagger, frobenius
 
 __all__ = [
     "spin_operators",
@@ -252,13 +252,14 @@ def _exp_factory(generator: np.ndarray) -> Callable[[float], np.ndarray]:
     """Cached eigenbasis for exp(i * angle * G) with G Hermitian.
 
     The returned function takes one angle, or an (n, 1, 1) column of angles
-    (see ``_angle``) and then returns the (n, d, d) stack of exponentials.
+    (see ``_angle``) and then returns the (n, d, d) stack of exponentials,
+    multiplied by the fixed V^dag in one GEMM.
     """
     w, v = np.linalg.eigh(generator)
     vd = dagger(v)
 
     def rot(angle: float) -> np.ndarray:
-        return (v * np.exp(1j * angle * w)) @ vd
+        return _gemm(v * np.exp(1j * angle * w), vd)
 
     return rot
 
@@ -346,11 +347,12 @@ def custom_protocol(
         return reduce(np.matmul, handoff.put(s))
 
     def du_of(s: float) -> np.ndarray:
-        # the sum over k of the product with F_k replaced by i alpha_k' G_k F_k
+        # the sum over k of the product with F_k replaced by i alpha_k' G_k F_k,
+        # G_k F_k of a stack as one GEMM
         factors = handoff.take(s)
         for k in range(n):
             chain = factors.copy()
-            chain[k] = 1j * _angle(dangles[k], s) * (gens[k] @ factors[k])
+            chain[k] = 1j * _angle(dangles[k], s) * _gemm(gens[k], factors[k])
             term = reduce(np.matmul, chain)
             du = du + term if k else term
         return du

@@ -286,7 +286,9 @@ class TestGauge:
         assert np.linalg.norm(gen @ rates - rates @ gen) >= 1.0
         gauge = analysis._sin2_gauge(gen)
         taus = np.linspace(0.0, 30.0, 513)
-        ells = eff._effective_jump_grid(proto, ds, taus, gauge)
+        modes = eff._KernelModes(proto, ds)
+        (xs, _), = eff._kernel_frames(modes, taus, (gauge,))
+        ells = eff._jumps(modes, taus, xs, gauge)
         p_perp = np.eye(4) - ds.projector
 
         def tilted_hamiltonian(s):

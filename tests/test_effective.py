@@ -7,7 +7,12 @@ import pytest
 import scipy.integrate
 
 import darklind.effective as eff
-from darklind.analysis import dark_state_from_bloch, purity, trace_distance
+from darklind.analysis import (
+    dark_state_from_bloch,
+    purity,
+    purity_prediction_general,
+    trace_distance,
+)
 from darklind.effective import (
     NoDarkSpaceError,
     adiabatic_hamiltonian,
@@ -206,6 +211,42 @@ class TestHamiltonianOnGrid:
             assert isinstance(s, np.ndarray) and s.ndim == 1 and 0 < s.size <= eff._PHASE_BLOCK
 
 
+def counting_u(proto) -> tuple:
+    """The protocol with U wrapped to record the phases of every call, and that record."""
+    calls = []
+
+    def counted(s, u_of=proto.U):
+        calls.append(np.size(s))
+        return u_of(s)
+
+    proto = dataclasses.replace(proto, U=counted)
+    calls.clear()  # construction samples the path
+    return proto, calls
+
+
+class TestHamiltonianCalls:
+    def test_doubling_levels_share_blocks_across_intervals(self):
+        # one batch per doubling level for all 32 intervals: the 9,504 phases in
+        # 38 calls, against 135 with one call per interval and level
+        proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
+        ds = dark_space(proto.L_rot)
+        evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
+                         np.linspace(0.0, 200.0, 33))
+        assert sum(calls) == 9504
+        assert len(calls) <= 45
+
+    @pytest.mark.parametrize("query", [
+        lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
+        lambda p, ds, rho: purity_prediction_general(rho, p, ds),
+    ], ids=["end-of-cycle", "prediction"])
+    def test_frozen_state_integral_evaluates_each_node_once(self, query):
+        # three kernel nodes per step of 2048, the middle one the holonomy's
+        # midpoint: 6,144 phases in 24 calls (8,192 in 32 with the midpoint twice)
+        proto, calls = counting_u(spin32_protocol(smoothstep_path(1, 1), 200.0))
+        query(proto, dark_space(proto.L_rot), dark_state_from_bloch((0.0, 1.0, 0.0)))
+        assert (len(calls), sum(calls)) == (24, 6144)
+
+
 class TestProjectedHamiltonian:
     def test_theta_drive(self, spin32_linear, spin32_ds):
         from darklind.effective import projected_hamiltonian
@@ -331,7 +372,9 @@ class TestEffectiveJump:
         # (measured 7.1e-14 at 2049 points, 1.2e-8 at 257)
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         taus = np.linspace(0.0, 200.0, 2049)
-        ells = eff._effective_jump_grid(proto, spin32_ds, taus)
+        modes = eff._KernelModes(proto, spin32_ds)
+        (xs, _), = eff._kernel_frames(modes, taus)
+        ells = eff._jumps(modes, taus, xs)
         for k in (3, 512, 1100, 2048):
             x = x_tau_integral(proto, spin32_ds, taus[k])
             oracle = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis

@@ -4,6 +4,9 @@ import scipy.linalg
 
 from darklind.linalg import (
     CF4_NODES,
+    _cf4_steps,
+    _gemm,
+    _ordered_product,
     dagger,
     kernel_basis,
     matrix_exp,
@@ -246,3 +249,46 @@ class TestMagnusExponential:
         expected = grid[3] + CF4_NODES[0] * 0.25
         with pytest.raises(ValueError, match=f"phase {expected}"):
             ordered_exponential(gens, grid)
+
+
+class TestStackProducts:
+    @pytest.mark.parametrize("shape", [(7, 4, 3), (2, 5, 4, 3)])
+    def test_gemm_stack_times_matrix(self, rng, shape):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = random_matrix(rng, 4)[:3]
+        assert _gemm(a, b).shape == shape[:-1] + (4,)
+        assert np.abs(_gemm(a, b) - np.matmul(a, b)).max() <= 1e-14
+
+    def test_gemm_matrix_times_stack(self, rng):
+        a = random_matrix(rng, 4)[:2]
+        b = rng.normal(size=(9, 4, 3)) + 1j * rng.normal(size=(9, 4, 3))
+        assert np.abs(_gemm(a, b) - np.matmul(a, b)).max() <= 1e-14
+
+    def test_gemm_on_non_contiguous_views(self, rng):
+        a = rng.normal(size=(8, 4, 6)) + 1j * rng.normal(size=(8, 4, 6))
+        m = random_matrix(rng, 6)
+        view = a[::2, :, ::2]  # strided in two axes
+        assert np.abs(_gemm(view, m[::2, :3]) - np.matmul(view, m[::2, :3])).max() <= 1e-14
+        assert np.abs(_gemm(m[:4, ::2].T, view) - np.matmul(m[:4, ::2].T, view)).max() <= 1e-14
+
+    def test_gemm_one_matrix(self, rng):
+        a, b = random_matrix(rng, 4), random_matrix(rng, 4)
+        assert np.abs(_gemm(a, b) - a @ b).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_pairwise_product_matches_sequential(self, rng, n):
+        steps = np.stack([np.stack([matrix_exp(random_matrix(rng, 3, scale=0.3))
+                                    for _ in range(2)]) for _ in range(n)])  # (n, 2, 3, 3)
+        sequential = np.broadcast_to(np.eye(3), (2, 3, 3))
+        for step in steps:
+            sequential = step @ sequential
+        assert np.abs(_ordered_product(steps) - sequential).max() <= 1e-13
+
+    def test_cf4_steps_give_the_magnus_product(self, rng):
+        grid, s = gauss_points(8)
+        gens = np.sin(s) * random_matrix(rng, 3)
+        steps = _cf4_steps(np.stack([gens, 2.0 * gens], axis=1), np.diff(grid)[:, None])
+        assert steps.shape == (8, 2, 3, 3)
+        for k, scale in enumerate((1.0, 2.0)):
+            expected = ordered_exponential(scale * gens, grid)[-1]
+            assert np.abs(_ordered_product(steps[:, k]) - expected).max() <= 1e-13

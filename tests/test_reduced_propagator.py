@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -172,6 +172,9 @@ def test_custom_protocol_matches_joint_ode():
     m_phi=st.integers(0, 1),
     gammaT=st.floats(20.0, 40.0),
 )
+# the kernel start must come from the previous interval's accepted grid: a start
+# carried from its 16-step chain misses this case's gate (1.5e-9)
+@example(theta_knots=[0.0, 0.25], phi_knots=[], m_phi=1, gammaT=20.0)
 def test_random_fourier_paths(theta_knots, phi_knots, m_phi, gammaT):
     path = fourier_path(1, m_phi, theta_knots=theta_knots, phi_knots=phi_knots)
     proto = spin32_protocol(path, gammaT)
@@ -198,6 +201,26 @@ class TestFailsLoudly:
         assert info.value.tau == 0.0
         assert info.value.estimate > 0.0
         assert isinstance(info.value, NUMERICAL_ERRORS)
+
+    def test_doubling_builds_finer_levels_for_one_interval_only(self, monkeypatch):
+        # an unreachable target fails the first of 33 intervals; only it may go past 16 steps
+        monkeypatch.setattr(eff, "_MAGNUS_MAX_DOUBLINGS", 4)
+        built = []
+        add_levels = eff._MagnusPropagator._add_levels
+
+        def counting(self, spans, levels, wanted):
+            built.extend(wanted)
+            return add_levels(self, spans, levels, wanted)
+
+        monkeypatch.setattr(eff._MagnusPropagator, "_add_levels", counting)
+        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
+        ds = dark_space(proto.L_rot)
+        with pytest.raises(ConvergenceError) as info:
+            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
+                             np.linspace(0.0, 20.0, 33), mode="unitary", rtol=0.0, atol=0.0)
+        assert info.value.interval == (0.0, 0.625)
+        assert sorted(w for w in built if w[1] > 16) == [(0, 32), (0, 64), (0, 128)]
+        assert len(built) == 2 * 32 + 3
 
     @pytest.mark.parametrize("tolerances", [(-1e-10, 1e-13), (1e-10, -1e-13), (math.nan, 1e-13)])
     def test_rejects_negative_tolerances(self, tolerances, spin32_linear, spin32_ds):
