@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.integrate
@@ -28,7 +28,7 @@ from .effective import (
     rotating_generator,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import dagger, frobenius, matrix_exp
+from .linalg import _prefix_scan, dagger, frobenius, matrix_exp
 from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
@@ -148,23 +148,6 @@ def _purity_after(rho_d: np.ndarray, total: np.ndarray, gammaT: float) -> float:
     return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
-def _prefix_scan(
-    x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-) -> np.ndarray:
-    """Inclusive prefix of ``x`` along axis 0 in log2(n) vectorised passes (Hillis-Steele).
-
-    Before the pass with offset k, entry j holds the prefix over the window of
-    k entries ending at j; ``combine(late, early, k)`` joins it with the
-    window just before, for all j >= k at once.
-    """
-    x = x.copy()
-    k = 1
-    while k < x.shape[0]:
-        x[k:] = combine(x[k:], x[:-k], k)
-        k *= 2
-    return x
-
-
 def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     """Closed-form purity after one cycle for the spin-3/2 protocol.
 
@@ -177,7 +160,8 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.  The path
     angles are evaluated on all nodes at once; the constant-decay recurrence
     for b and the product of the 2x2 holonomy steps, each an SU(2) rotation
-    in closed form, are prefix scans of log2 depth.
+    in closed form, are prefix scans of log2 depth, each with its own combine
+    on the generic ``linalg._prefix_scan``.
     """
     rate = 3.0
     gammaT = float(gammaT)

@@ -35,6 +35,7 @@ from .linalg import (
     _gemm,
     _norms,
     _ordered_product,
+    _prefix_scan,
     dagger,
     frobenius,
     kernel_basis,
@@ -162,10 +163,13 @@ def adiabatic_hamiltonian(protocol: Protocol, s: float) -> np.ndarray:
 def _adiabatic_hamiltonian_grid(protocol: Protocol, s: np.ndarray) -> np.ndarray:
     if s.ndim != 1:
         raise ValueError(f"phases must be one phase or a 1-D array, got shape {s.shape}")
-    stack = (s.size, protocol.dim, protocol.dim)
+    dim = protocol.dim
+    stack = (s.size, dim, dim)
     u = _phase_stack(protocol.U, s, stack, "U")
-    _require_each(_norms(dagger(u) @ u - np.eye(protocol.dim)) <= 1e-8, s, "U({}) is not unitary")
-    h = 1j * _phase_stack(protocol.dU, s, stack, "dU") @ dagger(u)
+    # [U; dU] U^dag in one product; for a square U, |U U^dag - 1| = |U^dag U - 1|
+    both = np.concatenate([u, _phase_stack(protocol.dU, s, stack, "dU")], axis=1) @ dagger(u)
+    _require_each(_norms(both[:, :dim] - np.eye(dim)) <= 1e-8, s, "U({}) is not unitary")
+    h = 1j * both[:, dim:]
     _require_each(
         _norms(h - dagger(h)) <= 1e-8 * np.maximum(_norms(h), 1.0), s,
         "effective Hamiltonian not Hermitian at s={}",
@@ -886,12 +890,24 @@ def _kernel_grid(
     gains = (coef * drives).sum(axis=h.ndim)
     decay = np.exp(-z)[which]
     decay = decay.reshape(decay.shape + (1,) * (gains.ndim - decay.ndim))
+    # x_k+1 = decay_k x_k + gain_k: each step as the affine map [decay | gain], prefix-composed
+    maps = _prefix_scan(
+        np.concatenate([np.broadcast_to(decay, gains.shape[:-1] + (1,)), gains], axis=-1),
+        _compose_affine,
+    )
     xs = np.zeros((taus.shape[0],) + gains.shape[1:], dtype=complex)
+    xs[1:] = maps[..., 1:]
     if start is not None:
         xs[0] = start
-    for k in range(h.shape[0]):
-        xs[k + 1] = decay[k] * xs[k] + gains[k]
+        xs[1:] += maps[..., :1] * start
     return xs
+
+
+def _compose_affine(late: np.ndarray, early: np.ndarray, k: int) -> np.ndarray:
+    """The map x -> a_l (a_e x + b_e) + b_l of [a_l | b_l] after [a_e | b_e], along the last axis."""
+    out = late[..., :1] * early
+    out[..., 1:] += late[..., 1:]
+    return out
 
 
 def reconstruct_full_state(

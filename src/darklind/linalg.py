@@ -8,6 +8,9 @@ dense complex square numpy arrays; dimensions of interest are 4-16.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 import numpy as np
 
 __all__ = [
@@ -210,9 +213,50 @@ def ordered_exponential(
     first = np.eye(generators.shape[-1]) if start is None else np.asarray(start, dtype=complex)
     out = np.empty((grid.size,) + first.shape, dtype=complex)
     out[0] = first
-    for k, step in enumerate(steps):
-        out[k + 1] = step @ out[k]
+    out[1:] = _cumulative_product(steps, first)
     return out
+
+
+def _cumulative_product(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """steps[k] ... steps[0] first for every k, in O(sqrt(n)) Python iterations.
+
+    The n steps are cut into about sqrt(n) blocks of equal size (the last one
+    padded with identities).  A running product within each block advances
+    all blocks at once; the carries, each block's product applied to the
+    carry before it, follow in sequence; one stacked product then applies
+    every running product to its block's carry.
+    """
+    n, d = len(steps), steps.shape[-1]
+    size = math.isqrt(n)
+    blocks = -(-n // size)
+    padded = np.empty((blocks * size, d, d), dtype=complex)
+    padded[:n] = steps
+    padded[n:] = np.eye(d)
+    running = padded.reshape(blocks, size, d, d)
+    for j in range(1, size):
+        running[:, j] = running[:, j] @ running[:, j - 1]
+    carries = np.empty((blocks,) + first.shape, dtype=complex)
+    carries[0] = first
+    for i in range(1, blocks):
+        carries[i] = running[i - 1, -1] @ carries[i - 1]
+    return (running @ carries[:, None]).reshape((-1,) + first.shape)[:n]
+
+
+def _prefix_scan(
+    x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+) -> np.ndarray:
+    """Inclusive prefix of ``x`` along axis 0 in log2(n) vectorised passes (Hillis-Steele).
+
+    Before the pass with offset k, entry j holds the prefix over the window of
+    k entries ending at j; ``combine(late, early, k)`` joins it with the
+    window just before, for all j >= k at once.
+    """
+    x = x.copy()
+    k = 1
+    while k < x.shape[0]:
+        x[k:] = combine(x[k:], x[:-k], k)
+        k *= 2
+    return x
 
 
 def _cf4_steps(generators: np.ndarray, lengths: np.ndarray) -> np.ndarray:

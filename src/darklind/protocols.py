@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -248,20 +247,48 @@ class Protocol:
         return replace(self, gammaT=gammaT)
 
 
-def _exp_factory(generator: np.ndarray) -> Callable[[float], np.ndarray]:
-    """Cached eigenbasis for exp(i * angle * G) with G Hermitian.
+class _EigenChain:
+    """U(s) = prod_k exp(i alpha_k(s) G_k) and its phase derivative along the generators' eigenbases.
 
-    The returned function takes one angle, or an (n, 1, 1) column of angles
-    (see ``_angle``) and then returns the (n, d, d) stack of exponentials,
-    multiplied by the fixed V^dag in one GEMM.
+    With G_k = V_k diag(w_k) V_k^dag, U = V_0 D_0 C_01 D_1 ... D_{n-1} V_{n-1}^dag,
+    where D_k = diag(e^{i alpha_k w_k}) and the links C_{k,k+1} = V_k^dag V_{k+1}
+    are fixed.  The partial products A_k = P_k D_k, P_k = A_{k-1} C_{k-1,k} and
+    P_0 = V_0, cost one GEMM with a fixed link and one column scaling each.  dU
+    runs the product rule along the same links: B_k = (B_{k-1} C_{k-1,k} +
+    i alpha_k' P_k diag(w_k)) D_k from B_{-1} = 0, and dU = B_{n-1} V_{n-1}^dag.
+    One phase and a 1-D array of phases (see ``_angle``) run the same code.
     """
-    w, v = np.linalg.eigh(generator)
-    vd = dagger(v)
 
-    def rot(angle: float) -> np.ndarray:
-        return _gemm(v * np.exp(1j * angle * w), vd)
+    def __init__(self, generators: Sequence[np.ndarray], angles: Sequence[Callable],
+                 dangles: Sequence[Callable]):
+        eigen = [np.linalg.eigh(g) for g in generators]
+        self.iw = [1j * w for w, _ in eigen]
+        self.first = eigen[0][1]
+        self.links = [dagger(a) @ b for (_, a), (_, b) in zip(eigen, eigen[1:])]
+        self.last = dagger(eigen[-1][1])
+        self.angles, self.dangles = angles, dangles
 
-    return rot
+    def phase(self, s) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pairs (P_k, diagonal of D_k) at phase s, which U and dU both read."""
+        pieces = []
+        p = self.first
+        for k, (iw, angle) in enumerate(zip(self.iw, self.angles)):
+            if k:
+                p = _gemm(p * pieces[-1][1], self.links[k - 1])
+            pieces.append((p, np.exp(_angle(angle, s) * iw)))
+        return pieces
+
+    def u(self, pieces: list) -> np.ndarray:
+        p, d = pieces[-1]
+        return _gemm(p * d, self.last)
+
+    def du(self, pieces: list, s) -> np.ndarray:
+        for k, ((p, d), iw, dangle) in enumerate(zip(pieces, self.iw, self.dangles)):
+            term = _angle(dangle, s) * (p * iw)  # i alpha_k' P_k diag(w_k)
+            if k:
+                term += _gemm(b, self.links[k - 1])
+            b = term * d
+        return _gemm(b, self.last)
 
 
 class _Handoff:
@@ -324,42 +351,42 @@ def custom_protocol(
 
     Generators must be Hermitian, and ``dangles`` holds the analytic
     derivative alpha_k'(s) of every angle, from which dU is built; there is
-    no finite-difference fallback.  With no generators U = 1 and dU = 0.
-    Construction rejects non-cyclic paths.
+    no finite-difference fallback.  Every generator must be square and of the
+    dimension of the square ``L_rot``; a ValueError names the first that is
+    not.  With no generators U = 1 and dU = 0.  U and dU run along the
+    generators' eigenbases (``_EigenChain``).  Construction rejects non-cyclic
+    paths.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if len(gens) != len(angles):
         raise ValueError("need one angle function per generator")
     if len(dangles) != len(angles):
         raise ValueError("need one derivative per angle function")
-    for g in gens:
+    L_rot = np.asarray(L_rot, dtype=complex)
+    if L_rot.ndim != 2 or L_rot.shape[0] != L_rot.shape[1]:
+        raise ValueError(f"L_rot must be square, got shape {L_rot.shape}")
+    dim = L_rot.shape[0]
+    for k, g in enumerate(gens):
+        if g.shape != (dim, dim):
+            raise ValueError(f"generator {k} has shape {g.shape}; every generator must be "
+                             f"square and of the dimension {dim} of L_rot")
         if frobenius(g - dagger(g)) > 1e-10 * max(frobenius(g), 1.0):
-            raise ValueError("generators must be Hermitian")
-    dim = gens[0].shape[0] if gens else np.asarray(L_rot).shape[0]
+            raise ValueError(f"generators must be Hermitian: generator {k} is not")
     if not gens:  # no rotation, which a config may ask for: exp(i 0 0) = 1, so dU = 0
         gens = [np.zeros((dim, dim), dtype=complex)]
         angles = dangles = [lambda s: 0.0]
-    n = len(gens)
-    rots = [_exp_factory(g) for g in gens]
-    handoff = _Handoff(lambda s: [rot(_angle(ang, s)) for rot, ang in zip(rots, angles)])
+    chain = _EigenChain(gens, angles, dangles)
+    handoff = _Handoff(chain.phase)
 
     def u_of(s: float) -> np.ndarray:
-        return reduce(np.matmul, handoff.put(s))
+        return chain.u(handoff.put(s))
 
     def du_of(s: float) -> np.ndarray:
-        # the sum over k of the product with F_k replaced by i alpha_k' G_k F_k,
-        # G_k F_k of a stack as one GEMM
-        factors = handoff.take(s)
-        for k in range(n):
-            chain = factors.copy()
-            chain[k] = 1j * _angle(dangles[k], s) * _gemm(gens[k], factors[k])
-            term = reduce(np.matmul, chain)
-            du = du + term if k else term
-        return du
+        return chain.du(handoff.take(s), s)
 
     return Protocol(
         dim=dim,
-        L_rot=np.asarray(L_rot, dtype=complex),
+        L_rot=L_rot,
         U=u_of,
         dU=du_of,
         gammaT=float(gammaT),

@@ -550,6 +550,56 @@ class TestDecayWeights:
             assert np.array_equal(got[idx], eff._decay_weights(np.array([z[idx]]))[0])
 
 
+def sequential_kernel(rates, taus, drives, start):
+    """The kernel recurrence of ``_kernel_grid`` step by step, on one 1-D grid.
+
+    ``drives`` is (steps, 3, nb, d) for one recurrence per mode, or
+    (steps, 3, 1, nb, d) for one per (mode, drive row) pair.
+    """
+    pairs = drives.ndim == 5
+    x, out = start, [start]
+    for k, h in enumerate(np.diff(taus)):
+        weights = h * eff._decay_weights(0.5 * h * rates)  # (nb, 3)
+        if pairs:
+            gain = np.einsum("in,njd->ijd", weights, drives[k, :, 0])
+            decay = np.exp(-0.5 * h * rates)[:, None, None]
+        else:
+            gain = np.einsum("in,nid->id", weights, drives[k])
+            decay = np.exp(-0.5 * h * rates)[:, None]
+        x = decay * x + gain
+        out.append(x)
+    return np.array(out)
+
+
+class TestKernelScan:
+    def test_matches_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
+        # three graded, non-uniform grids side by side, each from its own nonzero start
+        modes = eff._KernelModes(spin32_linear, spin32_ds)
+        nb, d, steps = modes.rates.size, spin32_ds.d, 300
+        u = np.linspace(0.0, 1.0, steps + 1)[:, None]
+        taus = np.array([0.0, 20.0, 150.0]) + np.array([40.0, 7.0, 50.0]) * u ** [2.0, 1.5, 3.0]
+        drives = rng.normal(size=(steps, 3, 3, nb, d)) + 1j * rng.normal(size=(steps, 3, 3, nb, d))
+        start = rng.normal(size=(3, nb, d)) + 1j * rng.normal(size=(3, nb, d))
+        xs = eff._kernel_grid(modes, taus, drives, start=start)
+        assert xs.shape == (steps + 1, 3, nb, d)
+        for p in range(3):
+            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p], start[p])
+            assert np.abs(xs[:, p] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_mode_row_pairs_match_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
+        modes = eff._KernelModes(spin32_linear, spin32_ds)
+        nb, d, steps = modes.rates.size, spin32_ds.d, 257
+        taus = 30.0 * np.linspace(0.0, 1.0, steps + 1) ** 2
+        drives = rng.normal(size=(steps, 3, 1, nb, d)) + 1j * rng.normal(size=(steps, 3, 1, nb, d))
+        start = rng.normal(size=(nb, nb, d)) + 1j * rng.normal(size=(nb, nb, d))
+        for begin in (None, start):
+            xs = eff._kernel_grid(modes, taus, drives, start=begin)
+            first = np.zeros((nb, nb, d), dtype=complex) if begin is None else begin
+            expected = sequential_kernel(modes.rates, taus, drives, first)
+            assert xs.shape == expected.shape
+            assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestEffectiveRhs:
     def test_scalar_jump_and_commuting_state(self):
         proto = phi_only_protocol()

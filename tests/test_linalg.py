@@ -292,3 +292,44 @@ class TestStackProducts:
         for k, scale in enumerate((1.0, 2.0)):
             expected = ordered_exponential(scale * gens, grid)[-1]
             assert np.abs(_ordered_product(steps[:, k]) - expected).max() <= 1e-13
+
+
+class TestBlockedCumulativeProduct:
+    """The blocked cumulative product of ``ordered_exponential`` against the sequential one."""
+
+    @staticmethod
+    def sequential(steps, first):
+        out = [first]
+        for step in steps:
+            out.append(step @ out[-1])
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 2047, 2048])
+    @pytest.mark.parametrize("magnus", [False, True], ids=["midpoint", "cf4"])
+    @pytest.mark.parametrize("columns", [None, 2], ids=["identity", "block"])
+    def test_matches_the_sequential_product(self, rng, n, magnus, columns):
+        grid = np.linspace(0.0, 1.0, n + 1)
+        h = random_matrix(rng, 3)
+        h = h + dagger(h)
+        nodes = grid[:-1, None] + np.diff(grid)[:, None] * (CF4_NODES if magnus else [0.5])
+        gens = -1j * np.cos(5.0 * nodes)[..., None, None] * h + random_matrix(rng, 3, 0.1)
+        if magnus:
+            steps = _cf4_steps(gens, np.diff(grid))
+        else:
+            gens = gens[:, 0]
+            steps = matrix_exp(gens * np.diff(grid)[:, None, None])
+        start = None if columns is None else random_matrix(rng, 3)[:, :columns]
+        got = ordered_exponential(gens, grid, start=start)
+        expected = self.sequential(steps, np.eye(3) if start is None else start)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("magnus", [False, True], ids=["midpoint", "cf4"])
+    def test_nonfinite_generator_named_on_a_long_grid(self, magnus):
+        grid = np.linspace(0.0, 1.0, 2049)
+        gens = np.zeros((2048, 2, 2, 2) if magnus else (2048, 2, 2), dtype=complex)
+        gens[2000] = np.inf
+        ds = np.diff(grid)[2000]
+        phase = grid[2000] + CF4_NODES[0] * ds if magnus else 0.5 * (grid[2000] + grid[2001])
+        with pytest.raises(ValueError, match=f"non-finite generator at phase {phase}"):
+            ordered_exponential(gens, grid)

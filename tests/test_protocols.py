@@ -1,8 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darklind import protocols
@@ -22,21 +24,16 @@ from darklind.protocols import (
 )
 
 
-def counting_rotations(monkeypatch) -> list:
-    """Record the angle shape of every rotation built by ``_exp_factory`` rotations."""
+def counting_phase_builds(monkeypatch) -> list:
+    """Record the phase shape of every build of a protocol's eigenbasis chain."""
     builds = []
-    factory = protocols._exp_factory
+    phase = protocols._EigenChain.phase
 
-    def counting_factory(generator):
-        rot = factory(generator)
+    def counted(self, s):
+        builds.append(np.shape(s))
+        return phase(self, s)
 
-        def counted(angle):
-            builds.append(np.shape(angle))
-            return rot(angle)
-
-        return counted
-
-    monkeypatch.setattr(protocols, "_exp_factory", counting_factory)
+    monkeypatch.setattr(protocols._EigenChain, "phase", counted)
     return builds
 
 
@@ -153,17 +150,17 @@ class TestSpin32Protocol:
             spin32_protocol(linear_path(1, 0), 0.0)
 
     def test_hamiltonian_builds_each_rotation_once(self, monkeypatch):
-        builds = counting_rotations(monkeypatch)
+        builds = counting_phase_builds(monkeypatch)
         proto = spin32_protocol(smoothstep_path(1, 1), 100.0)
         phases = np.linspace(0.0, 1.0, 7)
         for s in (0.3, phases):
             builds.clear()
             h = adiabatic_hamiltonian(proto, s)
-            assert len(builds) == 2  # exp(i theta S_y) and exp(i phi S_z)
+            assert builds == [np.shape(s)]  # one chain for U and dU together
             builds.clear()
-            # a fresh U/dU pair at another phase builds both again
+            # a fresh U/dU pair at another phase builds it again
             adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
-            assert len(builds) == 2
+            assert builds == [np.shape(s)]
         assert h.shape == (7, 4, 4)
 
     def test_rotation_reuse_follows_the_phase_values(self, spin32_linear):
@@ -299,6 +296,18 @@ class TestCustomProtocol:
         with pytest.raises(ValueError, match="Hermitian"):
             custom_protocol([bad], [lambda s: s], np.eye(2), 50.0, dangles=[lambda s: 1.0])
 
+    @pytest.mark.parametrize("generators, index", [
+        ([np.diag([1.0, -1.0, 0.5, 0.0]), np.diag([1.0, -1.0])], 1),  # 2x2 after 4x4
+        ([np.zeros((4, 3))], 0),  # not square
+        ([np.eye(2)], 0),  # square, but not L_rot's dimension
+    ])
+    def test_rejects_mismatched_generators(self, generators, index):
+        with pytest.raises(ValueError, match=f"generator {index} has shape"):
+            custom_protocol(
+                generators, [lambda s: 0.0] * len(generators), protocols.spin32_jump(), 50.0,
+                dangles=[lambda s: 0.0] * len(generators),
+            )
+
     def test_rejects_non_cyclic_path(self):
         _, _, sz = spin_operators(1)
         with pytest.raises(ValueError, match="cyclic"):
@@ -317,16 +326,16 @@ class TestCustomProtocol:
         )
 
     def test_hamiltonian_builds_each_rotation_once(self, monkeypatch):
-        builds = counting_rotations(monkeypatch)
+        builds = counting_phase_builds(monkeypatch)
         proto = self.two_generator_protocol()
         phases = np.linspace(0.0, 1.0, 7)
         for s in (0.3, phases):
             builds.clear()
             adiabatic_hamiltonian(proto, s)
-            assert len(builds) == 2  # one rotation per generator, shared by U and dU
+            assert builds == [np.shape(s)]  # one chain per phase, shared by U and dU
             builds.clear()
             adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
-            assert len(builds) == 2
+            assert builds == [np.shape(s)]
 
     def test_derivative_unchanged_by_rotation_reuse(self):
         proto = self.two_generator_protocol()
@@ -429,3 +438,57 @@ def test_random_custom_protocols_are_consistent(two_j, factors):
     for k, s in enumerate(grid):
         one = adiabatic_hamiltonian(proto, float(s))
         assert np.linalg.norm(stack[k] - one) <= 1e-14 * max(1.0, np.linalg.norm(one))
+
+
+#: one factor exp(i alpha(s) G): a random Hermitian G (its seed) or, for None,
+#: the degenerate S_z^2, and the sine knots of alpha, which starts and ends at 0
+_CHAIN_FACTOR = st.tuples(
+    st.one_of(st.none(), st.integers(0, 2**16)),
+    st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=2),
+)
+
+
+def expm_factors(gens, alphas):
+    return [scipy.linalg.expm(1j * a * g) for g, a in zip(gens, alphas)]
+
+
+@settings(max_examples=12)
+@given(dim=st.integers(2, 6), factors=st.lists(_CHAIN_FACTOR, max_size=3))
+@example(dim=3, factors=[])
+@example(dim=5, factors=[(7, [0.3]), (None, [-0.2, 0.1]), (11, [0.25])])
+def test_chain_matches_expm_products(dim, factors):
+    sz = spin_operators(dim - 1)[2]
+    gens, paths = [], []
+    for seed, knots in factors:
+        if seed is None:
+            gens.append(sz @ sz)  # degenerate for every spin
+        else:
+            a = np.random.default_rng(seed).normal(size=(2, dim, dim))
+            gens.append((a[0] + 1j * a[1] + (a[0] + 1j * a[1]).conj().T) / 2)
+        paths.append(fourier_path(0, 0, theta_knots=knots))
+    proto = custom_protocol(gens, [p.theta for p in paths], np.diag(np.arange(dim)), 50.0,
+                            dangles=[p.dtheta for p in paths])
+
+    phases = np.linspace(0.0, 1.0, 9)
+    expected_u, expected_du = [], []
+    for s in phases.tolist():
+        factors_s = expm_factors(gens, [p.theta(s) for p in paths])
+        expected_u.append(reduce(np.matmul, factors_s, np.eye(dim)))
+        # the product rule: factor k replaced by i alpha_k' G_k exp(i alpha_k G_k)
+        du = np.zeros((dim, dim), dtype=complex)
+        for k, (g, p) in enumerate(zip(gens, paths)):
+            chain = list(factors_s)
+            chain[k] = 1j * p.dtheta(s) * g @ factors_s[k]
+            du += reduce(np.matmul, chain)
+        expected_du.append(du)
+    expected_u, expected_du = np.array(expected_u), np.array(expected_du)
+
+    scale_u, scale_du = 1.0, max(1.0, np.abs(expected_du).max())
+    for got_u, got_du in (
+        (proto.U(phases), proto.dU(phases)),
+        (np.array([proto.U(s) for s in phases.tolist()]),
+         np.array([proto.dU(s) for s in phases.tolist()])),
+    ):
+        assert got_u.shape == got_du.shape == (phases.size, dim, dim)
+        assert np.abs(got_u - expected_u).max() <= 1e-13 * scale_u
+        assert np.abs(got_du - expected_du).max() <= 1e-13 * scale_du
