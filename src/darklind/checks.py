@@ -314,14 +314,11 @@ def check_kernel_and_channel(ctx: AcceptanceContext) -> CriterionResult:
 
 def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
     """Trace, Hermiticity, positivity and refinement self-consistency."""
-    worst_trace = worst_herm = worst_neg = 0.0
-    for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)):
-        traj, _ = ctx.exact_run(n0, 200.0)
-        for state in traj.states:
-            herm, tr_dev, min_eig = _physicality(state)
-            worst_trace = max(worst_trace, tr_dev)
-            worst_herm = max(worst_herm, herm)
-            worst_neg = max(worst_neg, -min_eig)
+    runs = [ctx.exact_run(n0, 200.0)[0] for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
+    herm, tr_dev, min_eig = _physicality(np.concatenate([run.states for run in runs]))
+    worst_trace = float(np.max(tr_dev, initial=0.0))
+    worst_herm = float(np.max(herm, initial=0.0))
+    worst_neg = 0.0 - float(np.min(min_eig, initial=0.0))  # +0.0, not -0.0, when none is negative
     proto = ctx.protocol_200.with_gammaT(100.0)
     rho_full = embed_dark(ctx.ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
     fine = integrate(lab_generator(proto), rho_full, (0.0, 100.0), rtol=RTOL, atol=ATOL).final

@@ -304,7 +304,8 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
     )
     eff_states = eff.evolve_effective(rho_d, proto, ds, taus)
     rows = []
-    for tau, state, rho_eff in zip(traj.times, traj.states, eff_states):
+    min_eigs = _physicality(traj.states)[2].tolist()
+    for tau, state, rho_eff, min_eig in zip(traj.times, traj.states, eff_states, min_eigs):
         u = proto.U(min(max(tau / gammaT, 0.0), 1.0))
         dd = dagger(ds.basis) @ (u @ state @ dagger(u)) @ ds.basis
         if ds.d == 2:
@@ -315,7 +316,7 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
             tau,
             purity(state),
             float(np.trace(state).real),
-            _physicality(state)[2],
+            min_eig,
             nx, ny, nz,
             trace_distance(dd, rho_eff),
         ))

@@ -35,6 +35,7 @@ from .linalg import (
     _gemm,
     _norms,
     _ordered_product,
+    _ordered_steps,
     _prefix_scan,
     dagger,
     frobenius,
@@ -425,11 +426,12 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     Unitary d x d; the generator is the dark block of the adiabatic
     Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
     runs on the grid of every per-tau query (``_phase_grid``): _FROZEN_GRID
-    steps per cycle, ceil(_FROZEN_GRID tau / gammaT) and at least one.
+    steps per cycle, ceil(_FROZEN_GRID tau / gammaT) and at least one; the
+    steps, those of ``ordered_exponential``, are multiplied pairwise.
     """
     grid = _phase_grid(protocol, tau)
     (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
-    return ordered_exponential(-1j * h0, grid)[-1]
+    return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
 def _blockwise(fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:

@@ -152,11 +152,20 @@ class StepStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-stamped states from one integration run."""
+    """Time-stamped states from one integration run.
+
+    The last three fields are the worst physicality margins over the run's
+    accepted steps: the largest Hermiticity defect |rho - rho^dag|_F and trace
+    deviation |tr rho - 1|, and the least eigenvalue of (rho + rho^dag)/2
+    (0, 0 and inf when no step was accepted).
+    """
 
     times: np.ndarray
     states: list
     step_stats: StepStats
+    worst_hermiticity: float = 0.0
+    worst_trace_deviation: float = 0.0
+    least_eigenvalue: float = math.inf
 
     @property
     def final(self) -> np.ndarray:
@@ -186,17 +195,24 @@ def _dissipator(jump: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return jump @ rho @ jd - 0.5 * (jdj @ rho + rho @ jdj)
 
 
-def _physicality(rho: np.ndarray) -> tuple[float, float, float]:
+def _physicality(rho: np.ndarray) -> tuple:
     """(|rho - rho^dag|_F, |tr rho - 1|, least eigenvalue of (rho + rho^dag)/2).
 
-    All three are NaN when rho has a NaN or infinite entry.
+    For one state three floats; for an (n, d, d) stack three (n,) arrays, from
+    one stacked ``eigvalsh``.  All three are NaN for a state with a NaN or
+    infinite entry.
     """
-    if not np.isfinite(rho).all():
-        return math.nan, math.nan, math.nan
-    herm = frobenius(rho - dagger(rho))
-    tr_dev = abs(np.trace(rho) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min())
-    return herm, tr_dev, min_eig
+    rho = np.asarray(rho, dtype=complex)
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    # a non-finite state is measured as zero, so no arithmetic or eigvalsh sees it
+    rho = np.where(finite[..., None, None], rho, 0.0)
+    values = (
+        _norms(rho - dagger(rho)),
+        np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0),
+        np.linalg.eigvalsh(0.5 * (rho + dagger(rho))).min(axis=-1),
+    )
+    values = tuple(np.where(finite, v, math.nan) for v in values)
+    return tuple(map(float, values)) if rho.ndim == 2 else values
 
 
 def validate_density_matrix(rho: np.ndarray) -> None:
@@ -221,7 +237,12 @@ def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
     Hermiticity, unit trace and positivity are checked against ``margin``
     times the standing tolerances; the state is never projected back.
     """
-    herm, tr_dev, min_eig = _physicality(rho)
+    _raise_violation(tau, *_physicality(rho), margin)
+
+
+def _raise_violation(tau: float, herm: float, tr_dev: float, min_eig: float,
+                     margin: float) -> None:
+    """The error of ``check_invariants`` for a state with these physicality values, if any."""
     if math.isnan(herm):
         raise InvariantViolationError(tau, "finiteness", herm)
     if herm > margin * HERMITICITY_TOL:
@@ -230,6 +251,48 @@ def check_invariants(tau: float, rho: np.ndarray, margin: float = 1.0) -> None:
         raise InvariantViolationError(tau, "trace", tr_dev)
     if min_eig < -margin * POSITIVITY_TOL:
         raise InvariantViolationError(tau, "positivity", min_eig)
+
+
+#: accepted states ``integrate`` queues before checking them in one stacked pass
+_WATCH_BLOCK = 64
+#: the margin on the standing tolerances at which an integrated state aborts a run
+_WATCH_MARGIN = 100.0
+
+
+class _Watch:
+    """Checks accepted states in stacks of _WATCH_BLOCK, keeping the worst margins seen.
+
+    ``flush`` checks every queued state at once and raises the error
+    ``check_invariants(tau, rho, _WATCH_MARGIN)`` raises for the earliest bad one.
+    """
+
+    def __init__(self):
+        self.taus: list[float] = []
+        self.states: list[np.ndarray] = []
+        self.worst_herm = self.worst_trace = 0.0
+        self.least_eig = math.inf
+
+    def push(self, tau: float, rho: np.ndarray) -> None:
+        self.taus.append(tau)
+        self.states.append(rho)
+        if len(self.taus) >= _WATCH_BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.taus:
+            return
+        taus, states = self.taus, np.stack(self.states)
+        self.taus, self.states = [], []
+        herm, tr_dev, min_eig = _physicality(states)
+        # NaN compares false, so a non-finite state counts as bad
+        bad = ~((herm <= _WATCH_MARGIN * HERMITICITY_TOL) & (tr_dev <= _WATCH_MARGIN * TRACE_TOL)
+                & (min_eig >= -_WATCH_MARGIN * POSITIVITY_TOL))
+        if bad.any():
+            k = int(np.argmax(bad))
+            _raise_violation(taus[k], herm[k], tr_dev[k], min_eig[k], _WATCH_MARGIN)
+        self.worst_herm = max(self.worst_herm, float(herm.max()))
+        self.worst_trace = max(self.worst_trace, float(tr_dev.max()))
+        self.least_eig = min(self.least_eig, float(min_eig.min()))
 
 
 # Dormand-Prince 8(5,3) coefficients (FSAL; Hairer, Norsett & Wanner, Solving
@@ -338,7 +401,10 @@ def integrate(
     The initial state must be a valid density matrix; Hermiticity, trace and
     positivity are re-checked at every accepted step and a violation beyond
     100x the standing tolerances aborts the run (states are never projected
-    back, so integrator bugs cannot hide).
+    back, so integrator bugs cannot hide).  The accepted states are checked in
+    stacks of ``_WATCH_BLOCK``, and the queue is checked before the run
+    returns or any error leaves it, so the earliest violation is the one
+    raised, with the tau ``check_invariants`` would name.
     """
     if not (rtol >= 0.0 and atol >= 0.0):
         raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
@@ -386,63 +452,69 @@ def integrate(
     # PI control for an order-7 error estimate
     safety, beta, alpha = 0.9, 0.4 / 8.0, 0.7 / 8.0
     cp_idx = 0
+    watch = _Watch()
+    try:
+        while t < t1 - 1e-12 * max(1.0, abs(t1)):
+            hit_cp = False
+            h = min(h_free, t1 - t)
+            if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
+                h = cps[cp_idx] - t
+                hit_cp = True
+                # roundoff accumulation can leave a negligible gap; snap to the
+                # checkpoint instead of forcing a degenerate step
+                if h < 1e-12 * max(1.0, abs(t)):
+                    t = cps[cp_idx]
+                    out_t.append(t)
+                    out_rho.append(y.reshape(dim, dim).copy())
+                    cp_idx += 1
+                    continue
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflowError(t, h)
 
-    while t < t1 - 1e-12 * max(1.0, abs(t1)):
-        hit_cp = False
-        h = min(h_free, t1 - t)
-        if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
-            h = cps[cp_idx] - t
-            hit_cp = True
-            # roundoff accumulation can leave a negligible gap; snap to the
-            # checkpoint instead of forcing a degenerate step
-            if h < 1e-12 * max(1.0, abs(t)):
-                t = cps[cp_idx]
-                out_t.append(t)
-                out_rho.append(y.reshape(dim, dim).copy())
-                cp_idx += 1
-                continue
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflowError(t, h)
+            sups = superoperators(t + h * _DOP_NODES)
+            n_batch += 1
+            for i in range(1, 12):
+                k[i] = sups[_DOP_STAGE_NODE[i]].dot(y + h * _DOP_A[i].dot(k[:i]))
+            y_new = y + h * _DOP_B.dot(k[:12])
+            k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
+            r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
+            e5 = r5.dot(r5)
+            denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
+            err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
 
-        sups = superoperators(t + h * _DOP_NODES)
-        n_batch += 1
-        for i in range(1, 12):
-            k[i] = sups[_DOP_STAGE_NODE[i]].dot(y + h * _DOP_A[i].dot(k[:i]))
-        y_new = y + h * _DOP_B.dot(k[:12])
-        k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
-        r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
-        e5 = r5.dot(r5)
-        denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
-        err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
-
-        if err <= 1.0:
-            err = max(err, 1e-10)
-            factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
-            err_prev = err
-            t, y = t + h, y_new
-            k[0] = k[12]  # FSAL
-            n_accept += 1
-            check_invariants(t, y.reshape(dim, dim), 100.0)
-            if hit_cp:
-                out_t.append(t)
-                out_rho.append(y.reshape(dim, dim).copy())
-                cp_idx += 1
-                # a clamped landing says nothing about the natural step scale
-                h_free = max(h_free, h * factor)
+            if err <= 1.0:
+                err = max(err, 1e-10)
+                factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
+                err_prev = err
+                t, y = t + h, y_new
+                k[0] = k[12]  # FSAL
+                n_accept += 1
+                watch.push(t, y.reshape(dim, dim))
+                if hit_cp:
+                    out_t.append(t)
+                    out_rho.append(y.reshape(dim, dim).copy())
+                    cp_idx += 1
+                    # a clamped landing says nothing about the natural step scale
+                    h_free = max(h_free, h * factor)
+                else:
+                    h_free = h * factor
             else:
-                h_free = h * factor
-        else:
-            n_reject += 1
-            h_free = h * min(1.0, max(0.2, safety * err ** (-1.0 / 8.0)))
+                n_reject += 1
+                h_free = h * min(1.0, max(0.2, safety * err ** (-1.0 / 8.0)))
+    except Exception:
+        watch.flush()  # a queued violation outranks the error that ended the run
+        raise
+    watch.flush()
 
     if not out_t or abs(out_t[-1] - t1) > 1e-12:
         out_t.append(t)
         out_rho.append(y.reshape(dim, dim).copy())
     attempts = n_accept + n_reject
     return Trajectory(np.array(out_t), out_rho,
-                      StepStats(n_accept, n_reject, 12 * attempts + 1, n_batch))
+                      StepStats(n_accept, n_reject, 12 * attempts + 1, n_batch),
+                      watch.worst_herm, watch.worst_trace, watch.least_eig)
 
 
 def vectorize(gen: LindbladGenerator) -> np.ndarray:
@@ -451,27 +523,30 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
     The Hamiltonian and each jump are (dim, dim) matrices or (..., dim, dim)
     stacks, element k of every stack belonging to generator k; the result
     has the broadcast leading shape.
+
+    S is a sum of Kronecker products, S = sum_m X_m kron Y_m over the terms
+    X = [L_1 .. L_n, A, 1] and Y = [conj L_1 .. conj L_n, 1, conj A], where
+    A = -i p H - sum_k L_k^dag L_k / 2 (p the Hamiltonian prefactor), since
+    rho -> A rho + rho A^dag is A kron 1 + 1 kron conj A.  One batched matrix
+    product over the term axis, of the (d^2, m) matrix X[a, c, m] and the
+    (m, d^2) matrix Y[m, b, e], forms every S[(a, b), (c, e)] at once.
     """
     dim = gen.dim
-    eye = np.eye(dim, dtype=complex)
     h = gen.hamiltonian
-    terms = list(gen.jumps) + ([] if h is None else [h])
-    lead = np.broadcast_shapes(*(np.shape(t)[:-2] for t in terms))
-    sup = np.zeros(lead + (dim * dim, dim * dim), dtype=complex)
-    if h is not None:
-        sup += -1j * gen.hamiltonian_prefactor * (_kron(h, eye) - _kron(eye, h.swapaxes(-1, -2)))
-    for jump in gen.jumps:
-        jdj = dagger(jump) @ jump
-        sup += _kron(jump, jump.conj())
-        sup -= 0.5 * (_kron(jdj, eye) + _kron(eye, jdj.swapaxes(-1, -2)))
-    return sup
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices, element by element over stacks (np.kron's values)."""
-    n, m = a.shape[-1], b.shape[-1]
-    product = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return product.reshape(product.shape[:-4] + (n * m, n * m))
+    jumps = gen.jumps
+    lead = np.broadcast_shapes(*(np.shape(m)[:-2] for m in jumps + (() if h is None else (h,))))
+    a = 0.0 if h is None else -1j * gen.hamiltonian_prefactor * h
+    for jump in jumps:
+        a = a - 0.5 * (dagger(jump) @ jump)
+    eye = np.eye(dim)
+    x = np.empty(lead + (dim, dim, len(jumps) + 2), dtype=complex)
+    y = np.empty(lead + (len(jumps) + 2, dim, dim), dtype=complex)
+    for m, (left, right) in enumerate([(j, j.conj()) for j in jumps] + [(a, eye), (eye, a.conj())]):
+        x[..., m] = left
+        y[..., m, :, :] = right
+    products = x.reshape(lead + (dim * dim, -1)) @ y.reshape(lead + (-1, dim * dim))
+    sup = products.reshape(lead + (dim,) * 4).swapaxes(-3, -2)
+    return sup.reshape(lead + (dim * dim, dim * dim))
 
 
 def spectral_gap(sup: np.ndarray) -> float | None:

@@ -190,6 +190,21 @@ def ordered_exponential(
     gives an (n, d, k) array.  For anti-Hermitian G each product is unitary up
     to the discretization error.
     """
+    steps = _ordered_steps(generators, grid)
+    first = np.eye(steps.shape[-1]) if start is None else np.asarray(start, dtype=complex)
+    out = np.empty((steps.shape[0] + 1,) + first.shape, dtype=complex)
+    out[0] = first
+    out[1:] = _cumulative_product(steps, first)
+    return out
+
+
+def _ordered_steps(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The (n - 1, d, d) steps of ``ordered_exponential``, after checking its arguments.
+
+    Midpoint steps exp(G_k ds_k) for an (n - 1, d, d) stack, CF4 steps for an
+    (n - 1, 2, d, d) stack of Gauss-point pairs; a non-finite generator
+    raises ValueError naming its phase.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
@@ -207,14 +222,8 @@ def ordered_exponential(
         phase = grid[k] + CF4_NODES[node[0]] * ds[k] if magnus else 0.5 * (grid[k] + grid[k + 1])
         raise ValueError(f"non-finite generator at phase {phase}")
     if magnus:
-        steps = _cf4_steps(generators, ds)
-    else:
-        steps = matrix_exp(generators * ds[:, None, None])
-    first = np.eye(generators.shape[-1]) if start is None else np.asarray(start, dtype=complex)
-    out = np.empty((grid.size,) + first.shape, dtype=complex)
-    out[0] = first
-    out[1:] = _cumulative_product(steps, first)
-    return out
+        return _cf4_steps(generators, ds)
+    return matrix_exp(generators * ds[:, None, None])
 
 
 def _cumulative_product(steps: np.ndarray, first: np.ndarray) -> np.ndarray:

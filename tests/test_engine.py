@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darklind import engine
 from darklind.analysis import trace_distance
@@ -274,6 +278,152 @@ class TestVectorize:
         for k in np.ndindex(5, 2):
             gen = LindbladGenerator(hamiltonian=hs[k], jumps=(jumps[k],), hamiltonian_prefactor=0.4)
             assert np.array_equal(sups[k], vectorize(gen))
+
+
+def kron_superoperator(h, jumps, prefactor):
+    """The superoperator of one generator as the explicit np.kron sum of its terms."""
+    dim = (h if h is not None else jumps[0]).shape[-1]
+    eye = np.eye(dim)
+    sup = np.zeros((dim * dim, dim * dim), dtype=complex)
+    if h is not None:
+        sup += -1j * prefactor * (np.kron(h, eye) - np.kron(eye, h.T))
+    for jump in jumps:
+        jdj = dagger(jump) @ jump
+        sup += np.kron(jump, jump.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+    return sup
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.integers(1, 6),
+    n_jumps=st.integers(0, 3),
+    with_hamiltonian=st.booleans(),
+    prefactor=st.floats(-3.0, 3.0).filter(lambda p: p != 1.0),
+    stacked=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vectorize_matches_kron_sum_and_rhs(dim, n_jumps, with_hamiltonian, prefactor,
+                                            stacked, seed):
+    """vectorize against np.kron and lindblad_rhs, single matrices mixed with (2, 3) stacks."""
+    if not (n_jumps or with_hamiltonian):
+        n_jumps = 1
+    rng = np.random.default_rng(seed)
+
+    def matrix(stack):
+        shape = ((2, 3) if stack else ()) + (dim, dim)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    h = None
+    if with_hamiltonian:
+        a = matrix(stacked[-1])
+        h = a + dagger(a)
+    jumps = tuple(matrix(stacked[i]) for i in range(n_jumps))
+    sups = vectorize(LindbladGenerator(h, jumps, prefactor))
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in jumps + (() if h is None else (h,))))
+    assert sups.shape == lead + (dim * dim, dim * dim)
+    for k in np.ndindex(lead):
+        hk = None if h is None else h[k if h.ndim > 2 else ()]
+        jk = tuple(j[k if j.ndim > 2 else ()] for j in jumps)
+        expected = kron_superoperator(hk, jk, prefactor)
+        scale = max(1.0, np.linalg.norm(expected))
+        assert np.linalg.norm(sups[k] - expected) <= 1e-13 * scale
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rhs = lindblad_rhs(m, LindbladGenerator(hk, jk, prefactor))
+        assert np.linalg.norm(apply_superoperator(sups[k], m) - rhs) <= 1e-13 * scale * np.linalg.norm(m)
+
+
+class TestWatch:
+    """``integrate`` checks accepted states in stacks and still names the first bad one."""
+
+    GAMMA_T = 20.0
+
+    def lab_run(self, spin32_linear, spin32_ds):
+        from darklind.effective import embed_dark, lab_generator
+
+        proto = spin32_linear.with_gammaT(self.GAMMA_T)
+        rho0 = embed_dark(spin32_ds, np.diag([0.7, 0.3]).astype(complex))
+        return lab_generator(proto), rho0
+
+    def leaking_run(self, monkeypatch, spin32_linear, spin32_ds, tau_star, fail_after=math.inf):
+        """A lab run whose trace grows after tau_star.
+
+        gen_of_t raises ValueError on the call after the one whose last stage
+        time is ``fail_after``: the attempt after the step landing there.
+        """
+        gen, rho0 = self.lab_run(spin32_linear, spin32_ds)
+        seen = {"taus": np.zeros(1)}
+
+        def gen_of_t(taus):
+            if seen["taus"][-1] == fail_after:
+                raise ValueError("generator failed")
+            seen["taus"] = np.asarray(taus)
+            return gen(taus)
+
+        eye_vec = np.eye(4).reshape(-1)
+
+        def leaking(g):
+            # adds 1e-3 tr(rho) I/4 to the slope at every stage time past tau_star
+            late = (seen["taus"] > tau_star)[:, None, None]
+            return vectorize(g) + late * (1e-3 / 4.0) * np.outer(eye_vec, eye_vec)
+
+        monkeypatch.setattr(engine, "vectorize", leaking)
+        return integrate(gen_of_t, rho0, (0.0, self.GAMMA_T))
+
+    def test_stacked_watch_names_the_same_violation(self, monkeypatch, spin32_linear, spin32_ds):
+        with pytest.raises(InvariantViolationError) as stacked:
+            self.leaking_run(monkeypatch, spin32_linear, spin32_ds, 7.3)
+        monkeypatch.setattr(engine, "_WATCH_BLOCK", 1)
+        with pytest.raises(InvariantViolationError) as one_by_one:
+            self.leaking_run(monkeypatch, spin32_linear, spin32_ds, 7.3)
+        assert stacked.value.what == one_by_one.value.what == "trace"
+        assert stacked.value.tau == one_by_one.value.tau > 7.3
+        assert str(stacked.value) == str(one_by_one.value)
+
+    def test_queued_violation_surfaces_over_a_later_error(
+        self, monkeypatch, spin32_linear, spin32_ds
+    ):
+        monkeypatch.setattr(engine, "_WATCH_BLOCK", 1)
+        with pytest.raises(InvariantViolationError) as first:
+            self.leaking_run(monkeypatch, spin32_linear, spin32_ds, 7.3)
+        monkeypatch.setattr(engine, "_WATCH_BLOCK", 64)
+        # the generator fails on the attempt after the violating step
+        with pytest.raises(InvariantViolationError) as queued:
+            self.leaking_run(monkeypatch, spin32_linear, spin32_ds, 7.3, fail_after=first.value.tau)
+        assert (queued.value.tau, queued.value.what) == (first.value.tau, first.value.what)
+        assert isinstance(queued.value.__context__, ValueError)
+
+    def test_eigvalsh_once_per_block(self, monkeypatch, spin32_linear, spin32_ds):
+        gen, rho0 = self.lab_run(spin32_linear, spin32_ds)
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        traj = integrate(gen, rho0, (0.0, self.GAMMA_T))
+        accepted = traj.step_stats.accepted
+        assert accepted > 64
+        assert len(calls) <= math.ceil(accepted / 64) + 1
+
+    def test_margins_bound_the_checkpoint_states(self, spin32_linear, spin32_ds):
+        gen, rho0 = self.lab_run(spin32_linear, spin32_ds)
+        traj = integrate(gen, rho0, (0.0, self.GAMMA_T), checkpoints=np.linspace(0.0, 20.0, 9))
+        herm, tr_dev, min_eig = engine._physicality(traj.states[1:])
+        assert 0.0 <= herm.max() <= traj.worst_hermiticity <= 100 * engine.HERMITICITY_TOL
+        assert 0.0 <= tr_dev.max() <= traj.worst_trace_deviation <= 100 * engine.TRACE_TOL
+        assert -100 * engine.POSITIVITY_TOL <= traj.least_eigenvalue <= min_eig.min()
+
+    def test_one_state_and_stack_measure_alike(self, rng):
+        states = np.array([random_density(rng, 3) for _ in range(5)])
+        states[2, 0, 1] = np.nan
+        stacked = engine._physicality(states)
+        for k, state in enumerate(states):
+            one = engine._physicality(state)
+            assert all(isinstance(v, float) for v in one)
+            np.testing.assert_array_equal(one, [v[k] for v in stacked])
+        assert all(math.isnan(v[2]) for v in stacked)
 
 
 class TestSpectralGap:
