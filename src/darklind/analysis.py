@@ -28,7 +28,7 @@ from .effective import (
     rotating_generator,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import _prefix_scan, dagger, frobenius, matrix_exp
+from .linalg import _compose_affine, _scan, dagger, frobenius, matrix_exp
 from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
@@ -159,9 +159,8 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     vector is transported with the dark-block holonomy, and the degradation
     is (2/gammaT^2) int b_tau^2 (m_x^2 + m_y^2) dtau.  The path
     angles are evaluated on all nodes at once; the constant-decay recurrence
-    for b and the product of the 2x2 holonomy steps, each an SU(2) rotation
-    in closed form, are prefix scans of log2 depth, each with its own combine
-    on the generic ``linalg._prefix_scan``.
+    for b (as affine maps) and the product of the 2x2 holonomy steps, each an
+    SU(2) rotation in closed form, are scans (``linalg._scan``).
     """
     rate = 3.0
     gammaT = float(gammaT)
@@ -172,7 +171,8 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
 
     z = 0.5 * rate * step
     gains = 1.5 * _angle_values(path.dtheta, phases) @ (step * eff._decay_weights(z))
-    b = _prefix_scan(gains, lambda late, early, k: late + math.exp(-z * k) * early)
+    # b_k+1 = e^{-z} b_k + gain_k, b_0 = 0: each step as the affine map [e^{-z} | gain]
+    b = _scan(np.stack([np.full_like(gains, math.exp(-z)), gains], axis=-1), _compose_affine)[:, 1]
 
     theta, dtheta, dphi = (_angle_values(fn, mid) for fn in (path.theta, path.dtheta, path.dphi))
     # the dark-block Hamiltonian h.sigma, h = (phi' sin theta, -theta', -phi' cos theta / 2),
@@ -186,7 +186,7 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     steps[:, 1, 1] = c + 1j * s * hz
     steps[:, 0, 1] = -s * (1j * hx + hy)
     steps[:, 1, 0] = -s * (1j * hx - hy)
-    v = _prefix_scan(steps, lambda late, early, k: late @ early)
+    v = _scan(steps, np.matmul)
 
     rho0 = dark_state_from_bloch(n0)
     rho = v @ rho0 @ dagger(v)

@@ -45,7 +45,6 @@ from .engine import (
     POSITIVITY_TOL,
     TRACE_TOL,
     LindbladGenerator,
-    _physicality,
     asymptotic_channel,
     dark_block_kraus,
     integrate,
@@ -315,10 +314,10 @@ def check_kernel_and_channel(ctx: AcceptanceContext) -> CriterionResult:
 def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
     """Trace, Hermiticity, positivity and refinement self-consistency."""
     runs = [ctx.exact_run(n0, 200.0)[0] for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
-    herm, tr_dev, min_eig = _physicality(np.concatenate([run.states for run in runs]))
-    worst_trace = float(np.max(tr_dev, initial=0.0))
-    worst_herm = float(np.max(herm, initial=0.0))
-    worst_neg = 0.0 - float(np.min(min_eig, initial=0.0))  # +0.0, not -0.0, when none is negative
+    # the margins the runs' invariant watch kept over every accepted step
+    worst_trace = max(run.worst_trace_deviation for run in runs)
+    worst_herm = max(run.worst_hermiticity for run in runs)
+    worst_neg = max(0.0, -min(run.least_eigenvalue for run in runs))
     proto = ctx.protocol_200.with_gammaT(100.0)
     rho_full = embed_dark(ctx.ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
     fine = integrate(lab_generator(proto), rho_full, (0.0, 100.0), rtol=RTOL, atol=ATOL).final

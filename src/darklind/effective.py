@@ -32,11 +32,13 @@ from .engine import (
 from .linalg import (
     CF4_NODES,
     _cf4_steps,
+    _compose_affine,
     _gemm,
     _norms,
     _ordered_product,
     _ordered_steps,
-    _prefix_scan,
+    _require_each,
+    _scan,
     dagger,
     frobenius,
     kernel_basis,
@@ -184,13 +186,6 @@ def _phase_stack(fn: Callable, s: np.ndarray, shape: tuple, name: str) -> np.nda
     if out.shape != shape:
         raise ValueError(f"{name} returned shape {out.shape} for {s.size} phases, expected {shape}")
     return out
-
-
-def _require_each(ok: np.ndarray, s, message: str) -> None:
-    """Raise ValueError with ``message`` naming the first phase of ``s`` failing ``ok``."""
-    bad = np.flatnonzero(~np.atleast_1d(ok))
-    if bad.size:
-        raise ValueError(message.format(np.atleast_1d(s)[bad[0]]))
 
 
 def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
@@ -381,8 +376,8 @@ def c_tau_ode_residual(protocol: Protocol, ds: DarkSpace, taus: Sequence[float])
     times = taus[:, None] + _FD_STEP * np.arange(-3, 4)
     xs = x_tau_integral(protocol, ds, times.ravel()).reshape(times.shape + m.shape)
     dx = np.einsum("k,nkij->nij", stencil, xs) / _FD_STEP
-    h = [adiabatic_hamiltonian(protocol, t / protocol.gammaT) for t in taus.tolist()]
-    resid = dx + 0.5 * m @ xs[:, 3] - p_perp @ np.reshape(h, dx.shape) @ ds.projector
+    h = adiabatic_hamiltonian(protocol, taus / protocol.gammaT)
+    resid = dx + 0.5 * m @ xs[:, 3] - p_perp @ h @ ds.projector
     return float(_norms(resid).max(initial=0.0))
 
 
@@ -893,7 +888,7 @@ def _kernel_grid(
     decay = np.exp(-z)[which]
     decay = decay.reshape(decay.shape + (1,) * (gains.ndim - decay.ndim))
     # x_k+1 = decay_k x_k + gain_k: each step as the affine map [decay | gain], prefix-composed
-    maps = _prefix_scan(
+    maps = _scan(
         np.concatenate([np.broadcast_to(decay, gains.shape[:-1] + (1,)), gains], axis=-1),
         _compose_affine,
     )
@@ -903,13 +898,6 @@ def _kernel_grid(
         xs[0] = start
         xs[1:] += maps[..., :1] * start
     return xs
-
-
-def _compose_affine(late: np.ndarray, early: np.ndarray, k: int) -> np.ndarray:
-    """The map x -> a_l (a_e x + b_e) + b_l of [a_l | b_l] after [a_e | b_e], along the last axis."""
-    out = late[..., :1] * early
-    out[..., 1:] += late[..., 1:]
-    return out
 
 
 def reconstruct_full_state(

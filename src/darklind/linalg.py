@@ -135,6 +135,13 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b.transpose(1, 0, 2).reshape(q, n * r)).reshape(-1, n, r).transpose(1, 0, 2)
 
 
+def _require_each(ok: np.ndarray, s, message: str) -> None:
+    """Raise ValueError with ``message`` naming the first entry of ``s`` failing ``ok``."""
+    bad = np.flatnonzero(~np.atleast_1d(ok))
+    if bad.size:
+        raise ValueError(message.format(np.atleast_1d(s)[bad[0]]))
+
+
 def kernel_basis(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space of ``a``.
 
@@ -194,7 +201,7 @@ def ordered_exponential(
     first = np.eye(steps.shape[-1]) if start is None else np.asarray(start, dtype=complex)
     out = np.empty((steps.shape[0] + 1,) + first.shape, dtype=complex)
     out[0] = first
-    out[1:] = _cumulative_product(steps, first)
+    out[1:] = _gemm(_scan(steps, np.matmul), first)
     return out
 
 
@@ -226,46 +233,36 @@ def _ordered_steps(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return matrix_exp(generators * ds[:, None, None])
 
 
-def _cumulative_product(steps: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """steps[k] ... steps[0] first for every k, in O(sqrt(n)) Python iterations.
+def _scan(x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Inclusive scan of ``x`` along axis 0 under an associative ``combine(late, early)``.
 
-    The n steps are cut into about sqrt(n) blocks of equal size (the last one
-    padded with identities).  A running product within each block advances
-    all blocks at once; the carries, each block's product applied to the
-    carry before it, follow in sequence; one stacked product then applies
-    every running product to its block's carry.
+    Entry k of the result is x[k] * ... * x[1] * x[0], later entries joined
+    on the left; ``combine`` acts on stacks along the leading axes.  The n
+    entries are cut into blocks of floor(sqrt(n)), the last one padded with
+    copies of the last entry (no earlier prefix reads them, so no identity is
+    needed).  A running prefix within each block advances all blocks at once,
+    the block totals are joined in sequence, and one stacked ``combine``
+    applies each block's carry: O(n) work in about 2 sqrt(n) Python iterations.
     """
-    n, d = len(steps), steps.shape[-1]
-    size = math.isqrt(n)
+    n = x.shape[0]
+    size = max(1, math.isqrt(n))
     blocks = -(-n // size)
-    padded = np.empty((blocks * size, d, d), dtype=complex)
-    padded[:n] = steps
-    padded[n:] = np.eye(d)
-    running = padded.reshape(blocks, size, d, d)
+    pad = np.broadcast_to(x[-1:], (blocks * size - n,) + x.shape[1:])
+    running = np.concatenate([x, pad]).reshape((blocks, size) + x.shape[1:])
     for j in range(1, size):
-        running[:, j] = running[:, j] @ running[:, j - 1]
-    carries = np.empty((blocks,) + first.shape, dtype=complex)
-    carries[0] = first
-    for i in range(1, blocks):
-        carries[i] = running[i - 1, -1] @ carries[i - 1]
-    return (running @ carries[:, None]).reshape((-1,) + first.shape)[:n]
+        running[:, j] = combine(running[:, j], running[:, j - 1])
+    carries = running[:-1, -1].copy()
+    for i in range(1, blocks - 1):
+        carries[i] = combine(carries[i], carries[i - 1])
+    running[1:] = combine(running[1:], carries[:, None])
+    return running.reshape((-1,) + x.shape[1:])[:n]
 
 
-def _prefix_scan(
-    x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-) -> np.ndarray:
-    """Inclusive prefix of ``x`` along axis 0 in log2(n) vectorised passes (Hillis-Steele).
-
-    Before the pass with offset k, entry j holds the prefix over the window of
-    k entries ending at j; ``combine(late, early, k)`` joins it with the
-    window just before, for all j >= k at once.
-    """
-    x = x.copy()
-    k = 1
-    while k < x.shape[0]:
-        x[k:] = combine(x[k:], x[:-k], k)
-        k *= 2
-    return x
+def _compose_affine(late: np.ndarray, early: np.ndarray) -> np.ndarray:
+    """The map x -> a_l (a_e x + b_e) + b_l of [a_l | b_l] after [a_e | b_e], along the last axis."""
+    out = late[..., :1] * early
+    out[..., 1:] += late[..., 1:]
+    return out
 
 
 def _cf4_steps(generators: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import _gemm, _norms, dagger, frobenius
+from .linalg import _gemm, _norms, _require_each, dagger, frobenius
 
 __all__ = [
     "spin_operators",
@@ -38,8 +38,9 @@ def _is_grid(s) -> bool:
     """True when ``s`` is an array of phases rather than one phase.
 
     The test is ``np.ndim``; floats (NumPy's included) skip it, since the
-    scalar path runs once per RHS evaluation and ``np.ndim`` costs a
-    microsecond on a Python float.
+    scalar path serves the per-node integrand of ``quad_vec`` (about 10,000
+    calls per memory-kernel pass) and ``np.ndim`` costs a microsecond on a
+    Python float.
     """
     return not isinstance(s, float) and np.ndim(s) > 0
 
@@ -238,9 +239,7 @@ class Protocol:
         phase = np.trace(u[-1]) / self.dim
         if abs(abs(phase) - 1.0) > 1e-10 or frobenius(u[-1] - phase * eye) > 1e-10:
             raise ValueError("path is not cyclic: U(1) is not the identity up to a phase")
-        bad = np.flatnonzero(_norms(dagger(u) @ u - eye) > 1e-9)
-        if bad.size:
-            raise ValueError(f"U({samples[bad[0]]}) is not unitary")
+        _require_each(_norms(dagger(u) @ u - eye) <= 1e-9, samples, "U({}) is not unitary")
 
     def with_gammaT(self, gammaT: float) -> "Protocol":
         """Same control path at a different cycle duration."""
@@ -400,9 +399,7 @@ def lab_jump(protocol: Protocol, s) -> np.ndarray:
     For a 1-D array of n phases it returns the (n, dim, dim) stack; every
     phase must lie in [0, 1], and a failure names the first one outside.
     """
-    phases = np.atleast_1d(s)
-    outside = np.flatnonzero(~((0.0 <= phases) & (phases <= 1.0)))
-    if outside.size:
-        raise ValueError(f"phase {phases[outside[0]]} outside [0, 1]")
+    phases = np.asarray(s)
+    _require_each((0.0 <= phases) & (phases <= 1.0), phases, "phase {} outside [0, 1]")
     u = protocol.U(s)
     return dagger(u) @ protocol.L_rot @ u

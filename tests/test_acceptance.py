@@ -186,3 +186,19 @@ def test_gauge_window_edges(monkeypatch, report, flags):
 def test_prediction_flags(losses, expected):
     # a finite predicted loss outside [0, 1] is no prediction; a missing (NaN) one is not flagged
     assert checks.prediction_flags(*losses) == {"predictions_in_unit_interval": expected}
+
+
+def test_invariants_read_the_run_margins():
+    # criterion 8 takes the margins the watch kept over every accepted step of
+    # its two gammaT-200 runs, not the checkpoint states (the runs here have none)
+    margins = {(0.0, 0.0, 1.0): (1e-15, 4e-12, 2e-17), (0.0, 1.0, 0.0): (3e-15, 2e-12, -5e-16)}
+
+    def exact_run(n0, gammaT):
+        herm, trace, least = margins[tuple(n0)]
+        return SimpleNamespace(worst_hermiticity=herm, worst_trace_deviation=trace,
+                               least_eigenvalue=least), 0.0
+
+    ctx = checks.AcceptanceContext()
+    ctx.exact_run = exact_run
+    detail = checks.check_structural_invariants(ctx).detail
+    assert (detail["hermiticity"], detail["trace"], detail["negativity"]) == (3e-15, 4e-12, 5e-16)

@@ -177,6 +177,23 @@ class TestPurityPredictions:
         closed = purity_prediction_spin32(linear_path(1, 0), (0, 0, 1), 200.0)
         assert abs(general - closed) <= 1e-8
 
+    @pytest.mark.parametrize("path, gammaT", [
+        (linear_path(1, 0), 50.0),
+        (linear_path(1, 0), 200.0),
+        (linear_path(1, 0), 800.0),
+        (smoothstep_path(1, 1), 200.0),
+        (fourier_path(1, 0, theta_knots=(0.17,), phi_knots=(-0.2,)), 200.0),
+    ])
+    def test_general_and_closed_form_agree_on_one_grid(self, monkeypatch, spin32_ds, path, gammaT):
+        # eq. 12 and eq. 21 on the same uniform grid differ only by roundoff
+        # (measured at most 6.3e-13, linear gammaT 50 from y); on their own
+        # grids they differ by the discretization, up to 3.3e-7 on these cases
+        monkeypatch.setattr(analysis, "_SPIN32_GRID", eff._FROZEN_GRID)
+        proto = spin32_protocol(path, gammaT)
+        for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8)):
+            general = purity_prediction_general(dark_state_from_bloch(n0), proto, spin32_ds)
+            assert abs(general - purity_prediction_spin32(path, n0, gammaT)) <= 1e-12, n0
+
     def test_constant_protocol_keeps_initial_purity(self, spin32_ds):
         rho0 = dark_state_from_bloch((0.0, 0.4, 0.3))
         got = purity_prediction_general(rho0, constant_protocol(), spin32_ds)

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darklind.linalg import (
     CF4_NODES,
     _cf4_steps,
+    _compose_affine,
     _gemm,
     _ordered_product,
+    _scan,
     dagger,
     kernel_basis,
     matrix_exp,
@@ -295,7 +299,7 @@ class TestStackProducts:
 
 
 class TestBlockedCumulativeProduct:
-    """The blocked cumulative product of ``ordered_exponential`` against the sequential one."""
+    """The cumulative products of ``ordered_exponential`` (one ``_scan``) against sequential ones."""
 
     @staticmethod
     def sequential(steps, first):
@@ -333,3 +337,44 @@ class TestBlockedCumulativeProduct:
         phase = grid[2000] + CF4_NODES[0] * ds if magnus else 0.5 * (grid[2000] + grid[2001])
         with pytest.raises(ValueError, match=f"non-finite generator at phase {phase}"):
             ordered_exponential(gens, grid)
+
+
+#: scan lengths: the smallest ones, perfect squares (no padding), primes (the
+#: most padding for their size) and anything else up to 300
+SCAN_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 9, 16, 144, 289, 5, 7, 13, 97, 293]), st.integers(1, 300)
+)
+
+
+def left_fold(x, combine):
+    """The inclusive scan of ``x`` along axis 0, one ``combine(late, early)`` at a time."""
+    out = [x[0]]
+    for entry in x[1:]:
+        out.append(combine(entry, out[-1]))
+    return np.stack(out)
+
+
+@settings(max_examples=60)
+@given(n=SCAN_LENGTHS, lead=st.lists(st.integers(1, 3), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_scan_of_unitaries_matches_the_left_fold(n, lead, seed):
+    # random unitaries do not commute, and their products stay of norm one
+    rng = np.random.default_rng(seed)
+    shape = (n, *lead, 3, 3)
+    x = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+    assert np.abs(_scan(x, np.matmul) - left_fold(x, np.matmul)).max() <= 1e-12
+
+
+@settings(max_examples=60)
+@given(n=SCAN_LENGTHS, lead=st.lists(st.integers(1, 3), max_size=2),
+       width=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_scan_of_affine_maps_matches_the_left_fold(n, lead, width, seed):
+    # [a | b] with 0.5 <= |a| <= 1 and complex b: x -> a x + b composed in order
+    rng = np.random.default_rng(seed)
+    shape = (n, *lead)
+    a = rng.uniform(0.5, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    b = rng.normal(size=shape + (width,)) + 1j * rng.normal(size=shape + (width,))
+    x = np.concatenate([a[..., None], b], axis=-1)
+    expected = left_fold(x, _compose_affine)
+    got = _scan(x, _compose_affine)
+    assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())

@@ -46,3 +46,10 @@ def test_removed_superoperator_helpers_are_gone(removed):
 def test_closed_form_has_no_private_step_rule(removed):
     # the spin-3/2 closed form takes the kernel recurrence's exact-decay rule
     assert not hasattr(importlib.import_module("darklind.analysis"), removed)
+
+
+@pytest.mark.parametrize("removed", ["_prefix_scan", "_cumulative_product"])
+def test_linalg_has_one_scan(removed):
+    # every prefix product runs through ``linalg._scan``
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
