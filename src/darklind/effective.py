@@ -210,10 +210,15 @@ class _KernelModes:
         self.protocol = protocol
         self.ds = ds
 
-    def drive(self, tau: float) -> np.ndarray:
-        """Bright-to-dark block U_b^dag H B of the adiabatic Hamiltonian at one time."""
-        h = adiabatic_hamiltonian(self.protocol, tau / self.protocol.gammaT)
-        return dagger(self.modes) @ h @ self.basis
+    def drive(self, taus: np.ndarray) -> np.ndarray:
+        """Bright-to-dark blocks U_b^dag H B of the adiabatic Hamiltonian at a 1-D array of times.
+
+        The (n, nb, d) stack at the phases taus / gammaT, from ``_node_blocks``:
+        H is evaluated in blocks of phases with every phase checked, and a
+        failure names the first bad phase.  One time is the one-element array.
+        """
+        (drives, _), = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
+        return drives
 
 
 def _node_blocks(
@@ -282,11 +287,18 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     has decayed below machine relevance (``_window_start``).  One
     ``quad_vec`` per group of equal rates integrates every member at once:
     its integrand is the vector over members k of 1[t_lo_k <= s <= tau_k]
-    e^{rate (s - tau_k)/2} drive(s), so the drive is evaluated once per node
-    for all of them, and every tau_k and t_lo_k is a breakpoint.  The
-    tolerances are 1e-10 absolute and relative in the max norm.  A
-    ``quad_vec`` that ends short of them raises ``ConvergenceError`` naming
-    the window, its status message and the error estimate.
+    e^{rate (s - tau_k)/2} drive(s), and every tau_k and t_lo_k is a
+    breakpoint.  The tolerances are 1e-10 absolute and relative in the max
+    norm.  A ``quad_vec`` that ends short of them raises ``ConvergenceError``
+    naming the window, its status message and the error estimate.
+
+    The drive is recorded, then evaluated: the breakpoints put almost every
+    node on the initial panels, so the same ``quad_vec`` call over the same
+    window and breakpoints, run first on a zero integrand, asks for those
+    nodes (and for one subdivision's).  ``_KernelModes.drive`` evaluates them
+    all in one array call, every phase checked, and the integrand looks each
+    node up by its float value; a node not recorded (a later subdivision's)
+    is evaluated alone.  The window weights are applied in the integrand.
     """
     taus = np.asarray(tau, dtype=float)
     if taus.ndim > 1:
@@ -299,18 +311,30 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     for rate in np.unique(np.round(modes.rates, 12)) if taus.any() else ():
         group = np.abs(modes.rates - rate) < 1e-9 * max(rate, 1.0)
         t_lo = _window_start(taus, rate)
-
-        def integrand(s):
-            inside = (t_lo <= s) & (s <= taus)
-            weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
-            # real and imaginary parts side by side: a real vector for quad_vec
-            return weight[:, None, None] * modes.drive(s)[group, :].view(float)
-
         a, b = t_lo.min(), taus.max()
         points = np.unique(np.concatenate([t_lo, taus]))
+        limit = _QUAD_SPLITS + points.size
+        nodes = []
+
+        def record(s):
+            nodes.append(s)
+            return 0.0
+
+        scipy.integrate.quad_vec(record, a, b, limit=limit, points=points)
+        # real and imaginary parts side by side: a real vector for quad_vec
+        table = dict(zip(nodes, modes.drive(np.array(nodes))[:, group].view(float)))
+
+        def integrand(s):
+            drive = table.get(s)
+            if drive is None:
+                drive = modes.drive(np.array([s]))[0, group].view(float)
+            inside = (t_lo <= s) & (s <= taus)
+            weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
+            return weight[:, None, None] * drive
+
         res, estimate, info = scipy.integrate.quad_vec(
             integrand, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, norm="max",
-            limit=_QUAD_SPLITS + points.size, points=points, full_output=True,
+            limit=limit, points=points, full_output=True,
         )
         if info.status != 0:
             target = _QUAD_TOL * max(1.0, np.abs(res).max())

@@ -37,10 +37,9 @@ _PHASE_SAMPLES = 64  # construction-time grid for unitarity/cyclicity checks
 def _is_grid(s) -> bool:
     """True when ``s`` is an array of phases rather than one phase.
 
-    The test is ``np.ndim``; floats (NumPy's included) skip it, since the
-    scalar path serves the per-node integrand of ``quad_vec`` (about 10,000
-    calls per memory-kernel pass) and ``np.ndim`` costs a microsecond on a
-    Python float.
+    The test is ``np.ndim``; floats (NumPy's included) skip it, since
+    ``np.ndim`` costs a microsecond on a Python float, which a caller
+    evaluating one phase at a time would pay per call.
     """
     return not isinstance(s, float) and np.ndim(s) > 0
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -423,17 +424,19 @@ class TestOneKernelAlgorithm:
 
     def test_ode_residual_integrand_evaluations(self, monkeypatch, spin32_linear, spin32_ds):
         # one drive evaluation per quadrature node shared by every stencil time
-        # (1,218 measured; 3,528 with one quadrature per stencil time)
-        evaluations = []
+        # (1,260 phases measured, 1,218 of them in the one call on the recorded
+        # nodes; 3,528 with one quadrature per stencil time)
+        phases = []
         drive = eff._KernelModes.drive
 
-        def counted(self, *args, **kwargs):
-            evaluations.append(args[0])
-            return drive(self, *args, **kwargs)
+        def counted(self, taus):
+            phases.append(np.size(taus))
+            return drive(self, taus)
 
         monkeypatch.setattr(eff._KernelModes, "drive", counted)
         c_tau_ode_residual(spin32_linear, spin32_ds, np.linspace(0.2, 20.0, 64)[:8])
-        assert 0 < len(evaluations) <= 1500
+        assert 0 < sum(phases) <= 1500
+        assert max(phases) >= 0.95 * sum(phases)
 
 
 PATHS = [
@@ -457,6 +460,48 @@ class TestBatchedOracle:
             assert single.shape == (4, 4)
             assert np.linalg.norm(x - single) <= 1e-12
 
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    def test_matches_a_scalar_integrand(self, spin32_ds, path):
+        # the same quad_vec calls with one scalar adiabatic_hamiltonian per node;
+        # past tau = 60 (= 2 * 90 / 3) each member's window starts at its own time
+        proto = spin32_protocol(path, 150.0)
+        taus = np.array([0.5, 37.0, 61.0, 90.0, 149.0])
+        modes = eff._KernelModes(proto, spin32_ds)
+        reduced = np.zeros((taus.size, modes.rates.size, spin32_ds.d), dtype=complex)
+        for rate in np.unique(np.round(modes.rates, 12)):
+            group = np.abs(modes.rates - rate) < 1e-9 * max(rate, 1.0)
+            t_lo = np.maximum(0.0, taus - 180.0 / rate)
+
+            def integrand(s):
+                h = adiabatic_hamiltonian(proto, s / proto.gammaT)
+                drive = (dagger(modes.modes) @ h @ spin32_ds.basis)[group]
+                inside = (t_lo <= s) & (s <= taus)
+                weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
+                return weight[:, None, None] * drive.view(float)
+
+            points = np.unique(np.concatenate([t_lo, taus]))
+            res, _, info = scipy.integrate.quad_vec(
+                integrand, t_lo.min(), taus.max(), epsabs=1e-10, epsrel=1e-10, norm="max",
+                limit=400 + points.size, points=points, full_output=True,
+            )
+            assert info.status == 0
+            reduced[:, group] = res.view(complex)
+        expected = modes.modes @ reduced @ dagger(spin32_ds.basis)
+        assert np.abs(x_tau_integral(proto, spin32_ds, taus) - expected).max() <= 1e-15
+
+    def test_checks_every_phase(self, spin32_linear):
+        # U scaled by 1.01 on phases [0.005, 0.01] (tau 1 to 2), between the
+        # 64 phases construction samples
+        def leaky(s, u_of=spin32_linear.U):
+            inside = (0.005 <= np.asarray(s)) & (np.asarray(s) <= 0.01)
+            return u_of(s) * np.where(inside, 1.01, 1.0)[..., None, None]
+
+        proto = dataclasses.replace(spin32_linear, U=leaky)
+        with pytest.raises(ValueError, match="is not unitary") as failure:
+            c_tau_ode_residual(proto, dark_space(proto.L_rot), [1.0, 4.0])
+        phase = re.fullmatch(r"U\((.+)\) is not unitary", str(failure.value)).group(1)
+        assert 0.005 <= float(phase) <= 0.01
+
     def test_rejects_a_two_dimensional_tau(self, spin32_linear, spin32_ds):
         with pytest.raises(ValueError, match="1-D array"):
             x_tau_integral(spin32_linear, spin32_ds, np.ones((2, 2)))
@@ -464,8 +509,9 @@ class TestBatchedOracle:
     def test_non_convergence_raises(self, monkeypatch, spin32_linear, spin32_ds):
         # a drive switching sign 1,600 times on [0, 10] needs far more than the
         # allowed subintervals to reach 1e-10
-        def rough(self, tau, gauge=None):
-            return np.sign(np.sin(1e3 * tau)) * np.ones((self.rates.size, self.basis.shape[1]))
+        def rough(self, taus):
+            return np.sign(np.sin(1e3 * taus))[:, None, None] * np.ones(
+                (self.rates.size, self.basis.shape[1]))
 
         monkeypatch.setattr(eff._KernelModes, "drive", rough)
         with pytest.raises(ConvergenceError,
