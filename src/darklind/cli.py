@@ -305,9 +305,10 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
     eff_states = eff.evolve_effective(rho_d, proto, ds, taus)
     rows = []
     min_eigs = _physicality(traj.states)[2].tolist()
-    for tau, state, rho_eff, min_eig in zip(traj.times, traj.states, eff_states, min_eigs):
-        u = proto.U(min(max(tau / gammaT, 0.0), 1.0))
-        dd = dagger(ds.basis) @ (u @ state @ dagger(u)) @ ds.basis
+    u = proto.U(np.clip(traj.times / gammaT, 0.0, 1.0))
+    dark = dagger(ds.basis) @ (u @ np.asarray(traj.states) @ dagger(u)) @ ds.basis
+    per_checkpoint = zip(traj.times, traj.states, dark, eff_states, min_eigs)
+    for tau, state, dd, rho_eff, min_eig in per_checkpoint:
         if ds.d == 2:
             nx, ny, nz = bloch_of(dd)
         else:

@@ -45,7 +45,7 @@ from .linalg import (
     ordered_exponential,
     pseudo_inverse,
 )
-from .protocols import Protocol, _is_grid, lab_jump
+from .protocols import Protocol, lab_jump
 
 __all__ = [
     "DarkSpace",
@@ -141,43 +141,33 @@ def project_dark(ds: DarkSpace, rho: np.ndarray) -> np.ndarray:
     return dagger(ds.basis) @ rho @ ds.basis
 
 
-def adiabatic_hamiltonian(protocol: Protocol, s: float) -> np.ndarray:
+def adiabatic_hamiltonian(protocol: Protocol, s) -> np.ndarray:
     """Effective Hamiltonian i (dU/ds) U^dag generated by the frame rotation.
 
     O(1) in the cycle duration by construction: the adiabatic prefactor
     1/(gamma T) is applied at the evolution layer, not here.  Uses the
     protocol's analytic derivative ``dU``.  For a 1-D array of n phases it
-    returns the (n, dim, dim) stack in one vectorised evaluation, with every
-    phase checked as a single one is; a failure names the first bad phase.
+    returns the (n, dim, dim) stack, for one phase one matrix; either way U
+    and dU are called once each on the phases as a 1-D array.  Every phase
+    is checked, and a failure names the first bad one.
     """
-    if _is_grid(s):
-        return _adiabatic_hamiltonian_grid(protocol, np.asarray(s, dtype=float))
-    u = protocol.U(s)
-    eye = np.eye(protocol.dim)
-    if frobenius(dagger(u) @ u - eye) > 1e-8:
-        raise ValueError(f"U({s}) is not unitary")
-    h = 1j * protocol.dU(s) @ dagger(u)
-    defect = frobenius(h - dagger(h))
-    if defect > 1e-8 * max(frobenius(h), 1.0):
-        raise ValueError(f"effective Hamiltonian not Hermitian (defect {defect:.3g})")
-    return 0.5 * (h + dagger(h))
-
-
-def _adiabatic_hamiltonian_grid(protocol: Protocol, s: np.ndarray) -> np.ndarray:
-    if s.ndim != 1:
-        raise ValueError(f"phases must be one phase or a 1-D array, got shape {s.shape}")
+    phases = np.asarray(s, dtype=float)
+    if phases.ndim > 1:
+        raise ValueError(f"phases must be one phase or a 1-D array, got shape {phases.shape}")
+    flat = phases.reshape(-1)
     dim = protocol.dim
-    stack = (s.size, dim, dim)
-    u = _phase_stack(protocol.U, s, stack, "U")
+    stack = (flat.size, dim, dim)
+    u = _phase_stack(protocol.U, flat, stack, "U")
     # [U; dU] U^dag in one product; for a square U, |U U^dag - 1| = |U^dag U - 1|
-    both = np.concatenate([u, _phase_stack(protocol.dU, s, stack, "dU")], axis=1) @ dagger(u)
-    _require_each(_norms(both[:, :dim] - np.eye(dim)) <= 1e-8, s, "U({}) is not unitary")
+    both = np.concatenate([u, _phase_stack(protocol.dU, flat, stack, "dU")], axis=1) @ dagger(u)
+    _require_each(_norms(both[:, :dim] - np.eye(dim)) <= 1e-8, flat, "U({}) is not unitary")
     h = 1j * both[:, dim:]
     _require_each(
-        _norms(h - dagger(h)) <= 1e-8 * np.maximum(_norms(h), 1.0), s,
+        _norms(h - dagger(h)) <= 1e-8 * np.maximum(_norms(h), 1.0), flat,
         "effective Hamiltonian not Hermitian at s={}",
     )
-    return 0.5 * (h + dagger(h))
+    h = 0.5 * (h + dagger(h))
+    return h if phases.ndim else h[0]
 
 
 def _phase_stack(fn: Callable, s: np.ndarray, shape: tuple, name: str) -> np.ndarray:
@@ -341,11 +331,16 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
             raise ConvergenceError(a, b, estimate, target, f"in quad_vec: {info.message}")
         reduced[:, group, :] = res.view(complex)
     x = modes.modes @ reduced @ dagger(ds.basis)
-    return x if _is_grid(tau) else x[0]
+    return x if np.ndim(tau) else x[0]
 
 
 def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
-    """Adiabatic limit of the memory kernel, 2 (L^dag L)^+ P_perp H_tau P0."""
+    """Adiabatic limit of the memory kernel, 2 (L^dag L)^+ P_perp H_tau P0.
+
+    A tau that is not a number in [0, gammaT] (1e-9 slack above) raises
+    ValueError naming it.
+    """
+    _check_taus(protocol, tau)
     m = dagger(protocol.L_rot) @ protocol.L_rot
     h = adiabatic_hamiltonian(protocol, tau / protocol.gammaT)
     p_perp = np.eye(protocol.dim) - ds.projector
@@ -971,15 +966,14 @@ def rotating_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGen
     """tau -> rotating-frame generator: fixed jump, 1/(gammaT)-weighted H.
 
     tau is one time or a 1-D array of n times (then a stack of n
-    Hamiltonians), the ``gen_of_t`` contract of ``integrate``; one time is
-    evaluated as a one-element array.
+    Hamiltonians), the ``gen_of_t`` contract of ``integrate``; H comes from
+    ``adiabatic_hamiltonian``, which takes either.
     """
 
     def gen(tau) -> LindbladGenerator:
         s = np.clip(np.asarray(tau, dtype=float) / protocol.gammaT, 0.0, 1.0)
-        h = _adiabatic_hamiltonian_grid(protocol, s.reshape(-1))
         return LindbladGenerator(
-            hamiltonian=h.reshape(np.shape(s) + h.shape[-2:]),
+            hamiltonian=adiabatic_hamiltonian(protocol, s),
             jumps=(protocol.L_rot,),
             hamiltonian_prefactor=1.0 / protocol.gammaT,
         )

@@ -34,16 +34,6 @@ __all__ = [
 _PHASE_SAMPLES = 64  # construction-time grid for unitarity/cyclicity checks
 
 
-def _is_grid(s) -> bool:
-    """True when ``s`` is an array of phases rather than one phase.
-
-    The test is ``np.ndim``; floats (NumPy's included) skip it, since
-    ``np.ndim`` costs a microsecond on a Python float, which a caller
-    evaluating one phase at a time would pay per call.
-    """
-    return not isinstance(s, float) and np.ndim(s) > 0
-
-
 def _angle_values(fn: Callable, s) -> np.ndarray:
     """fn(s) as a float array of shape np.shape(s).
 
@@ -52,10 +42,8 @@ def _angle_values(fn: Callable, s) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
 
 
-def _angle(fn: Callable, s):
-    """fn(s); for an array of n phases an (n, 1, 1) column, so that it scales a stack."""
-    if not _is_grid(s):
-        return fn(s)
+def _angle(fn: Callable, s: np.ndarray) -> np.ndarray:
+    """fn(s) for a 1-D array of n phases as an (n, 1, 1) column, so that it scales a stack."""
     return _angle_values(fn, s).reshape(-1, 1, 1)
 
 
@@ -149,21 +137,19 @@ def fourier_path(
     """Winding plus periodic Fourier wiggles sum_k a_k sin(2*pi*k*s).
 
     The sine series vanishes at both endpoints, so the declared windings stay
-    exact whatever the knot amplitudes.  The angles take one phase or an
-    array of phases.
+    exact whatever the knot amplitudes.  The angles take an array of phases
+    (or one phase) and evaluate it elementwise.
     """
     wt, wp = 2 * math.pi * m_theta, 2 * math.pi * m_phi
     tk = tuple(float(a) for a in theta_knots)
     pk = tuple(float(a) for a in phi_knots)
 
     def series(knots, s):
-        sin = np.sin if _is_grid(s) else math.sin
-        return sum(a * sin(2 * math.pi * (k + 1) * s) for k, a in enumerate(knots))
+        return sum(a * np.sin(2 * math.pi * (k + 1) * s) for k, a in enumerate(knots))
 
     def dseries(knots, s):
-        cos = np.cos if _is_grid(s) else math.cos
         return sum(
-            a * 2 * math.pi * (k + 1) * cos(2 * math.pi * (k + 1) * s)
+            a * 2 * math.pi * (k + 1) * np.cos(2 * math.pi * (k + 1) * s)
             for k, a in enumerate(knots)
         )
 
@@ -205,18 +191,17 @@ class Protocol:
     spin windings, which no observable sees).  ``dU`` is the analytic phase
     derivative and is required: no consumer falls back to finite differences.
 
-    ``U`` and ``dU`` take one phase and return a (dim, dim) matrix, or a 1-D
-    array of n phases and return an (n, dim, dim) stack, element k belonging
-    to phase k.  Consumers evaluate whole phase grids in one call; they check
-    the shape and every element as they would check one matrix.  Construction
-    makes one ``U`` call, on a grid of phases from 0 to 1, and reads U(0) = 1,
-    cyclicity and unitarity off it.
+    ``U`` and ``dU`` take a 1-D array of n phases and return an (n, dim, dim)
+    stack, element k belonging to phase k.  The package calls them with such
+    arrays only, one phase being the one-element array; it checks the shape
+    and every element.  Construction makes one ``U`` call, on a grid of
+    phases from 0 to 1, and reads U(0) = 1, cyclicity and unitarity off it.
     """
 
     dim: int
     L_rot: np.ndarray
-    U: Callable[[float], np.ndarray]
-    dU: Callable[[float], np.ndarray]
+    U: Callable[[np.ndarray], np.ndarray]
+    dU: Callable[[np.ndarray], np.ndarray]
     gammaT: float
     descriptor: dict = field(default_factory=dict)
 
@@ -254,7 +239,7 @@ class _EigenChain:
     P_0 = V_0, cost one GEMM with a fixed link and one column scaling each.  dU
     runs the product rule along the same links: B_k = (B_{k-1} C_{k-1,k} +
     i alpha_k' P_k diag(w_k)) D_k from B_{-1} = 0, and dU = B_{n-1} V_{n-1}^dag.
-    One phase and a 1-D array of phases (see ``_angle``) run the same code.
+    Phases come as a 1-D array, and every piece is a stack over them (``_angle``).
     """
 
     def __init__(self, generators: Sequence[np.ndarray], angles: Sequence[Callable],
@@ -266,8 +251,8 @@ class _EigenChain:
         self.last = dagger(eigen[-1][1])
         self.angles, self.dangles = angles, dangles
 
-    def phase(self, s) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The pairs (P_k, diagonal of D_k) at phase s, which U and dU both read."""
+    def phase(self, s: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The pairs (P_k, diagonal of D_k) at the phases s, which U and dU both read."""
         pieces = []
         p = self.first
         for k, (iw, angle) in enumerate(zip(self.iw, self.angles)):
@@ -280,7 +265,7 @@ class _EigenChain:
         p, d = pieces[-1]
         return _gemm(p * d, self.last)
 
-    def du(self, pieces: list, s) -> np.ndarray:
+    def du(self, pieces: list, s: np.ndarray) -> np.ndarray:
         for k, ((p, d), iw, dangle) in enumerate(zip(pieces, self.iw, self.dangles)):
             term = _angle(dangle, s) * (p * iw)  # i alpha_k' P_k diag(w_k)
             if k:
@@ -290,12 +275,12 @@ class _EigenChain:
 
 
 class _Handoff:
-    """What ``U`` built at one phase, left for the ``dU`` call that follows.
+    """What ``U`` built at a phase array, left for the ``dU`` call that follows.
 
-    ``adiabatic_hamiltonian`` asks for U and then dU at the same phase.
-    ``put`` builds the pieces and leaves them with the phase (copied unless
-    it is a float); ``take`` hands them over once, and builds them afresh for
-    another phase object or for an array rewritten in place since.
+    ``adiabatic_hamiltonian`` asks for U and then dU at the same phases.
+    ``put`` builds the pieces and leaves them with the phase array and a copy
+    of it; ``take`` hands them over once, and builds them afresh for another
+    array object or for one rewritten in place since.
     """
 
     def __init__(self, build: Callable):
@@ -304,14 +289,12 @@ class _Handoff:
 
     def put(self, s):
         pieces = self.build(s)
-        self.left = (s, None if isinstance(s, float) else np.array(s), pieces)
+        self.left = (s, np.array(s), pieces)
         return pieces
 
     def take(self, s):
         left, self.left = self.left, None
-        if left is None or s is not left[0] or (
-            left[1] is not None and not np.array_equal(s, left[1])
-        ):
+        if left is None or s is not left[0] or not np.array_equal(s, left[1]):
             return self.build(s)
         return left[2]
 
@@ -352,8 +335,9 @@ def custom_protocol(
     no finite-difference fallback.  Every generator must be square and of the
     dimension of the square ``L_rot``; a ValueError names the first that is
     not.  With no generators U = 1 and dU = 0.  U and dU run along the
-    generators' eigenbases (``_EigenChain``).  Construction rejects non-cyclic
-    paths.
+    generators' eigenbases (``_EigenChain``) on a 1-D phase array; one phase
+    is taken as the one-element array and gives one matrix.  Construction
+    rejects non-cyclic paths.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if len(gens) != len(angles):
@@ -374,13 +358,15 @@ def custom_protocol(
         gens = [np.zeros((dim, dim), dtype=complex)]
         angles = dangles = [lambda s: 0.0]
     chain = _EigenChain(gens, angles, dangles)
-    handoff = _Handoff(chain.phase)
+    handoff = _Handoff(lambda s: chain.phase(np.reshape(s, -1)))
 
-    def u_of(s: float) -> np.ndarray:
-        return chain.u(handoff.put(s))
+    def u_of(s) -> np.ndarray:
+        u = chain.u(handoff.put(s))
+        return u if np.ndim(s) else u[0]
 
-    def du_of(s: float) -> np.ndarray:
-        return chain.du(handoff.take(s), s)
+    def du_of(s) -> np.ndarray:
+        du = chain.du(handoff.take(s), np.reshape(s, -1))
+        return du if np.ndim(s) else du[0]
 
     return Protocol(
         dim=dim,
@@ -395,10 +381,12 @@ def custom_protocol(
 def lab_jump(protocol: Protocol, s) -> np.ndarray:
     """Lab-frame jump operator U(s)^dag L_rot U(s).
 
-    For a 1-D array of n phases it returns the (n, dim, dim) stack; every
-    phase must lie in [0, 1], and a failure names the first one outside.
+    ``protocol.U`` is called on the phases as a 1-D array.  For a 1-D array
+    of n phases it returns the (n, dim, dim) stack, for one phase one matrix;
+    every phase must lie in [0, 1], and a failure names the first one outside.
     """
     phases = np.asarray(s)
     _require_each((0.0 <= phases) & (phases <= 1.0), phases, "phase {} outside [0, 1]")
-    u = protocol.U(s)
+    u = protocol.U(np.reshape(phases, -1))
+    u = u if phases.ndim else u[0]
     return dagger(u) @ protocol.L_rot @ u

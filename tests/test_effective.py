@@ -38,6 +38,7 @@ from darklind.linalg import dagger, matrix_exp
 from darklind.protocols import (
     custom_protocol,
     fourier_path,
+    lab_jump,
     linear_path,
     smoothstep_path,
     spin32_jump,
@@ -140,14 +141,19 @@ class TestAdiabaticHamiltonian:
             assert np.linalg.norm(h - dagger(h)) <= 1e-10
 
     def test_rejects_non_unitary_path(self, spin32_linear):
+        # the array contract of ``Protocol``: U and dU take a 1-D phase array
         broken = types.SimpleNamespace(
             dim=4,
-            U=lambda s: (1.0 + s) * np.eye(4),
-            dU=lambda s: np.eye(4),
+            U=lambda s: (1.0 + s)[:, None, None] * np.eye(4),
+            dU=lambda s: np.zeros((s.size, 4, 4)),
             gammaT=100.0,
         )
-        with pytest.raises(ValueError, match="unitary"):
+        with pytest.raises(ValueError, match=r"U\(0\.5\) is not unitary"):
             adiabatic_hamiltonian(broken, 0.5)
+
+    def test_rejects_nan_phase(self, spin32_linear):
+        with pytest.raises(ValueError, match=r"U\(nan\) is not unitary"):
+            adiabatic_hamiltonian(spin32_linear, math.nan)
 
 
 _, _SY32, _SZ32 = spin_operators(3)
@@ -171,12 +177,22 @@ GRID_PROTOCOLS = {
 class TestHamiltonianOnGrid:
     @pytest.mark.parametrize("name", list(GRID_PROTOCOLS))
     def test_matches_scalar_phases(self, name):
+        # one phase, as a float, a NumPy scalar or a 0-d array, is the
+        # one-element array: bit-equal to its element of the stack
         proto = GRID_PROTOCOLS[name]()
         s = np.linspace(0.0, 1.0, 37)
-        hs = adiabatic_hamiltonian(proto, s)
-        assert hs.shape == (37, 4, 4)
-        for k in range(s.size):
-            assert np.linalg.norm(hs[k] - adiabatic_hamiltonian(proto, float(s[k]))) <= 1e-14
+        evaluations = {
+            "H": lambda phase: adiabatic_hamiltonian(proto, phase),
+            "U": proto.U,
+            "dU": proto.dU,
+            "lab_jump": lambda phase: lab_jump(proto, phase),
+        }
+        for what, evaluate in evaluations.items():
+            stack = evaluate(s)
+            assert stack.shape == (37, 4, 4), what
+            for k in range(s.size):
+                for phase in (float(s[k]), s[k], np.array(s[k])):
+                    assert np.array_equal(evaluate(phase), stack[k]), (what, k, type(phase))
 
     def test_names_first_non_unitary_phase(self):
         broken = types.SimpleNamespace(
@@ -210,6 +226,39 @@ class TestHamiltonianOnGrid:
         assert calls
         for s in calls:
             assert isinstance(s, np.ndarray) and s.ndim == 1 and 0 < s.size <= eff._PHASE_BLOCK
+
+
+def array_only(proto):
+    """``proto`` with U and dU that raise on anything but a 1-D phase array."""
+
+    def strict(fn):
+        def call(s):
+            if not (isinstance(s, np.ndarray) and s.ndim == 1):
+                raise TypeError(f"phases must be a 1-D array, got {s!r}")
+            return fn(s)
+
+        return call
+
+    return dataclasses.replace(proto, U=strict(proto.U), dU=strict(proto.dU))
+
+
+def test_package_calls_u_and_du_on_phase_arrays_only(spin32_linear, spin32_ds):
+    strict = array_only(spin32_linear)
+    rho_d = np.eye(2) / 2
+    queries = {
+        "H": lambda p: adiabatic_hamiltonian(p, 0.3),
+        "lab_jump": lambda p: lab_jump(p, 0.3),
+        "x_tau_adiabatic": lambda p: x_tau_adiabatic(p, spin32_ds, 60.0),
+        "jump": lambda p: effective_jump(p, spin32_ds, 60.0),
+        "jump-adiabatic": lambda p: effective_jump(p, spin32_ds, 60.0, source="adiabatic"),
+        "rhs": lambda p: effective_rhs(rho_d, p, spin32_ds, 60.0),
+        "rhs-adiabatic": lambda p: effective_rhs(rho_d, p, spin32_ds, 60.0, source="adiabatic"),
+    }
+    for what, query in queries.items():
+        assert np.array_equal(query(strict), query(spin32_linear)), what
+    rho0 = embed_dark(spin32_ds, dark_state_from_bloch((0.0, 1.0, 0.0)))
+    runs = [integrate(lab_generator(p), rho0, (0.0, 5.0)) for p in (strict, spin32_linear)]
+    assert np.array_equal(runs[0].final, runs[1].final)
 
 
 def counting_u(proto) -> tuple:
@@ -551,9 +600,10 @@ class TestBatchedOracle:
     lambda p, ds, tau: x_tau_integral(p, ds, tau),
     lambda p, ds, tau: x_tau_integral(p, ds, np.array([1.0, tau, 5.0])),
     lambda p, ds, tau: berry_holonomy(p, ds, tau),
+    lambda p, ds, tau: x_tau_adiabatic(p, ds, tau),
 ], ids=["jump", "jump-adiabatic", "c_tau", "c_tau-adiabatic", "rhs", "rhs-adiabatic",
         "reconstruct", "reconstruct-adiabatic", "x_tau_integral", "x_tau_integral-array",
-        "holonomy"])
+        "holonomy", "x_tau_adiabatic"])
 @pytest.mark.parametrize("tau", [300.0, -50.0, 200.0 + 1e-6, math.nan, math.inf, -math.inf])
 def test_per_tau_queries_reject_tau_outside_the_cycle(spin32_linear, spin32_ds, query, tau):
     with pytest.raises(ValueError, match=rf"tau={tau} outside \[0, gammaT\]"):

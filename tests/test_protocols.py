@@ -153,14 +153,15 @@ class TestSpin32Protocol:
         builds = counting_phase_builds(monkeypatch)
         proto = spin32_protocol(smoothstep_path(1, 1), 100.0)
         phases = np.linspace(0.0, 1.0, 7)
-        for s in (0.3, phases):
+        # one phase is the one-element array
+        for s, other, shape in ((0.3, 0.7, (1,)), (phases, phases + 0.01, (7,))):
             builds.clear()
             h = adiabatic_hamiltonian(proto, s)
-            assert builds == [np.shape(s)]  # one chain for U and dU together
+            assert builds == [shape]  # one chain for U and dU together
             builds.clear()
             # a fresh U/dU pair at another phase builds it again
-            adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
-            assert builds == [np.shape(s)]
+            adiabatic_hamiltonian(proto, other)
+            assert builds == [shape]
         assert h.shape == (7, 4, 4)
 
     def test_rotation_reuse_follows_the_phase_values(self, spin32_linear):
@@ -329,13 +330,14 @@ class TestCustomProtocol:
         builds = counting_phase_builds(monkeypatch)
         proto = self.two_generator_protocol()
         phases = np.linspace(0.0, 1.0, 7)
-        for s in (0.3, phases):
+        # one phase is the one-element array
+        for s, other, shape in ((0.3, 0.7, (1,)), (phases, phases + 0.01, (7,))):
             builds.clear()
             adiabatic_hamiltonian(proto, s)
-            assert builds == [np.shape(s)]  # one chain per phase, shared by U and dU
+            assert builds == [shape]  # one chain per phase array, shared by U and dU
             builds.clear()
-            adiabatic_hamiltonian(proto, 0.7 if np.ndim(s) == 0 else phases + 0.01)
-            assert builds == [np.shape(s)]
+            adiabatic_hamiltonian(proto, other)
+            assert builds == [shape]
 
     def test_derivative_unchanged_by_rotation_reuse(self):
         proto = self.two_generator_protocol()

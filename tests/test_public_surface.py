@@ -53,3 +53,10 @@ def test_linalg_has_one_scan(removed):
     # every prefix product runs through ``linalg._scan``
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
+
+
+@pytest.mark.parametrize("removed", ["_is_grid", "_adiabatic_hamiltonian_grid"])
+def test_phases_take_one_path(removed):
+    # U, dU, the adiabatic Hamiltonian and the lab jump evaluate phase arrays only
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
