@@ -28,7 +28,7 @@ from .effective import (
     rotating_generator,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import _compose_affine, _scan, dagger, frobenius, matrix_exp
+from .linalg import _compose_affine, _norms, _scan, dagger, frobenius, matrix_exp
 from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
@@ -277,7 +277,8 @@ def gauge_covariance_check(
     grows), and the end-of-cycle purity prediction computed in both gauges by
     the frozen-state integral.  Both run the exact-decay recurrence, plain and
     gauged, on one evaluation of the Hamiltonian per node for both gauges; the
-    defects on the grid of every per-tau query (``eff._phase_grid``).
+    defects at all tau fractions of one gamma T in one pass along the cut
+    cycle grid of every per-tau query (``eff._kernel_at``).
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -289,12 +290,14 @@ def gauge_covariance_check(
     defects, purities = [], []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
-        worst = 0.0
-        for frac in tau_fractions:
-            taus = proto.gammaT * eff._phase_grid(proto, frac * proto.gammaT)
-            plain, tilted = eff._end_jumps(proto, ds, taus, frames)
-            worst = max(worst, frobenius(tilted - plain))
-        defects.append(worst)
+        taus = proto.gammaT * np.asarray(tau_fractions, dtype=float)
+        eff._check_taus(proto, taus)
+        modes = eff._KernelModes(proto, ds)
+        plain, tilted = (
+            eff._jumps(modes, taus, xs, gauge)
+            for xs, gauge in zip(eff._kernel_at(modes, taus, frames), frames)
+        )
+        defects.append(float(_norms(tilted - plain).max(initial=0.0)))
         purities.append(tuple(
             _purity_after(rho_d, total, gammaT)
             for total, _ in eff._frozen_state_integral(rho_d, proto, ds, frames)

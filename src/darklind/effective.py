@@ -45,7 +45,7 @@ from .linalg import (
     ordered_exponential,
     pseudo_inverse,
 )
-from .protocols import Protocol, lab_jump
+from .protocols import Protocol, _phases, lab_jump
 
 __all__ = [
     "DarkSpace",
@@ -81,8 +81,9 @@ _QUAD_SPLITS = 400
 #: small result before the next one is formed
 _PHASE_BLOCK = 256
 
-#: uniform steps over the cycle of the frozen-state dissipator integral and of
-#: every per-tau query (``_phase_grid``)
+#: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
+#: grid of the frozen-state dissipator integral and, cut at tau (``_cycle_cut``),
+#: of every per-tau query and of the holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
 _FD_STEP = 0.05
@@ -151,9 +152,7 @@ def adiabatic_hamiltonian(protocol: Protocol, s) -> np.ndarray:
     and dU are called once each on the phases as a 1-D array.  Every phase
     is checked, and a failure names the first bad one.
     """
-    phases = np.asarray(s, dtype=float)
-    if phases.ndim > 1:
-        raise ValueError(f"phases must be one phase or a 1-D array, got shape {phases.shape}")
+    phases = _phases(s)
     flat = phases.reshape(-1)
     dim = protocol.dim
     stack = (flat.size, dim, dim)
@@ -239,11 +238,14 @@ def _node_blocks(
 
 
 def _check_taus(protocol: Protocol, tau) -> None:
-    """Raise ValueError naming the first of one tau or an array that is not in [0, gammaT].
+    """Raise ValueError naming the first of one tau or a 1-D array that is not in [0, gammaT].
 
-    NaN and infinities fail; 1e-9 of slack is allowed above gammaT.
+    NaN and infinities fail; 1e-9 of slack is allowed above gammaT.  An array
+    of more dimensions raises ValueError too.
     """
     t = np.asarray(tau, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"tau must be one time or a 1-D array, got shape {t.shape}")
     _require_each((0.0 <= t) & (t <= protocol.gammaT + 1e-9), t, "tau={} outside [0, gammaT]")
 
 
@@ -252,15 +254,16 @@ def _window_start(tau, rate):
     return np.maximum(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
 
 
-def _phase_grid(protocol: Protocol, tau: float, start: float = 0.0) -> np.ndarray:
-    """Uniform phase grid over [start, tau] / gammaT of every per-tau query.
+def _cycle_cut(nodes: np.ndarray, t, start) -> tuple[np.ndarray, np.ndarray]:
+    """The cycle grid ``nodes`` cut to the times t: one grid for one time or an array of them.
 
-    ceil(_FROZEN_GRID (tau - start) / gammaT) steps, at least one; a tau that
-    is not a number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    Returns the nodes from the last one at or below min(start) to the last one
+    at or below max(t), and the index in them of the last node at or below
+    each t, where that t's partial step begins.
     """
-    _check_taus(protocol, tau)
-    steps = max(1, math.ceil(_FROZEN_GRID * (tau - start) / protocol.gammaT))
-    return np.linspace(start / protocol.gammaT, tau / protocol.gammaT, steps + 1)
+    first = np.searchsorted(nodes, np.min(start), side="right") - 1
+    cut = np.searchsorted(nodes, t, side="right") - 1
+    return nodes[first:np.max(cut) + 1], cut - first
 
 
 def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
@@ -290,11 +293,8 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     node up by its float value; a node not recorded (a later subdivision's)
     is evaluated alone.  The window weights are applied in the integrand.
     """
-    taus = np.asarray(tau, dtype=float)
-    if taus.ndim > 1:
-        raise ValueError(f"tau must be one time or a 1-D array, got shape {taus.shape}")
-    taus = taus.reshape(-1)
-    _check_taus(protocol, taus)
+    _check_taus(protocol, tau)
+    taus = np.asarray(tau, dtype=float).reshape(-1)
     modes = _KernelModes(protocol, ds)
     reduced = np.zeros((taus.size, modes.rates.size, ds.d), dtype=complex)
     # X_0 = 0: without a positive time there is nothing to integrate
@@ -334,11 +334,12 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     return x if np.ndim(tau) else x[0]
 
 
-def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
+def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     """Adiabatic limit of the memory kernel, 2 (L^dag L)^+ P_perp H_tau P0.
 
-    A tau that is not a number in [0, gammaT] (1e-9 slack above) raises
-    ValueError naming it.
+    One tau gives a dim x dim matrix, a 1-D array of n times the (n, dim, dim)
+    stack.  A tau that is not a number in [0, gammaT] (1e-9 slack above)
+    raises ValueError naming the first such one.
     """
     _check_taus(protocol, tau)
     m = dagger(protocol.L_rot) @ protocol.L_rot
@@ -347,29 +348,34 @@ def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray
     return 2.0 * pseudo_inverse(m) @ p_perp @ h @ ds.projector
 
 
-def c_tau(protocol: Protocol, ds: DarkSpace, tau: float, source: str = "integral") -> np.ndarray:
-    """Hermitian kernel C_tau = X_tau + X_tau^dag.
+def c_tau(protocol: Protocol, ds: DarkSpace, tau, source: str = "integral") -> np.ndarray:
+    """Hermitian kernel C_tau = X_tau + X_tau^dag, at one tau or a 1-D array of them.
 
-    X_tau as in ``effective_jump``: the exact-decay recurrence on the _FROZEN_GRID rule.
+    X_tau as in ``effective_jump``: the exact-decay recurrence along the cut
+    cycle grid (``_x_of``); an array gives the (n, dim, dim) stack.
     """
     x = _x_of(protocol, ds, tau, source)
     return x + dagger(x)
 
 
-def _x_of(protocol: Protocol, ds: DarkSpace, tau: float, source: str) -> np.ndarray:
-    """X_tau by the recurrence ``_kernel_grid`` ("integral") or adiabatic.
+def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
+    """X_tau by the recurrence ``_kernel_at`` ("integral") or adiabatic.
 
-    The recurrence starts from zero where the oracle's window for the slowest
-    bright rate starts (``_window_start``), and steps ``_phase_grid``'s
-    uniform grid from there: ceil(_FROZEN_GRID (tau - start) / gammaT) steps.
+    ``tau`` is one time, giving a dim x dim matrix, or a 1-D array of n times,
+    giving the (n, dim, dim) stack; one time is the one-element array.  The
+    recurrence steps the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1),
+    from zero at the node at or below the earliest kernel window start
+    (``_window_start`` of the slowest bright rate) to the last node at or below
+    each tau, then one partial step to tau; a batch takes one ``_node_blocks``
+    call and one scan.  A tau that is not a number in [0, gammaT] (1e-9 slack
+    above) raises ValueError naming the first such one.
     """
     _check_taus(protocol, tau)
     if source == "integral":
         modes = _KernelModes(protocol, ds)
-        start = _window_start(tau, np.min(modes.rates, initial=np.inf))
-        grid = protocol.gammaT * _phase_grid(protocol, tau, start)
-        (xs, _), = _kernel_frames(modes, grid)
-        return modes.modes @ xs[-1] @ dagger(ds.basis)
+        xs, = _kernel_at(modes, np.asarray(tau, dtype=float).reshape(-1))
+        x = modes.modes @ xs @ dagger(ds.basis)
+        return x if np.ndim(tau) else x[0]
     if source == "adiabatic":
         return x_tau_adiabatic(protocol, ds, tau)
     raise ValueError(f"unknown X source {source!r}")
@@ -403,13 +409,15 @@ def c_tau_ode_residual(protocol: Protocol, ds: DarkSpace, taus: Sequence[float])
 def effective_jump(
     protocol: Protocol,
     ds: DarkSpace,
-    tau: float,
+    tau,
     source: str = "integral",
 ) -> np.ndarray:
     """Effective dark-space jump operator P0 L X_tau P0 (d x d, dark basis).
 
-    With ``source="integral"`` X_tau comes from the exact-decay recurrence on
-    the uniform grid of ``_FROZEN_GRID`` steps per cycle (``_x_of``).
+    ``tau`` is one time or a 1-D array of n times, giving the (n, d, d) stack.
+    With ``source="integral"`` X_tau comes from the exact-decay recurrence
+    along the cycle grid of ``_FROZEN_GRID`` steps, cut at tau and ended by
+    one partial step to it, all times of an array in one pass (``_x_of``).
     """
     x = _x_of(protocol, ds, tau, source)
     return dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
@@ -422,10 +430,11 @@ def effective_rhs(
     tau: float,
     source: str = "integral",
 ) -> np.ndarray:
-    """Reduced evolution: Berry commutator at order eps, dissipator at eps^2.
+    """Reduced evolution: Berry commutator at order eps, dissipator at eps^2, at one tau.
 
     eps = 1/(gamma T); the commutator uses the dark block of the adiabatic
-    Hamiltonian at phase tau / (gamma T), the dissipator the effective jump:
+    Hamiltonian at phase tau / (gamma T), the dissipator the effective jump
+    (``effective_jump``, on the cut cycle grid for ``source="integral"``):
     the Lindblad generator with Hamiltonian H0, prefactor eps and jump eps ell.
     """
     eps = 1.0 / protocol.gammaT
@@ -439,11 +448,20 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
 
     Unitary d x d; the generator is the dark block of the adiabatic
     Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
-    runs on the grid of every per-tau query (``_phase_grid``): _FROZEN_GRID
-    steps per cycle, ceil(_FROZEN_GRID tau / gammaT) and at least one; the
-    steps, those of ``ordered_exponential``, are multiplied pairwise.
+    runs on the cycle grid of every per-tau query, np.linspace(0, 1,
+    _FROZEN_GRID + 1) in phase, cut at the last node at or below tau / gammaT
+    (``_cycle_cut``) and ended by one partial midpoint step to tau / gammaT;
+    a tau on a node ends with a zero-length step, the exact identity, so at
+    tau = gammaT the steps are those of the whole cycle grid.  The steps,
+    those of ``ordered_exponential``, are multiplied pairwise.  A tau that is
+    not one number in [0, gammaT] (1e-9 slack above) raises ValueError.
     """
-    grid = _phase_grid(protocol, tau)
+    if np.ndim(tau):
+        raise ValueError(f"tau must be one time, got shape {np.shape(tau)}")
+    _check_taus(protocol, tau)
+    s = tau / protocol.gammaT
+    grid, _ = _cycle_cut(np.linspace(0.0, 1.0, _FROZEN_GRID + 1), s, 0.0)
+    grid = np.append(grid, s)
     (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
@@ -640,7 +658,7 @@ class _MagnusPropagator:
                 if self.decay:
                     block = drives[-nodes.size:]
                     block = block.reshape(nodes.shape + block.shape[1:])
-                    xs = _kernel_grid(self.modes, fine, block, start=x)
+                    xs = _kernel_grid(_step_maps(self.modes, np.diff(fine, axis=0), block), start=x)
                     part[lo:lo + size] = np.stack([xs[1::3], xs[2::3]], axis=2)
                     x = xs[-1]
             if self.decay:
@@ -789,7 +807,7 @@ def _kernel_frames(
         if gauge is not None:
             drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
         h0 = h0.reshape(nodes.shape + h0.shape[1:])[:, 1]
-        frames.append((_kernel_grid(modes, taus, drives), h0))
+        frames.append((_kernel_grid(_step_maps(modes, np.diff(taus), drives)), h0))
     return frames
 
 
@@ -814,19 +832,38 @@ def _jumps(
     return _blockwise(to_jump, taus, xs)
 
 
-def _end_jumps(
-    protocol: Protocol, ds: DarkSpace, taus: np.ndarray, gauges: Sequence[Gauge | None]
+def _kernel_at(
+    modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
 ) -> list[np.ndarray]:
-    """ell at the last time of the grid ``taus`` in each frame of ``gauges``.
+    """Kernel blocks at a 1-D array of times, per frame of ``gauges``, on the cut cycle grid.
 
-    H is evaluated once per kernel node for all frames, and only the last
-    point is turned into a jump.
+    The recurrence (``_kernel_grid``) runs from zero along the cycle grid,
+    gammaT np.linspace(0, 1, _FROZEN_GRID + 1), from the node at or below the
+    earliest kernel window start of the slowest bright rate
+    (``_window_start``) to the last node at or below the latest time
+    (``_cycle_cut``).  Each time then takes one partial step from the last
+    node at or below it, its decay exact, as a direct affine update of that
+    node's block.  The drive at every cycle and partial-step node comes from
+    one ``_node_blocks`` call for all frames, and the maps of all steps from
+    one ``_step_maps`` call.  Returns per frame the (n, nb, d) blocks
+    U_b^dag X_tau B, or in a gauge frame the (n, nb, nb, d) blocks Y_ij (see
+    ``_jumps``).
     """
-    modes = _KernelModes(protocol, ds)
-    return [
-        _jumps(modes, taus[-1:], xs[-1:], gauge)[0]
-        for (xs, _), gauge in zip(_kernel_frames(modes, taus, gauges), gauges)
-    ]
+    gammaT = modes.protocol.gammaT
+    start = _window_start(taus, np.min(modes.rates, initial=np.inf))
+    grid, cut = _cycle_cut(gammaT * np.linspace(0.0, 1.0, _FROZEN_GRID + 1), taus, start)
+    last, steps = grid[cut], grid.size - 1
+    h = np.concatenate([np.diff(grid), taus - last])
+    nodes = np.concatenate([grid[:-1], last])[:, None] + h[:, None] * _GL3_NODES
+    frames = []
+    for (drives, _), gauge in zip(_node_blocks(modes, nodes.ravel() / gammaT, gauges), gauges):
+        drives = drives.reshape(nodes.shape + drives.shape[1:])
+        if gauge is not None:
+            drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
+        maps = _step_maps(modes, h, drives)
+        partial = maps[steps:]
+        frames.append(partial[..., :1] * _kernel_grid(maps[:steps])[cut] + partial[..., 1:])
+    return frames
 
 
 #: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step; the
@@ -876,28 +913,41 @@ def _kernel_nodes(taus: np.ndarray) -> np.ndarray:
     return taus[:-1, ..., None] + np.diff(taus, axis=0)[..., None] * _GL3_NODES
 
 
-def _kernel_grid(
-    modes: _KernelModes,
-    taus: np.ndarray,
-    drives: np.ndarray,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
-    """Kernel blocks at the grid points by the per-mode exponential recurrence.
+def _kernel_grid(maps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
+    """Kernel blocks at the points of grids by the per-mode exponential recurrence.
 
-    ``taus`` holds its steps along axis 0; further axes index independent
-    grids of the same step count.  ``drives`` holds the drive at their
-    kernel nodes (``_kernel_nodes``), a (steps, ..., 3, nb, d) stack, giving
-    the (points, ..., nb, d) stack of U_b^dag X_tau B; drive rows given as a
-    (steps, 3, 1, nb, d) stack give one recurrence per (mode i, drive row j)
-    pair, the (points, nb, nb, d) stack of Y_ij(tau) (see ``_jumps``).  The
-    block at taus[0] is ``start``, zero by default.  Over each step the block
-    decays by e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s) ds, the
-    drive interpolated through its values at the three Gauss-Legendre nodes
-    and the exponential integrated exactly (``_decay_weights``).  The weights
-    are computed once per distinct step length, and a grid has few: all of a
-    uniform grid's steps are one length up to roundoff.
+    ``maps`` holds the affine maps [decay | gain] of the grids' steps along
+    axis 0 (``_step_maps``); further axes index independent grids of the
+    same step count, or (mode, drive row) pairs.  The maps are
+    prefix-composed by one scan.  Returns the blocks at the steps + 1
+    points, (points, ..., nb, d) or (points, nb, nb, d) for pairs; the
+    block at the first point is ``start``, zero by default.
     """
-    h = np.diff(taus, axis=0)
+    maps = _scan(maps, _compose_affine)
+    xs = np.zeros((maps.shape[0] + 1,) + maps.shape[1:-1] + (maps.shape[-1] - 1,), dtype=complex)
+    xs[1:] = maps[..., 1:]
+    if start is not None:
+        xs[0] = start
+        xs[1:] += maps[..., :1] * start
+    return xs
+
+
+def _step_maps(modes: _KernelModes, h: np.ndarray, drives: np.ndarray) -> np.ndarray:
+    """The affine map x -> e^{-rate h/2} x + gain of each kernel-recurrence step of length h.
+
+    ``h`` is a (steps, ...) array, further axes indexing independent grids,
+    and ``drives`` the drive at each step's kernel nodes (``_kernel_nodes``),
+    (steps, ..., 3, nb, d) for the blocks U_b^dag X_tau B, or
+    (steps, 3, 1, nb, d) for one map per (mode i, drive row j) pair, whose
+    blocks are Y_ij(tau) (see ``_jumps``).  Over a step the block decays by
+    e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s) ds, the drive
+    interpolated through its values at the three Gauss-Legendre nodes and the
+    exponential integrated exactly (``_decay_weights``).  The weights are
+    computed once per distinct step length, and a grid has few: all of a
+    uniform grid's steps are one length up to roundoff.  Returns [decay |
+    gain] along the last axis, (steps, ..., nb, 1 + d) or (steps, ..., nb,
+    nb, 1 + d).
+    """
     lengths, which = np.unique(h, return_inverse=True)
     which = which.reshape(h.shape)
     z = 0.5 * lengths[:, None] * modes.rates  # (lengths, nb)
@@ -906,17 +956,7 @@ def _kernel_grid(
     gains = (coef * drives).sum(axis=h.ndim)
     decay = np.exp(-z)[which]
     decay = decay.reshape(decay.shape + (1,) * (gains.ndim - decay.ndim))
-    # x_k+1 = decay_k x_k + gain_k: each step as the affine map [decay | gain], prefix-composed
-    maps = _scan(
-        np.concatenate([np.broadcast_to(decay, gains.shape[:-1] + (1,)), gains], axis=-1),
-        _compose_affine,
-    )
-    xs = np.zeros((taus.shape[0],) + gains.shape[1:], dtype=complex)
-    xs[1:] = maps[..., 1:]
-    if start is not None:
-        xs[0] = start
-        xs[1:] += maps[..., :1] * start
-    return xs
+    return np.concatenate([np.broadcast_to(decay, gains.shape[:-1] + (1,)), gains], axis=-1)
 
 
 def reconstruct_full_state(
@@ -926,12 +966,12 @@ def reconstruct_full_state(
     tau: float,
     source: str = "integral",
 ) -> tuple[np.ndarray, float]:
-    """Full-space state from the reduced one via the order-eps^2 map.
+    """Full-space state from the reduced one via the order-eps^2 map, at one tau.
 
     Embedding plus the commutator correction -i eps [C_tau, .] and the
     second-order correction eps^2 D_C, the dissipator of the Hermitian C; with
-    ``source="integral"`` C_tau comes from the exact-decay recurrence on the
-    ``_FROZEN_GRID`` rule (``_x_of``).
+    ``source="integral"`` C_tau comes from the exact-decay recurrence along
+    the cycle grid cut at tau, ended by one partial step to it (``_x_of``).
     Returns (state, trace_correction); the trace is renormalized and the
     removed magnitude reported.
     """

@@ -42,6 +42,14 @@ def _angle_values(fn: Callable, s) -> np.ndarray:
     return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
 
 
+def _phases(s) -> np.ndarray:
+    """One phase or a 1-D array of them as a float array; more dimensions raise ValueError."""
+    phases = np.asarray(s, dtype=float)
+    if phases.ndim > 1:
+        raise ValueError(f"phases must be one phase or a 1-D array, got shape {phases.shape}")
+    return phases
+
+
 def _angle(fn: Callable, s: np.ndarray) -> np.ndarray:
     """fn(s) for a 1-D array of n phases as an (n, 1, 1) column, so that it scales a stack."""
     return _angle_values(fn, s).reshape(-1, 1, 1)
@@ -383,9 +391,10 @@ def lab_jump(protocol: Protocol, s) -> np.ndarray:
 
     ``protocol.U`` is called on the phases as a 1-D array.  For a 1-D array
     of n phases it returns the (n, dim, dim) stack, for one phase one matrix;
-    every phase must lie in [0, 1], and a failure names the first one outside.
+    an array of more dimensions raises ValueError, and every phase must lie
+    in [0, 1], a failure naming the first one outside.
     """
-    phases = np.asarray(s)
+    phases = _phases(s)
     _require_each((0.0 <= phases) & (phases <= 1.0), phases, "phase {} outside [0, 1]")
     u = protocol.U(np.reshape(phases, -1))
     u = u if phases.ndim else u[0]

@@ -6,6 +6,8 @@ import types
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import darklind.effective as eff
 from darklind.analysis import (
@@ -210,6 +212,14 @@ class TestHamiltonianOnGrid:
         )
         with pytest.raises(ValueError, match="shape"):
             adiabatic_hamiltonian(scalar_only, np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("evaluate", [adiabatic_hamiltonian, lab_jump],
+                             ids=["H", "lab_jump"])
+    def test_rejects_a_two_dimensional_phase_array(self, spin32_linear, evaluate):
+        # not flattened into a (6, 4, 4) stack
+        with pytest.raises(ValueError,
+                           match=r"phases must be one phase or a 1-D array, got shape \(2, 3\)"):
+            evaluate(spin32_linear, np.full((2, 3), 0.3))
 
     def test_reduced_equation_calls_u_on_phase_blocks(self):
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
@@ -569,23 +579,112 @@ class TestBatchedOracle:
         with pytest.raises(ConvergenceError, match=r"tau in \[0, 12\]"):
             x_tau_integral(spin32_linear, spin32_ds, np.array([3.0, 12.0]))
 
-    @pytest.mark.parametrize("tau, start, points", [(150.0, 90.0, 616), (60.0, 0.0, 616),
-                                                    (12.0, 0.0, 124)])
+    @pytest.mark.parametrize("tau, first, last", [(150.0, 921, 1536), (100.3, 412, 1027),
+                                                  (60.0, 0, 614), (12.0, 0, 122)])
     def test_recurrence_starts_at_the_window(self, monkeypatch, spin32_linear, spin32_ds,
-                                             tau, start, points):
-        # ceil(2048 (tau - start) / gammaT) steps from max(0, tau - 2 * 90 / 3)
-        grids = []
-        recurrence = eff._kernel_grid
+                                             tau, first, last):
+        # the cycle grid 200 linspace(0, 1, 2049) from the node at or below
+        # max(0, tau - 2 * 90 / 3) to the last node at or below tau, scanned
+        # once, then one partial Gauss-Legendre step to tau (of zero length at
+        # the node 150)
+        cuts, phases, scans = [], [], []
+        cycle_cut, blocks, scan = eff._cycle_cut, eff._node_blocks, eff._kernel_grid
 
-        def spied(modes, taus, *args, **kwargs):
-            grids.append(taus)
-            return recurrence(modes, taus, *args, **kwargs)
+        def spied_cut(*args):
+            cuts.append(cycle_cut(*args))
+            return cuts[-1]
 
-        monkeypatch.setattr(eff, "_kernel_grid", spied)
+        def spied_blocks(modes, s, *args, **kwargs):
+            phases.append(s)
+            return blocks(modes, s, *args, **kwargs)
+
+        def spied_scan(maps, *args, **kwargs):
+            scans.append(maps.shape[0])
+            return scan(maps, *args, **kwargs)
+
+        monkeypatch.setattr(eff, "_cycle_cut", spied_cut)
+        monkeypatch.setattr(eff, "_node_blocks", spied_blocks)
+        monkeypatch.setattr(eff, "_kernel_grid", spied_scan)
         reconstruct_full_state(np.eye(2) / 2, spin32_linear, spin32_ds, tau)
-        assert len(grids) == 1 and grids[0].size == points
-        assert grids[0][0] == pytest.approx(start, abs=1e-12)
-        assert grids[0][-1] == pytest.approx(tau, rel=1e-15)
+        cycle = 200.0 * np.linspace(0.0, 1.0, 2049)
+        (grid, cut), = cuts
+        assert np.array_equal(grid, cycle[first:last + 1]) and cut == [last - first]
+        assert scans == [last - first]
+        assert len(phases) == 1 and phases[0].size == 3 * (last - first + 1)
+        partial = cycle[last] + (tau - cycle[last]) * eff._GL3_NODES
+        assert 200.0 * phases[0][-3:] == pytest.approx(partial, rel=1e-14)
+
+
+#: the cycle grid at gammaT 200, whose nodes the per-tau recurrence steps
+CYCLE_200 = 200.0 * np.linspace(0.0, 1.0, 2049)
+#: unsorted sets of times in [0, 200] with duplicates, the cycle's ends, its
+#: nodes and times past the kernel window (tau > 60 = 2 * 90 / 3)
+TAU_SETS = st.lists(
+    st.one_of(
+        st.floats(0.0, 200.0),
+        st.floats(60.0, 200.0),
+        st.sampled_from([0.0, 200.0]),
+        st.integers(0, 2048).map(lambda k: float(CYCLE_200[k])),
+    ),
+    min_size=1, max_size=8,
+).flatmap(lambda taus: st.lists(st.sampled_from(taus), max_size=3).map(lambda more: taus + more))
+
+
+class TestPerTauBatch:
+    @pytest.mark.parametrize("path", PATHS, ids=PATH_IDS)
+    @settings(max_examples=10)
+    @given(taus=TAU_SETS)
+    @example(taus=[150.0, 0.0, 200.0, 61.5, 61.5, float(CYCLE_200[1024]), 12.3, 0.0])
+    def test_batch_matches_per_tau_calls(self, spin32_ds, path, taus):
+        proto = spin32_protocol(path, 200.0)
+        queries = {
+            "jump": lambda tau: effective_jump(proto, spin32_ds, tau),
+            "c_tau": lambda tau: c_tau(proto, spin32_ds, tau),
+            "jump-adiabatic": lambda tau: effective_jump(proto, spin32_ds, tau, source="adiabatic"),
+            "c_tau-adiabatic": lambda tau: c_tau(proto, spin32_ds, tau, source="adiabatic"),
+        }
+        for what, query in queries.items():
+            batch = query(np.array(taus))
+            singles = [query(tau) for tau in taus]
+            assert batch.shape == (len(taus),) + singles[0].shape, what
+            for tau, got, single in zip(taus, batch, singles):
+                assert np.linalg.norm(got - single) <= 1e-13, (what, tau)
+
+    def test_shapes(self, spin32_linear, spin32_ds):
+        # one float tau gives one matrix, a one-element array a stack of one
+        for query in (effective_jump, c_tau):
+            one = query(spin32_linear, spin32_ds, 61.5)
+            assert one.shape == ((2, 2) if query is effective_jump else (4, 4))
+            stack = query(spin32_linear, spin32_ds, np.array([61.5]))
+            assert stack.shape == (1,) + one.shape
+            assert np.array_equal(stack[0], one)
+
+    @settings(max_examples=20)
+    @given(taus=TAU_SETS, where=st.integers(0, 10),
+           bad=st.sampled_from([math.nan, -1.0, 300.0, math.inf]))
+    def test_names_the_first_bad_tau(self, spin32_linear, spin32_ds, taus, where, bad):
+        taus = taus[:where] + [bad] + taus[where:] + [-2.0]
+        for source in ("integral", "adiabatic"):
+            with pytest.raises(ValueError, match=re.escape(f"tau={bad} outside [0, gammaT]")):
+                effective_jump(spin32_linear, spin32_ds, np.array(taus), source=source)
+
+    def test_criterion_5_evaluates_each_node_once(self, monkeypatch):
+        # three Gauss-Legendre nodes on each of the 204 cycle steps below
+        # tau = 20 and on each of the 81 partial steps, in one call: at most
+        # 3 (204 + 81) = 855 phases (25,002 with one uniform grid per tau)
+        import darklind.checks
+
+        phases = []
+        blocks = eff._node_blocks
+
+        def spied(modes, s, *args, **kwargs):
+            phases.append(np.size(s))
+            return blocks(modes, s, *args, **kwargs)
+
+        monkeypatch.setattr(eff, "_node_blocks", spied)
+        result = darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
+        assert result.passed and result.detail["max_deviation"] <= 1e-14
+        assert len(phases) == 1 and sum(phases) <= 855
 
 
 @pytest.mark.parametrize("query", [
@@ -647,7 +746,7 @@ class TestDecayWeights:
 
 
 def sequential_kernel(rates, taus, drives, start):
-    """The kernel recurrence of ``_kernel_grid`` step by step, on one 1-D grid.
+    """The kernel recurrence of ``_step_maps`` and ``_kernel_grid`` step by step, on one 1-D grid.
 
     ``drives`` is (steps, 3, nb, d) for one recurrence per mode, or
     (steps, 3, 1, nb, d) for one per (mode, drive row) pair.
@@ -676,7 +775,7 @@ class TestKernelScan:
         taus = np.array([0.0, 20.0, 150.0]) + np.array([40.0, 7.0, 50.0]) * u ** [2.0, 1.5, 3.0]
         drives = rng.normal(size=(steps, 3, 3, nb, d)) + 1j * rng.normal(size=(steps, 3, 3, nb, d))
         start = rng.normal(size=(3, nb, d)) + 1j * rng.normal(size=(3, nb, d))
-        xs = eff._kernel_grid(modes, taus, drives, start=start)
+        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives), start=start)
         assert xs.shape == (steps + 1, 3, nb, d)
         for p in range(3):
             expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p], start[p])
@@ -689,7 +788,7 @@ class TestKernelScan:
         drives = rng.normal(size=(steps, 3, 1, nb, d)) + 1j * rng.normal(size=(steps, 3, 1, nb, d))
         start = rng.normal(size=(nb, nb, d)) + 1j * rng.normal(size=(nb, nb, d))
         for begin in (None, start):
-            xs = eff._kernel_grid(modes, taus, drives, start=begin)
+            xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives), start=begin)
             first = np.zeros((nb, nb, d), dtype=complex) if begin is None else begin
             expected = sequential_kernel(modes.rates, taus, drives, first)
             assert xs.shape == expected.shape
@@ -748,6 +847,11 @@ class TestBerryHolonomy:
     def test_identity_at_start(self, spin32_linear, spin32_ds):
         v = berry_holonomy(spin32_linear, spin32_ds, 0.0)
         assert np.array_equal(v, np.eye(2))
+
+    def test_rejects_a_tau_array(self, spin32_linear, spin32_ds):
+        # the cut grid is one time's: an array is not stepped as one
+        with pytest.raises(ValueError, match=r"tau must be one time, got shape \(2,\)"):
+            berry_holonomy(spin32_linear, spin32_ds, np.array([100.0, 150.0]))
 
     def test_trivial_over_theta_cycle(self, spin32_linear, spin32_ds):
         v = berry_holonomy(spin32_linear, spin32_ds, spin32_linear.gammaT)

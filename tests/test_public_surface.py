@@ -60,3 +60,10 @@ def test_phases_take_one_path(removed):
     # U, dU, the adiabatic Hamiltonian and the lab jump evaluate phase arrays only
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
+
+
+@pytest.mark.parametrize("removed", ["_phase_grid", "_end_jumps"])
+def test_per_tau_queries_share_the_cycle_grid(removed):
+    # every per-tau query and the gauge check's defects run on the cut cycle grid
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
