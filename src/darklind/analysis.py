@@ -273,7 +273,7 @@ def gauge_covariance_check(
     varies on the protocol scale, so the tilted jump matches its covariant
     image omega ell omega^dag only up to a defect of order 1/(gamma T).  The
     report records the defect |ell^omega_tau - ell_tau|_F, the worst over the
-    tau fractions, at both cycle durations (it should shrink when gamma T
+    tau fractions (0 for none), at both cycle durations (it should shrink when gamma T
     grows), and the end-of-cycle purity prediction computed in both gauges by
     the frozen-state integral.  Both run the exact-decay recurrence, plain and
     gauged, on one evaluation of the Hamiltonian per node for both gauges; the
@@ -295,7 +295,7 @@ def gauge_covariance_check(
         modes = eff._KernelModes(proto, ds)
         plain, tilted = (
             eff._jumps(modes, taus, xs, gauge)
-            for xs, gauge in zip(eff._kernel_at(modes, taus, frames), frames)
+            for (xs, _), gauge in zip(eff._kernel_at(modes, taus, frames), frames)
         )
         defects.append(float(_norms(tilted - plain).max(initial=0.0)))
         purities.append(tuple(

@@ -232,8 +232,8 @@ def _node_blocks(
             frames.append(_gemm(modes.rows, _gemm(hw, modes.basis)))
         return np.stack(frames, axis=1)
 
-    out = _blockwise(block, s)
     nb = modes.rates.size
+    out = _blockwise(block, (len(gauges), nb + modes.ds.d, modes.ds.d), s)
     return [(out[:, k, :nb], out[:, k, nb:]) for k in range(len(gauges))]
 
 
@@ -254,16 +254,22 @@ def _window_start(tau, rate):
     return np.maximum(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
 
 
+def _cycle_grid(gammaT: float) -> np.ndarray:
+    """The cycle grid gammaT np.linspace(0, 1, _FROZEN_GRID + 1), which every kernel query cuts."""
+    return gammaT * np.linspace(0.0, 1.0, _FROZEN_GRID + 1)
+
+
 def _cycle_cut(nodes: np.ndarray, t, start) -> tuple[np.ndarray, np.ndarray]:
     """The cycle grid ``nodes`` cut to the times t: one grid for one time or an array of them.
 
     Returns the nodes from the last one at or below min(start) to the last one
     at or below max(t), and the index in them of the last node at or below
-    each t, where that t's partial step begins.
+    each t, where that t's partial step begins.  Every start lies at or below
+    its t; with no times the cut is the last node alone.
     """
-    first = np.searchsorted(nodes, np.min(start), side="right") - 1
+    first = np.searchsorted(nodes, np.min(start, initial=nodes[-1]), side="right") - 1
     cut = np.searchsorted(nodes, t, side="right") - 1
-    return nodes[first:np.max(cut) + 1], cut - first
+    return nodes[first:np.max(cut, initial=first) + 1], cut - first
 
 
 def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
@@ -362,18 +368,19 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
     """X_tau by the recurrence ``_kernel_at`` ("integral") or adiabatic.
 
     ``tau`` is one time, giving a dim x dim matrix, or a 1-D array of n times,
-    giving the (n, dim, dim) stack; one time is the one-element array.  The
-    recurrence steps the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1),
-    from zero at the node at or below the earliest kernel window start
-    (``_window_start`` of the slowest bright rate) to the last node at or below
-    each tau, then one partial step to tau; a batch takes one ``_node_blocks``
+    giving the (n, dim, dim) stack; one time is the one-element array, and an
+    empty array gives the (0, dim, dim) stack.  The recurrence steps the cycle
+    grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1), from zero at the node at
+    or below the earliest kernel window start (``_window_start`` of the
+    slowest bright rate) to the last node at or below each tau, then one
+    partial step to a tau off the nodes; a batch takes one ``_node_blocks``
     call and one scan.  A tau that is not a number in [0, gammaT] (1e-9 slack
     above) raises ValueError naming the first such one.
     """
     _check_taus(protocol, tau)
     if source == "integral":
         modes = _KernelModes(protocol, ds)
-        xs, = _kernel_at(modes, np.asarray(tau, dtype=float).reshape(-1))
+        (xs, _), = _kernel_at(modes, np.asarray(tau, dtype=float).reshape(-1))
         x = modes.modes @ xs @ dagger(ds.basis)
         return x if np.ndim(tau) else x[0]
     if source == "adiabatic":
@@ -460,18 +467,22 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be one time, got shape {np.shape(tau)}")
     _check_taus(protocol, tau)
     s = tau / protocol.gammaT
-    grid, _ = _cycle_cut(np.linspace(0.0, 1.0, _FROZEN_GRID + 1), s, 0.0)
+    grid, _ = _cycle_cut(_cycle_grid(1.0), s, 0.0)
     grid = np.append(grid, s)
     (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
-def _blockwise(fn: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """fn on aligned blocks of at most _PHASE_BLOCK leading entries of ``arrays``, concatenated."""
-    n = len(arrays[0])
-    return np.concatenate([
-        fn(*(a[lo:lo + _PHASE_BLOCK] for a in arrays)) for lo in range(0, n, _PHASE_BLOCK)
-    ])
+def _blockwise(fn: Callable[..., np.ndarray], shape: tuple, *arrays: np.ndarray) -> np.ndarray:
+    """fn on aligned blocks of at most _PHASE_BLOCK leading entries of ``arrays``, stacked.
+
+    Each block of b entries gives b complex arrays of ``shape``; the result is
+    the (n,) + shape stack, empty without a call for n = 0.
+    """
+    out = np.empty((len(arrays[0]),) + shape, dtype=complex)
+    for lo in range(0, len(out), _PHASE_BLOCK):
+        out[lo:lo + _PHASE_BLOCK] = fn(*(a[lo:lo + _PHASE_BLOCK] for a in arrays))
+    return out
 
 
 def evolve_effective(
@@ -487,7 +498,9 @@ def evolve_effective(
 
     ``mode`` selects the generator: "full" (Berry term plus dissipator),
     "unitary" (first order only, ell = 0) or "dissipator" (purity decay only,
-    H0 = 0).  The reduced equation d rho/d tau = S(tau) rho,
+    H0 = 0).  Each mode is a pair of weights on the two terms, (1, 1), (1, 0)
+    and (0, 1) (``_MODE_WEIGHTS``), and every mode builds both terms, so the
+    three share one path.  The reduced equation d rho/d tau = S(tau) rho,
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
     the fourth-order commutator-free Magnus exponential (CF4, see
     ``ordered_exponential``) of its d^2 x d^2 superoperator; ell at each step's
@@ -521,7 +534,7 @@ def evolve_effective(
     start its predecessor accepted, applies them to that predecessor's
     state, and builds finer levels only for itself.
     """
-    if mode not in ("full", "unitary", "dissipator"):
+    if mode not in _MODE_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
     if not (rtol >= 0.0 and atol >= 0.0):
         raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
@@ -529,12 +542,14 @@ def evolve_effective(
     if checkpoints and not 0.0 <= checkpoints[0] <= checkpoints[-1] <= protocol.gammaT:
         raise ValueError(f"times must lie in [0, gammaT = {protocol.gammaT}]")
     rho = np.asarray(rho0_d, dtype=complex)
-    propagator = _MagnusPropagator(protocol, ds, mode)
+    propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode])
     points = propagator.breakpoints(checkpoints)
     reached = dict(zip(points, [rho.copy()] + propagator.states(rho, points, rtol, atol)))
     return [reached[t] for t in checkpoints]
 
 
+#: the weights of the Berry term and of the dissipator in each mode of ``evolve_effective``
+_MODE_WEIGHTS = {"full": (1.0, 1.0), "unitary": (1.0, 0.0), "dissipator": (0.0, 1.0)}
 #: steps per interval on the first try, and the doublings allowed after it
 _MAGNUS_FIRST_STEPS = 8
 _MAGNUS_MAX_DOUBLINGS = 12
@@ -550,30 +565,39 @@ class _Level:
     """The part of n CF4 steps over one interval that does not depend on the kernel start x0.
 
     The kernel at a time t of the interval [t0, t1] is part + e^{-rate (t - t0)/2} x0.
+    Every mode builds every array; with no bright modes (nb = 0) the kernel
+    arrays are empty.
     """
 
     lengths: np.ndarray  # (n,) step lengths
-    h0: np.ndarray | None  # (n, 2, d, d) dark block of H at the Gauss points
-    part: np.ndarray | None  # (n, 2, nb, d) kernel from a zero start at the Gauss points
-    decay: np.ndarray | None  # (n, 2, nb, 1) e^{-rate (t - t0)/2} at the Gauss points
-    end: np.ndarray | None  # (nb, d) kernel from a zero start at t1
-    end_decay: np.ndarray | None  # (nb, 1) e^{-rate (t1 - t0)/2}
+    h0: np.ndarray  # (n, 2, d, d) dark block of H at the Gauss points
+    part: np.ndarray  # (n, 2, nb, d) kernel from a zero start at the Gauss points
+    decay: np.ndarray  # (n, 2, nb, 1) e^{-rate (t - t0)/2} at the Gauss points
+    end: np.ndarray  # (nb, d) kernel from a zero start at t1
+    end_decay: np.ndarray  # (nb, 1) e^{-rate (t1 - t0)/2}
 
 
 class _MagnusPropagator:
-    """CF4 steps of the reduced equation of one (protocol, dark space, mode)."""
+    """CF4 steps of the reduced equation of one (protocol, dark space) with weighted terms.
 
-    def __init__(self, protocol: Protocol, ds: DarkSpace, mode: str):
+    ``berry`` and ``dissipation`` weight the Berry term and the dissipator
+    (``_MODE_WEIGHTS``).  Both terms are always built, the kernel too, so one
+    path serves every mode; a term of weight 0 is built and multiplied by 0.
+    """
+
+    def __init__(self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float):
         self.protocol = protocol
         self.ds = ds
         self.modes = _KernelModes(protocol, ds)
-        self.berry = mode in ("full", "unitary")
-        self.decay = mode in ("full", "dissipator") and self.modes.rates.size > 0
+        self.berry, self.dissipation = berry, dissipation
 
     def breakpoints(self, checkpoints: list[float]) -> list[float]:
-        """0, the checkpoints and, below the first of them, the end of the onset interval."""
+        """0, the checkpoints and, below the first of them, the end of the dissipator's onset.
+
+        Only a weighted dissipator with a bright rate has an onset transient.
+        """
         points = sorted({0.0, *checkpoints})
-        if self.decay and len(points) > 1:
+        if self.dissipation and self.modes.rates.size and len(points) > 1:
             onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
             if onset < points[1]:
                 points.insert(1, onset)
@@ -588,10 +612,6 @@ class _MagnusPropagator:
         predecessor accepted, and building its finer levels as it needs them.
         """
         spans = list(pairwise(points))
-        if not (self.berry or self.decay):  # nothing drives the state
-            for t in points[1:]:
-                check_invariants(t, rho)
-            return [rho.copy() for _ in spans]
         first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
         levels: list[dict] = [{} for _ in spans]
         self._add_levels(spans, levels, [(i, n) for i in range(len(spans)) for n in first])
@@ -620,7 +640,7 @@ class _MagnusPropagator:
 
     def _carry(self, level: _Level, x0: np.ndarray) -> np.ndarray:
         """Kernel start of the next interval: the end of this one's recurrence from x0."""
-        return level.end + level.end_decay * x0 if self.decay else x0
+        return level.end + level.end_decay * x0
 
     def _add_levels(self, spans: list, levels: list[dict], wanted: list[tuple[int, int]]) -> None:
         """Build the ``_Level`` of each (interval, step count) in ``wanted``.
@@ -636,9 +656,9 @@ class _MagnusPropagator:
             members = list(members)
             grids = np.stack([self._grid(*spans[i], n) for i, _ in members], axis=1)  # (n + 1, P)
             gauss = grids[:-1, :, None] + np.diff(grids, axis=0)[..., None] * CF4_NODES  # (n, P, 2)
-            h0 = np.empty(gauss.shape + (d, d), dtype=complex) if self.berry else None
-            part = np.empty(gauss.shape + (nb, d), dtype=complex) if self.decay else None
-            x = decay = end_decay = None
+            h0 = np.empty(gauss.shape + (d, d), dtype=complex)
+            part = np.empty(gauss.shape + (nb, d), dtype=complex)
+            x = None
             size = max(1, _LEVEL_CHUNK // len(members))
             for lo in range(0, n, size):
                 chunk = gauss[lo:lo + size]
@@ -647,28 +667,18 @@ class _MagnusPropagator:
                 fine[0::3] = grids[lo:lo + size + 1]
                 fine[1::3], fine[2::3] = chunk[..., 0], chunk[..., 1]
                 nodes = _kernel_nodes(fine)
-                phases = []
-                if self.berry:
-                    phases.append(chunk.ravel())
-                if self.decay:
-                    phases.append(nodes.ravel())
-                (drives, dark), = _node_blocks(self.modes, np.concatenate(phases) / gammaT)
-                if self.berry:
-                    h0[lo:lo + size] = dark[:chunk.size].reshape(h0[lo:lo + size].shape)
-                if self.decay:
-                    block = drives[-nodes.size:]
-                    block = block.reshape(nodes.shape + block.shape[1:])
-                    xs = _kernel_grid(_step_maps(self.modes, np.diff(fine, axis=0), block), start=x)
-                    part[lo:lo + size] = np.stack([xs[1::3], xs[2::3]], axis=2)
-                    x = xs[-1]
-            if self.decay:
-                decay = np.exp(-0.5 * rates * (gauss - grids[0, :, None])[..., None, None])
-                end_decay = np.exp(-0.5 * rates * (grids[-1] - grids[0])[:, None, None])
+                phases = np.concatenate([chunk.ravel(), nodes.ravel()])
+                (drives, dark), = _node_blocks(self.modes, phases / gammaT)
+                h0[lo:lo + size] = dark[:chunk.size].reshape(chunk.shape + (d, d))
+                block = drives[chunk.size:].reshape(nodes.shape + (nb, d))
+                xs = _kernel_grid(_step_maps(self.modes, np.diff(fine, axis=0), block), start=x)
+                part[lo:lo + size] = np.stack([xs[1::3], xs[2::3]], axis=2)
+                x = xs[-1]
+            decay = np.exp(-0.5 * rates * (gauss - grids[0, :, None])[..., None, None])
+            end_decay = np.exp(-0.5 * rates * (grids[-1] - grids[0])[:, None, None])
             for p, (i, _) in enumerate(members):
                 levels[i][n] = _Level(
-                    np.diff(grids[:, p]),
-                    *(None if a is None else a[:, p] for a in (h0, part, decay)),
-                    *(None if a is None else a[p] for a in (x, end_decay)),
+                    np.diff(grids[:, p]), h0[:, p], part[:, p], decay[:, p], x[p], end_decay[p]
                 )
 
     def _propagators(self, wanted: list[_Level], x0: np.ndarray) -> list[np.ndarray]:
@@ -680,17 +690,14 @@ class _MagnusPropagator:
         """
         modes, d, eps = self.modes, self.ds.d, 1.0 / self.protocol.gammaT
         lengths = np.concatenate([level.lengths for level in wanted])
-        h0 = np.concatenate([level.h0 for level in wanted]) if self.berry else None
-        if self.decay:  # (steps, 2, nb, d) kernel at the Gauss points
-            x = np.concatenate([level.part + level.decay * x0 for level in wanted])
+        h0 = self.berry * np.concatenate([level.h0 for level in wanted])
+        x = np.concatenate([level.part + level.decay * x0 for level in wanted])  # (steps, 2, nb, d)
         steps = np.empty(lengths.shape + (d * d, d * d), dtype=complex)
         for lo in range(0, lengths.size, _LEVEL_CHUNK):
             cut = slice(lo, lo + _LEVEL_CHUNK)
-            jumps = ()
-            if self.decay:
-                ell = _gemm(modes.reduce_jump, x[cut].reshape((-1,) + x.shape[-2:]))
-                jumps = (eps * ell.reshape(x[cut].shape[:-2] + (d, d)),)
-            gens = vectorize(LindbladGenerator(None if h0 is None else h0[cut], jumps, eps))
+            ell = _gemm(modes.reduce_jump, x[cut].reshape((2 * lengths[cut].size,) + x0.shape))
+            jumps = (self.dissipation * eps * ell.reshape(h0[cut].shape),)
+            gens = vectorize(LindbladGenerator(h0[cut], jumps, eps))
             steps[cut] = _cf4_steps(gens, lengths[cut])
         ends = np.cumsum([level.lengths.size for level in wanted])[:-1]
         return [_ordered_product(own) for own in np.split(steps, ends)]
@@ -758,16 +765,18 @@ def _frozen_state_integral(
     """Frozen-state dissipator integral over one cycle, and the holonomy V_end, per frame.
 
     The effective jump comes from the exponential recurrence and V_tau from
-    the midpoint holonomy, both on _FROZEN_GRID + 1 uniform times and both in
-    the frame of each of ``gauges`` (None for none).  H is evaluated once per
-    kernel node for all frames; the middle node of each step is its midpoint,
-    where the holonomy takes the dark block (``_kernel_frames``).
+    the midpoint holonomy, both on the _FROZEN_GRID + 1 nodes of the cycle
+    grid and both in the frame of each of ``gauges`` (None for none): one
+    ``_kernel_at`` call at those nodes, the exact array ``_cycle_grid``
+    returns, so that no node takes a partial step.  H is evaluated once per
+    kernel node for all frames; the middle node of each step is its
+    midpoint, where the holonomy takes the dark block.
     """
     gammaT = protocol.gammaT
-    taus = np.linspace(0.0, gammaT, _FROZEN_GRID + 1)
+    taus = _cycle_grid(gammaT)
     modes = _KernelModes(protocol, ds)
     out = []
-    for (xs, h0), gauge in zip(_kernel_frames(modes, taus, gauges), gauges):
+    for (xs, h0), gauge in zip(_kernel_at(modes, taus, gauges), gauges):
         vs = ordered_exponential(-1j * h0, taus / gammaT)
         out.append((_dissipator_integral(rho_d, _jumps(modes, taus, xs, gauge), vs, taus), vs[-1]))
     return out
@@ -783,32 +792,6 @@ def _dissipator_integral(
     """
     l_rot = dagger(vs) @ ells @ vs
     return scipy.integrate.simpson(_dissipator(l_rot, rho_d), x=taus, axis=0)
-
-
-def _kernel_frames(
-    modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kernel blocks on a time grid and the dark block at its step midpoints, per frame.
-
-    The drive is evaluated at every kernel node (``_kernel_nodes``), once for
-    all frames of ``gauges`` (``_node_blocks``), and the recurrence
-    (``_kernel_grid``) runs from zero in each frame.  The grid only has to
-    resolve the drive, whatever the step's rate h: 2048 steps on the
-    smoothstep gammaT = 200 cycle match the quadrature kernel to 1e-13.
-    Returns per frame (xs, h0): xs the kernel blocks at the grid points, in a
-    gauge frame per (mode, drive row) pair (see ``_jumps``), and h0 the
-    (steps, d, d) dark block at the middle node, which is the step's midpoint.
-    """
-    nodes = _kernel_nodes(taus)
-    blocks = _node_blocks(modes, nodes.ravel() / modes.protocol.gammaT, gauges)
-    frames = []
-    for (drives, h0), gauge in zip(blocks, gauges):
-        drives = drives.reshape(nodes.shape + drives.shape[1:])
-        if gauge is not None:
-            drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
-        h0 = h0.reshape(nodes.shape + h0.shape[1:])[:, 1]
-        frames.append((_kernel_grid(_step_maps(modes, np.diff(taus), drives)), h0))
-    return frames
 
 
 def _jumps(
@@ -829,45 +812,56 @@ def _jumps(
         x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
         return modes.reduce_jump @ x @ project_dark(modes.ds, w)
 
-    return _blockwise(to_jump, taus, xs)
+    return _blockwise(to_jump, (modes.ds.d, modes.ds.d), taus, xs)
 
 
 def _kernel_at(
     modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
-) -> list[np.ndarray]:
-    """Kernel blocks at a 1-D array of times, per frame of ``gauges``, on the cut cycle grid.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kernel blocks at a 1-D array of times, and H0 at the cut cycle grid's midpoints, per frame.
 
-    The recurrence (``_kernel_grid``) runs from zero along the cycle grid,
-    gammaT np.linspace(0, 1, _FROZEN_GRID + 1), from the node at or below the
-    earliest kernel window start of the slowest bright rate
+    The one driver of the exact-decay recurrence (``_kernel_grid``): it runs
+    from zero along the cycle grid (``_cycle_grid``), from the node at or
+    below the earliest kernel window start of the slowest bright rate
     (``_window_start``) to the last node at or below the latest time
-    (``_cycle_cut``).  Each time then takes one partial step from the last
-    node at or below it, its decay exact, as a direct affine update of that
-    node's block.  The drive at every cycle and partial-step node comes from
-    one ``_node_blocks`` call for all frames, and the maps of all steps from
-    one ``_step_maps`` call.  Returns per frame the (n, nb, d) blocks
-    U_b^dag X_tau B, or in a gauge frame the (n, nb, nb, d) blocks Y_ij (see
-    ``_jumps``).
+    (``_cycle_cut``).  A time on a node reads that node's block; any other
+    time takes one partial step from the last node below it, its decay
+    exact, as a direct affine update of that node's block.  The drive at
+    every cycle and partial-step node comes from one ``_node_blocks`` call
+    for all frames of ``gauges``, and the maps of all steps from one
+    ``_step_maps`` call.  The grid only has to resolve the drive, whatever a
+    step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
+    quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
+    array ``_cycle_grid`` returns, every time is a node, and the blocks are
+    those of the whole cycle.
+
+    Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
+    in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the
+    (steps, d, d) dark block of H at each cut cycle step's middle node, its
+    midpoint.  An empty array of times gives empty stacks.
     """
     gammaT = modes.protocol.gammaT
     start = _window_start(taus, np.min(modes.rates, initial=np.inf))
-    grid, cut = _cycle_cut(gammaT * np.linspace(0.0, 1.0, _FROZEN_GRID + 1), taus, start)
+    grid, cut = _cycle_cut(_cycle_grid(gammaT), taus, start)
     last, steps = grid[cut], grid.size - 1
-    h = np.concatenate([np.diff(grid), taus - last])
-    nodes = np.concatenate([grid[:-1], last])[:, None] + h[:, None] * _GL3_NODES
+    off = taus > last
+    h = np.concatenate([np.diff(grid), taus[off] - last[off]])
+    nodes = np.concatenate([grid[:-1], last[off]])[:, None] + h[:, None] * _GL3_NODES
     frames = []
-    for (drives, _), gauge in zip(_node_blocks(modes, nodes.ravel() / gammaT, gauges), gauges):
+    for (drives, h0), gauge in zip(_node_blocks(modes, nodes.ravel() / gammaT, gauges), gauges):
         drives = drives.reshape(nodes.shape + drives.shape[1:])
         if gauge is not None:
             drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
         maps = _step_maps(modes, h, drives)
+        xs = _kernel_grid(maps[:steps])[cut]
         partial = maps[steps:]
-        frames.append(partial[..., :1] * _kernel_grid(maps[:steps])[cut] + partial[..., 1:])
+        xs[off] = partial[..., :1] * xs[off] + partial[..., 1:]
+        frames.append((xs, h0.reshape(nodes.shape + h0.shape[1:])[:steps, 1]))
     return frames
 
 
 #: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step; the
-#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_kernel_frames``)
+#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_kernel_at``)
 _GL3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 #: column i: coefficients of 1, u, u^2 in the Lagrange basis polynomial of node i
 _GL3_LAGRANGE = np.linalg.inv(np.vander(_GL3_NODES, 3, increasing=True))

@@ -123,16 +123,14 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     time; here the stack's matrices are laid side by side, so one GEMM does
     them all (about 8x faster on 256 4x4 matrices).  With ``b`` one matrix,
     ``a`` may have any number of leading axes; with ``a`` one matrix, ``b`` is
-    an (n, q, r) stack and the result a strided (n, p, r) view.  Two single
-    matrices go straight to ``@``, which the reshapes would only slow down
-    (the scalar ``adiabatic_hamiltonian`` makes four such products).
+    an (n, q, r) stack and the result a strided (n, p, r) view.  Every reshape
+    names its sizes, so empty stacks, and empty matrices, pass through.
     """
-    if a.ndim == 2 and b.ndim == 2:
-        return a @ b
     if b.ndim == 2:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+        rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+        return (rows @ b).reshape(a.shape[:-1] + b.shape[-1:])
     n, q, r = b.shape
-    return (a @ b.transpose(1, 0, 2).reshape(q, n * r)).reshape(-1, n, r).transpose(1, 0, 2)
+    return (a @ b.transpose(1, 0, 2).reshape(q, n * r)).reshape(a.shape[0], n, r).transpose(1, 0, 2)
 
 
 def _require_each(ok: np.ndarray, s, message: str) -> None:
@@ -243,6 +241,7 @@ def _scan(x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     needed).  A running prefix within each block advances all blocks at once,
     the block totals are joined in sequence, and one stacked ``combine``
     applies each block's carry: O(n) work in about 2 sqrt(n) Python iterations.
+    An empty ``x`` (n = 0, or entries of size 0) gives an empty scan.
     """
     n = x.shape[0]
     size = max(1, math.isqrt(n))
@@ -255,7 +254,7 @@ def _scan(x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     for i in range(1, blocks - 1):
         carries[i] = combine(carries[i], carries[i - 1])
     running[1:] = combine(running[1:], carries[:, None])
-    return running.reshape((-1,) + x.shape[1:])[:n]
+    return running.reshape((blocks * size,) + x.shape[1:])[:n]
 
 
 def _compose_affine(late: np.ndarray, early: np.ndarray) -> np.ndarray:

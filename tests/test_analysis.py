@@ -304,7 +304,7 @@ class TestGauge:
         gauge = analysis._sin2_gauge(gen)
         taus = np.linspace(0.0, 30.0, 513)
         modes = eff._KernelModes(proto, ds)
-        (xs, _), = eff._kernel_frames(modes, taus, (gauge,))
+        (xs, _), = eff._kernel_at(modes, taus, (gauge,))
         ells = eff._jumps(modes, taus, xs, gauge)
         p_perp = np.eye(4) - ds.projector
 

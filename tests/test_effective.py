@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import darklind.effective as eff
 from darklind.analysis import (
     dark_state_from_bloch,
+    gauge_covariance_check,
     purity,
     purity_prediction_general,
     trace_distance,
@@ -433,7 +434,7 @@ class TestEffectiveJump:
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         taus = np.linspace(0.0, 200.0, 2049)
         modes = eff._KernelModes(proto, spin32_ds)
-        (xs, _), = eff._kernel_frames(modes, taus)
+        (xs, _), = eff._kernel_at(modes, taus)
         ells = eff._jumps(modes, taus, xs)
         for k in (3, 512, 1100, 2048):
             x = x_tau_integral(proto, spin32_ds, taus[k])
@@ -585,8 +586,7 @@ class TestBatchedOracle:
                                              tau, first, last):
         # the cycle grid 200 linspace(0, 1, 2049) from the node at or below
         # max(0, tau - 2 * 90 / 3) to the last node at or below tau, scanned
-        # once, then one partial Gauss-Legendre step to tau (of zero length at
-        # the node 150)
+        # once, then one partial Gauss-Legendre step to tau (none at the node 150)
         cuts, phases, scans = [], [], []
         cycle_cut, blocks, scan = eff._cycle_cut, eff._node_blocks, eff._kernel_grid
 
@@ -610,9 +610,11 @@ class TestBatchedOracle:
         (grid, cut), = cuts
         assert np.array_equal(grid, cycle[first:last + 1]) and cut == [last - first]
         assert scans == [last - first]
-        assert len(phases) == 1 and phases[0].size == 3 * (last - first + 1)
-        partial = cycle[last] + (tau - cycle[last]) * eff._GL3_NODES
-        assert 200.0 * phases[0][-3:] == pytest.approx(partial, rel=1e-14)
+        partial = tau != cycle[last]
+        assert len(phases) == 1 and phases[0].size == 3 * (last - first + partial)
+        if partial:
+            nodes = cycle[last] + (tau - cycle[last]) * eff._GL3_NODES
+            assert 200.0 * phases[0][-3:] == pytest.approx(nodes, rel=1e-14)
 
 
 #: the cycle grid at gammaT 200, whose nodes the per-tau recurrence steps
@@ -649,6 +651,20 @@ class TestPerTauBatch:
             assert batch.shape == (len(taus),) + singles[0].shape, what
             for tau, got, single in zip(taus, batch, singles):
                 assert np.linalg.norm(got - single) <= 1e-13, (what, tau)
+
+    @pytest.mark.parametrize("query, expected", [
+        (lambda p, ds: [q(p, ds, np.array([])).shape for q in (effective_jump, c_tau)],
+         [(0, 2, 2), (0, 4, 4)]),
+        (lambda p, ds: [q(p, ds, np.array([]), source="adiabatic").shape
+                        for q in (effective_jump, c_tau)],
+         [(0, 2, 2), (0, 4, 4)]),
+        (lambda p, ds: gauge_covariance_check(p, ds, 0.3 * SZ, tau_fractions=(),
+                                              gammaT_pair=(60.0, 120.0)).defects,
+         (0.0, 0.0)),
+    ], ids=["integral", "adiabatic", "gauge-check"])
+    def test_empty_tau_array(self, spin32_linear, spin32_ds, query, expected):
+        # no times give empty (0, d, d) and (0, dim, dim) stacks, and no defect
+        assert query(spin32_linear, spin32_ds) == expected
 
     def test_shapes(self, spin32_linear, spin32_ds):
         # one float tau gives one matrix, a one-element array a stack of one
@@ -907,6 +923,26 @@ class TestEffectiveEvolution:
         final = evolve_effective(rho0, proto, spin32_ds, [gammaT])[-1]
         p = 4.0 * math.pi**2 / gammaT
         assert abs(1.0 - purity(final) - 0.5 * (1.0 - math.exp(-2.0 * p))) <= 1.0 / gammaT**2
+
+    def test_no_bright_mode(self):
+        # a zero jump on a spin 1/2: the whole space is dark and no bright mode
+        # drives a kernel, so the dissipator is zero, the full equation is the
+        # unitary one and the state is transported by the holonomy (measured
+        # 6.6e-7 from V rho V^dag at tau = 50)
+        _, sy, sz = spin_operators(1)
+        path = smoothstep_path(1, 1)
+        proto = custom_protocol([sy, sz], [path.theta, path.phi], np.zeros((2, 2)), 50.0,
+                                dangles=[path.dtheta, path.dphi])
+        ds = dark_space(proto.L_rot)
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+        taus = [10.0, 50.0]
+        full, unitary, dissipator = (evolve_effective(rho0, proto, ds, taus, mode=mode)
+                                     for mode in ("full", "unitary", "dissipator"))
+        for tau, a, b, c in zip(taus, full, unitary, dissipator):
+            assert np.array_equal(a, b)
+            assert np.array_equal(c, rho0)
+            v = berry_holonomy(proto, ds, tau)
+            assert trace_distance(a, v @ rho0 @ dagger(v)) <= 1e-6
 
     def test_unitary_mode_keeps_purity(self, spin32_ds):
         proto = spin32_protocol(smoothstep_path(1, 1), 150.0)

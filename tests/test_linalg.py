@@ -275,10 +275,6 @@ class TestStackProducts:
         assert np.abs(_gemm(view, m[::2, :3]) - np.matmul(view, m[::2, :3])).max() <= 1e-14
         assert np.abs(_gemm(m[:4, ::2].T, view) - np.matmul(m[:4, ::2].T, view)).max() <= 1e-14
 
-    def test_gemm_one_matrix(self, rng):
-        a, b = random_matrix(rng, 4), random_matrix(rng, 4)
-        assert np.abs(_gemm(a, b) - a @ b).max() <= 1e-14
-
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_pairwise_product_matches_sequential(self, rng, n):
         steps = np.stack([np.stack([matrix_exp(random_matrix(rng, 3, scale=0.3))

@@ -62,8 +62,9 @@ def test_phases_take_one_path(removed):
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
 
 
-@pytest.mark.parametrize("removed", ["_phase_grid", "_end_jumps"])
+@pytest.mark.parametrize("removed", ["_phase_grid", "_end_jumps", "_kernel_frames"])
 def test_per_tau_queries_share_the_cycle_grid(removed):
-    # every per-tau query and the gauge check's defects run on the cut cycle grid
+    # every per-tau query, the gauge check's defects and the frozen-state
+    # integral run on the cut cycle grid, through ``effective._kernel_at``
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
