@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.integrate
 
 from . import effective as eff
 from .effective import (
@@ -28,7 +27,7 @@ from .effective import (
     rotating_generator,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import _compose_affine, _norms, _scan, dagger, frobenius, matrix_exp
+from .linalg import _compose_affine, _norms, _scan, _simpson, dagger, frobenius, matrix_exp
 from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
@@ -192,7 +191,7 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     rho = v @ rho0 @ dagger(v)
     # m_x^2 + m_y^2 = 4 |rho_01|^2
     integrand = np.concatenate([[0.0], b**2 * 4.0 * np.abs(rho[:, 0, 1]) ** 2])
-    loss = (2.0 / gammaT**2) * float(scipy.integrate.simpson(integrand, x=taus))
+    loss = (2.0 / gammaT**2) * float(_simpson(integrand, taus))
     return purity(rho0) - loss
 
 

@@ -17,8 +17,6 @@ from itertools import groupby, pairwise
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 from .engine import (
     ConvergenceError,
@@ -37,8 +35,10 @@ from .linalg import (
     _norms,
     _ordered_product,
     _ordered_steps,
+    _pivot_columns,
     _require_each,
     _scan,
+    _simpson,
     dagger,
     frobenius,
     kernel_basis,
@@ -104,7 +104,7 @@ class DarkSpace:
     """Orthonormal dark basis, its projector, and the dark dimension.
 
     ``basis`` holds the kernel vectors of the jump operator as columns, in a
-    deterministic gauge (pivot rows chosen by column-pivoted QR, polar-rotated
+    deterministic gauge (pivot rows chosen by greedy column pivoting, polar-rotated
     so the pivot block is Hermitian positive); reduced operators produced
     against this basis are reproducible run to run.
     """
@@ -121,13 +121,11 @@ def dark_space(L: np.ndarray) -> DarkSpace:
     d = raw.shape[1]
     if d == 0:
         raise NoDarkSpaceError("jump operator has no dark space")
-    # fix the gauge: pick d well-conditioned pivot rows, rotate so the pivot
-    # block is Hermitian positive definite
-    _, _, piv = scipy.linalg.qr(dagger(raw), pivoting=True)
-    pivots = np.sort(piv[:d])
-    block = raw[pivots, :]
-    u_polar, _ = scipy.linalg.polar(block)
-    basis = raw @ dagger(u_polar)
+    # fix the gauge: pick d well-conditioned pivot rows, rotate by the polar
+    # factor of the pivot block so that it becomes Hermitian positive definite
+    pivots = np.sort(_pivot_columns(dagger(raw), d))
+    w, _, vh = np.linalg.svd(raw[pivots, :], full_matrices=False)
+    basis = raw @ dagger(w @ vh)
     projector = basis @ dagger(basis)
     return DarkSpace(basis=basis, projector=projector, d=d)
 
@@ -299,6 +297,8 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     node up by its float value; a node not recorded (a later subdivision's)
     is evaluated alone.  The window weights are applied in the integrand.
     """
+    import scipy.integrate  # only this oracle needs SciPy: the package imports on NumPy alone
+
     _check_taus(protocol, tau)
     taus = np.asarray(tau, dtype=float).reshape(-1)
     modes = _KernelModes(protocol, ds)
@@ -457,18 +457,22 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
     runs on the cycle grid of every per-tau query, np.linspace(0, 1,
     _FROZEN_GRID + 1) in phase, cut at the last node at or below tau / gammaT
-    (``_cycle_cut``) and ended by one partial midpoint step to tau / gammaT;
-    a tau on a node ends with a zero-length step, the exact identity, so at
-    tau = gammaT the steps are those of the whole cycle grid.  The steps,
-    those of ``ordered_exponential``, are multiplied pairwise.  A tau that is
-    not one number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    (``_cycle_cut``) and, for a tau past that node, ended by one partial
+    midpoint step to tau / gammaT; a tau on a node takes no partial step, so
+    at tau = gammaT the steps are those of the whole cycle grid, and tau = 0
+    gives the identity without evaluating the drive.  The steps, those of
+    ``ordered_exponential``, are multiplied pairwise.  A tau that is not one
+    number in [0, gammaT] (1e-9 slack above) raises ValueError.
     """
     if np.ndim(tau):
         raise ValueError(f"tau must be one time, got shape {np.shape(tau)}")
     _check_taus(protocol, tau)
     s = tau / protocol.gammaT
     grid, _ = _cycle_cut(_cycle_grid(1.0), s, 0.0)
-    grid = np.append(grid, s)
+    if s > grid[-1]:
+        grid = np.append(grid, s)
+    if grid.size < 2:
+        return np.eye(ds.d, dtype=complex)
     (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
@@ -791,7 +795,7 @@ def _dissipator_integral(
     ``ells`` and ``vs`` hold ell_tau and V_tau on the grid.
     """
     l_rot = dagger(vs) @ ells @ vs
-    return scipy.integrate.simpson(_dissipator(l_rot, rho_d), x=taus, axis=0)
+    return _simpson(_dissipator(l_rot, rho_d), taus)
 
 
 def _jumps(

@@ -3,7 +3,10 @@
 Everything downstream (generators, kernels, holonomies) runs through the four
 operations here: matrix exponentials, numerical kernels, Moore-Penrose
 pseudoinverses and ordered (path-ordered) exponentials.  All matrices are
-dense complex square numpy arrays; dimensions of interest are 4-16.
+dense complex square numpy arrays; dimensions of interest are 4-16.  The
+greedy column pivoting of the dark-space gauge and the composite Simpson rule
+of the frozen-state integrals live here too, so that the package runs on
+NumPy alone.
 """
 
 from __future__ import annotations
@@ -155,6 +158,25 @@ def kernel_basis(a: np.ndarray) -> np.ndarray:
     return dagger(vh[null_mask])
 
 
+def _pivot_columns(a: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k columns of ``a`` that greedy column pivoting picks, in pick order.
+
+    The pivot rule of LAPACK's geqp3 (column-pivoted QR): each step takes the
+    column of largest residual norm, the first in the current order on ties,
+    swaps it into the next position and projects its direction out of every
+    column.
+    """
+    residual = np.array(a, dtype=complex)
+    order = np.arange(residual.shape[1])
+    for i in range(k):
+        norms = np.linalg.norm(residual[:, order[i:]], axis=0)
+        j = i + int(np.argmax(norms))
+        order[[i, j]] = order[[j, i]]
+        q = residual[:, order[i]] / norms[j - i]
+        residual -= np.outer(q, q.conj() @ residual)
+    return order[:k]
+
+
 def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD.
 
@@ -288,3 +310,24 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
         paired = steps[1::2] @ steps[0:len(steps) - 1:2]
         steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
     return steps[0]
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson integral of ``y`` along axis 0 over the increasing nodes ``x``.
+
+    Each pair of steps (h0, h1) gets the parabola through its three nodes,
+    with the operations of SciPy's ``simpson`` (``_basic_simpson`` on the
+    grid's own step lengths), so the results agree bit for bit.  ``x`` is
+    1-D with one node per entry of ``y``, and their number must be odd: an
+    even number raises ValueError.
+    """
+    n = y.shape[0]
+    if n % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of nodes, got {n}")
+    h = np.diff(np.asarray(x, dtype=float).reshape((n,) + (1,) * (y.ndim - 1)), axis=0)
+    h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    parts = (y[0:n - 2:2] * (2.0 - 1.0 / ratio) + y[1:n - 1:2] * (hsum * (hsum / (h0 * h1)))
+             + y[2:n:2] * (2.0 - ratio))
+    return np.sum(hsum / 6.0 * parts, axis=0)

@@ -6,7 +6,8 @@ import types
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import example, given, settings
+import scipy.linalg
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import darklind.effective as eff
@@ -37,7 +38,7 @@ from darklind.effective import (
     x_tau_integral,
 )
 from darklind.engine import ConvergenceError, integrate
-from darklind.linalg import dagger, matrix_exp
+from darklind.linalg import _pivot_columns, dagger, kernel_basis, matrix_exp
 from darklind.protocols import (
     custom_protocol,
     fourier_path,
@@ -116,6 +117,82 @@ class TestDarkSpace:
         a = dark_space(spin32_linear.L_rot)
         b = dark_space(spin32_linear.L_rot)
         assert np.array_equal(a.basis, b.basis)
+
+
+def lapack_gauge(L):
+    """The dark basis in the gauge of SciPy's pivoted QR and polar factor, with LAPACK's pivots."""
+    raw = kernel_basis(L)
+    d = raw.shape[1]
+    _, r, piv = scipy.linalg.qr(dagger(raw), pivoting=True)
+    u, _ = scipy.linalg.polar(raw[np.sort(piv[:d])])
+    return raw @ dagger(u), r
+
+
+def spin52_lowering():
+    """The spin-5/2 lowering operator S_x - i S_y: only m = -5/2 is dark."""
+    sx, sy, _ = spin_operators(5)
+    return sx - 1j * sy
+
+
+def spin2_jump():
+    """S_x S_z (S_z^2 - 1) / 6 for spin 2: the m = 1, 0, -1 states are dark, d = 3."""
+    sx, _, sz = spin_operators(4)
+    return sx @ sz @ (sz @ sz - np.eye(5)) / 6.0
+
+
+def near_tie(r, d):
+    """Whether some pick of the first d has a residual norm within 1e-9 relative of the next best.
+
+    ``r`` is the R factor of the pivoted QR: after k picks, column j >= k of
+    the pivoted order has residual norm |R[k:, j]|, and the pick is column k.
+    """
+    for k in range(d):
+        norms = np.linalg.norm(r[k:, k:], axis=0)
+        if norms.size > 1 and norms[0] - norms[1:].max() <= 1e-9 * norms[0]:
+            return True
+    return False
+
+
+class TestDarkSpaceGauge:
+    """``dark_space`` fixes the gauge on NumPy alone, bit for bit as SciPy's pivoted QR and polar."""
+
+    @pytest.mark.parametrize("jump", [spin32_jump, spin52_lowering, spin2_jump],
+                             ids=["spin32", "spin52-lowering", "spin2-d3"])
+    def test_named_jumps(self, jump):
+        expected, _ = lapack_gauge(jump())
+        assert np.array_equal(dark_space(jump()).basis, expected)
+
+    @settings(max_examples=60)
+    @given(shape=st.integers(1, 4).flatmap(lambda d: st.tuples(st.just(d), st.integers(d + 1, 6))),
+           seed=st.integers(0, 2**32 - 1), integer=st.booleans())
+    def test_random_jumps(self, shape, seed, integer):
+        # a jump of rank dim - d, from Gaussian or from small-integer factors
+        # (the latter with exact ties); near ties are skipped: there either
+        # gauge is valid and the two norms' rounding decides
+        d, dim = shape
+        rng = np.random.default_rng(seed)
+
+        def factor(rows, cols):
+            size = (2, rows, cols)
+            parts = rng.integers(-1, 2, size=size) if integer else rng.normal(size=size)
+            return parts[0] + 1j * parts[1]
+
+        jump = factor(dim, dim - d) @ factor(dim - d, dim)
+        expected, r = lapack_gauge(jump)
+        assume(not near_tie(r, expected.shape[1]))
+        assert np.array_equal(dark_space(jump).basis, expected)
+
+    @pytest.mark.parametrize("a", [
+        [[1, 1, 0], [0, 0, 1]],
+        [[1, 1, 1, 1], [1, -1, 1, -1]],
+        [[0, 1, 1, 0, 1], [1, 0, 0, 1, 1], [1, 1, 0, 0, 0]],
+    ])
+    def test_exact_ties_take_the_first_column(self, a):
+        # geqp3's rule on exact ties: the first column in the current order,
+        # after the residual of each pick is projected out
+        a = np.asarray(a, dtype=complex)
+        _, _, piv = scipy.linalg.qr(a, pivoting=True)
+        assert np.array_equal(_pivot_columns(a, a.shape[0]), piv[:a.shape[0]])
 
 
 class TestAdiabaticHamiltonian:
@@ -863,6 +940,22 @@ class TestBerryHolonomy:
     def test_identity_at_start(self, spin32_linear, spin32_ds):
         v = berry_holonomy(spin32_linear, spin32_ds, 0.0)
         assert np.array_equal(v, np.eye(2))
+
+    @pytest.mark.parametrize("fraction, midpoints", [(1.0, 2048), (0.5, 1024), (0.0, 0)])
+    def test_a_tau_on_a_node_takes_no_partial_step(
+        self, monkeypatch, spin32_linear, spin32_ds, fraction, midpoints
+    ):
+        # the cut cycle grid ends on the node itself, and tau = 0 evaluates no drive
+        phases = []
+        blocks = eff._node_blocks
+
+        def spied(modes, s, *args, **kwargs):
+            phases.append(np.size(s))
+            return blocks(modes, s, *args, **kwargs)
+
+        monkeypatch.setattr(eff, "_node_blocks", spied)
+        berry_holonomy(spin32_linear, spin32_ds, fraction * spin32_linear.gammaT)
+        assert sum(phases) == midpoints
 
     def test_rejects_a_tau_array(self, spin32_linear, spin32_ds):
         # the cut grid is one time's: an array is not stepped as one

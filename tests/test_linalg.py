@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from darklind.linalg import (
     _gemm,
     _ordered_product,
     _scan,
+    _simpson,
     dagger,
     kernel_basis,
     matrix_exp,
@@ -374,3 +376,27 @@ def test_scan_of_affine_maps_matches_the_left_fold(n, lead, width, seed):
     expected = left_fold(x, _compose_affine)
     got = _scan(x, _compose_affine)
     assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+#: the two Simpson grids of the package: the cycle grid of the frozen-state
+#: integral and the spin-3/2 closed form's
+SIMPSON_GRIDS = {
+    "cycle": lambda gammaT: gammaT * np.linspace(0.0, 1.0, 2049),
+    "closed-form": lambda gammaT: np.linspace(0.0, gammaT, 4097),
+}
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("gammaT", [37.3, 200.0, 800.0, 12800.0])
+    @pytest.mark.parametrize("grid", list(SIMPSON_GRIDS))
+    def test_matches_scipy_bit_for_bit(self, grid, gammaT, rng):
+        taus = SIMPSON_GRIDS[grid](gammaT)
+        real = rng.normal(size=taus.size)
+        stack = rng.normal(size=(taus.size, 2, 2)) + 1j * rng.normal(size=(taus.size, 2, 2))
+        assert np.array_equal(_simpson(real, taus), scipy.integrate.simpson(real, x=taus))
+        assert np.array_equal(_simpson(stack, taus),
+                              scipy.integrate.simpson(stack, x=taus, axis=0))
+
+    def test_even_node_count_raises(self):
+        with pytest.raises(ValueError, match="odd number of nodes, got 4"):
+            _simpson(np.ones(4), np.linspace(0.0, 1.0, 4))
