@@ -27,7 +27,9 @@ from .effective import (
     rotating_generator,
 )
 from .engine import NUMERICAL_ERRORS, integrate
-from .linalg import _compose_affine, _norms, _scan, _simpson, dagger, frobenius, matrix_exp
+from .linalg import (
+    _compose_affine, _norms, _require_each, _scan, _simpson, dagger, frobenius, matrix_exp,
+)
 from .protocols import Protocol, _angle_values, path_from_descriptor
 
 __all__ = [
@@ -89,6 +91,7 @@ def dark_state_from_bloch(n: Sequence[float]) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError("Bloch vector must have three components")
+    _require_each(np.isfinite(n), n, "Bloch vector component {} is not finite")
     if np.linalg.norm(n) > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector has norm {np.linalg.norm(n):.6g} > 1")
     rho = 0.5 * np.eye(2, dtype=complex)
@@ -129,21 +132,23 @@ def purity_prediction_general(
     protocol: Protocol,
     ds: DarkSpace,
 ) -> float:
-    """Purity after one cycle from the frozen-state commutator integral.
+    """Purity after one cycle from the frozen-state commutator integral (eq. 12).
 
     Gamma_0 - (2 / gammaT^2) * int_0^gammaT Tr([rho, l^dag] l rho) dtau with
-    l = V^dag ell V, evaluated on a Simpson grid; rho stays frozen at its
-    initial value, which is the order the reduced theory controls.  Since
-    Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is taken from
-    the frozen-state dissipator integral shared with the end-of-cycle state.
+    l = V^dag ell V, the frame jump series of ``eff._frame_jumps`` on the
+    cycle grid; rho stays frozen at its initial value, which is the order
+    the reduced theory controls.  Since Tr([rho, l^dag] l rho) =
+    -Tr(rho D_l(rho)), the integral is the Simpson sum of D_l(rho) that the
+    end-of-cycle formula takes too (``_frozen_purity``).
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    (total, _), = eff._frozen_state_integral(rho_d, protocol, ds)
-    return _purity_after(rho_d, total, protocol.gammaT)
+    (_, l, _), = eff._frame_jumps(protocol, ds)
+    return _frozen_purity(rho_d, l, protocol.gammaT)
 
 
-def _purity_after(rho_d: np.ndarray, total: np.ndarray, gammaT: float) -> float:
-    """Tr rho^2 + (2 / gammaT^2) Re Tr(rho total) for a dissipator integral total."""
+def _frozen_purity(rho_d: np.ndarray, l: np.ndarray, gammaT: float) -> float:
+    """Tr rho^2 + (2 / gammaT^2) Re Tr(rho int D_l(rho) dtau) for the frame jump l of eq. 12."""
+    total = eff._frozen_dissipator(rho_d, l, gammaT)
     return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
@@ -163,6 +168,9 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     """
     rate = 3.0
     gammaT = float(gammaT)
+    if not (math.isfinite(gammaT) and gammaT > 0):
+        raise ValueError(f"gammaT must be finite and positive, got {gammaT}")
+    rho0 = dark_state_from_bloch(n0)
     taus = np.linspace(0.0, gammaT, _SPIN32_GRID + 1)
     step = gammaT / _SPIN32_GRID
     phases = (taus[:-1, None] + step * eff._GL3_NODES) / gammaT  # (steps, 3) Gauss nodes
@@ -187,7 +195,6 @@ def purity_prediction_spin32(path, n0: Sequence[float], gammaT: float) -> float:
     steps[:, 1, 0] = -s * (1j * hx - hy)
     v = _scan(steps, np.matmul)
 
-    rho0 = dark_state_from_bloch(n0)
     rho = v @ rho0 @ dagger(v)
     # m_x^2 + m_y^2 = 4 |rho_01|^2
     integrand = np.concatenate([[0.0], b**2 * 4.0 * np.abs(rho[:, 0, 1]) ** 2])
@@ -273,11 +280,11 @@ def gauge_covariance_check(
     image omega ell omega^dag only up to a defect of order 1/(gamma T).  The
     report records the defect |ell^omega_tau - ell_tau|_F, the worst over the
     tau fractions (0 for none), at both cycle durations (it should shrink when gamma T
-    grows), and the end-of-cycle purity prediction computed in both gauges by
-    the frozen-state integral.  Both run the exact-decay recurrence, plain and
-    gauged, on one evaluation of the Hamiltonian per node for both gauges; the
-    defects at all tau fractions of one gamma T in one pass along the cut
-    cycle grid of every per-tau query (``eff._kernel_at``).
+    grows), and the end-of-cycle purity prediction of eq. 12 computed in both
+    gauges from the frame jump l over the cycle (``_frozen_purity``).  Per
+    gamma T one pass of the exact-decay recurrence along the cycle grid,
+    then on to the tau fractions (``eff._frame_jumps``), gives both, plain
+    and gauged, on one evaluation of the Hamiltonian per node for both frames.
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -285,22 +292,14 @@ def gauge_covariance_check(
     else:
         rho_d = _dark_state(rho_init, ds)
 
-    frames = (None, gauge)
     defects, purities = [], []
     for gammaT in gammaT_pair:
         proto = protocol.with_gammaT(float(gammaT))
         taus = proto.gammaT * np.asarray(tau_fractions, dtype=float)
-        eff._check_taus(proto, taus)
-        modes = eff._KernelModes(proto, ds)
-        plain, tilted = (
-            eff._jumps(modes, taus, xs, gauge)
-            for (xs, _), gauge in zip(eff._kernel_at(modes, taus, frames), frames)
-        )
+        frames = eff._frame_jumps(proto, ds, taus, (None, gauge))
+        (plain, _, _), (tilted, _, _) = frames
         defects.append(float(_norms(tilted - plain).max(initial=0.0)))
-        purities.append(tuple(
-            _purity_after(rho_d, total, gammaT)
-            for total, _ in eff._frozen_state_integral(rho_d, proto, ds, frames)
-        ))
+        purities.append(tuple(_frozen_purity(rho_d, l, proto.gammaT) for _, l, _ in frames))
     plain, tilted = zip(*purities)
 
     ratio = defects[-1] / defects[0] if defects[0] > 0 else (0.0 if defects[-1] == 0 else math.inf)
@@ -453,7 +452,14 @@ def compare_effective_vs_full(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> EffectiveComparison:
-    """Trace-distance series between exact and effective reduced dynamics."""
+    """Trace-distance series between exact and effective reduced dynamics.
+
+    The series runs over n_checkpoints + 1 equally spaced times from 0 to
+    gamma T; ``n_checkpoints`` must be at least 1, so that the end of the
+    cycle is compared.
+    """
+    if not n_checkpoints >= 1:
+        raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints}")
     ds = dark_space(protocol.L_rot)
     rho_d = _dark_state(rho_init, ds)
     gammaT = protocol.gammaT

@@ -82,8 +82,8 @@ _QUAD_SPLITS = 400
 _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
-#: grid of the frozen-state dissipator integral and, cut at tau (``_cycle_cut``),
-#: of every per-tau query and of the holonomy
+#: grid of the frame jump series and its frozen-state integral (``_frame_jumps``)
+#: and, cut at tau (``_cycle_cut``), of every per-tau query and of the holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
 _FD_STEP = 0.05
@@ -746,8 +746,11 @@ def end_of_cycle_state(
     ``method="integrate"`` drives the effective equation across the period;
     ``method="formula"`` evaluates the closed expression V [rho + eps^2
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
-    which freezes rho at its initial value.  The two agree to the order the
-    reduced theory is valid.
+    which freezes rho at its initial value: l and V_end from one pass of the
+    kernel recurrence along the cycle grid (``_frame_jumps``), the integral
+    by Simpson's rule on it (``_frozen_dissipator``), as for the purity
+    prediction of eq. 12.  The two methods agree to the order the reduced
+    theory is valid.
     """
     rho_d = _coerce_dark_state(rho_init, ds)
     if method == "integrate":
@@ -756,46 +759,45 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    (total, v_end), = _frozen_state_integral(rho_d, protocol, ds)
-    return v_end @ (rho_d + eps**2 * total) @ dagger(v_end)
+    (_, l, v_end), = _frame_jumps(protocol, ds)
+    return v_end @ (rho_d + eps**2 * _frozen_dissipator(rho_d, l, protocol.gammaT)) @ dagger(v_end)
 
 
-def _frozen_state_integral(
-    rho_d: np.ndarray,
+def _frame_jumps(
     protocol: Protocol,
     ds: DarkSpace,
+    taus: np.ndarray = (),
     gauges: Sequence[Gauge | None] = (None,),
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Frozen-state dissipator integral over one cycle, and the holonomy V_end, per frame.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The effective jump at ``taus``, the frame jump l over the cycle and V_end, per frame.
 
-    The effective jump comes from the exponential recurrence and V_tau from
-    the midpoint holonomy, both on the _FROZEN_GRID + 1 nodes of the cycle
-    grid and both in the frame of each of ``gauges`` (None for none): one
-    ``_kernel_at`` call at those nodes, the exact array ``_cycle_grid``
-    returns, so that no node takes a partial step.  H is evaluated once per
-    kernel node for all frames; the middle node of each step is its
-    midpoint, where the holonomy takes the dark block.
+    One ``_kernel_at`` pass at the _FROZEN_GRID + 1 nodes of the cycle grid,
+    the exact array ``_cycle_grid`` returns so that no node takes a partial
+    step, followed by the 1-D array ``taus``, in the frame of each of
+    ``gauges`` (None for none); H is evaluated once per kernel node for all
+    frames.  Per frame it returns ell_tau at ``taus``, the (n, d, d) stack;
+    l = V^dag ell V at the cycle nodes, the effective jump in the frame
+    co-moving with the holonomy V_tau, which the midpoint rule takes on the
+    middle kernel node of each step; and V at the end of the cycle.  A tau
+    outside [0, gammaT] (1e-9 slack above) raises ValueError naming it.
     """
+    taus = np.asarray(taus, dtype=float)
+    _check_taus(protocol, taus)
     gammaT = protocol.gammaT
-    taus = _cycle_grid(gammaT)
+    cycle = _cycle_grid(gammaT)
+    times = np.concatenate([cycle, taus])
     modes = _KernelModes(protocol, ds)
     out = []
-    for (xs, h0), gauge in zip(_kernel_at(modes, taus, gauges), gauges):
-        vs = ordered_exponential(-1j * h0, taus / gammaT)
-        out.append((_dissipator_integral(rho_d, _jumps(modes, taus, xs, gauge), vs, taus), vs[-1]))
+    for (xs, h0), gauge in zip(_kernel_at(modes, times, gauges), gauges):
+        ells = _jumps(modes, times, xs, gauge)
+        vs = ordered_exponential(-1j * h0, cycle / gammaT)
+        out.append((ells[cycle.size:], dagger(vs) @ ells[:cycle.size] @ vs, vs[-1]))
     return out
 
 
-def _dissipator_integral(
-    rho_d: np.ndarray, ells: np.ndarray, vs: np.ndarray, taus: np.ndarray
-) -> np.ndarray:
-    """Simpson integral over taus of D_l(rho) with l = V^dag ell V.
-
-    l is the effective jump in the frame co-moving with the holonomy;
-    ``ells`` and ``vs`` hold ell_tau and V_tau on the grid.
-    """
-    l_rot = dagger(vs) @ ells @ vs
-    return _simpson(_dissipator(l_rot, rho_d), taus)
+def _frozen_dissipator(rho_d: np.ndarray, l: np.ndarray, gammaT: float) -> np.ndarray:
+    """Simpson integral of D_l(rho_d) over the cycle grid, l the frame jump at its nodes."""
+    return _simpson(_dissipator(l, rho_d), _cycle_grid(gammaT))
 
 
 def _jumps(
@@ -836,8 +838,8 @@ def _kernel_at(
     ``_step_maps`` call.  The grid only has to resolve the drive, whatever a
     step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
     quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
-    array ``_cycle_grid`` returns, every time is a node, and the blocks are
-    those of the whole cycle.
+    array ``_cycle_grid`` returns, before any other times (``_frame_jumps``),
+    every cycle time is a node, and its blocks are those of the whole cycle.
 
     Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
     in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the

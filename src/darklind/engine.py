@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import _norms, dagger, frobenius
+from .linalg import _norms, _require_each, dagger, frobenius
 
 __all__ = [
     "LindbladGenerator",
@@ -386,7 +386,9 @@ def integrate(
     order-8 propagation, and the error norm of Hairer's DOP853 built from
     the fifth- and third-order estimates, controlled as an order-7 estimate.
     The first step is span/1000, steps are not capped, and a step is
-    shortened to land exactly on each checkpoint.
+    shortened to land exactly on each checkpoint.  A bound of ``tau_span`` or
+    a checkpoint that is not finite raises ValueError naming it, before any
+    call of ``gen_of_t``.
 
     ``gen_of_t`` is called once per step attempt, with the attempt's eleven
     distinct stage times (c_2..c_12 in increasing order; the final FSAL
@@ -415,13 +417,16 @@ def integrate(
     validate_density_matrix(rho0)
     dim = rho0.shape[0]
     t0, t1 = float(tau_span[0]), float(tau_span[1])
+    _require_each(np.isfinite([t0, t1]), [t0, t1], "tau_span bound {} is not finite")
     span = t1 - t0
     if span < 0:
         raise ValueError("backward integration not supported")
     if checkpoints is None:
         cps = [t1]
     else:
-        cps = sorted(float(c) for c in checkpoints)
+        cps = [float(c) for c in checkpoints]
+        _require_each(np.isfinite(cps), cps, "checkpoint {} is not finite")
+        cps.sort()
         if cps and (cps[0] < t0 - 1e-12 or cps[-1] > t1 + 1e-12):
             raise ValueError("checkpoints outside integration span")
         if not cps or abs(cps[-1] - t1) > 1e-12:

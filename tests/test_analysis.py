@@ -93,6 +93,13 @@ class TestObservables:
         with pytest.raises(ValueError):
             dark_state_from_bloch((1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("n", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, 0.0, -np.inf)])
+    def test_rejects_non_finite_bloch_vector(self, n):
+        # a NaN norm passes the norm test, so unchecked this gives an all-NaN state
+        bad = next(c for c in n if not math.isfinite(c))
+        with pytest.raises(ValueError, match=f"Bloch vector component {bad} is not finite"):
+            dark_state_from_bloch(n)
+
 
 def spin32_loop(path, n0s, gammaT):
     """The spin-3/2 closed form one grid step at a time, the oracle of the array version.
@@ -166,6 +173,17 @@ class TestPurityPredictions:
         assert abs(got - (1.0 - 4 * math.pi**2 / 1000.0)) <= 2e-4
         got_y = purity_prediction_spin32(linear_path(1, 0), (0, 1, 0), 1000.0)
         assert abs(got_y - (1.0 - 8 * math.pi**2 / 1000.0)) <= 2e-4
+
+    def test_spin32_rejects_non_finite_bloch_vector(self):
+        with pytest.raises(ValueError, match="Bloch vector component nan is not finite"):
+            purity_prediction_spin32(linear_path(1, 0), (np.nan, 0.0, 0.0), 20.0)
+
+    @pytest.mark.parametrize("gammaT", [-200.0, 0.0, np.nan, np.inf])
+    def test_spin32_rejects_gammaT_that_is_not_finite_and_positive(self, gammaT):
+        # unchecked, gammaT -200 gives a purity of 2.17e254 and NaN a NaN; the
+        # message is the one Protocol gives
+        with pytest.raises(ValueError, match=f"gammaT must be finite and positive, got {gammaT}"):
+            purity_prediction_spin32(linear_path(1, 0), (0.0, 0.0, 1.0), gammaT)
 
     def test_adiabatic_limit(self):
         got = purity_prediction_spin32(linear_path(1, 0), (0, 0, 1), 1e8)
@@ -441,6 +459,12 @@ class TestEffectiveVsFull:
         proto = constant_protocol(80.0)
         comparison = compare_effective_vs_full(proto, (0.2, 0.4, 0.5), n_checkpoints=5)
         assert comparison.max_distance <= 1e-10
+
+    @pytest.mark.parametrize("n_checkpoints", [0, -3])
+    def test_rejects_fewer_than_one_checkpoint(self, spin32_linear, n_checkpoints):
+        # with none the end state goes unmeasured and the distance reads 0
+        with pytest.raises(ValueError, match="n_checkpoints must be a positive integer"):
+            compare_effective_vs_full(spin32_linear, (0, 0, 1), n_checkpoints=n_checkpoints)
 
     def test_spin32_bounded_and_shrinking(self, spin32_linear):
         c200 = compare_effective_vs_full(spin32_linear, (0, 0, 1), n_checkpoints=6)

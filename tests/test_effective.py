@@ -384,6 +384,25 @@ class TestHamiltonianCalls:
         query(proto, dark_space(proto.L_rot), dark_state_from_bloch((0.0, 1.0, 0.0)))
         assert (len(calls), sum(calls)) == (24, 6144)
 
+    def test_gauge_check_runs_one_kernel_pass_per_gammaT(self, monkeypatch):
+        # criterion 6's arguments: per gammaT one pass along the cycle grid's
+        # 6,144 kernel nodes and on to the 0.3 and 0.7 fractions' partial
+        # steps (0.5 is a node), 6,150 phases, plus 64 that with_gammaT
+        # samples; 21,026 phases in 84 calls with a second pass for the defects
+        proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
+        passes = []
+        kernel_at = eff._kernel_at
+
+        def counted(modes, taus, gauges=(None,)):
+            passes.append(modes.protocol.gammaT)
+            return kernel_at(modes, taus, gauges)
+
+        monkeypatch.setattr(eff, "_kernel_at", counted)
+        gauge_covariance_check(proto, dark_space(proto.L_rot), (math.pi / 7.0) * SZ,
+                               gammaT_pair=(100.0, 200.0))
+        assert passes == [100.0, 200.0]
+        assert (len(calls), sum(calls)) == (52, 12428)
+
 
 class TestProjectedHamiltonian:
     def test_theta_drive(self, spin32_linear, spin32_ds):
@@ -1086,6 +1105,32 @@ class TestEndOfCycle:
         out_full = end_of_cycle_state(embed_dark(spin32_ds, rho_d), spin32_linear, spin32_ds)
         out_reduced = end_of_cycle_state(rho_d, spin32_linear, spin32_ds)
         assert trace_distance(out_full, out_reduced) <= 1e-12
+
+
+class TestFrameJumps:
+    @pytest.mark.parametrize("gammaT", [37.3, 200.0, 800.0])
+    @pytest.mark.parametrize("path", [
+        linear_path(1, 0),
+        smoothstep_path(1, 1),
+        fourier_path(1, 1, theta_knots=(0.17,), phi_knots=(-0.2,)),
+    ], ids=["linear", "smoothstep", "fourier"])
+    def test_jumps_at_taus_match_effective_jump(self, spin32_ds, path, gammaT):
+        # the taus after the cycle nodes read the same recurrence as the per-tau
+        # query from tau = 0 (measured equal on every case)
+        proto = spin32_protocol(path, gammaT)
+        taus = gammaT * np.array([0.0, 0.3, 0.5, 0.77, 1.0])
+        (ells, l, v_end), = eff._frame_jumps(proto, spin32_ds, taus)
+        expected = effective_jump(proto, spin32_ds, taus)
+        assert ells.shape == (5, 2, 2) and l.shape == (eff._FROZEN_GRID + 1, 2, 2)
+        assert np.max(np.linalg.norm(ells - expected, axis=(1, 2))) <= 1e-13
+        # V_end is the whole-cycle holonomy; l at the ends is ell there, moved by V
+        assert np.linalg.norm(v_end - berry_holonomy(proto, spin32_ds, gammaT)) <= 1e-12
+        assert np.linalg.norm(l[0] - ells[0]) <= 1e-13
+        assert np.linalg.norm(l[-1] - dagger(v_end) @ ells[-1] @ v_end) <= 1e-13
+
+    def test_rejects_tau_outside_the_cycle(self, spin32_linear, spin32_ds):
+        with pytest.raises(ValueError, match="tau=201.0 outside"):
+            eff._frame_jumps(spin32_linear, spin32_ds, np.array([10.0, 201.0]))
 
 
 class TestCoerceDarkState:

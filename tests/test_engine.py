@@ -95,6 +95,31 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             integrate(lambda t: gen, np.eye(2) / 2, (0.0, 1.0), rtol=rtol, atol=atol)
 
+    @pytest.mark.parametrize("span, checkpoints, message", [
+        ((0.0, np.nan), None, "tau_span bound nan is not finite"),
+        ((0.0, np.inf), None, "tau_span bound inf is not finite"),
+        ((-np.inf, 20.0), None, "tau_span bound -inf is not finite"),
+        ((0.0, 20.0), [5.0, np.nan], "checkpoint nan is not finite"),
+        ((0.0, 20.0), [np.inf], "checkpoint inf is not finite"),
+    ])
+    def test_rejects_non_finite_times(self, spin32_linear, spin32_ds, span, checkpoints, message):
+        # unchecked, a NaN end gives back the start state after no step and a
+        # NaN checkpoint is dropped; each is named before the generator is called
+        from darklind.analysis import dark_state_from_bloch
+        from darklind.effective import embed_dark, rotating_generator
+
+        proto = spin32_linear.with_gammaT(20.0)
+        calls = []
+
+        def gen(taus, inner=rotating_generator(proto)):
+            calls.append(taus)
+            return inner(taus)
+
+        rho0 = embed_dark(spin32_ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=message):
+            integrate(gen, rho0, span, checkpoints=checkpoints)
+        assert calls == []
+
     def test_constant_generator_matches_matrix_exponential(self, rng, spin32_linear):
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         gen = LindbladGenerator(h + dagger(h), (spin32_linear.L_rot,), 0.3)

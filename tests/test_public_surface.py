@@ -68,3 +68,23 @@ def test_per_tau_queries_share_the_cycle_grid(removed):
     # integral run on the cut cycle grid, through ``effective._kernel_at``
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
+
+
+@pytest.mark.parametrize(
+    "removed", ["_frozen_state_integral", "_dissipator_integral", "_purity_after"]
+)
+def test_one_frame_jump_series(removed):
+    # eq. 12, the end-of-cycle formula and the gauge purities take one Simpson
+    # sum of D_l(rho) over the frame jump series of ``effective._frame_jumps``
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
+
+
+def test_analysis_names_no_kernel_driver_internals():
+    # the gauge check reads the kernel driver through ``effective._frame_jumps`` only
+    tree = ast.parse(Path(importlib.import_module("darklind.analysis").__file__).read_text())
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"_KernelModes", "_kernel_at", "_jumps", "_check_taus"} == set()
