@@ -318,10 +318,13 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, fl
     """Least-squares slope, intercept and r^2 of log y against log x.
 
     Returns (nan, nan, nan) when any y is too small for a meaningful log
-    (the flagged outcome for loss-free protocols).
+    (the flagged outcome for loss-free protocols).  A NaN or infinite x or y
+    raises ValueError naming the first one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_each(np.isfinite(x), x, "x value {} is not finite")
+    _require_each(np.isfinite(y), y, "y value {} is not finite")
     if x.size < 2 or np.any(y <= 1e-14):
         return math.nan, math.nan, math.nan
     lx, ly = np.log(x), np.log(y)

@@ -21,6 +21,7 @@ import numpy as np
 from .engine import (
     ConvergenceError,
     LindbladGenerator,
+    _check_tolerances,
     _dissipator,
     check_invariants,
     lindblad_rhs,
@@ -289,13 +290,16 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     norm.  A ``quad_vec`` that ends short of them raises ``ConvergenceError``
     naming the window, its status message and the error estimate.
 
-    The drive is recorded, then evaluated: the breakpoints put almost every
-    node on the initial panels, so the same ``quad_vec`` call over the same
-    window and breakpoints, run first on a zero integrand, asks for those
-    nodes (and for one subdivision's).  ``_KernelModes.drive`` evaluates them
-    all in one array call, every phase checked, and the integrand looks each
-    node up by its float value; a node not recorded (a later subdivision's)
-    is evaluated alone.  The window weights are applied in the integrand.
+    The drive and the weights are recorded, then evaluated: the breakpoints
+    put almost every node on the initial panels, so the same ``quad_vec``
+    call over the same window and breakpoints, run first on a zero
+    integrand, asks for those nodes (and for one subdivision's).
+    ``_KernelModes.drive`` evaluates them all in one array call, every phase
+    checked, and the window weights of every member come in one array pass
+    per block of _PHASE_BLOCK recorded nodes, the current block alone being
+    kept.  The integrand looks each node up by its float value and
+    multiplies its weights into its drive; a node not recorded (a later
+    subdivision's) is evaluated alone.
     """
     import scipy.integrate  # only this oracle needs SciPy: the package imports on NumPy alone
 
@@ -317,16 +321,31 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
             return 0.0
 
         scipy.integrate.quad_vec(record, a, b, limit=limit, points=points)
+        recorded = np.array(nodes)
+        index = {node: k for k, node in enumerate(nodes)}
         # real and imaginary parts side by side: a real vector for quad_vec
-        table = dict(zip(nodes, modes.drive(np.array(nodes))[:, group].view(float)))
+        drives = modes.drive(recorded)[:, group].view(float)
+        held = {}  # the weights of the current block of recorded nodes, by block number
+
+        def weights(s):
+            """The (n, members) window weights at n nodes s.
+
+            Member k's weight is 1[t_lo_k <= s <= tau_k] e^{rate (s - tau_k)/2}.
+            """
+            s = s[:, None]
+            inside = (t_lo <= s) & (s <= taus)
+            return inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
 
         def integrand(s):
-            drive = table.get(s)
-            if drive is None:
-                drive = modes.drive(np.array([s]))[0, group].view(float)
-            inside = (t_lo <= s) & (s <= taus)
-            weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
-            return weight[:, None, None] * drive
+            k = index.get(s)
+            if k is None:
+                node = np.array([s])
+                return weights(node)[0][:, None, None] * modes.drive(node)[0, group].view(float)
+            b, i = divmod(k, _PHASE_BLOCK)
+            if b not in held:
+                held.clear()
+                held[b] = weights(recorded[b * _PHASE_BLOCK:(b + 1) * _PHASE_BLOCK])
+            return held[b][i][:, None, None] * drives[k]
 
         res, estimate, info = scipy.integrate.quad_vec(
             integrand, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, norm="max",
@@ -523,7 +542,8 @@ def evolve_effective(
     ``atol + rtol * |rho|`` (Frobenius norms); the 2n-step state is kept.
     The kernel start of an interval is the end of the previous interval's
     recurrence on its accepted grid.  ``rtol`` and ``atol`` set that target and
-    nothing else.  When ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet it, a
+    nothing else; each must be finite and non-negative, or a ValueError names
+    it.  When ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet it, a
     ``ConvergenceError`` names the interval and the estimate; a returned state
     outside the engine's Hermiticity, trace or positivity tolerances raises
     ``InvariantViolationError`` at the first such breakpoint.  States are
@@ -540,8 +560,7 @@ def evolve_effective(
     """
     if mode not in _MODE_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
-    if not (rtol >= 0.0 and atol >= 0.0):
-        raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
+    _check_tolerances(rtol, atol)
     checkpoints = sorted(float(t) for t in taus)
     if checkpoints and not 0.0 <= checkpoints[0] <= checkpoints[-1] <= protocol.gammaT:
         raise ValueError(f"times must lie in [0, gammaT = {protocol.gammaT}]")
@@ -988,6 +1007,16 @@ def reconstruct_full_state(
     return raw / tr, correction
 
 
+def _clipped_phases(protocol: Protocol, tau) -> np.ndarray:
+    """The phases tau / gammaT clipped to [0, 1], a NaN kept.
+
+    ``np.clip``'s values, signed zeros too, from one ufunc each way: the
+    generators below run this on every step attempt, where ``np.clip``'s
+    Python wrapper would cost more than the clipping.
+    """
+    return np.minimum(np.maximum(0.0, np.asarray(tau, dtype=float) / protocol.gammaT), 1.0)
+
+
 def lab_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGenerator]:
     """tau -> lab-frame generator with the rotated jump operator.
 
@@ -996,7 +1025,7 @@ def lab_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGenerato
     """
 
     def gen(tau) -> LindbladGenerator:
-        s = np.clip(np.asarray(tau, dtype=float) / protocol.gammaT, 0.0, 1.0)
+        s = _clipped_phases(protocol, tau)
         return LindbladGenerator(hamiltonian=None, jumps=(lab_jump(protocol, s),))
 
     return gen
@@ -1011,9 +1040,8 @@ def rotating_generator(protocol: Protocol) -> Callable[[np.ndarray], LindbladGen
     """
 
     def gen(tau) -> LindbladGenerator:
-        s = np.clip(np.asarray(tau, dtype=float) / protocol.gammaT, 0.0, 1.0)
         return LindbladGenerator(
-            hamiltonian=adiabatic_hamiltonian(protocol, s),
+            hamiltonian=adiabatic_hamiltonian(protocol, _clipped_phases(protocol, tau)),
             jumps=(protocol.L_rot,),
             hamiltonian_prefactor=1.0 / protocol.gammaT,
         )

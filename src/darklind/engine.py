@@ -119,9 +119,9 @@ class LindbladGenerator:
     def __post_init__(self):
         if self.hamiltonian is not None:
             h = self.hamiltonian
-            bad = np.flatnonzero(_norms(h - dagger(h)) > 1e-10 * np.maximum(_norms(h), 1.0))
-            if bad.size:
-                where = f" (element {bad[0]} of the stack)" if np.ndim(h) > 2 else ""
+            bad = _norms(h - dagger(h)) > 1e-10 * np.maximum(_norms(h), 1.0)
+            if bad.any():
+                where = f" (element {np.argmax(bad)} of the stack)" if np.ndim(h) > 2 else ""
                 raise ValueError(f"hamiltonian must be Hermitian to 1e-10{where}")
         object.__setattr__(self, "jumps", tuple(np.asarray(j, dtype=complex) for j in self.jumps))
 
@@ -368,8 +368,18 @@ _DOP_E3 = _DOP_B - np.array([
 ])
 #: the eleven distinct stage nodes c_2..c_12 in increasing order (the c's are
 #: not monotone; the FSAL stage reuses c_12 = 1), and each stage's node index
-_DOP_NODES = np.unique(_DOP_C[1:])
+_DOP_NODES = np.sort(_DOP_C[1:])
 _DOP_STAGE_NODE = np.searchsorted(_DOP_NODES, _DOP_C)
+
+
+def _check_tolerances(rtol: float, atol: float) -> None:
+    """Raise ValueError naming rtol or atol unless it is finite and non-negative.
+
+    An infinite tolerance would accept every step: error control off.
+    """
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"rtol and atol must be non-negative and finite: {name} is {value}")
 
 
 def integrate(
@@ -386,9 +396,9 @@ def integrate(
     order-8 propagation, and the error norm of Hairer's DOP853 built from
     the fifth- and third-order estimates, controlled as an order-7 estimate.
     The first step is span/1000, steps are not capped, and a step is
-    shortened to land exactly on each checkpoint.  A bound of ``tau_span`` or
-    a checkpoint that is not finite raises ValueError naming it, before any
-    call of ``gen_of_t``.
+    shortened to land exactly on each checkpoint.  A bound of ``tau_span``, a
+    checkpoint or a tolerance that is not finite, or a negative tolerance,
+    raises ValueError naming it, before any call of ``gen_of_t``.
 
     ``gen_of_t`` is called once per step attempt, with the attempt's eleven
     distinct stage times (c_2..c_12 in increasing order; the final FSAL
@@ -408,8 +418,7 @@ def integrate(
     returns or any error leaves it, so the earliest violation is the one
     raised, with the tau ``check_invariants`` would name.
     """
-    if not (rtol >= 0.0 and atol >= 0.0):
-        raise ValueError(f"rtol and atol must be non-negative, got {rtol} and {atol}")
+    _check_tolerances(rtol, atol)
     if atol == 0.0:
         raise ValueError("atol must be positive: the error scale atol + rtol*|rho| "
                          "vanishes on zero entries of rho")
@@ -445,7 +454,9 @@ def integrate(
         if gen.dim != dim:
             raise ValueError(f"dimension mismatch: generator {gen.dim} vs rho {dim}")
         sup = vectorize(gen)
-        return np.broadcast_to(sup, taus.shape + sup.shape[-2:])
+        if sup.shape[:-2] == taus.shape:
+            return sup
+        return np.broadcast_to(sup, taus.shape + sup.shape[-2:])  # one generator for every time
 
     t, y = t0, rho0.reshape(-1)
     h_free = span / 1e3
@@ -539,7 +550,8 @@ def vectorize(gen: LindbladGenerator) -> np.ndarray:
     dim = gen.dim
     h = gen.hamiltonian
     jumps = gen.jumps
-    lead = np.broadcast_shapes(*(np.shape(m)[:-2] for m in jumps + (() if h is None else (h,))))
+    shapes = [m.shape[:-2] for m in jumps + (() if h is None else (h,))]
+    lead = shapes[0] if shapes.count(shapes[0]) == len(shapes) else np.broadcast_shapes(*shapes)
     a = 0.0 if h is None else -1j * gen.hamiltonian_prefactor * h
     for jump in jumps:
         a = a - 0.5 * (dagger(jump) @ jump)

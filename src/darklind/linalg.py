@@ -115,8 +115,15 @@ def _expm_series(a: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a matrix, or of each matrix in a stack."""
-    return np.linalg.norm(a, axis=(-2, -1))
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    NumPy's own formula for ``np.linalg.norm(a, axis=(-2, -1))``, bit for bit,
+    without that function's dispatch: it runs on every step attempt.
+    """
+    a = np.asarray(a)
+    if not issubclass(a.dtype.type, (np.inexact, np.object_)):
+        a = a.astype(float)
+    return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,10 +144,14 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _require_each(ok: np.ndarray, s, message: str) -> None:
-    """Raise ValueError with ``message`` naming the first entry of ``s`` failing ``ok``."""
+    """Raise ValueError with ``message`` naming the first entry of ``s`` failing ``ok``.
+
+    ``ok`` is a boolean array of the shape of ``s``, or one boolean for one entry.
+    """
+    if np.asarray(ok).all():
+        return
     bad = np.flatnonzero(~np.atleast_1d(ok))
-    if bad.size:
-        raise ValueError(message.format(np.atleast_1d(s)[bad[0]]))
+    raise ValueError(message.format(np.atleast_1d(s)[bad[0]]))
 
 
 def kernel_basis(a: np.ndarray) -> np.ndarray:

@@ -37,9 +37,12 @@ _PHASE_SAMPLES = 64  # construction-time grid for unitarity/cyclicity checks
 def _angle_values(fn: Callable, s) -> np.ndarray:
     """fn(s) as a float array of shape np.shape(s).
 
-    An angle constant in s may return a scalar for an array phase; it is broadcast.
+    An angle constant in s may return a scalar for an array phase; it is
+    broadcast.  An array of the phase shape is returned as it is.
     """
-    return np.broadcast_to(np.asarray(fn(s), dtype=float), np.shape(s))
+    values = np.asarray(fn(s), dtype=float)
+    shape = np.shape(s)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _phases(s) -> np.ndarray:

@@ -358,6 +358,16 @@ class TestFits:
         slope, _, r2 = fit_loglog([10.0, 20.0], [1e-16, 1e-16])
         assert math.isnan(slope) and math.isnan(r2)
 
+    @pytest.mark.parametrize("x, y, named", [
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "x value nan is not finite"),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0], "y value inf is not finite"),
+        ([1.0, 2.0, 3.0], [1e-16, math.nan, 3.0], "y value nan is not finite"),
+    ])
+    def test_rejects_non_finite_data(self, x, y, named):
+        # unchecked, a NaN x ends in an SVD failure and an infinite y reports r^2 = 1
+        with pytest.raises(ValueError, match=named):
+            fit_loglog(x, y)
+
 
 def _unchanged(gen_of_t, rho0, span, **kwargs):
     """An ``integrate`` stand-in that leaves the state where it started."""

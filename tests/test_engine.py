@@ -77,6 +77,15 @@ class TestRhs:
         with pytest.raises(ValueError, match="Hermitian"):
             LindbladGenerator(hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]), jumps=())
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_names_the_non_hermitian_element_of_a_stack(self, rng, k):
+        h = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        h = h + dagger(h)
+        LindbladGenerator(hamiltonian=h, jumps=())
+        h[k, 0, 1] += 0.5
+        with pytest.raises(ValueError, match=rf"Hermitian to 1e-10 \(element {k} of the stack\)"):
+            LindbladGenerator(hamiltonian=h, jumps=())
+
 
 class TestIntegrate:
     def test_zero_generator_keeps_state(self, rng):
@@ -94,6 +103,57 @@ class TestIntegrate:
         gen = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=())
         with pytest.raises(ValueError, match=message):
             integrate(lambda t: gen, np.eye(2) / 2, (0.0, 1.0), rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("rtol, atol, named", [
+        (np.inf, 1e-12, "rtol is inf"), (1e-9, np.inf, "atol is inf"),
+        (np.nan, 1e-12, "rtol is nan"), (1e-9, np.nan, "atol is nan"),
+    ])
+    def test_rejects_non_finite_tolerances(self, spin32_linear, spin32_ds, rtol, atol, named):
+        # an infinite rtol accepts every step, and the run ends in a
+        # positivity violation at tau 3.84; each is named before the generator is called
+        from darklind.analysis import dark_state_from_bloch
+        from darklind.effective import embed_dark, lab_generator
+
+        calls = []
+
+        def gen(taus, inner=lab_generator(spin32_linear.with_gammaT(20.0))):
+            calls.append(taus)
+            return inner(taus)
+
+        rho0 = embed_dark(spin32_ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
+        with pytest.raises(ValueError, match=named):
+            integrate(gen, rho0, (0.0, 20.0), rtol=rtol, atol=atol)
+        assert calls == []
+
+    def test_lab_frame_run_broadcasts_nothing(self, monkeypatch, spin32_linear, spin32_ds):
+        # every stack the lab generator builds has the stage times' shape already
+        from darklind.analysis import dark_state_from_bloch
+        from darklind.effective import embed_dark, lab_generator
+
+        calls = []
+        broadcast_to = np.broadcast_to
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return broadcast_to(*args, **kwargs)
+
+        monkeypatch.setattr(np, "broadcast_to", spy)
+        rho0 = embed_dark(spin32_ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
+        traj = integrate(lab_generator(spin32_linear.with_gammaT(10.0)), rho0, (0.0, 10.0))
+        assert traj.step_stats.generator_calls > 50
+        assert calls == []
+
+    def test_generator_of_single_matrices_stands_for_every_time(self, rng, spin32_linear):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        gen = LindbladGenerator(h + dagger(h), (spin32_linear.L_rot,), 0.3)
+        rho0 = random_density(rng, 4)
+        single = integrate(lambda t: gen, rho0, (0.0, 2.0))
+        stacked = integrate(
+            lambda t: LindbladGenerator(np.broadcast_to(gen.hamiltonian, t.shape + (4, 4)),
+                                        (np.broadcast_to(gen.jumps[0], t.shape + (4, 4)),), 0.3),
+            rho0, (0.0, 2.0))
+        assert np.array_equal(single.final, stacked.final)
+        assert single.step_stats == stacked.step_stats
 
     @pytest.mark.parametrize("span, checkpoints, message", [
         ((0.0, np.nan), None, "tau_span bound nan is not finite"),
@@ -229,6 +289,10 @@ class TestDop853Tableau:
     def test_error_weights_sum_to_zero(self):
         assert abs(engine._DOP_E5.sum()) <= 1e-15
         assert abs(engine._DOP_E3.sum()) <= 1e-15
+
+    def test_stage_nodes_are_the_distinct_cs_in_increasing_order(self):
+        assert len(set(engine._DOP_C[1:])) == 11
+        assert np.array_equal(engine._DOP_NODES, np.unique(engine._DOP_C[1:]))
 
     def test_stage_nodes_sorted_and_mapped(self):
         nodes = engine._DOP_NODES

@@ -1,8 +1,11 @@
-"""SciPy stays unloaded until the quadrature oracle runs.
+"""SciPy stays unloaded until the quadrature oracle runs, and NumPy loads nothing more.
 
 The package needs NumPy alone; only the memory-kernel oracle ``x_tau_integral``
-(through ``c_tau_ode_residual``, criterion 7) imports ``scipy.integrate``.  The
-test modules import SciPy themselves, so the guard runs in a fresh interpreter.
+(through ``c_tau_ode_residual``, criterion 7) imports ``scipy.integrate``.
+Importing the package loads no ``numpy.*`` module that ``import numpy`` has not
+loaded already (``np.unique`` at import time, for one, would load
+``numpy.ma``).  The test modules import SciPy themselves, so the guard runs in
+a fresh interpreter.
 """
 
 import os
@@ -17,10 +20,19 @@ import sys
 
 import numpy as np
 
+
+def numpy_modules():
+    return {name for name in sys.modules if name == "numpy" or name.startswith("numpy.")}
+
+
+with_numpy = numpy_modules()
+
 import darklind
 import darklind.checks
 import darklind.cli
 from darklind import analysis, effective, engine, protocols
+
+assert numpy_modules() <= with_numpy, ("numpy", sorted(numpy_modules() - with_numpy))
 
 SCIPY = ("scipy.linalg", "scipy.integrate")
 

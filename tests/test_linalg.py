@@ -10,7 +10,9 @@ from darklind.linalg import (
     _cf4_steps,
     _compose_affine,
     _gemm,
+    _norms,
     _ordered_product,
+    _require_each,
     _scan,
     _simpson,
     dagger,
@@ -400,3 +402,45 @@ class TestSimpson:
     def test_even_node_count_raises(self):
         with pytest.raises(ValueError, match="odd number of nodes, got 4"):
             _simpson(np.ones(4), np.linspace(0.0, 1.0, 4))
+
+
+class TestNorms:
+    """``_norms`` is ``np.linalg.norm(a, axis=(-2, -1))`` bit for bit, without its dispatch."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (7, 3, 3), (2, 5, 4, 4), (0, 3, 3), (3, 2, 5)])
+    def test_matches_numpy_bit_for_bit(self, shape):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = np.linalg.norm(a, axis=(-2, -1))
+        out = _norms(a)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(_norms(a.real), np.linalg.norm(a.real, axis=(-2, -1)))
+
+    def test_nan_entries_and_integer_input(self):
+        a = np.random.default_rng(8).normal(size=(3, 2, 2)) + 0j
+        a[1, 0, 1] = np.nan
+        assert np.array_equal(_norms(a), np.linalg.norm(a, axis=(-2, -1)), equal_nan=True)
+        assert np.isnan(_norms(a)[1]) and not np.isnan(_norms(a)[[0, 2]]).any()
+        ints = np.arange(18).reshape(2, 3, 3)
+        assert np.array_equal(_norms(ints), np.linalg.norm(ints, axis=(-2, -1)))
+
+
+class TestRequireEach:
+    def test_passes_when_every_entry_holds(self):
+        assert _require_each(np.array(True), 0.5, "bad {}") is None
+        assert _require_each(np.ones(3, dtype=bool), np.arange(3.0), "bad {}") is None
+        assert _require_each(np.ones(0, dtype=bool), np.ones(0), "bad {}") is None
+
+    def test_names_the_one_entry_of_a_0d_mask(self):
+        for s in (1.5, np.nan):
+            phase = np.asarray(s)
+            with pytest.raises(ValueError, match=f"^bad {s}$"):
+                _require_each((0.0 <= phase) & (phase <= 1.0), phase, "bad {}")
+
+    def test_names_the_first_failing_entry_of_a_1d_mask(self):
+        phases = np.array([0.5, np.nan, 1.5, 0.2])
+        with pytest.raises(ValueError, match="^bad nan$"):
+            _require_each((0.0 <= phases) & (phases <= 1.0), phases, "bad {}")
+        with pytest.raises(ValueError, match="^bad 1.5$"):
+            _require_each(~(phases > 1.0), phases, "bad {}")  # NaN passes this one

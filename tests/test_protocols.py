@@ -221,6 +221,29 @@ class TestLabJump:
         with pytest.raises(ValueError, match=r"phase nan outside"):
             lab_jump(spin32_linear, np.array([0.5, np.nan]))
 
+    @pytest.mark.parametrize("phase, named", [
+        (1.5, r"phase 1\.5 outside"), (np.nan, "phase nan outside"),
+    ])
+    def test_names_one_phase_outside(self, spin32_linear, phase, named):
+        with pytest.raises(ValueError, match=named):
+            lab_jump(spin32_linear, phase)
+
+
+class TestAngleValues:
+    def test_constant_angle_is_broadcast_to_the_phase_shape(self):
+        phases = np.linspace(0.0, 1.0, 5)
+        dtheta = linear_path(2, 0).dtheta  # constant in s: returns a scalar
+        values = protocols._angle_values(dtheta, phases)
+        assert values.shape == (5,) and values.dtype == float
+        assert np.array_equal(values, np.full(5, 4.0 * math.pi))
+
+    def test_array_angle_keeps_the_phase_shape(self):
+        phases = np.linspace(0.0, 1.0, 7)
+        theta = smoothstep_path(1, 1).theta
+        values = protocols._angle_values(theta, phases)
+        assert values.shape == (7,)
+        assert np.array_equal(values, theta(phases))
+
 
 class TestCustomProtocol:
     def test_spin32_is_the_two_factor_product(self):

@@ -229,6 +229,16 @@ class TestFailsLoudly:
             evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), spin32_linear, spin32_ds,
                              [200.0], rtol=rtol, atol=atol)
 
+    @pytest.mark.parametrize("rtol, atol, named", [
+        (math.inf, 1e-13, "rtol is inf"), (1e-10, math.inf, "atol is inf"),
+        (math.nan, 1e-13, "rtol is nan"), (1e-10, math.nan, "atol is nan"),
+    ])
+    def test_rejects_non_finite_tolerances(self, rtol, atol, named, spin32_linear, spin32_ds):
+        # unchecked, an infinite rtol returns a state with no error control
+        with pytest.raises(ValueError, match=named):
+            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), spin32_linear, spin32_ds,
+                             [5.0], rtol=rtol, atol=atol)
+
     def test_tolerances_take_effect(self, spin32_ds):
         proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
         rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
