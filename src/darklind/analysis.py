@@ -22,11 +22,10 @@ from .effective import (
     dark_space,
     embed_dark,
     evolve_effective,
-    lab_generator,
     project_dark,
     rotating_generator,
 )
-from .engine import NUMERICAL_ERRORS, integrate
+from .engine import NUMERICAL_ERRORS, Trajectory, integrate
 from .linalg import (
     _compose_affine, _norms, _require_each, _scan, _simpson, dagger, frobenius, matrix_exp,
 )
@@ -279,8 +278,10 @@ def gauge_covariance_check(
     varies on the protocol scale, so the tilted jump matches its covariant
     image omega ell omega^dag only up to a defect of order 1/(gamma T).  The
     report records the defect |ell^omega_tau - ell_tau|_F, the worst over the
-    tau fractions (0 for none), at both cycle durations (it should shrink when gamma T
-    grows), and the end-of-cycle purity prediction of eq. 12 computed in both
+    tau fractions (0 for none), at both cycle durations, taken in increasing
+    order whatever the order of ``gammaT_pair`` (the defect should shrink when
+    gamma T grows, and ``defect_ratio`` is the larger duration's over the
+    smaller's), and the end-of-cycle purity prediction of eq. 12 computed in both
     gauges from the frame jump l over the cycle (``_frozen_purity``).  Per
     gamma T one pass of the exact-decay recurrence along the cycle grid,
     then on to the tau fractions (``eff._frame_jumps``), gives both, plain
@@ -292,9 +293,10 @@ def gauge_covariance_check(
     else:
         rho_d = _dark_state(rho_init, ds)
 
+    gammaTs = sorted(float(g) for g in gammaT_pair)
     defects, purities = [], []
-    for gammaT in gammaT_pair:
-        proto = protocol.with_gammaT(float(gammaT))
+    for gammaT in gammaTs:
+        proto = protocol.with_gammaT(gammaT)
         taus = proto.gammaT * np.asarray(tau_fractions, dtype=float)
         frames = eff._frame_jumps(proto, ds, taus, (None, gauge))
         (plain, _, _), (tilted, _, _) = frames
@@ -304,7 +306,7 @@ def gauge_covariance_check(
 
     ratio = defects[-1] / defects[0] if defects[0] > 0 else (0.0 if defects[-1] == 0 else math.inf)
     return GaugeReport(
-        gammaT_values=tuple(float(g) for g in gammaT_pair),
+        gammaT_values=tuple(gammaTs),
         defects=tuple(defects),
         defect_ratio=float(ratio),
         purity_plain=plain,
@@ -318,13 +320,14 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, fl
     """Least-squares slope, intercept and r^2 of log y against log x.
 
     Returns (nan, nan, nan) when any y is too small for a meaningful log
-    (the flagged outcome for loss-free protocols).  A NaN or infinite x or y
-    raises ValueError naming the first one.
+    (the flagged outcome for loss-free protocols).  A NaN or infinite x or y,
+    or an x that is not positive, raises ValueError naming the first one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_each(np.isfinite(x), x, "x value {} is not finite")
     _require_each(np.isfinite(y), y, "y value {} is not finite")
+    _require_each(x > 0.0, x, "x value {} is not positive")
     if x.size < 2 or np.any(y <= 1e-14):
         return math.nan, math.nan, math.nan
     lx, ly = np.log(x), np.log(y)
@@ -338,7 +341,12 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, fl
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Purity losses and effective-theory errors across cycle durations."""
+    """Purity losses and effective-theory errors across cycle durations.
+
+    ``final_states`` holds the brute-force end state at each kept cycle
+    duration, in the rotating frame, as a tuple of rows of complex entries,
+    so that two results compare with ``==``.
+    """
 
     gammaT_values: tuple
     losses: tuple
@@ -355,6 +363,7 @@ class SweepResult:
     first_order_r2: float = math.nan
     loss_prefactor: float = math.nan
     failures: tuple = ()
+    final_states: tuple = ()
 
     def __post_init__(self):
         n = len(self.gammaT_values)
@@ -371,42 +380,47 @@ def convergence_sweep(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> SweepResult:
-    """Exact lab-frame purity loss and effective-theory error versus gamma T.
+    """Exact purity loss and effective-theory error versus gamma T (rotating-frame brute force).
 
     ``protocol`` is run at each cycle duration through ``with_gammaT``; its
-    own gammaT is not used.  For each cycle duration: integrate the lab-frame
-    equation across one period from the dark-space initial state, record the
-    purity loss, and compare the dark-block of the end state against the
-    effective equation (whose loss is recorded too) and its unitary-only
-    truncation.  Fits log-log slopes.  Per-point integration failures are
-    recorded and the sweep continues; if fewer than two cycle durations
-    survive, the last failure (with its tau) is raised.
+    own gammaT is not used.  The cycle durations are taken in increasing
+    order; one that is repeated, not finite or not positive raises
+    ValueError naming it before any integration.  For each cycle duration,
+    ``compare_effective_vs_full`` at the times 0 and gamma T integrates the
+    rotating-frame equation across one period from the dark-space initial
+    state, next to the effective equation.  U closes to a phase at gamma T,
+    so the end state is the lab-frame one: the sweep records its purity
+    loss, the loss of the effective equation's end state and the distance
+    between the two dark blocks, and that of the unitary-only truncation.
+    Fits log-log slopes.  Per-point numerical failures are recorded with
+    their tau and the sweep continues; if fewer than two cycle durations
+    survive, the last failure is raised.
     """
-    gammaTs = sorted(float(g) for g in gammaT_list)
+    gammaTs = np.sort(np.asarray(gammaT_list, dtype=float))
+    _require_each(np.isfinite(gammaTs) & (gammaTs > 0.0), gammaTs,
+                  "gammaT {} is not finite and positive")
+    _require_each(np.diff(gammaTs) > 0.0, gammaTs[1:], "gammaT {} is repeated")
     ds = dark_space(protocol.L_rot)  # the dark space and the start depend on L_rot only
     rho_d = _dark_state(rho_init, ds)
-    losses, errors, first_errors = [], [], []
+    losses, errors, first_errors, finals = [], [], [], []
     losses12, losses21, losses_reduced = [], [], []
     kept, failures, last_error = [], [], None
-    for gammaT in gammaTs:
+    for gammaT in gammaTs.tolist():
         proto = protocol.with_gammaT(gammaT)
         try:
-            traj = integrate(
-                lab_generator(proto), embed_dark(ds, rho_d), (0.0, gammaT),
-                rtol=rtol, atol=atol,
-            )
+            comparison = compare_effective_vs_full(proto, rho_d, 1, rtol=rtol, atol=atol)
         except NUMERICAL_ERRORS as exc:
             failures.append(f"gammaT={gammaT}, tau={getattr(exc, 'tau', None)}: {exc}")
             last_error = exc
             continue
-        final = traj.final
+        final = comparison.trajectory.final
         losses.append(1.0 - purity(final))
-        final_dd = project_dark(ds, final)
-        rho_eff = evolve_effective(rho_d, proto, ds, [gammaT])[-1]
-        losses_reduced.append(1.0 - purity(rho_eff))
-        errors.append(trace_distance(final_dd, rho_eff))
+        finals.append(tuple(map(tuple, final.tolist())))
+        losses_reduced.append(1.0 - comparison.puritys_effective[-1])
+        errors.append(comparison.final_distance)
         v_end = berry_holonomy(proto, ds, gammaT)
-        first_errors.append(trace_distance(final_dd, v_end @ rho_d @ dagger(v_end)))
+        end_dd = comparison.dark_states[-1]
+        first_errors.append(trace_distance(end_dd, v_end @ rho_d @ dagger(v_end)))
         losses12.append(1.0 - purity_prediction_general(rho_d, proto, ds))
         losses21.append(_closed_form_loss(proto, ds, rho_d))
         kept.append(gammaT)
@@ -433,12 +447,19 @@ def convergence_sweep(
         first_order_r2=first_r2,
         loss_prefactor=prefactor,
         failures=tuple(failures),
+        final_states=tuple(finals),
     )
 
 
 @dataclass(frozen=True)
 class EffectiveComparison:
-    """Exact rotating-frame versus effective dark-block states over a cycle."""
+    """Exact rotating-frame versus effective dark-block states over a cycle.
+
+    ``trajectory`` is the brute-force run, with its full states at ``taus``,
+    its ``StepStats`` and its worst margins; ``dark_states`` is the
+    (n, d, d) stack of the dark blocks of those states and
+    ``reduced_states`` the effective equation's states at ``taus``.
+    """
 
     taus: tuple
     distances: tuple
@@ -446,6 +467,9 @@ class EffectiveComparison:
     final_distance: float
     puritys_exact: tuple = ()
     puritys_effective: tuple = ()
+    trajectory: Trajectory | None = None
+    dark_states: np.ndarray | None = None
+    reduced_states: tuple = ()
 
 
 def compare_effective_vs_full(
@@ -455,34 +479,40 @@ def compare_effective_vs_full(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> EffectiveComparison:
-    """Trace-distance series between exact and effective reduced dynamics.
+    """Exact and effective reduced dynamics at the same times, brute force in the rotating frame.
 
-    The series runs over n_checkpoints + 1 equally spaced times from 0 to
-    gamma T; ``n_checkpoints`` must be at least 1, so that the end of the
-    cycle is compared.
+    The package's one exact-vs-reduced comparison.  Over n_checkpoints + 1
+    equally spaced times from 0 to gamma T, ``integrate`` runs the
+    rotating-frame equation (``rotating_generator``: the fixed jump and the
+    1/(gamma T)-weighted adiabatic Hamiltonian) from the embedded dark start,
+    landing on each time, and ``evolve_effective`` gives the reduced states
+    there.  The lab-frame state is U^dag rho U at phase tau/gamma T: the
+    purity, trace and eigenvalues of a state are the same in both frames,
+    and at gamma T, where U closes to a phase, so is the state.  The series
+    holds the trace distance between each dark block and its reduced state
+    and both purities; ``n_checkpoints`` must be at least 1, so that the end
+    of the cycle is compared.
     """
     if not n_checkpoints >= 1:
         raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints}")
     ds = dark_space(protocol.L_rot)
     rho_d = _dark_state(rho_init, ds)
-    gammaT = protocol.gammaT
-    taus = np.linspace(0.0, gammaT, n_checkpoints + 1)
+    taus = np.linspace(0.0, protocol.gammaT, n_checkpoints + 1)
     traj = integrate(
-        rotating_generator(protocol), embed_dark(ds, rho_d), (0.0, gammaT),
+        rotating_generator(protocol), embed_dark(ds, rho_d), (0.0, protocol.gammaT),
         rtol=rtol, atol=atol, checkpoints=taus,
     )
-    eff_states = evolve_effective(rho_d, protocol, ds, taus)
-    dists, pur_ex, pur_eff = [], [], []
-    for state, rho_eff in zip(traj.states, eff_states):
-        dd = project_dark(ds, state)
-        dists.append(trace_distance(dd, rho_eff))
-        pur_ex.append(purity(dd))
-        pur_eff.append(purity(rho_eff))
+    dark = project_dark(ds, np.asarray(traj.states))
+    reduced = evolve_effective(rho_d, protocol, ds, taus)
+    dists = [trace_distance(dd, rho_eff) for dd, rho_eff in zip(dark, reduced)]
     return EffectiveComparison(
         taus=tuple(float(t) for t in taus),
         distances=tuple(dists),
         max_distance=max(dists),
         final_distance=dists[-1],
-        puritys_exact=tuple(pur_ex),
-        puritys_effective=tuple(pur_eff),
+        puritys_exact=tuple(purity(dd) for dd in dark),
+        puritys_effective=tuple(purity(rho_eff) for rho_eff in reduced),
+        trajectory=traj,
+        dark_states=dark,
+        reduced_states=tuple(reduced),
     )

@@ -311,7 +311,12 @@ def check_kernel_and_channel(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
-    """Trace, Hermiticity, positivity and refinement self-consistency."""
+    """Trace, Hermiticity, positivity, refinement and lab/rotating-frame self-consistency.
+
+    The detail's ``cross_frame`` is the trace distance between the lab-frame
+    end state at gamma T 100 from z and the sweep's rotating-frame one (NaN
+    when the sweep lost that point); it is reported, not judged.
+    """
     runs = [ctx.exact_run(n0, 200.0)[0] for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
     # the margins the runs' invariant watch kept over every accepted step
     worst_trace = max(run.worst_trace_deviation for run in runs)
@@ -324,6 +329,10 @@ def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
                       rtol=RTOL / 10.0, atol=ATOL / 10.0).final
     refinement = trace_distance(fine, finer)
     refinement_bound = 10.0 * RTOL
+    # the sweep's rotating-frame end state from the same start at gammaT 100,
+    # where U closes to a phase, so the two frames end in the same state
+    ends = dict(zip(ctx.sweep.gammaT_values, ctx.sweep.final_states))
+    cross_frame = trace_distance(fine, np.array(ends[100.0])) if 100.0 in ends else math.nan
     ok = (
         worst_trace <= TRACE_TOL
         and worst_herm <= HERMITICITY_TOL
@@ -343,6 +352,7 @@ def check_structural_invariants(ctx: AcceptanceContext) -> CriterionResult:
             "hermiticity": worst_herm,
             "negativity": worst_neg,
             "refinement": refinement,
+            "cross_frame": cross_frame,
         },
     )
 

@@ -32,10 +32,9 @@ from .analysis import (
     gauge_covariance_check,
     purity,
     purity_prediction_general,
-    trace_distance,
 )
 from .checks import battery_table, gauge_flags, prediction_flags, run_battery, sweep_flags
-from .engine import NUMERICAL_ERRORS, _physicality, integrate
+from .engine import NUMERICAL_ERRORS, _physicality
 from .linalg import dagger
 from .protocols import (
     custom_protocol,
@@ -57,6 +56,10 @@ from .reporting import (
 )
 
 EXPERIMENTS = ("spin32-purity", "sweep", "gauge-check", "effective-vs-full", "custom")
+
+#: the frame of the brute-force runs in the trajectory and sweep reports:
+#: ``compare_effective_vs_full`` integrates the rotating-frame equation
+BRUTE_FORCE_FRAME = "rotating"
 
 
 class ConfigError(ValueError):
@@ -297,38 +300,29 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
     ds = eff.dark_space(proto.L_rot)
     rho_d = _dark_state(_initial_state(cfg), ds)
     tols = cfg["tolerances"]
-    taus = np.linspace(0.0, gammaT, cfg["checkpoints"] + 1)
-    traj = integrate(
-        eff.lab_generator(proto), eff.embed_dark(ds, rho_d), (0.0, gammaT),
-        rtol=tols["rtol"], atol=tols["atol"], checkpoints=taus,
+    comparison = compare_effective_vs_full(
+        proto, rho_d, cfg["checkpoints"], rtol=tols["rtol"], atol=tols["atol"],
     )
-    eff_states = eff.evolve_effective(rho_d, proto, ds, taus)
-    rows = []
-    min_eigs = _physicality(traj.states)[2].tolist()
-    u = proto.U(np.clip(traj.times / gammaT, 0.0, 1.0))
-    dark = dagger(ds.basis) @ (u @ np.asarray(traj.states) @ dagger(u)) @ ds.basis
-    per_checkpoint = zip(traj.times, traj.states, dark, eff_states, min_eigs)
-    for tau, state, dd, rho_eff, min_eig in per_checkpoint:
-        if ds.d == 2:
-            nx, ny, nz = bloch_of(dd)
-        else:
-            nx = ny = nz = math.nan
-        rows.append((
-            tau,
-            purity(state),
-            float(np.trace(state).real),
-            min_eig,
-            nx, ny, nz,
-            trace_distance(dd, rho_eff),
-        ))
+    traj = comparison.trajectory
+    # purity, trace and min_eig are unitary invariants, the same in the lab frame;
+    # the Bloch vector (NaN unless d = 2) is read off the rotating-frame dark block
+    blochs = [bloch_of(dd) if ds.d == 2 else (math.nan,) * 3 for dd in comparison.dark_states]
+    per_checkpoint = zip(traj.times, traj.states, _physicality(traj.states)[2].tolist(), blochs,
+                         comparison.distances)
+    rows = [(tau, purity(state), float(np.trace(state).real), min_eig, *bloch, distance)
+            for tau, state, min_eig, bloch, distance in per_checkpoint]
     loss_eq12 = 1.0 - purity_prediction_general(rho_d, proto, ds)
     loss_eq21 = _closed_form_loss(proto, ds, rho_d)
     report = {
         "experiment": cfg["experiment"],
         "gammaT": gammaT,
+        "brute_force_frame": BRUTE_FORCE_FRAME,
         "purity_loss_exact": 1.0 - purity(traj.final),
         "purity_loss_eq12": loss_eq12,
         "step_stats": dataclasses.asdict(traj.step_stats),
+        "worst_hermiticity": traj.worst_hermiticity,
+        "worst_trace_deviation": traj.worst_trace_deviation,
+        "least_eigenvalue": traj.least_eigenvalue,
         "dark_dimension": ds.d,
         "flags": prediction_flags(loss_eq12, loss_eq21),
     }
@@ -350,6 +344,7 @@ def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
     report = {
         "experiment": "sweep",
         "gammaT": list(result.gammaT_values),
+        "brute_force_frame": BRUTE_FORCE_FRAME,
         "purity_loss_exact": list(result.losses),
         "purity_loss_eq12": list(result.losses_eq12),
         "purity_loss_eq21": list(result.losses_eq21),

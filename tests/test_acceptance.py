@@ -78,6 +78,12 @@ def test_known_quantitative_signatures(battery):
     assert report["fit_r2"] >= 0.99
 
 
+def test_lab_and_rotating_frames_end_in_one_state(battery):
+    # criterion 8's lab run and the sweep's rotating-frame run from z at
+    # gammaT 100 meet within the refinement bound
+    assert battery[8].detail["cross_frame"] <= 10.0 * checks.RTOL
+
+
 def _cross_check(gammaTs, residual):
     """Criterion 9 on a hand-built sweep whose reduced loss misses eq. 12 by residual(gammaT).
 

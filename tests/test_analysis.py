@@ -291,6 +291,17 @@ class TestGauge:
             assert plain == purity_prediction_general(rho0, proto, spin32_ds)
             assert diff <= 10.0 / gammaT**2
 
+    def test_pair_order_gives_the_same_report(self, spin32_linear, spin32_ds):
+        # the defect ratio compares the larger gammaT with the smaller, in either order
+        reports = [
+            gauge_covariance_check(spin32_linear, spin32_ds, (math.pi / 7.0) * SZ,
+                                   gammaT_pair=pair)
+            for pair in ((100.0, 200.0), (200.0, 100.0))
+        ]
+        assert reports[1] == reports[0]
+        assert reports[0].gammaT_values == (100.0, 200.0)
+        assert reports[0].defect_ratio < 1.0
+
     def test_bloch_start_gives_the_matrix_report(self, spin32_linear, spin32_ds):
         n0 = (0.6, 0.0, 0.8)
         reports = [
@@ -369,6 +380,18 @@ class TestFits:
             fit_loglog(x, y)
 
 
+    @pytest.mark.parametrize("x, named", [
+        ([0.0, 1.0, 2.0], "x value 0.0 is not positive"),
+        ([1.0, -1.0, 2.0], "x value -1.0 is not positive"),
+        ([1.0, 2.0, -0.0, -3.0], "x value -0.0 is not positive"),
+    ])
+    def test_rejects_non_positive_x(self, x, named):
+        # unchecked, a zero x divides by zero in the log and a negative one
+        # ends in LAPACK errors; a y below the flag threshold is no excuse
+        with pytest.raises(ValueError, match=named):
+            fit_loglog(x, [1e-16] + [1.0] * (len(x) - 1))
+
+
 def _unchanged(gen_of_t, rho0, span, **kwargs):
     """An ``integrate`` stand-in that leaves the state where it started."""
     return Trajectory(times=np.array([span[1]]), states=[rho0], step_stats=None)
@@ -425,6 +448,42 @@ class TestSweep:
         with pytest.raises(StepSizeUnderflowError) as caught:
             convergence_sweep(constant_protocol(50.0), [100.0, 150.0], (0.0, 0.0, 1.0))
         assert caught.value.tau == 12.5
+
+    @pytest.mark.parametrize("gammaTs, named", [
+        ([20.0, 20.0, 40.0], "gammaT 20.0 is repeated"),
+        ([40.0, 20.0, 40.0], "gammaT 40.0 is repeated"),
+        ([20.0, math.nan], "gammaT nan is not finite and positive"),
+        ([20.0, math.inf], "gammaT inf is not finite and positive"),
+        ([20.0, 0.0], "gammaT 0.0 is not finite and positive"),
+        ([-5.0, 20.0], "gammaT -5.0 is not finite and positive"),
+    ])
+    def test_rejects_bad_gammaT_before_integrating(self, monkeypatch, gammaTs, named):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated before the gammaT list was checked")
+
+        monkeypatch.setattr(analysis, "integrate", never)
+        with pytest.raises(ValueError, match=named):
+            convergence_sweep(spin32_protocol(linear_path(1, 0), 20.0), gammaTs, (0.0, 0.0, 1.0))
+
+    def test_brute_force_runs_in_the_rotating_frame(self, monkeypatch):
+        # one run per gammaT, landing on 0 and gammaT, of the rotating-frame
+        # equation: its Hamiltonian is weighted by 1/gammaT and its jump is fixed
+        proto = spin32_protocol(linear_path(1, 0), 20.0)
+        runs = []
+
+        def recording(gen_of_t, rho0, span, **kwargs):
+            gen = gen_of_t(np.array([0.3 * span[1]]))
+            runs.append((span, list(kwargs["checkpoints"]), gen.hamiltonian_prefactor, gen.jumps))
+            return Trajectory(times=np.array([0.0, span[1]]), states=[rho0, rho0], step_stats=None)
+
+        monkeypatch.setattr(analysis, "integrate", recording)
+        result = convergence_sweep(proto, [40.0, 20.0], (0.0, 0.0, 1.0))
+        assert [(span, cps, pref) for span, cps, pref, _ in runs] == [
+            ((0.0, 20.0), [0.0, 20.0], 1.0 / 20.0), ((0.0, 40.0), [0.0, 40.0], 1.0 / 40.0),
+        ]
+        assert all(np.array_equal(jumps[0], proto.L_rot) for *_, jumps in runs)
+        start = eff.embed_dark(dark_space(proto.L_rot), dark_state_from_bloch((0.0, 0.0, 1.0)))
+        assert all(np.array_equal(np.array(final), start) for final in result.final_states)
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

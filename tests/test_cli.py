@@ -6,9 +6,12 @@ import pytest
 
 import darklind.analysis as analysis
 import darklind.cli as cli
+from darklind.analysis import bloch_of, dark_state_from_bloch, purity, trace_distance
 from darklind.checks import CriterionResult
-from darklind.engine import StepSizeUnderflowError
-from darklind.protocols import linear_path
+from darklind.effective import dark_space, embed_dark, evolve_effective, lab_generator, project_dark
+from darklind.engine import StepSizeUnderflowError, integrate
+from darklind.linalg import dagger
+from darklind.protocols import linear_path, path_from_descriptor, spin32_protocol
 
 
 def run_cli(args, monkeypatch=None, env=None):
@@ -294,7 +297,7 @@ class TestTrajectoryExperiment:
         assert csv_lines[0] == "tau,purity,trace,min_eig,nx,ny,nz,td_effective"
         assert len(csv_lines) == 10  # header + checkpoints + 1
         report = read_json(out / "spin32_purity_report.json")
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["gammaT"] == 50.0
         assert 0.0 < report["purity_loss_exact"] < 1.0
         assert report["csv_columns"] == csv_lines[0].split(",")
@@ -334,6 +337,52 @@ class TestTrajectoryExperiment:
         assert attempts > 0
         assert stats["generator_calls"] == attempts + 1
         assert stats["rhs_evaluations"] == 12 * attempts + 1
+
+    @pytest.mark.parametrize("path, n0", [
+        ({"family": "linear", "m_theta": 1, "m_phi": 0, "theta0": 0.0, "phi0": 0.0},
+         [0.0, 1.0, 0.0]),
+        ({"family": "smoothstep", "m_theta": 1, "m_phi": 1, "theta0": 0.0, "phi0": 0.0},
+         [0.6, 0.0, 0.8]),
+    ])
+    def test_columns_match_a_lab_frame_run(self, tmp_path, path, n0):
+        # the rotating-frame run gives every column of a lab-frame run of the
+        # same config, whose dark block is rotated back by U(tau / gammaT)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"protocol": {"family": "spin32", "path": path},
+                                   "initial": {"bloch": n0}}))
+        assert cli.main(["run", "spin32-purity", "--config", str(cfg), "--gammaT", "50",
+                         "--checkpoints", "8", "--outdir", str(tmp_path)]) == 0
+        rows = np.array(read_json(tmp_path / "spin32_purity_report.json")["csv_rows"])
+
+        proto = spin32_protocol(path_from_descriptor(path), 50.0)
+        ds = dark_space(proto.L_rot)
+        rho_d = dark_state_from_bloch(n0)
+        taus = np.linspace(0.0, 50.0, 9)
+        traj = integrate(lab_generator(proto), embed_dark(ds, rho_d), (0.0, 50.0),
+                         rtol=1e-9, atol=1e-12, checkpoints=taus)
+        u = proto.U(np.clip(traj.times / 50.0, 0.0, 1.0))
+        lab = []
+        for tau, state, u_k, rho_eff in zip(
+            traj.times, traj.states, u, evolve_effective(rho_d, proto, ds, taus)
+        ):
+            dd = project_dark(ds, u_k @ state @ dagger(u_k))
+            lab.append((tau, purity(state), np.trace(state).real,
+                        np.linalg.eigvalsh(state).min(), *bloch_of(dd), trace_distance(dd, rho_eff)))
+        assert rows.shape == (9, 8)
+        assert np.abs(rows - np.array(lab)).max() <= 1e-9
+
+    def test_report_carries_the_run_margins(self, tmp_path):
+        assert cli.main(["run", "spin32-purity", "--gammaT", "50", "--n0", "0,1,0",
+                         "--checkpoints", "4", "--outdir", str(tmp_path)]) == 0
+        report = read_json(tmp_path / "spin32_purity_report.json")
+        traj = analysis.compare_effective_vs_full(
+            spin32_protocol(linear_path(1, 0), 50.0), (0.0, 1.0, 0.0), n_checkpoints=4
+        ).trajectory
+        assert report["brute_force_frame"] == "rotating"
+        assert (report["worst_hermiticity"], report["worst_trace_deviation"],
+                report["least_eigenvalue"]) == (traj.worst_hermiticity,
+                                                traj.worst_trace_deviation, traj.least_eigenvalue)
+        assert report["step_stats"]["accepted"] == traj.step_stats.accepted
 
     def test_determinism(self, tmp_path):
         args = [
@@ -385,6 +434,11 @@ class TestSweepExperiment:
         }
         assert report["flags"]["predictions_in_unit_interval"] is True
         assert len(report["purity_loss_exact"]) == 2
+
+    def test_report_names_the_brute_force_frame(self, tmp_path):
+        assert cli.main(["run", "sweep", "--gammaT", "20,40", "--rtol", "1e-7",
+                         "--outdir", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "sweep_report.json")["brute_force_frame"] == "rotating"
 
     def test_flags_predicted_losses_above_one(self, tmp_path):
         # at gammaT 20 both first-order predictions exceed a loss of 1

@@ -88,3 +88,16 @@ def test_analysis_names_no_kernel_driver_internals():
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert names & {"_KernelModes", "_kernel_at", "_jumps", "_check_taus"} == set()
+
+
+@pytest.mark.parametrize("module", ["analysis", "cli"])
+def test_lab_frame_only_in_the_cross_checks(module):
+    # every exact-vs-reduced comparison integrates the rotating frame
+    # (``analysis.compare_effective_vs_full``); the lab frame runs only in the
+    # battery's cross-checks (criteria 1 and 8)
+    tree = ast.parse(Path(importlib.import_module(f"darklind.{module}").__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "lab_generator" not in names
