@@ -320,11 +320,14 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, fl
     """Least-squares slope, intercept and r^2 of log y against log x.
 
     Returns (nan, nan, nan) when any y is too small for a meaningful log
-    (the flagged outcome for loss-free protocols).  A NaN or infinite x or y,
-    or an x that is not positive, raises ValueError naming the first one.
+    (the flagged outcome for loss-free protocols).  x and y must be 1-D and
+    of one length, and a NaN or infinite x or y, or an x that is not
+    positive, raises ValueError naming the first one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-D of one length, got shapes {x.shape} and {y.shape}")
     _require_each(np.isfinite(x), x, "x value {} is not finite")
     _require_each(np.isfinite(y), y, "y value {} is not finite")
     _require_each(x > 0.0, x, "x value {} is not positive")
@@ -490,10 +493,11 @@ def compare_effective_vs_full(
     purity, trace and eigenvalues of a state are the same in both frames,
     and at gamma T, where U closes to a phase, so is the state.  The series
     holds the trace distance between each dark block and its reduced state
-    and both purities; ``n_checkpoints`` must be at least 1, so that the end
-    of the cycle is compared.
+    and both purities; ``n_checkpoints`` must be an integer of at least 1 (a
+    bool is none), so that the end of the cycle is compared.
     """
-    if not n_checkpoints >= 1:
+    integer = isinstance(n_checkpoints, (int, np.integer)) and not isinstance(n_checkpoints, bool)
+    if not (integer and n_checkpoints >= 1):
         raise ValueError(f"n_checkpoints must be a positive integer, got {n_checkpoints}")
     ds = dark_space(protocol.L_rot)
     rho_d = _dark_state(rho_init, ds)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, pairwise
+from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,9 +77,9 @@ _KERNEL_CUTOFF_EXPONENT = 90.0
 _QUAD_TOL = 1e-10
 _QUAD_SPLITS = 400
 
-#: phases per vectorised evaluation of the adiabatic Hamiltonian on a grid;
-#: bounds the (block, dim, dim) temporaries, each block being reduced to its
-#: small result before the next one is formed
+#: phases per vectorised evaluation of the adiabatic Hamiltonian on a grid, and
+#: CF4 steps per block of the reduced propagator; bounds the temporaries, each
+#: block being reduced to its small result before the next one is formed
 _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
@@ -248,6 +248,12 @@ def _check_taus(protocol: Protocol, tau) -> None:
     _require_each((0.0 <= t) & (t <= protocol.gammaT + 1e-9), t, "tau={} outside [0, gammaT]")
 
 
+def _one_time(tau) -> None:
+    """Raise ValueError if tau is an array of times rather than one time."""
+    if np.ndim(tau):
+        raise ValueError(f"tau must be one time, got shape {np.shape(tau)}")
+
+
 def _window_start(tau, rate):
     """Start of the kernel window at tau for one decay rate, where the decay reaches e^-90."""
     return np.maximum(0.0, tau - 2.0 * _KERNEL_CUTOFF_EXPONENT / rate)
@@ -362,13 +368,13 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
 def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     """Adiabatic limit of the memory kernel, 2 (L^dag L)^+ P_perp H_tau P0.
 
-    One tau gives a dim x dim matrix, a 1-D array of n times the (n, dim, dim)
-    stack.  A tau that is not a number in [0, gammaT] (1e-9 slack above)
-    raises ValueError naming the first such one.
+    One tau gives a dim x dim matrix, a 1-D array (or list) of n times the
+    (n, dim, dim) stack.  A tau that is not a number in [0, gammaT] (1e-9
+    slack above) raises ValueError naming the first such one.
     """
     _check_taus(protocol, tau)
     m = dagger(protocol.L_rot) @ protocol.L_rot
-    h = adiabatic_hamiltonian(protocol, tau / protocol.gammaT)
+    h = adiabatic_hamiltonian(protocol, np.asarray(tau, dtype=float) / protocol.gammaT)
     p_perp = np.eye(protocol.dim) - ds.projector
     return 2.0 * pseudo_inverse(m) @ p_perp @ h @ ds.projector
 
@@ -462,7 +468,9 @@ def effective_rhs(
     Hamiltonian at phase tau / (gamma T), the dissipator the effective jump
     (``effective_jump``, on the cut cycle grid for ``source="integral"``):
     the Lindblad generator with Hamiltonian H0, prefactor eps and jump eps ell.
+    An array of times raises ValueError before any kernel work.
     """
+    _one_time(tau)
     eps = 1.0 / protocol.gammaT
     ell = effective_jump(protocol, ds, tau, source)
     h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
@@ -483,8 +491,7 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     ``ordered_exponential``, are multiplied pairwise.  A tau that is not one
     number in [0, gammaT] (1e-9 slack above) raises ValueError.
     """
-    if np.ndim(tau):
-        raise ValueError(f"tau must be one time, got shape {np.shape(tau)}")
+    _one_time(tau)
     _check_taus(protocol, tau)
     s = tau / protocol.gammaT
     grid, _ = _cycle_cut(_cycle_grid(1.0), s, 0.0)
@@ -526,8 +533,11 @@ def evolve_effective(
     three share one path.  The reduced equation d rho/d tau = S(tau) rho,
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
     the fourth-order commutator-free Magnus exponential (CF4, see
-    ``ordered_exponential``) of its d^2 x d^2 superoperator; ell at each step's
-    two Gauss points comes from the exact kernel recurrence (``_kernel_grid``).
+    ``ordered_exponential``) of its d^2 x d^2 superoperator.  ell at each
+    step's two Gauss points comes from one partial step of the kernel
+    recurrence from the cycle node at or below the point, the node blocks
+    from one ``_kernel_at`` pass along the cycle grid to the last node at or
+    below the last time: the numbers ``effective_jump`` gives at those points.
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -536,38 +546,38 @@ def evolve_effective(
     e^{-30}: the kernel weights are exact in the decay, so one coarse step
     can span many relaxation times, and a shorter onset would leave a
     transient inside the first coarse step of both doubling grids, missed by
-    both and so by their comparison.  Each interval is stepped
-    with n and 2n steps, n doubling from ``_MAGNUS_FIRST_STEPS``, from the same
-    state and the same kernel start, until the two states differ by at most
-    ``atol + rtol * |rho|`` (Frobenius norms); the 2n-step state is kept.
-    The kernel start of an interval is the end of the previous interval's
-    recurrence on its accepted grid.  ``rtol`` and ``atol`` set that target and
-    nothing else; each must be finite and non-negative, or a ValueError names
-    it.  When ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet it, a
+    both and so by their comparison.  Each interval is stepped with n and 2n
+    steps, n doubling from ``_MAGNUS_FIRST_STEPS``, from the same state, until
+    the two states differ by at most ``atol + rtol * |rho|`` (Frobenius
+    norms); the 2n-step state is kept.  ``rtol`` and ``atol`` set that target
+    and nothing else; each must be finite and non-negative, or a ValueError
+    names it.  Every time must be a number in [0, gammaT], or a ValueError
+    names the first that is not, before any evaluation of U.  When
+    ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet the target, a
     ``ConvergenceError`` names the interval and the estimate; a returned state
     outside the engine's Hermiticity, trace or positivity tolerances raises
     ``InvariantViolationError`` at the first such breakpoint.  States are
     never projected back.
 
-    The work is batched by doubling level (``_MagnusPropagator.states``).  The
-    part of a level that does not depend on the kernel start, the
-    Hamiltonians, drives and kernel recurrence from a zero start, is built
-    for the first two levels of every interval in one vectorised pass.  The
-    intervals are then walked in order: each builds its propagators (the
-    superoperators, CF4 exponentials and their product) from the kernel
-    start its predecessor accepted, applies them to that predecessor's
-    state, and builds finer levels only for itself.
+    No propagator depends on another, so the first two levels of every
+    interval are built in one batch (``_MagnusPropagator.states``), their CF4
+    steps formed _PHASE_BLOCK at a time.  The intervals are then walked in
+    order: each applies its propagators to its predecessor's state, and
+    builds finer levels only for itself.  Times that reach no further than 0
+    give the start state, with no evaluation of U.
     """
     if mode not in _MODE_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
     _check_tolerances(rtol, atol)
-    checkpoints = sorted(float(t) for t in taus)
-    if checkpoints and not 0.0 <= checkpoints[0] <= checkpoints[-1] <= protocol.gammaT:
-        raise ValueError(f"times must lie in [0, gammaT = {protocol.gammaT}]")
+    times = np.asarray(taus, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"taus must be a 1-D sequence of times, got shape {times.shape}")
+    _require_each((0.0 <= times) & (times <= protocol.gammaT), times,
+                  f"time {{}} outside [0, gammaT = {protocol.gammaT}]")
+    checkpoints = sorted(times.tolist())
     rho = np.asarray(rho0_d, dtype=complex)
-    propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode])
-    points = propagator.breakpoints(checkpoints)
-    reached = dict(zip(points, [rho.copy()] + propagator.states(rho, points, rtol, atol)))
+    propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode], checkpoints)
+    reached = dict(zip(propagator.points, [rho.copy()] + propagator.states(rho, rtol, atol)))
     return [reached[t] for t in checkpoints]
 
 
@@ -578,26 +588,6 @@ _MAGNUS_FIRST_STEPS = 8
 _MAGNUS_MAX_DOUBLINGS = 12
 #: length of the graded onset interval, in relaxation times 2/rate of the slowest bright mode
 _ONSET_RELAXATION_TIMES = 30.0
-#: steps that a batch builds at once: a step takes a few kB of temporaries, so
-#: this bounds them when the doubling goes deep
-_LEVEL_CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class _Level:
-    """The part of n CF4 steps over one interval that does not depend on the kernel start x0.
-
-    The kernel at a time t of the interval [t0, t1] is part + e^{-rate (t - t0)/2} x0.
-    Every mode builds every array; with no bright modes (nb = 0) the kernel
-    arrays are empty.
-    """
-
-    lengths: np.ndarray  # (n,) step lengths
-    h0: np.ndarray  # (n, 2, d, d) dark block of H at the Gauss points
-    part: np.ndarray  # (n, 2, nb, d) kernel from a zero start at the Gauss points
-    decay: np.ndarray  # (n, 2, nb, 1) e^{-rate (t - t0)/2} at the Gauss points
-    end: np.ndarray  # (nb, d) kernel from a zero start at t1
-    end_decay: np.ndarray  # (nb, 1) e^{-rate (t1 - t0)/2}
 
 
 class _MagnusPropagator:
@@ -606,48 +596,51 @@ class _MagnusPropagator:
     ``berry`` and ``dissipation`` weight the Berry term and the dissipator
     (``_MODE_WEIGHTS``).  Both terms are always built, the kernel too, so one
     path serves every mode; a term of weight 0 is built and multiplied by 0.
+    ``points`` holds 0, the checkpoints and, below the first of them, the end
+    of the dissipator's onset: only a weighted dissipator with a bright rate
+    has an onset transient.  The kernel blocks at the cycle nodes, the exact
+    ``_cycle_grid`` array up to the last node at or below the last point, come
+    from one ``_kernel_at`` pass here: the pass ``_frame_jumps`` makes, cut there.
     """
 
-    def __init__(self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float):
+    def __init__(
+        self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float,
+        checkpoints: list[float],
+    ):
         self.protocol = protocol
         self.ds = ds
         self.modes = _KernelModes(protocol, ds)
         self.berry, self.dissipation = berry, dissipation
-
-    def breakpoints(self, checkpoints: list[float]) -> list[float]:
-        """0, the checkpoints and, below the first of them, the end of the dissipator's onset.
-
-        Only a weighted dissipator with a bright rate has an onset transient.
-        """
-        points = sorted({0.0, *checkpoints})
-        if self.dissipation and self.modes.rates.size and len(points) > 1:
+        self.points = sorted({0.0, *checkpoints})
+        if dissipation and self.modes.rates.size and len(self.points) > 1:
             onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
-            if onset < points[1]:
-                points.insert(1, onset)
-        return points
+            if onset < self.points[1]:
+                self.points.insert(1, onset)
+        cycle = _cycle_grid(protocol.gammaT)
+        self.nodes = cycle[:np.searchsorted(cycle, self.points[-1], side="right")]
+        (self.xs, _), = _kernel_at(self.modes, self.nodes)
 
-    def states(self, rho: np.ndarray, points: list[float], rtol: float, atol: float) -> list:
+    def states(self, rho: np.ndarray, rtol: float, atol: float) -> list:
         """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
 
-        The ``_Level``s of _MAGNUS_FIRST_STEPS and twice as many steps are
+        The propagators of _MAGNUS_FIRST_STEPS and twice as many steps are
         built for every interval in one batch; then the intervals are walked
-        in order, each doubling from the state and kernel start its
-        predecessor accepted, and building its finer levels as it needs them.
+        in order, each doubling from the state its predecessor accepted and
+        building its finer propagators as it needs them.
         """
-        spans = list(pairwise(points))
+        spans = list(pairwise(self.points))
+        if not spans:
+            return []
         first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
-        levels: list[dict] = [{} for _ in spans]
-        self._add_levels(spans, levels, [(i, n) for i in range(len(spans)) for n in first])
+        built = self._propagators([(i, n) for i in range(len(spans)) for n in first])
         found: list[np.ndarray] = []
         state = rho.reshape(-1, 1)
-        x0 = np.zeros((self.modes.rates.size, self.ds.d), dtype=complex)
         for i, span in enumerate(spans):
-            n, reached = _MAGNUS_FIRST_STEPS, {}
+            n = _MAGNUS_FIRST_STEPS
+            reached = {m: built.pop((i, m)) @ state for m in first}
             for _ in range(_MAGNUS_MAX_DOUBLINGS):
-                wanted = [m for m in (n, 2 * n) if m not in reached]
-                self._add_levels(spans, levels, [(i, m) for m in wanted if m not in levels[i]])
-                built = self._propagators([levels[i][m] for m in wanted], x0)
-                reached.update((m, propagator @ state) for m, propagator in zip(wanted, built))
+                if 2 * n not in reached:
+                    reached[2 * n] = self._propagators([(i, 2 * n)])[i, 2 * n] @ state
                 estimate = frobenius(reached[2 * n] - reached[n])
                 target = atol + rtol * frobenius(reached[2 * n])
                 if estimate <= target:
@@ -655,75 +648,50 @@ class _MagnusPropagator:
                 n *= 2
             else:
                 raise ConvergenceError(*span, estimate, target)
-            state, x0 = reached[2 * n], self._carry(levels[i][2 * n], x0)
-            levels[i] = None  # done with: a deep doubling keeps no levels past its interval
+            state = reached[2 * n]
             found.append(state.reshape(rho.shape))
             check_invariants(span[1], found[-1])
         return found
 
-    def _carry(self, level: _Level, x0: np.ndarray) -> np.ndarray:
-        """Kernel start of the next interval: the end of this one's recurrence from x0."""
-        return level.end + level.end_decay * x0
+    def _propagators(self, wanted: list[tuple[int, int]]) -> dict:
+        """The d^2 x d^2 propagator of each (interval, step count) in ``wanted``, by that pair.
 
-    def _add_levels(self, spans: list, levels: list[dict], wanted: list[tuple[int, int]]) -> None:
-        """Build the ``_Level`` of each (interval, step count) in ``wanted``.
-
-        Members with equal step counts are built side by side, at most
-        _LEVEL_CHUNK of their steps at a time: the Gauss points and kernel
-        nodes of a chunk go through one ``_node_blocks`` call, and the kernel
-        recurrences (``_kernel_grid``) run on from chunk to chunk.
+        The steps of all members are formed in one stack, _PHASE_BLOCK at a
+        time: H0 and ell at their Gauss points (``_gauss_blocks``), the
+        superoperators and their CF4 exponentials.  Each member's steps are
+        then multiplied pairwise.
         """
-        rates, gammaT = self.modes.rates[:, None], self.protocol.gammaT
-        nb, d = self.modes.rates.size, self.ds.d
-        for n, members in groupby(sorted(set(wanted), key=lambda w: w[1]), key=lambda w: w[1]):
-            members = list(members)
-            grids = np.stack([self._grid(*spans[i], n) for i, _ in members], axis=1)  # (n + 1, P)
-            gauss = grids[:-1, :, None] + np.diff(grids, axis=0)[..., None] * CF4_NODES  # (n, P, 2)
-            h0 = np.empty(gauss.shape + (d, d), dtype=complex)
-            part = np.empty(gauss.shape + (nb, d), dtype=complex)
-            x = None
-            size = max(1, _LEVEL_CHUNK // len(members))
-            for lo in range(0, n, size):
-                chunk = gauss[lo:lo + size]
-                # the kernel grid refined by the Gauss points: t_k, g1_k, g2_k, t_k+1, ...
-                fine = np.empty((3 * len(chunk) + 1, len(members)))
-                fine[0::3] = grids[lo:lo + size + 1]
-                fine[1::3], fine[2::3] = chunk[..., 0], chunk[..., 1]
-                nodes = _kernel_nodes(fine)
-                phases = np.concatenate([chunk.ravel(), nodes.ravel()])
-                (drives, dark), = _node_blocks(self.modes, phases / gammaT)
-                h0[lo:lo + size] = dark[:chunk.size].reshape(chunk.shape + (d, d))
-                block = drives[chunk.size:].reshape(nodes.shape + (nb, d))
-                xs = _kernel_grid(_step_maps(self.modes, np.diff(fine, axis=0), block), start=x)
-                part[lo:lo + size] = np.stack([xs[1::3], xs[2::3]], axis=2)
-                x = xs[-1]
-            decay = np.exp(-0.5 * rates * (gauss - grids[0, :, None])[..., None, None])
-            end_decay = np.exp(-0.5 * rates * (grids[-1] - grids[0])[:, None, None])
-            for p, (i, _) in enumerate(members):
-                levels[i][n] = _Level(
-                    np.diff(grids[:, p]), h0[:, p], part[:, p], decay[:, p], x[p], end_decay[p]
-                )
+        d, eps = self.ds.d, 1.0 / self.protocol.gammaT
+        grids = [self._grid(self.points[i], self.points[i + 1], n) for i, n in wanted]
+        lengths = np.concatenate([np.diff(grid) for grid in grids])
+        gauss = np.concatenate([grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES
+                                for grid in grids])
 
-    def _propagators(self, wanted: list[_Level], x0: np.ndarray) -> list[np.ndarray]:
-        """The d^2 x d^2 propagator of each level in ``wanted`` from kernel start x0.
+        def block(h, t):
+            h0, ell = (a.reshape(t.shape + (d, d)) for a in self._gauss_blocks(t.ravel()))
+            gens = vectorize(LindbladGenerator(self.berry * h0, (self.dissipation * eps * ell,), eps))
+            return _cf4_steps(gens, h)
 
-        The steps of all levels are formed in one stack, _LEVEL_CHUNK at a
-        time: the jumps, the superoperators and their CF4 exponentials.  Each
-        level's steps are then multiplied pairwise.
+        steps = _blockwise(block, (d * d, d * d), lengths, gauss)
+        ends = np.cumsum([n for _, n in wanted])[:-1]
+        return {w: _ordered_product(own) for w, own in zip(wanted, np.split(steps, ends))}
+
+    def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H0 and ell at the 1-D array of times t, the (n, d, d) stacks.
+
+        Each time takes one partial step from the cycle node at or below it,
+        as ``_kernel_at`` does for a time off the nodes; H0 at the times and
+        the drive at the partial steps' nodes come from one ``_node_blocks``
+        call.
         """
-        modes, d, eps = self.modes, self.ds.d, 1.0 / self.protocol.gammaT
-        lengths = np.concatenate([level.lengths for level in wanted])
-        h0 = self.berry * np.concatenate([level.h0 for level in wanted])
-        x = np.concatenate([level.part + level.decay * x0 for level in wanted])  # (steps, 2, nb, d)
-        steps = np.empty(lengths.shape + (d * d, d * d), dtype=complex)
-        for lo in range(0, lengths.size, _LEVEL_CHUNK):
-            cut = slice(lo, lo + _LEVEL_CHUNK)
-            ell = _gemm(modes.reduce_jump, x[cut].reshape((2 * lengths[cut].size,) + x0.shape))
-            jumps = (self.dissipation * eps * ell.reshape(h0[cut].shape),)
-            gens = vectorize(LindbladGenerator(h0[cut], jumps, eps))
-            steps[cut] = _cf4_steps(gens, lengths[cut])
-        ends = np.cumsum([level.lengths.size for level in wanted])[:-1]
-        return [_ordered_product(own) for own in np.split(steps, ends)]
+        k = np.searchsorted(self.nodes, t, side="right") - 1
+        h = t - self.nodes[k]
+        partial = self.nodes[k][:, None] + h[:, None] * _GL3_NODES
+        phases = np.concatenate([t, partial.ravel()]) / self.protocol.gammaT
+        (drives, dark), = _node_blocks(self.modes, phases)
+        maps = _step_maps(self.modes, h, drives[t.size:].reshape(partial.shape + drives.shape[1:]))
+        x = maps[..., :1] * self.xs[k] + maps[..., 1:]
+        return dark[:t.size], _gemm(self.modes.reduce_jump, x)
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -858,7 +826,9 @@ def _kernel_at(
     step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
     quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
     array ``_cycle_grid`` returns, before any other times (``_frame_jumps``),
-    every cycle time is a node, and its blocks are those of the whole cycle.
+    every cycle time is a node, and its blocks are those of the whole cycle;
+    passed a prefix of it, the reduced propagator (``_MagnusPropagator``)
+    gets the node blocks it ends its own partial steps from.
 
     Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
     in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the
@@ -924,30 +894,19 @@ def _decay_weights(z: np.ndarray) -> np.ndarray:
     return moments @ _GL3_LAGRANGE
 
 
-def _kernel_nodes(taus: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre node times of each step of the grids ``taus``, steps along axis 0.
-
-    Returns the (steps, ..., 3) array.
-    """
-    return taus[:-1, ..., None] + np.diff(taus, axis=0)[..., None] * _GL3_NODES
-
-
-def _kernel_grid(maps: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
-    """Kernel blocks at the points of grids by the per-mode exponential recurrence.
+def _kernel_grid(maps: np.ndarray) -> np.ndarray:
+    """Kernel blocks at the points of grids by the per-mode exponential recurrence, from zero.
 
     ``maps`` holds the affine maps [decay | gain] of the grids' steps along
     axis 0 (``_step_maps``); further axes index independent grids of the
     same step count, or (mode, drive row) pairs.  The maps are
     prefix-composed by one scan.  Returns the blocks at the steps + 1
     points, (points, ..., nb, d) or (points, nb, nb, d) for pairs; the
-    block at the first point is ``start``, zero by default.
+    block at the first point is zero.
     """
     maps = _scan(maps, _compose_affine)
     xs = np.zeros((maps.shape[0] + 1,) + maps.shape[1:-1] + (maps.shape[-1] - 1,), dtype=complex)
     xs[1:] = maps[..., 1:]
-    if start is not None:
-        xs[0] = start
-        xs[1:] += maps[..., :1] * start
     return xs
 
 
@@ -955,7 +914,7 @@ def _step_maps(modes: _KernelModes, h: np.ndarray, drives: np.ndarray) -> np.nda
     """The affine map x -> e^{-rate h/2} x + gain of each kernel-recurrence step of length h.
 
     ``h`` is a (steps, ...) array, further axes indexing independent grids,
-    and ``drives`` the drive at each step's kernel nodes (``_kernel_nodes``),
+    and ``drives`` the drive at each step's Gauss-Legendre nodes (``_GL3_NODES``),
     (steps, ..., 3, nb, d) for the blocks U_b^dag X_tau B, or
     (steps, 3, 1, nb, d) for one map per (mode i, drive row j) pair, whose
     blocks are Y_ij(tau) (see ``_jumps``).  Over a step the block decays by
@@ -992,8 +951,10 @@ def reconstruct_full_state(
     ``source="integral"`` C_tau comes from the exact-decay recurrence along
     the cycle grid cut at tau, ended by one partial step to it (``_x_of``).
     Returns (state, trace_correction); the trace is renormalized and the
-    removed magnitude reported.
+    removed magnitude reported.  An array of times raises ValueError before
+    any kernel work.
     """
+    _one_time(tau)
     rho_d = np.asarray(rho_ins, dtype=complex)
     emb = embed_dark(ds, rho_d)
     eps = 1.0 / protocol.gammaT

@@ -391,6 +391,15 @@ class TestFits:
         with pytest.raises(ValueError, match=named):
             fit_loglog(x, [1e-16] + [1.0] * (len(x) - 1))
 
+    @pytest.mark.parametrize("x, y, shapes", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0], r"\(3,\) and \(2,\)"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], r"\(1, 2\) and \(1, 2\)"),
+    ])
+    def test_rejects_data_not_1d_of_one_length(self, x, y, shapes):
+        # unchecked, unequal lengths end in a TypeError from np.polyfit
+        with pytest.raises(ValueError, match=rf"1-D of one length, got shapes {shapes}"):
+            fit_loglog(x, y)
+
 
 def _unchanged(gen_of_t, rho0, span, **kwargs):
     """An ``integrate`` stand-in that leaves the state where it started."""
@@ -533,6 +542,12 @@ class TestEffectiveVsFull:
     def test_rejects_fewer_than_one_checkpoint(self, spin32_linear, n_checkpoints):
         # with none the end state goes unmeasured and the distance reads 0
         with pytest.raises(ValueError, match="n_checkpoints must be a positive integer"):
+            compare_effective_vs_full(spin32_linear, (0, 0, 1), n_checkpoints=n_checkpoints)
+
+    @pytest.mark.parametrize("n_checkpoints", [2.5, 4.0, True])
+    def test_rejects_a_checkpoint_count_that_is_no_integer(self, spin32_linear, n_checkpoints):
+        # unchecked, a float ends in a TypeError from np.linspace and True runs as 1
+        with pytest.raises(ValueError, match=f"positive integer, got {n_checkpoints}"):
             compare_effective_vs_full(spin32_linear, (0, 0, 1), n_checkpoints=n_checkpoints)
 
     def test_spin32_bounded_and_shrinking(self, spin32_linear):

@@ -364,14 +364,15 @@ def counting_u(proto) -> tuple:
 
 class TestHamiltonianCalls:
     def test_doubling_levels_share_blocks_across_intervals(self):
-        # one batch per doubling level for all 32 intervals: the 9,504 phases in
-        # 38 calls, against 135 with one call per interval and level
+        # one cycle pass, 6,144 phases in 24 calls, then 8 phases per CF4 step
+        # (H0 at its two Gauss points, three partial-step nodes for each) with
+        # the first two levels of all 32 intervals in one batch: 768 steps in
+        # 24 calls, and the three doublings to 32 steps in one call each
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
         ds = dark_space(proto.L_rot)
         evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
                          np.linspace(0.0, 200.0, 33))
-        assert sum(calls) == 9504
-        assert len(calls) <= 45
+        assert (len(calls), sum(calls)) == (51, 13056)
 
     @pytest.mark.parametrize("query", [
         lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
@@ -740,11 +741,14 @@ class TestPerTauBatch:
             "c_tau": lambda tau: c_tau(proto, spin32_ds, tau),
             "jump-adiabatic": lambda tau: effective_jump(proto, spin32_ds, tau, source="adiabatic"),
             "c_tau-adiabatic": lambda tau: c_tau(proto, spin32_ds, tau, source="adiabatic"),
+            "x_tau_adiabatic": lambda tau: x_tau_adiabatic(proto, spin32_ds, tau),
         }
         for what, query in queries.items():
             batch = query(np.array(taus))
             singles = [query(tau) for tau in taus]
             assert batch.shape == (len(taus),) + singles[0].shape, what
+            # a list of times is the array of them, for either source
+            assert np.array_equal(query(list(taus)), batch), what
             for tau, got, single in zip(taus, batch, singles):
                 assert np.linalg.norm(got - single) <= 1e-13, (what, tau)
 
@@ -821,6 +825,21 @@ def test_per_tau_queries_reject_tau_outside_the_cycle(spin32_linear, spin32_ds, 
         query(spin32_linear, spin32_ds, tau)
 
 
+@pytest.mark.parametrize("query", [
+    lambda p, ds, tau: effective_rhs(np.eye(2) / 2, p, ds, tau),
+    lambda p, ds, tau: effective_rhs(np.eye(2) / 2, p, ds, tau, source="adiabatic"),
+    lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau),
+    lambda p, ds, tau: reconstruct_full_state(np.eye(2) / 2, p, ds, tau, source="adiabatic"),
+], ids=["rhs", "rhs-adiabatic", "reconstruct", "reconstruct-adiabatic"])
+def test_one_tau_queries_name_an_array_tau(monkeypatch, spin32_linear, spin32_ds, query):
+    # the shape is named before any kernel work: no U call, no kernel pass
+    proto, calls = counting_u(spin32_linear)
+    monkeypatch.setattr(eff, "_kernel_at", None)
+    with pytest.raises(ValueError, match=r"tau must be one time, got shape \(2,\)"):
+        query(proto, spin32_ds, np.array([1.0, 2.0]))
+    assert calls == []
+
+
 def lagrange_decay_weight(z, i):
     """int_0^1 e^{-z (1 - u)} l_i(u) du by adaptive quadrature, l_i the Gauss-node Lagrange basis."""
     nodes = 0.5 + 0.5 * math.sqrt(0.6) * np.array([-1.0, 0.0, 1.0])
@@ -880,17 +899,17 @@ def sequential_kernel(rates, taus, drives, start):
 
 class TestKernelScan:
     def test_matches_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
-        # three graded, non-uniform grids side by side, each from its own nonzero start
+        # three graded, non-uniform grids side by side, each from zero
         modes = eff._KernelModes(spin32_linear, spin32_ds)
         nb, d, steps = modes.rates.size, spin32_ds.d, 300
         u = np.linspace(0.0, 1.0, steps + 1)[:, None]
         taus = np.array([0.0, 20.0, 150.0]) + np.array([40.0, 7.0, 50.0]) * u ** [2.0, 1.5, 3.0]
         drives = rng.normal(size=(steps, 3, 3, nb, d)) + 1j * rng.normal(size=(steps, 3, 3, nb, d))
-        start = rng.normal(size=(3, nb, d)) + 1j * rng.normal(size=(3, nb, d))
-        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives), start=start)
+        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives))
         assert xs.shape == (steps + 1, 3, nb, d)
         for p in range(3):
-            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p], start[p])
+            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p],
+                                         np.zeros((nb, d), dtype=complex))
             assert np.abs(xs[:, p] - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_mode_row_pairs_match_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
@@ -898,13 +917,10 @@ class TestKernelScan:
         nb, d, steps = modes.rates.size, spin32_ds.d, 257
         taus = 30.0 * np.linspace(0.0, 1.0, steps + 1) ** 2
         drives = rng.normal(size=(steps, 3, 1, nb, d)) + 1j * rng.normal(size=(steps, 3, 1, nb, d))
-        start = rng.normal(size=(nb, nb, d)) + 1j * rng.normal(size=(nb, nb, d))
-        for begin in (None, start):
-            xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives), start=begin)
-            first = np.zeros((nb, nb, d), dtype=complex) if begin is None else begin
-            expected = sequential_kernel(modes.rates, taus, drives, first)
-            assert xs.shape == expected.shape
-            assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
+        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives))
+        expected = sequential_kernel(modes.rates, taus, drives, np.zeros((nb, nb, d), dtype=complex))
+        assert xs.shape == expected.shape
+        assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestEffectiveRhs:

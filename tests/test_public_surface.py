@@ -101,3 +101,22 @@ def test_lab_frame_only_in_the_cross_checks(module):
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
     assert "lab_generator" not in names
+
+
+def test_one_kernel_recurrence():
+    # the reduced propagator reads its kernel off the cycle-grid node blocks of
+    # ``_kernel_at``, the one caller of the recurrence, and carries no kernel start
+    tree = ast.parse(Path(importlib.import_module("darklind.effective").__file__).read_text())
+    callers = {
+        outer.name
+        for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+        for node in ast.walk(outer)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_kernel_grid"
+    }
+    assert callers == {"_kernel_at"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert names & {"_Level", "_carry", "_LEVEL_CHUNK"} == set()

@@ -11,6 +11,7 @@ share the protocol and nothing else; the oracle uses neither the propagator
 nor the engine's integrator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,19 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
     )
     assert sol.success, sol.message
     return [unpack(y)[0] for y in sol.y.T]
+
+
+def counting_u(proto) -> tuple:
+    """The protocol with U wrapped to record the size of every call, and that record."""
+    calls = []
+
+    def counted(s, u_of=proto.U):
+        calls.append(np.size(s))
+        return u_of(s)
+
+    proto = dataclasses.replace(proto, U=counted)
+    calls.clear()  # construction samples the path
+    return proto, calls
 
 
 def worst_distance(rho0_d, protocol, taus, mode="full", **oracle):
@@ -206,13 +220,13 @@ class TestFailsLoudly:
         # an unreachable target fails the first of 33 intervals; only it may go past 16 steps
         monkeypatch.setattr(eff, "_MAGNUS_MAX_DOUBLINGS", 4)
         built = []
-        add_levels = eff._MagnusPropagator._add_levels
+        propagators = eff._MagnusPropagator._propagators
 
-        def counting(self, spans, levels, wanted):
+        def counting(self, wanted):
             built.extend(wanted)
-            return add_levels(self, spans, levels, wanted)
+            return propagators(self, wanted)
 
-        monkeypatch.setattr(eff._MagnusPropagator, "_add_levels", counting)
+        monkeypatch.setattr(eff._MagnusPropagator, "_propagators", counting)
         proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
         ds = dark_space(proto.L_rot)
         with pytest.raises(ConvergenceError) as info:
@@ -260,4 +274,49 @@ class TestFailsLoudly:
         for taus in ([-1.0, 100.0], [100.0, 200.5]):
             with pytest.raises(ValueError, match="gammaT"):
                 evolve_effective(rho0, spin32_linear, spin32_ds, taus)
+
+    @pytest.mark.parametrize("taus, bad", [
+        ([5.0, math.nan, 10.0], "nan"), ([math.inf, 5.0], "inf"), ([5.0, -1.0, math.nan], "-1.0"),
+    ])
+    def test_names_the_first_bad_time_before_any_u_call(self, spin32_ds, taus, bad):
+        # sorting leaves a NaN where it is: every time is checked, not the ends
+        proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 20.0))
+        with pytest.raises(ValueError, match=rf"time {bad} outside \[0, gammaT = 20.0\]"):
+            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, spin32_ds, taus)
+        assert calls == []
+
+
+@pytest.mark.parametrize("taus", [[], [0.0]], ids=["none", "start"])
+def test_no_interval_evaluates_nothing(spin32_ds, taus):
+    # no time past 0: the start state itself, with no cycle pass and no step
+    proto, calls = counting_u(spin32_protocol(smoothstep_path(1, 1), 200.0))
+    rho0 = dark_state_from_bloch((0.0, 0.6, 0.8))
+    states = evolve_effective(rho0, proto, spin32_ds, taus)
+    assert len(states) == len(taus) and all(np.array_equal(s, rho0) for s in states)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "path", [linear_path(1, 0), smoothstep_path(1, 1)], ids=["linear", "smoothstep"]
+)
+def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, spin32_ds):
+    # the ell that every CF4 step takes at its Gauss points, one partial step
+    # from the cycle node blocks, is the per-tau query's at those times
+    proto = spin32_protocol(path, 200.0)
+    seen = []
+    gauss_blocks = eff._MagnusPropagator._gauss_blocks
+
+    def spied(self, t):
+        h0, ell = gauss_blocks(self, t)
+        seen.append((t, ell))
+        return h0, ell
+
+    monkeypatch.setattr(eff._MagnusPropagator, "_gauss_blocks", spied)
+    evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, spin32_ds,
+                     np.linspace(0.0, 200.0, 9))
+    t = np.concatenate([t for t, _ in seen])
+    used = np.concatenate([ell for _, ell in seen])
+    expected = eff.effective_jump(proto, spin32_ds, t)
+    assert t.size >= 8 * (8 + 16) * 2  # both first levels of the 8 intervals
+    assert np.abs(used - expected).max() <= 1e-13 * np.abs(expected).max()
 
