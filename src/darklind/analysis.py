@@ -134,14 +134,16 @@ def purity_prediction_general(
     """Purity after one cycle from the frozen-state commutator integral (eq. 12).
 
     Gamma_0 - (2 / gammaT^2) * int_0^gammaT Tr([rho, l^dag] l rho) dtau with
-    l = V^dag ell V, the frame jump series of ``eff._frame_jumps`` on the
-    cycle grid; rho stays frozen at its initial value, which is the order
-    the reduced theory controls.  Since Tr([rho, l^dag] l rho) =
-    -Tr(rho D_l(rho)), the integral is the Simpson sum of D_l(rho) that the
-    end-of-cycle formula takes too (``_frozen_purity``).
+    l = V^dag ell V, the frame jump series on the cycle grid, read off the
+    protocol's cycle record (``eff._cycle_record``): built by the first of
+    this, ``evolve_effective`` or the end-of-cycle formula on the protocol
+    and dark space, and shared by the others.  rho stays frozen at its
+    initial value, which is the order the reduced theory controls.  Since
+    Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is the Simpson
+    sum of D_l(rho) that the end-of-cycle formula takes too (``_frozen_purity``).
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    (_, l, _), = eff._frame_jumps(protocol, ds)
+    l, _ = eff._cycle_record(protocol, ds).frame
     return _frozen_purity(rho_d, l, protocol.gammaT)
 
 

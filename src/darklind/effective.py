@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from typing import Callable, Sequence
 
@@ -83,7 +84,7 @@ _QUAD_SPLITS = 400
 _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
-#: grid of the frame jump series and its frozen-state integral (``_frame_jumps``)
+#: grid of the frame jump series and its frozen-state integral (``_cycle_pass``)
 #: and, cut at tau (``_cycle_cut``), of every per-tau query and of the holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
@@ -536,8 +537,11 @@ def evolve_effective(
     ``ordered_exponential``) of its d^2 x d^2 superoperator.  ell at each
     step's two Gauss points comes from one partial step of the kernel
     recurrence from the cycle node at or below the point, the node blocks
-    from one ``_kernel_at`` pass along the cycle grid to the last node at or
-    below the last time: the numbers ``effective_jump`` gives at those points.
+    read off the protocol's cycle record (``_cycle_record``): one kernel pass
+    along the whole cycle grid, made by the first step of the first call on
+    the protocol and dark space, and shared by later calls, the end-of-cycle
+    formula and eq. 12.  These are the numbers ``effective_jump`` gives at
+    those points, to roundoff (2e-15) when the last time is below gammaT.
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -564,7 +568,7 @@ def evolve_effective(
     steps formed _PHASE_BLOCK at a time.  The intervals are then walked in
     order: each applies its propagators to its predecessor's state, and
     builds finer levels only for itself.  Times that reach no further than 0
-    give the start state, with no evaluation of U.
+    give the start state, with no evaluation of U and no cycle record.
     """
     if mode not in _MODE_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -598,9 +602,10 @@ class _MagnusPropagator:
     path serves every mode; a term of weight 0 is built and multiplied by 0.
     ``points`` holds 0, the checkpoints and, below the first of them, the end
     of the dissipator's onset: only a weighted dissipator with a bright rate
-    has an onset transient.  The kernel blocks at the cycle nodes, the exact
-    ``_cycle_grid`` array up to the last node at or below the last point, come
-    from one ``_kernel_at`` pass here: the pass ``_frame_jumps`` makes, cut there.
+    has an onset transient.  ``nodes`` is the exact ``_cycle_grid`` array up
+    to the last node at or below the last point; their kernel blocks ``xs``
+    are the protocol's cycle record's, cut there, and are read on the first
+    step, so a propagator that takes no step builds no record.
     """
 
     def __init__(
@@ -618,7 +623,11 @@ class _MagnusPropagator:
                 self.points.insert(1, onset)
         cycle = _cycle_grid(protocol.gammaT)
         self.nodes = cycle[:np.searchsorted(cycle, self.points[-1], side="right")]
-        (self.xs, _), = _kernel_at(self.modes, self.nodes)
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """The kernel blocks at ``nodes``, read off the protocol's cycle record on the first step."""
+        return _cycle_record(self.protocol, self.ds).xs[:self.nodes.size]
 
     def states(self, rho: np.ndarray, rtol: float, atol: float) -> list:
         """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
@@ -733,11 +742,12 @@ def end_of_cycle_state(
     ``method="integrate"`` drives the effective equation across the period;
     ``method="formula"`` evaluates the closed expression V [rho + eps^2
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
-    which freezes rho at its initial value: l and V_end from one pass of the
-    kernel recurrence along the cycle grid (``_frame_jumps``), the integral
-    by Simpson's rule on it (``_frozen_dissipator``), as for the purity
-    prediction of eq. 12.  The two methods agree to the order the reduced
-    theory is valid.
+    which freezes rho at its initial value: l and V_end from the protocol's
+    cycle record (``_cycle_record``), one pass of the kernel recurrence along
+    the cycle grid shared with ``evolve_effective`` and eq. 12 on the same
+    protocol and dark space, the integral by Simpson's rule on it
+    (``_frozen_dissipator``), as for the purity prediction of eq. 12.  The
+    two methods agree to the order the reduced theory is valid.
     """
     rho_d = _coerce_dark_state(rho_init, ds)
     if method == "integrate":
@@ -746,40 +756,105 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    (_, l, v_end), = _frame_jumps(protocol, ds)
+    l, v_end = _cycle_record(protocol, ds).frame
     return v_end @ (rho_d + eps**2 * _frozen_dissipator(rho_d, l, protocol.gammaT)) @ dagger(v_end)
 
 
 def _frame_jumps(
     protocol: Protocol,
     ds: DarkSpace,
-    taus: np.ndarray = (),
+    taus: np.ndarray,
     gauges: Sequence[Gauge | None] = (None,),
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The effective jump at ``taus``, the frame jump l over the cycle and V_end, per frame.
 
-    One ``_kernel_at`` pass at the _FROZEN_GRID + 1 nodes of the cycle grid,
-    the exact array ``_cycle_grid`` returns so that no node takes a partial
-    step, followed by the 1-D array ``taus``, in the frame of each of
-    ``gauges`` (None for none); H is evaluated once per kernel node for all
-    frames.  Per frame it returns ell_tau at ``taus``, the (n, d, d) stack;
-    l = V^dag ell V at the cycle nodes, the effective jump in the frame
-    co-moving with the holonomy V_tau, which the midpoint rule takes on the
-    middle kernel node of each step; and V at the end of the cycle.  A tau
-    outside [0, gammaT] (1e-9 slack above) raises ValueError naming it.
+    One cycle pass on to the 1-D array ``taus`` (``_cycle_pass``), in the
+    frame of each of ``gauges`` (None for none); H is evaluated once per
+    kernel node for all frames.  Per frame it returns ell_tau at ``taus``,
+    the (n, d, d) stack, and the cycle series of ``_frame_series``: l = V^dag
+    ell V at the cycle nodes and V at the end of the cycle.  The gauge check
+    calls it; the None-frame series with no ``taus``, which eq. 12 and the
+    end-of-cycle formula read, comes from the same two functions through the
+    protocol's cycle record (``_cycle_record``).  A tau outside [0, gammaT]
+    (1e-9 slack above) raises ValueError naming it.
     """
     taus = np.asarray(taus, dtype=float)
     _check_taus(protocol, taus)
-    gammaT = protocol.gammaT
-    cycle = _cycle_grid(gammaT)
-    times = np.concatenate([cycle, taus])
     modes = _KernelModes(protocol, ds)
-    out = []
-    for (xs, h0), gauge in zip(_kernel_at(modes, times, gauges), gauges):
-        ells = _jumps(modes, times, xs, gauge)
-        vs = ordered_exponential(-1j * h0, cycle / gammaT)
-        out.append((ells[cycle.size:], dagger(vs) @ ells[:cycle.size] @ vs, vs[-1]))
-    return out
+    times, frames = _cycle_pass(modes, taus, gauges)
+    return [_frame_series(modes, times, xs, h0, gauge) for (xs, h0), gauge in zip(frames, gauges)]
+
+
+def _cycle_pass(
+    modes: _KernelModes, taus: np.ndarray = (), gauges: Sequence[Gauge | None] = (None,)
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """One ``_kernel_at`` pass at the cycle nodes followed by ``taus``: the times and, per frame, (xs, h0).
+
+    The times are the _FROZEN_GRID + 1 nodes of the cycle grid, the exact
+    array ``_cycle_grid`` returns so that no node takes a partial step,
+    followed by the 1-D array ``taus``.
+    """
+    times = np.concatenate([_cycle_grid(modes.protocol.gammaT), np.asarray(taus, dtype=float)])
+    return times, _kernel_at(modes, times, gauges)
+
+
+def _frame_series(
+    modes: _KernelModes, times: np.ndarray, xs: np.ndarray, h0: np.ndarray, gauge: Gauge | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ell past the cycle nodes, l = V^dag ell V at them and V_end, from one frame of ``_cycle_pass``.
+
+    ``times`` starts with the cycle nodes; ell comes from the kernel blocks
+    ``xs`` (``_jumps``), and V_tau, the holonomy co-moving with it, from the
+    midpoint rule on ``h0``, the dark block at each cycle step's middle
+    kernel node (``ordered_exponential``).
+    """
+    nodes = _FROZEN_GRID + 1
+    ells = _jumps(modes, times, xs, gauge)
+    vs = ordered_exponential(-1j * h0, times[:nodes] / modes.protocol.gammaT)
+    return ells[nodes:], dagger(vs) @ ells[:nodes] @ vs, vs[-1].copy()
+
+
+class _CycleRecord:
+    """The None-frame cycle series of one (protocol, dark space): one kernel pass, held on the protocol.
+
+    ``modes``, and the kernel blocks ``xs`` at the cycle nodes, come from one
+    ``_cycle_pass`` at construction.  ``frame``, the pair (l, V_end) of
+    ``_frame_series``, is formed on its first read, so a reader of the node
+    blocks alone pays the pass and no more; until then the record also holds
+    the pass's nodes and midpoint dark blocks, which only the frame reads.
+    ``_cycle_record`` builds it and keeps it on the protocol.
+    """
+
+    def __init__(self, protocol: Protocol, ds: DarkSpace):
+        self.modes = _KernelModes(protocol, ds)
+        times, ((self.xs, h0),) = _cycle_pass(self.modes)
+        # h0 is a view of the dark blocks at all three nodes of each step: keep a copy
+        self._frame_inputs = times, h0.copy()
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """l = V^dag ell V at the cycle nodes and V at the end of the cycle."""
+        times, h0 = self._frame_inputs
+        _, l, v_end = _frame_series(self.modes, times, self.xs, h0, None)
+        del self._frame_inputs
+        return l, v_end
+
+
+def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
+    """The cycle record of ``protocol`` for the dark space ``ds``, built on first use.
+
+    A protocol holds at most one record (``Protocol._cycle_records``), keyed
+    by the content of ``ds.basis`` and ``L_rot``: a dark space of another
+    basis, or an ``L_rot`` rewritten in place, replaces it with a new one.
+    gammaT and the path are fixed for the protocol's lifetime, and
+    ``with_gammaT`` and ``dataclasses.replace`` give a protocol with no record.
+    """
+    key = (ds.basis.shape, ds.basis.tobytes(), protocol.L_rot.tobytes())
+    held = protocol._cycle_records
+    if key not in held:
+        held.clear()
+        held[key] = _CycleRecord(protocol, ds)
+    return held[key]
 
 
 def _frozen_dissipator(rho_d: np.ndarray, l: np.ndarray, gammaT: float) -> np.ndarray:
@@ -825,10 +900,10 @@ def _kernel_at(
     ``_step_maps`` call.  The grid only has to resolve the drive, whatever a
     step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
     quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
-    array ``_cycle_grid`` returns, before any other times (``_frame_jumps``),
-    every cycle time is a node, and its blocks are those of the whole cycle;
-    passed a prefix of it, the reduced propagator (``_MagnusPropagator``)
-    gets the node blocks it ends its own partial steps from.
+    array ``_cycle_grid`` returns, before any other times (``_cycle_pass``),
+    every cycle time is a node, and its blocks are those of the whole cycle:
+    the cycle record's, from which the reduced propagator
+    (``_MagnusPropagator``) ends its own partial steps.
 
     Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
     in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the

@@ -207,6 +207,14 @@ class Protocol:
     arrays only, one phase being the one-element array; it checks the shape
     and every element.  Construction makes one ``U`` call, on a grid of
     phases from 0 to 1, and reads U(0) = 1, cyclicity and unitarity off it.
+
+    ``_cycle_records`` holds at most one cycle record of the reduced theory
+    (``effective._cycle_record``): the kernel pass over the cycle grid that
+    the reduced propagator, the end-of-cycle formula and eq. 12 read.  It is
+    built on first use, keyed by the content of the dark basis and of
+    ``L_rot``, and replaced when another dark space asks.  It lives as long
+    as the protocol; ``with_gammaT`` and ``dataclasses.replace`` start with
+    none.  It takes no part in the constructor, the repr or equality.
     """
 
     dim: int
@@ -215,6 +223,7 @@ class Protocol:
     dU: Callable[[np.ndarray], np.ndarray]
     gammaT: float
     descriptor: dict = field(default_factory=dict)
+    _cycle_records: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not (math.isfinite(self.gammaT) and self.gammaT > 0):
@@ -237,7 +246,7 @@ class Protocol:
         _require_each(_norms(dagger(u) @ u - eye) <= 1e-9, samples, "U({}) is not unitary")
 
     def with_gammaT(self, gammaT: float) -> "Protocol":
-        """Same control path at a different cycle duration."""
+        """Same control path at a different cycle duration, with no cycle record."""
         return replace(self, gammaT=gammaT)
 
 

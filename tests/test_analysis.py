@@ -494,6 +494,20 @@ class TestSweep:
         start = eff.embed_dark(dark_space(proto.L_rot), dark_state_from_bloch((0.0, 0.0, 1.0)))
         assert all(np.array_equal(np.array(final), start) for final in result.final_states)
 
+    def test_one_kernel_pass_per_gammaT(self, monkeypatch):
+        # the reduced run builds the cycle record of each gammaT's protocol and
+        # eq. 12 reads it: one pass over the 2,049 cycle nodes per gammaT
+        passes = []
+        kernel_at = eff._kernel_at
+
+        def counted(modes, taus, gauges=(None,)):
+            passes.append((modes.protocol.gammaT, taus.size))
+            return kernel_at(modes, taus, gauges)
+
+        monkeypatch.setattr(eff, "_kernel_at", counted)
+        convergence_sweep(spin32_protocol(linear_path(1, 0), 200.0), [100.0, 200.0], (0.0, 0.0, 1.0))
+        assert passes == [(100.0, 2049), (200.0, 2049)]
+
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("not a numerical failure")

@@ -1149,6 +1149,81 @@ class TestFrameJumps:
             eff._frame_jumps(spin32_linear, spin32_ds, np.array([10.0, 201.0]))
 
 
+#: the three readers of a protocol's cycle record
+RECORD_READERS = {
+    "evolve": lambda p, ds, rho: evolve_effective(rho, p, ds, p.gammaT * np.array([0.0, 0.3, 1.0])),
+    "formula": lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
+    "prediction": lambda p, ds, rho: purity_prediction_general(rho, p, ds),
+}
+
+
+def turned(ds: eff.DarkSpace) -> eff.DarkSpace:
+    """The dark space with its basis turned by a fixed d x d unitary."""
+    w = scipy.linalg.expm(0.4j * SX + 0.3j * SZ)
+    return eff.DarkSpace(basis=ds.basis @ w, projector=ds.projector, d=ds.d)
+
+
+class TestCycleRecord:
+    PATH, GAMMA_T = smoothstep_path(1, 1), 50.0
+    RHO = dark_state_from_bloch((0.0, 0.6, 0.8))
+
+    def fresh(self):
+        return spin32_protocol(self.PATH, self.GAMMA_T)
+
+    @pytest.mark.parametrize("first", list(RECORD_READERS))
+    def test_filled_record_gives_a_fresh_protocols_outputs(self, spin32_ds, first):
+        filled = self.fresh()
+        RECORD_READERS[first](filled, spin32_ds, self.RHO)
+        assert len(filled._cycle_records) == 1
+        for name, read in RECORD_READERS.items():
+            expected = read(self.fresh(), spin32_ds, self.RHO)
+            assert np.array_equal(read(filled, spin32_ds, self.RHO), expected), name
+
+    def test_frame_jump_is_formed_on_first_read(self, spin32_ds):
+        proto = self.fresh()
+        RECORD_READERS["evolve"](proto, spin32_ds, self.RHO)
+        record, = proto._cycle_records.values()
+        assert "frame" not in vars(record)
+        RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
+        assert "frame" in vars(record)
+
+    @pytest.mark.parametrize("move", [
+        lambda p: p.with_gammaT(400.0), lambda p: dataclasses.replace(p, gammaT=400.0),
+    ], ids=["with_gammaT", "replace"])
+    def test_new_cycle_duration_starts_with_no_record(self, spin32_ds, move):
+        proto = spin32_protocol(linear_path(1, 0), 200.0)
+        before = end_of_cycle_state(self.RHO, proto, spin32_ds, method="formula")
+        record, = proto._cycle_records.values()
+        moved = move(proto)
+        assert moved._cycle_records == {}
+        expected = {name: read(spin32_protocol(linear_path(1, 0), 400.0), spin32_ds, self.RHO)
+                    for name, read in RECORD_READERS.items()}
+        for name, read in RECORD_READERS.items():
+            assert np.array_equal(read(moved, spin32_ds, self.RHO), expected[name]), name
+        moved_record, = moved._cycle_records.values()
+        assert moved_record is not record
+        assert list(proto._cycle_records.values()) == [record]
+        assert np.array_equal(end_of_cycle_state(self.RHO, proto, spin32_ds, method="formula"),
+                              before)
+
+    def test_turned_basis_gets_a_fresh_protocols_outputs(self, spin32_ds):
+        proto = self.fresh()
+        old = {name: read(proto, spin32_ds, self.RHO) for name, read in RECORD_READERS.items()}
+        other = turned(spin32_ds)
+        for name, read in RECORD_READERS.items():
+            out = read(proto, other, self.RHO)
+            assert np.array_equal(out, read(self.fresh(), other, self.RHO)), name
+            assert not np.array_equal(out, old[name]), name
+
+    def test_one_record_after_two_dark_spaces(self, spin32_ds):
+        proto = self.fresh()
+        other = turned(spin32_ds)
+        for ds in (spin32_ds, other):
+            end_of_cycle_state(self.RHO, proto, ds, method="formula")
+        record, = proto._cycle_records.values()
+        assert np.array_equal(record.modes.basis, other.basis)
+
+
 class TestCoerceDarkState:
     def test_dark_state_is_taken_as_it_is(self, spin32_ds):
         rho_d = dark_state_from_bloch((0.6, 0.0, 0.8))

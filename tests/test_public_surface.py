@@ -120,3 +120,51 @@ def test_one_kernel_recurrence():
     names |= {node.name for node in ast.walk(tree)
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert names & {"_Level", "_carry", "_LEVEL_CHUNK"} == set()
+
+
+def top_level_defs(module: str) -> dict:
+    """Each top-level function and class of ``darklind.<module>`` by name."""
+    tree = ast.parse(Path(importlib.import_module(f"darklind.{module}").__file__).read_text())
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def names_in(node: ast.AST) -> set:
+    """Every name and attribute that ``node`` reads."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def callers_of(defs: dict, callee: str) -> set:
+    """The top-level definitions among ``defs`` that call ``callee`` by name."""
+    return {name for name, node in defs.items()
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == callee
+                   for n in ast.walk(node))}
+
+
+#: the functions that run or read the cycle series, apart from the record
+CYCLE_SERIES = {"_kernel_at", "_frame_jumps", "_cycle_pass", "_frame_series", "_CycleRecord"}
+
+
+@pytest.mark.parametrize("module, reader", [
+    ("effective", "_MagnusPropagator"),
+    ("effective", "end_of_cycle_state"),
+    ("analysis", "purity_prediction_general"),
+])
+def test_cycle_series_read_through_the_record(module, reader):
+    # the reduced propagator, the end-of-cycle formula and eq. 12 take the cycle
+    # series off the protocol's cycle record (``effective._cycle_record``) alone
+    names = names_in(top_level_defs(module)[reader])
+    assert "_cycle_record" in names
+    assert names & CYCLE_SERIES == set()
+
+
+def test_record_and_frame_jumps_share_one_builder():
+    # the record and the gauge check's ``_frame_jumps`` run one cycle pass
+    # (``_cycle_pass``) and form one frame series (``_frame_series``); the other
+    # kernel pass is the per-tau queries' (``_x_of``)
+    defs = top_level_defs("effective")
+    for builder in ("_cycle_pass", "_frame_series"):
+        assert callers_of(defs, builder) == {"_CycleRecord", "_frame_jumps"}, builder
+    assert callers_of(defs, "_kernel_at") == {"_cycle_pass", "_x_of"}
+    assert callers_of(defs, "_CycleRecord") == {"_cycle_record"}

@@ -42,16 +42,22 @@ ORACLE_RTOL = 1e-12
 
 
 def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, atol=None):
-    """Reduced states at sorted ``taus`` from the joint DOP853 integration of rho and X."""
+    """Reduced states at sorted ``taus`` from the joint DOP853 integration of rho and X.
+
+    ``rho0_d`` is one (d, d) start, or a (k, d, d) stack of starts carried in
+    one run, each state then the (k, d, d) stack: the rho equation is linear
+    and X does not depend on rho.
+    """
     modes = eff._KernelModes(protocol, ds)
     d = ds.d
     nb = modes.rates.size
     eps = 1.0 / protocol.gammaT
     need_x = mode in ("full", "dissipator") and nb > 0
+    starts = np.asarray(rho0_d, dtype=complex)
 
     def unpack(y):
-        rho = y[: d * d].reshape(d, d)
-        x = y[d * d:].reshape(nb, d) if need_x else None
+        rho = y[: starts.size].reshape(starts.shape)
+        x = y[starts.size:].reshape(nb, d) if need_x else None
         return rho, x
 
     def fun(tau, y):
@@ -60,7 +66,7 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
         u = protocol.U(s)
         h = 1j * protocol.dU(s) @ dagger(u)
         h = 0.5 * (h + dagger(h))
-        drho = np.zeros((d, d), dtype=complex)
+        drho = np.zeros(starts.shape, dtype=complex)
         if mode in ("full", "unitary"):
             h0 = eff.projected_hamiltonian(h, ds)
             drho += -1j * eps * (h0 @ rho - rho @ h0)
@@ -71,7 +77,7 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
             dy.append((-0.5 * modes.rates[:, None] * x + drive).reshape(-1))
         return np.concatenate(dy)
 
-    y0 = [np.asarray(rho0_d, dtype=complex).reshape(-1)]
+    y0 = [starts.reshape(-1)]
     if need_x:
         y0.append(np.zeros(nb * d, dtype=complex))
     sol = solve_ivp(
@@ -121,16 +127,32 @@ def test_reduced_paths_match_joint_ode(name):
     assert worst_distance(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, taus) <= GATE
 
 
-@pytest.mark.parametrize("n0", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)], ids=["z", "y"])
-def test_large_gammaT_matches_joint_ode(n0):
-    # rate h >> 1 on every step but the onset's: the kernel weights must stay
-    # exact in the decay, where Gauss-Legendre node weights would underflow;
-    # one oracle run serves the 33 checkpoints and the single time gammaT
+#: the starts of the large-gammaT case, by test id
+LARGE_GAMMAT_STARTS = {"z": (0.0, 0.0, 1.0), "y": (0.0, 1.0, 0.0)}
+
+
+@pytest.fixture(scope="module")
+def large_gammaT_oracle():
+    """linear(1, 0) at gammaT 3200, its 33 checkpoints, and the oracle's states per start.
+
+    One oracle run carries every start of ``LARGE_GAMMAT_STARTS``.
+    """
     proto = spin32_protocol(linear_path(1, 0), 3200.0)
     ds = dark_space(proto.L_rot)
-    rho0 = dark_state_from_bloch(n0)
     taus = np.linspace(0.0, 3200.0, 33)
-    slow = joint_ode_states(rho0, proto, ds, taus)
+    starts = np.stack([dark_state_from_bloch(n0) for n0 in LARGE_GAMMAT_STARTS.values()])
+    slow = joint_ode_states(starts, proto, ds, taus)
+    return proto, ds, taus, {name: [s[k] for s in slow] for k, name in enumerate(LARGE_GAMMAT_STARTS)}
+
+
+@pytest.mark.parametrize("n0", list(LARGE_GAMMAT_STARTS))
+def test_large_gammaT_matches_joint_ode(large_gammaT_oracle, n0):
+    # rate h >> 1 on every step but the onset's: the kernel weights must stay
+    # exact in the decay, where Gauss-Legendre node weights would underflow;
+    # one oracle run serves both starts, the 33 checkpoints and the single time gammaT
+    proto, ds, taus, oracle = large_gammaT_oracle
+    rho0 = dark_state_from_bloch(LARGE_GAMMAT_STARTS[n0])
+    slow = oracle[n0]
     fast = evolve_effective(rho0, proto, ds, taus)
     assert max(trace_distance(a, b) for a, b in zip(fast, slow)) <= GATE
     single = evolve_effective(rho0, proto, ds, [3200.0])[-1]
