@@ -12,6 +12,7 @@ from the reduced state back to the full Hilbert space.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import pairwise
@@ -78,14 +79,16 @@ _KERNEL_CUTOFF_EXPONENT = 90.0
 _QUAD_TOL = 1e-10
 _QUAD_SPLITS = 400
 
-#: phases per vectorised evaluation of the adiabatic Hamiltonian on a grid, and
-#: CF4 steps per block of the reduced propagator; bounds the temporaries, each
-#: block being reduced to its small result before the next one is formed
+#: phases per vectorised evaluation of the adiabatic Hamiltonian on a grid, CF4
+#: steps per block of the reduced propagator, and cycle steps per chunk by which
+#: a cycle record grows; bounds the temporaries, each block being reduced to its
+#: small result before the next one is formed
 _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
-#: grid of the frame jump series and its frozen-state integral (``_cycle_pass``)
-#: and, cut at tau (``_cycle_cut``), of every per-tau query and of the holonomy
+#: nodes of every cycle record (``_CycleRecord``), so of every kernel query, of
+#: the frame jump series and its frozen-state integral, and, cut at tau, of the
+#: holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
 _FD_STEP = 0.05
@@ -183,7 +186,12 @@ def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
 
 
 class _KernelModes:
-    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds)."""
+    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds).
+
+    The protocol is held by a weak reference: the protocol's cycle record
+    holds its modes, and a strong one would make protocol and record a
+    reference cycle, freed only by the cyclic garbage collector.
+    """
 
     def __init__(self, protocol: Protocol, ds: DarkSpace):
         m = dagger(protocol.L_rot) @ protocol.L_rot
@@ -196,8 +204,13 @@ class _KernelModes:
         self.reduce_jump = dagger(ds.basis) @ protocol.L_rot @ self.modes  # d x nb
         #: (nb + d) x dim: the bright modes' rows over the dark basis' rows
         self.rows = dagger(np.hstack([self.modes, ds.basis]))
-        self.protocol = protocol
+        self._protocol = weakref.ref(protocol)
         self.ds = ds
+
+    @property
+    def protocol(self) -> Protocol:
+        """The protocol the modes belong to, which its caller keeps alive."""
+        return self._protocol()
 
     def drive(self, taus: np.ndarray) -> np.ndarray:
         """Bright-to-dark blocks U_b^dag H B of the adiabatic Hamiltonian at a 1-D array of times.
@@ -261,21 +274,8 @@ def _window_start(tau, rate):
 
 
 def _cycle_grid(gammaT: float) -> np.ndarray:
-    """The cycle grid gammaT np.linspace(0, 1, _FROZEN_GRID + 1), which every kernel query cuts."""
+    """The cycle grid gammaT np.linspace(0, 1, _FROZEN_GRID + 1), the nodes of every kernel query."""
     return gammaT * np.linspace(0.0, 1.0, _FROZEN_GRID + 1)
-
-
-def _cycle_cut(nodes: np.ndarray, t, start) -> tuple[np.ndarray, np.ndarray]:
-    """The cycle grid ``nodes`` cut to the times t: one grid for one time or an array of them.
-
-    Returns the nodes from the last one at or below min(start) to the last one
-    at or below max(t), and the index in them of the last node at or below
-    each t, where that t's partial step begins.  Every start lies at or below
-    its t; with no times the cut is the last node alone.
-    """
-    first = np.searchsorted(nodes, np.min(start, initial=nodes[-1]), side="right") - 1
-    cut = np.searchsorted(nodes, t, side="right") - 1
-    return nodes[first:np.max(cut, initial=first) + 1], cut - first
 
 
 def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
@@ -383,31 +383,34 @@ def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
 def c_tau(protocol: Protocol, ds: DarkSpace, tau, source: str = "integral") -> np.ndarray:
     """Hermitian kernel C_tau = X_tau + X_tau^dag, at one tau or a 1-D array of them.
 
-    X_tau as in ``effective_jump``: the exact-decay recurrence along the cut
-    cycle grid (``_x_of``); an array gives the (n, dim, dim) stack.
+    X_tau as in ``effective_jump``: read off the protocol's cycle record
+    (``_x_of``); an array gives the (n, dim, dim) stack.
     """
     x = _x_of(protocol, ds, tau, source)
     return x + dagger(x)
 
 
 def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
-    """X_tau by the recurrence ``_kernel_at`` ("integral") or adiabatic.
+    """X_tau off the protocol's cycle record ("integral") or adiabatic.
 
     ``tau`` is one time, giving a dim x dim matrix, or a 1-D array of n times,
     giving the (n, dim, dim) stack; one time is the one-element array, and an
-    empty array gives the (0, dim, dim) stack.  The recurrence steps the cycle
-    grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1), from zero at the node at
-    or below the earliest kernel window start (``_window_start`` of the
-    slowest bright rate) to the last node at or below each tau, then one
-    partial step to a tau off the nodes; a batch takes one ``_node_blocks``
-    call and one scan.  A tau that is not a number in [0, gammaT] (1e-9 slack
-    above) raises ValueError naming the first such one.
+    empty array gives the (0, dim, dim) stack.  A tau that is not a number in
+    [0, gammaT] (1e-9 slack above) raises ValueError naming the first such
+    one, before any kernel work.  "integral" reads the kernel blocks of the
+    record of (protocol, ds) (``_cycle_record``), its modes included, so no
+    eigendecomposition runs per call: the record grows to the last cycle node
+    at or below the latest tau, a tau on a node reads that node's block, and
+    every tau off the nodes takes one partial step from the node below it
+    (``_CycleRecord.at``).  Once the record covers the times, a query
+    evaluates the drive at the three Gauss-Legendre nodes of each partial
+    step and nowhere else; an empty array makes no evaluation at all.
     """
     _check_taus(protocol, tau)
     if source == "integral":
-        modes = _KernelModes(protocol, ds)
-        (xs, _), = _kernel_at(modes, np.asarray(tau, dtype=float).reshape(-1))
-        x = modes.modes @ xs @ dagger(ds.basis)
+        record = _cycle_record(protocol, ds)
+        xs, = record.at(np.asarray(tau, dtype=float).reshape(-1))
+        x = record.modes.modes @ xs @ dagger(ds.basis)
         return x if np.ndim(tau) else x[0]
     if source == "adiabatic":
         return x_tau_adiabatic(protocol, ds, tau)
@@ -448,9 +451,11 @@ def effective_jump(
     """Effective dark-space jump operator P0 L X_tau P0 (d x d, dark basis).
 
     ``tau`` is one time or a 1-D array of n times, giving the (n, d, d) stack.
-    With ``source="integral"`` X_tau comes from the exact-decay recurrence
-    along the cycle grid of ``_FROZEN_GRID`` steps, cut at tau and ended by
-    one partial step to it, all times of an array in one pass (``_x_of``).
+    With ``source="integral"`` X_tau is read off the protocol's cycle record,
+    the exact-decay recurrence along the cycle grid of ``_FROZEN_GRID``
+    steps, grown on demand to cover tau, and ended by one partial step to a
+    tau off its nodes (``_x_of``): repeated queries on one protocol share
+    its node blocks.
     """
     x = _x_of(protocol, ds, tau, source)
     return dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
@@ -467,8 +472,9 @@ def effective_rhs(
 
     eps = 1/(gamma T); the commutator uses the dark block of the adiabatic
     Hamiltonian at phase tau / (gamma T), the dissipator the effective jump
-    (``effective_jump``, on the cut cycle grid for ``source="integral"``):
-    the Lindblad generator with Hamiltonian H0, prefactor eps and jump eps ell.
+    (``effective_jump``, read off the protocol's cycle record for
+    ``source="integral"``): the Lindblad generator with Hamiltonian H0,
+    prefactor eps and jump eps ell.
     An array of times raises ValueError before any kernel work.
     """
     _one_time(tau)
@@ -485,8 +491,8 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     Hamiltonian, so V solves dV/dtau = -(i/gammaT) H0 V.  The midpoint rule
     runs on the cycle grid of every per-tau query, np.linspace(0, 1,
     _FROZEN_GRID + 1) in phase, cut at the last node at or below tau / gammaT
-    (``_cycle_cut``) and, for a tau past that node, ended by one partial
-    midpoint step to tau / gammaT; a tau on a node takes no partial step, so
+    and, for a tau past that node, ended by one partial midpoint step to
+    tau / gammaT; a tau on a node takes no partial step, so
     at tau = gammaT the steps are those of the whole cycle grid, and tau = 0
     gives the identity without evaluating the drive.  The steps, those of
     ``ordered_exponential``, are multiplied pairwise.  A tau that is not one
@@ -495,7 +501,8 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     _one_time(tau)
     _check_taus(protocol, tau)
     s = tau / protocol.gammaT
-    grid, _ = _cycle_cut(_cycle_grid(1.0), s, 0.0)
+    grid = _cycle_grid(1.0)
+    grid = grid[:np.searchsorted(grid, s, side="right")]
     if s > grid[-1]:
         grid = np.append(grid, s)
     if grid.size < 2:
@@ -537,11 +544,11 @@ def evolve_effective(
     ``ordered_exponential``) of its d^2 x d^2 superoperator.  ell at each
     step's two Gauss points comes from one partial step of the kernel
     recurrence from the cycle node at or below the point, the node blocks
-    read off the protocol's cycle record (``_cycle_record``): one kernel pass
-    along the whole cycle grid, made by the first step of the first call on
-    the protocol and dark space, and shared by later calls, the end-of-cycle
-    formula and eq. 12.  These are the numbers ``effective_jump`` gives at
-    those points, to roundoff (2e-15) when the last time is below gammaT.
+    read off the protocol's cycle record (``_cycle_record``), grown by the
+    first step to the last node at or below the last time and shared by
+    later calls, the per-tau queries, the end-of-cycle formula and eq. 12.
+    These are the numbers ``effective_jump`` gives at those points, to
+    roundoff.
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -602,10 +609,9 @@ class _MagnusPropagator:
     path serves every mode; a term of weight 0 is built and multiplied by 0.
     ``points`` holds 0, the checkpoints and, below the first of them, the end
     of the dissipator's onset: only a weighted dissipator with a bright rate
-    has an onset transient.  ``nodes`` is the exact ``_cycle_grid`` array up
-    to the last node at or below the last point; their kernel blocks ``xs``
-    are the protocol's cycle record's, cut there, and are read on the first
-    step, so a propagator that takes no step builds no record.
+    has an onset transient.  The kernel blocks are the protocol's cycle
+    record's, taken on the first step and grown to the last node at or below
+    the last point, so a propagator that takes no step builds no record.
     """
 
     def __init__(
@@ -621,13 +627,13 @@ class _MagnusPropagator:
             onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
             if onset < self.points[1]:
                 self.points.insert(1, onset)
-        cycle = _cycle_grid(protocol.gammaT)
-        self.nodes = cycle[:np.searchsorted(cycle, self.points[-1], side="right")]
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        """The kernel blocks at ``nodes``, read off the protocol's cycle record on the first step."""
-        return _cycle_record(self.protocol, self.ds).xs[:self.nodes.size]
+    def record(self):
+        """The protocol's cycle record, grown to cover the last point on the first step."""
+        record = _cycle_record(self.protocol, self.ds)
+        record.grow(np.searchsorted(record.nodes, self.points[-1], side="right") - 1)
+        return record
 
     def states(self, rho: np.ndarray, rtol: float, atol: float) -> list:
         """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
@@ -688,19 +694,13 @@ class _MagnusPropagator:
     def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H0 and ell at the 1-D array of times t, the (n, d, d) stacks.
 
-        Each time takes one partial step from the cycle node at or below it,
-        as ``_kernel_at`` does for a time off the nodes; H0 at the times and
-        the drive at the partial steps' nodes come from one ``_node_blocks``
-        call.
+        Each time takes one partial step from the cycle node at or below it
+        (``_partial_step``); H0 at the times and the drive at the partial
+        steps' nodes come from one ``_node_blocks`` call.
         """
-        k = np.searchsorted(self.nodes, t, side="right") - 1
-        h = t - self.nodes[k]
-        partial = self.nodes[k][:, None] + h[:, None] * _GL3_NODES
-        phases = np.concatenate([t, partial.ravel()]) / self.protocol.gammaT
-        (drives, dark), = _node_blocks(self.modes, phases)
-        maps = _step_maps(self.modes, h, drives[t.size:].reshape(partial.shape + drives.shape[1:]))
-        x = maps[..., :1] * self.xs[k] + maps[..., 1:]
-        return dark[:t.size], _gemm(self.modes.reduce_jump, x)
+        record = self.record
+        (x, dark), = _partial_step(self.modes, record.nodes, record.xs, t, lead=t)
+        return dark, _gemm(self.modes.reduce_jump, x)
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -743,11 +743,11 @@ def end_of_cycle_state(
     ``method="formula"`` evaluates the closed expression V [rho + eps^2
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
     which freezes rho at its initial value: l and V_end from the protocol's
-    cycle record (``_cycle_record``), one pass of the kernel recurrence along
-    the cycle grid shared with ``evolve_effective`` and eq. 12 on the same
-    protocol and dark space, the integral by Simpson's rule on it
-    (``_frozen_dissipator``), as for the purity prediction of eq. 12.  The
-    two methods agree to the order the reduced theory is valid.
+    cycle record (``_cycle_record``), the kernel recurrence along the whole
+    cycle grid shared with ``evolve_effective``, the per-tau queries and
+    eq. 12 on the same protocol and dark space, the integral by Simpson's
+    rule on it (``_frozen_dissipator``), as for the purity prediction of
+    eq. 12.  The two methods agree to the order the reduced theory is valid.
     """
     rho_d = _coerce_dark_state(rho_init, ds)
     if method == "integrate":
@@ -768,45 +768,35 @@ def _frame_jumps(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The effective jump at ``taus``, the frame jump l over the cycle and V_end, per frame.
 
-    One cycle pass on to the 1-D array ``taus`` (``_cycle_pass``), in the
-    frame of each of ``gauges`` (None for none); H is evaluated once per
-    kernel node for all frames.  Per frame it returns ell_tau at ``taus``,
-    the (n, d, d) stack, and the cycle series of ``_frame_series``: l = V^dag
-    ell V at the cycle nodes and V at the end of the cycle.  The gauge check
-    calls it; the None-frame series with no ``taus``, which eq. 12 and the
-    end-of-cycle formula read, comes from the same two functions through the
-    protocol's cycle record (``_cycle_record``).  A tau outside [0, gammaT]
+    One ``_kernel_at`` pass at the cycle nodes, the exact array
+    ``_cycle_grid`` returns so that every node is read and none is stepped
+    to, followed by the 1-D array ``taus``, in the frame of each of
+    ``gauges`` (None for none); H is evaluated once per kernel node for all
+    frames.  Per frame it returns ell_tau at ``taus``, the (n, d, d) stack,
+    and the cycle series of ``_frame_series``: l = V^dag ell V at the cycle
+    nodes and V at the end of the cycle.  The gauge check calls it; the
+    None-frame series, which eq. 12 and the end-of-cycle formula read, comes
+    from the same record growth and ``_frame_series`` through the protocol's
+    cycle record (``_cycle_record``), bit for bit.  A tau outside [0, gammaT]
     (1e-9 slack above) raises ValueError naming it.
     """
     taus = np.asarray(taus, dtype=float)
     _check_taus(protocol, taus)
     modes = _KernelModes(protocol, ds)
-    times, frames = _cycle_pass(modes, taus, gauges)
+    times = np.concatenate([_cycle_grid(protocol.gammaT), taus])
+    frames = _kernel_at(modes, times, gauges)
     return [_frame_series(modes, times, xs, h0, gauge) for (xs, h0), gauge in zip(frames, gauges)]
-
-
-def _cycle_pass(
-    modes: _KernelModes, taus: np.ndarray = (), gauges: Sequence[Gauge | None] = (None,)
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """One ``_kernel_at`` pass at the cycle nodes followed by ``taus``: the times and, per frame, (xs, h0).
-
-    The times are the _FROZEN_GRID + 1 nodes of the cycle grid, the exact
-    array ``_cycle_grid`` returns so that no node takes a partial step,
-    followed by the 1-D array ``taus``.
-    """
-    times = np.concatenate([_cycle_grid(modes.protocol.gammaT), np.asarray(taus, dtype=float)])
-    return times, _kernel_at(modes, times, gauges)
 
 
 def _frame_series(
     modes: _KernelModes, times: np.ndarray, xs: np.ndarray, h0: np.ndarray, gauge: Gauge | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ell past the cycle nodes, l = V^dag ell V at them and V_end, from one frame of ``_cycle_pass``.
+    """ell past the cycle nodes, l = V^dag ell V at them and V_end, from one frame's kernel blocks.
 
     ``times`` starts with the cycle nodes; ell comes from the kernel blocks
-    ``xs`` (``_jumps``), and V_tau, the holonomy co-moving with it, from the
-    midpoint rule on ``h0``, the dark block at each cycle step's middle
-    kernel node (``ordered_exponential``).
+    ``xs`` at ``times`` (``_jumps``), and V_tau, the holonomy co-moving with
+    it, from the midpoint rule on ``h0``, the dark block at each cycle step's
+    middle kernel node (``ordered_exponential``).
     """
     nodes = _FROZEN_GRID + 1
     ells = _jumps(modes, times, xs, gauge)
@@ -815,45 +805,93 @@ def _frame_series(
 
 
 class _CycleRecord:
-    """The None-frame cycle series of one (protocol, dark space): one kernel pass, held on the protocol.
+    """The kernel blocks of one (protocol, dark space) at the cycle nodes, per frame, grown on demand.
 
-    ``modes``, and the kernel blocks ``xs`` at the cycle nodes, come from one
-    ``_cycle_pass`` at construction.  ``frame``, the pair (l, V_end) of
-    ``_frame_series``, is formed on its first read, so a reader of the node
-    blocks alone pays the pass and no more; until then the record also holds
-    the pass's nodes and midpoint dark blocks, which only the frame reads.
-    ``_cycle_record`` builds it and keeps it on the protocol.
+    ``xs`` holds per frame of ``gauges`` (None for none) the blocks at the
+    cycle nodes 0..``extent`` (``_cycle_grid``), and ``h0`` the dark block of
+    H at the midpoints of those steps; ``extent`` starts at 0, where the
+    block is zero.  A reader asks for the nodes it needs (``grow``), and the
+    record grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
+    ``_node_blocks`` call, one ``_step_maps`` call and one scan from the
+    block at the previous chunk's last node.  The chunk bounds are fixed, so
+    the blocks are the same bits whatever the order in which readers grew
+    the record.  Times off the nodes take one partial step each (``at``).
+
+    ``_cycle_record`` keeps the plain-frame record of a protocol on the
+    protocol, where the per-tau queries, the reduced propagator, the
+    end-of-cycle formula and eq. 12 share it; ``frame``, the pair (l, V_end)
+    of ``_frame_series``, grows it to the whole cycle on its first read and
+    then lets go of the midpoint blocks, which only it reads.  The record
+    holds its protocol by a weak reference only (``_KernelModes``), so the
+    protocol is freed, with its record, when its last reference goes.
+    ``_kernel_at`` grows a fresh record in any frames.
     """
 
-    def __init__(self, protocol: Protocol, ds: DarkSpace):
-        self.modes = _KernelModes(protocol, ds)
-        times, ((self.xs, h0),) = _cycle_pass(self.modes)
-        # h0 is a view of the dark blocks at all three nodes of each step: keep a copy
-        self._frame_inputs = times, h0.copy()
+    def __init__(self, modes: _KernelModes, gauges: Sequence[Gauge | None] = (None,)):
+        self.modes, self.gauges = modes, gauges
+        self.nodes = _cycle_grid(modes.protocol.gammaT)
+        self.extent = 0
+        nb, d = modes.rates.size, modes.ds.d
+        # a gauge frame holds one block per (mode, drive row) pair (``_jumps``)
+        self.xs = [np.zeros((self.nodes.size,) + (nb,) * (gauge is not None) + (nb, d), dtype=complex)
+                   for gauge in gauges]
+        self.h0 = [np.empty((_FROZEN_GRID, d, d), dtype=complex) for _ in gauges]
+
+    def grow(self, k: int) -> None:
+        """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps."""
+        while self.extent < k:
+            lo = self.extent
+            hi = min(lo + _PHASE_BLOCK, _FROZEN_GRID)
+            steps = _gl3_steps(self.modes, self.nodes[lo:hi], np.diff(self.nodes[lo:hi + 1]),
+                               self.gauges)
+            for xs, h0, (maps, dark) in zip(self.xs, self.h0, steps):
+                xs[lo:hi + 1] = _kernel_grid(maps, xs[lo])
+                h0[lo:hi] = dark[1::3]  # the middle Gauss-Legendre node of each step
+            self.extent = hi
+
+    def at(self, taus: np.ndarray) -> list[np.ndarray]:
+        """Per frame, the kernel blocks at the 1-D array of times ``taus``.
+
+        The record first grows to the last node at or below the latest time.
+        A time on a node reads that node's block; the times off the nodes
+        take one partial step each (``_partial_step``), in one
+        ``_node_blocks`` call.  An empty array gives empty stacks and
+        evaluates nothing.
+        """
+        k = np.searchsorted(self.nodes, taus, side="right") - 1
+        self.grow(np.max(k, initial=0))
+        found = [xs[k] for xs in self.xs]
+        off = taus > self.nodes[k]
+        if off.any():
+            steps = _partial_step(self.modes, self.nodes, self.xs, taus[off], self.gauges)
+            for x, (stepped, _) in zip(found, steps):
+                x[off] = stepped
+        return found
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """l = V^dag ell V at the cycle nodes and V at the end of the cycle."""
-        times, h0 = self._frame_inputs
-        _, l, v_end = _frame_series(self.modes, times, self.xs, h0, None)
-        del self._frame_inputs
+        """l = V^dag ell V at the cycle nodes and V at the end of the cycle, in the first frame."""
+        self.grow(_FROZEN_GRID)
+        _, l, v_end = _frame_series(self.modes, self.nodes, self.xs[0], self.h0[0], self.gauges[0])
+        self.h0 = None  # the record is whole, and only the frame reads the midpoint blocks
         return l, v_end
 
 
 def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
-    """The cycle record of ``protocol`` for the dark space ``ds``, built on first use.
+    """The plain-frame cycle record of ``protocol`` for the dark space ``ds``, made on first use.
 
     A protocol holds at most one record (``Protocol._cycle_records``), keyed
     by the content of ``ds.basis`` and ``L_rot``: a dark space of another
     basis, or an ``L_rot`` rewritten in place, replaces it with a new one.
-    gammaT and the path are fixed for the protocol's lifetime, and
-    ``with_gammaT`` and ``dataclasses.replace`` give a protocol with no record.
+    The record is made empty and grows as its readers ask.  gammaT and the
+    path are fixed for the protocol's lifetime, and ``with_gammaT`` and
+    ``dataclasses.replace`` give a protocol with no record.
     """
     key = (ds.basis.shape, ds.basis.tobytes(), protocol.L_rot.tobytes())
     held = protocol._cycle_records
     if key not in held:
         held.clear()
-        held[key] = _CycleRecord(protocol, ds)
+        held[key] = _CycleRecord(_KernelModes(protocol, ds))
     return held[key]
 
 
@@ -886,52 +924,85 @@ def _jumps(
 def _kernel_at(
     modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kernel blocks at a 1-D array of times, and H0 at the cut cycle grid's midpoints, per frame.
+    """Kernel blocks at a 1-D array of times, and H0 at the cycle steps' midpoints, per frame.
 
-    The one driver of the exact-decay recurrence (``_kernel_grid``): it runs
-    from zero along the cycle grid (``_cycle_grid``), from the node at or
-    below the earliest kernel window start of the slowest bright rate
-    (``_window_start``) to the last node at or below the latest time
-    (``_cycle_cut``).  A time on a node reads that node's block; any other
-    time takes one partial step from the last node below it, its decay
-    exact, as a direct affine update of that node's block.  The drive at
-    every cycle and partial-step node comes from one ``_node_blocks`` call
-    for all frames of ``gauges``, and the maps of all steps from one
-    ``_step_maps`` call.  The grid only has to resolve the drive, whatever a
-    step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
-    quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
-    array ``_cycle_grid`` returns, before any other times (``_cycle_pass``),
-    every cycle time is a node, and its blocks are those of the whole cycle:
-    the cycle record's, from which the reduced propagator
-    (``_MagnusPropagator``) ends its own partial steps.
+    The blocks of a fresh cycle record in the frames of ``gauges``
+    (``_CycleRecord.at``): the exact-decay recurrence from zero at node 0
+    along the cycle grid, chunk by chunk, to the chunk that holds the last
+    node at or below the latest time; a time on a node reads that node's
+    block, and any other takes one partial step from the last node below
+    it.  The drive at the nodes comes from one ``_node_blocks`` call per
+    chunk for all frames.  The grid only has to resolve the drive, whatever
+    a step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match
+    the quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
+    array ``_cycle_grid`` returns, every cycle time is a node, and its
+    plain-frame blocks are the protocol's cycle record's (``_frame_jumps``).
 
     Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
     in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the
-    (steps, d, d) dark block of H at each cut cycle step's middle node, its
-    midpoint.  An empty array of times gives empty stacks.
+    (steps, d, d) dark block of H at the midpoint of each cycle step grown.
+    An empty array of times gives empty stacks.
     """
-    gammaT = modes.protocol.gammaT
-    start = _window_start(taus, np.min(modes.rates, initial=np.inf))
-    grid, cut = _cycle_cut(_cycle_grid(gammaT), taus, start)
-    last, steps = grid[cut], grid.size - 1
-    off = taus > last
-    h = np.concatenate([np.diff(grid), taus[off] - last[off]])
-    nodes = np.concatenate([grid[:-1], last[off]])[:, None] + h[:, None] * _GL3_NODES
+    record = _CycleRecord(modes, gauges)
+    return [(x, h0[:record.extent]) for x, h0 in zip(record.at(taus), record.h0)]
+
+
+def _partial_step(
+    modes: _KernelModes,
+    nodes: np.ndarray,
+    xs: Sequence[np.ndarray],
+    taus: np.ndarray,
+    gauges: Sequence[Gauge | None] = (None,),
+    lead: Sequence[float] = (),
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per frame, the kernel blocks at ``taus`` by one partial step from the node at or below each.
+
+    ``xs`` holds per frame of ``gauges`` the blocks at the sorted ``nodes``,
+    up to the node of the latest time.  Each time steps from its node to
+    itself, the decay exact (``_gl3_steps``), and the step's affine map acts
+    on the node's block (``_affine``); a time on a node takes a step of
+    length 0, which returns the node's block.  Per frame it also returns the
+    dark blocks of H at the 1-D array of times ``lead``, from the same
+    ``_node_blocks`` call.
+    """
+    k = np.searchsorted(nodes, taus, side="right") - 1
+    steps = _gl3_steps(modes, nodes[k], taus - nodes[k], gauges, lead)
+    return [(_affine(maps, x[k]), dark[:len(lead)]) for x, (maps, dark) in zip(xs, steps)]
+
+
+def _gl3_steps(
+    modes: _KernelModes,
+    starts: np.ndarray,
+    h: np.ndarray,
+    gauges: Sequence[Gauge | None] = (None,),
+    lead: Sequence[float] = (),
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per frame, the maps of kernel steps of lengths h from the times ``starts``, and dark blocks of H.
+
+    H is evaluated at the times ``lead`` and then at the three Gauss-Legendre
+    nodes of each step (``_GL3_NODES``), in one ``_node_blocks`` call for all
+    frames of ``gauges``.  Returns per frame the steps' affine maps
+    (``_step_maps``; in a gauge frame one per (mode, drive row) pair) and the
+    dark blocks at the lead times and then at the nodes, 3 per step.
+    """
+    nodes = starts[:, None] + h[:, None] * _GL3_NODES
+    phases = np.concatenate([lead, nodes.ravel()]) / modes.protocol.gammaT
     frames = []
-    for (drives, h0), gauge in zip(_node_blocks(modes, nodes.ravel() / gammaT, gauges), gauges):
-        drives = drives.reshape(nodes.shape + drives.shape[1:])
+    for (drives, dark), gauge in zip(_node_blocks(modes, phases, gauges), gauges):
+        drives = drives[len(lead):].reshape(nodes.shape + drives.shape[1:])
         if gauge is not None:
             drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
-        maps = _step_maps(modes, h, drives)
-        xs = _kernel_grid(maps[:steps])[cut]
-        partial = maps[steps:]
-        xs[off] = partial[..., :1] * xs[off] + partial[..., 1:]
-        frames.append((xs, h0.reshape(nodes.shape + h0.shape[1:])[:steps, 1]))
+        frames.append((_step_maps(modes, h, drives), dark))
     return frames
 
 
+def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The affine maps [decay | gain] along the last axis of ``maps`` applied to blocks x."""
+    return maps[..., :1] * x + maps[..., 1:]
+
+
 #: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step; the
-#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_kernel_at``)
+#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_CycleRecord.grow``)
 _GL3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 #: column i: coefficients of 1, u, u^2 in the Lagrange basis polynomial of node i
 _GL3_LAGRANGE = np.linalg.inv(np.vander(_GL3_NODES, 3, increasing=True))
@@ -969,19 +1040,19 @@ def _decay_weights(z: np.ndarray) -> np.ndarray:
     return moments @ _GL3_LAGRANGE
 
 
-def _kernel_grid(maps: np.ndarray) -> np.ndarray:
-    """Kernel blocks at the points of grids by the per-mode exponential recurrence, from zero.
+def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Kernel blocks at the points of grids by the per-mode exponential recurrence, from ``start``.
 
     ``maps`` holds the affine maps [decay | gain] of the grids' steps along
     axis 0 (``_step_maps``); further axes index independent grids of the
     same step count, or (mode, drive row) pairs.  The maps are
-    prefix-composed by one scan.  Returns the blocks at the steps + 1
-    points, (points, ..., nb, d) or (points, nb, nb, d) for pairs; the
-    block at the first point is zero.
+    prefix-composed by one scan and applied to ``start``, the blocks at the
+    first point (``_affine``).  Returns the blocks at the steps + 1 points,
+    (points, ..., nb, d) or (points, nb, nb, d) for pairs.
     """
-    maps = _scan(maps, _compose_affine)
-    xs = np.zeros((maps.shape[0] + 1,) + maps.shape[1:-1] + (maps.shape[-1] - 1,), dtype=complex)
-    xs[1:] = maps[..., 1:]
+    xs = np.empty((maps.shape[0] + 1,) + maps.shape[1:-1] + (maps.shape[-1] - 1,), dtype=complex)
+    xs[0] = start
+    xs[1:] = _affine(_scan(maps, _compose_affine), start)
     return xs
 
 
@@ -1023,8 +1094,8 @@ def reconstruct_full_state(
 
     Embedding plus the commutator correction -i eps [C_tau, .] and the
     second-order correction eps^2 D_C, the dissipator of the Hermitian C; with
-    ``source="integral"`` C_tau comes from the exact-decay recurrence along
-    the cycle grid cut at tau, ended by one partial step to it (``_x_of``).
+    ``source="integral"`` C_tau is read off the protocol's cycle record, ended
+    by one partial step to a tau off its nodes (``_x_of``).
     Returns (state, trace_correction); the trace is renormalized and the
     removed magnitude reported.  An array of times raises ValueError before
     any kernel work.

@@ -209,12 +209,15 @@ class Protocol:
     phases from 0 to 1, and reads U(0) = 1, cyclicity and unitarity off it.
 
     ``_cycle_records`` holds at most one cycle record of the reduced theory
-    (``effective._cycle_record``): the kernel pass over the cycle grid that
-    the reduced propagator, the end-of-cycle formula and eq. 12 read.  It is
-    built on first use, keyed by the content of the dark basis and of
-    ``L_rot``, and replaced when another dark space asks.  It lives as long
-    as the protocol; ``with_gammaT`` and ``dataclasses.replace`` start with
-    none.  It takes no part in the constructor, the repr or equality.
+    (``effective._cycle_record``): the memory kernel at the cycle-grid nodes
+    that the per-tau queries, the reduced propagator, the end-of-cycle
+    formula and eq. 12 read.  It is made on first use, keyed by the content
+    of the dark basis and of ``L_rot``, and replaced when another dark space
+    asks; it starts empty and grows by fixed chunks of cycle steps as far as
+    its readers ask.  It lives as long as the protocol and holds the
+    protocol only weakly, so the protocol is freed with its record when its
+    last reference goes; ``with_gammaT`` and ``dataclasses.replace`` start
+    with none.  It takes no part in the constructor, the repr or equality.
     """
 
     dim: int

@@ -495,18 +495,21 @@ class TestSweep:
         assert all(np.array_equal(np.array(final), start) for final in result.final_states)
 
     def test_one_kernel_pass_per_gammaT(self, monkeypatch):
-        # the reduced run builds the cycle record of each gammaT's protocol and
-        # eq. 12 reads it: one pass over the 2,049 cycle nodes per gammaT
-        passes = []
-        kernel_at = eff._kernel_at
+        # the reduced run grows the cycle record of each gammaT's protocol over
+        # the whole cycle, and eq. 12 reads it: one pass over the 2,049 cycle
+        # nodes per gammaT
+        grown = []
+        grow = eff._CycleRecord.grow
 
-        def counted(modes, taus, gauges=(None,)):
-            passes.append((modes.protocol.gammaT, taus.size))
-            return kernel_at(modes, taus, gauges)
+        def spied(record, k):
+            first = record.extent
+            grow(record, k)
+            if record.extent > first:
+                grown.append((record.modes.protocol.gammaT, first, record.extent))
 
-        monkeypatch.setattr(eff, "_kernel_at", counted)
+        monkeypatch.setattr(eff._CycleRecord, "grow", spied)
         convergence_sweep(spin32_protocol(linear_path(1, 0), 200.0), [100.0, 200.0], (0.0, 0.0, 1.0))
-        assert passes == [(100.0, 2049), (200.0, 2049)]
+        assert grown == [(100.0, 0, 2048), (200.0, 0, 2048)]
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import re
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -677,41 +679,44 @@ class TestBatchedOracle:
         with pytest.raises(ConvergenceError, match=r"tau in \[0, 12\]"):
             x_tau_integral(spin32_linear, spin32_ds, np.array([3.0, 12.0]))
 
-    @pytest.mark.parametrize("tau, first, last", [(150.0, 921, 1536), (100.3, 412, 1027),
-                                                  (60.0, 0, 614), (12.0, 0, 122)])
-    def test_recurrence_starts_at_the_window(self, monkeypatch, spin32_linear, spin32_ds,
-                                             tau, first, last):
-        # the cycle grid 200 linspace(0, 1, 2049) from the node at or below
-        # max(0, tau - 2 * 90 / 3) to the last node at or below tau, scanned
-        # once, then one partial Gauss-Legendre step to tau (none at the node 150)
-        cuts, phases, scans = [], [], []
-        cycle_cut, blocks, scan = eff._cycle_cut, eff._node_blocks, eff._kernel_grid
-
-        def spied_cut(*args):
-            cuts.append(cycle_cut(*args))
-            return cuts[-1]
+    @pytest.mark.parametrize("tau, last, chunks", [(150.0, 1536, 6), (100.3, 1027, 5),
+                                                   (60.0, 614, 3), (12.0, 122, 1)])
+    def test_recurrence_grows_by_chunks_from_node_zero(self, monkeypatch, spin32_ds,
+                                                       tau, last, chunks):
+        # the cycle grid 200 linspace(0, 1, 2049) from zero at node 0, in chunks
+        # of 256 steps up to the one that holds the last node at or below tau,
+        # one scan per chunk from the block at its first node, then one partial
+        # Gauss-Legendre step to tau (none at the node 150)
+        proto = spin32_protocol(linear_path(1, 0), 200.0)
+        phases, starts = [], []
+        blocks, scan = eff._node_blocks, eff._kernel_grid
 
         def spied_blocks(modes, s, *args, **kwargs):
             phases.append(s)
             return blocks(modes, s, *args, **kwargs)
 
-        def spied_scan(maps, *args, **kwargs):
-            scans.append(maps.shape[0])
-            return scan(maps, *args, **kwargs)
+        def spied_scan(maps, start):
+            starts.append((maps.shape[0], start.copy()))
+            return scan(maps, start)
 
-        monkeypatch.setattr(eff, "_cycle_cut", spied_cut)
         monkeypatch.setattr(eff, "_node_blocks", spied_blocks)
         monkeypatch.setattr(eff, "_kernel_grid", spied_scan)
-        reconstruct_full_state(np.eye(2) / 2, spin32_linear, spin32_ds, tau)
+        reconstruct_full_state(np.eye(2) / 2, proto, spin32_ds, tau)
         cycle = 200.0 * np.linspace(0.0, 1.0, 2049)
-        (grid, cut), = cuts
-        assert np.array_equal(grid, cycle[first:last + 1]) and cut == [last - first]
-        assert scans == [last - first]
-        partial = tau != cycle[last]
-        assert len(phases) == 1 and phases[0].size == 3 * (last - first + partial)
+        record, = proto._cycle_records.values()
+        assert record.extent == 256 * chunks
+        assert [steps for steps, _ in starts] == [256] * chunks
+        assert not starts[0][1].any()
+        for c, (_, start) in enumerate(starts):
+            assert np.array_equal(start, record.xs[0][256 * c])
+            nodes = cycle[256 * c:256 * (c + 1), None] + np.diff(
+                cycle[256 * c:256 * (c + 1) + 1])[:, None] * eff._GL3_NODES
+            assert np.array_equal(phases[c], nodes.ravel() / 200.0)
+        partial = bool(tau != cycle[last])
+        assert [s.size for s in phases] == [768] * chunks + [3] * partial
         if partial:
             nodes = cycle[last] + (tau - cycle[last]) * eff._GL3_NODES
-            assert 200.0 * phases[0][-3:] == pytest.approx(nodes, rel=1e-14)
+            assert 200.0 * phases[-1] == pytest.approx(nodes, rel=1e-14)
 
 
 #: the cycle grid at gammaT 200, whose nodes the per-tau recurrence steps
@@ -785,9 +790,12 @@ class TestPerTauBatch:
                 effective_jump(spin32_linear, spin32_ds, np.array(taus), source=source)
 
     def test_criterion_5_evaluates_each_node_once(self, monkeypatch):
-        # three Gauss-Legendre nodes on each of the 204 cycle steps below
-        # tau = 20 and on each of the 81 partial steps, in one call: at most
-        # 3 (204 + 81) = 855 phases (25,002 with one uniform grid per tau)
+        # the first chunk of the protocol's cycle record, the three
+        # Gauss-Legendre nodes of each of its 256 cycle steps (tau = 20 lies
+        # between nodes 204 and 205), then one partial step for each of the
+        # 77 times off the nodes (0, 6.25, 12.5 and 18.75 are nodes):
+        # 768 + 231 = 999 phases in two calls (855 in one when each query cut
+        # its own grid at the kernel window, 25,002 with one uniform grid per tau)
         import darklind.checks
 
         phases = []
@@ -800,7 +808,7 @@ class TestPerTauBatch:
         monkeypatch.setattr(eff, "_node_blocks", spied)
         result = darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
         assert result.passed and result.detail["max_deviation"] <= 1e-14
-        assert len(phases) == 1 and sum(phases) <= 855
+        assert phases == [768, 231]
 
 
 @pytest.mark.parametrize("query", [
@@ -834,7 +842,7 @@ def test_per_tau_queries_reject_tau_outside_the_cycle(spin32_linear, spin32_ds, 
 def test_one_tau_queries_name_an_array_tau(monkeypatch, spin32_linear, spin32_ds, query):
     # the shape is named before any kernel work: no U call, no kernel pass
     proto, calls = counting_u(spin32_linear)
-    monkeypatch.setattr(eff, "_kernel_at", None)
+    monkeypatch.setattr(eff, "_cycle_record", None)
     with pytest.raises(ValueError, match=r"tau must be one time, got shape \(2,\)"):
         query(proto, spin32_ds, np.array([1.0, 2.0]))
     assert calls == []
@@ -899,17 +907,19 @@ def sequential_kernel(rates, taus, drives, start):
 
 class TestKernelScan:
     def test_matches_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
-        # three graded, non-uniform grids side by side, each from zero
+        # three graded, non-uniform grids side by side, two from zero and one
+        # from a carried block
         modes = eff._KernelModes(spin32_linear, spin32_ds)
         nb, d, steps = modes.rates.size, spin32_ds.d, 300
         u = np.linspace(0.0, 1.0, steps + 1)[:, None]
         taus = np.array([0.0, 20.0, 150.0]) + np.array([40.0, 7.0, 50.0]) * u ** [2.0, 1.5, 3.0]
         drives = rng.normal(size=(steps, 3, 3, nb, d)) + 1j * rng.normal(size=(steps, 3, 3, nb, d))
-        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives))
+        start = np.zeros((3, nb, d), dtype=complex)
+        start[1] = rng.normal(size=(nb, d)) + 1j * rng.normal(size=(nb, d))  # a carried block
+        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives), start)
         assert xs.shape == (steps + 1, 3, nb, d)
         for p in range(3):
-            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p],
-                                         np.zeros((nb, d), dtype=complex))
+            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p], start[p])
             assert np.abs(xs[:, p] - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_mode_row_pairs_match_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
@@ -917,8 +927,9 @@ class TestKernelScan:
         nb, d, steps = modes.rates.size, spin32_ds.d, 257
         taus = 30.0 * np.linspace(0.0, 1.0, steps + 1) ** 2
         drives = rng.normal(size=(steps, 3, 1, nb, d)) + 1j * rng.normal(size=(steps, 3, 1, nb, d))
-        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives))
-        expected = sequential_kernel(modes.rates, taus, drives, np.zeros((nb, nb, d), dtype=complex))
+        start = np.zeros((nb, nb, d), dtype=complex)
+        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives), start)
+        expected = sequential_kernel(modes.rates, taus, drives, start)
         assert xs.shape == expected.shape
         assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -1222,6 +1233,95 @@ class TestCycleRecord:
             end_of_cycle_state(self.RHO, proto, ds, method="formula")
         record, = proto._cycle_records.values()
         assert np.array_equal(record.modes.basis, other.basis)
+
+
+class TestRecordGrowth:
+    """The protocol's cycle record grown on demand by the per-tau queries, on the gammaT 200 cycle."""
+
+    RHO = dark_state_from_bloch((0.0, 0.6, 0.8))
+
+    @staticmethod
+    def fresh():
+        return spin32_protocol(smoothstep_path(1, 1), 200.0)
+
+    def test_blocks_do_not_depend_on_the_growth_order(self, spin32_ds):
+        # tau = 20 grows one chunk, tau = 150 six, the end-of-cycle formula all eight
+        orders = {
+            "20 first": (20.0, 150.0, None),
+            "150 first": (150.0, 20.0, None),
+            "whole first": (None, 150.0, 20.0),
+        }
+        grown = {}
+        for name, order in orders.items():
+            proto = self.fresh()
+            jumps = {}
+            for tau in order:
+                if tau is None:
+                    end_of_cycle_state(self.RHO, proto, spin32_ds, method="formula")
+                else:
+                    jumps[tau] = effective_jump(proto, spin32_ds, np.array([tau, tau - 0.01]))
+            record, = proto._cycle_records.values()
+            assert record.extent == 2048
+            grown[name] = record.xs[0], jumps
+        (xs, jumps), *others = grown.values()
+        for other_xs, other_jumps in others:
+            assert np.array_equal(other_xs, xs)
+            for tau in jumps:
+                assert np.array_equal(other_jumps[tau], jumps[tau])
+
+    @pytest.mark.parametrize("name", list(RECORD_READERS))
+    def test_a_record_grown_by_a_query_gives_a_fresh_protocols_outputs(self, spin32_ds, name):
+        # the reduced propagator, the end-of-cycle formula and eq. 12 grow on
+        # from the chunk a per-tau query built
+        grown = self.fresh()
+        effective_jump(grown, spin32_ds, 20.0)
+        read = RECORD_READERS[name]
+        assert np.array_equal(read(grown, spin32_ds, self.RHO), read(self.fresh(), spin32_ds, self.RHO))
+
+    @pytest.mark.parametrize("taus", [25.0, np.linspace(0.0, 25.0, 11), np.array([3.0, 24.9])],
+                             ids=["node-256", "batch", "off-node"])
+    def test_an_early_query_grows_one_chunk(self, spin32_ds, taus):
+        # tau = 25 is node 256, the last node of the first chunk
+        proto = self.fresh()
+        effective_jump(proto, spin32_ds, taus)
+        record, = proto._cycle_records.values()
+        assert record.extent == 256
+
+    def test_a_query_inside_the_record_evaluates_only_its_partial_steps(
+        self, monkeypatch, spin32_ds
+    ):
+        # after the first query's chunk, an off-node time costs the three nodes
+        # of its partial step, a node time (node 100) nothing, an empty array nothing
+        proto = self.fresh()
+        effective_jump(proto, spin32_ds, 20.0)
+        phases = []
+        blocks = eff._node_blocks
+
+        def spied(modes, s, *args, **kwargs):
+            phases.append(np.size(s))
+            return blocks(modes, s, *args, **kwargs)
+
+        monkeypatch.setattr(eff, "_node_blocks", spied)
+        effective_jump(proto, spin32_ds, 7.3)
+        assert phases == [3]
+        effective_jump(proto, spin32_ds, float(200.0 * np.linspace(0.0, 1.0, 2049)[100]))
+        c_tau(proto, spin32_ds, np.array([]))
+        assert phases == [3]
+
+    def test_a_protocol_with_a_record_is_freed_without_the_cycle_collector(self, spin32_ds):
+        # the record holds its protocol weakly: no reference cycle keeps it alive
+        proto = self.fresh()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            effective_jump(proto, spin32_ds, 5.0)
+            assert len(proto._cycle_records) == 1
+            alive = weakref.ref(proto)
+            del proto
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestCoerceDarkState:

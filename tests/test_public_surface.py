@@ -104,8 +104,9 @@ def test_lab_frame_only_in_the_cross_checks(module):
 
 
 def test_one_kernel_recurrence():
-    # the reduced propagator reads its kernel off the cycle-grid node blocks of
-    # ``_kernel_at``, the one caller of the recurrence, and carries no kernel start
+    # the reduced propagator reads its kernel off the node blocks of the cycle
+    # record, whose growth (``_CycleRecord.grow``) is the one caller of the
+    # recurrence, and carries no kernel start
     tree = ast.parse(Path(importlib.import_module("darklind.effective").__file__).read_text())
     callers = {
         outer.name
@@ -114,7 +115,7 @@ def test_one_kernel_recurrence():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         and node.func.id == "_kernel_grid"
     }
-    assert callers == {"_kernel_at"}
+    assert callers == {"grow"}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.name for node in ast.walk(tree)
@@ -143,7 +144,7 @@ def callers_of(defs: dict, callee: str) -> set:
 
 
 #: the functions that run or read the cycle series, apart from the record
-CYCLE_SERIES = {"_kernel_at", "_frame_jumps", "_cycle_pass", "_frame_series", "_CycleRecord"}
+CYCLE_SERIES = {"_kernel_at", "_frame_jumps", "_frame_series", "_CycleRecord"}
 
 
 @pytest.mark.parametrize("module, reader", [
@@ -160,11 +161,43 @@ def test_cycle_series_read_through_the_record(module, reader):
 
 
 def test_record_and_frame_jumps_share_one_builder():
-    # the record and the gauge check's ``_frame_jumps`` run one cycle pass
-    # (``_cycle_pass``) and form one frame series (``_frame_series``); the other
-    # kernel pass is the per-tau queries' (``_x_of``)
+    # the protocol's record and the gauge check's ``_frame_jumps`` (through
+    # ``_kernel_at``, a fresh record in its frames) grow one kind of record
+    # and form one frame series (``_frame_series``); the per-tau queries
+    # (``_x_of``) read the protocol's record
     defs = top_level_defs("effective")
-    for builder in ("_cycle_pass", "_frame_series"):
-        assert callers_of(defs, builder) == {"_CycleRecord", "_frame_jumps"}, builder
-    assert callers_of(defs, "_kernel_at") == {"_cycle_pass", "_x_of"}
-    assert callers_of(defs, "_CycleRecord") == {"_cycle_record"}
+    assert callers_of(defs, "_frame_series") == {"_CycleRecord", "_frame_jumps"}
+    assert callers_of(defs, "_kernel_at") == {"_frame_jumps"}
+    assert callers_of(defs, "_CycleRecord") == {"_cycle_record", "_kernel_at"}
+    assert callers_of(defs, "_cycle_record") == {"_x_of", "_MagnusPropagator",
+                                                 "end_of_cycle_state"}
+
+
+def is_affine_update(node: ast.AST) -> bool:
+    """Whether ``node`` is ``m[..., :1] * x + m[..., 1:]``, an affine map [decay | gain] applied."""
+    def last_axis_slice(sub, lower, upper):
+        return (isinstance(sub, ast.Subscript) and isinstance(sub.slice, ast.Tuple)
+                and isinstance(sub.slice.elts[-1], ast.Slice)
+                and ast.literal_eval(sub.slice.elts[-1].lower or ast.Constant(None)) == lower
+                and ast.literal_eval(sub.slice.elts[-1].upper or ast.Constant(None)) == upper)
+
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and last_axis_slice(node.left.left, None, 1)
+            and last_axis_slice(node.right, 1, None))
+
+
+def test_one_partial_step_and_one_recurrence_driver():
+    # the affine update that ends every partial step, and starts every chunk of
+    # the recurrence from its carried block, is written once (``_affine``); the
+    # scan has one caller, the record's growth; the per-tau queries read the
+    # protocol's record and run no kernel pass of their own
+    defs = top_level_defs("effective")
+    owners = [name for name, node in defs.items() for n in ast.walk(node) if is_affine_update(n)]
+    assert owners == ["_affine"]
+    assert callers_of(defs, "_affine") == {"_partial_step", "_kernel_grid"}
+    assert callers_of(defs, "_partial_step") == {"_CycleRecord", "_MagnusPropagator"}
+    assert callers_of(defs, "_kernel_grid") == {"_CycleRecord"}
+    names = names_in(defs["_x_of"])
+    assert "_cycle_record" in names
+    assert names & {"_kernel_at", "_KernelModes", "_partial_step"} == set()
