@@ -18,7 +18,6 @@ import numpy as np
 from . import effective as eff
 from .effective import (
     DarkSpace,
-    berry_holonomy,
     dark_space,
     embed_dark,
     evolve_effective,
@@ -135,15 +134,16 @@ def purity_prediction_general(
 
     Gamma_0 - (2 / gammaT^2) * int_0^gammaT Tr([rho, l^dag] l rho) dtau with
     l = V^dag ell V, the frame jump series on the cycle grid, read off the
-    protocol's cycle record (``eff._cycle_record``): built by the first of
-    this, ``evolve_effective`` or the end-of-cycle formula on the protocol
-    and dark space, and shared by the others.  rho stays frozen at its
-    initial value, which is the order the reduced theory controls.  Since
+    plain frame of the protocol's cycle record (``eff._cycle_record``,
+    ``frames[0]``): built by the first of this, ``evolve_effective`` or the
+    end-of-cycle formula on the protocol and dark space, and shared by the
+    others.  rho stays frozen at its initial value, which is the order the
+    reduced theory controls.  Since
     Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is the Simpson
     sum of D_l(rho) that the end-of-cycle formula takes too (``_frozen_purity``).
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    l, _ = eff._cycle_record(protocol, ds).frame
+    l, _ = eff._cycle_record(protocol, ds).frames[0]
     return _frozen_purity(rho_d, l, protocol.gammaT)
 
 
@@ -285,9 +285,10 @@ def gauge_covariance_check(
     gamma T grows, and ``defect_ratio`` is the larger duration's over the
     smaller's), and the end-of-cycle purity prediction of eq. 12 computed in both
     gauges from the frame jump l over the cycle (``_frozen_purity``).  Per
-    gamma T one pass of the exact-decay recurrence along the cycle grid,
-    then on to the tau fractions (``eff._frame_jumps``), gives both, plain
-    and gauged, on one evaluation of the Hamiltonian per node for both frames.
+    gamma T one fresh cycle record in both frames (``eff._frame_jumps``)
+    gives both, plain and gauged: ell at the tau fractions by one partial
+    step each, and l over the whole cycle grid, on one evaluation of the
+    Hamiltonian per node for both frames.
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -396,7 +397,10 @@ def convergence_sweep(
     state, next to the effective equation.  U closes to a phase at gamma T,
     so the end state is the lab-frame one: the sweep records its purity
     loss, the loss of the effective equation's end state and the distance
-    between the two dark blocks, and that of the unitary-only truncation.
+    between the two dark blocks, and that of the unitary-only truncation,
+    whose holonomy V_end is read off the cycle record that the effective
+    run grew and eq. 12 reads (``eff._cycle_record``), so the drive is
+    evaluated along the cycle once per cycle duration.
     Fits log-log slopes.  Per-point numerical failures are recorded with
     their tau and the sweep continues; if fewer than two cycle durations
     survive, the last failure is raised.
@@ -423,7 +427,7 @@ def convergence_sweep(
         finals.append(tuple(map(tuple, final.tolist())))
         losses_reduced.append(1.0 - comparison.puritys_effective[-1])
         errors.append(comparison.final_distance)
-        v_end = berry_holonomy(proto, ds, gammaT)
+        _, v_end = eff._cycle_record(proto, ds).frames[0]
         end_dd = comparison.dark_states[-1]
         first_errors.append(trace_distance(end_dd, v_end @ rho_d @ dagger(v_end)))
         losses12.append(1.0 - purity_prediction_general(rho_d, proto, ds))

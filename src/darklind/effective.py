@@ -87,8 +87,8 @@ _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
 #: nodes of every cycle record (``_CycleRecord``), so of every kernel query, of
-#: the frame jump series and its frozen-state integral, and, cut at tau, of the
-#: holonomy
+#: the frame jump series and V_end (``_CycleRecord.frames``) and its frozen-state
+#: integral, and, cut at tau, of the holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
 _FD_STEP = 0.05
@@ -700,7 +700,7 @@ class _MagnusPropagator:
         """
         record = self.record
         (x, dark), = _partial_step(self.modes, record.nodes, record.xs, t, lead=t)
-        return dark, _gemm(self.modes.reduce_jump, x)
+        return dark, _jumps(self.modes, t, x)
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -756,7 +756,7 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    l, v_end = _cycle_record(protocol, ds).frame
+    l, v_end = _cycle_record(protocol, ds).frames[0]
     return v_end @ (rho_d + eps**2 * _frozen_dissipator(rho_d, l, protocol.gammaT)) @ dagger(v_end)
 
 
@@ -768,40 +768,19 @@ def _frame_jumps(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The effective jump at ``taus``, the frame jump l over the cycle and V_end, per frame.
 
-    One ``_kernel_at`` pass at the cycle nodes, the exact array
-    ``_cycle_grid`` returns so that every node is read and none is stepped
-    to, followed by the 1-D array ``taus``, in the frame of each of
-    ``gauges`` (None for none); H is evaluated once per kernel node for all
-    frames.  Per frame it returns ell_tau at ``taus``, the (n, d, d) stack,
-    and the cycle series of ``_frame_series``: l = V^dag ell V at the cycle
-    nodes and V at the end of the cycle.  The gauge check calls it; the
-    None-frame series, which eq. 12 and the end-of-cycle formula read, comes
-    from the same record growth and ``_frame_series`` through the protocol's
-    cycle record (``_cycle_record``), bit for bit.  A tau outside [0, gammaT]
-    (1e-9 slack above) raises ValueError naming it.
+    One fresh cycle record in the frame of each of ``gauges`` (None for
+    none), so H is evaluated once per kernel node for all frames: per frame
+    ell_tau at the 1-D array ``taus``, the (n, d, d) stack
+    (``_CycleRecord.jumps``), and l = V^dag ell V at the cycle nodes with V at
+    the end of the cycle (``_CycleRecord.frames``).  The gauge check calls
+    it; eq. 12 and the end-of-cycle formula read the None frame off the
+    protocol's cycle record (``_cycle_record``), bit for bit the same.  A tau
+    outside [0, gammaT] (1e-9 slack above) raises ValueError naming it.
     """
     taus = np.asarray(taus, dtype=float)
     _check_taus(protocol, taus)
-    modes = _KernelModes(protocol, ds)
-    times = np.concatenate([_cycle_grid(protocol.gammaT), taus])
-    frames = _kernel_at(modes, times, gauges)
-    return [_frame_series(modes, times, xs, h0, gauge) for (xs, h0), gauge in zip(frames, gauges)]
-
-
-def _frame_series(
-    modes: _KernelModes, times: np.ndarray, xs: np.ndarray, h0: np.ndarray, gauge: Gauge | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ell past the cycle nodes, l = V^dag ell V at them and V_end, from one frame's kernel blocks.
-
-    ``times`` starts with the cycle nodes; ell comes from the kernel blocks
-    ``xs`` at ``times`` (``_jumps``), and V_tau, the holonomy co-moving with
-    it, from the midpoint rule on ``h0``, the dark block at each cycle step's
-    middle kernel node (``ordered_exponential``).
-    """
-    nodes = _FROZEN_GRID + 1
-    ells = _jumps(modes, times, xs, gauge)
-    vs = ordered_exponential(-1j * h0, times[:nodes] / modes.protocol.gammaT)
-    return ells[nodes:], dagger(vs) @ ells[:nodes] @ vs, vs[-1].copy()
+    record = _CycleRecord(_KernelModes(protocol, ds), gauges)
+    return [(ell, l, v_end) for ell, (l, v_end) in zip(record.jumps(taus), record.frames)]
 
 
 class _CycleRecord:
@@ -816,15 +795,20 @@ class _CycleRecord:
     block at the previous chunk's last node.  The chunk bounds are fixed, so
     the blocks are the same bits whatever the order in which readers grew
     the record.  Times off the nodes take one partial step each (``at``).
+    The grid only has to resolve the drive, whatever a step's rate h: 2048
+    steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
+    to 1e-13.
 
+    Every reader of the cycle series reads it here, in every frame: the
+    kernel blocks (``at``), ell at any times (``jumps``), and the frame
+    series l = V^dag ell V at the nodes with V_end (``frames``).
     ``_cycle_record`` keeps the plain-frame record of a protocol on the
     protocol, where the per-tau queries, the reduced propagator, the
-    end-of-cycle formula and eq. 12 share it; ``frame``, the pair (l, V_end)
-    of ``_frame_series``, grows it to the whole cycle on its first read and
-    then lets go of the midpoint blocks, which only it reads.  The record
-    holds its protocol by a weak reference only (``_KernelModes``), so the
-    protocol is freed, with its record, when its last reference goes.
-    ``_kernel_at`` grows a fresh record in any frames.
+    end-of-cycle formula, eq. 12 and the sweep's first-order distance share
+    it; the gauge check grows a fresh record in both of its frames
+    (``_frame_jumps``).  The record holds its protocol by a weak reference
+    only (``_KernelModes``), so the protocol is freed, with its record, when
+    its last reference goes.
     """
 
     def __init__(self, modes: _KernelModes, gauges: Sequence[Gauge | None] = (None,)):
@@ -868,13 +852,28 @@ class _CycleRecord:
                 x[off] = stepped
         return found
 
+    def jumps(self, taus: np.ndarray) -> list[np.ndarray]:
+        """Per frame, ell at the 1-D array of times ``taus`` (``at``, then ``_jumps``), (n, d, d)."""
+        return [_jumps(self.modes, taus, x, gauge) for x, gauge in zip(self.at(taus), self.gauges)]
+
     @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """l = V^dag ell V at the cycle nodes and V at the end of the cycle, in the first frame."""
+    def frames(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per frame, l = V^dag ell V at the cycle nodes and V at the end of the cycle.
+
+        Formed on first read: the record grows to the whole cycle, ell comes
+        from the node blocks (``_jumps``) and V_tau, the holonomy co-moving
+        with it, from the midpoint rule on the dark block at each cycle
+        step's middle Gauss node (``ordered_exponential``).  The record then
+        lets go of those midpoint blocks, which only this reads.
+        """
         self.grow(_FROZEN_GRID)
-        _, l, v_end = _frame_series(self.modes, self.nodes, self.xs[0], self.h0[0], self.gauges[0])
-        self.h0 = None  # the record is whole, and only the frame reads the midpoint blocks
-        return l, v_end
+        found = []
+        for xs, h0, gauge in zip(self.xs, self.h0, self.gauges):
+            ells = _jumps(self.modes, self.nodes, xs, gauge)
+            vs = ordered_exponential(-1j * h0, self.nodes / self.modes.protocol.gammaT)
+            found.append((dagger(vs) @ ells @ vs, vs[-1].copy()))
+        self.h0 = None
+        return found
 
 
 def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
@@ -911,7 +910,7 @@ def _jumps(
     [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
     if gauge is None:
-        return modes.reduce_jump @ xs
+        return _gemm(modes.reduce_jump, xs)
 
     def to_jump(t, x):
         w = gauge(t / modes.protocol.gammaT)[0]
@@ -919,32 +918,6 @@ def _jumps(
         return modes.reduce_jump @ x @ project_dark(modes.ds, w)
 
     return _blockwise(to_jump, (modes.ds.d, modes.ds.d), taus, xs)
-
-
-def _kernel_at(
-    modes: _KernelModes, taus: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kernel blocks at a 1-D array of times, and H0 at the cycle steps' midpoints, per frame.
-
-    The blocks of a fresh cycle record in the frames of ``gauges``
-    (``_CycleRecord.at``): the exact-decay recurrence from zero at node 0
-    along the cycle grid, chunk by chunk, to the chunk that holds the last
-    node at or below the latest time; a time on a node reads that node's
-    block, and any other takes one partial step from the last node below
-    it.  The drive at the nodes comes from one ``_node_blocks`` call per
-    chunk for all frames.  The grid only has to resolve the drive, whatever
-    a step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match
-    the quadrature kernel to 1e-13.  Passed the cycle grid itself, the exact
-    array ``_cycle_grid`` returns, every cycle time is a node, and its
-    plain-frame blocks are the protocol's cycle record's (``_frame_jumps``).
-
-    Returns per frame (xs, h0): xs the (n, nb, d) blocks U_b^dag X_tau B, or
-    in a gauge frame the (n, nb, nb, d) blocks Y_ij (see ``_jumps``); h0 the
-    (steps, d, d) dark block of H at the midpoint of each cycle step grown.
-    An empty array of times gives empty stacks.
-    """
-    record = _CycleRecord(modes, gauges)
-    return [(x, h0[:record.extent]) for x, h0 in zip(record.at(taus), record.h0)]
 
 
 def _partial_step(

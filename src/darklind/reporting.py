@@ -56,10 +56,10 @@ def _atomic_write(path: Path, data: str) -> None:
 
 
 def resolve_inside(outdir: Path, name: str) -> Path:
-    """Artifact path confined to the output directory."""
+    """Artifact path confined to the output directory, the root directory included."""
     outdir = Path(outdir).resolve()
     target = (outdir / name).resolve()
-    if not str(target).startswith(str(outdir) + os.sep) and target != outdir:
+    if not target.is_relative_to(outdir):
         raise ValueError(f"artifact path {name!r} escapes the output directory")
     return target
 

@@ -388,22 +388,24 @@ class TestHamiltonianCalls:
         assert (len(calls), sum(calls)) == (24, 6144)
 
     def test_gauge_check_runs_one_kernel_pass_per_gammaT(self, monkeypatch):
-        # criterion 6's arguments: per gammaT one pass along the cycle grid's
-        # 6,144 kernel nodes and on to the 0.3 and 0.7 fractions' partial
-        # steps (0.5 is a node), 6,150 phases, plus 64 that with_gammaT
-        # samples; 21,026 phases in 84 calls with a second pass for the defects
+        # criterion 6's arguments: per gammaT one fresh record in both frames,
+        # grown along the cycle grid's 6,144 kernel nodes, and the 0.3 and 0.7
+        # fractions' partial steps (0.5 is a node), 6,150 phases, plus 64 that
+        # with_gammaT samples; 21,026 phases in 84 calls with a second pass
+        # for the defects
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
-        passes = []
-        kernel_at = eff._kernel_at
+        records = []
+        init = eff._CycleRecord.__init__
 
-        def counted(modes, taus, gauges=(None,)):
-            passes.append(modes.protocol.gammaT)
-            return kernel_at(modes, taus, gauges)
+        def counted(record, modes, gauges=(None,)):
+            init(record, modes, gauges)
+            records.append((modes.protocol.gammaT, record))
 
-        monkeypatch.setattr(eff, "_kernel_at", counted)
+        monkeypatch.setattr(eff._CycleRecord, "__init__", counted)
         gauge_covariance_check(proto, dark_space(proto.L_rot), (math.pi / 7.0) * SZ,
                                gammaT_pair=(100.0, 200.0))
-        assert passes == [100.0, 200.0]
+        assert [(g, len(r.gauges), r.extent) for g, r in records] == [(100.0, 2, 2048),
+                                                                      (200.0, 2, 2048)]
         assert (len(calls), sum(calls)) == (52, 12428)
 
 
@@ -532,9 +534,7 @@ class TestEffectiveJump:
         # (measured 7.1e-14 at 2049 points, 1.2e-8 at 257)
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         taus = np.linspace(0.0, 200.0, 2049)
-        modes = eff._KernelModes(proto, spin32_ds)
-        (xs, _), = eff._kernel_at(modes, taus)
-        ells = eff._jumps(modes, taus, xs)
+        ells, = eff._CycleRecord(eff._KernelModes(proto, spin32_ds)).jumps(taus)
         for k in (3, 512, 1100, 2048):
             x = x_tau_integral(proto, spin32_ds, taus[k])
             oracle = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis
@@ -1142,8 +1142,8 @@ class TestFrameJumps:
         fourier_path(1, 1, theta_knots=(0.17,), phi_knots=(-0.2,)),
     ], ids=["linear", "smoothstep", "fourier"])
     def test_jumps_at_taus_match_effective_jump(self, spin32_ds, path, gammaT):
-        # the taus after the cycle nodes read the same recurrence as the per-tau
-        # query from tau = 0 (measured equal on every case)
+        # a fresh record's partial steps to the taus read the same recurrence as
+        # the per-tau query off the protocol's record (measured equal on every case)
         proto = spin32_protocol(path, gammaT)
         taus = gammaT * np.array([0.0, 0.3, 0.5, 0.77, 1.0])
         (ells, l, v_end), = eff._frame_jumps(proto, spin32_ds, taus)
@@ -1194,9 +1194,9 @@ class TestCycleRecord:
         proto = self.fresh()
         RECORD_READERS["evolve"](proto, spin32_ds, self.RHO)
         record, = proto._cycle_records.values()
-        assert "frame" not in vars(record)
+        assert "frames" not in vars(record)
         RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
-        assert "frame" in vars(record)
+        assert "frames" in vars(record)
 
     @pytest.mark.parametrize("move", [
         lambda p: p.with_gammaT(400.0), lambda p: dataclasses.replace(p, gammaT=400.0),

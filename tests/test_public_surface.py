@@ -65,29 +65,32 @@ def test_phases_take_one_path(removed):
 @pytest.mark.parametrize("removed", ["_phase_grid", "_end_jumps", "_kernel_frames"])
 def test_per_tau_queries_share_the_cycle_grid(removed):
     # every per-tau query, the gauge check's defects and the frozen-state
-    # integral run on the cut cycle grid, through ``effective._kernel_at``
+    # integral read kernel blocks on the cycle grid, off a cycle record
+    # (``effective._CycleRecord``)
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
 
 
-@pytest.mark.parametrize(
-    "removed", ["_frozen_state_integral", "_dissipator_integral", "_purity_after"]
-)
+@pytest.mark.parametrize("removed", [
+    "_frozen_state_integral", "_dissipator_integral", "_purity_after", "_kernel_at", "_frame_series",
+])
 def test_one_frame_jump_series(removed):
     # eq. 12, the end-of-cycle formula and the gauge purities take one Simpson
-    # sum of D_l(rho) over the frame jump series of ``effective._frame_jumps``
+    # sum of D_l(rho) over one frame jump series, a cycle record's ``frames``
+    # (``effective._CycleRecord``), which also gives the sweep its V_end
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
 
 
 def test_analysis_names_no_kernel_driver_internals():
-    # the gauge check reads the kernel driver through ``effective._frame_jumps`` only
+    # the gauge check reads a fresh cycle record through ``effective._frame_jumps``,
+    # and eq. 12 and the sweep the protocol's through ``effective._cycle_record``
     tree = ast.parse(Path(importlib.import_module("darklind.analysis").__file__).read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for alias in node.names}
-    assert names & {"_KernelModes", "_kernel_at", "_jumps", "_check_taus"} == set()
+    assert names & {"_KernelModes", "_CycleRecord", "_jumps", "_check_taus"} == set()
 
 
 @pytest.mark.parametrize("module", ["analysis", "cli"])
@@ -143,34 +146,38 @@ def callers_of(defs: dict, callee: str) -> set:
                    for n in ast.walk(node))}
 
 
-#: the functions that run or read the cycle series, apart from the record
-CYCLE_SERIES = {"_kernel_at", "_frame_jumps", "_frame_series", "_CycleRecord"}
+#: the gauge check's reader of a fresh record, and the record itself
+CYCLE_SERIES = {"_frame_jumps", "_CycleRecord"}
 
 
 @pytest.mark.parametrize("module, reader", [
     ("effective", "_MagnusPropagator"),
     ("effective", "end_of_cycle_state"),
     ("analysis", "purity_prediction_general"),
+    ("analysis", "convergence_sweep"),
 ])
 def test_cycle_series_read_through_the_record(module, reader):
-    # the reduced propagator, the end-of-cycle formula and eq. 12 take the cycle
-    # series off the protocol's cycle record (``effective._cycle_record``) alone
+    # the reduced propagator, the end-of-cycle formula, eq. 12 and the sweep's
+    # V_end take the cycle series off the protocol's cycle record
+    # (``effective._cycle_record``) alone
     names = names_in(top_level_defs(module)[reader])
     assert "_cycle_record" in names
     assert names & CYCLE_SERIES == set()
 
 
 def test_record_and_frame_jumps_share_one_builder():
-    # the protocol's record and the gauge check's ``_frame_jumps`` (through
-    # ``_kernel_at``, a fresh record in its frames) grow one kind of record
-    # and form one frame series (``_frame_series``); the per-tau queries
-    # (``_x_of``) read the protocol's record
+    # the protocol's record and the gauge check's ``_frame_jumps`` (a fresh
+    # record in its frames) are one kind of record, read through its
+    # ``jumps`` and ``frames``; ell is formed from kernel blocks in one place
+    # (``_jumps``); the per-tau queries (``_x_of``) read the protocol's record
     defs = top_level_defs("effective")
-    assert callers_of(defs, "_frame_series") == {"_CycleRecord", "_frame_jumps"}
-    assert callers_of(defs, "_kernel_at") == {"_frame_jumps"}
-    assert callers_of(defs, "_CycleRecord") == {"_cycle_record", "_kernel_at"}
+    assert callers_of(defs, "_CycleRecord") == {"_cycle_record", "_frame_jumps"}
     assert callers_of(defs, "_cycle_record") == {"_x_of", "_MagnusPropagator",
                                                  "end_of_cycle_state"}
+    readers = {name for name, node in defs.items() for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr == "reduce_jump"
+               and isinstance(n.ctx, ast.Load)}
+    assert readers == {"_jumps"}
 
 
 def is_affine_update(node: ast.AST) -> bool:
@@ -200,4 +207,20 @@ def test_one_partial_step_and_one_recurrence_driver():
     assert callers_of(defs, "_kernel_grid") == {"_CycleRecord"}
     names = names_in(defs["_x_of"])
     assert "_cycle_record" in names
-    assert names & {"_kernel_at", "_KernelModes", "_partial_step"} == set()
+    assert names & {"_CycleRecord", "_KernelModes", "_partial_step"} == set()
+
+
+def test_every_private_definition_is_used():
+    # keep no dead code paths: every private top-level function and class of
+    # the package is named by package code outside its own definition, so a
+    # helper left with only test callers fails
+    package = Path(darklind.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
+    private = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert private
+    unused = [node.name for node in private
+              if not any(node.name in names_in(other)
+                         for tree in trees for other in tree.body if other is not node)]
+    assert unused == []
