@@ -133,23 +133,24 @@ def purity_prediction_general(
     """Purity after one cycle from the frozen-state commutator integral (eq. 12).
 
     Gamma_0 - (2 / gammaT^2) * int_0^gammaT Tr([rho, l^dag] l rho) dtau with
-    l = V^dag ell V, the frame jump series on the cycle grid, read off the
-    plain frame of the protocol's cycle record (``eff._cycle_record``,
-    ``frames[0]``): built by the first of this, ``evolve_effective`` or the
-    end-of-cycle formula on the protocol and dark space, and shared by the
-    others.  rho stays frozen at its initial value, which is the order the
-    reduced theory controls.  Since
-    Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is the Simpson
-    sum of D_l(rho) that the end-of-cycle formula takes too (``_frozen_purity``).
+    l = V^dag ell V, the frame jump series on the cycle grid.  Since
+    Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is the frozen-state
+    superoperator M = int D_l dtau (Simpson's rule on the cycle grid) applied
+    to rho, the linear map the end-of-cycle formula applies too
+    (``_frozen_purity``).  M is read off the plain frame of the protocol's
+    cycle record (``eff._cycle_record``, ``dissipators[0]``): built by the
+    first of this, ``evolve_effective`` or the end-of-cycle formula on the
+    protocol and dark space, and shared by the others.  rho stays frozen at
+    its initial value, which is the order the reduced theory controls.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    l, _ = eff._cycle_record(protocol, ds).frames[0]
-    return _frozen_purity(rho_d, l, protocol.gammaT)
+    m = eff._cycle_record(protocol, ds).dissipators[0]
+    return _frozen_purity(rho_d, m, protocol.gammaT)
 
 
-def _frozen_purity(rho_d: np.ndarray, l: np.ndarray, gammaT: float) -> float:
-    """Tr rho^2 + (2 / gammaT^2) Re Tr(rho int D_l(rho) dtau) for the frame jump l of eq. 12."""
-    total = eff._frozen_dissipator(rho_d, l, gammaT)
+def _frozen_purity(rho_d: np.ndarray, m: np.ndarray, gammaT: float) -> float:
+    """Tr rho^2 + (2 / gammaT^2) Re Tr(rho int D_l(rho) dtau) of eq. 12, from M = int D_l dtau."""
+    total = eff._frozen_dissipator(rho_d, m)
     return purity(rho_d) + (2.0 / gammaT**2) * float(np.trace(rho_d @ total).real)
 
 
@@ -284,11 +285,11 @@ def gauge_covariance_check(
     order whatever the order of ``gammaT_pair`` (the defect should shrink when
     gamma T grows, and ``defect_ratio`` is the larger duration's over the
     smaller's), and the end-of-cycle purity prediction of eq. 12 computed in both
-    gauges from the frame jump l over the cycle (``_frozen_purity``).  Per
-    gamma T one fresh cycle record in both frames (``eff._frame_jumps``)
-    gives both, plain and gauged: ell at the tau fractions by one partial
-    step each, and l over the whole cycle grid, on one evaluation of the
-    Hamiltonian per node for both frames.
+    gauges from the frozen-state superoperator M of the frame jump l over the
+    cycle (``_frozen_purity``).  Per gamma T one fresh cycle record in both
+    frames (``eff._frame_jumps``) gives both, plain and gauged: ell at the tau
+    fractions by one partial step each, and l and its M over the whole cycle
+    grid, on one evaluation of the Hamiltonian per node for both frames.
     """
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
@@ -302,9 +303,9 @@ def gauge_covariance_check(
         proto = protocol.with_gammaT(gammaT)
         taus = proto.gammaT * np.asarray(tau_fractions, dtype=float)
         frames = eff._frame_jumps(proto, ds, taus, (None, gauge))
-        (plain, _, _), (tilted, _, _) = frames
+        (plain, *_), (tilted, *_) = frames
         defects.append(float(_norms(tilted - plain).max(initial=0.0)))
-        purities.append(tuple(_frozen_purity(rho_d, l, proto.gammaT) for _, l, _ in frames))
+        purities.append(tuple(_frozen_purity(rho_d, m, proto.gammaT) for *_, m in frames))
     plain, tilted = zip(*purities)
 
     ratio = defects[-1] / defects[0] if defects[0] > 0 else (0.0 if defects[-1] == 0 else math.inf)

@@ -511,13 +511,15 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
-def _blockwise(fn: Callable[..., np.ndarray], shape: tuple, *arrays: np.ndarray) -> np.ndarray:
+def _blockwise(
+    fn: Callable[..., np.ndarray], shape: tuple, *arrays: np.ndarray, dtype: type = complex
+) -> np.ndarray:
     """fn on aligned blocks of at most _PHASE_BLOCK leading entries of ``arrays``, stacked.
 
-    Each block of b entries gives b complex arrays of ``shape``; the result is
-    the (n,) + shape stack, empty without a call for n = 0.
+    Each block of b entries gives b arrays of ``shape``; the result is the
+    (n,) + shape stack of ``dtype``, empty without a call for n = 0.
     """
-    out = np.empty((len(arrays[0]),) + shape, dtype=complex)
+    out = np.empty((len(arrays[0]),) + shape, dtype=dtype)
     for lo in range(0, len(out), _PHASE_BLOCK):
         out[lo:lo + _PHASE_BLOCK] = fn(*(a[lo:lo + _PHASE_BLOCK] for a in arrays))
     return out
@@ -541,7 +543,13 @@ def evolve_effective(
     three share one path.  The reduced equation d rho/d tau = S(tau) rho,
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
     the fourth-order commutator-free Magnus exponential (CF4, see
-    ``ordered_exponential``) of its d^2 x d^2 superoperator.  ell at each
+    ``ordered_exponential``) of its d^2 x d^2 superoperator.  S maps Hermitian
+    matrices to Hermitian ones, so in the real coordinates of Hermitian
+    matrices (``_HermitianCoordinates``) it is a real matrix, and every
+    exponential, step product and state update runs in float64; a generator
+    with an imaginary part there above roundoff raises ValueError naming its
+    time.  The state is carried as the coordinates of its Hermitian and
+    anti-Hermitian parts, so nothing of it is dropped.  ell at each
     step's two Gauss points comes from one partial step of the kernel
     recurrence from the cycle node at or below the point, the node blocks
     read off the protocol's cycle record (``_cycle_record``), grown by the
@@ -560,10 +568,11 @@ def evolve_effective(
     both and so by their comparison.  Each interval is stepped with n and 2n
     steps, n doubling from ``_MAGNUS_FIRST_STEPS``, from the same state, until
     the two states differ by at most ``atol + rtol * |rho|`` (Frobenius
-    norms); the 2n-step state is kept.  ``rtol`` and ``atol`` set that target
-    and nothing else; each must be finite and non-negative, or a ValueError
-    names it.  Every time must be a number in [0, gammaT], or a ValueError
-    names the first that is not, before any evaluation of U.  When
+    norms of the d x d states); the 2n-step state is kept.  ``rtol`` and
+    ``atol`` set that target and nothing else; each must be finite and
+    non-negative, or a ValueError names it.  Every time must be a number in
+    [0, gammaT], or a ValueError names the first that is not, before any
+    evaluation of U.  When
     ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet the target, a
     ``ConvergenceError`` names the interval and the estimate; a returned state
     outside the engine's Hermiticity, trace or positivity tolerances raises
@@ -607,6 +616,10 @@ class _MagnusPropagator:
     ``berry`` and ``dissipation`` weight the Berry term and the dissipator
     (``_MODE_WEIGHTS``).  Both terms are always built, the kernel too, so one
     path serves every mode; a term of weight 0 is built and multiplied by 0.
+    Each Gauss-point generator is formed by ``vectorize`` and mapped once into
+    the real coordinates of Hermitian d x d matrices (``coordinates``), where
+    the CF4 exponentials, the step products and the state walk run in
+    float64; the states return to d x d matrices at the points.
     ``points`` holds 0, the checkpoints and, below the first of them, the end
     of the dissipator's onset: only a weighted dissipator with a bright rate
     has an onset transient.  The kernel blocks are the protocol's cycle
@@ -622,6 +635,7 @@ class _MagnusPropagator:
         self.ds = ds
         self.modes = _KernelModes(protocol, ds)
         self.berry, self.dissipation = berry, dissipation
+        self.coordinates = _HermitianCoordinates(ds.d)
         self.points = sorted({0.0, *checkpoints})
         if dissipation and self.modes.rates.size and len(self.points) > 1:
             onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
@@ -641,40 +655,45 @@ class _MagnusPropagator:
         The propagators of _MAGNUS_FIRST_STEPS and twice as many steps are
         built for every interval in one batch; then the intervals are walked
         in order, each doubling from the state its predecessor accepted and
-        building its finer propagators as it needs them.
+        building its finer propagators as it needs them.  The walk carries
+        the (d^2, 2) coordinates of the state's Hermitian and anti-Hermitian
+        parts (``_HermitianCoordinates.of``), and the doubling estimate and
+        target are the Frobenius norms of the d x d states they stand for.
         """
         spans = list(pairwise(self.points))
         if not spans:
             return []
         first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
         built = self._propagators([(i, n) for i in range(len(spans)) for n in first])
+        coordinates = self.coordinates
         found: list[np.ndarray] = []
-        state = rho.reshape(-1, 1)
+        state = coordinates.of(rho)
         for i, span in enumerate(spans):
             n = _MAGNUS_FIRST_STEPS
             reached = {m: built.pop((i, m)) @ state for m in first}
             for _ in range(_MAGNUS_MAX_DOUBLINGS):
                 if 2 * n not in reached:
                     reached[2 * n] = self._propagators([(i, 2 * n)])[i, 2 * n] @ state
-                estimate = frobenius(reached[2 * n] - reached[n])
-                target = atol + rtol * frobenius(reached[2 * n])
+                estimate = coordinates.norm(reached[2 * n] - reached[n])
+                target = atol + rtol * coordinates.norm(reached[2 * n])
                 if estimate <= target:
                     break
                 n *= 2
             else:
                 raise ConvergenceError(*span, estimate, target)
             state = reached[2 * n]
-            found.append(state.reshape(rho.shape))
+            found.append(coordinates.matrix(state))
             check_invariants(span[1], found[-1])
         return found
 
     def _propagators(self, wanted: list[tuple[int, int]]) -> dict:
-        """The d^2 x d^2 propagator of each (interval, step count) in ``wanted``, by that pair.
+        """The real d^2 x d^2 propagator of each (interval, step count) in ``wanted``, by that pair.
 
         The steps of all members are formed in one stack, _PHASE_BLOCK at a
         time: H0 and ell at their Gauss points (``_gauss_blocks``), the
-        superoperators and their CF4 exponentials.  Each member's steps are
-        then multiplied pairwise.
+        superoperators, each mapped into Hermitian coordinates
+        (``_HermitianCoordinates.generators``), and their CF4 exponentials.
+        Each member's steps are then multiplied pairwise.
         """
         d, eps = self.ds.d, 1.0 / self.protocol.gammaT
         grids = [self._grid(self.points[i], self.points[i + 1], n) for i, n in wanted]
@@ -685,9 +704,9 @@ class _MagnusPropagator:
         def block(h, t):
             h0, ell = (a.reshape(t.shape + (d, d)) for a in self._gauss_blocks(t.ravel()))
             gens = vectorize(LindbladGenerator(self.berry * h0, (self.dissipation * eps * ell,), eps))
-            return _cf4_steps(gens, h)
+            return _cf4_steps(self.coordinates.generators(gens, t), h)
 
-        steps = _blockwise(block, (d * d, d * d), lengths, gauss)
+        steps = _blockwise(block, (d * d, d * d), lengths, gauss, dtype=float)
         ends = np.cumsum([n for _, n in wanted])[:-1]
         return {w: _ordered_product(own) for w, own in zip(wanted, np.split(steps, ends))}
 
@@ -707,6 +726,76 @@ class _MagnusPropagator:
         """n steps from t0 to t1, graded toward tau = 0 on the first interval."""
         u = np.linspace(0.0, 1.0, n + 1)
         return t0 + (t1 - t0) * (u * u if t0 == 0.0 else u)
+
+
+class _HermitianCoordinates:
+    """Exact real coordinates of Hermitian d x d matrices, and the maps to and from them.
+
+    A Hermitian A has the d^2 real coordinates A_ii, then Re A_ij and Im A_ij
+    for i < j (``np.triu_indices``): A = sum_k r_k E_k with E_k = e_ii,
+    e_ij + e_ji and i (e_ij - e_ji).  ``back`` holds the vec(E_k) as columns
+    and ``to`` is its inverse, whose entries are 0, 1, 1/2 and -+i/2, so the
+    maps multiply by powers of two and add pairs only: a Hermitian matrix
+    round-trips bit for bit, where an orthonormal basis would scale by
+    1/sqrt(2).  A general matrix A = H + iK, H and K Hermitian, has the
+    complex coordinates r(H) + i r(K).  A superoperator S that maps Hermitian
+    matrices to Hermitian ones becomes the real matrix ``to`` S ``back``,
+    formed for a whole stack by one real matrix product (``generators``).
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        i, j = np.triu_indices(d, 1)
+        upper, lower, cols = i * d + j, j * d + i, d + np.arange(i.size)
+        back = np.zeros((d * d, d * d), dtype=complex)
+        back[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+        back[upper, cols] = back[lower, cols] = 1.0
+        back[upper, cols + i.size], back[lower, cols + i.size] = 1j, -1j
+        #: back^dag back is diagonal, 1 on the diagonal coordinates and 2 on the others,
+        #: so |A|_F^2 = sum_k weight_k r_k^2 for a Hermitian A
+        self.weights = np.concatenate([np.ones(d), np.full(2 * i.size, 2.0)])[:, None]
+        self.back, self.to = back, dagger(back) / self.weights
+        # vec(to S back) = kron(to, back^T) vec(S) for the row-major vec, written as
+        # one real map of the interleaved real and imaginary parts of vec(S)
+        kron = np.kron(self.to, back.T)
+        real = np.empty((2 * d**4, 2 * d**4))
+        real[0::2, 0::2] = real[1::2, 1::2] = kron.real
+        real[1::2, 0::2], real[0::2, 1::2] = kron.imag, -kron.imag
+        self.superoperators = real.T.copy()
+
+    def of(self, rho: np.ndarray) -> np.ndarray:
+        """The (d^2, 2) real coordinates [r(H) | r(K)] of a d x d matrix rho = H + iK."""
+        return (self.to @ rho.reshape(-1)).view(float).reshape(-1, 2)
+
+    def matrix(self, coords: np.ndarray) -> np.ndarray:
+        """The d x d matrix H + iK of the (d^2, 2) coordinates [r(H) | r(K)]."""
+        return (self.back @ coords.view(complex)).reshape(self.d, self.d)
+
+    def norm(self, coords: np.ndarray) -> float:
+        """Frobenius norm of the d x d matrix of (d^2, 2) coordinates, |H + iK|^2 = |H|^2 + |K|^2."""
+        return math.sqrt(float(np.sum(self.weights * coords * coords)))
+
+    def generators(self, gens: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The real stack ``to`` S ``back`` of each superoperator S of ``gens``, at the times t.
+
+        ``gens`` is a (..., d^2, d^2) stack and ``t`` the times of its
+        matrices, of its leading shape; the whole stack is one real matrix
+        product.  A matrix whose imaginary part in these coordinates exceeds
+        roundoff, _COORDINATE_TOL of its Frobenius norm, does not preserve
+        Hermiticity: ValueError names its time.
+        """
+        size = gens.shape[-1] ** 2
+        parts = (gens.reshape(-1, size).view(float) @ self.superoperators).reshape(-1, size, 2)
+        squares = np.add.reduce(parts * parts, axis=1)  # |Re|^2 and |Im|^2 of each matrix
+        _require_each(squares[:, 1] <= _COORDINATE_TOL**2 * squares.sum(axis=1), t.reshape(-1),
+                      "reduced generator at tau={} does not preserve Hermiticity")
+        return parts[..., 0].reshape(gens.shape)
+
+
+#: relative Frobenius size of the imaginary part of a superoperator in Hermitian
+#: coordinates up to which it counts as roundoff (measured at most 9.5e-17 on the
+#: generators of linear, smoothstep and Fourier spin-3/2 paths in every mode)
+_COORDINATE_TOL = 1e-13
 
 
 def _coerce_dark_state(rho_init: np.ndarray, ds: DarkSpace) -> np.ndarray:
@@ -742,12 +831,14 @@ def end_of_cycle_state(
     ``method="integrate"`` drives the effective equation across the period;
     ``method="formula"`` evaluates the closed expression V [rho + eps^2
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
-    which freezes rho at its initial value: l and V_end from the protocol's
-    cycle record (``_cycle_record``), the kernel recurrence along the whole
-    cycle grid shared with ``evolve_effective``, the per-tau queries and
-    eq. 12 on the same protocol and dark space, the integral by Simpson's
-    rule on it (``_frozen_dissipator``), as for the purity prediction of
-    eq. 12.  The two methods agree to the order the reduced theory is valid.
+    which freezes rho at its initial value.  V_end and the frozen-state
+    superoperator M = int D_l dtau (Simpson's rule on the cycle grid) come
+    from the protocol's cycle record (``_cycle_record``: ``frames`` and
+    ``dissipators``), whose kernel recurrence along the whole cycle grid
+    ``evolve_effective``, the per-tau queries and eq. 12 on the same protocol
+    and dark space share; the integral is M applied to rho
+    (``_frozen_dissipator``), as for the purity prediction of eq. 12.  The
+    two methods agree to the order the reduced theory is valid.
     """
     rho_d = _coerce_dark_state(rho_init, ds)
     if method == "integrate":
@@ -756,8 +847,10 @@ def end_of_cycle_state(
         raise ValueError(f"unknown method {method!r}")
 
     eps = 1.0 / protocol.gammaT
-    l, v_end = _cycle_record(protocol, ds).frames[0]
-    return v_end @ (rho_d + eps**2 * _frozen_dissipator(rho_d, l, protocol.gammaT)) @ dagger(v_end)
+    record = _cycle_record(protocol, ds)
+    _, v_end = record.frames[0]
+    frozen = rho_d + eps**2 * _frozen_dissipator(rho_d, record.dissipators[0])
+    return v_end @ frozen @ dagger(v_end)
 
 
 def _frame_jumps(
@@ -765,22 +858,25 @@ def _frame_jumps(
     ds: DarkSpace,
     taus: np.ndarray,
     gauges: Sequence[Gauge | None] = (None,),
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The effective jump at ``taus``, the frame jump l over the cycle and V_end, per frame.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The effective jump at ``taus``, the frame jump l over the cycle, V_end and M, per frame.
 
     One fresh cycle record in the frame of each of ``gauges`` (None for
     none), so H is evaluated once per kernel node for all frames: per frame
     ell_tau at the 1-D array ``taus``, the (n, d, d) stack
-    (``_CycleRecord.jumps``), and l = V^dag ell V at the cycle nodes with V at
-    the end of the cycle (``_CycleRecord.frames``).  The gauge check calls
-    it; eq. 12 and the end-of-cycle formula read the None frame off the
-    protocol's cycle record (``_cycle_record``), bit for bit the same.  A tau
-    outside [0, gammaT] (1e-9 slack above) raises ValueError naming it.
+    (``_CycleRecord.jumps``), l = V^dag ell V at the cycle nodes with V at
+    the end of the cycle (``_CycleRecord.frames``), and the frozen-state
+    superoperator M = int D_l dtau (``_CycleRecord.dissipators``).  The gauge
+    check calls it; eq. 12 and the end-of-cycle formula read the None frame
+    off the protocol's cycle record (``_cycle_record``), bit for bit the
+    same.  A tau outside [0, gammaT] (1e-9 slack above) raises ValueError
+    naming it.
     """
     taus = np.asarray(taus, dtype=float)
     _check_taus(protocol, taus)
     record = _CycleRecord(_KernelModes(protocol, ds), gauges)
-    return [(ell, l, v_end) for ell, (l, v_end) in zip(record.jumps(taus), record.frames)]
+    return [(ell, l, v_end, m) for ell, (l, v_end), m
+            in zip(record.jumps(taus), record.frames, record.dissipators)]
 
 
 class _CycleRecord:
@@ -800,8 +896,9 @@ class _CycleRecord:
     to 1e-13.
 
     Every reader of the cycle series reads it here, in every frame: the
-    kernel blocks (``at``), ell at any times (``jumps``), and the frame
-    series l = V^dag ell V at the nodes with V_end (``frames``).
+    kernel blocks (``at``), ell at any times (``jumps``), the frame series
+    l = V^dag ell V at the nodes with V_end (``frames``), and the frozen-state
+    superoperator M = int D_l dtau of eq. 12 (``dissipators``).
     ``_cycle_record`` keeps the plain-frame record of a protocol on the
     protocol, where the per-tau queries, the reduced propagator, the
     end-of-cycle formula, eq. 12 and the sweep's first-order distance share
@@ -875,6 +972,20 @@ class _CycleRecord:
         self.h0 = None
         return found
 
+    @cached_property
+    def dissipators(self) -> list[np.ndarray]:
+        """Per frame, the frozen-state superoperator M = int_0^gammaT D_l dtau, (d^2, d^2).
+
+        Formed on first read, so a reader of V_end alone does not pay for it:
+        one ``vectorize`` of the dissipators of the frame series l at the
+        cycle nodes (``frames``), summed by Simpson's rule on the cycle grid.
+        M vec(rho) = vec(int D_l(rho) dtau) for the row-major vec of any d x
+        d matrix rho: the frozen-state integral of eq. 12 and of the
+        end-of-cycle formula as one linear map (``_frozen_dissipator``).
+        """
+        return [_simpson(vectorize(LindbladGenerator(None, (l,))), self.nodes)
+                for l, _ in self.frames]
+
 
 def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
     """The plain-frame cycle record of ``protocol`` for the dark space ``ds``, made on first use.
@@ -894,9 +1005,12 @@ def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
     return held[key]
 
 
-def _frozen_dissipator(rho_d: np.ndarray, l: np.ndarray, gammaT: float) -> np.ndarray:
-    """Simpson integral of D_l(rho_d) over the cycle grid, l the frame jump at its nodes."""
-    return _simpson(_dissipator(l, rho_d), _cycle_grid(gammaT))
+def _frozen_dissipator(rho_d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """int D_l(rho_d) dtau over the cycle, from the frozen-state superoperator M of l.
+
+    M is a record's ``dissipators`` entry, applied to the row-major vec of rho_d.
+    """
+    return (m @ rho_d.reshape(-1)).reshape(rho_d.shape)
 
 
 def _jumps(

@@ -356,6 +356,92 @@ class TestGauge:
             assert np.linalg.norm(ells[k] - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
 
+def spin2_protocol(gammaT):
+    """smoothstep(1, 1) on spin 2 with the jump S_x S_z (S_z^2 - 1) / 6: a dark space of d = 3."""
+    sx, sy, sz = spin_operators(4)
+    path = smoothstep_path(1, 1)
+    return custom_protocol([sy, sz], [path.theta, path.phi], sx @ sz @ (sz @ sz - np.eye(5)) / 6.0,
+                           gammaT, dangles=[path.dtheta, path.dphi])
+
+
+#: the frozen-state readers' cases: (protocol at gammaT, start) by id
+FROZEN_CASES = {
+    "linear": (lambda g: spin32_protocol(linear_path(1, 0), g),
+               dark_state_from_bloch((0.0, 1.0, 0.0))),
+    "smoothstep": (lambda g: spin32_protocol(smoothstep_path(1, 1), g),
+                   dark_state_from_bloch((0.6, 0.5, 0.3))),
+    "fourier": (lambda g: spin32_protocol(
+                    fourier_path(1, 0, theta_knots=(0.17,), phi_knots=(-0.2,)), g),
+                dark_state_from_bloch((0.0, 0.6, 0.8))),
+    "spin2-d3": (spin2_protocol, np.array([[0.5, 0.1 - 0.2j, 0.05j],
+                                           [0.1 + 0.2j, 0.3, 0.1],
+                                           [-0.05j, 0.1, 0.2]])),
+}
+
+
+def simpson_dissipator(l, rho, gammaT):
+    """int D_l(rho) dtau by Simpson's rule over the frame jumps l at the cycle nodes.
+
+    Summed in extended precision from the float64 l and rho, so that it is a
+    reference for the roundoff of either order of the float64 sum.
+    """
+    l, rho = l.astype(np.clongdouble), rho.astype(np.clongdouble)
+    ld = l.conj().swapaxes(-1, -2)
+    values = l @ rho @ ld - 0.5 * (ld @ l @ rho + rho @ ld @ l)
+    nodes = gammaT * np.linspace(0.0, 1.0, eff._FROZEN_GRID + 1)
+    return scipy.integrate.simpson(values, x=nodes.astype(np.longdouble), axis=0)
+
+
+def simpson_purity(l, rho, gammaT):
+    """eq. 12 from the test-local Simpson sum: Tr rho^2 + (2 / gammaT^2) Re Tr(rho int D_l(rho))."""
+    total = np.trace(rho.astype(np.clongdouble) @ simpson_dissipator(l, rho, gammaT)).real
+    return float(purity(rho) + 2.0 / gammaT**2 * total)
+
+
+class TestFrozenStateSuperoperator:
+    """eq. 12, the end-of-cycle formula and the gauge purities apply M = int D_l dtau to rho."""
+
+    @pytest.mark.parametrize("gammaT", [200.0, 800.0])
+    @pytest.mark.parametrize("case", list(FROZEN_CASES))
+    def test_readers_match_a_simpson_sum_of_the_dissipator(self, case, gammaT):
+        make, rho = FROZEN_CASES[case]
+        proto = make(gammaT)
+        ds = dark_space(proto.L_rot)
+        predicted = purity_prediction_general(rho, proto, ds)
+        end = end_of_cycle_state(rho, proto, ds, method="formula")
+        l, v_end = eff._cycle_record(proto, ds).frames[0]
+        expected = simpson_purity(l, rho, gammaT)
+        assert abs(predicted - expected) <= 1e-15 * abs(expected)
+        frozen = (rho + simpson_dissipator(l, rho, gammaT) / gammaT**2).astype(complex)
+        expected_end = v_end @ frozen @ dagger(v_end)
+        assert np.linalg.norm(end - expected_end) <= 1e-15 * np.linalg.norm(expected_end)
+
+    @pytest.mark.parametrize("case", list(FROZEN_CASES))
+    def test_gauge_purities_match_a_simpson_sum_of_the_dissipator(self, monkeypatch, case):
+        make, rho = FROZEN_CASES[case]
+        proto = make(200.0)
+        ds = dark_space(proto.L_rot)
+        seen = []
+        frame_jumps = eff._frame_jumps
+
+        def spied(protocol, ds, taus, gauges):
+            frames = frame_jumps(protocol, ds, taus, gauges)
+            seen.append((protocol.gammaT, [l for _, l, _, _ in frames]))
+            return frames
+
+        monkeypatch.setattr(eff, "_frame_jumps", spied)
+        generator = np.diag(np.linspace(-1.0, 1.0, ds.d)) + 0.3 * (np.eye(ds.d, k=1) + np.eye(ds.d, k=-1))
+        report = gauge_covariance_check(proto, ds, (math.pi / 7.0) * generator,
+                                        gammaT_pair=(200.0, 800.0), rho_init=rho)
+        assert [g for g, _ in seen] == [200.0, 800.0]
+        for (gammaT, (plain, tilted)), got_plain, got_tilted in zip(
+            seen, report.purity_plain, report.purity_tilted
+        ):
+            for got, l in ((got_plain, plain), (got_tilted, tilted)):
+                expected = simpson_purity(l, rho, gammaT)
+                assert abs(got - expected) <= 1e-15 * abs(expected)
+
+
 class TestFits:
     def test_recovers_power_law(self):
         x = np.array([10.0, 20.0, 40.0, 80.0])

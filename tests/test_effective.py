@@ -1146,7 +1146,7 @@ class TestFrameJumps:
         # the per-tau query off the protocol's record (measured equal on every case)
         proto = spin32_protocol(path, gammaT)
         taus = gammaT * np.array([0.0, 0.3, 0.5, 0.77, 1.0])
-        (ells, l, v_end), = eff._frame_jumps(proto, spin32_ds, taus)
+        (ells, l, v_end, _), = eff._frame_jumps(proto, spin32_ds, taus)
         expected = effective_jump(proto, spin32_ds, taus)
         assert ells.shape == (5, 2, 2) and l.shape == (eff._FROZEN_GRID + 1, 2, 2)
         assert np.max(np.linalg.norm(ells - expected, axis=(1, 2))) <= 1e-13
@@ -1197,6 +1197,19 @@ class TestCycleRecord:
         assert "frames" not in vars(record)
         RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
         assert "frames" in vars(record)
+
+    def test_superoperator_is_formed_on_first_read(self, spin32_ds):
+        # a reader of V_end alone (the sweep's first-order distance) does not
+        # pay for M = int D_l dtau; the formula and eq. 12 form it once
+        proto = self.fresh()
+        record = eff._cycle_record(proto, spin32_ds)
+        _, v_end = record.frames[0]
+        assert "dissipators" not in vars(record)
+        RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
+        m = record.dissipators[0]
+        assert m.shape == (4, 4)
+        RECORD_READERS["prediction"](proto, spin32_ds, self.RHO)
+        assert record.dissipators[0] is m
 
     @pytest.mark.parametrize("move", [
         lambda p: p.with_gammaT(400.0), lambda p: dataclasses.replace(p, gammaT=400.0),

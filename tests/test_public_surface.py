@@ -75,9 +75,11 @@ def test_per_tau_queries_share_the_cycle_grid(removed):
     "_frozen_state_integral", "_dissipator_integral", "_purity_after", "_kernel_at", "_frame_series",
 ])
 def test_one_frame_jump_series(removed):
-    # eq. 12, the end-of-cycle formula and the gauge purities take one Simpson
-    # sum of D_l(rho) over one frame jump series, a cycle record's ``frames``
-    # (``effective._CycleRecord``), which also gives the sweep its V_end
+    # eq. 12, the end-of-cycle formula and the gauge purities apply one linear
+    # map to rho, the frozen-state superoperator M = int D_l dtau that a cycle
+    # record forms once per frame from its frame jump series
+    # (``effective._CycleRecord.dissipators`` from ``frames``, which also gives
+    # the sweep its V_end)
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
 

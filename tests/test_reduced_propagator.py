@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import darklind.effective as eff
+import darklind.linalg as linalg
 from darklind.analysis import dark_state_from_bloch, trace_distance
 from darklind.effective import dark_space, evolve_effective
 from darklind.engine import NUMERICAL_ERRORS, ConvergenceError, InvariantViolationError
-from darklind.linalg import dagger
+from darklind.linalg import _norms, dagger
 from darklind.protocols import (
     custom_protocol,
     fourier_path,
@@ -342,3 +343,96 @@ def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, spin32_ds):
     assert t.size >= 8 * (8 + 16) * 2  # both first levels of the 8 intervals
     assert np.abs(used - expected).max() <= 1e-13 * np.abs(expected).max()
 
+
+
+#: CF4 steps built from z with 33 checkpoints on each reduced path, rejected
+#: doubling levels included: every doubling decision is pinned
+CF4_STEPS = {"linear-200": 864, "linear-800": 824, "smoothstep-200": 1952, "fourier-200": 1120}
+
+
+def spy_steps(monkeypatch) -> list:
+    """Record the step count of every propagator ``_MagnusPropagator._propagators`` builds."""
+    steps = []
+    propagators = eff._MagnusPropagator._propagators
+
+    def counting(self, wanted):
+        steps.extend(n for _, n in wanted)
+        return propagators(self, wanted)
+
+    monkeypatch.setattr(eff._MagnusPropagator, "_propagators", counting)
+    return steps
+
+
+class TestHermitianCoordinates:
+    @pytest.mark.parametrize("name", list(REDUCED_PATHS))
+    def test_step_counts_are_pinned(self, monkeypatch, name):
+        path, gammaT = REDUCED_PATHS[name]
+        proto = spin32_protocol(path, gammaT)
+        steps = spy_steps(monkeypatch)
+        evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, dark_space(proto.L_rot),
+                         np.linspace(0.0, gammaT, 33))
+        assert sum(steps) == CF4_STEPS[name]
+
+    def test_series_sees_real_stacks_only(self, monkeypatch, spin32_ds):
+        # every CF4 exponential of the reduced equation is taken in float64
+        dtypes = []
+        series = linalg._expm_series
+
+        def spied(a):
+            dtypes.append(a.dtype)
+            return series(a)
+
+        monkeypatch.setattr(linalg, "_expm_series", spied)
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
+        for mode in ("full", "unitary", "dissipator"):
+            evolve_effective(dark_state_from_bloch((0.0, 0.6, 0.8)), proto, spin32_ds,
+                             np.linspace(0.0, 200.0, 9), mode=mode)
+        assert dtypes and set(dtypes) == {np.dtype(float)}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_hermitian_matrices_round_trip_bit_for_bit(self, rng, d):
+        coordinates = eff._HermitianCoordinates(d)
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h, k = a + dagger(a), (a - dagger(a)) / 2j
+        coords = coordinates.of(h)
+        assert coords.shape == (d * d, 2) and coords.dtype == float
+        assert np.array_equal(coords[:, 1], np.zeros(d * d))
+        assert np.array_equal(coordinates.matrix(coords), h)
+        # a general matrix H + iK: both parts kept, and the norm is the Frobenius norm
+        both = coordinates.of(h + 1j * k)
+        assert np.allclose(coordinates.matrix(both), h + 1j * k, rtol=0.0, atol=1e-15)
+        assert abs(coordinates.norm(both) - np.linalg.norm(h + 1j * k)) <= 1e-14 * np.linalg.norm(h)
+
+    def test_generator_that_breaks_hermiticity_raises(self, monkeypatch, spin32_ds):
+        # vectorize maps any H0 and ell to rho -> A rho + rho A^dag + ell rho ell^dag,
+        # which keeps rho Hermitian, so a broken generator is injected behind it:
+        # S + i 1e-9 |S| 1 takes a Hermitian rho to one with an anti-Hermitian
+        # part, which the real coordinates cannot carry; it must be reported with
+        # its time, not made real
+        vectorize = eff.vectorize
+
+        def broken(gen):
+            s = vectorize(gen)
+            return s + 1e-9j * _norms(s)[..., None, None] * np.eye(s.shape[-1])
+
+        monkeypatch.setattr(eff, "vectorize", broken)
+        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
+        with pytest.raises(ValueError, match="does not preserve Hermiticity") as info:
+            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, spin32_ds, [10.0, 20.0])
+        tau = float(str(info.value).split("tau=")[1].split()[0])
+        assert 0.0 < tau < 20.0
+
+    def test_anti_hermitian_part_is_evolved_not_dropped(self, spin32_ds):
+        # rho0 + iK, K Hermitian and small enough for the invariant checks: the
+        # state's anti-Hermitian part is iK carried by the same linear map as K
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
+        rho0 = dark_state_from_bloch((0.0, 0.6, 0.8))
+        k = 1e-11 * np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]])
+        taus = np.linspace(0.0, 200.0, 5)
+        base, plus_k, plus_ik = (evolve_effective(rho, proto, spin32_ds, taus)
+                                 for rho in (rho0, rho0 + k, rho0 + 1j * k))
+        for b, h, a in zip(base, plus_k, plus_ik):
+            moved = h - b  # K, evolved
+            assert np.linalg.norm(moved) >= 0.1 * np.linalg.norm(k)
+            assert np.linalg.norm((a - dagger(a)) / 2 - 1j * moved) <= 1e-4 * np.linalg.norm(moved)
+            assert np.linalg.norm((a + dagger(a)) / 2 - b) <= 1e-15
