@@ -137,14 +137,14 @@ def purity_prediction_general(
     Tr([rho, l^dag] l rho) = -Tr(rho D_l(rho)), the integral is the frozen-state
     superoperator M = int D_l dtau (Simpson's rule on the cycle grid) applied
     to rho, the linear map the end-of-cycle formula applies too
-    (``_frozen_purity``).  M is read off the plain frame of the protocol's
-    cycle record (``eff._cycle_record``, ``dissipators[0]``): built by the
+    (``_frozen_purity``).  M is read off the protocol's cycle record
+    (``eff._cycle_record``, ``dissipator``): built by the
     first of this, ``evolve_effective`` or the end-of-cycle formula on the
     protocol and dark space, and shared by the others.  rho stays frozen at
     its initial value, which is the order the reduced theory controls.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
-    m = eff._cycle_record(protocol, ds).dissipators[0]
+    m = eff._cycle_record(protocol, ds).dissipator
     return _frozen_purity(rho_d, m, protocol.gammaT)
 
 
@@ -253,6 +253,19 @@ def _sin2_gauge(gen_full: np.ndarray) -> eff.Gauge:
     return gauge
 
 
+def _increasing_gammaTs(values: Sequence[float]) -> list[float]:
+    """The cycle durations in increasing order.
+
+    One that is not finite and positive, or that is repeated, raises
+    ValueError naming it.
+    """
+    gammaTs = np.sort(np.asarray(values, dtype=float))
+    _require_each(np.isfinite(gammaTs) & (gammaTs > 0.0), gammaTs,
+                  "gammaT {} is not finite and positive")
+    _require_each(np.diff(gammaTs) > 0.0, gammaTs[1:], "gammaT {} is repeated")
+    return gammaTs.tolist()
+
+
 @dataclass(frozen=True)
 class GaugeReport:
     """Covariance defects and end-of-cycle purities in two gauges."""
@@ -286,26 +299,32 @@ def gauge_covariance_check(
     gamma T grows, and ``defect_ratio`` is the larger duration's over the
     smaller's), and the end-of-cycle purity prediction of eq. 12 computed in both
     gauges from the frozen-state superoperator M of the frame jump l over the
-    cycle (``_frozen_purity``).  Per gamma T one fresh cycle record in both
-    frames (``eff._frame_jumps``) gives both, plain and gauged: ell at the tau
-    fractions by one partial step each, and l and its M over the whole cycle
-    grid, on one evaluation of the Hamiltonian per node for both frames.
+    cycle (``_frozen_purity``).  Per gamma T two cycle records
+    (``eff._cycle_record``), the protocol's plain one and a fresh one in the
+    gauge frame, give both, plain and gauged: ell at the tau fractions by
+    one partial step each (``jumps``), and M over the whole cycle grid
+    (``dissipator``), each record evaluating the Hamiltonian once per node.
+    ``gammaT_pair`` must hold two distinct, finite, positive values, or a
+    ValueError names the first that is not, before any kernel work.
     """
+    if np.shape(gammaT_pair) != (2,):
+        raise ValueError(f"gammaT_pair must be two values, got {gammaT_pair!r}")
+    gammaTs = _increasing_gammaTs(gammaT_pair)
     gauge = _sin2_gauge(_block_generator(ds, dark_generator, bright_generator))
     if rho_init is None:
         rho_d = np.eye(ds.d, dtype=complex) / ds.d if ds.d != 2 else dark_state_from_bloch((0, 0, 1))
     else:
         rho_d = _dark_state(rho_init, ds)
 
-    gammaTs = sorted(float(g) for g in gammaT_pair)
     defects, purities = [], []
     for gammaT in gammaTs:
         proto = protocol.with_gammaT(gammaT)
         taus = proto.gammaT * np.asarray(tau_fractions, dtype=float)
-        frames = eff._frame_jumps(proto, ds, taus, (None, gauge))
-        (plain, *_), (tilted, *_) = frames
+        records = [eff._cycle_record(proto, ds, g) for g in (None, gauge)]
+        plain, tilted = (record.jumps(taus) for record in records)
         defects.append(float(_norms(tilted - plain).max(initial=0.0)))
-        purities.append(tuple(_frozen_purity(rho_d, m, proto.gammaT) for *_, m in frames))
+        purities.append(tuple(_frozen_purity(rho_d, record.dissipator, proto.gammaT)
+                              for record in records))
     plain, tilted = zip(*purities)
 
     ratio = defects[-1] / defects[0] if defects[0] > 0 else (0.0 if defects[-1] == 0 else math.inf)
@@ -406,16 +425,13 @@ def convergence_sweep(
     their tau and the sweep continues; if fewer than two cycle durations
     survive, the last failure is raised.
     """
-    gammaTs = np.sort(np.asarray(gammaT_list, dtype=float))
-    _require_each(np.isfinite(gammaTs) & (gammaTs > 0.0), gammaTs,
-                  "gammaT {} is not finite and positive")
-    _require_each(np.diff(gammaTs) > 0.0, gammaTs[1:], "gammaT {} is repeated")
+    gammaTs = _increasing_gammaTs(gammaT_list)
     ds = dark_space(protocol.L_rot)  # the dark space and the start depend on L_rot only
     rho_d = _dark_state(rho_init, ds)
     losses, errors, first_errors, finals = [], [], [], []
     losses12, losses21, losses_reduced = [], [], []
     kept, failures, last_error = [], [], None
-    for gammaT in gammaTs.tolist():
+    for gammaT in gammaTs:
         proto = protocol.with_gammaT(gammaT)
         try:
             comparison = compare_effective_vs_full(proto, rho_d, 1, rtol=rtol, atol=atol)
@@ -428,7 +444,7 @@ def convergence_sweep(
         finals.append(tuple(map(tuple, final.tolist())))
         losses_reduced.append(1.0 - comparison.puritys_effective[-1])
         errors.append(comparison.final_distance)
-        _, v_end = eff._cycle_record(proto, ds).frames[0]
+        _, v_end = eff._cycle_record(proto, ds).frame
         end_dd = comparison.dark_states[-1]
         first_errors.append(trace_distance(end_dd, v_end @ rho_d @ dagger(v_end)))
         losses12.append(1.0 - purity_prediction_general(rho_d, proto, ds))

@@ -87,7 +87,7 @@ _PHASE_BLOCK = 256
 
 #: uniform steps of the cycle grid, gammaT np.linspace(0, 1, _FROZEN_GRID + 1): the
 #: nodes of every cycle record (``_CycleRecord``), so of every kernel query, of
-#: the frame jump series and V_end (``_CycleRecord.frames``) and its frozen-state
+#: the frame jump series and V_end (``_CycleRecord.frame``) and its frozen-state
 #: integral, and, cut at tau, of the holonomy
 _FROZEN_GRID = 2048
 #: step of the finite-difference stencil of ``c_tau_ode_residual``
@@ -186,14 +186,17 @@ def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
 
 
 class _KernelModes:
-    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds).
+    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds), in one frame.
 
-    The protocol is held by a weak reference: the protocol's cycle record
-    holds its modes, and a strong one would make protocol and record a
-    reference cycle, freed only by the cyclic garbage collector.
+    ``gauge`` is the dark-space gauge W of the frame, None for the plain
+    one: the kernel then runs on the drive of W H W^dag + i W' W^dag
+    (``_node_blocks``).  The protocol is held by a weak reference: the
+    protocol's cycle record holds its modes, and a strong one would make
+    protocol and record a reference cycle, freed only by the cyclic garbage
+    collector.
     """
 
-    def __init__(self, protocol: Protocol, ds: DarkSpace):
+    def __init__(self, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None):
         m = dagger(protocol.L_rot) @ protocol.L_rot
         lam, vec = np.linalg.eigh(m)
         scale = max(lam[-1], 1.0)
@@ -205,7 +208,7 @@ class _KernelModes:
         #: (nb + d) x dim: the bright modes' rows over the dark basis' rows
         self.rows = dagger(np.hstack([self.modes, ds.basis]))
         self._protocol = weakref.ref(protocol)
-        self.ds = ds
+        self.ds, self.gauge = ds, gauge
 
     @property
     def protocol(self) -> Protocol:
@@ -219,35 +222,29 @@ class _KernelModes:
         H is evaluated in blocks of phases with every phase checked, and a
         failure names the first bad phase.  One time is the one-element array.
         """
-        (drives, _), = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
+        drives, _ = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
         return drives
 
 
-def _node_blocks(
-    modes: _KernelModes, s: np.ndarray, gauges: Sequence[Gauge | None] = (None,)
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Drive and dark block of the adiabatic Hamiltonian at phases s, in each frame of ``gauges``.
+def _node_blocks(modes: _KernelModes, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drive and dark block of the adiabatic Hamiltonian at phases s, in the frame of ``modes``.
 
-    H is evaluated once per phase, in blocks of _PHASE_BLOCK phases (one U and
-    one dU call each), and shared by every frame: H itself for None, else
-    W H W^dag + i W' W^dag.  Each frame's U_b^dag H^W B and B^dag H^W B come
-    from one GEMM on each side (``modes.rows``).  Returns per frame the pair
-    of (n, nb, d) drives and (n, d, d) dark blocks.
+    H is evaluated in blocks of _PHASE_BLOCK phases (one U and one dU call
+    each), and taken as it is without a gauge, else as H^W = W H W^dag +
+    i W' W^dag (``modes.gauge``).  U_b^dag H^W B and B^dag H^W B come from
+    one GEMM on each side (``modes.rows``).  Returns the (n, nb, d) drives
+    and the (n, d, d) dark blocks.
     """
     def block(t):
         h = adiabatic_hamiltonian(modes.protocol, t)
-        frames = []
-        for gauge in gauges:
-            hw = h
-            if gauge is not None:
-                w, potential = gauge(t)
-                hw = w @ h @ dagger(w) + potential
-            frames.append(_gemm(modes.rows, _gemm(hw, modes.basis)))
-        return np.stack(frames, axis=1)
+        if modes.gauge is not None:
+            w, potential = modes.gauge(t)
+            h = w @ h @ dagger(w) + potential
+        return _gemm(modes.rows, _gemm(h, modes.basis))
 
     nb = modes.rates.size
-    out = _blockwise(block, (len(gauges), nb + modes.ds.d, modes.ds.d), s)
-    return [(out[:, k, :nb], out[:, k, nb:]) for k in range(len(gauges))]
+    out = _blockwise(block, (nb + modes.ds.d, modes.ds.d), s)
+    return out[:, :nb], out[:, nb:]
 
 
 def _check_taus(protocol: Protocol, tau) -> None:
@@ -409,7 +406,7 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
     _check_taus(protocol, tau)
     if source == "integral":
         record = _cycle_record(protocol, ds)
-        xs, = record.at(np.asarray(tau, dtype=float).reshape(-1))
+        xs = record.at(np.asarray(tau, dtype=float).reshape(-1))
         x = record.modes.modes @ xs @ dagger(ds.basis)
         return x if np.ndim(tau) else x[0]
     if source == "adiabatic":
@@ -507,7 +504,7 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
         grid = np.append(grid, s)
     if grid.size < 2:
         return np.eye(ds.d, dtype=complex)
-    (_, h0), = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
+    _, h0 = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
@@ -718,7 +715,7 @@ class _MagnusPropagator:
         steps' nodes come from one ``_node_blocks`` call.
         """
         record = self.record
-        (x, dark), = _partial_step(self.modes, record.nodes, record.xs, t, lead=t)
+        x, dark = _partial_step(self.modes, record.nodes, record.xs, t, lead=t)
         return dark, _jumps(self.modes, t, x)
 
     @staticmethod
@@ -833,8 +830,8 @@ def end_of_cycle_state(
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
     which freezes rho at its initial value.  V_end and the frozen-state
     superoperator M = int D_l dtau (Simpson's rule on the cycle grid) come
-    from the protocol's cycle record (``_cycle_record``: ``frames`` and
-    ``dissipators``), whose kernel recurrence along the whole cycle grid
+    from the protocol's cycle record (``_cycle_record``: ``frame`` and
+    ``dissipator``), whose kernel recurrence along the whole cycle grid
     ``evolve_effective``, the per-tau queries and eq. 12 on the same protocol
     and dark space share; the integral is M applied to rho
     (``_frozen_dissipator``), as for the purity prediction of eq. 12.  The
@@ -848,114 +845,90 @@ def end_of_cycle_state(
 
     eps = 1.0 / protocol.gammaT
     record = _cycle_record(protocol, ds)
-    _, v_end = record.frames[0]
-    frozen = rho_d + eps**2 * _frozen_dissipator(rho_d, record.dissipators[0])
+    _, v_end = record.frame
+    frozen = rho_d + eps**2 * _frozen_dissipator(rho_d, record.dissipator)
     return v_end @ frozen @ dagger(v_end)
 
 
-def _frame_jumps(
-    protocol: Protocol,
-    ds: DarkSpace,
-    taus: np.ndarray,
-    gauges: Sequence[Gauge | None] = (None,),
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The effective jump at ``taus``, the frame jump l over the cycle, V_end and M, per frame.
-
-    One fresh cycle record in the frame of each of ``gauges`` (None for
-    none), so H is evaluated once per kernel node for all frames: per frame
-    ell_tau at the 1-D array ``taus``, the (n, d, d) stack
-    (``_CycleRecord.jumps``), l = V^dag ell V at the cycle nodes with V at
-    the end of the cycle (``_CycleRecord.frames``), and the frozen-state
-    superoperator M = int D_l dtau (``_CycleRecord.dissipators``).  The gauge
-    check calls it; eq. 12 and the end-of-cycle formula read the None frame
-    off the protocol's cycle record (``_cycle_record``), bit for bit the
-    same.  A tau outside [0, gammaT] (1e-9 slack above) raises ValueError
-    naming it.
-    """
-    taus = np.asarray(taus, dtype=float)
-    _check_taus(protocol, taus)
-    record = _CycleRecord(_KernelModes(protocol, ds), gauges)
-    return [(ell, l, v_end, m) for ell, (l, v_end), m
-            in zip(record.jumps(taus), record.frames, record.dissipators)]
-
-
 class _CycleRecord:
-    """The kernel blocks of one (protocol, dark space) at the cycle nodes, per frame, grown on demand.
+    """The kernel blocks of one (protocol, dark space, frame) at the cycle nodes, grown as asked.
 
-    ``xs`` holds per frame of ``gauges`` (None for none) the blocks at the
-    cycle nodes 0..``extent`` (``_cycle_grid``), and ``h0`` the dark block of
-    H at the midpoints of those steps; ``extent`` starts at 0, where the
-    block is zero.  A reader asks for the nodes it needs (``grow``), and the
-    record grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
-    ``_node_blocks`` call, one ``_step_maps`` call and one scan from the
-    block at the previous chunk's last node.  The chunk bounds are fixed, so
-    the blocks are the same bits whatever the order in which readers grew
-    the record.  Times off the nodes take one partial step each (``at``).
-    The grid only has to resolve the drive, whatever a step's rate h: 2048
-    steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
-    to 1e-13.
+    The frame is that of the modes (``_KernelModes.gauge``).  ``xs`` holds
+    the blocks at the cycle nodes 0..``extent`` (``_cycle_grid``), and
+    ``h0`` the dark block of H at the midpoints of those steps; ``extent``
+    starts at 0, where the block is zero.  A reader asks for the nodes it
+    needs (``grow``), and the record grows by chunks of _PHASE_BLOCK cycle
+    steps, each chunk one ``_node_blocks`` call, one ``_step_maps`` call and
+    one scan from the block at the previous chunk's last node.  The chunk
+    bounds are fixed, so the blocks are the same bits whatever the order in
+    which readers grew the record.  Times off the nodes take one partial
+    step each (``at``).  The grid only has to resolve the drive, whatever a
+    step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
+    quadrature kernel to 1e-13.
 
-    Every reader of the cycle series reads it here, in every frame: the
-    kernel blocks (``at``), ell at any times (``jumps``), the frame series
-    l = V^dag ell V at the nodes with V_end (``frames``), and the frozen-state
-    superoperator M = int D_l dtau of eq. 12 (``dissipators``).
-    ``_cycle_record`` keeps the plain-frame record of a protocol on the
-    protocol, where the per-tau queries, the reduced propagator, the
-    end-of-cycle formula, eq. 12 and the sweep's first-order distance share
-    it; the gauge check grows a fresh record in both of its frames
-    (``_frame_jumps``).  The record holds its protocol by a weak reference
-    only (``_KernelModes``), so the protocol is freed, with its record, when
-    its last reference goes.
+    Every reader of the cycle series reads it here: the kernel blocks
+    (``at``), ell at any times (``jumps``), the frame series l = V^dag ell V
+    at the nodes with V_end (``frame``), and the frozen-state superoperator
+    M = int D_l dtau of eq. 12 (``dissipator``).  Records are made by
+    ``_cycle_record`` alone, which keeps the plain-frame record of a
+    protocol on the protocol, where the per-tau queries, the reduced
+    propagator, the end-of-cycle formula, eq. 12, the sweep's first-order
+    distance and the gauge check's plain frame share it; the gauge check's
+    gauged frame is a fresh record.  The record holds its protocol by a weak
+    reference only (``_KernelModes``), so the protocol is freed, with its
+    record, when its last reference goes.
     """
 
-    def __init__(self, modes: _KernelModes, gauges: Sequence[Gauge | None] = (None,)):
-        self.modes, self.gauges = modes, gauges
+    def __init__(self, modes: _KernelModes):
+        self.modes = modes
         self.nodes = _cycle_grid(modes.protocol.gammaT)
         self.extent = 0
         nb, d = modes.rates.size, modes.ds.d
         # a gauge frame holds one block per (mode, drive row) pair (``_jumps``)
-        self.xs = [np.zeros((self.nodes.size,) + (nb,) * (gauge is not None) + (nb, d), dtype=complex)
-                   for gauge in gauges]
-        self.h0 = [np.empty((_FROZEN_GRID, d, d), dtype=complex) for _ in gauges]
+        self.xs = np.zeros((self.nodes.size,) + (nb,) * (modes.gauge is not None) + (nb, d),
+                           dtype=complex)
+        self.h0 = np.empty((_FROZEN_GRID, d, d), dtype=complex)
 
     def grow(self, k: int) -> None:
         """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps."""
         while self.extent < k:
             lo = self.extent
             hi = min(lo + _PHASE_BLOCK, _FROZEN_GRID)
-            steps = _gl3_steps(self.modes, self.nodes[lo:hi], np.diff(self.nodes[lo:hi + 1]),
-                               self.gauges)
-            for xs, h0, (maps, dark) in zip(self.xs, self.h0, steps):
-                xs[lo:hi + 1] = _kernel_grid(maps, xs[lo])
-                h0[lo:hi] = dark[1::3]  # the middle Gauss-Legendre node of each step
+            nodes = self.nodes[lo:hi + 1]
+            maps, dark = _gl3_steps(self.modes, nodes[:-1], np.diff(nodes))
+            self.xs[lo:hi + 1] = _kernel_grid(maps, self.xs[lo])
+            self.h0[lo:hi] = dark[1::3]  # the middle Gauss-Legendre node of each step
             self.extent = hi
 
-    def at(self, taus: np.ndarray) -> list[np.ndarray]:
-        """Per frame, the kernel blocks at the 1-D array of times ``taus``.
+    def at(self, taus: np.ndarray) -> np.ndarray:
+        """The kernel blocks at the 1-D array of times ``taus``.
 
         The record first grows to the last node at or below the latest time.
         A time on a node reads that node's block; the times off the nodes
         take one partial step each (``_partial_step``), in one
-        ``_node_blocks`` call.  An empty array gives empty stacks and
+        ``_node_blocks`` call.  An empty array gives an empty stack and
         evaluates nothing.
         """
         k = np.searchsorted(self.nodes, taus, side="right") - 1
         self.grow(np.max(k, initial=0))
-        found = [xs[k] for xs in self.xs]
+        found = self.xs[k]
         off = taus > self.nodes[k]
         if off.any():
-            steps = _partial_step(self.modes, self.nodes, self.xs, taus[off], self.gauges)
-            for x, (stepped, _) in zip(found, steps):
-                x[off] = stepped
+            found[off], _ = _partial_step(self.modes, self.nodes, self.xs, taus[off])
         return found
 
-    def jumps(self, taus: np.ndarray) -> list[np.ndarray]:
-        """Per frame, ell at the 1-D array of times ``taus`` (``at``, then ``_jumps``), (n, d, d)."""
-        return [_jumps(self.modes, taus, x, gauge) for x, gauge in zip(self.at(taus), self.gauges)]
+    def jumps(self, taus: np.ndarray) -> np.ndarray:
+        """ell at the 1-D array of times ``taus`` (``at``, then ``_jumps``), (n, d, d).
+
+        A tau outside [0, gammaT] (1e-9 slack above) raises ValueError naming
+        it, before any kernel work.
+        """
+        _check_taus(self.modes.protocol, taus)
+        return _jumps(self.modes, taus, self.at(taus))
 
     @cached_property
-    def frames(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per frame, l = V^dag ell V at the cycle nodes and V at the end of the cycle.
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """l = V^dag ell V at the cycle nodes and V at the end of the cycle.
 
         Formed on first read: the record grows to the whole cycle, ell comes
         from the node blocks (``_jumps``) and V_tau, the holonomy co-moving
@@ -964,39 +937,41 @@ class _CycleRecord:
         lets go of those midpoint blocks, which only this reads.
         """
         self.grow(_FROZEN_GRID)
-        found = []
-        for xs, h0, gauge in zip(self.xs, self.h0, self.gauges):
-            ells = _jumps(self.modes, self.nodes, xs, gauge)
-            vs = ordered_exponential(-1j * h0, self.nodes / self.modes.protocol.gammaT)
-            found.append((dagger(vs) @ ells @ vs, vs[-1].copy()))
+        ells = _jumps(self.modes, self.nodes, self.xs)
+        vs = ordered_exponential(-1j * self.h0, self.nodes / self.modes.protocol.gammaT)
         self.h0 = None
-        return found
+        return dagger(vs) @ ells @ vs, vs[-1].copy()
 
     @cached_property
-    def dissipators(self) -> list[np.ndarray]:
-        """Per frame, the frozen-state superoperator M = int_0^gammaT D_l dtau, (d^2, d^2).
+    def dissipator(self) -> np.ndarray:
+        """The frozen-state superoperator M = int_0^gammaT D_l dtau, (d^2, d^2).
 
         Formed on first read, so a reader of V_end alone does not pay for it:
-        one ``vectorize`` of the dissipators of the frame series l at the
-        cycle nodes (``frames``), summed by Simpson's rule on the cycle grid.
+        one ``vectorize`` of D_l for the frame series l at the cycle nodes
+        (``frame``), summed by Simpson's rule on the cycle grid.
         M vec(rho) = vec(int D_l(rho) dtau) for the row-major vec of any d x
         d matrix rho: the frozen-state integral of eq. 12 and of the
         end-of-cycle formula as one linear map (``_frozen_dissipator``).
         """
-        return [_simpson(vectorize(LindbladGenerator(None, (l,))), self.nodes)
-                for l, _ in self.frames]
+        l, _ = self.frame
+        return _simpson(vectorize(LindbladGenerator(None, (l,))), self.nodes)
 
 
-def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
-    """The plain-frame cycle record of ``protocol`` for the dark space ``ds``, made on first use.
+def _cycle_record(protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None) -> _CycleRecord:
+    """The cycle record of ``protocol`` for the dark space ``ds`` in the frame of ``gauge``.
 
-    A protocol holds at most one record (``Protocol._cycle_records``), keyed
-    by the content of ``ds.basis`` and ``L_rot``: a dark space of another
-    basis, or an ``L_rot`` rewritten in place, replaces it with a new one.
-    The record is made empty and grows as its readers ask.  gammaT and the
-    path are fixed for the protocol's lifetime, and ``with_gammaT`` and
-    ``dataclasses.replace`` give a protocol with no record.
+    Without a gauge it is the protocol's own record, made on first use: a
+    protocol holds at most one (``Protocol._cycle_records``), keyed by the
+    content of ``ds.basis`` and ``L_rot``, so a dark space of another basis,
+    or an ``L_rot`` rewritten in place, replaces it with a new one.  gammaT
+    and the path are fixed for the protocol's lifetime, and ``with_gammaT``
+    and ``dataclasses.replace`` give a protocol with no record.  With a
+    gauge it is a fresh record, kept nowhere, which holds the protocol only
+    weakly: its caller keeps the protocol alive.  Either is made empty and
+    grows as its readers ask.
     """
+    if gauge is not None:
+        return _CycleRecord(_KernelModes(protocol, ds, gauge))
     key = (ds.basis.shape, ds.basis.tobytes(), protocol.L_rot.tobytes())
     held = protocol._cycle_records
     if key not in held:
@@ -1008,26 +983,25 @@ def _cycle_record(protocol: Protocol, ds: DarkSpace) -> _CycleRecord:
 def _frozen_dissipator(rho_d: np.ndarray, m: np.ndarray) -> np.ndarray:
     """int D_l(rho_d) dtau over the cycle, from the frozen-state superoperator M of l.
 
-    M is a record's ``dissipators`` entry, applied to the row-major vec of rho_d.
+    M is a record's ``dissipator``, applied to the row-major vec of rho_d.
     """
     return (m @ rho_d.reshape(-1)).reshape(rho_d.shape)
 
 
-def _jumps(
-    modes: _KernelModes, taus: np.ndarray, xs: np.ndarray, gauge: Gauge | None = None
-) -> np.ndarray:
+def _jumps(modes: _KernelModes, taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """ell_tau = B^dag L X_tau B at the times ``taus`` from their kernel blocks ``xs``, (n, d, d).
 
-    In a gauge frame W the drive seen at tau is W(tau)^dag H^W(s) W(tau), and
-    W(tau)^dag need not commute with the decay; the recurrence then runs per
-    (mode i, drive row j) pair, Y_ij(tau) = int e^{rate_i (s - tau)/2}
-    [U_b^dag H^W(s) B]_j ds, and X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
+    In a gauge frame W (``modes.gauge``) the drive seen at tau is
+    W(tau)^dag H^W(s) W(tau), and W(tau)^dag need not commute with the
+    decay; the recurrence then runs per (mode i, drive row j) pair,
+    Y_ij(tau) = int e^{rate_i (s - tau)/2} [U_b^dag H^W(s) B]_j ds, and
+    X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
     """
-    if gauge is None:
+    if modes.gauge is None:
         return _gemm(modes.reduce_jump, xs)
 
     def to_jump(t, x):
-        w = gauge(t / modes.protocol.gammaT)[0]
+        w = modes.gauge(t / modes.protocol.gammaT)[0]
         x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
         return modes.reduce_jump @ x @ project_dark(modes.ds, w)
 
@@ -1035,52 +1009,41 @@ def _jumps(
 
 
 def _partial_step(
-    modes: _KernelModes,
-    nodes: np.ndarray,
-    xs: Sequence[np.ndarray],
-    taus: np.ndarray,
-    gauges: Sequence[Gauge | None] = (None,),
+    modes: _KernelModes, nodes: np.ndarray, xs: np.ndarray, taus: np.ndarray,
     lead: Sequence[float] = (),
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per frame, the kernel blocks at ``taus`` by one partial step from the node at or below each.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel blocks at ``taus`` by one partial step from the node at or below each.
 
-    ``xs`` holds per frame of ``gauges`` the blocks at the sorted ``nodes``,
-    up to the node of the latest time.  Each time steps from its node to
-    itself, the decay exact (``_gl3_steps``), and the step's affine map acts
-    on the node's block (``_affine``); a time on a node takes a step of
-    length 0, which returns the node's block.  Per frame it also returns the
-    dark blocks of H at the 1-D array of times ``lead``, from the same
-    ``_node_blocks`` call.
+    ``xs`` holds the blocks at the sorted ``nodes``, up to the node of the
+    latest time.  Each time steps from its node to itself, the decay exact
+    (``_gl3_steps``), and the step's affine map acts on the node's block
+    (``_affine``); a time on a node takes a step of length 0, which returns
+    the node's block.  It also returns the dark blocks of H at the 1-D array
+    of times ``lead``, from the same ``_node_blocks`` call.
     """
     k = np.searchsorted(nodes, taus, side="right") - 1
-    steps = _gl3_steps(modes, nodes[k], taus - nodes[k], gauges, lead)
-    return [(_affine(maps, x[k]), dark[:len(lead)]) for x, (maps, dark) in zip(xs, steps)]
+    maps, dark = _gl3_steps(modes, nodes[k], taus - nodes[k], lead)
+    return _affine(maps, xs[k]), dark[:len(lead)]
 
 
 def _gl3_steps(
-    modes: _KernelModes,
-    starts: np.ndarray,
-    h: np.ndarray,
-    gauges: Sequence[Gauge | None] = (None,),
-    lead: Sequence[float] = (),
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per frame, the maps of kernel steps of lengths h from the times ``starts``, and dark blocks of H.
+    modes: _KernelModes, starts: np.ndarray, h: np.ndarray, lead: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The maps of kernel steps of lengths h from the times ``starts``, and dark blocks of H.
 
     H is evaluated at the times ``lead`` and then at the three Gauss-Legendre
-    nodes of each step (``_GL3_NODES``), in one ``_node_blocks`` call for all
-    frames of ``gauges``.  Returns per frame the steps' affine maps
-    (``_step_maps``; in a gauge frame one per (mode, drive row) pair) and the
-    dark blocks at the lead times and then at the nodes, 3 per step.
+    nodes of each step (``_GL3_NODES``), in one ``_node_blocks`` call.
+    Returns the steps' affine maps (``_step_maps``; in a gauge frame one per
+    (mode, drive row) pair) and the dark blocks at the lead times and then at
+    the nodes, 3 per step.
     """
     nodes = starts[:, None] + h[:, None] * _GL3_NODES
     phases = np.concatenate([lead, nodes.ravel()]) / modes.protocol.gammaT
-    frames = []
-    for (drives, dark), gauge in zip(_node_blocks(modes, phases, gauges), gauges):
-        drives = drives[len(lead):].reshape(nodes.shape + drives.shape[1:])
-        if gauge is not None:
-            drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
-        frames.append((_step_maps(modes, h, drives), dark))
-    return frames
+    drives, dark = _node_blocks(modes, phases)
+    drives = drives[len(lead):].reshape(nodes.shape + drives.shape[1:])
+    if modes.gauge is not None:
+        drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
+    return _step_maps(modes, h, drives), dark
 
 
 def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -304,6 +304,22 @@ class TestGauge:
         assert reports[0].gammaT_values == (100.0, 200.0)
         assert reports[0].defect_ratio < 1.0
 
+    @pytest.mark.parametrize("pair, message", [
+        ((100.0, 100.0), "gammaT 100.0 is repeated"),
+        ((100.0,), r"gammaT_pair must be two values, got \(100.0,\)"),
+        ((), r"gammaT_pair must be two values, got \(\)"),
+        ((100.0, math.inf), "gammaT inf is not finite and positive"),
+        ((0.0, 100.0), "gammaT 0.0 is not finite and positive"),
+    ], ids=["repeated", "one", "none", "infinite", "zero"])
+    def test_rejects_a_pair_that_is_not_two_distinct_durations(
+        self, monkeypatch, spin32_linear, spin32_ds, pair, message
+    ):
+        # named before any kernel work: no cycle record is asked for
+        monkeypatch.setattr(eff, "_cycle_record", None)
+        with pytest.raises(ValueError, match=message):
+            gauge_covariance_check(spin32_linear, spin32_ds, (math.pi / 7.0) * SZ,
+                                   gammaT_pair=pair)
+
     def test_bloch_start_gives_the_matrix_report(self, spin32_linear, spin32_ds):
         n0 = (0.6, 0.0, 0.8)
         reports = [
@@ -334,7 +350,7 @@ class TestGauge:
         assert np.linalg.norm(gen @ rates - rates @ gen) >= 1.0
         gauge = analysis._sin2_gauge(gen)
         taus = np.linspace(0.0, 30.0, 513)
-        ells, = eff._CycleRecord(eff._KernelModes(proto, ds), (gauge,)).jumps(taus)
+        ells = eff._cycle_record(proto, ds, gauge).jumps(taus)
         p_perp = np.eye(4) - ds.projector
 
         def tilted_hamiltonian(s):
@@ -409,7 +425,7 @@ class TestFrozenStateSuperoperator:
         ds = dark_space(proto.L_rot)
         predicted = purity_prediction_general(rho, proto, ds)
         end = end_of_cycle_state(rho, proto, ds, method="formula")
-        l, v_end = eff._cycle_record(proto, ds).frames[0]
+        l, v_end = eff._cycle_record(proto, ds).frame
         expected = simpson_purity(l, rho, gammaT)
         assert abs(predicted - expected) <= 1e-15 * abs(expected)
         frozen = (rho + simpson_dissipator(l, rho, gammaT) / gammaT**2).astype(complex)
@@ -422,24 +438,24 @@ class TestFrozenStateSuperoperator:
         proto = make(200.0)
         ds = dark_space(proto.L_rot)
         seen = []
-        frame_jumps = eff._frame_jumps
+        cycle_record = eff._cycle_record
 
-        def spied(protocol, ds, taus, gauges):
-            frames = frame_jumps(protocol, ds, taus, gauges)
-            seen.append((protocol.gammaT, [l for _, l, _, _ in frames]))
-            return frames
+        def spied(protocol, ds, gauge=None):
+            record = cycle_record(protocol, ds, gauge)
+            seen.append((protocol.gammaT, gauge is not None, record))
+            return record
 
-        monkeypatch.setattr(eff, "_frame_jumps", spied)
+        monkeypatch.setattr(eff, "_cycle_record", spied)
         generator = np.diag(np.linspace(-1.0, 1.0, ds.d)) + 0.3 * (np.eye(ds.d, k=1) + np.eye(ds.d, k=-1))
         report = gauge_covariance_check(proto, ds, (math.pi / 7.0) * generator,
                                         gammaT_pair=(200.0, 800.0), rho_init=rho)
-        assert [g for g, _ in seen] == [200.0, 800.0]
-        for (gammaT, (plain, tilted)), got_plain, got_tilted in zip(
-            seen, report.purity_plain, report.purity_tilted
-        ):
-            for got, l in ((got_plain, plain), (got_tilted, tilted)):
-                expected = simpson_purity(l, rho, gammaT)
-                assert abs(got - expected) <= 1e-15 * abs(expected)
+        assert [(g, gauged) for g, gauged, _ in seen] == [(200.0, False), (200.0, True),
+                                                          (800.0, False), (800.0, True)]
+        got = [p for pair in zip(report.purity_plain, report.purity_tilted) for p in pair]
+        for value, (gammaT, _, record) in zip(got, seen, strict=True):
+            l, _ = record.frame
+            expected = simpson_purity(l, rho, gammaT)
+            assert abs(value - expected) <= 1e-15 * abs(expected)
 
 
 class TestFits:

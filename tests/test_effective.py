@@ -388,25 +388,26 @@ class TestHamiltonianCalls:
         assert (len(calls), sum(calls)) == (24, 6144)
 
     def test_gauge_check_runs_one_kernel_pass_per_gammaT(self, monkeypatch):
-        # criterion 6's arguments: per gammaT one fresh record in both frames,
-        # grown along the cycle grid's 6,144 kernel nodes, and the 0.3 and 0.7
-        # fractions' partial steps (0.5 is a node), 6,150 phases, plus 64 that
-        # with_gammaT samples; 21,026 phases in 84 calls with a second pass
-        # for the defects
+        # criterion 6's arguments: per gammaT the protocol's plain record and a
+        # fresh gauged one, each grown along the cycle grid's 6,144 kernel
+        # nodes in 24 calls, with the 0.3 and 0.7 fractions' partial steps
+        # (0.5 is a node) in one more, 6,150 phases, plus 64 that with_gammaT
+        # samples
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
         records = []
         init = eff._CycleRecord.__init__
 
-        def counted(record, modes, gauges=(None,)):
-            init(record, modes, gauges)
-            records.append((modes.protocol.gammaT, record))
+        def counted(record, modes):
+            init(record, modes)
+            records.append((modes.protocol.gammaT, modes.gauge is not None, record))
 
         monkeypatch.setattr(eff._CycleRecord, "__init__", counted)
         gauge_covariance_check(proto, dark_space(proto.L_rot), (math.pi / 7.0) * SZ,
                                gammaT_pair=(100.0, 200.0))
-        assert [(g, len(r.gauges), r.extent) for g, r in records] == [(100.0, 2, 2048),
-                                                                      (200.0, 2, 2048)]
-        assert (len(calls), sum(calls)) == (52, 12428)
+        assert [(g, gauged, r.extent) for g, gauged, r in records] == [
+            (100.0, False, 2048), (100.0, True, 2048), (200.0, False, 2048), (200.0, True, 2048),
+        ]
+        assert (len(calls), sum(calls)) == (102, 24728)
 
 
 class TestProjectedHamiltonian:
@@ -534,7 +535,7 @@ class TestEffectiveJump:
         # (measured 7.1e-14 at 2049 points, 1.2e-8 at 257)
         proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
         taus = np.linspace(0.0, 200.0, 2049)
-        ells, = eff._CycleRecord(eff._KernelModes(proto, spin32_ds)).jumps(taus)
+        ells = eff._cycle_record(proto, spin32_ds).jumps(taus)
         for k in (3, 512, 1100, 2048):
             x = x_tau_integral(proto, spin32_ds, taus[k])
             oracle = dagger(spin32_ds.basis) @ proto.L_rot @ x @ spin32_ds.basis
@@ -708,7 +709,7 @@ class TestBatchedOracle:
         assert [steps for steps, _ in starts] == [256] * chunks
         assert not starts[0][1].any()
         for c, (_, start) in enumerate(starts):
-            assert np.array_equal(start, record.xs[0][256 * c])
+            assert np.array_equal(start, record.xs[256 * c])
             nodes = cycle[256 * c:256 * (c + 1), None] + np.diff(
                 cycle[256 * c:256 * (c + 1) + 1])[:, None] * eff._GL3_NODES
             assert np.array_equal(phases[c], nodes.ravel() / 200.0)
@@ -1143,11 +1144,13 @@ class TestFrameJumps:
     ], ids=["linear", "smoothstep", "fourier"])
     def test_jumps_at_taus_match_effective_jump(self, spin32_ds, path, gammaT):
         # a fresh record's partial steps to the taus read the same recurrence as
-        # the per-tau query off the protocol's record (measured equal on every case)
+        # the per-tau query off another protocol's record (measured equal on every case)
         proto = spin32_protocol(path, gammaT)
         taus = gammaT * np.array([0.0, 0.3, 0.5, 0.77, 1.0])
-        (ells, l, v_end, _), = eff._frame_jumps(proto, spin32_ds, taus)
-        expected = effective_jump(proto, spin32_ds, taus)
+        record = eff._cycle_record(proto, spin32_ds)
+        ells = record.jumps(taus)
+        l, v_end = record.frame
+        expected = effective_jump(spin32_protocol(path, gammaT), spin32_ds, taus)
         assert ells.shape == (5, 2, 2) and l.shape == (eff._FROZEN_GRID + 1, 2, 2)
         assert np.max(np.linalg.norm(ells - expected, axis=(1, 2))) <= 1e-13
         # V_end is the whole-cycle holonomy; l at the ends is ell there, moved by V
@@ -1157,7 +1160,7 @@ class TestFrameJumps:
 
     def test_rejects_tau_outside_the_cycle(self, spin32_linear, spin32_ds):
         with pytest.raises(ValueError, match="tau=201.0 outside"):
-            eff._frame_jumps(spin32_linear, spin32_ds, np.array([10.0, 201.0]))
+            eff._cycle_record(spin32_linear, spin32_ds).jumps(np.array([10.0, 201.0]))
 
 
 #: the three readers of a protocol's cycle record
@@ -1194,22 +1197,22 @@ class TestCycleRecord:
         proto = self.fresh()
         RECORD_READERS["evolve"](proto, spin32_ds, self.RHO)
         record, = proto._cycle_records.values()
-        assert "frames" not in vars(record)
+        assert "frame" not in vars(record)
         RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
-        assert "frames" in vars(record)
+        assert "frame" in vars(record)
 
     def test_superoperator_is_formed_on_first_read(self, spin32_ds):
         # a reader of V_end alone (the sweep's first-order distance) does not
         # pay for M = int D_l dtau; the formula and eq. 12 form it once
         proto = self.fresh()
         record = eff._cycle_record(proto, spin32_ds)
-        _, v_end = record.frames[0]
-        assert "dissipators" not in vars(record)
+        _, v_end = record.frame
+        assert "dissipator" not in vars(record)
         RECORD_READERS["formula"](proto, spin32_ds, self.RHO)
-        m = record.dissipators[0]
+        m = record.dissipator
         assert m.shape == (4, 4)
         RECORD_READERS["prediction"](proto, spin32_ds, self.RHO)
-        assert record.dissipators[0] is m
+        assert record.dissipator is m
 
     @pytest.mark.parametrize("move", [
         lambda p: p.with_gammaT(400.0), lambda p: dataclasses.replace(p, gammaT=400.0),
@@ -1275,7 +1278,7 @@ class TestRecordGrowth:
                     jumps[tau] = effective_jump(proto, spin32_ds, np.array([tau, tau - 0.01]))
             record, = proto._cycle_records.values()
             assert record.extent == 2048
-            grown[name] = record.xs[0], jumps
+            grown[name] = record.xs, jumps
         (xs, jumps), *others = grown.values()
         for other_xs, other_jumps in others:
             assert np.array_equal(other_xs, xs)

@@ -73,20 +73,21 @@ def test_per_tau_queries_share_the_cycle_grid(removed):
 
 @pytest.mark.parametrize("removed", [
     "_frozen_state_integral", "_dissipator_integral", "_purity_after", "_kernel_at", "_frame_series",
+    "_frame_jumps",
 ])
 def test_one_frame_jump_series(removed):
     # eq. 12, the end-of-cycle formula and the gauge purities apply one linear
     # map to rho, the frozen-state superoperator M = int D_l dtau that a cycle
-    # record forms once per frame from its frame jump series
-    # (``effective._CycleRecord.dissipators`` from ``frames``, which also gives
-    # the sweep its V_end)
+    # record forms once from its frame jump series
+    # (``effective._CycleRecord.dissipator`` from ``frame``, which also gives
+    # the sweep its V_end); the gauge check reads two records, one per frame
     for name in MODULES:
         assert not hasattr(importlib.import_module(f"darklind.{name}"), removed)
 
 
 def test_analysis_names_no_kernel_driver_internals():
-    # the gauge check reads a fresh cycle record through ``effective._frame_jumps``,
-    # and eq. 12 and the sweep the protocol's through ``effective._cycle_record``
+    # the gauge check, eq. 12 and the sweep read cycle records through
+    # ``effective._cycle_record`` alone
     tree = ast.parse(Path(importlib.import_module("darklind.analysis").__file__).read_text())
     names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -148,38 +149,44 @@ def callers_of(defs: dict, callee: str) -> set:
                    for n in ast.walk(node))}
 
 
-#: the gauge check's reader of a fresh record, and the record itself
-CYCLE_SERIES = {"_frame_jumps", "_CycleRecord"}
-
-
 @pytest.mark.parametrize("module, reader", [
     ("effective", "_MagnusPropagator"),
     ("effective", "end_of_cycle_state"),
     ("analysis", "purity_prediction_general"),
     ("analysis", "convergence_sweep"),
+    ("analysis", "gauge_covariance_check"),
 ])
 def test_cycle_series_read_through_the_record(module, reader):
-    # the reduced propagator, the end-of-cycle formula, eq. 12 and the sweep's
-    # V_end take the cycle series off the protocol's cycle record
-    # (``effective._cycle_record``) alone
+    # the reduced propagator, the end-of-cycle formula, eq. 12, the sweep's
+    # V_end and the gauge check take the cycle series off cycle records made
+    # by ``effective._cycle_record`` alone
     names = names_in(top_level_defs(module)[reader])
     assert "_cycle_record" in names
-    assert names & CYCLE_SERIES == set()
+    assert "_CycleRecord" not in names
 
 
-def test_record_and_frame_jumps_share_one_builder():
-    # the protocol's record and the gauge check's ``_frame_jumps`` (a fresh
-    # record in its frames) are one kind of record, read through its
-    # ``jumps`` and ``frames``; ell is formed from kernel blocks in one place
-    # (``_jumps``); the per-tau queries (``_x_of``) read the protocol's record
+def test_one_record_builder():
+    # every cycle record, the protocol's plain one and the gauge check's
+    # gauged one, is made by ``_cycle_record``; ell is formed from kernel
+    # blocks in one place (``_jumps``); the per-tau queries (``_x_of``) read
+    # the protocol's record
     defs = top_level_defs("effective")
-    assert callers_of(defs, "_CycleRecord") == {"_cycle_record", "_frame_jumps"}
+    assert callers_of(defs, "_CycleRecord") == {"_cycle_record"}
     assert callers_of(defs, "_cycle_record") == {"_x_of", "_MagnusPropagator",
                                                  "end_of_cycle_state"}
     readers = {name for name, node in defs.items() for n in ast.walk(node)
                if isinstance(n, ast.Attribute) and n.attr == "reduce_jump"
                and isinstance(n.ctx, ast.Load)}
     assert readers == {"_jumps"}
+
+
+def test_no_function_takes_a_list_of_frames():
+    # a frame is the gauge of its kernel modes (``_KernelModes.gauge``), one per
+    # cycle record: no definition of ``effective`` takes ``gauges``
+    tree = ast.parse(Path(importlib.import_module("darklind.effective").__file__).read_text())
+    takes = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "gauges"]
+    assert takes == []
 
 
 def is_affine_update(node: ast.AST) -> bool:
