@@ -48,8 +48,9 @@ __all__ = [
     "fit_loglog",
 ]
 
-#: uniform steps over the cycle of the spin-3/2 closed form
-_SPIN32_GRID = 4096
+#: uniform steps over the cycle of the spin-3/2 closed form, twice the cycle grid's,
+#: so that a finer cycle grid refines both
+_SPIN32_GRID = 2 * eff._FROZEN_GRID
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -141,7 +142,9 @@ def purity_prediction_general(
     (``eff._cycle_record``, ``dissipator``): built by the
     first of this, ``evolve_effective`` or the end-of-cycle formula on the
     protocol and dark space, and shared by the others.  rho stays frozen at
-    its initial value, which is the order the reduced theory controls.
+    its initial value, which is the order the reduced theory controls.  A
+    jump that feeds the bright space back into itself with d >= 2 raises
+    ValueError, as for every reader of the record.
     """
     rho_d = eff._coerce_dark_state(rho_init, ds)
     m = eff._cycle_record(protocol, ds).dissipator

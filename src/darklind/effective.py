@@ -94,6 +94,9 @@ _FROZEN_GRID = 2048
 _FD_STEP = 0.05
 #: Frobenius norm of the part of a full-space initial state outside the dark space
 _LEAK_TOL = 1e-10
+#: relative Frobenius size of P_perp L P_perp up to which a jump counts as feeding
+#: the dark space alone (measured at most 8.5e-16, on a tilted spin-3/2 jump)
+_BRIGHT_FEED_TOL = 1e-10
 
 #: a dark-space gauge: a 1-D array of n phases s -> the two (n, dim, dim) stacks
 #: W(s) and i W'(s) W(s)^dag, W unitary and commuting with P0
@@ -185,66 +188,25 @@ def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
     return project_dark(ds, np.asarray(h, dtype=complex))
 
 
-class _KernelModes:
-    """Eigenmodes of L^dag L on the bright subspace of one (protocol, ds), in one frame.
-
-    ``gauge`` is the dark-space gauge W of the frame, None for the plain
-    one: the kernel then runs on the drive of W H W^dag + i W' W^dag
-    (``_node_blocks``).  The protocol is held by a weak reference: the
-    protocol's cycle record holds its modes, and a strong one would make
-    protocol and record a reference cycle, freed only by the cyclic garbage
-    collector.
-    """
-
-    def __init__(self, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None):
-        m = dagger(protocol.L_rot) @ protocol.L_rot
-        lam, vec = np.linalg.eigh(m)
-        scale = max(lam[-1], 1.0)
-        bright = lam > 1e-10 * scale
-        self.rates = lam[bright]  # eigenvalues of L^dag L, all > 0
-        self.modes = vec[:, bright]  # columns: bright eigenvectors
-        self.basis = ds.basis
-        self.reduce_jump = dagger(ds.basis) @ protocol.L_rot @ self.modes  # d x nb
-        #: (nb + d) x dim: the bright modes' rows over the dark basis' rows
-        self.rows = dagger(np.hstack([self.modes, ds.basis]))
-        self._protocol = weakref.ref(protocol)
-        self.ds, self.gauge = ds, gauge
-
-    @property
-    def protocol(self) -> Protocol:
-        """The protocol the modes belong to, which its caller keeps alive."""
-        return self._protocol()
-
-    def drive(self, taus: np.ndarray) -> np.ndarray:
-        """Bright-to-dark blocks U_b^dag H B of the adiabatic Hamiltonian at a 1-D array of times.
-
-        The (n, nb, d) stack at the phases taus / gammaT, from ``_node_blocks``:
-        H is evaluated in blocks of phases with every phase checked, and a
-        failure names the first bad phase.  One time is the one-element array.
-        """
-        drives, _ = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
-        return drives
-
-
-def _node_blocks(modes: _KernelModes, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drive and dark block of the adiabatic Hamiltonian at phases s, in the frame of ``modes``.
+def _node_blocks(record: _CycleRecord, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drive and dark block of the adiabatic Hamiltonian at phases s, in the frame of ``record``.
 
     H is evaluated in blocks of _PHASE_BLOCK phases (one U and one dU call
     each), and taken as it is without a gauge, else as H^W = W H W^dag +
-    i W' W^dag (``modes.gauge``).  U_b^dag H^W B and B^dag H^W B come from
-    one GEMM on each side (``modes.rows``).  Returns the (n, nb, d) drives
-    and the (n, d, d) dark blocks.
+    i W' W^dag (``record.gauge``).  The recurrences' drive rows of H^W B
+    and B^dag H^W B come from one GEMM on each side (``record.rows``).
+    Returns the (n, recurrences, d) drives and the (n, d, d) dark blocks.
     """
     def block(t):
-        h = adiabatic_hamiltonian(modes.protocol, t)
-        if modes.gauge is not None:
-            w, potential = modes.gauge(t)
+        h = adiabatic_hamiltonian(record.protocol, t)
+        if record.gauge is not None:
+            w, potential = record.gauge(t)
             h = w @ h @ dagger(w) + potential
-        return _gemm(modes.rows, _gemm(h, modes.basis))
+        return _gemm(record.rows, _gemm(h, record.ds.basis))
 
-    nb = modes.rates.size
-    out = _blockwise(block, (nb + modes.ds.d, modes.ds.d), s)
-    return out[:, :nb], out[:, nb:]
+    n = record.rates.size
+    out = _blockwise(block, (len(record.rows), record.ds.d), s)
+    return out[:, :n], out[:, n:]
 
 
 def _check_taus(protocol: Protocol, tau) -> None:
@@ -257,6 +219,28 @@ def _check_taus(protocol: Protocol, tau) -> None:
     if t.ndim > 1:
         raise ValueError(f"tau must be one time or a 1-D array, got shape {t.shape}")
     _require_each((0.0 <= t) & (t <= protocol.gammaT + 1e-9), t, "tau={} outside [0, gammaT]")
+
+
+def _check_bright_feed(protocol: Protocol, ds: DarkSpace) -> None:
+    """Raise ValueError when the jump feeds the bright space back into itself, for d >= 2.
+
+    The reduced theory takes every jump out of the bright space to land in
+    the dark space, ell = B^dag L X B with X bright: P_perp L P_perp = 0, as
+    for the effective operators of Reiter and Sorensen (PRA 85, 032111).
+    A jump with |P_perp L P_perp|_F above _BRIGHT_FEED_TOL of |L|_F breaks
+    that, and the error gives the ratio.  With d = 1 the reduced state has
+    nothing to lose, so any jump passes.
+    """
+    if ds.d < 2:
+        return
+    L = protocol.L_rot
+    perp = np.eye(protocol.dim) - ds.projector
+    feed, size = frobenius(perp @ L @ perp), frobenius(L)
+    if feed > _BRIGHT_FEED_TOL * size:
+        raise ValueError(
+            f"the jump feeds the bright space back into itself: |P_perp L P_perp|_F / |L|_F = "
+            f"{feed / size:.3g} > {_BRIGHT_FEED_TOL:g}, outside the reduced theory"
+        )
 
 
 def _one_time(tau) -> None:
@@ -282,7 +266,11 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     by ``c_tau_ode_residual``; every other query runs the exact-decay
     recurrence (``_x_of``).  ``tau`` is one time, giving a dim x dim matrix,
     or a 1-D array of n times, giving the (n, dim, dim) stack; a time outside
-    [0, gammaT] raises ValueError naming it.
+    [0, gammaT] raises ValueError naming it.  The eigenmodes of L^dag L and
+    the drive are those of the protocol's cycle record (``_cycle_record``),
+    whose kernel blocks the oracle never reads; so a jump that feeds the
+    bright space back into itself with d >= 2 raises ValueError there
+    (``_check_bright_feed``), as for every reader of the record.
 
     The decay is exact per eigenmode of L^dag L (time independent in the
     rotating frame), and each member's window starts where the exponential
@@ -298,7 +286,7 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
     put almost every node on the initial panels, so the same ``quad_vec``
     call over the same window and breakpoints, run first on a zero
     integrand, asks for those nodes (and for one subdivision's).
-    ``_KernelModes.drive`` evaluates them all in one array call, every phase
+    ``_CycleRecord.drive`` evaluates them all in one array call, every phase
     checked, and the window weights of every member come in one array pass
     per block of _PHASE_BLOCK recorded nodes, the current block alone being
     kept.  The integrand looks each node up by its float value and
@@ -309,26 +297,26 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
 
     _check_taus(protocol, tau)
     taus = np.asarray(tau, dtype=float).reshape(-1)
-    modes = _KernelModes(protocol, ds)
-    reduced = np.zeros((taus.size, modes.rates.size, ds.d), dtype=complex)
+    record = _cycle_record(protocol, ds)
+    reduced = np.zeros((taus.size, record.rates.size, ds.d), dtype=complex)
     # X_0 = 0: without a positive time there is nothing to integrate
-    for rate in np.unique(np.round(modes.rates, 12)) if taus.any() else ():
-        group = np.abs(modes.rates - rate) < 1e-9 * max(rate, 1.0)
+    for rate in np.unique(np.round(record.rates, 12)) if taus.any() else ():
+        group = np.abs(record.rates - rate) < 1e-9 * max(rate, 1.0)
         t_lo = _window_start(taus, rate)
         a, b = t_lo.min(), taus.max()
         points = np.unique(np.concatenate([t_lo, taus]))
         limit = _QUAD_SPLITS + points.size
         nodes = []
 
-        def record(s):
+        def remember(s):
             nodes.append(s)
             return 0.0
 
-        scipy.integrate.quad_vec(record, a, b, limit=limit, points=points)
+        scipy.integrate.quad_vec(remember, a, b, limit=limit, points=points)
         recorded = np.array(nodes)
         index = {node: k for k, node in enumerate(nodes)}
         # real and imaginary parts side by side: a real vector for quad_vec
-        drives = modes.drive(recorded)[:, group].view(float)
+        drives = record.drive(recorded)[:, group].view(float)
         held = {}  # the weights of the current block of recorded nodes, by block number
 
         def weights(s):
@@ -344,7 +332,7 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
             k = index.get(s)
             if k is None:
                 node = np.array([s])
-                return weights(node)[0][:, None, None] * modes.drive(node)[0, group].view(float)
+                return weights(node)[0][:, None, None] * record.drive(node)[0, group].view(float)
             b, i = divmod(k, _PHASE_BLOCK)
             if b not in held:
                 held.clear()
@@ -359,7 +347,7 @@ def x_tau_integral(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
             target = _QUAD_TOL * max(1.0, np.abs(res).max())
             raise ConvergenceError(a, b, estimate, target, f"in quad_vec: {info.message}")
         reduced[:, group, :] = res.view(complex)
-    x = modes.modes @ reduced @ dagger(ds.basis)
+    x = record.modes @ reduced @ dagger(ds.basis)
     return x if np.ndim(tau) else x[0]
 
 
@@ -402,14 +390,18 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
     (``_CycleRecord.at``).  Once the record covers the times, a query
     evaluates the drive at the three Gauss-Legendre nodes of each partial
     step and nowhere else; an empty array makes no evaluation at all.
+    "adiabatic" runs the record constructor's check that the jump does not
+    feed the bright space back into itself (``_check_bright_feed``), so both
+    sources refuse the same jumps.
     """
     _check_taus(protocol, tau)
     if source == "integral":
         record = _cycle_record(protocol, ds)
         xs = record.at(np.asarray(tau, dtype=float).reshape(-1))
-        x = record.modes.modes @ xs @ dagger(ds.basis)
+        x = record.modes @ xs @ dagger(ds.basis)
         return x if np.ndim(tau) else x[0]
     if source == "adiabatic":
+        _check_bright_feed(protocol, ds)
         return x_tau_adiabatic(protocol, ds, tau)
     raise ValueError(f"unknown X source {source!r}")
 
@@ -452,7 +444,8 @@ def effective_jump(
     the exact-decay recurrence along the cycle grid of ``_FROZEN_GRID``
     steps, grown on demand to cover tau, and ended by one partial step to a
     tau off its nodes (``_x_of``): repeated queries on one protocol share
-    its node blocks.
+    its node blocks.  Either source refuses a jump that feeds the bright
+    space back into itself with d >= 2 (``_check_bright_feed``): ValueError.
     """
     x = _x_of(protocol, ds, tau, source)
     return dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
@@ -493,7 +486,10 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     at tau = gammaT the steps are those of the whole cycle grid, and tau = 0
     gives the identity without evaluating the drive.  The steps, those of
     ``ordered_exponential``, are multiplied pairwise.  A tau that is not one
-    number in [0, gammaT] (1e-9 slack above) raises ValueError.
+    number in [0, gammaT] (1e-9 slack above) raises ValueError.  The dark
+    blocks come from the drive evaluation of the protocol's cycle record
+    (``_node_blocks``), so a jump that feeds the bright space back into
+    itself with d >= 2 raises ValueError too (``_check_bright_feed``).
     """
     _one_time(tau)
     _check_taus(protocol, tau)
@@ -504,7 +500,7 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
         grid = np.append(grid, s)
     if grid.size < 2:
         return np.eye(ds.d, dtype=complex)
-    _, h0 = _node_blocks(_KernelModes(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
+    _, h0 = _node_blocks(_cycle_record(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
@@ -569,7 +565,8 @@ def evolve_effective(
     ``atol`` set that target and nothing else; each must be finite and
     non-negative, or a ValueError names it.  Every time must be a number in
     [0, gammaT], or a ValueError names the first that is not, before any
-    evaluation of U.  When
+    evaluation of U; so does a jump that feeds the bright space back into
+    itself with d >= 2 (``_check_bright_feed``), in every mode.  When
     ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet the target, a
     ``ConvergenceError`` names the interval and the estimate; a returned state
     outside the engine's Hermiticity, trace or positivity tolerances raises
@@ -618,33 +615,27 @@ class _MagnusPropagator:
     the CF4 exponentials, the step products and the state walk run in
     float64; the states return to d x d matrices at the points.
     ``points`` holds 0, the checkpoints and, below the first of them, the end
-    of the dissipator's onset: only a weighted dissipator with a bright rate
-    has an onset transient.  The kernel blocks are the protocol's cycle
-    record's, taken on the first step and grown to the last node at or below
-    the last point, so a propagator that takes no step builds no record.
+    of the dissipator's onset, at the slowest bright rate of the protocol's
+    cycle record: only a weighted dissipator with a bright rate has an onset
+    transient.  The kernel blocks are that record's, grown on the first
+    step to the last node at or below the last point; a propagator with no
+    point past 0 takes no step and takes no record.
     """
 
     def __init__(
         self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float,
         checkpoints: list[float],
     ):
-        self.protocol = protocol
-        self.ds = ds
-        self.modes = _KernelModes(protocol, ds)
         self.berry, self.dissipation = berry, dissipation
         self.coordinates = _HermitianCoordinates(ds.d)
         self.points = sorted({0.0, *checkpoints})
-        if dissipation and self.modes.rates.size and len(self.points) > 1:
-            onset = _ONSET_RELAXATION_TIMES * 2.0 / self.modes.rates.min()
-            if onset < self.points[1]:
-                self.points.insert(1, onset)
-
-    @cached_property
-    def record(self):
-        """The protocol's cycle record, grown to cover the last point on the first step."""
-        record = _cycle_record(self.protocol, self.ds)
-        record.grow(np.searchsorted(record.nodes, self.points[-1], side="right") - 1)
-        return record
+        if len(self.points) > 1:
+            self.record = _cycle_record(protocol, ds)
+            rates = self.record.rates
+            if dissipation and rates.size:
+                onset = _ONSET_RELAXATION_TIMES * 2.0 / rates.min()
+                if onset < self.points[1]:
+                    self.points.insert(1, onset)
 
     def states(self, rho: np.ndarray, rtol: float, atol: float) -> list:
         """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
@@ -660,6 +651,8 @@ class _MagnusPropagator:
         spans = list(pairwise(self.points))
         if not spans:
             return []
+        record = self.record
+        record.grow(np.searchsorted(record.nodes, self.points[-1], side="right") - 1)
         first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
         built = self._propagators([(i, n) for i in range(len(spans)) for n in first])
         coordinates = self.coordinates
@@ -692,7 +685,7 @@ class _MagnusPropagator:
         (``_HermitianCoordinates.generators``), and their CF4 exponentials.
         Each member's steps are then multiplied pairwise.
         """
-        d, eps = self.ds.d, 1.0 / self.protocol.gammaT
+        d, eps = self.coordinates.d, 1.0 / self.record.protocol.gammaT
         grids = [self._grid(self.points[i], self.points[i + 1], n) for i, n in wanted]
         lengths = np.concatenate([np.diff(grid) for grid in grids])
         gauss = np.concatenate([grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES
@@ -714,9 +707,8 @@ class _MagnusPropagator:
         (``_partial_step``); H0 at the times and the drive at the partial
         steps' nodes come from one ``_node_blocks`` call.
         """
-        record = self.record
-        x, dark = _partial_step(self.modes, record.nodes, record.xs, t, lead=t)
-        return dark, _jumps(self.modes, t, x)
+        x, dark = _partial_step(self.record, t, lead=t)
+        return dark, _jumps(self.record, t, x)
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -835,7 +827,9 @@ def end_of_cycle_state(
     ``evolve_effective``, the per-tau queries and eq. 12 on the same protocol
     and dark space share; the integral is M applied to rho
     (``_frozen_dissipator``), as for the purity prediction of eq. 12.  The
-    two methods agree to the order the reduced theory is valid.
+    two methods agree to the order the reduced theory is valid, and both
+    refuse a jump that feeds the bright space back into itself with d >= 2
+    (``_check_bright_feed``): ValueError before any evaluation of U.
     """
     rho_d = _coerce_dark_state(rho_init, ds)
     if method == "integrate":
@@ -851,43 +845,84 @@ def end_of_cycle_state(
 
 
 class _CycleRecord:
-    """The kernel blocks of one (protocol, dark space, frame) at the cycle nodes, grown as asked.
+    """The kernel modes and blocks of one (protocol, dark space, frame), grown as asked.
 
-    The frame is that of the modes (``_KernelModes.gauge``).  ``xs`` holds
-    the blocks at the cycle nodes 0..``extent`` (``_cycle_grid``), and
-    ``h0`` the dark block of H at the midpoints of those steps; ``extent``
-    starts at 0, where the block is zero.  A reader asks for the nodes it
-    needs (``grow``), and the record grows by chunks of _PHASE_BLOCK cycle
-    steps, each chunk one ``_node_blocks`` call, one ``_step_maps`` call and
-    one scan from the block at the previous chunk's last node.  The chunk
-    bounds are fixed, so the blocks are the same bits whatever the order in
-    which readers grew the record.  Times off the nodes take one partial
-    step each (``at``).  The grid only has to resolve the drive, whatever a
-    step's rate h: 2048 steps on the smoothstep gammaT = 200 cycle match the
-    quadrature kernel to 1e-13.
+    The modes are the bright eigenmodes of L^dag L, from its one
+    eigendecomposition in the package: ``modes`` holds the eigenvectors of
+    the eigenvalues above 1e-10 of the largest as columns, and
+    ``reduce_jump`` is B^dag L U_b (d x nb).  The frame is the dark-space
+    gauge W (``gauge``), None for the plain one; the kernel then runs on the
+    drive of W H W^dag + i W' W^dag (``_node_blocks``).  ``rates`` holds the
+    decay rate of each recurrence and ``rows`` its drive row over the dark
+    basis' rows, so one GEMM gives the drives and the dark block: in the
+    plain frame one recurrence per mode, the eigenvalues of the modes; in a
+    gauge frame one per (mode i, drive row j) pair, at index i nb + j, with
+    the rate of mode i and the drive row of mode j (``_jumps``).  The jump
+    is checked not to feed the bright space back into itself
+    (``_check_bright_feed``) before any evaluation of U.  The protocol is
+    held by a weak reference: the protocol holds its record, and a strong
+    one would make the two a reference cycle, freed only by the cyclic
+    garbage collector.
 
-    Every reader of the cycle series reads it here: the kernel blocks
-    (``at``), ell at any times (``jumps``), the frame series l = V^dag ell V
-    at the nodes with V_end (``frame``), and the frozen-state superoperator
-    M = int D_l dtau of eq. 12 (``dissipator``).  Records are made by
-    ``_cycle_record`` alone, which keeps the plain-frame record of a
-    protocol on the protocol, where the per-tau queries, the reduced
-    propagator, the end-of-cycle formula, eq. 12, the sweep's first-order
-    distance and the gauge check's plain frame share it; the gauge check's
-    gauged frame is a fresh record.  The record holds its protocol by a weak
-    reference only (``_KernelModes``), so the protocol is freed, with its
-    record, when its last reference goes.
+    ``xs`` holds the blocks, one per recurrence, at the cycle nodes
+    0..``extent`` (``_cycle_grid``), and ``h0`` the dark block of H at the
+    midpoints of those steps; ``extent`` starts at 0, where the block is
+    zero.  A reader asks for the nodes it needs (``grow``), and the record
+    grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
+    ``_node_blocks`` call, one ``_step_maps`` call and one scan from the
+    block at the previous chunk's last node.  The chunk bounds are fixed, so
+    the blocks are the same bits whatever the order in which readers grew
+    the record.  Times off the nodes take one partial step each (``at``).
+    The grid only has to resolve the drive, whatever a step's rate h: 2048
+    steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
+    to 1e-13.
+
+    Every reader of the kernel modes or the cycle series reads them here:
+    the kernel blocks (``at``), ell at any times (``jumps``), the frame
+    series l = V^dag ell V at the nodes with V_end (``frame``), the
+    frozen-state superoperator M = int D_l dtau of eq. 12 (``dissipator``),
+    and the modes and drive (``drive``) that the holonomy and the quadrature
+    oracle read.  Records are made by ``_cycle_record`` alone, which keeps
+    the plain-frame record of a protocol on the protocol, where the per-tau
+    queries, the reduced propagator, the end-of-cycle formula, eq. 12, the
+    holonomy, the oracle, the sweep's first-order distance and the gauge
+    check's plain frame share it; the gauge check's gauged frame is a fresh
+    record.
     """
 
-    def __init__(self, modes: _KernelModes):
-        self.modes = modes
-        self.nodes = _cycle_grid(modes.protocol.gammaT)
+    def __init__(self, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None):
+        _check_bright_feed(protocol, ds)
+        lam, vec = np.linalg.eigh(dagger(protocol.L_rot) @ protocol.L_rot)
+        bright = lam > 1e-10 * max(lam[-1], 1.0)
+        self.modes = vec[:, bright]
+        self.reduce_jump = dagger(ds.basis) @ protocol.L_rot @ self.modes
+        pairs = self.modes.shape[1] if gauge is not None else 1
+        self.rates = np.repeat(lam[bright], pairs)  # all > 0
+        #: recurrences + d rows of dim: the recurrences' drive rows over the dark basis' rows
+        self.rows = dagger(np.hstack([np.tile(self.modes, pairs), ds.basis]))
+        self._protocol = weakref.ref(protocol)
+        self.ds, self.gauge = ds, gauge
+        self.nodes = _cycle_grid(protocol.gammaT)
         self.extent = 0
-        nb, d = modes.rates.size, modes.ds.d
-        # a gauge frame holds one block per (mode, drive row) pair (``_jumps``)
-        self.xs = np.zeros((self.nodes.size,) + (nb,) * (modes.gauge is not None) + (nb, d),
-                           dtype=complex)
-        self.h0 = np.empty((_FROZEN_GRID, d, d), dtype=complex)
+        self.xs = np.zeros((self.nodes.size, self.rates.size, ds.d), dtype=complex)
+        self.h0 = np.empty((_FROZEN_GRID, ds.d, ds.d), dtype=complex)
+
+    @property
+    def protocol(self) -> Protocol:
+        """The protocol the record belongs to, which its caller keeps alive."""
+        return self._protocol()
+
+    def drive(self, taus: np.ndarray) -> np.ndarray:
+        """The recurrences' drives of the adiabatic Hamiltonian at a 1-D array of times.
+
+        The (n, recurrences, d) stack at the phases taus / gammaT, in the
+        plain frame the bright-to-dark blocks U_b^dag H B, from
+        ``_node_blocks``: H is evaluated in blocks of phases with every phase
+        checked, and a failure names the first bad phase.  One time is the
+        one-element array.
+        """
+        drives, _ = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
+        return drives
 
     def grow(self, k: int) -> None:
         """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps."""
@@ -895,7 +930,7 @@ class _CycleRecord:
             lo = self.extent
             hi = min(lo + _PHASE_BLOCK, _FROZEN_GRID)
             nodes = self.nodes[lo:hi + 1]
-            maps, dark = _gl3_steps(self.modes, nodes[:-1], np.diff(nodes))
+            maps, dark = _gl3_steps(self, nodes[:-1], np.diff(nodes))
             self.xs[lo:hi + 1] = _kernel_grid(maps, self.xs[lo])
             self.h0[lo:hi] = dark[1::3]  # the middle Gauss-Legendre node of each step
             self.extent = hi
@@ -914,7 +949,7 @@ class _CycleRecord:
         found = self.xs[k]
         off = taus > self.nodes[k]
         if off.any():
-            found[off], _ = _partial_step(self.modes, self.nodes, self.xs, taus[off])
+            found[off], _ = _partial_step(self, taus[off])
         return found
 
     def jumps(self, taus: np.ndarray) -> np.ndarray:
@@ -923,8 +958,8 @@ class _CycleRecord:
         A tau outside [0, gammaT] (1e-9 slack above) raises ValueError naming
         it, before any kernel work.
         """
-        _check_taus(self.modes.protocol, taus)
-        return _jumps(self.modes, taus, self.at(taus))
+        _check_taus(self.protocol, taus)
+        return _jumps(self, taus, self.at(taus))
 
     @cached_property
     def frame(self) -> tuple[np.ndarray, np.ndarray]:
@@ -937,8 +972,8 @@ class _CycleRecord:
         lets go of those midpoint blocks, which only this reads.
         """
         self.grow(_FROZEN_GRID)
-        ells = _jumps(self.modes, self.nodes, self.xs)
-        vs = ordered_exponential(-1j * self.h0, self.nodes / self.modes.protocol.gammaT)
+        ells = _jumps(self, self.nodes, self.xs)
+        vs = ordered_exponential(-1j * self.h0, self.nodes / self.protocol.gammaT)
         self.h0 = None
         return dagger(vs) @ ells @ vs, vs[-1].copy()
 
@@ -971,12 +1006,12 @@ def _cycle_record(protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None)
     grows as its readers ask.
     """
     if gauge is not None:
-        return _CycleRecord(_KernelModes(protocol, ds, gauge))
+        return _CycleRecord(protocol, ds, gauge)
     key = (ds.basis.shape, ds.basis.tobytes(), protocol.L_rot.tobytes())
     held = protocol._cycle_records
     if key not in held:
         held.clear()
-        held[key] = _CycleRecord(_KernelModes(protocol, ds))
+        held[key] = _CycleRecord(protocol, ds)
     return held[key]
 
 
@@ -988,62 +1023,60 @@ def _frozen_dissipator(rho_d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return (m @ rho_d.reshape(-1)).reshape(rho_d.shape)
 
 
-def _jumps(modes: _KernelModes, taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _jumps(record: _CycleRecord, taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """ell_tau = B^dag L X_tau B at the times ``taus`` from their kernel blocks ``xs``, (n, d, d).
 
-    In a gauge frame W (``modes.gauge``) the drive seen at tau is
+    In a gauge frame W (``record.gauge``) the drive seen at tau is
     W(tau)^dag H^W(s) W(tau), and W(tau)^dag need not commute with the
-    decay; the recurrence then runs per (mode i, drive row j) pair,
+    decay; the recurrences then run per (mode i, drive row j) pair,
     Y_ij(tau) = int e^{rate_i (s - tau)/2} [U_b^dag H^W(s) B]_j ds, and
-    X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B).
+    X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B), the pairs taken
+    as the (n, nb, nb, d) stack.
     """
-    if modes.gauge is None:
-        return _gemm(modes.reduce_jump, xs)
+    if record.gauge is None:
+        return _gemm(record.reduce_jump, xs)
+    modes = record.modes
+    nb, d = modes.shape[1], record.ds.d
 
-    def to_jump(t, x):
-        w = modes.gauge(t / modes.protocol.gammaT)[0]
-        x = np.einsum("bij,bijk->bik", dagger(modes.modes) @ dagger(w) @ modes.modes, x)
-        return modes.reduce_jump @ x @ project_dark(modes.ds, w)
+    def to_jump(t, y):
+        w = record.gauge(t / record.protocol.gammaT)[0]
+        x = np.einsum("bij,bijk->bik", dagger(modes) @ dagger(w) @ modes, y)
+        return record.reduce_jump @ x @ project_dark(record.ds, w)
 
-    return _blockwise(to_jump, (modes.ds.d, modes.ds.d), taus, xs)
+    return _blockwise(to_jump, (d, d), taus, xs.reshape(len(xs), nb, nb, d))
 
 
 def _partial_step(
-    modes: _KernelModes, nodes: np.ndarray, xs: np.ndarray, taus: np.ndarray,
-    lead: Sequence[float] = (),
+    record: _CycleRecord, taus: np.ndarray, lead: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel blocks at ``taus`` by one partial step from the node at or below each.
+    """The kernel blocks at ``taus`` by one partial step from the cycle node at or below each.
 
-    ``xs`` holds the blocks at the sorted ``nodes``, up to the node of the
-    latest time.  Each time steps from its node to itself, the decay exact
-    (``_gl3_steps``), and the step's affine map acts on the node's block
-    (``_affine``); a time on a node takes a step of length 0, which returns
-    the node's block.  It also returns the dark blocks of H at the 1-D array
-    of times ``lead``, from the same ``_node_blocks`` call.
+    The record holds the blocks at its ``nodes`` up to the node of the
+    latest time (``xs``).  Each time steps from its node to itself, the decay
+    exact (``_gl3_steps``), and the step's affine map acts on the node's
+    block (``_affine``); a time on a node takes a step of length 0, which
+    returns the node's block.  It also returns the dark blocks of H at the
+    1-D array of times ``lead``, from the same ``_node_blocks`` call.
     """
-    k = np.searchsorted(nodes, taus, side="right") - 1
-    maps, dark = _gl3_steps(modes, nodes[k], taus - nodes[k], lead)
-    return _affine(maps, xs[k]), dark[:len(lead)]
+    k = np.searchsorted(record.nodes, taus, side="right") - 1
+    maps, dark = _gl3_steps(record, record.nodes[k], taus - record.nodes[k], lead)
+    return _affine(maps, record.xs[k]), dark[:len(lead)]
 
 
 def _gl3_steps(
-    modes: _KernelModes, starts: np.ndarray, h: np.ndarray, lead: Sequence[float] = ()
+    record: _CycleRecord, starts: np.ndarray, h: np.ndarray, lead: Sequence[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """The maps of kernel steps of lengths h from the times ``starts``, and dark blocks of H.
 
     H is evaluated at the times ``lead`` and then at the three Gauss-Legendre
     nodes of each step (``_GL3_NODES``), in one ``_node_blocks`` call.
-    Returns the steps' affine maps (``_step_maps``; in a gauge frame one per
-    (mode, drive row) pair) and the dark blocks at the lead times and then at
-    the nodes, 3 per step.
+    Returns the steps' affine maps (``_step_maps``) and the dark blocks at
+    the lead times and then at the nodes, 3 per step.
     """
     nodes = starts[:, None] + h[:, None] * _GL3_NODES
-    phases = np.concatenate([lead, nodes.ravel()]) / modes.protocol.gammaT
-    drives, dark = _node_blocks(modes, phases)
-    drives = drives[len(lead):].reshape(nodes.shape + drives.shape[1:])
-    if modes.gauge is not None:
-        drives = drives[:, :, None]  # one recurrence per (mode, drive row) pair
-    return _step_maps(modes, h, drives), dark
+    phases = np.concatenate([lead, nodes.ravel()]) / record.protocol.gammaT
+    drives, dark = _node_blocks(record, phases)
+    return _step_maps(record, h, drives[len(lead):].reshape(nodes.shape + drives.shape[1:])), dark
 
 
 def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1091,46 +1124,38 @@ def _decay_weights(z: np.ndarray) -> np.ndarray:
 
 
 def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Kernel blocks at the points of grids by the per-mode exponential recurrence, from ``start``.
+    """Kernel blocks at the points of a grid by the exponential recurrence, from ``start``.
 
-    ``maps`` holds the affine maps [decay | gain] of the grids' steps along
-    axis 0 (``_step_maps``); further axes index independent grids of the
-    same step count, or (mode, drive row) pairs.  The maps are
-    prefix-composed by one scan and applied to ``start``, the blocks at the
-    first point (``_affine``).  Returns the blocks at the steps + 1 points,
-    (points, ..., nb, d) or (points, nb, nb, d) for pairs.
+    ``maps`` holds the affine maps [decay | gain] of the grid's steps along
+    axis 0 (``_step_maps``).  The maps are prefix-composed by one scan and
+    applied to ``start``, the blocks at the first point (``_affine``).
+    Returns the (points, recurrences, d) blocks at the steps + 1 points.
     """
-    xs = np.empty((maps.shape[0] + 1,) + maps.shape[1:-1] + (maps.shape[-1] - 1,), dtype=complex)
+    xs = np.empty((len(maps) + 1,) + start.shape, dtype=complex)
     xs[0] = start
     xs[1:] = _affine(_scan(maps, _compose_affine), start)
     return xs
 
 
-def _step_maps(modes: _KernelModes, h: np.ndarray, drives: np.ndarray) -> np.ndarray:
+def _step_maps(record: _CycleRecord, h: np.ndarray, drives: np.ndarray) -> np.ndarray:
     """The affine map x -> e^{-rate h/2} x + gain of each kernel-recurrence step of length h.
 
-    ``h`` is a (steps, ...) array, further axes indexing independent grids,
-    and ``drives`` the drive at each step's Gauss-Legendre nodes (``_GL3_NODES``),
-    (steps, ..., 3, nb, d) for the blocks U_b^dag X_tau B, or
-    (steps, 3, 1, nb, d) for one map per (mode i, drive row j) pair, whose
-    blocks are Y_ij(tau) (see ``_jumps``).  Over a step the block decays by
-    e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s) ds, the drive
-    interpolated through its values at the three Gauss-Legendre nodes and the
-    exponential integrated exactly (``_decay_weights``).  The weights are
-    computed once per distinct step length, and a grid has few: all of a
-    uniform grid's steps are one length up to roundoff.  Returns [decay |
-    gain] along the last axis, (steps, ..., nb, 1 + d) or (steps, ..., nb,
-    nb, 1 + d).
+    ``h`` is the 1-D array of the steps' lengths and ``drives`` the
+    (steps, 3, recurrences, d) drive at each step's Gauss-Legendre nodes
+    (``_GL3_NODES``), one row per recurrence of the record (``rates``).
+    Over a step the block decays by e^{-rate h/2} and gains
+    int e^{rate (s - t1)/2} drive(s) ds, the drive interpolated through its
+    values at the three Gauss-Legendre nodes and the exponential integrated
+    exactly (``_decay_weights``).  The weights are computed once per
+    distinct step length, and a grid has few: all of a uniform grid's steps
+    are one length up to roundoff.  Returns [decay | gain] along the last
+    axis, (steps, recurrences, 1 + d).
     """
     lengths, which = np.unique(h, return_inverse=True)
-    which = which.reshape(h.shape)
-    z = 0.5 * lengths[:, None] * modes.rates  # (lengths, nb)
-    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, ..., 3, nb)
-    coef = coef.reshape(coef.shape + (1,) * (drives.ndim - coef.ndim))
-    gains = (coef * drives).sum(axis=h.ndim)
-    decay = np.exp(-z)[which]
-    decay = decay.reshape(decay.shape + (1,) * (gains.ndim - decay.ndim))
-    return np.concatenate([np.broadcast_to(decay, gains.shape[:-1] + (1,)), gains], axis=-1)
+    z = 0.5 * lengths[:, None] * record.rates  # (lengths, rates)
+    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, rates)
+    gains = (coef[..., None] * drives).sum(axis=1)
+    return np.concatenate([np.exp(-z)[which][..., None], gains], axis=-1)
 
 
 def reconstruct_full_state(

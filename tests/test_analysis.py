@@ -607,7 +607,7 @@ class TestSweep:
             first = record.extent
             grow(record, k)
             if record.extent > first:
-                grown.append((record.modes.protocol.gammaT, first, record.extent))
+                grown.append((record.protocol.gammaT, first, record.extent))
 
         monkeypatch.setattr(eff._CycleRecord, "grow", spied)
         convergence_sweep(spin32_protocol(linear_path(1, 0), 200.0), [100.0, 200.0], (0.0, 0.0, 1.0))

@@ -397,9 +397,9 @@ class TestHamiltonianCalls:
         records = []
         init = eff._CycleRecord.__init__
 
-        def counted(record, modes):
-            init(record, modes)
-            records.append((modes.protocol.gammaT, modes.gauge is not None, record))
+        def counted(record, protocol, ds, gauge=None):
+            init(record, protocol, ds, gauge)
+            records.append((protocol.gammaT, gauge is not None, record))
 
         monkeypatch.setattr(eff._CycleRecord, "__init__", counted)
         gauge_covariance_check(proto, dark_space(proto.L_rot), (math.pi / 7.0) * SZ,
@@ -587,13 +587,13 @@ class TestOneKernelAlgorithm:
         # (1,260 phases measured, 1,218 of them in the one call on the recorded
         # nodes; 3,528 with one quadrature per stencil time)
         phases = []
-        drive = eff._KernelModes.drive
+        drive = eff._CycleRecord.drive
 
         def counted(self, taus):
             phases.append(np.size(taus))
             return drive(self, taus)
 
-        monkeypatch.setattr(eff._KernelModes, "drive", counted)
+        monkeypatch.setattr(eff._CycleRecord, "drive", counted)
         c_tau_ode_residual(spin32_linear, spin32_ds, np.linspace(0.2, 20.0, 64)[:8])
         assert 0 < sum(phases) <= 1500
         assert max(phases) >= 0.95 * sum(phases)
@@ -626,15 +626,15 @@ class TestBatchedOracle:
         # past tau = 60 (= 2 * 90 / 3) each member's window starts at its own time
         proto = spin32_protocol(path, 150.0)
         taus = np.array([0.5, 37.0, 61.0, 90.0, 149.0])
-        modes = eff._KernelModes(proto, spin32_ds)
-        reduced = np.zeros((taus.size, modes.rates.size, spin32_ds.d), dtype=complex)
-        for rate in np.unique(np.round(modes.rates, 12)):
-            group = np.abs(modes.rates - rate) < 1e-9 * max(rate, 1.0)
+        record = eff._cycle_record(proto, spin32_ds)
+        reduced = np.zeros((taus.size, record.rates.size, spin32_ds.d), dtype=complex)
+        for rate in np.unique(np.round(record.rates, 12)):
+            group = np.abs(record.rates - rate) < 1e-9 * max(rate, 1.0)
             t_lo = np.maximum(0.0, taus - 180.0 / rate)
 
             def integrand(s):
                 h = adiabatic_hamiltonian(proto, s / proto.gammaT)
-                drive = (dagger(modes.modes) @ h @ spin32_ds.basis)[group]
+                drive = (dagger(record.modes) @ h @ spin32_ds.basis)[group]
                 inside = (t_lo <= s) & (s <= taus)
                 weight = inside * np.exp(0.5 * rate * np.minimum(s - taus, 0.0))
                 return weight[:, None, None] * drive.view(float)
@@ -646,7 +646,7 @@ class TestBatchedOracle:
             )
             assert info.status == 0
             reduced[:, group] = res.view(complex)
-        expected = modes.modes @ reduced @ dagger(spin32_ds.basis)
+        expected = record.modes @ reduced @ dagger(spin32_ds.basis)
         assert np.abs(x_tau_integral(proto, spin32_ds, taus) - expected).max() <= 1e-15
 
     def test_checks_every_phase(self, spin32_linear):
@@ -671,9 +671,9 @@ class TestBatchedOracle:
         # allowed subintervals to reach 1e-10
         def rough(self, taus):
             return np.sign(np.sin(1e3 * taus))[:, None, None] * np.ones(
-                (self.rates.size, self.basis.shape[1]))
+                (self.rates.size, self.ds.d))
 
-        monkeypatch.setattr(eff._KernelModes, "drive", rough)
+        monkeypatch.setattr(eff._CycleRecord, "drive", rough)
         with pytest.raises(ConvergenceError,
                            match=r"tau in \[0, 10\]: error estimate .* quad_vec: Target precision"):
             x_tau_integral(spin32_linear, spin32_ds, 10.0)
@@ -692,9 +692,9 @@ class TestBatchedOracle:
         phases, starts = [], []
         blocks, scan = eff._node_blocks, eff._kernel_grid
 
-        def spied_blocks(modes, s, *args, **kwargs):
+        def spied_blocks(record, s, *args, **kwargs):
             phases.append(s)
-            return blocks(modes, s, *args, **kwargs)
+            return blocks(record, s, *args, **kwargs)
 
         def spied_scan(maps, start):
             starts.append((maps.shape[0], start.copy()))
@@ -802,9 +802,9 @@ class TestPerTauBatch:
         phases = []
         blocks = eff._node_blocks
 
-        def spied(modes, s, *args, **kwargs):
+        def spied(record, s, *args, **kwargs):
             phases.append(np.size(s))
-            return blocks(modes, s, *args, **kwargs)
+            return blocks(record, s, *args, **kwargs)
 
         monkeypatch.setattr(eff, "_node_blocks", spied)
         result = darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
@@ -906,33 +906,44 @@ def sequential_kernel(rates, taus, drives, start):
     return np.array(out)
 
 
+def identity_gauge(s):
+    """The trivial dark-space gauge W = 1 on spin 3/2, at a 1-D array of phases."""
+    return np.broadcast_to(np.eye(4, dtype=complex), (len(s), 4, 4)), np.zeros((len(s), 4, 4))
+
+
 class TestKernelScan:
     def test_matches_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
-        # three graded, non-uniform grids side by side, two from zero and one
+        # three graded, non-uniform grids, one call each, two from zero and one
         # from a carried block
-        modes = eff._KernelModes(spin32_linear, spin32_ds)
-        nb, d, steps = modes.rates.size, spin32_ds.d, 300
+        record = eff._cycle_record(spin32_linear, spin32_ds)
+        nb, d, steps = record.rates.size, spin32_ds.d, 300
         u = np.linspace(0.0, 1.0, steps + 1)[:, None]
         taus = np.array([0.0, 20.0, 150.0]) + np.array([40.0, 7.0, 50.0]) * u ** [2.0, 1.5, 3.0]
         drives = rng.normal(size=(steps, 3, 3, nb, d)) + 1j * rng.normal(size=(steps, 3, 3, nb, d))
         start = np.zeros((3, nb, d), dtype=complex)
         start[1] = rng.normal(size=(nb, d)) + 1j * rng.normal(size=(nb, d))  # a carried block
-        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus, axis=0), drives), start)
-        assert xs.shape == (steps + 1, 3, nb, d)
         for p in range(3):
-            expected = sequential_kernel(modes.rates, taus[:, p], drives[:, p], start[p])
-            assert np.abs(xs[:, p] - expected).max() <= 1e-13 * np.abs(expected).max()
+            maps = eff._step_maps(record, np.diff(taus[:, p]), drives[:, p])
+            xs = eff._kernel_grid(maps, start[p])
+            assert xs.shape == (steps + 1, nb, d)
+            expected = sequential_kernel(record.rates, taus[:, p], drives[:, p], start[p])
+            assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_mode_row_pairs_match_the_sequential_recurrence(self, spin32_linear, spin32_ds, rng):
-        modes = eff._KernelModes(spin32_linear, spin32_ds)
-        nb, d, steps = modes.rates.size, spin32_ds.d, 257
+        # a gauge frame's record runs pair (i, j) as recurrence i nb + j, with
+        # the rate of mode i and drive row j
+        plain = eff._cycle_record(spin32_linear, spin32_ds)
+        record = eff._cycle_record(spin32_linear, spin32_ds, identity_gauge)
+        nb, d, steps = plain.rates.size, spin32_ds.d, 257
+        assert np.array_equal(record.rates, np.repeat(plain.rates, nb))
         taus = 30.0 * np.linspace(0.0, 1.0, steps + 1) ** 2
         drives = rng.normal(size=(steps, 3, 1, nb, d)) + 1j * rng.normal(size=(steps, 3, 1, nb, d))
-        start = np.zeros((nb, nb, d), dtype=complex)
-        xs = eff._kernel_grid(eff._step_maps(modes, np.diff(taus), drives), start)
-        expected = sequential_kernel(modes.rates, taus, drives, start)
-        assert xs.shape == expected.shape
-        assert np.abs(xs - expected).max() <= 1e-13 * np.abs(expected).max()
+        start = np.zeros((nb * nb, d), dtype=complex)
+        tiled = np.tile(drives[:, :, 0], (1, 1, nb, 1))  # row i nb + j is drive row j
+        xs = eff._kernel_grid(eff._step_maps(record, np.diff(taus), tiled), start)
+        expected = sequential_kernel(plain.rates, taus, drives, start.reshape(nb, nb, d))
+        assert xs.shape == (steps + 1, nb * nb, d)
+        assert np.abs(xs.reshape(expected.shape) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestEffectiveRhs:
@@ -996,9 +1007,9 @@ class TestBerryHolonomy:
         phases = []
         blocks = eff._node_blocks
 
-        def spied(modes, s, *args, **kwargs):
+        def spied(record, s, *args, **kwargs):
             phases.append(np.size(s))
-            return blocks(modes, s, *args, **kwargs)
+            return blocks(record, s, *args, **kwargs)
 
         monkeypatch.setattr(eff, "_node_blocks", spied)
         berry_holonomy(spin32_linear, spin32_ds, fraction * spin32_linear.gammaT)
@@ -1012,6 +1023,15 @@ class TestBerryHolonomy:
     def test_trivial_over_theta_cycle(self, spin32_linear, spin32_ds):
         v = berry_holonomy(spin32_linear, spin32_ds, spin32_linear.gammaT)
         assert np.linalg.norm(v - np.eye(2)) <= 1e-8
+
+    def test_criterion_4_product_stays_pairwise(self):
+        # criterion 4 on linear(1, 0) at gammaT 200 reads |V - 1| = 9.63e-14 with
+        # the midpoint steps multiplied pairwise; the benchmark's reference error
+        # ratio of the battery is this number over the bound 1e-8, and a prefix
+        # scan of the same steps reads 1.53e-13, 59% more
+        proto = spin32_protocol(linear_path(1, 0), 200.0)
+        v = berry_holonomy(proto, dark_space(proto.L_rot), 200.0)
+        assert np.linalg.norm(v - np.eye(2)) <= 1.1e-13
 
     def test_unitary_generic_loop(self, spin32_ds):
         proto = spin32_protocol(smoothstep_path(1, 1), 130.0)
@@ -1248,7 +1268,106 @@ class TestCycleRecord:
         for ds in (spin32_ds, other):
             end_of_cycle_state(self.RHO, proto, ds, method="formula")
         record, = proto._cycle_records.values()
-        assert np.array_equal(record.modes.basis, other.basis)
+        assert np.array_equal(record.ds.basis, other.basis)
+
+
+def test_one_record_per_protocol_and_dark_space(monkeypatch, spin32_ds):
+    # the reduced propagator (twice), the holonomy, the quadrature oracle, a
+    # per-tau query and eq. 12 read the kernel modes off one record, whose
+    # constructor runs the one eigendecomposition of L^dag L
+    proto = spin32_protocol(linear_path(1, 0), 200.0)
+    built = []
+    init = eff._CycleRecord.__init__
+
+    def counted(record, *args, **kwargs):
+        built.append(record)
+        init(record, *args, **kwargs)
+
+    monkeypatch.setattr(eff._CycleRecord, "__init__", counted)
+    rho = dark_state_from_bloch((0.0, 0.6, 0.8))
+    for _ in range(2):
+        evolve_effective(rho, proto, spin32_ds, [50.0, 200.0])
+    berry_holonomy(proto, spin32_ds, 200.0)
+    x_tau_integral(proto, spin32_ds, 12.0)
+    effective_jump(proto, spin32_ds, 33.0)
+    purity_prediction_general(rho, proto, spin32_ds)
+    assert len(built) == 1
+    assert list(proto._cycle_records.values()) == built
+
+
+def bright_feeding_protocol(gammaT=200.0):
+    """A spin-3/2 protocol whose jump G P_perp feeds the bright space: |P_perp L P_perp| / |L| = 0.88.
+
+    G is a seeded complex Gaussian matrix; L keeps the spin-3/2 dark space
+    (d = 2) and is scaled so that its slowest bright rate is 3.
+    """
+    rng = np.random.default_rng(3)
+    perp = np.eye(4) - dark_space(spin32_jump()).projector
+    jump = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) @ perp
+    lam = np.linalg.eigvalsh(dagger(jump) @ jump)
+    jump *= math.sqrt(3.0 / lam[lam > 1e-10 * lam[-1]].min())
+    path = linear_path(1, 0)
+    _, sy, sz = spin_operators(3)
+    return custom_protocol([sy, sz], [path.theta, path.phi], jump, gammaT,
+                           dangles=[path.dtheta, path.dphi])
+
+
+class TestBrightFeedGuard:
+    """The reduced theory refuses a jump that feeds the bright space back into itself (d >= 2)."""
+
+    RHO = dark_state_from_bloch((0.0, 0.6, 0.8))
+
+    @pytest.mark.parametrize("query", [
+        lambda p, ds, rho: evolve_effective(rho, p, ds, [10.0, 200.0]),
+        lambda p, ds, rho: evolve_effective(rho, p, ds, [200.0], mode="unitary"),
+        lambda p, ds, rho: effective_jump(p, ds, 20.0),
+        lambda p, ds, rho: effective_jump(p, ds, 20.0, source="adiabatic"),
+        lambda p, ds, rho: purity_prediction_general(rho, p, ds),
+        lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="integrate"),
+        lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
+        lambda p, ds, rho: x_tau_integral(p, ds, 20.0),
+        lambda p, ds, rho: berry_holonomy(p, ds, 200.0),
+    ], ids=["evolve", "evolve-unitary", "jump", "jump-adiabatic", "prediction", "integrate",
+            "formula", "x_tau_integral", "holonomy"])
+    def test_refused_before_any_U_call(self, query):
+        proto, calls = counting_u(bright_feeding_protocol())
+        ds = dark_space(proto.L_rot)
+        assert ds.d == 2
+        with pytest.raises(ValueError, match=r"feeds the bright space .* = 0\.88 > 1e-10"):
+            query(proto, ds, self.RHO)
+        assert calls == []
+        assert proto._cycle_records == {}
+
+    @pytest.mark.parametrize("generator", [rotating_generator, lab_generator],
+                             ids=["rotating", "lab"])
+    def test_brute_force_still_runs(self, generator):
+        proto = bright_feeding_protocol(10.0)
+        rho0 = embed_dark(dark_space(proto.L_rot), self.RHO)
+        traj = integrate(generator(proto), rho0, (0.0, 1.0))
+        assert traj.final.shape == (4, 4)
+        assert abs(np.trace(traj.final) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("jump", [
+        lambda: dagger(spin_operators(3)[0] + 1j * spin_operators(3)[1]), spin52_lowering,
+    ], ids=["spin-3/2", "spin-5/2"])
+    def test_lowering_jumps_with_one_dark_state_pass(self, jump):
+        # |P_perp L P_perp| / |L| is 0.84 and 0.93, but a one-state dark space
+        # has no reduced dynamics to get wrong
+        L = jump()
+        dim = L.shape[0]
+        perp = np.eye(dim) - dark_space(L).projector
+        assert np.linalg.norm(perp @ L @ perp) >= 0.8 * np.linalg.norm(L)
+        _, sy, sz = spin_operators(dim - 1)
+        path = linear_path(1, 0)
+        proto = custom_protocol([sy, sz], [path.theta, path.phi], L, 50.0,
+                                dangles=[path.dtheta, path.dphi])
+        ds = dark_space(L)
+        assert ds.d == 1
+        for source in ("integral", "adiabatic"):
+            ells = effective_jump(proto, ds, np.array([5.0, 20.0]), source=source)
+            assert ells.shape == (2, 1, 1) and np.isfinite(ells).all()
+        state, = evolve_effective(np.eye(1), proto, ds, [50.0])
+        assert np.array_equal(state, np.eye(1))
 
 
 class TestRecordGrowth:
@@ -1313,9 +1432,9 @@ class TestRecordGrowth:
         phases = []
         blocks = eff._node_blocks
 
-        def spied(modes, s, *args, **kwargs):
+        def spied(record, s, *args, **kwargs):
             phases.append(np.size(s))
-            return blocks(modes, s, *args, **kwargs)
+            return blocks(record, s, *args, **kwargs)
 
         monkeypatch.setattr(eff, "_node_blocks", spied)
         effective_jump(proto, spin32_ds, 7.3)

@@ -167,22 +167,47 @@ def test_cycle_series_read_through_the_record(module, reader):
 
 def test_one_record_builder():
     # every cycle record, the protocol's plain one and the gauge check's
-    # gauged one, is made by ``_cycle_record``; ell is formed from kernel
-    # blocks in one place (``_jumps``); the per-tau queries (``_x_of``) read
-    # the protocol's record
+    # gauged one, is made by ``_cycle_record``; a record's kernel blocks are
+    # turned into ell in one place (``_jumps``), the one reader of the reduced
+    # jump B^dag L U_b; the per-tau queries (``_x_of``), the holonomy and the
+    # quadrature oracle read the protocol's record
     defs = top_level_defs("effective")
     assert callers_of(defs, "_CycleRecord") == {"_cycle_record"}
-    assert callers_of(defs, "_cycle_record") == {"_x_of", "_MagnusPropagator",
-                                                 "end_of_cycle_state"}
+    assert callers_of(defs, "_cycle_record") == {"_x_of", "_MagnusPropagator", "end_of_cycle_state",
+                                                 "x_tau_integral", "berry_holonomy"}
     readers = {name for name, node in defs.items() for n in ast.walk(node)
                if isinstance(n, ast.Attribute) and n.attr == "reduce_jump"
                and isinstance(n.ctx, ast.Load)}
     assert readers == {"_jumps"}
 
 
+def test_one_cycle_record_owns_the_kernel_modes():
+    # the bright eigenmodes of L^dag L are formed once, by the record's
+    # constructor, and every reader of the modes takes them off a record
+    for name in MODULES:
+        assert not hasattr(importlib.import_module(f"darklind.{name}"), "_KernelModes")
+    defs = top_level_defs("effective")
+    eighs = [name for name, node in defs.items() for n in ast.walk(node)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "eigh"]
+    assert eighs == ["_CycleRecord"]
+
+
+def test_only_the_frame_ends_see_the_gauge():
+    # a gauge frame's (mode, drive row) pairs are recurrences of their own,
+    # laid out by the record's constructor: only the drive (``_node_blocks``)
+    # and the turn into ell (``_jumps``) read the gauge, and the kernel layer
+    # between them (``_gl3_steps``, ``_step_maps``, ``_kernel_grid``) has no pair axis
+    defs = top_level_defs("effective")
+    readers = {name for name, node in defs.items() for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr == "gauge"
+               and isinstance(n.ctx, ast.Load)}
+    assert readers == {"_node_blocks", "_jumps"}
+
+
 def test_no_function_takes_a_list_of_frames():
-    # a frame is the gauge of its kernel modes (``_KernelModes.gauge``), one per
-    # cycle record: no definition of ``effective`` takes ``gauges``
+    # a frame is the gauge of its cycle record (``_CycleRecord.gauge``), one
+    # per record: no definition of ``effective`` takes ``gauges``
     tree = ast.parse(Path(importlib.import_module("darklind.effective").__file__).read_text())
     takes = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
              for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "gauges"]

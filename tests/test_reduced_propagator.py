@@ -49,9 +49,9 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
     one run, each state then the (k, d, d) stack: the rho equation is linear
     and X does not depend on rho.
     """
-    modes = eff._KernelModes(protocol, ds)
+    record = eff._cycle_record(protocol, ds)
     d = ds.d
-    nb = modes.rates.size
+    nb = record.rates.size
     eps = 1.0 / protocol.gammaT
     need_x = mode in ("full", "dissipator") and nb > 0
     starts = np.asarray(rho0_d, dtype=complex)
@@ -73,9 +73,9 @@ def joint_ode_states(rho0_d, protocol, ds, taus, mode="full", rtol=ORACLE_RTOL, 
             drho += -1j * eps * (h0 @ rho - rho @ h0)
         dy = [drho.reshape(-1)]
         if need_x:
-            dy[0] = dy[0] + eps**2 * eff._dissipator(modes.reduce_jump @ x, rho).reshape(-1)
-            drive = dagger(modes.modes) @ h @ ds.basis
-            dy.append((-0.5 * modes.rates[:, None] * x + drive).reshape(-1))
+            dy[0] = dy[0] + eps**2 * eff._dissipator(record.reduce_jump @ x, rho).reshape(-1)
+            drive = dagger(record.modes) @ h @ ds.basis
+            dy.append((-0.5 * record.rates[:, None] * x + drive).reshape(-1))
         return np.concatenate(dy)
 
     y0 = [starts.reshape(-1)]
