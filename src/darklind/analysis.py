@@ -24,7 +24,7 @@ from .effective import (
     project_dark,
     rotating_generator,
 )
-from .engine import NUMERICAL_ERRORS, Trajectory, integrate
+from .engine import _DEFAULT_ATOL, _DEFAULT_RTOL, NUMERICAL_ERRORS, Trajectory, integrate
 from .linalg import (
     _compose_affine, _norms, _require_each, _scan, _simpson, dagger, frobenius, matrix_exp,
 )
@@ -406,8 +406,8 @@ def convergence_sweep(
     protocol: Protocol,
     gammaT_list: Sequence[float],
     rho_init: np.ndarray | Sequence[float],
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    rtol: float = _DEFAULT_RTOL,
+    atol: float = _DEFAULT_ATOL,
 ) -> SweepResult:
     """Exact purity loss and effective-theory error versus gamma T (rotating-frame brute force).
 
@@ -505,8 +505,8 @@ def compare_effective_vs_full(
     protocol: Protocol,
     rho_init: np.ndarray | Sequence[float],
     n_checkpoints: int = 16,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    rtol: float = _DEFAULT_RTOL,
+    atol: float = _DEFAULT_ATOL,
 ) -> EffectiveComparison:
     """Exact and effective reduced dynamics at the same times, brute force in the rotating frame.
 

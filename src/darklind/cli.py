@@ -34,7 +34,7 @@ from .analysis import (
     purity_prediction_general,
 )
 from .checks import battery_table, gauge_flags, prediction_flags, run_battery, sweep_flags
-from .engine import NUMERICAL_ERRORS, _physicality
+from .engine import _DEFAULT_ATOL, _DEFAULT_RTOL, NUMERICAL_ERRORS, _physicality
 from .linalg import dagger
 from .protocols import (
     custom_protocol,
@@ -73,7 +73,7 @@ DEFAULT_CONFIG = {
     },
     "gammaT": 200.0,
     "initial": {"bloch": [0.0, 0.0, 1.0]},
-    "tolerances": {"rtol": 1e-9, "atol": 1e-12},
+    "tolerances": {"rtol": _DEFAULT_RTOL, "atol": _DEFAULT_ATOL},
     "output_dir": ".",
     "seed": 0,
     "checkpoints": 64,

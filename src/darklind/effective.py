@@ -97,6 +97,8 @@ _LEAK_TOL = 1e-10
 #: relative Frobenius size of P_perp L P_perp up to which a jump counts as feeding
 #: the dark space alone (measured at most 8.5e-16, on a tilted spin-3/2 jump)
 _BRIGHT_FEED_TOL = 1e-10
+#: fraction of max(largest rate of L^dag L, 1) that every bright rate must exceed
+_BRIGHT_RATE_TOL = 1e-10
 
 #: a dark-space gauge: a 1-D array of n phases s -> the two (n, dim, dim) stacks
 #: W(s) and i W'(s) W(s)^dag, W unitary and commuting with P0
@@ -368,42 +370,44 @@ def x_tau_adiabatic(protocol: Protocol, ds: DarkSpace, tau) -> np.ndarray:
 def c_tau(protocol: Protocol, ds: DarkSpace, tau, source: str = "integral") -> np.ndarray:
     """Hermitian kernel C_tau = X_tau + X_tau^dag, at one tau or a 1-D array of them.
 
-    X_tau as in ``effective_jump``: read off the protocol's cycle record
-    (``_x_of``); an array gives the (n, dim, dim) stack.
+    X_tau = U_b Y B^dag from its blocks Y in the mode coordinates of the
+    protocol's cycle record, as ``effective_jump`` reads them (``_x_of``); an
+    array gives the (n, dim, dim) stack.
     """
-    x = _x_of(protocol, ds, tau, source)
-    return x + dagger(x)
+    record, _, y = _x_of(protocol, ds, tau, source)
+    x = record.modes @ y @ dagger(ds.basis)
+    c = x + dagger(x)
+    return c if np.ndim(tau) else c[0]
 
 
-def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> np.ndarray:
-    """X_tau off the protocol's cycle record ("integral") or adiabatic.
+def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> tuple:
+    """The protocol's cycle record, the times and the kernel blocks Y at them.
 
-    ``tau`` is one time, giving a dim x dim matrix, or a 1-D array of n times,
-    giving the (n, dim, dim) stack; one time is the one-element array, and an
-    empty array gives the (0, dim, dim) stack.  A tau that is not a number in
-    [0, gammaT] (1e-9 slack above) raises ValueError naming the first such
-    one, before any kernel work.  "integral" reads the kernel blocks of the
-    record of (protocol, ds) (``_cycle_record``), its modes included, so no
-    eigendecomposition runs per call: the record grows to the last cycle node
-    at or below the latest tau, a tau on a node reads that node's block, and
-    every tau off the nodes takes one partial step from the node below it
+    Y holds X_tau in the record's mode coordinates, X_tau = U_b Y B^dag (U_b
+    the record's ``modes``), as the (n, nb, d) stack for the times as a 1-D
+    array of n; one time is the one-element array, and an empty array gives
+    empty stacks.  A tau that is not a number in [0, gammaT] (1e-9 slack
+    above) raises ValueError naming the first such one, before any kernel
+    work, and so does an unknown source.  Both sources take the record of
+    (protocol, ds) (``_cycle_record``), so both refuse a jump that feeds the
+    bright space back into itself (``_check_bright_feed``).  "integral" reads
+    its kernel blocks, its modes included, so no eigendecomposition runs per
+    call: the record grows to the last cycle node at or below the latest
+    tau, a tau on a node reads that node's block, and every tau off the
+    nodes takes one partial step from the node below it
     (``_CycleRecord.at``).  Once the record covers the times, a query
     evaluates the drive at the three Gauss-Legendre nodes of each partial
     step and nowhere else; an empty array makes no evaluation at all.
-    "adiabatic" runs the record constructor's check that the jump does not
-    feed the bright space back into itself (``_check_bright_feed``), so both
-    sources refuse the same jumps.
+    "adiabatic" is U_b^dag ``x_tau_adiabatic`` B.
     """
     _check_taus(protocol, tau)
+    if source not in ("integral", "adiabatic"):
+        raise ValueError(f"unknown X source {source!r}")
+    taus = np.asarray(tau, dtype=float).reshape(-1)
+    record = _cycle_record(protocol, ds)
     if source == "integral":
-        record = _cycle_record(protocol, ds)
-        xs = record.at(np.asarray(tau, dtype=float).reshape(-1))
-        x = record.modes @ xs @ dagger(ds.basis)
-        return x if np.ndim(tau) else x[0]
-    if source == "adiabatic":
-        _check_bright_feed(protocol, ds)
-        return x_tau_adiabatic(protocol, ds, tau)
-    raise ValueError(f"unknown X source {source!r}")
+        return record, taus, record.at(taus)
+    return record, taus, dagger(record.modes) @ x_tau_adiabatic(protocol, ds, taus) @ ds.basis
 
 
 def c_tau_ode_residual(protocol: Protocol, ds: DarkSpace, taus: Sequence[float]) -> float:
@@ -444,11 +448,14 @@ def effective_jump(
     the exact-decay recurrence along the cycle grid of ``_FROZEN_GRID``
     steps, grown on demand to cover tau, and ended by one partial step to a
     tau off its nodes (``_x_of``): repeated queries on one protocol share
-    its node blocks.  Either source refuses a jump that feeds the bright
-    space back into itself with d >= 2 (``_check_bright_feed``): ValueError.
+    its node blocks.  Either source gives its kernel blocks in the record's
+    mode coordinates, and ``_jumps`` turns them into ell, as it does every
+    ell of the package.  Both refuse a jump that feeds the bright space back
+    into itself with d >= 2 (``_check_bright_feed``): ValueError.
     """
-    x = _x_of(protocol, ds, tau, source)
-    return dagger(ds.basis) @ protocol.L_rot @ x @ ds.basis
+    record, taus, y = _x_of(protocol, ds, tau, source)
+    ell = _jumps(record, taus, y)
+    return ell if np.ndim(tau) else ell[0]
 
 
 def effective_rhs(
@@ -535,11 +542,11 @@ def evolve_effective(
     and (0, 1) (``_MODE_WEIGHTS``), and every mode builds both terms, so the
     three share one path.  The reduced equation d rho/d tau = S(tau) rho,
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
-    the fourth-order commutator-free Magnus exponential (CF4, see
-    ``ordered_exponential``) of its d^2 x d^2 superoperator.  S maps Hermitian
-    matrices to Hermitian ones, so in the real coordinates of Hermitian
-    matrices (``_HermitianCoordinates``) it is a real matrix, and every
-    exponential, step product and state update runs in float64; a generator
+    the fourth-order commutator-free Magnus exponential (CF4, ``_cf4_steps``)
+    of its d^2 x d^2 superoperator.  S maps Hermitian matrices to Hermitian
+    ones, so in the real coordinates of Hermitian matrices
+    (``_HermitianCoordinates``) it is a real matrix, and every exponential,
+    step product and state update runs in float64; a generator
     with an imaginary part there above roundoff raises ValueError naming its
     time.  The state is carried as the coordinates of its Hermitian and
     anti-Hermitian parts, so nothing of it is dropped.  ell at each
@@ -848,8 +855,10 @@ class _CycleRecord:
     """The kernel modes and blocks of one (protocol, dark space, frame), grown as asked.
 
     The modes are the bright eigenmodes of L^dag L, from its one
-    eigendecomposition in the package: ``modes`` holds the eigenvectors of
-    the eigenvalues above 1e-10 of the largest as columns, and
+    eigendecomposition in the package: ``modes`` holds the dim - d
+    eigenvectors of the largest eigenvalues as columns, the complement of
+    the dark space ``ds``, and a bright rate at or below _BRIGHT_RATE_TOL
+    of max(largest rate, 1) raises ValueError before any evaluation of U;
     ``reduce_jump`` is B^dag L U_b (d x nb).  The frame is the dark-space
     gauge W (``gauge``), None for the plain one; the kernel then runs on the
     drive of W H W^dag + i W' W^dag (``_node_blocks``).  ``rates`` holds the
@@ -893,11 +902,14 @@ class _CycleRecord:
     def __init__(self, protocol: Protocol, ds: DarkSpace, gauge: Gauge | None = None):
         _check_bright_feed(protocol, ds)
         lam, vec = np.linalg.eigh(dagger(protocol.L_rot) @ protocol.L_rot)
-        bright = lam > 1e-10 * max(lam[-1], 1.0)
-        self.modes = vec[:, bright]
+        cut = _BRIGHT_RATE_TOL * max(lam[-1], 1.0)
+        if ds.d < lam.size and lam[ds.d] <= cut:
+            raise ValueError(f"the slowest bright rate {lam[ds.d]:.3g} is at or below {cut:.3g}: "
+                             "a mode outside the dark space that the kernel cannot resolve")
+        self.modes = vec[:, ds.d:]
         self.reduce_jump = dagger(ds.basis) @ protocol.L_rot @ self.modes
         pairs = self.modes.shape[1] if gauge is not None else 1
-        self.rates = np.repeat(lam[bright], pairs)  # all > 0
+        self.rates = np.repeat(lam[ds.d:], pairs)  # all > 0
         #: recurrences + d rows of dim: the recurrences' drive rows over the dark basis' rows
         self.rows = dagger(np.hstack([np.tile(self.modes, pairs), ds.basis]))
         self._protocol = weakref.ref(protocol)
@@ -1026,9 +1038,12 @@ def _frozen_dissipator(rho_d: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _jumps(record: _CycleRecord, taus: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """ell_tau = B^dag L X_tau B at the times ``taus`` from their kernel blocks ``xs``, (n, d, d).
 
-    In a gauge frame W (``record.gauge``) the drive seen at tau is
-    W(tau)^dag H^W(s) W(tau), and W(tau)^dag need not commute with the
-    decay; the recurrences then run per (mode i, drive row j) pair,
+    The one formula of ell in the package: the blocks are X_tau in the
+    record's mode coordinates, X_tau = U_b Y B^dag in the plain frame, so
+    ell = B^dag L U_b Y (``reduce_jump``).  In a gauge frame W
+    (``record.gauge``) the drive seen at tau is W(tau)^dag H^W(s) W(tau),
+    and W(tau)^dag need not commute with the decay; the recurrences then run
+    per (mode i, drive row j) pair,
     Y_ij(tau) = int e^{rate_i (s - tau)/2} [U_b^dag H^W(s) B]_j ds, and
     X_tau = sum_j (U_b^dag W^dag U_b)_ij Y_ij (B^dag W B), the pairs taken
     as the (n, nb, nb, d) stack.

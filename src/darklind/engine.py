@@ -50,6 +50,9 @@ KERNEL_TOL = 1e-8
 #: _KRAUS_WEIGHT_TOL are dropped
 _CP_TOL = 1e-8
 _KRAUS_WEIGHT_TOL = 1e-10
+#: the default (rtol, atol) of every brute-force run: ``integrate``, the
+#: exact-vs-reduced comparison, the convergence sweep and the CLI's config
+_DEFAULT_RTOL, _DEFAULT_ATOL = 1e-9, 1e-12
 
 
 class StepSizeUnderflowError(RuntimeError):
@@ -386,8 +389,8 @@ def integrate(
     gen_of_t: Callable[[np.ndarray], LindbladGenerator],
     rho0: np.ndarray,
     tau_span: tuple[float, float],
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
+    rtol: float = _DEFAULT_RTOL,
+    atol: float = _DEFAULT_ATOL,
     checkpoints: Sequence[float] | None = None,
 ) -> Trajectory:
     """Integrate d(rho)/d(tau) = L_tau[rho] with adaptive error control.
@@ -395,8 +398,12 @@ def integrate(
     Dormand-Prince RK 8(5,3) (DOP853) with FSAL and PI step-size control:
     order-8 propagation, and the error norm of Hairer's DOP853 built from
     the fifth- and third-order estimates, controlled as an order-7 estimate.
-    The first step is span/1000, steps are not capped, and a step is
-    shortened to land exactly on each checkpoint.  A bound of ``tau_span``, a
+    The first step is span/1000 and steps are not capped.  The run stops at
+    each checkpoint after t0 and at t1, in order, and returns one state per
+    stop, plus the initial state when a checkpoint lies within 1e-12 of t0;
+    a checkpoint within 1e-12 of t1 stands for t1.  A stop is reached by
+    shortening the step to land on it, or, when roundoff leaves a gap below
+    1e-12 relative, by snapping to it.  A bound of ``tau_span``, a
     checkpoint or a tolerance that is not finite, or a negative tolerance,
     raises ValueError naming it, before any call of ``gen_of_t``.
 
@@ -467,40 +474,40 @@ def integrate(
     n_batch = 1
     # PI control for an order-7 error estimate
     safety, beta, alpha = 0.9, 0.4 / 8.0, 0.7 / 8.0
-    cp_idx = 0
     watch = _Watch()
     try:
-        while t < t1 - 1e-12 * max(1.0, abs(t1)):
-            hit_cp = False
-            h = min(h_free, t1 - t)
-            if cp_idx < len(cps) and t + h >= cps[cp_idx] - 1e-14:
-                h = cps[cp_idx] - t
-                hit_cp = True
-                # roundoff accumulation can leave a negligible gap; snap to the
-                # checkpoint instead of forcing a degenerate step
-                if h < 1e-12 * max(1.0, abs(t)):
-                    t = cps[cp_idx]
-                    out_t.append(t)
-                    out_rho.append(y.reshape(dim, dim).copy())
-                    cp_idx += 1
+        # a checkpoint past t1 (by at most 1e-12) is landed on at t1
+        for stop in np.minimum(cps, t1).tolist():
+            while True:
+                h = min(h_free, t1 - t)
+                landing = t + h >= stop - 1e-14
+                if landing:
+                    h = stop - t
+                    # roundoff accumulation can leave a negligible gap; snap to the
+                    # stop instead of forcing a degenerate step
+                    if h < 1e-12 * max(1.0, abs(t)):
+                        t = stop
+                        break
+                if h < 1e-14 * max(1.0, abs(t)):
+                    raise StepSizeUnderflowError(t, h)
+
+                sups = superoperators(t + h * _DOP_NODES)
+                n_batch += 1
+                for i in range(1, 12):
+                    k[i] = sups[_DOP_STAGE_NODE[i]].dot(y + h * _DOP_A[i].dot(k[:i]))
+                y_new = y + h * _DOP_B.dot(k[:12])
+                k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+                r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
+                r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
+                e5 = r5.dot(r5)
+                denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
+                err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
+
+                if not err <= 1.0:  # NaN included
+                    n_reject += 1
+                    h_free = h * min(1.0, max(0.2, safety * err ** (-1.0 / 8.0)))
                     continue
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflowError(t, h)
-
-            sups = superoperators(t + h * _DOP_NODES)
-            n_batch += 1
-            for i in range(1, 12):
-                k[i] = sups[_DOP_STAGE_NODE[i]].dot(y + h * _DOP_A[i].dot(k[:i]))
-            y_new = y + h * _DOP_B.dot(k[:12])
-            k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
-            r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
-            e5 = r5.dot(r5)
-            denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
-            err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
-
-            if err <= 1.0:
                 err = max(err, 1e-10)
                 factor = min(5.0, max(0.2, safety * err ** (-alpha) * err_prev ** beta))
                 err_prev = err
@@ -508,25 +515,18 @@ def integrate(
                 k[0] = k[12]  # FSAL
                 n_accept += 1
                 watch.push(t, y.reshape(dim, dim))
-                if hit_cp:
-                    out_t.append(t)
-                    out_rho.append(y.reshape(dim, dim).copy())
-                    cp_idx += 1
+                if landing:
                     # a clamped landing says nothing about the natural step scale
                     h_free = max(h_free, h * factor)
-                else:
-                    h_free = h * factor
-            else:
-                n_reject += 1
-                h_free = h * min(1.0, max(0.2, safety * err ** (-1.0 / 8.0)))
+                    break
+                h_free = h * factor
+            out_t.append(t)
+            out_rho.append(y.reshape(dim, dim).copy())
     except Exception:
         watch.flush()  # a queued violation outranks the error that ended the run
         raise
     watch.flush()
 
-    if not out_t or abs(out_t[-1] - t1) > 1e-12:
-        out_t.append(t)
-        out_rho.append(y.reshape(dim, dim).copy())
     attempts = n_accept + n_reject
     return Trajectory(np.array(out_t), out_rho,
                       StepStats(n_accept, n_reject, 12 * attempts + 1, n_batch),

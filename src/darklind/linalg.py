@@ -238,64 +238,43 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
     return dagger(vh) @ (inv[:, None] * dagger(u))
 
 
-#: commutator-free Magnus CF4 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009);
-#: Alvermann & Fehske, J. Comput. Phys. 230 (2011)): the two Gauss points of a
-#: step as fractions of it, and the weights a1, a2 of its exponentials
-CF4_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
-CF4_WEIGHTS = np.array([0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0])
-
-
-def ordered_exponential(
-    generators: np.ndarray, grid: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
+def ordered_exponential(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Path-ordered exponential of a matrix-valued generator on a phase grid.
 
     ``generators`` holds G at the midpoints of ``grid``, an (n - 1, d, d)
-    stack, for the second-order midpoint rule exp(G_k ds_k); or G at the two
-    Gauss points t + (1/2 -+ sqrt(3)/6) ds of each step, an (n - 1, 2, d, d)
-    stack, for the fourth-order commutator-free Magnus step (CF4)
-    exp(ds (a1 G1 + a2 G2)) exp(ds (a2 G1 + a1 G2)), a1,2 = 1/4 -+ sqrt(3)/6.
-    Returns the cumulative products, later factors applied on the left, acting
-    on ``start``: the solution of dV/ds = G(s) V with V = start at grid[0], at
-    every grid point.  ``start`` defaults to the identity, giving the solution
-    operators as an (n, d, d) array; a (d, k) block of k vectorised states
-    gives an (n, d, k) array.  For anti-Hermitian G each product is unitary up
-    to the discretization error.
+    stack, for the second-order midpoint rule exp(G_k ds_k).  Returns the
+    cumulative products, later factors applied on the left: the solution
+    operators of dV/ds = G(s) V with V = 1 at grid[0], at every grid point,
+    as an (n, d, d) array.  For anti-Hermitian G each product is unitary up
+    to roundoff.  The fourth-order CF4 steps of the reduced propagator are
+    ``_cf4_steps``.
     """
     steps = _ordered_steps(generators, grid)
-    first = np.eye(steps.shape[-1]) if start is None else np.asarray(start, dtype=complex)
-    out = np.empty((steps.shape[0] + 1,) + first.shape, dtype=complex)
-    out[0] = first
-    out[1:] = _gemm(_scan(steps, np.matmul), first)
+    out = np.empty((steps.shape[0] + 1,) + steps.shape[1:], dtype=complex)
+    out[0] = np.eye(steps.shape[-1])
+    out[1:] = _scan(steps, np.matmul)
     return out
 
 
 def _ordered_steps(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The (n - 1, d, d) steps of ``ordered_exponential``, after checking its arguments.
+    """The (n - 1, d, d) midpoint steps exp(G_k ds_k) of ``ordered_exponential``.
 
-    Midpoint steps exp(G_k ds_k) for an (n - 1, d, d) stack, CF4 steps for an
-    (n - 1, 2, d, d) stack of Gauss-point pairs; a non-finite generator
-    raises ValueError naming its phase.
+    The arguments are checked first; a non-finite generator raises
+    ValueError naming its phase, the midpoint of its step.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValueError("grid must be one-dimensional with at least 2 points")
     generators = np.asarray(generators, dtype=complex)
-    magnus = generators.ndim == 4 and generators.shape[1] == 2
-    if not (magnus or generators.ndim == 3) or generators.shape[0] != grid.size - 1:
+    if generators.ndim != 3 or generators.shape[0] != grid.size - 1:
         raise ValueError(
-            f"need one generator (or one Gauss-point pair) per grid step, "
-            f"got shape {generators.shape} for {grid.size} points"
+            f"need one generator per grid step, got shape {generators.shape} for {grid.size} points"
         )
-    ds = np.diff(grid)
     finite = np.isfinite(generators).all(axis=(-2, -1))
     if not finite.all():
-        k, *node = np.argwhere(~finite)[0]
-        phase = grid[k] + CF4_NODES[node[0]] * ds[k] if magnus else 0.5 * (grid[k] + grid[k + 1])
-        raise ValueError(f"non-finite generator at phase {phase}")
-    if magnus:
-        return _cf4_steps(generators, ds)
-    return matrix_exp(generators * ds[:, None, None])
+        k = int(np.argmin(finite))
+        raise ValueError(f"non-finite generator at phase {0.5 * (grid[k] + grid[k + 1])}")
+    return matrix_exp(generators * np.diff(grid)[:, None, None])
 
 
 def _scan(x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
@@ -331,11 +310,21 @@ def _compose_affine(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     return out
 
 
+#: commutator-free Magnus CF4 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009);
+#: Alvermann & Fehske, J. Comput. Phys. 230 (2011)): the two Gauss points of a
+#: step as fractions of it, and the weights a1, a2 of its exponentials
+CF4_NODES = np.array([0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0])
+CF4_WEIGHTS = np.array([0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0])
+
+
 def _cf4_steps(generators: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """CF4 step exp(h (a1 G1 + a2 G2)) exp(h (a2 G1 + a1 G2)) of each Gauss-point pair.
 
+    The fourth-order commutator-free Magnus step, a1,2 = 1/4 -+ sqrt(3)/6,
+    with G1, G2 the generator at the step's Gauss points t + CF4_NODES h.
     ``generators`` is a (..., 2, d, d) stack of pairs (G1, G2) and ``lengths``
-    the (...) step lengths h; returns the (..., d, d) steps.
+    the (...) step lengths h; returns the (..., d, d) steps, which
+    ``_ordered_product`` multiplies in order.
     """
     g1, g2 = generators[..., 0, :, :], generators[..., 1, :, :]
     a1, a2 = CF4_WEIGHTS

@@ -1111,6 +1111,60 @@ class TestEffectiveEvolution:
         assert abs(purity(final) - 1.0) <= 1e-9
 
 
+class TestMetamorphicRelations:
+    """Identities between runs, measured to roundoff or to the propagator's doubling target."""
+
+    def test_a_double_winding_at_twice_the_duration_is_the_same_run(self, spin32_ds):
+        # linear(2, 0) at 2 gammaT has the rotating generator of linear(1, 0) at
+        # gammaT, so both runs agree up to gammaT (measured: reduced 3.3e-16 at
+        # gammaT 100, exact identical)
+        once = spin32_protocol(linear_path(1, 0), 100.0)
+        twice = spin32_protocol(linear_path(2, 0), 200.0)
+        rho_d = dark_state_from_bloch((0.6, 0.0, -0.8))
+        taus = np.linspace(0.0, 100.0, 9)
+        for a, b in zip(*(evolve_effective(rho_d, p, spin32_ds, taus) for p in (once, twice))):
+            assert np.abs(a - b).max() <= 1e-15
+        exact = [integrate(rotating_generator(p), embed_dark(spin32_ds, rho_d), (0.0, 100.0),
+                           rtol=1e-11, atol=1e-14, checkpoints=taus) for p in (once, twice)]
+        assert np.array_equal(exact[0].times, exact[1].times)
+        for a, b in zip(exact[0].states, exact[1].states):
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_reduced_propagator_is_linear_in_its_start(self):
+        # the gap is the adaptive doubling, which may stop at another level
+        # for another start (measured 2.7e-12)
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
+        ds = dark_space(proto.L_rot)
+        a, b = dark_state_from_bloch((0.0, 0.0, 1.0)), dark_state_from_bloch((0.6, 0.0, -0.8))
+        taus = [50.0, 200.0]
+        mixed = evolve_effective(0.3 * a + 0.7 * b, proto, ds, taus)
+        for m, x, y in zip(mixed, evolve_effective(a, proto, ds, taus),
+                           evolve_effective(b, proto, ds, taus)):
+            assert np.abs(m - (0.3 * x + 0.7 * y)).max() <= 1e-10
+
+    def test_a_unitary_conjugation_leaves_the_purities_unchanged(self):
+        # Q G Q^dag for each generator and Q L Q^dag for the jump; the dark
+        # basis takes its own gauge, so only basis-free numbers are compared
+        # (measured: eq. 12 8.9e-16 apart, the reduced end purity 1.2e-14)
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        _, sy, sz = spin_operators(3)
+        path = smoothstep_path(1, 1)
+        start = embed_dark(dark_space(spin32_jump()), dark_state_from_bloch((0.6, 0.0, -0.8)))
+        found = []
+        for w in (np.eye(4), q):
+            proto = custom_protocol([w @ g @ dagger(w) for g in (sy, sz)], [path.theta, path.phi],
+                                    w @ spin32_jump() @ dagger(w), 200.0,
+                                    dangles=[path.dtheta, path.dphi])
+            ds = dark_space(proto.L_rot)
+            rho = w @ start @ dagger(w)
+            end, = evolve_effective(project_dark(ds, rho), proto, ds, [200.0])
+            found.append((purity_prediction_general(rho, proto, ds), purity(end)))
+        (eq12, reduced), (eq12_q, reduced_q) = found
+        assert abs(eq12_q - eq12) <= 1e-14
+        assert abs(reduced_q - reduced) <= 1e-13
+
+
 class TestEndOfCycle:
     def test_constant_protocol_identity(self, spin32_ds):
         rho0 = dark_state_from_bloch((0.3, 0.2, 0.8))
@@ -1368,6 +1422,55 @@ class TestBrightFeedGuard:
             assert ells.shape == (2, 1, 1) and np.isfinite(ells).all()
         state, = evolve_effective(np.eye(1), proto, ds, [50.0])
         assert np.array_equal(state, np.eye(1))
+
+
+def slow_bright_mode_protocol(gammaT=50.0):
+    """A spin-3/2 protocol with L = B diag(sqrt 3, 1e-6) U_b^dag: d = 2 and P_perp L P_perp = 0.
+
+    The singular value 1e-6 is bright for ``dark_space`` (above 1e-10 of the
+    largest) but its rate 1e-12 is below the record's cut, 1e-10 of
+    max(largest rate, 1).
+    """
+    ds = dark_space(spin32_jump())
+    u, _, _ = np.linalg.svd(np.eye(4) - ds.projector)
+    jump = ds.basis @ np.diag([math.sqrt(3.0), 1e-6]) @ dagger(u[:, :2])
+    path = linear_path(1, 0)
+    _, sy, sz = spin_operators(3)
+    return custom_protocol([sy, sz], [path.theta, path.phi], jump, gammaT,
+                           dangles=[path.dtheta, path.dphi])
+
+
+class TestBrightSplit:
+    """The record's bright modes are the dim - d top eigenvectors of L^dag L, the complement of the dark space."""
+
+    @pytest.mark.parametrize("query", [
+        lambda p, ds: evolve_effective(np.eye(2) / 2, p, ds, [10.0]),
+        lambda p, ds: effective_jump(p, ds, 5.0),
+        lambda p, ds: effective_jump(p, ds, 5.0, source="adiabatic"),
+    ], ids=["evolve", "jump", "jump-adiabatic"])
+    def test_a_bright_rate_at_the_cut_is_refused_before_any_U_call(self, query):
+        proto, calls = counting_u(slow_bright_mode_protocol())
+        ds = dark_space(proto.L_rot)
+        perp = np.eye(4) - ds.projector
+        assert ds.d == 2 and np.linalg.norm(perp @ proto.L_rot @ perp) == 0.0
+        with pytest.raises(ValueError, match=r"slowest bright rate 1e-12 is at or below 3e-10"):
+            query(proto, ds)
+        assert calls == []
+
+    @pytest.mark.parametrize("jump", [spin32_jump, spin2_jump, spin52_lowering],
+                             ids=["spin32", "spin2-d3", "spin52-lowering"])
+    def test_modes_of_every_named_jump_are_those_above_the_cut(self, jump):
+        L = jump()
+        dim = L.shape[0]
+        _, sy, sz = spin_operators(dim - 1)
+        path = linear_path(1, 0)
+        proto = custom_protocol([sy, sz], [path.theta, path.phi], L, 50.0,
+                                dangles=[path.dtheta, path.dphi])
+        record = eff._cycle_record(proto, dark_space(L))
+        lam, vec = np.linalg.eigh(dagger(L) @ L)
+        above = lam > 1e-10 * max(lam[-1], 1.0)
+        assert np.array_equal(record.modes, vec[:, above])
+        assert np.array_equal(record.rates, lam[above])
 
 
 class TestRecordGrowth:

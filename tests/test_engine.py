@@ -275,6 +275,52 @@ class TestIntegrate:
             validate_density_matrix(rho)
 
 
+class TestLandings:
+    """Each stop of ``integrate`` (the checkpoints after t0, then t1) stored once, on a 30-long cycle.
+
+    The times and step counts are pinned to those of the run before the stop
+    loop; a landing is t + h, so a checkpoint within 1e-12 of t1 keeps its
+    own value, and one within 1e-12 of t0 stands for t0.
+    """
+
+    @staticmethod
+    def run(spin32_linear, spin32_ds, span, checkpoints):
+        from darklind.analysis import dark_state_from_bloch
+        from darklind.effective import embed_dark, rotating_generator
+
+        rho0 = embed_dark(spin32_ds, dark_state_from_bloch((0.0, 0.0, 1.0)))
+        gen = rotating_generator(spin32_linear.with_gammaT(30.0))
+        return integrate(gen, rho0, span, checkpoints=checkpoints)
+
+    @pytest.mark.parametrize("span, checkpoints, times, stats", [
+        ((0.0, 30.0), [5.0, 5.0, 30.0], [5.0, 5.0, 30.0], (62, 0, 745, 63)),
+        ((0.0, 30.0), [1e-13, 10.0], [0.0, 10.0, 30.0], (63, 0, 757, 64)),
+        ((0.0, 30.0), [10.0, 30.0 - 1e-13], [10.0, 30.0 - 1e-13], (63, 0, 757, 64)),
+        ((0.0, 0.0), [0.0], [0.0], (0, 0, 0, 0)),
+    ], ids=["duplicates", "near-t0", "near-t1", "zero-span"])
+    def test_pinned_times_and_work(self, spin32_linear, spin32_ds, span, checkpoints, times,
+                                   stats):
+        traj = self.run(spin32_linear, spin32_ds, span, checkpoints)
+        assert np.array_equal(traj.times, times)
+        assert traj.step_stats == engine.StepStats(*stats)
+        assert len(traj.states) == len(times)
+        if checkpoints[:2] == [5.0, 5.0]:
+            assert np.array_equal(traj.states[0], traj.states[1])
+
+    def test_every_stop_gives_one_state(self, spin32_linear, spin32_ds):
+        # a repeated last checkpoint is a stop of its own, as a repeated first one is
+        traj = self.run(spin32_linear, spin32_ds, (0.0, 30.0), [5.0, 30.0, 30.0])
+        assert np.array_equal(traj.times, [5.0, 30.0, 30.0])
+        assert np.array_equal(traj.states[1], traj.states[2])
+
+    def test_a_gap_to_t1_is_snapped(self, spin32_linear, spin32_ds):
+        # a checkpoint 1e-11 short of t1 leaves a gap below the snap threshold
+        # 1e-12 * 30: the last state is t1's, at t1, with no step of its own
+        traj = self.run(spin32_linear, spin32_ds, (0.0, 30.0), [30.0 - 1e-11])
+        assert np.array_equal(traj.times, [30.0 - 1e-11, 30.0])
+        assert np.array_equal(traj.states[0], traj.states[1])
+
+
 class TestDop853Tableau:
     """The hand-typed Dormand-Prince 8(5,3) coefficients of ``integrate``."""
 

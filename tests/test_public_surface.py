@@ -258,3 +258,26 @@ def test_every_private_definition_is_used():
               if not any(node.name in names_in(other)
                          for tree in trees for other in tree.body if other is not node)]
     assert unused == []
+
+
+def test_one_formula_for_the_effective_jump():
+    # every ell the package returns is formed by ``_jumps`` from kernel blocks
+    # in a record's mode coordinates: the record's own readers, the reduced
+    # propagator's Gauss points and the per-tau queries of either source, so
+    # ``effective_jump`` forms no B^dag L X B of its own
+    defs = top_level_defs("effective")
+    assert callers_of(defs, "_jumps") == {"_CycleRecord", "_MagnusPropagator", "effective_jump"}
+    assert "L_rot" not in names_in(defs["effective_jump"])
+
+
+def test_one_cf4_driver():
+    # the reduced propagator's CF4 steps, multiplied by ``_ordered_product``,
+    # are the package's one CF4 path; ``ordered_exponential`` keeps the
+    # midpoint rule alone and starts at the identity
+    callers = {(module, name) for module in MODULES + ("cli", "reporting")
+               for name in callers_of(top_level_defs(module), "_cf4_steps")}
+    assert callers == {("effective", "_MagnusPropagator")}
+    defs = top_level_defs("linalg")
+    args = defs["ordered_exponential"].args
+    assert "start" not in {a.arg for a in args.args + args.kwonlyargs}
+    assert names_in(defs["_ordered_steps"]) & {"_cf4_steps", "CF4_NODES", "CF4_WEIGHTS"} == set()
