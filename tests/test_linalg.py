@@ -335,6 +335,13 @@ class TestStackProducts:
             expected = _ordered_product(_cf4_steps(scale * gens, np.diff(grid)))
             assert np.abs(_ordered_product(steps[:, k]) - expected).max() <= 1e-13
 
+    def test_cf4_steps_refuse_a_nonfinite_generator(self):
+        grid, _ = gauss_points(16)
+        gens = np.zeros((16, 2, 2, 2), dtype=complex)
+        gens[11, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _cf4_steps(gens, np.diff(grid))
+
 
 class TestBlockedCumulativeProduct:
     """The cumulative products of ``ordered_exponential`` (one ``_scan``) against sequential ones."""
@@ -347,15 +354,23 @@ class TestBlockedCumulativeProduct:
         return np.array(out)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 2047, 2048])
-    def test_matches_the_sequential_product(self, rng, n):
+    @pytest.mark.parametrize("magnus", [False, True], ids=["midpoint", "cf4"])
+    def test_matches_the_sequential_product(self, rng, n, magnus):
+        """Midpoint: every cumulative product; CF4: the pairwise ``_ordered_product`` of its steps."""
         grid = np.linspace(0.0, 1.0, n + 1)
         h = random_matrix(rng, 3)
         h = h + dagger(h)
-        nodes = grid[:-1] + np.diff(grid) * 0.5
-        gens = -1j * np.cos(5.0 * nodes)[:, None, None] * h + random_matrix(rng, 3, 0.1)
-        steps = matrix_exp(gens * np.diff(grid)[:, None, None])
-        got = ordered_exponential(gens, grid)
-        expected = self.sequential(steps, np.eye(3))
+        nodes = grid[:-1, None] + np.diff(grid)[:, None] * (CF4_NODES if magnus else [0.5])
+        gens = -1j * np.cos(5.0 * nodes)[..., None, None] * h + random_matrix(rng, 3, 0.1)
+        if magnus:
+            steps = _cf4_steps(gens, np.diff(grid))
+            got = _ordered_product(steps)
+            expected = self.sequential(steps, np.eye(3))[-1]
+        else:
+            gens = gens[:, 0]
+            steps = matrix_exp(gens * np.diff(grid)[:, None, None])
+            got = ordered_exponential(gens, grid)
+            expected = self.sequential(steps, np.eye(3))
         assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-13
 
