@@ -16,6 +16,7 @@ purity-law checks, and the cross-check report of the prediction criterion).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -90,33 +91,24 @@ class AcceptanceContext:
     def __init__(self):
         self.protocol_200 = spin32_protocol(linear_path(1, 0), 200.0)
         self.ds = dark_space(self.protocol_200.L_rot)
-        self._cache: dict = {}
+        # exact_run(n0, gammaT) -> (trajectory, runtime), n0 a tuple; the cached partial
+        # holds no reference to the context, which is freed with its last reference
+        self.exact_run = functools.cache(functools.partial(_exact_run, self.protocol_200, self.ds))
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @functools.cached_property
     def sweep(self):
-        return self._get(
-            "sweep",
-            lambda: convergence_sweep(self.protocol_200, SWEEP_GAMMATS, (0.0, 0.0, 1.0),
-                                      rtol=RTOL, atol=ATOL),
-        )
+        return convergence_sweep(self.protocol_200, SWEEP_GAMMATS, (0.0, 0.0, 1.0),
+                                 rtol=RTOL, atol=ATOL)
 
-    def exact_run(self, n0, gammaT):
-        key = ("exact", tuple(n0), gammaT)
 
-        def build():
-            proto = self.protocol_200.with_gammaT(gammaT)
-            rho_d = dark_state_from_bloch(n0)
-            start = time.perf_counter()
-            traj = integrate(lab_generator(proto), embed_dark(self.ds, rho_d), (0.0, gammaT),
-                             rtol=RTOL, atol=ATOL, checkpoints=np.linspace(0.0, gammaT, 33))
-            return traj, time.perf_counter() - start
-
-        return self._get(key, build)
+def _exact_run(protocol, ds, n0, gammaT):
+    """The timed lab-frame run of ``protocol`` at ``gammaT`` from Bloch vector ``n0``."""
+    proto = protocol.with_gammaT(gammaT)
+    rho_d = dark_state_from_bloch(n0)
+    start = time.perf_counter()
+    traj = integrate(lab_generator(proto), embed_dark(ds, rho_d), (0.0, gammaT),
+                     rtol=RTOL, atol=ATOL, checkpoints=np.linspace(0.0, gammaT, 33))
+    return traj, time.perf_counter() - start
 
 
 def in_window(value: float, lo: float, hi: float) -> bool:

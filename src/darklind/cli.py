@@ -37,6 +37,7 @@ from .checks import battery_table, gauge_flags, prediction_flags, run_battery, s
 from .engine import _DEFAULT_ATOL, _DEFAULT_RTOL, NUMERICAL_ERRORS, _physicality
 from .linalg import dagger
 from .protocols import (
+    Protocol,
     custom_protocol,
     path_from_descriptor,
     ramp_angle,
@@ -44,18 +45,7 @@ from .protocols import (
     spin32_protocol,
     spin_operators,
 )
-from .reporting import (
-    SWEEP_COLUMNS,
-    TRAJECTORY_COLUMNS,
-    _jsonable,
-    gnuplot_script,
-    resolve_inside,
-    write_csv,
-    write_json,
-    write_text,
-)
-
-EXPERIMENTS = ("spin32-purity", "sweep", "gauge-check", "effective-vs-full", "custom")
+from .reporting import _jsonable, gnuplot_script, resolve_inside, write_csv, write_json, write_text
 
 #: the frame of the brute-force runs in the trajectory and sweep reports:
 #: ``compare_effective_vs_full`` integrates the rotating-frame equation
@@ -71,7 +61,6 @@ DEFAULT_CONFIG = {
         "family": "spin32",
         "path": {"family": "linear", "m_theta": 1, "m_phi": 0, "theta0": 0.0, "phi0": 0.0},
     },
-    "gammaT": 200.0,
     "initial": {"bloch": [0.0, 0.0, 1.0]},
     "tolerances": {"rtol": _DEFAULT_RTOL, "atol": _DEFAULT_ATOL},
     "output_dir": ".",
@@ -85,6 +74,19 @@ DEFAULT_CONFIG = {
 #: the gammaT list of a sweep that neither the config nor ``--gammaT`` sets:
 #: a sweep fits a slope, so the single default gammaT cannot serve it; the battery's list
 SWEEP_GAMMATS = list(checks.SWEEP_GAMMATS)
+
+#: each experiment's gammaT: the fewest and most values it takes (None: no bound),
+#: and its default when neither the config nor ``--gammaT`` sets one.  The gauge
+#: check, the one experiment that takes at most two, compares a pair: a lone gammaT
+#: g stands for (g, 2 g)
+_GAMMATS = {
+    "spin32-purity": (1, 1, 200.0),
+    "sweep": (2, None, SWEEP_GAMMATS),
+    "gauge-check": (1, 2, 200.0),
+    "effective-vs-full": (1, None, 200.0),
+    "custom": (1, 1, 200.0),
+}
+EXPERIMENTS = tuple(_GAMMATS)
 
 #: config sections that are alternatives, replaced whole rather than merged
 _ATOMIC_KEYS = ("initial", "protocol")
@@ -128,10 +130,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config root must be an object")
-    cfg = _merge(_merge(DEFAULT_CONFIG, user, atomic=_ATOMIC_KEYS), overrides, atomic=_ATOMIC_KEYS)
-    if cfg.get("experiment") == "sweep" and all(src.get("gammaT") is None for src in (user, overrides)):
-        cfg["gammaT"] = list(SWEEP_GAMMATS)
-    return cfg
+    return _merge(_merge(DEFAULT_CONFIG, user, atomic=_ATOMIC_KEYS), overrides, atomic=_ATOMIC_KEYS)
 
 
 def _is_number(value) -> bool:
@@ -147,51 +146,70 @@ def _is_finite_number(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-#: the most gammaT values an experiment takes; the others take any number
-_MAX_GAMMATS = {"spin32-purity": 1, "custom": 1, "gauge-check": 2}
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """One validated run: everything an experiment reads, taken once from its config."""
+
+    experiment: str
+    protocol: Protocol  # built at the first gammaT; the others come from with_gammaT
+    gammaTs: tuple
+    initial: np.ndarray  # a Bloch vector or a density matrix
+    rtol: float
+    atol: float
+    checkpoints: int
+    seed: int
+    dark_phase: float
+    gnuplot: bool
+    outdir: Path
+    config: dict  # the merged config, which the report echoes
 
 
-def validate_config(cfg: dict) -> dict:
-    if cfg.get("experiment") not in EXPERIMENTS:
+def validate_config(cfg: dict) -> _Run:
+    experiment = cfg.get("experiment")
+    if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}")
-    _section(cfg, "config", (*DEFAULT_CONFIG, "experiment"))
-    _section(cfg["gauge"], "gauge", DEFAULT_CONFIG["gauge"])
-    if not _is_finite_number(cfg["gauge"]["dark_phase"]):
+    fewest, most, default = _GAMMATS[experiment]
+    cfg = {"gammaT": default, **cfg}
+    _section(cfg, "config", (*DEFAULT_CONFIG, "experiment", "gammaT"))
+    gauge = _section(cfg["gauge"], "gauge", DEFAULT_CONFIG["gauge"])
+    if not _is_finite_number(gauge["dark_phase"]):
         raise ConfigError("gauge.dark_phase must be a finite number")
     tols = _section(cfg["tolerances"], "tolerances", DEFAULT_CONFIG["tolerances"])
     for name in DEFAULT_CONFIG["tolerances"]:
         value = tols.get(name)
         if not _is_finite_number(value) or value <= 0:
             raise ConfigError(f"tolerance {name} must be finite and positive")
-    gammaTs = cfg["gammaT"]
-    if not isinstance(gammaTs, list):
-        gammaTs = [gammaTs]
+    gammaTs = cfg["gammaT"] if isinstance(cfg["gammaT"], list) else [cfg["gammaT"]]
     if not all(_is_number(g) for g in gammaTs):
         raise ConfigError("gammaT must be a number or a list of numbers")
-    gammaTs = [float(g) for g in gammaTs]
+    gammaTs = tuple(float(g) for g in gammaTs)
     if not gammaTs or any(not (math.isfinite(g) and g > 0) for g in gammaTs):
         raise ConfigError("gammaT must be finite and positive")
-    most = _MAX_GAMMATS.get(cfg["experiment"], len(gammaTs))
-    if len(gammaTs) > most:
-        raise ConfigError(f"{cfg['experiment']} takes at most {most} gammaT, got {len(gammaTs)}")
-    if cfg["experiment"] == "sweep" and len(gammaTs) < 2:  # a sweep fits a slope
-        raise ConfigError(f"sweep takes at least 2 gammaT, got {len(gammaTs)}")
+    if most is not None and len(gammaTs) > most:
+        raise ConfigError(f"{experiment} takes at most {most} gammaT, got {len(gammaTs)}")
+    if len(gammaTs) < fewest:
+        raise ConfigError(f"{experiment} takes at least {fewest} gammaT, got {len(gammaTs)}")
     if len(set(gammaTs)) != len(gammaTs):
         raise ConfigError("gammaT values must be distinct")
     for g in gammaTs:
         if g < 10.0:
             print(f"warning: gammaT={g:g} < 10, adiabatic expansion unreliable", file=sys.stderr)
-    cfg = dict(cfg)
-    cfg["gammaT_list"] = gammaTs
+    if most == 2 and len(gammaTs) == 1:  # the gauge check's pair
+        gammaTs = (gammaTs[0], 2.0 * gammaTs[0])
     if not _is_integer(cfg.get("seed")):
         raise ConfigError("seed must be an integer")
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string")
-    _initial_state(cfg)
+    initial = _initial_state(cfg)
     n_cp = cfg.get("checkpoints")
     if not _is_integer(n_cp) or n_cp < 1:
         raise ConfigError("checkpoints must be a positive integer")
-    return cfg
+    if not isinstance(cfg["gnuplot"], bool):
+        raise ConfigError("gnuplot must be true or false")
+    return _Run(experiment=experiment, protocol=build_protocol(cfg, gammaTs[0]), gammaTs=gammaTs,
+                initial=initial, rtol=tols["rtol"], atol=tols["atol"], checkpoints=n_cp,
+                seed=cfg["seed"], dark_phase=float(gauge["dark_phase"]), gnuplot=cfg["gnuplot"],
+                outdir=Path(os.environ.get("DARKLIND_OUTDIR") or cfg["output_dir"]), config=cfg)
 
 
 def _require_numbers(section: dict, name: str, integers=(), numbers=(), lists=()) -> None:
@@ -229,11 +247,16 @@ def build_protocol(cfg: dict, gammaT: float):
         raise ConfigError("protocol.two_j must be an integer >= 1")
     sx, sy, sz = spin_operators(two_j)
     named = {"sx": sx, "sy": sy, "sz": sz}
+    names = section.get("generators", [])
+    if not (isinstance(names, list) and all(isinstance(g, str) for g in names)):
+        raise ConfigError("protocol.generators must be a list of generator names")
     try:
-        generators = [named[g] for g in section.get("generators", [])]
+        generators = [named[g] for g in names]
     except KeyError as exc:
         raise ConfigError(f"unknown generator {exc}") from exc
     angle_sections = section.get("angles", [])
+    if not isinstance(angle_sections, list):
+        raise ConfigError("protocol.angles must be a list of objects")
     if len(angle_sections) != len(generators):
         raise ConfigError("need one angle entry per generator")
     angles, dangles = [], []
@@ -247,8 +270,7 @@ def build_protocol(cfg: dict, gammaT: float):
         dangles.append(dfn)
     jump_name = section.get("jump", "lowering")
     if jump_name == "lowering":
-        jump = sx + 1j * sy  # raising in descending-m basis maps m -> m+1; adjoint lowers
-        jump = dagger(jump)
+        jump = dagger(sx + 1j * sy)  # raising in descending-m basis maps m -> m+1; adjoint lowers
     elif jump_name == "spin32":
         if two_j != 3:
             raise ConfigError("jump 'spin32' requires two_j = 3")
@@ -258,8 +280,7 @@ def build_protocol(cfg: dict, gammaT: float):
     try:
         return custom_protocol(
             generators, angles, jump, gammaT, dangles=dangles,
-            descriptor={"family": "custom", "two_j": two_j,
-                        "generators": list(section.get("generators", [])),
+            descriptor={"family": "custom", "two_j": two_j, "generators": list(names),
                         "jump": jump_name},
         )
     except ValueError as exc:
@@ -294,28 +315,26 @@ def _initial_state(cfg: dict) -> np.ndarray:
             + 1j * _finite_array(raw.get("im", 0.0), "initial.density_matrix.im"))
 
 
-def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
-    gammaT = cfg["gammaT_list"][0]
-    proto = build_protocol(cfg, gammaT)
+def run_trajectory_experiment(run: _Run) -> tuple[list, dict, list]:
+    proto = run.protocol
     ds = eff.dark_space(proto.L_rot)
-    rho_d = _dark_state(_initial_state(cfg), ds)
-    tols = cfg["tolerances"]
-    comparison = compare_effective_vs_full(
-        proto, rho_d, cfg["checkpoints"], rtol=tols["rtol"], atol=tols["atol"],
-    )
+    rho_d = _dark_state(run.initial, ds)
+    comparison = compare_effective_vs_full(proto, rho_d, run.checkpoints, rtol=run.rtol,
+                                           atol=run.atol)
     traj = comparison.trajectory
     # purity, trace and min_eig are unitary invariants, the same in the lab frame;
     # the Bloch vector (NaN unless d = 2) is read off the rotating-frame dark block
     blochs = [bloch_of(dd) if ds.d == 2 else (math.nan,) * 3 for dd in comparison.dark_states]
     per_checkpoint = zip(traj.times, traj.states, _physicality(traj.states)[2].tolist(), blochs,
                          comparison.distances)
+    columns = ["tau", "purity", "trace", "min_eig", "nx", "ny", "nz", "td_effective"]
     rows = [(tau, purity(state), float(np.trace(state).real), min_eig, *bloch, distance)
             for tau, state, min_eig, bloch, distance in per_checkpoint]
     loss_eq12 = 1.0 - purity_prediction_general(rho_d, proto, ds)
     loss_eq21 = _closed_form_loss(proto, ds, rho_d)
     report = {
-        "experiment": cfg["experiment"],
-        "gammaT": gammaT,
+        "experiment": run.experiment,
+        "gammaT": run.gammaTs[0],
         "brute_force_frame": BRUTE_FORCE_FRAME,
         "purity_loss_exact": 1.0 - purity(traj.final),
         "purity_loss_eq12": loss_eq12,
@@ -328,28 +347,25 @@ def run_trajectory_experiment(cfg: dict) -> tuple[list, dict, list]:
     }
     if not math.isnan(loss_eq21):
         report["purity_loss_eq21"] = loss_eq21
-    return rows, report, list(TRAJECTORY_COLUMNS)
+    return rows, report, columns
 
 
-def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
-    tols = cfg["tolerances"]
-    result = convergence_sweep(
-        build_protocol(cfg, cfg["gammaT_list"][0]), cfg["gammaT_list"], _initial_state(cfg),
-        rtol=tols["rtol"], atol=tols["atol"],
-    )
-    rows = list(zip(
-        result.gammaT_values, result.losses, result.losses_eq12,
-        result.losses_eq21, result.losses_reduced, result.errors,
-    ))
+def run_sweep_experiment(run: _Run) -> tuple[list, dict, list]:
+    result = convergence_sweep(run.protocol, run.gammaTs, run.initial, rtol=run.rtol,
+                               atol=run.atol)
+    # the CSV columns, which the report also carries whole
+    series = {
+        "gammaT": result.gammaT_values,
+        "purity_loss_exact": result.losses,
+        "purity_loss_eq12": result.losses_eq12,
+        "purity_loss_eq21": result.losses_eq21,
+        "purity_loss_reduced": result.losses_reduced,
+        "trace_distance_final": result.errors,
+    }
     report = {
         "experiment": "sweep",
-        "gammaT": list(result.gammaT_values),
+        **{name: list(values) for name, values in series.items()},
         "brute_force_frame": BRUTE_FORCE_FRAME,
-        "purity_loss_exact": list(result.losses),
-        "purity_loss_eq12": list(result.losses_eq12),
-        "purity_loss_eq21": list(result.losses_eq21),
-        "purity_loss_reduced": list(result.losses_reduced),
-        "trace_distance_final": list(result.errors),
         "first_order_trace_distance_final": list(result.first_order_errors),
         "fitted_slope": result.fitted_slope,
         "fit_r2": result.fit_r2,
@@ -359,36 +375,25 @@ def run_sweep_experiment(cfg: dict) -> tuple[list, dict, list]:
         "failures": list(result.failures),
         "flags": sweep_flags(result),
     }
-    return rows, report, list(SWEEP_COLUMNS)
+    return list(zip(*series.values())), report, list(series)
 
 
-def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
-    gammaTs = cfg["gammaT_list"]
-    if len(gammaTs) == 1:
-        gammaTs = [gammaTs[0], 2.0 * gammaTs[0]]
-    proto = build_protocol(cfg, gammaTs[0])
+def run_gauge_experiment(run: _Run) -> tuple[list, dict, list]:
+    proto = run.protocol
     ds = eff.dark_space(proto.L_rot)
-    phase = float(cfg["gauge"]["dark_phase"])
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(run.seed)
     dim = proto.dim
     rand = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     bright_gen = 0.5 * (rand + dagger(rand))
-    if ds.d == 2:
-        dark_gen = phase * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    else:
-        diag = np.arange(ds.d) - 0.5 * (ds.d - 1)
-        dark_gen = phase * np.diag(diag).astype(complex)
+    diag = [1.0, -1.0] if ds.d == 2 else np.arange(ds.d) - 0.5 * (ds.d - 1)
+    dark_gen = run.dark_phase * np.diag(diag).astype(complex)
     report_obj = gauge_covariance_check(
-        proto, ds, dark_gen, gammaT_pair=tuple(gammaTs),
-        rho_init=_initial_state(cfg), bright_generator=bright_gen,
+        proto, ds, dark_gen, gammaT_pair=run.gammaTs,
+        rho_init=run.initial, bright_generator=bright_gen,
     )
-    rows = [
-        (g, d, pp, pt, diff)
-        for g, d, pp, pt, diff in zip(
-            report_obj.gammaT_values, report_obj.defects, report_obj.purity_plain,
-            report_obj.purity_tilted, report_obj.purity_differences,
-        )
-    ]
+    columns = ["gammaT", "covariance_defect", "purity_plain", "purity_tilted", "purity_difference"]
+    rows = list(zip(report_obj.gammaT_values, report_obj.defects, report_obj.purity_plain,
+                    report_obj.purity_tilted, report_obj.purity_differences))
     report = {
         "experiment": "gauge-check",
         "gammaT": list(report_obj.gammaT_values),
@@ -397,45 +402,40 @@ def run_gauge_experiment(cfg: dict) -> tuple[list, dict, list]:
         "purity_plain": list(report_obj.purity_plain),
         "purity_tilted": list(report_obj.purity_tilted),
         "purity_differences": list(report_obj.purity_differences),
-        "dark_phase": phase,
+        "dark_phase": run.dark_phase,
         "flags": gauge_flags(report_obj),
     }
-    columns = ["gammaT", "covariance_defect", "purity_plain", "purity_tilted", "purity_difference"]
     return rows, report, columns
 
 
-def run_effective_vs_full_experiment(cfg: dict) -> tuple[list, dict, list]:
-    gammaTs = cfg["gammaT_list"]
-    tols = cfg["tolerances"]
-    proto = build_protocol(cfg, gammaTs[0])
-    init = _initial_state(cfg)
+def run_effective_vs_full_experiment(run: _Run) -> tuple[list, dict, list]:
     comparisons = [
-        compare_effective_vs_full(proto.with_gammaT(g), init, n_checkpoints=cfg["checkpoints"],
-                                  rtol=tols["rtol"], atol=tols["atol"])
-        for g in gammaTs
+        compare_effective_vs_full(run.protocol.with_gammaT(g), run.initial,
+                                  n_checkpoints=run.checkpoints, rtol=run.rtol, atol=run.atol)
+        for g in run.gammaTs
     ]
-    if len(gammaTs) == 1:
+    if len(run.gammaTs) == 1:
         [comparison] = comparisons
+        columns = ["tau", "trace_distance", "purity_exact", "purity_effective"]
         rows = list(zip(comparison.taus, comparison.distances,
                         comparison.puritys_exact, comparison.puritys_effective))
         report = {
             "experiment": "effective-vs-full",
-            "gammaT": gammaTs[0],
+            "gammaT": run.gammaTs[0],
             "max_distance": comparison.max_distance,
             "final_distance": comparison.final_distance,
         }
-        return rows, report, ["tau", "trace_distance", "purity_exact", "purity_effective"]
+        return rows, report, columns
     finals = [c.final_distance for c in comparisons]
-    slope, _, r2 = fit_loglog(gammaTs, finals)
-    rows = list(zip(gammaTs, finals))
+    slope, _, r2 = fit_loglog(run.gammaTs, finals)
     report = {
         "experiment": "effective-vs-full",
-        "gammaT": list(gammaTs),
+        "gammaT": list(run.gammaTs),
         "final_distances": finals,
         "distance_slope": slope,
         "distance_r2": r2,
     }
-    return rows, report, ["gammaT", "trace_distance_final"]
+    return list(zip(run.gammaTs, finals)), report, ["gammaT", "trace_distance_final"]
 
 
 _RUNNERS = {
@@ -448,37 +448,38 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: dict) -> int:
-    cfg = validate_config(cfg)
-    outdir = Path(os.environ.get("DARKLIND_OUTDIR") or cfg["output_dir"])
-    stem = cfg["experiment"].replace("-", "_")
     started = time.time()
+    run = validate_config(cfg)
+    stem = run.experiment.replace("-", "_")
     try:
-        rows, report, columns = _RUNNERS[cfg["experiment"]](cfg)
+        rows, report, columns = _RUNNERS[run.experiment](run)
     except NUMERICAL_ERRORS as exc:
         diagnostic = {
-            "experiment": cfg["experiment"],
+            "experiment": run.experiment,
             "error": type(exc).__name__,
             "message": str(exc),
             "tau": getattr(exc, "tau", None),
         }
-        write_json(resolve_inside(outdir, f"{stem}_diagnostic.json"), diagnostic)
+        write_json(resolve_inside(run.outdir, f"{stem}_diagnostic.json"), diagnostic)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    csv_path = resolve_inside(outdir, f"{stem}.csv")
+    csv_path = resolve_inside(run.outdir, f"{stem}.csv")
     write_csv(csv_path, columns, rows)
-    report = dict(report)
-    report["config"] = {k: v for k, v in cfg.items() if k != "gammaT_list"}
-    report["seed"] = cfg["seed"]
-    report["csv"] = csv_path.name
-    report["csv_rows"] = [list(map(float, row)) for row in rows]
-    report["csv_columns"] = columns
-    report["runtime_s"] = time.time() - started
-    report["version"] = __version__
-    write_json(resolve_inside(outdir, f"{stem}_report.json"), report)
-    if cfg.get("gnuplot"):
+    report = {
+        **report,
+        "config": run.config,
+        "seed": run.seed,
+        "csv": csv_path.name,
+        "csv_rows": [list(map(float, row)) for row in rows],
+        "csv_columns": columns,
+        "runtime_s": time.time() - started,
+        "version": __version__,
+    }
+    write_json(resolve_inside(run.outdir, f"{stem}_report.json"), report)
+    if run.gnuplot:
         ycols = [c for c in columns[1:] if not c.startswith("trace_distance")] or columns[1:]
-        script = gnuplot_script(csv_path.name, columns, ycols, cfg["experiment"])
-        write_text(resolve_inside(outdir, f"{stem}.gnuplot"), script)
+        script = gnuplot_script(csv_path.name, columns, ycols, run.experiment)
+        write_text(resolve_inside(run.outdir, f"{stem}.gnuplot"), script)
     return 0
 
 
@@ -509,8 +510,16 @@ def _parse_gammaT(text: str):
     return values[0] if len(values) == 1 else values
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error on exit code 1, the validation-failure code, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darklind",
         description="Dissipative dark-space adiabatic manipulation experiments",
     )
@@ -544,25 +553,19 @@ def main(argv=None) -> int:
     if args.command == "check":
         return run_check(args)
 
-    overrides: dict = {
+    # a flag left unset is None, which the merge skips
+    tolerances = {k: v for k, v in (("rtol", args.rtol), ("atol", args.atol)) if v is not None}
+    overrides = {
         "experiment": args.experiment,
         "gammaT": args.gammaT,
         "output_dir": args.outdir,
         "seed": args.seed,
         "gnuplot": args.gnuplot,
         "checkpoints": args.checkpoints,
+        "initial": None if args.n0 is None else {"bloch": args.n0},
+        "tolerances": tolerances or None,
+        "gauge": None if args.gauge_phase is None else {"dark_phase": args.gauge_phase},
     }
-    if args.n0 is not None:
-        overrides["initial"] = {"bloch": args.n0}
-    tol_override = {}
-    if args.rtol is not None:
-        tol_override["rtol"] = args.rtol
-    if args.atol is not None:
-        tol_override["atol"] = args.atol
-    if tol_override:
-        overrides["tolerances"] = tol_override
-    if args.gauge_phase is not None:
-        overrides["gauge"] = {"dark_phase": args.gauge_phase}
     try:
         cfg = load_config(args.config, overrides)
         return run_experiment(cfg)

@@ -19,16 +19,6 @@ import numpy as np
 
 SCHEMA_VERSION = 4
 
-TRAJECTORY_COLUMNS = ("tau", "purity", "trace", "min_eig", "nx", "ny", "nz", "td_effective")
-SWEEP_COLUMNS = (
-    "gammaT",
-    "purity_loss_exact",
-    "purity_loss_eq12",
-    "purity_loss_eq21",
-    "purity_loss_reduced",
-    "trace_distance_final",
-)
-
 
 def format_float(x: float) -> str:
     """Shortest representation that round-trips the double."""

@@ -284,6 +284,72 @@ class TestValidation:
         assert rc == 0
         assert "expansion unreliable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "sweep", "--gammaT", "abc"],
+        ["run", "nosuch"],
+        ["run", "spin32-purity", "--n0", "1,2"],
+        ["run", "spin32-purity", "--seed", "1.5"],
+        ["run", "spin32-purity", "--bogus"],
+        ["check", "--bogus"],
+        [],
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        # a usage error is a validation failure (exit 1); 2 means a numerical failure
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DARKLIND_OUTDIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "usage: darklind" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize("gnuplot", ["false", "true", 0, 1])
+    def test_rejects_a_gnuplot_that_is_not_a_bool(self, tmp_path, capsys, gnuplot):
+        # a string or a number would switch the script on by its truth value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "spin32-purity", "gnuplot": gnuplot}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "gnuplot must be true or false" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol, message", [
+        ({"generators": {"sy": "anything"}, "angles": [{"m": 1}]},
+         "protocol.generators must be a list of generator names"),
+        ({"generators": "sy", "angles": [{"m": 1}, {"m": 1}]},
+         "protocol.generators must be a list of generator names"),
+        ({"generators": [["sy"]], "angles": [{"m": 1}]},
+         "protocol.generators must be a list of generator names"),
+        ({"generators": ["sy"], "angles": {"sy": {"m": 1}}},
+         "protocol.angles must be a list of objects"),
+        ({"generators": ["sy"], "angles": "m"}, "protocol.angles must be a list of objects"),
+        ({"generators": ["sy"], "angles": [1]}, "protocol.angles entry must be an object"),
+    ])
+    def test_rejects_custom_lists_of_the_wrong_kind(
+        self, tmp_path, capsys, monkeypatch, protocol, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a rejected configuration built a protocol")
+
+        monkeypatch.setattr(cli, "custom_protocol", never)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "custom", "gammaT": 50.0, "protocol": {
+            "family": "custom", "two_j": 3, "jump": "spin32", **protocol}}))
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not out.exists()
+
 
 class TestTrajectoryExperiment:
     def test_artifacts_and_schema(self, tmp_path):
@@ -475,8 +541,8 @@ class TestSweepExperiment:
         # default list, not the single default gammaT of the other experiments
         seen = []
 
-        def record(cfg):
-            seen.append(cfg["gammaT_list"])
+        def record(run):
+            seen.append(list(run.gammaTs))
             return [], {}, ["gammaT"]
 
         monkeypatch.setitem(cli._RUNNERS, "sweep", record)
@@ -595,7 +661,7 @@ class TestNumericalFailure:
     def test_exit_two_with_diagnostic(self, tmp_path, monkeypatch):
         from darklind.engine import StepSizeUnderflowError
 
-        def exploding(cfg):
+        def exploding(run):
             raise StepSizeUnderflowError(3.5, 1e-16)
 
         monkeypatch.setitem(cli._RUNNERS, "spin32-purity", exploding)

@@ -281,3 +281,18 @@ def test_one_cf4_driver():
     args = defs["ordered_exponential"].args
     assert "start" not in {a.arg for a in args.args + args.kwonlyargs}
     assert names_in(defs["_ordered_steps"]) & {"_cf4_steps", "CF4_NODES", "CF4_WEIGHTS"} == set()
+
+
+def test_the_cli_reads_its_config_once():
+    # ``validate_config`` turns the merged config into one run record: it alone
+    # builds the protocol and parses the initial state, and every runner reads
+    # the record's fields, never a config dict by key
+    defs = top_level_defs("cli")
+    assert callers_of(defs, "build_protocol") == {"validate_config"}
+    assert callers_of(defs, "_initial_state") == {"validate_config"}
+    runners = {f.__name__ for f in importlib.import_module("darklind.cli")._RUNNERS.values()}
+    keyed_reads = {name for name in runners for n in ast.walk(defs[name])
+                   if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load)
+                   and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
+    assert len(runners) == 4
+    assert keyed_reads == set()
