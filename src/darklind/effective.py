@@ -550,13 +550,18 @@ def evolve_effective(
     with an imaginary part there above roundoff raises ValueError naming its
     time.  The state is carried as the coordinates of its Hermitian and
     anti-Hermitian parts, so nothing of it is dropped.  ell at each
-    step's two Gauss points comes from one partial step of the kernel
-    recurrence from the cycle node at or below the point, the node blocks
-    read off the protocol's cycle record (``_cycle_record``), grown by the
-    first step to the last node at or below the last time and shared by
-    later calls, the per-tau queries, the end-of-cycle formula and eq. 12.
-    These are the numbers ``effective_jump`` gives at those points, to
-    roundoff.
+    step's two Gauss points comes from the protocol's cycle record
+    (``_cycle_record``) by dense output of the cycle step holding the point
+    (``_dense_output``): the step's exact-decay map taken to the point, on
+    the drive samples the record kept at the step's three Gauss-Legendre
+    nodes, so no drive is evaluated for ell.  The record grows to the node
+    above each block's last Gauss point and is shared by later calls, the
+    per-tau queries, the end-of-cycle formula and eq. 12.  The per-tau
+    queries take one partial step to a time instead; the two interpolate the
+    drive over different spans, and on smoothstep(1, 1) at gammaT 200 the
+    Gauss-point ell differs from ``effective_jump``'s by 6.9e-12 of the
+    largest ell (roundoff on a linear path, whose drive is constant).  H0 at
+    the Gauss points is evaluated, in one ``_node_blocks`` call per block.
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -624,9 +629,10 @@ class _MagnusPropagator:
     ``points`` holds 0, the checkpoints and, below the first of them, the end
     of the dissipator's onset, at the slowest bright rate of the protocol's
     cycle record: only a weighted dissipator with a bright rate has an onset
-    transient.  The kernel blocks are that record's, grown on the first
-    step to the last node at or below the last point; a propagator with no
-    point past 0 takes no step and takes no record.
+    transient.  ell at the Gauss points is the dense output of that
+    record's cycle steps (``_gauss_blocks``), which grows the record in
+    whole chunks as the steps ask; a propagator with no point past 0 takes
+    no step and takes no record.
     """
 
     def __init__(
@@ -658,8 +664,6 @@ class _MagnusPropagator:
         spans = list(pairwise(self.points))
         if not spans:
             return []
-        record = self.record
-        record.grow(np.searchsorted(record.nodes, self.points[-1], side="right") - 1)
         first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
         built = self._propagators([(i, n) for i in range(len(spans)) for n in first])
         coordinates = self.coordinates
@@ -710,12 +714,17 @@ class _MagnusPropagator:
     def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H0 and ell at the 1-D array of times t, the (n, d, d) stacks.
 
-        Each time takes one partial step from the cycle node at or below it
-        (``_partial_step``); H0 at the times and the drive at the partial
-        steps' nodes come from one ``_node_blocks`` call.
+        H0 comes from one ``_node_blocks`` call at the times.  ell comes
+        from the dense output of the cycle step holding each time
+        (``_dense_output``), which evaluates no drive: the record first
+        grows to the node above the last time, in whole chunks.
         """
-        x, dark = _partial_step(self.record, t, lead=t)
-        return dark, _jumps(self.record, t, x)
+        record = self.record
+        k = np.searchsorted(record.nodes, t, side="right") - 1
+        record.grow(k.max() + 1)
+        c = (t - record.nodes[k]) / (record.nodes[k + 1] - record.nodes[k])
+        _, dark = _node_blocks(record, t / record.protocol.gammaT)
+        return dark, _jumps(record, t, _dense_output(record, k, c))
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -874,20 +883,27 @@ class _CycleRecord:
     garbage collector.
 
     ``xs`` holds the blocks, one per recurrence, at the cycle nodes
-    0..``extent`` (``_cycle_grid``), and ``h0`` the dark block of H at the
-    midpoints of those steps; ``extent`` starts at 0, where the block is
-    zero.  A reader asks for the nodes it needs (``grow``), and the record
-    grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
+    0..``extent`` (``_cycle_grid``), ``samples`` the recurrences' drives at
+    the three Gauss-Legendre nodes of each of those steps, (_FROZEN_GRID,
+    3, recurrences, d), and ``h0`` the dark block of H at the steps'
+    midpoints; ``extent`` starts at 0, where the block is zero.  The three
+    arrays are allocated by the first ``grow``, so a reader of the modes
+    alone (the adiabatic source of ``_x_of``, the oracle, the holonomy)
+    allocates none.  A reader asks for the nodes it needs (``grow``), and
+    the record grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
     ``_node_blocks`` call, one ``_step_maps`` call and one scan from the
     block at the previous chunk's last node.  The chunk bounds are fixed, so
     the blocks are the same bits whatever the order in which readers grew
-    the record.  Times off the nodes take one partial step each (``at``).
+    the record.  Times off the nodes take one partial step each (``at``);
+    the reduced propagator's Gauss points take the dense output of their
+    cycle step from its samples instead (``_dense_output``).
     The grid only has to resolve the drive, whatever a step's rate h: 2048
     steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
     to 1e-13.
 
     Every reader of the kernel modes or the cycle series reads them here:
-    the kernel blocks (``at``), ell at any times (``jumps``), the frame
+    the kernel blocks (``at``) and their dense output, ell at any times
+    (``jumps``), the frame
     series l = V^dag ell V at the nodes with V_end (``frame``), the
     frozen-state superoperator M = int D_l dtau of eq. 12 (``dissipator``),
     and the modes and drive (``drive``) that the holonomy and the quadrature
@@ -916,8 +932,7 @@ class _CycleRecord:
         self.ds, self.gauge = ds, gauge
         self.nodes = _cycle_grid(protocol.gammaT)
         self.extent = 0
-        self.xs = np.zeros((self.nodes.size, self.rates.size, ds.d), dtype=complex)
-        self.h0 = np.empty((_FROZEN_GRID, ds.d, ds.d), dtype=complex)
+        self.xs = self.samples = self.h0 = None  # allocated by the first ``grow``
 
     @property
     def protocol(self) -> Protocol:
@@ -937,14 +952,22 @@ class _CycleRecord:
         return drives
 
     def grow(self, k: int) -> None:
-        """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps."""
+        """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps.
+
+        The first call allocates the block arrays, whatever k.
+        """
+        if self.xs is None:
+            shape = (self.rates.size, self.ds.d)
+            self.xs = np.zeros((self.nodes.size,) + shape, dtype=complex)
+            self.samples = np.empty((_FROZEN_GRID, 3) + shape, dtype=complex)
+            self.h0 = np.empty((_FROZEN_GRID, self.ds.d, self.ds.d), dtype=complex)
         while self.extent < k:
             lo = self.extent
             hi = min(lo + _PHASE_BLOCK, _FROZEN_GRID)
             nodes = self.nodes[lo:hi + 1]
-            maps, dark = _gl3_steps(self, nodes[:-1], np.diff(nodes))
+            maps, self.samples[lo:hi], dark = _gl3_steps(self, nodes[:-1], np.diff(nodes))
             self.xs[lo:hi + 1] = _kernel_grid(maps, self.xs[lo])
-            self.h0[lo:hi] = dark[1::3]  # the middle Gauss-Legendre node of each step
+            self.h0[lo:hi] = dark[:, 1]  # the middle Gauss-Legendre node of each step
             self.extent = hi
 
     def at(self, taus: np.ndarray) -> np.ndarray:
@@ -961,7 +984,7 @@ class _CycleRecord:
         found = self.xs[k]
         off = taus > self.nodes[k]
         if off.any():
-            found[off], _ = _partial_step(self, taus[off])
+            found[off] = _partial_step(self, taus[off])
         return found
 
     def jumps(self, taus: np.ndarray) -> np.ndarray:
@@ -1061,37 +1084,53 @@ def _jumps(record: _CycleRecord, taus: np.ndarray, xs: np.ndarray) -> np.ndarray
     return _blockwise(to_jump, (d, d), taus, xs.reshape(len(xs), nb, nb, d))
 
 
-def _partial_step(
-    record: _CycleRecord, taus: np.ndarray, lead: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray]:
+def _partial_step(record: _CycleRecord, taus: np.ndarray) -> np.ndarray:
     """The kernel blocks at ``taus`` by one partial step from the cycle node at or below each.
 
     The record holds the blocks at its ``nodes`` up to the node of the
     latest time (``xs``).  Each time steps from its node to itself, the decay
-    exact (``_gl3_steps``), and the step's affine map acts on the node's
+    exact and the drive sampled at the partial step's own Gauss-Legendre
+    nodes (``_gl3_steps``), and the step's affine map acts on the node's
     block (``_affine``); a time on a node takes a step of length 0, which
-    returns the node's block.  It also returns the dark blocks of H at the
-    1-D array of times ``lead``, from the same ``_node_blocks`` call.
+    returns the node's block.
     """
     k = np.searchsorted(record.nodes, taus, side="right") - 1
-    maps, dark = _gl3_steps(record, record.nodes[k], taus - record.nodes[k], lead)
-    return _affine(maps, record.xs[k]), dark[:len(lead)]
+    maps, _, _ = _gl3_steps(record, record.nodes[k], taus - record.nodes[k])
+    return _affine(maps, record.xs[k])
+
+
+def _dense_output(record: _CycleRecord, k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The kernel blocks at the fractions c in [0, 1] of the cycle steps k, with no drive evaluation.
+
+    The time of fraction c of step k is nodes[k] + c (nodes[k + 1] -
+    nodes[k]).  The step's map is taken to that time on the drive samples the
+    record keeps at the step's Gauss-Legendre nodes (``_step_maps`` on
+    ``samples``), the decay exact, and acts on the block at node k
+    (``_affine``); the record must cover node k + 1.  c = 0 returns the
+    node's block and c = 1 the step's whole map applied to it, the block at
+    node k + 1 up to the roundoff of the record's scan.  The drive's
+    interpolant is that of the whole step, not of [nodes[k], t] as in
+    ``_partial_step``, so the two differ by O(h^3) of the drive's third
+    derivative, over at most one step of length h.
+    """
+    h = record.nodes[k + 1] - record.nodes[k]
+    return _affine(_step_maps(record, h, record.samples[k], c), record.xs[k])
 
 
 def _gl3_steps(
-    record: _CycleRecord, starts: np.ndarray, h: np.ndarray, lead: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """The maps of kernel steps of lengths h from the times ``starts``, and dark blocks of H.
+    record: _CycleRecord, starts: np.ndarray, h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maps of kernel steps of lengths h from the times ``starts``, and their drive samples.
 
-    H is evaluated at the times ``lead`` and then at the three Gauss-Legendre
-    nodes of each step (``_GL3_NODES``), in one ``_node_blocks`` call.
-    Returns the steps' affine maps (``_step_maps``) and the dark blocks at
-    the lead times and then at the nodes, 3 per step.
+    H is evaluated at the three Gauss-Legendre nodes of each step
+    (``_GL3_NODES``) in one ``_node_blocks`` call.  Returns the steps'
+    affine maps (``_step_maps``), the (steps, 3, recurrences, d) drives and
+    the (steps, 3, d, d) dark blocks at the nodes.
     """
     nodes = starts[:, None] + h[:, None] * _GL3_NODES
-    phases = np.concatenate([lead, nodes.ravel()]) / record.protocol.gammaT
-    drives, dark = _node_blocks(record, phases)
-    return _step_maps(record, h, drives[len(lead):].reshape(nodes.shape + drives.shape[1:])), dark
+    drives, dark = _node_blocks(record, nodes.ravel() / record.protocol.gammaT)
+    drives = drives.reshape(nodes.shape + drives.shape[1:])
+    return _step_maps(record, h, drives), drives, dark.reshape(nodes.shape + dark.shape[1:])
 
 
 def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1116,26 +1155,32 @@ _MOMENT_SERIES = np.array([
 ])
 
 
-def _decay_weights(z: np.ndarray) -> np.ndarray:
-    """Node weights int_0^1 e^{-z (1 - u)} l_i(u) du of one step, shape z.shape + (3,).
+def _decay_weights(z: np.ndarray, c=1.0) -> np.ndarray:
+    """Node weights int_0^c e^{-z (c - u)} l_i(u) du of the fraction c of one step.
 
-    z = rate h / 2 is the decay exponent of the step and l_i the quadratic
-    Lagrange basis on the Gauss nodes, so h times these weights integrates
-    e^{rate (s - t1)/2} times the drive's interpolant exactly over [t0, t1]:
-    the decay is exact for any z >= 0 and only the drive is interpolated.
-    The weights come from the moments m_k = int_0^1 e^{-z (1 - u)} u^k du
-    (k! times the phi-functions phi_{k+1}(-z)): a series below
-    _MOMENT_SERIES_BELOW, else m_0 = (1 - e^{-z})/z, m_k = (1 - k m_{k-1})/z.
+    z = rate h / 2 is the decay exponent of the whole step, l_i the quadratic
+    Lagrange basis on the Gauss nodes and c in [0, 1], one fraction or an
+    array that broadcasts against z; c = 1, the default, is the whole step.
+    The weights have the broadcast shape of z and c, then 3.
+    So h times these weights integrates e^{rate (s - t)/2} times the drive's
+    interpolant exactly over [t0, t = t0 + c h]: the decay is exact for any
+    z >= 0 and only the drive is interpolated.  By u = c v the weights are
+    sum_k c^{k+1} m_k(z c) L_ki (L = _GL3_LAGRANGE), from the moments
+    m_k(x) = int_0^1 e^{-x (1 - v)} v^k dv (k! times the phi-functions
+    phi_{k+1}(-x)): a series below _MOMENT_SERIES_BELOW, else
+    m_0 = (1 - e^{-x})/x, m_k = (1 - k m_{k-1})/x.  For c = 1 every factor c
+    is exactly 1, so the weights are the moments' own bits times L.
     """
-    z = np.asarray(z, dtype=float)
-    moments = np.empty(z.shape + (3,))
-    small = z < _MOMENT_SERIES_BELOW
-    moments[small] = np.polynomial.polynomial.polyval(z[small], _MOMENT_SERIES).T
-    zb = z[~small]
-    m0 = -np.expm1(-zb) / zb
-    m1 = (1.0 - m0) / zb
-    moments[~small] = np.stack([m0, m1, (1.0 - 2.0 * m1) / zb], axis=-1)
-    return moments @ _GL3_LAGRANGE
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(z, dtype=float) * c
+    moments = np.empty(x.shape + (3,))
+    small = x < _MOMENT_SERIES_BELOW
+    moments[small] = np.polynomial.polynomial.polyval(x[small], _MOMENT_SERIES).T
+    xb = x[~small]
+    m0 = -np.expm1(-xb) / xb
+    m1 = (1.0 - m0) / xb
+    moments[~small] = np.stack([m0, m1, (1.0 - 2.0 * m1) / xb], axis=-1)
+    return (c[..., None] ** np.arange(1, 4) * moments) @ _GL3_LAGRANGE
 
 
 def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -1152,25 +1197,31 @@ def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _step_maps(record: _CycleRecord, h: np.ndarray, drives: np.ndarray) -> np.ndarray:
-    """The affine map x -> e^{-rate h/2} x + gain of each kernel-recurrence step of length h.
+def _step_maps(
+    record: _CycleRecord, h: np.ndarray, drives: np.ndarray, c=1.0
+) -> np.ndarray:
+    """The affine map x -> e^{-rate c h/2} x + gain over the fraction c of each kernel step of length h.
 
-    ``h`` is the 1-D array of the steps' lengths and ``drives`` the
-    (steps, 3, recurrences, d) drive at each step's Gauss-Legendre nodes
-    (``_GL3_NODES``), one row per recurrence of the record (``rates``).
-    Over a step the block decays by e^{-rate h/2} and gains
-    int e^{rate (s - t1)/2} drive(s) ds, the drive interpolated through its
-    values at the three Gauss-Legendre nodes and the exponential integrated
+    ``h`` is the 1-D array of the steps' lengths, ``c`` one fraction in
+    [0, 1] or one per step (1, the default, is the whole step), and
+    ``drives`` the (steps, 3, recurrences, d) drive at each step's
+    Gauss-Legendre nodes (``_GL3_NODES``), one row per recurrence of the
+    record (``rates``).  Over the fraction c of a step from t0 the block
+    decays by e^{-rate c h/2} and gains int e^{rate (s - t)/2} drive(s) ds
+    over [t0, t = t0 + c h], the drive interpolated through its values at
+    the step's three Gauss-Legendre nodes and the exponential integrated
     exactly (``_decay_weights``).  The weights are computed once per
-    distinct step length, and a grid has few: all of a uniform grid's steps
-    are one length up to roundoff.  Returns [decay | gain] along the last
-    axis, (steps, recurrences, 1 + d).
+    distinct (length, fraction) pair, and a grid of whole steps has few: all
+    of a uniform grid's steps are one length up to roundoff.  Returns
+    [decay | gain] along the last axis, (steps, recurrences, 1 + d).
     """
-    lengths, which = np.unique(h, return_inverse=True)
-    z = 0.5 * lengths[:, None] * record.rates  # (lengths, rates)
-    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, rates)
-    gains = (coef[..., None] * drives).sum(axis=1)
-    return np.concatenate([np.exp(-z)[which][..., None], gains], axis=-1)
+    # the (length, fraction) pairs as complex numbers, which np.unique orders by length first
+    pairs, which = np.unique(h + 1j * np.asarray(c, dtype=float), return_inverse=True)
+    lengths, fractions = pairs.real[:, None], pairs.imag[:, None]
+    z = 0.5 * lengths * record.rates  # (pairs, rates)
+    coef = (lengths[..., None] * _decay_weights(z, fractions)).swapaxes(1, 2)[which]
+    gains = (coef[..., None] * drives).sum(axis=1)  # coef: (steps, 3, rates)
+    return np.concatenate([np.exp(-z * fractions)[which][..., None], gains], axis=-1)
 
 
 def reconstruct_full_state(

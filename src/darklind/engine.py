@@ -385,6 +385,33 @@ def _check_tolerances(rtol: float, atol: float) -> None:
             raise ValueError(f"rtol and atol must be non-negative and finite: {name} is {value}")
 
 
+def _error_norm(h: float, e5: np.ndarray, e3: np.ndarray, scale: np.ndarray) -> float:
+    """Hairer's DOP853 error norm h |r5|^2 / sqrt((|r5|^2 + |r3|^2 / 100) n), r = |e| / scale.
+
+    e5 and e3 are the fifth- and third-order error estimates of a step of
+    length h, n entries each, and scale the tolerance of each entry.  The
+    ratios are taken against the scale times 2^-m, m the power of two that
+    brings the smallest scale to the largest |e|, so no ratio exceeds 2 and
+    no square overflows, and the norm is scaled back by 2^-m at the end.
+    Multiplying by a power of two is exact, so the norm has the plain
+    formula's bits wherever that one overflows nowhere; with a tolerance
+    near the smallest float, where the plain squares overflow, it is still
+    a number, inf only past the largest float.  Zero estimates give 0.
+    """
+    a5, a3 = np.abs(e5), np.abs(e3)
+    m = math.frexp(scale.min())[1] - math.frexp(np.maximum(a5, a3).max())[1]
+    s = np.ldexp(scale, -m)
+    r5, r3 = a5 / s, a3 / s
+    sq5 = float(r5.dot(r5))
+    denom = sq5 + 0.01 * float(r3.dot(r3))
+    if denom == 0.0:
+        return 0.0
+    try:
+        return math.ldexp(h * sq5 / math.sqrt(denom * e5.size), -m)
+    except OverflowError:
+        return math.inf
+
+
 def integrate(
     gen_of_t: Callable[[np.ndarray], LindbladGenerator],
     rho0: np.ndarray,
@@ -498,11 +525,8 @@ def integrate(
                 y_new = y + h * _DOP_B.dot(k[:12])
                 k[12] = sups[-1].dot(y_new)  # the slope at t + h, on the c = 1 node
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                r5 = np.abs(_DOP_E5.dot(k[:12])) / scale
-                r3 = np.abs(_DOP_E3.dot(k[:12])) / scale
-                e5 = r5.dot(r5)
-                denom = e5 + 0.01 * r3.dot(r3)  # NaN from NaN dynamics rejects the step
-                err = 0.0 if denom == 0.0 else float(h * e5 / math.sqrt(denom * y.size))
+                # NaN from NaN dynamics rejects the step
+                err = _error_norm(h, _DOP_E5.dot(k[:12]), _DOP_E3.dot(k[:12]), scale)
 
                 if not err <= 1.0:  # NaN included
                     n_reject += 1

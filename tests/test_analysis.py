@@ -618,7 +618,9 @@ class TestSweep:
         # phases with_gammaT samples, the cycle record's 6,144 and the reduced
         # run's CF4 Gauss points; eq. 12 and the first-order distance read the
         # record, so no phase is asked twice (a second holonomy pass along
-        # the 2,048 step midpoints gave (92, 22912))
+        # the 2,048 step midpoints gave (92, 22912)); the reduced run asks for
+        # H0 alone at its Gauss points, ell coming from the record's samples by
+        # dense output (a partial kernel step per Gauss point gave (76, 18816))
         phases = []
         proto = spin32_protocol(linear_path(1, 0), 200.0)
 
@@ -630,7 +632,7 @@ class TestSweep:
         phases.clear()  # construction samples the path
         monkeypatch.setattr(analysis, "integrate", _unchanged)
         convergence_sweep(proto, [100.0, 200.0], (0.0, 0.0, 1.0))
-        assert (len(phases), sum(phases)) == (76, 18816)
+        assert (len(phases), sum(phases)) == (60, 14016)
 
     @pytest.mark.parametrize("path", [linear_path(1, 0), smoothstep_path(1, 1)],
                              ids=["linear", "smoothstep"])

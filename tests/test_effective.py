@@ -366,15 +366,17 @@ def counting_u(proto) -> tuple:
 
 class TestHamiltonianCalls:
     def test_doubling_levels_share_blocks_across_intervals(self):
-        # one cycle pass, 6,144 phases in 24 calls, then 8 phases per CF4 step
-        # (H0 at its two Gauss points, three partial-step nodes for each) with
-        # the first two levels of all 32 intervals in one batch: 768 steps in
-        # 24 calls, and the three doublings to 32 steps in one call each
+        # one cycle pass, 6,144 phases in 24 calls, then 2 phases per CF4 step
+        # (H0 at its two Gauss points; ell comes from the record's samples by
+        # dense output) with the first two levels of all 32 intervals in one
+        # batch: 768 steps in 6 calls, and the first interval's doublings to
+        # 32 and 64 steps in one call each (8 phases per step, so 51 calls and
+        # 13,056 phases, when each Gauss point took a partial kernel step)
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
         ds = dark_space(proto.L_rot)
         evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
                          np.linspace(0.0, 200.0, 33))
-        assert (len(calls), sum(calls)) == (51, 13056)
+        assert (len(calls), sum(calls)) == (32, 7872)
 
     @pytest.mark.parametrize("query", [
         lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
@@ -944,6 +946,54 @@ class TestKernelScan:
         expected = sequential_kernel(plain.rates, taus, drives, start.reshape(nb, nb, d))
         assert xs.shape == (steps + 1, nb * nb, d)
         assert np.abs(xs.reshape(expected.shape) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestDenseOutput:
+    """The kernel blocks at fractions of the record's cycle steps, from its drive samples."""
+
+    PATHS = {
+        "smoothstep": smoothstep_path(1, 1),
+        "fourier": fourier_path(1, 0, theta_knots=(0.2,), phi_knots=(-0.25,)),
+    }
+
+    @staticmethod
+    def grown(path, ds):
+        """The gammaT 200 protocol, which its record holds weakly, and the record over the whole cycle."""
+        proto = spin32_protocol(path, 200.0)
+        record = eff._cycle_record(proto, ds)
+        record.grow(2048)
+        return proto, record
+
+    @pytest.mark.parametrize("path", list(PATHS.values()), ids=list(PATHS))
+    def test_the_ends_of_a_step_are_its_nodes(self, path, spin32_ds):
+        # c = 0 applies the identity map; c = 1 the step's whole map, which the
+        # record's scan composed with its predecessors' (measured 3.6e-16 and
+        # 4.1e-16 of the largest block)
+        proto, record = self.grown(path, spin32_ds)
+        steps = np.arange(2048)
+        assert np.array_equal(eff._dense_output(record, steps, np.zeros(2048)), record.xs[:-1])
+        ends = eff._dense_output(record, steps, np.ones(2048))
+        assert np.abs(ends - record.xs[1:]).max() <= 1e-14 * np.abs(record.xs).max()
+
+    @pytest.mark.parametrize("path", list(PATHS.values()), ids=list(PATHS))
+    def test_matches_the_partial_step_to_the_interpolation_order(self, path, spin32_ds, rng):
+        # both interpolate the drive by a quadratic through three
+        # Gauss-Legendre nodes, the dense output over the whole step of length
+        # h and the partial step over [node, tau]; each is off the drive by at
+        # most M h^3 max|prod(u - u_i)| / 6 in each of the real and imaginary
+        # parts, M the largest third derivative in tau, over at most one step
+        # (measured at 0.03 of that bound on both paths)
+        proto, record = self.grown(path, spin32_ds)
+        k, c = rng.integers(0, 2048, 300), rng.uniform(0.0, 1.0, 300)
+        h = np.diff(record.nodes)[k]
+        dense = eff._dense_output(record, k, c)
+        partial = eff._partial_step(record, record.nodes[k] + c * h)
+        fine = np.linspace(0.0, 200.0, 8193)
+        third = np.abs(np.diff(record.drive(fine), 3, axis=0)).max() / (fine[1] - fine[0]) ** 3
+        u = np.linspace(0.0, 1.0, 1001)[:, None]
+        node_poly = np.abs(np.prod(u - eff._GL3_NODES, axis=1)).max()
+        bound = 2 * math.sqrt(2.0) * third * h.max() ** 4 * node_poly / 6
+        assert np.abs(dense - partial).max() <= bound
 
 
 class TestEffectiveRhs:
@@ -1545,6 +1595,31 @@ class TestRecordGrowth:
         effective_jump(proto, spin32_ds, float(200.0 * np.linspace(0.0, 1.0, 2049)[100]))
         c_tau(proto, spin32_ds, np.array([]))
         assert phases == [3]
+
+    def test_an_adiabatic_query_allocates_no_blocks(self, spin32_ds):
+        # the adiabatic source reads the record's modes alone: no block array
+        # is allocated and the record evaluates nothing (the one phase is
+        # x_tau_adiabatic's own); the first growth allocates, even to node 0
+        proto, calls = counting_u(self.fresh())
+        c_tau(proto, spin32_ds, 60.0, source="adiabatic")
+        record, = proto._cycle_records.values()
+        assert (record.xs, record.samples, record.h0) == (None, None, None)
+        assert calls == [1]
+        effective_jump(proto, spin32_ds, 0.0)
+        assert record.extent == 0 and calls == [1]
+        assert record.xs.shape == (2049, 2, 2) and not record.xs.any()
+        assert record.samples.shape == (2048, 3, 2, 2) and record.h0.shape == (2048, 2, 2)
+
+    @pytest.mark.parametrize("tau, extent", [(25.0, 256), (25.05, 512)])
+    def test_the_propagator_grows_to_the_node_above_its_last_gauss_point(
+        self, spin32_ds, tau, extent
+    ):
+        # tau = 25 is node 256: the last Gauss point lies in step 255; past it
+        # the last Gauss point lies in step 256, so the record takes a chunk more
+        proto = self.fresh()
+        evolve_effective(self.RHO, proto, spin32_ds, [tau])
+        record, = proto._cycle_records.values()
+        assert record.extent == extent
 
     def test_a_protocol_with_a_record_is_freed_without_the_cycle_collector(self, spin32_ds):
         # the record holds its protocol weakly: no reference cycle keeps it alive

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darklind import engine
-from darklind.analysis import trace_distance
+from darklind.analysis import dark_state_from_bloch, trace_distance
+from darklind.effective import dark_space, embed_dark, lab_generator
 from darklind.engine import (
     GaplessLindbladianError,
     LindbladGenerator,
@@ -24,6 +26,7 @@ from darklind.engine import (
     vectorize,
 )
 from darklind.linalg import dagger
+from darklind.protocols import linear_path, spin32_protocol
 
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # lowers m in the descending basis
 
@@ -248,6 +251,38 @@ class TestIntegrate:
         gen = LindbladGenerator(hamiltonian=np.zeros((2, 2)), jumps=())
         with pytest.raises(ValueError):
             integrate(lambda t: gen, np.eye(2, dtype=complex), (0.0, 1.0))  # trace 2
+
+    def test_step_underflow_at_the_smallest_tolerances_warns_nothing(self):
+        # at rtol = atol = 1e-300 the error ratios pass 1e154, whose squares
+        # overflowed the plain norm: three RuntimeWarnings came before the
+        # underflow, which must still end the run at its first step
+        proto = spin32_protocol(linear_path(1, 0), 50.0)
+        rho0 = embed_dark(dark_space(proto.L_rot), dark_state_from_bloch((0.0, 0.0, 1.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeUnderflowError) as caught:
+                integrate(lab_generator(proto), rho0, (0.0, 50.0), rtol=1e-300, atol=1e-300)
+        assert caught.value.tau == 0.0
+
+    def test_error_norm_is_the_plain_norm_scaled_by_powers_of_two(self, rng):
+        # where the plain formula overflows nowhere the norm has its bits, and a
+        # scale 2^-900 times smaller, whose plain squares overflow, gives
+        # exactly 2^900 times the norm
+        def plain(h, e5, e3, scale):
+            r5, r3 = np.abs(e5) / scale, np.abs(e3) / scale
+            sq5 = r5.dot(r5)
+            denom = sq5 + 0.01 * r3.dot(r3)
+            return 0.0 if denom == 0.0 else float(h * sq5 / math.sqrt(denom * e5.size))
+
+        for _ in range(50):
+            e5, e3 = (rng.normal(size=(2, 16)) * 10.0 ** rng.uniform(-12, 2, size=(2, 1)))
+            scale = 1e-12 + 1e-9 * rng.uniform(size=16)
+            h = float(rng.uniform(1e-3, 1.0))
+            norm = engine._error_norm(h, e5, e3, scale)
+            assert norm == plain(h, e5, e3, scale)
+            assert engine._error_norm(h, e5, e3, scale * 2.0**-900) == norm * 2.0**900
+        zeros = np.zeros(16)
+        assert engine._error_norm(0.1, zeros, zeros, np.full(16, 1e-300)) == 0.0
 
     def test_step_underflow_on_nan_dynamics(self):
         bad = LindbladGenerator(hamiltonian=None, jumps=(np.array([[np.nan + 0j]]),))

@@ -229,15 +229,18 @@ def is_affine_update(node: ast.AST) -> bool:
 
 
 def test_one_partial_step_and_one_recurrence_driver():
-    # the affine update that ends every partial step, and starts every chunk of
-    # the recurrence from its carried block, is written once (``_affine``); the
-    # scan has one caller, the record's growth; the per-tau queries read the
+    # the affine update that ends every partial step and every dense output,
+    # and starts every chunk of the recurrence from its carried block, is
+    # written once (``_affine``); the scan has one caller, the record's growth;
+    # the partial step serves the record's per-tau reads alone, the reduced
+    # propagator taking the dense output; the per-tau queries read the
     # protocol's record and run no kernel pass of their own
     defs = top_level_defs("effective")
     owners = [name for name, node in defs.items() for n in ast.walk(node) if is_affine_update(n)]
     assert owners == ["_affine"]
-    assert callers_of(defs, "_affine") == {"_partial_step", "_kernel_grid"}
-    assert callers_of(defs, "_partial_step") == {"_CycleRecord", "_MagnusPropagator"}
+    assert callers_of(defs, "_affine") == {"_partial_step", "_dense_output", "_kernel_grid"}
+    assert callers_of(defs, "_partial_step") == {"_CycleRecord"}
+    assert callers_of(defs, "_dense_output") == {"_MagnusPropagator"}
     assert callers_of(defs, "_kernel_grid") == {"_CycleRecord"}
     names = names_in(defs["_x_of"])
     assert "_cycle_record" in names

@@ -319,12 +319,19 @@ def test_no_interval_evaluates_nothing(spin32_ds, taus):
     assert calls == []
 
 
-@pytest.mark.parametrize(
-    "path", [linear_path(1, 0), smoothstep_path(1, 1)], ids=["linear", "smoothstep"]
-)
-def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, spin32_ds):
-    # the ell that every CF4 step takes at its Gauss points, one partial step
-    # from the cycle node blocks, is the per-tau query's at those times
+@pytest.mark.parametrize("path, bound", [
+    (linear_path(1, 0), 1e-13),
+    (smoothstep_path(1, 1), 2e-11),
+], ids=["linear", "smoothstep"])
+def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, bound, spin32_ds):
+    # the ell that every CF4 step takes at its Gauss points, by dense output
+    # of the cycle step holding each, against the per-tau query's partial step
+    # at those times: on linear(1, 0) the drive is constant and both
+    # interpolants are exact, so they agree to roundoff; on smoothstep(1, 1)
+    # the dense output interpolates the drive over the whole cycle step, the
+    # partial step over [node, tau], and they differ by the interpolation
+    # error, measured 6.9e-12 of the largest ell (it was roundoff, within
+    # 1e-13, when each Gauss point took a partial step)
     proto = spin32_protocol(path, 200.0)
     seen = []
     gauss_blocks = eff._MagnusPropagator._gauss_blocks
@@ -341,7 +348,7 @@ def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, spin32_ds):
     used = np.concatenate([ell for _, ell in seen])
     expected = eff.effective_jump(proto, spin32_ds, t)
     assert t.size >= 8 * (8 + 16) * 2  # both first levels of the 8 intervals
-    assert np.abs(used - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(used - expected).max() <= bound * np.abs(expected).max()
 
 
 
