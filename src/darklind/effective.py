@@ -190,14 +190,15 @@ def projected_hamiltonian(h: np.ndarray, ds: DarkSpace) -> np.ndarray:
     return project_dark(ds, np.asarray(h, dtype=complex))
 
 
-def _node_blocks(record: _CycleRecord, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _node_blocks(record: _CycleRecord, s: np.ndarray) -> np.ndarray:
     """Drive and dark block of the adiabatic Hamiltonian at phases s, in the frame of ``record``.
 
     H is evaluated in blocks of _PHASE_BLOCK phases (one U and one dU call
     each), and taken as it is without a gauge, else as H^W = W H W^dag +
     i W' W^dag (``record.gauge``).  The recurrences' drive rows of H^W B
     and B^dag H^W B come from one GEMM on each side (``record.rows``).
-    Returns the (n, recurrences, d) drives and the (n, d, d) dark blocks.
+    Returns the (n, recurrences + d, d) rows: the recurrences' drives, then
+    the dark block; each reader slices the rows it needs.
     """
     def block(t):
         h = adiabatic_hamiltonian(record.protocol, t)
@@ -206,9 +207,7 @@ def _node_blocks(record: _CycleRecord, s: np.ndarray) -> tuple[np.ndarray, np.nd
             h = w @ h @ dagger(w) + potential
         return _gemm(record.rows, _gemm(h, record.ds.basis))
 
-    n = record.rates.size
-    out = _blockwise(block, (len(record.rows), record.ds.d), s)
-    return out[:, :n], out[:, n:]
+    return _blockwise(block, (len(record.rows), record.ds.d), s)
 
 
 def _check_taus(protocol: Protocol, tau) -> None:
@@ -392,13 +391,11 @@ def _x_of(protocol: Protocol, ds: DarkSpace, tau, source: str) -> tuple:
     (protocol, ds) (``_cycle_record``), so both refuse a jump that feeds the
     bright space back into itself (``_check_bright_feed``).  "integral" reads
     its kernel blocks, its modes included, so no eigendecomposition runs per
-    call: the record grows to the last cycle node at or below the latest
-    tau, a tau on a node reads that node's block, and every tau off the
-    nodes takes one partial step from the node below it
-    (``_CycleRecord.at``).  Once the record covers the times, a query
-    evaluates the drive at the three Gauss-Legendre nodes of each partial
-    step and nowhere else; an empty array makes no evaluation at all.
-    "adiabatic" is U_b^dag ``x_tau_adiabatic`` B.
+    call: a tau on a node reads that node's block, and every tau off the
+    nodes takes one partial step from the node below it on the record's
+    interpolated samples (``_CycleRecord.at``), the record growing to the
+    node above the latest tau.  Once the record covers the times, a query
+    evaluates no H at all.  "adiabatic" is U_b^dag ``x_tau_adiabatic`` B.
     """
     _check_taus(protocol, tau)
     if source not in ("integral", "adiabatic"):
@@ -507,7 +504,8 @@ def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
         grid = np.append(grid, s)
     if grid.size < 2:
         return np.eye(ds.d, dtype=complex)
-    _, h0 = _node_blocks(_cycle_record(protocol, ds), 0.5 * (grid[:-1] + grid[1:]))
+    record = _cycle_record(protocol, ds)
+    h0 = _node_blocks(record, 0.5 * (grid[:-1] + grid[1:]))[:, record.rates.size:]
     return _ordered_product(_ordered_steps(-1j * h0, grid))
 
 
@@ -540,7 +538,10 @@ def evolve_effective(
     "unitary" (first order only, ell = 0) or "dissipator" (purity decay only,
     H0 = 0).  Each mode is a pair of weights on the two terms, (1, 1), (1, 0)
     and (0, 1) (``_MODE_WEIGHTS``), and every mode builds both terms, so the
-    three share one path.  The reduced equation d rho/d tau = S(tau) rho,
+    three share one path.  ``rho0_d`` must be a finite d x d matrix, or a
+    ValueError names its shape or its first non-finite entry before any
+    evaluation of U; a finite one that is not a state is evolved, and
+    reported as below.  The reduced equation d rho/d tau = S(tau) rho,
     S = -i eps [H0, .] + eps^2 D_ell with eps = 1/(gamma T), is propagated by
     the fourth-order commutator-free Magnus exponential (CF4, ``_cf4_steps``)
     of its d^2 x d^2 superoperator.  S maps Hermitian matrices to Hermitian
@@ -549,19 +550,15 @@ def evolve_effective(
     step product and state update runs in float64; a generator
     with an imaginary part there above roundoff raises ValueError naming its
     time.  The state is carried as the coordinates of its Hermitian and
-    anti-Hermitian parts, so nothing of it is dropped.  ell at each
-    step's two Gauss points comes from the protocol's cycle record
-    (``_cycle_record``) by dense output of the cycle step holding the point
-    (``_dense_output``): the step's exact-decay map taken to the point, on
-    the drive samples the record kept at the step's three Gauss-Legendre
-    nodes, so no drive is evaluated for ell.  The record grows to the node
-    above each block's last Gauss point and is shared by later calls, the
-    per-tau queries, the end-of-cycle formula and eq. 12.  The per-tau
-    queries take one partial step to a time instead; the two interpolate the
-    drive over different spans, and on smoothstep(1, 1) at gammaT 200 the
-    Gauss-point ell differs from ``effective_jump``'s by 6.9e-12 of the
-    largest ell (roundoff on a linear path, whose drive is constant).  H0 at
-    the Gauss points is evaluated, in one ``_node_blocks`` call per block.
+    anti-Hermitian parts, so nothing of it is dropped.  H0 and ell at each
+    step's two Gauss points come from the protocol's cycle record
+    (``_cycle_record``) and evaluate no U: ell is ``effective_jump``'s, one
+    partial step from the node below the point (``_CycleRecord.at``), and
+    H0 the dark block of the record's samples interpolated to the point
+    (``_CycleRecord.sample``).  The record grows to the node above each
+    block's last Gauss point and is shared by later calls, the per-tau
+    queries, the end-of-cycle formula and eq. 12, so a second pass on a
+    protocol evaluates no U at all.
 
     The grid has the requested times as breakpoints.  Its first interval is
     graded quadratically toward tau = 0, where the kernel's onset transient
@@ -602,6 +599,9 @@ def evolve_effective(
                   f"time {{}} outside [0, gammaT = {protocol.gammaT}]")
     checkpoints = sorted(times.tolist())
     rho = np.asarray(rho0_d, dtype=complex)
+    if rho.shape != (ds.d, ds.d):
+        raise ValueError(f"initial state has shape {rho.shape}, not the dark block's {(ds.d, ds.d)}")
+    _require_each(np.isfinite(rho).ravel(), rho.ravel(), "initial state has a non-finite entry {}")
     propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode], checkpoints)
     reached = dict(zip(propagator.points, [rho.copy()] + propagator.states(rho, rtol, atol)))
     return [reached[t] for t in checkpoints]
@@ -629,10 +629,10 @@ class _MagnusPropagator:
     ``points`` holds 0, the checkpoints and, below the first of them, the end
     of the dissipator's onset, at the slowest bright rate of the protocol's
     cycle record: only a weighted dissipator with a bright rate has an onset
-    transient.  ell at the Gauss points is the dense output of that
-    record's cycle steps (``_gauss_blocks``), which grows the record in
-    whole chunks as the steps ask; a propagator with no point past 0 takes
-    no step and takes no record.
+    transient.  H0 and ell at the Gauss points are read off that record
+    (``_gauss_blocks``), which grows in whole chunks as the steps ask, so
+    the propagator evaluates no U of its own; a propagator with no point
+    past 0 takes no step and takes no record.
     """
 
     def __init__(
@@ -712,19 +712,16 @@ class _MagnusPropagator:
         return {w: _ordered_product(own) for w, own in zip(wanted, np.split(steps, ends))}
 
     def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """H0 and ell at the 1-D array of times t, the (n, d, d) stacks.
+        """H0 and ell at the 1-D array of times t, the (n, d, d) stacks, off the cycle record.
 
-        H0 comes from one ``_node_blocks`` call at the times.  ell comes
-        from the dense output of the cycle step holding each time
-        (``_dense_output``), which evaluates no drive: the record first
-        grows to the node above the last time, in whole chunks.
+        ell is the per-tau queries' (``_CycleRecord.at``, then ``_jumps``)
+        and H0 the dark rows of the record's interpolated samples
+        (``_CycleRecord.sample``); both grow the record, in whole chunks, to
+        the node above the last time, and neither evaluates H once it covers
+        the times.
         """
         record = self.record
-        k = np.searchsorted(record.nodes, t, side="right") - 1
-        record.grow(k.max() + 1)
-        c = (t - record.nodes[k]) / (record.nodes[k + 1] - record.nodes[k])
-        _, dark = _node_blocks(record, t / record.protocol.gammaT)
-        return dark, _jumps(record, t, _dense_output(record, k, c))
+        return record.sample(t)[:, record.rates.size:], _jumps(record, t, record.at(t))
 
     @staticmethod
     def _grid(t0: float, t1: float, n: int) -> np.ndarray:
@@ -883,26 +880,28 @@ class _CycleRecord:
     garbage collector.
 
     ``xs`` holds the blocks, one per recurrence, at the cycle nodes
-    0..``extent`` (``_cycle_grid``), ``samples`` the recurrences' drives at
+    0..``extent`` (``_cycle_grid``), and ``samples`` every row of
+    ``_node_blocks`` (the recurrences' drives, then the dark block of H) at
     the three Gauss-Legendre nodes of each of those steps, (_FROZEN_GRID,
-    3, recurrences, d), and ``h0`` the dark block of H at the steps'
-    midpoints; ``extent`` starts at 0, where the block is zero.  The three
-    arrays are allocated by the first ``grow``, so a reader of the modes
-    alone (the adiabatic source of ``_x_of``, the oracle, the holonomy)
-    allocates none.  A reader asks for the nodes it needs (``grow``), and
-    the record grows by chunks of _PHASE_BLOCK cycle steps, each chunk one
-    ``_node_blocks`` call, one ``_step_maps`` call and one scan from the
-    block at the previous chunk's last node.  The chunk bounds are fixed, so
-    the blocks are the same bits whatever the order in which readers grew
-    the record.  Times off the nodes take one partial step each (``at``);
-    the reduced propagator's Gauss points take the dense output of their
-    cycle step from its samples instead (``_dense_output``).
+    3, recurrences + d, d); ``extent`` starts at 0, where the block is zero.
+    Both arrays are allocated by the first ``grow``, so a reader of the
+    modes alone (the adiabatic source of ``_x_of``, the oracle, the
+    holonomy) allocates none.  A reader asks for the nodes it needs
+    (``grow``), and the record grows by chunks of _PHASE_BLOCK cycle steps,
+    each chunk one ``_node_blocks`` call, one ``_step_maps`` call and one
+    scan from the block at the previous chunk's last node.  The chunk bounds
+    are fixed, so the blocks are the same bits whatever the order in which
+    readers grew the record.  Between the nodes H is read off the samples
+    alone, by a quintic through two neighbouring steps' (``sample``): the
+    dark block at the reduced propagator's Gauss points, and the drive of
+    the one partial step that takes each time off the nodes to its kernel
+    block (``at``).
     The grid only has to resolve the drive, whatever a step's rate h: 2048
     steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
     to 1e-13.
 
     Every reader of the kernel modes or the cycle series reads them here:
-    the kernel blocks (``at``) and their dense output, ell at any times
+    the kernel blocks (``at``) and H (``sample``), ell at any times
     (``jumps``), the frame
     series l = V^dag ell V at the nodes with V_end (``frame``), the
     frozen-state superoperator M = int D_l dtau of eq. 12 (``dissipator``),
@@ -932,7 +931,7 @@ class _CycleRecord:
         self.ds, self.gauge = ds, gauge
         self.nodes = _cycle_grid(protocol.gammaT)
         self.extent = 0
-        self.xs = self.samples = self.h0 = None  # allocated by the first ``grow``
+        self.xs = self.samples = None  # allocated by the first ``grow``
 
     @property
     def protocol(self) -> Protocol:
@@ -948,36 +947,64 @@ class _CycleRecord:
         checked, and a failure names the first bad phase.  One time is the
         one-element array.
         """
-        drives, _ = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
-        return drives
+        rows = _node_blocks(self, np.asarray(taus, dtype=float) / self.protocol.gammaT)
+        return rows[:, :self.rates.size]
 
     def grow(self, k: int) -> None:
         """Cover the cycle node k, growing by whole chunks of _PHASE_BLOCK steps.
 
-        The first call allocates the block arrays, whatever k.
+        Each chunk evaluates H at the three Gauss-Legendre nodes of each of
+        its steps (``_GL3_NODES``) in one ``_node_blocks`` call, keeps those
+        rows as ``samples`` and scans the steps' maps (``_step_maps``) from
+        the block at its first node.  The first call allocates the block
+        arrays, whatever k.
         """
         if self.xs is None:
-            shape = (self.rates.size, self.ds.d)
-            self.xs = np.zeros((self.nodes.size,) + shape, dtype=complex)
-            self.samples = np.empty((_FROZEN_GRID, 3) + shape, dtype=complex)
-            self.h0 = np.empty((_FROZEN_GRID, self.ds.d, self.ds.d), dtype=complex)
+            d = self.ds.d
+            self.xs = np.zeros((self.nodes.size, self.rates.size, d), dtype=complex)
+            self.samples = np.empty((_FROZEN_GRID, 3, len(self.rows), d), dtype=complex)
         while self.extent < k:
             lo = self.extent
             hi = min(lo + _PHASE_BLOCK, _FROZEN_GRID)
             nodes = self.nodes[lo:hi + 1]
-            maps, self.samples[lo:hi], dark = _gl3_steps(self, nodes[:-1], np.diff(nodes))
-            self.xs[lo:hi + 1] = _kernel_grid(maps, self.xs[lo])
-            self.h0[lo:hi] = dark[:, 1]  # the middle Gauss-Legendre node of each step
+            h = np.diff(nodes)
+            times = nodes[:-1, None] + h[:, None] * _GL3_NODES
+            rows = _node_blocks(self, times.ravel() / self.protocol.gammaT)
+            self.samples[lo:hi] = rows.reshape(times.shape + rows.shape[1:])
+            drives = self.samples[lo:hi, :, :self.rates.size]
+            self.xs[lo:hi + 1] = _kernel_grid(_step_maps(self, h, drives), self.xs[lo])
             self.extent = hi
+
+    def sample(self, taus: np.ndarray) -> np.ndarray:
+        """The rows of ``_node_blocks`` at a 1-D array of times, interpolated: (n, rows, d).
+
+        Each time reads the degree-5 Lagrange polynomial through the six
+        ``samples`` of the cycle step holding it and of the step before it:
+        steps 0 and 1 for a time in step 0, steps 2046 and 2047 for one at
+        or past the end of the cycle.  The record first grows to the node
+        above the latest of those steps, so no H is evaluated once it covers
+        the times.  A time is taken as the fraction u of the later step from
+        the node the two steps share, and the weights in product form,
+        prod_{j != m} (u - u_j) / (u_m - u_j) over the samples' fractions
+        (``_PAIR_NODES``); an empty array gives an empty stack.
+        """
+        k = np.clip(np.searchsorted(self.nodes, taus, side="right") - 1, 1, _FROZEN_GRID - 1)
+        self.grow(np.max(k + 1, initial=0))
+        u = (taus - self.nodes[k]) / (self.nodes[k + 1] - self.nodes[k])
+        weights = (u[:, None, None] - _PAIR_OTHERS).prod(axis=2) / _PAIR_GAPS
+        rows = self.samples[np.stack([k - 1, k], axis=-1)].reshape(len(taus), 6, -1)
+        return (weights[:, None, :] @ rows).reshape((len(taus),) + self.samples.shape[2:])
 
     def at(self, taus: np.ndarray) -> np.ndarray:
         """The kernel blocks at the 1-D array of times ``taus``.
 
         The record first grows to the last node at or below the latest time.
         A time on a node reads that node's block; the times off the nodes
-        take one partial step each (``_partial_step``), in one
-        ``_node_blocks`` call.  An empty array gives an empty stack and
-        evaluates nothing.
+        take one partial step each (``_partial_step``) on the record's
+        interpolated samples (``sample``), which grows the record to the
+        node above the latest of them.  Once the record covers the times, no
+        H is evaluated; an empty array gives an empty stack and evaluates
+        nothing.
         """
         k = np.searchsorted(self.nodes, taus, side="right") - 1
         self.grow(np.max(k, initial=0))
@@ -1003,13 +1030,13 @@ class _CycleRecord:
         Formed on first read: the record grows to the whole cycle, ell comes
         from the node blocks (``_jumps``) and V_tau, the holonomy co-moving
         with it, from the midpoint rule on the dark block at each cycle
-        step's middle Gauss node (``ordered_exponential``).  The record then
-        lets go of those midpoint blocks, which only this reads.
+        step's middle Gauss-Legendre node, the step's midpoint, read off
+        ``samples`` (``ordered_exponential``).
         """
         self.grow(_FROZEN_GRID)
         ells = _jumps(self, self.nodes, self.xs)
-        vs = ordered_exponential(-1j * self.h0, self.nodes / self.protocol.gammaT)
-        self.h0 = None
+        h0 = self.samples[:, 1, self.rates.size:]
+        vs = ordered_exponential(-1j * h0, self.nodes / self.protocol.gammaT)
         return dagger(vs) @ ells @ vs, vs[-1].copy()
 
     @cached_property
@@ -1085,52 +1112,23 @@ def _jumps(record: _CycleRecord, taus: np.ndarray, xs: np.ndarray) -> np.ndarray
 
 
 def _partial_step(record: _CycleRecord, taus: np.ndarray) -> np.ndarray:
-    """The kernel blocks at ``taus`` by one partial step from the cycle node at or below each.
+    """The kernel blocks at times off the cycle nodes, by one partial step from the node below each.
 
-    The record holds the blocks at its ``nodes`` up to the node of the
-    latest time (``xs``).  Each time steps from its node to itself, the decay
-    exact and the drive sampled at the partial step's own Gauss-Legendre
-    nodes (``_gl3_steps``), and the step's affine map acts on the node's
-    block (``_affine``); a time on a node takes a step of length 0, which
-    returns the node's block.
+    Each time steps from the node below it (node 2047 for a time past the
+    end of the cycle) to itself: the decay exact, and the drive taken at the
+    partial step's own Gauss-Legendre nodes from the record's interpolated
+    samples (``_CycleRecord.sample``), so no H is evaluated once the record
+    covers the times.  The step's affine map acts on the node's block
+    (``_affine``).  The one path of the kernel between the cycle nodes: the
+    per-tau queries and the reduced propagator's Gauss points take it.
     """
-    k = np.searchsorted(record.nodes, taus, side="right") - 1
-    maps, _, _ = _gl3_steps(record, record.nodes[k], taus - record.nodes[k])
-    return _affine(maps, record.xs[k])
-
-
-def _dense_output(record: _CycleRecord, k: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The kernel blocks at the fractions c in [0, 1] of the cycle steps k, with no drive evaluation.
-
-    The time of fraction c of step k is nodes[k] + c (nodes[k + 1] -
-    nodes[k]).  The step's map is taken to that time on the drive samples the
-    record keeps at the step's Gauss-Legendre nodes (``_step_maps`` on
-    ``samples``), the decay exact, and acts on the block at node k
-    (``_affine``); the record must cover node k + 1.  c = 0 returns the
-    node's block and c = 1 the step's whole map applied to it, the block at
-    node k + 1 up to the roundoff of the record's scan.  The drive's
-    interpolant is that of the whole step, not of [nodes[k], t] as in
-    ``_partial_step``, so the two differ by O(h^3) of the drive's third
-    derivative, over at most one step of length h.
-    """
-    h = record.nodes[k + 1] - record.nodes[k]
-    return _affine(_step_maps(record, h, record.samples[k], c), record.xs[k])
-
-
-def _gl3_steps(
-    record: _CycleRecord, starts: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The maps of kernel steps of lengths h from the times ``starts``, and their drive samples.
-
-    H is evaluated at the three Gauss-Legendre nodes of each step
-    (``_GL3_NODES``) in one ``_node_blocks`` call.  Returns the steps'
-    affine maps (``_step_maps``), the (steps, 3, recurrences, d) drives and
-    the (steps, 3, d, d) dark blocks at the nodes.
-    """
-    nodes = starts[:, None] + h[:, None] * _GL3_NODES
-    drives, dark = _node_blocks(record, nodes.ravel() / record.protocol.gammaT)
-    drives = drives.reshape(nodes.shape + drives.shape[1:])
-    return _step_maps(record, h, drives), drives, dark.reshape(nodes.shape + dark.shape[1:])
+    k = np.minimum(np.searchsorted(record.nodes, taus, side="right") - 1, _FROZEN_GRID - 1)
+    starts = record.nodes[k]
+    h = taus - starts
+    times = starts[:, None] + h[:, None] * _GL3_NODES
+    drives = record.sample(times.ravel())[:, :record.rates.size]
+    drives = drives.reshape(times.shape + drives.shape[1:])
+    return _affine(_step_maps(record, h, drives), record.xs[k])
 
 
 def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1139,8 +1137,15 @@ def _affine(maps: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 #: Gauss-Legendre nodes of one kernel-recurrence step, as fractions of the step; the
-#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_CycleRecord.grow``)
+#: middle one is exactly 1/2, the midpoint where the holonomy takes H0 (``_CycleRecord.frame``)
 _GL3_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+#: the six samples that ``_CycleRecord.sample`` interpolates, as fractions of the later
+#: of two neighbouring cycle steps from the node they share: the earlier step's
+#: Gauss-Legendre nodes, then the later step's; row m of ``_PAIR_OTHERS`` holds the other
+#: five, and ``_PAIR_GAPS`` the products prod_{j != m} (u_m - u_j)
+_PAIR_NODES = np.concatenate([_GL3_NODES - 1.0, _GL3_NODES])
+_PAIR_OTHERS = np.array([np.delete(_PAIR_NODES, m) for m in range(6)])
+_PAIR_GAPS = np.prod(_PAIR_NODES[:, None] - _PAIR_OTHERS, axis=1)
 #: column i: coefficients of 1, u, u^2 in the Lagrange basis polynomial of node i
 _GL3_LAGRANGE = np.linalg.inv(np.vander(_GL3_NODES, 3, increasing=True))
 #: below this decay exponent the moments come from their Taylor series, whose
@@ -1155,32 +1160,29 @@ _MOMENT_SERIES = np.array([
 ])
 
 
-def _decay_weights(z: np.ndarray, c=1.0) -> np.ndarray:
-    """Node weights int_0^c e^{-z (c - u)} l_i(u) du of the fraction c of one step.
+def _decay_weights(z: np.ndarray) -> np.ndarray:
+    """Node weights int_0^1 e^{-z (1 - u)} l_i(u) du of one step, shape z.shape + (3,).
 
-    z = rate h / 2 is the decay exponent of the whole step, l_i the quadratic
-    Lagrange basis on the Gauss nodes and c in [0, 1], one fraction or an
-    array that broadcasts against z; c = 1, the default, is the whole step.
-    The weights have the broadcast shape of z and c, then 3.
-    So h times these weights integrates e^{rate (s - t)/2} times the drive's
-    interpolant exactly over [t0, t = t0 + c h]: the decay is exact for any
-    z >= 0 and only the drive is interpolated.  By u = c v the weights are
-    sum_k c^{k+1} m_k(z c) L_ki (L = _GL3_LAGRANGE), from the moments
-    m_k(x) = int_0^1 e^{-x (1 - v)} v^k dv (k! times the phi-functions
-    phi_{k+1}(-x)): a series below _MOMENT_SERIES_BELOW, else
-    m_0 = (1 - e^{-x})/x, m_k = (1 - k m_{k-1})/x.  For c = 1 every factor c
-    is exactly 1, so the weights are the moments' own bits times L.
+    z = rate h / 2 is the decay exponent of the step and l_i the quadratic
+    Lagrange basis on the Gauss nodes, so h times these weights integrates
+    e^{rate (s - t1)/2} times the drive's interpolant exactly over [t0, t1]:
+    the decay is exact for any z >= 0 and only the drive is interpolated.
+    The weights come from the moments m_k = int_0^1 e^{-z (1 - u)} u^k du
+    (k! times the phi-functions phi_{k+1}(-z), the exponential-integrator
+    weights): a series below _MOMENT_SERIES_BELOW, else
+    m_0 = (1 - e^{-z})/z, m_k = (1 - k m_{k-1})/z.  The kernel
+    recurrence's whole and partial steps and the spin-3/2 closed form all
+    take their weights here.
     """
-    c = np.asarray(c, dtype=float)
-    x = np.asarray(z, dtype=float) * c
-    moments = np.empty(x.shape + (3,))
-    small = x < _MOMENT_SERIES_BELOW
-    moments[small] = np.polynomial.polynomial.polyval(x[small], _MOMENT_SERIES).T
-    xb = x[~small]
-    m0 = -np.expm1(-xb) / xb
-    m1 = (1.0 - m0) / xb
-    moments[~small] = np.stack([m0, m1, (1.0 - 2.0 * m1) / xb], axis=-1)
-    return (c[..., None] ** np.arange(1, 4) * moments) @ _GL3_LAGRANGE
+    z = np.asarray(z, dtype=float)
+    moments = np.empty(z.shape + (3,))
+    small = z < _MOMENT_SERIES_BELOW
+    moments[small] = np.polynomial.polynomial.polyval(z[small], _MOMENT_SERIES).T
+    zb = z[~small]
+    m0 = -np.expm1(-zb) / zb
+    m1 = (1.0 - m0) / zb
+    moments[~small] = np.stack([m0, m1, (1.0 - 2.0 * m1) / zb], axis=-1)
+    return moments @ _GL3_LAGRANGE
 
 
 def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -1197,31 +1199,27 @@ def _kernel_grid(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return xs
 
 
-def _step_maps(
-    record: _CycleRecord, h: np.ndarray, drives: np.ndarray, c=1.0
-) -> np.ndarray:
-    """The affine map x -> e^{-rate c h/2} x + gain over the fraction c of each kernel step of length h.
+def _step_maps(record: _CycleRecord, h: np.ndarray, drives: np.ndarray) -> np.ndarray:
+    """The affine map x -> e^{-rate h/2} x + gain of each kernel-recurrence step of length h.
 
-    ``h`` is the 1-D array of the steps' lengths, ``c`` one fraction in
-    [0, 1] or one per step (1, the default, is the whole step), and
-    ``drives`` the (steps, 3, recurrences, d) drive at each step's
-    Gauss-Legendre nodes (``_GL3_NODES``), one row per recurrence of the
-    record (``rates``).  Over the fraction c of a step from t0 the block
-    decays by e^{-rate c h/2} and gains int e^{rate (s - t)/2} drive(s) ds
-    over [t0, t = t0 + c h], the drive interpolated through its values at
-    the step's three Gauss-Legendre nodes and the exponential integrated
-    exactly (``_decay_weights``).  The weights are computed once per
-    distinct (length, fraction) pair, and a grid of whole steps has few: all
-    of a uniform grid's steps are one length up to roundoff.  Returns
-    [decay | gain] along the last axis, (steps, recurrences, 1 + d).
+    ``h`` is the 1-D array of the steps' lengths and ``drives`` the
+    (steps, 3, recurrences, d) drive at each step's Gauss-Legendre nodes
+    (``_GL3_NODES``), one row per recurrence of the record (``rates``):
+    evaluated for the cycle steps of the record's growth, interpolated from
+    its samples for a partial step (``_partial_step``).  Over a step the
+    block decays by e^{-rate h/2} and gains int e^{rate (s - t1)/2} drive(s)
+    ds, the drive interpolated through its values at the three
+    Gauss-Legendre nodes and the exponential integrated exactly
+    (``_decay_weights``).  The weights are computed once per distinct step
+    length, and a grid has few: all of a uniform grid's steps are one
+    length up to roundoff.  Returns [decay | gain] along the last axis,
+    (steps, recurrences, 1 + d).
     """
-    # the (length, fraction) pairs as complex numbers, which np.unique orders by length first
-    pairs, which = np.unique(h + 1j * np.asarray(c, dtype=float), return_inverse=True)
-    lengths, fractions = pairs.real[:, None], pairs.imag[:, None]
-    z = 0.5 * lengths * record.rates  # (pairs, rates)
-    coef = (lengths[..., None] * _decay_weights(z, fractions)).swapaxes(1, 2)[which]
-    gains = (coef[..., None] * drives).sum(axis=1)  # coef: (steps, 3, rates)
-    return np.concatenate([np.exp(-z * fractions)[which][..., None], gains], axis=-1)
+    lengths, which = np.unique(h, return_inverse=True)
+    z = 0.5 * lengths[:, None] * record.rates  # (lengths, rates)
+    coef = (lengths[:, None, None] * _decay_weights(z)).swapaxes(1, 2)[which]  # (steps, 3, rates)
+    gains = (coef[..., None] * drives).sum(axis=1)
+    return np.concatenate([np.exp(-z)[which][..., None], gains], axis=-1)
 
 
 def reconstruct_full_state(

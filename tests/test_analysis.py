@@ -615,12 +615,12 @@ class TestSweep:
 
     def test_one_drive_pass_per_gammaT(self, monkeypatch):
         # with the brute force stubbed out, U is asked per gammaT for the 64
-        # phases with_gammaT samples, the cycle record's 6,144 and the reduced
-        # run's CF4 Gauss points; eq. 12 and the first-order distance read the
-        # record, so no phase is asked twice (a second holonomy pass along
-        # the 2,048 step midpoints gave (92, 22912)); the reduced run asks for
-        # H0 alone at its Gauss points, ell coming from the record's samples by
-        # dense output (a partial kernel step per Gauss point gave (76, 18816))
+        # phases with_gammaT samples and the cycle record's 6,144 alone: the
+        # reduced run reads H0 and ell at its CF4 Gauss points off the record,
+        # and eq. 12 and the first-order distance read it too, so no phase is
+        # asked twice (a second holonomy pass along the 2,048 step midpoints
+        # gave (92, 22912), H0 evaluated at the Gauss points (60, 14016), and
+        # a partial kernel step per Gauss point on top (76, 18816))
         phases = []
         proto = spin32_protocol(linear_path(1, 0), 200.0)
 
@@ -632,7 +632,7 @@ class TestSweep:
         phases.clear()  # construction samples the path
         monkeypatch.setattr(analysis, "integrate", _unchanged)
         convergence_sweep(proto, [100.0, 200.0], (0.0, 0.0, 1.0))
-        assert (len(phases), sum(phases)) == (60, 14016)
+        assert (len(phases), sum(phases)) == (50, 12416)
 
     @pytest.mark.parametrize("path", [linear_path(1, 0), smoothstep_path(1, 1)],
                              ids=["linear", "smoothstep"])

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import darklind.analysis
 import darklind.effective as eff
 from darklind.analysis import (
     dark_state_from_bloch,
@@ -366,17 +367,17 @@ def counting_u(proto) -> tuple:
 
 class TestHamiltonianCalls:
     def test_doubling_levels_share_blocks_across_intervals(self):
-        # one cycle pass, 6,144 phases in 24 calls, then 2 phases per CF4 step
-        # (H0 at its two Gauss points; ell comes from the record's samples by
-        # dense output) with the first two levels of all 32 intervals in one
-        # batch: 768 steps in 6 calls, and the first interval's doublings to
-        # 32 and 64 steps in one call each (8 phases per step, so 51 calls and
-        # 13,056 phases, when each Gauss point took a partial kernel step)
+        # the cycle pass alone, 6,144 phases in 24 calls: H0 and ell at every
+        # CF4 Gauss point, of the first two levels of all 32 intervals and of
+        # the first interval's doublings, come off the record's samples (2
+        # phases per step, 32 calls and 7,872 phases, when H0 was evaluated
+        # there; 8 per step, 51 calls and 13,056 phases, when each Gauss point
+        # also took a partial kernel step on evaluated H)
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
         ds = dark_space(proto.L_rot)
         evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
                          np.linspace(0.0, 200.0, 33))
-        assert (len(calls), sum(calls)) == (32, 7872)
+        assert (len(calls), sum(calls)) == (24, 6144)
 
     @pytest.mark.parametrize("query", [
         lambda p, ds, rho: end_of_cycle_state(rho, p, ds, method="formula"),
@@ -392,9 +393,9 @@ class TestHamiltonianCalls:
     def test_gauge_check_runs_one_kernel_pass_per_gammaT(self, monkeypatch):
         # criterion 6's arguments: per gammaT the protocol's plain record and a
         # fresh gauged one, each grown along the cycle grid's 6,144 kernel
-        # nodes in 24 calls, with the 0.3 and 0.7 fractions' partial steps
-        # (0.5 is a node) in one more, 6,150 phases, plus 64 that with_gammaT
-        # samples
+        # nodes in 24 calls, plus 64 phases that with_gammaT samples; the 0.3
+        # and 0.7 fractions' partial steps (0.5 is a node) read the records'
+        # samples (their own 6 phases in one more call each gave (102, 24728))
         proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
         records = []
         init = eff._CycleRecord.__init__
@@ -409,7 +410,7 @@ class TestHamiltonianCalls:
         assert [(g, gauged, r.extent) for g, gauged, r in records] == [
             (100.0, False, 2048), (100.0, True, 2048), (200.0, False, 2048), (200.0, True, 2048),
         ]
-        assert (len(calls), sum(calls)) == (102, 24728)
+        assert (len(calls), sum(calls)) == (98, 24704)
 
 
 class TestProjectedHamiltonian:
@@ -687,9 +688,9 @@ class TestBatchedOracle:
     def test_recurrence_grows_by_chunks_from_node_zero(self, monkeypatch, spin32_ds,
                                                        tau, last, chunks):
         # the cycle grid 200 linspace(0, 1, 2049) from zero at node 0, in chunks
-        # of 256 steps up to the one that holds the last node at or below tau,
-        # one scan per chunk from the block at its first node, then one partial
-        # Gauss-Legendre step to tau (none at the node 150)
+        # of 256 steps up to the one that holds the node above tau (the node
+        # 150 itself), one scan per chunk from the block at its first node; the
+        # partial Gauss-Legendre step to tau reads the record's samples
         proto = spin32_protocol(linear_path(1, 0), 200.0)
         phases, starts = [], []
         blocks, scan = eff._node_blocks, eff._kernel_grid
@@ -715,11 +716,8 @@ class TestBatchedOracle:
             nodes = cycle[256 * c:256 * (c + 1), None] + np.diff(
                 cycle[256 * c:256 * (c + 1) + 1])[:, None] * eff._GL3_NODES
             assert np.array_equal(phases[c], nodes.ravel() / 200.0)
-        partial = bool(tau != cycle[last])
-        assert [s.size for s in phases] == [768] * chunks + [3] * partial
-        if partial:
-            nodes = cycle[last] + (tau - cycle[last]) * eff._GL3_NODES
-            assert 200.0 * phases[-1] == pytest.approx(nodes, rel=1e-14)
+        assert [s.size for s in phases] == [768] * chunks
+        assert record.extent >= last + (tau != cycle[last])
 
 
 #: the cycle grid at gammaT 200, whose nodes the per-tau recurrence steps
@@ -795,10 +793,11 @@ class TestPerTauBatch:
     def test_criterion_5_evaluates_each_node_once(self, monkeypatch):
         # the first chunk of the protocol's cycle record, the three
         # Gauss-Legendre nodes of each of its 256 cycle steps (tau = 20 lies
-        # between nodes 204 and 205), then one partial step for each of the
-        # 77 times off the nodes (0, 6.25, 12.5 and 18.75 are nodes):
-        # 768 + 231 = 999 phases in two calls (855 in one when each query cut
-        # its own grid at the kernel window, 25,002 with one uniform grid per tau)
+        # between nodes 204 and 205): 768 phases in one call; the partial steps
+        # of the 77 times off the nodes (0, 6.25, 12.5 and 18.75 are nodes)
+        # read the record's samples (231 phases more when they evaluated H,
+        # 855 in one call when each query cut its own grid at the kernel
+        # window, 25,002 with one uniform grid per tau)
         import darklind.checks
 
         phases = []
@@ -811,7 +810,7 @@ class TestPerTauBatch:
         monkeypatch.setattr(eff, "_node_blocks", spied)
         result = darklind.checks.check_jump_closed_form(darklind.checks.AcceptanceContext())
         assert result.passed and result.detail["max_deviation"] <= 1e-14
-        assert phases == [768, 231]
+        assert phases == [768]
 
 
 @pytest.mark.parametrize("query", [
@@ -948,8 +947,8 @@ class TestKernelScan:
         assert np.abs(xs.reshape(expected.shape) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-class TestDenseOutput:
-    """The kernel blocks at fractions of the record's cycle steps, from its drive samples."""
+class TestInterpolatedSamples:
+    """H between the cycle nodes, read off the record's Gauss-Legendre samples (``sample``)."""
 
     PATHS = {
         "smoothstep": smoothstep_path(1, 1),
@@ -957,43 +956,57 @@ class TestDenseOutput:
     }
 
     @staticmethod
-    def grown(path, ds):
-        """The gammaT 200 protocol, which its record holds weakly, and the record over the whole cycle."""
-        proto = spin32_protocol(path, 200.0)
-        record = eff._cycle_record(proto, ds)
+    def grown(path, gammaT, gauged=False):
+        """The protocol, which its record holds weakly, and its record over the whole cycle.
+
+        ``gauged`` takes the record in the sin^2 frame of the gauge check
+        (``gauge_covariance_check``), else the plain one.
+        """
+        proto = spin32_protocol(path, gammaT)
+        ds = dark_space(proto.L_rot)
+        gauge = None
+        if gauged:
+            gauge = darklind.analysis._sin2_gauge(
+                darklind.analysis._block_generator(ds, (math.pi / 7.0) * SZ, None))
+        record = eff._cycle_record(proto, ds, gauge)
         record.grow(2048)
         return proto, record
 
     @pytest.mark.parametrize("path", list(PATHS.values()), ids=list(PATHS))
-    def test_the_ends_of_a_step_are_its_nodes(self, path, spin32_ds):
-        # c = 0 applies the identity map; c = 1 the step's whole map, which the
-        # record's scan composed with its predecessors' (measured 3.6e-16 and
-        # 4.1e-16 of the largest block)
-        proto, record = self.grown(path, spin32_ds)
-        steps = np.arange(2048)
-        assert np.array_equal(eff._dense_output(record, steps, np.zeros(2048)), record.xs[:-1])
-        ends = eff._dense_output(record, steps, np.ones(2048))
-        assert np.abs(ends - record.xs[1:]).max() <= 1e-14 * np.abs(record.xs).max()
+    def test_a_step_s_own_nodes_read_its_samples(self, path):
+        # at a sample's time the weights are 1 and 0 up to the roundoff of its
+        # fraction of the step (measured 2.1e-16 and 2.4e-16 of the largest row)
+        proto, record = self.grown(path, 200.0)
+        nodes = record.nodes
+        times = nodes[:-1, None] + np.diff(nodes)[:, None] * eff._GL3_NODES
+        got = record.sample(times.ravel()).reshape(record.samples.shape)
+        assert np.abs(got - record.samples).max() <= 1e-15 * np.abs(record.samples).max()
 
+    @pytest.mark.parametrize("gauged", [False, True], ids=["plain", "sin2-gauge"])
+    @pytest.mark.parametrize("gammaT", [200.0, 3200.0])
     @pytest.mark.parametrize("path", list(PATHS.values()), ids=list(PATHS))
-    def test_matches_the_partial_step_to_the_interpolation_order(self, path, spin32_ds, rng):
-        # both interpolate the drive by a quadratic through three
-        # Gauss-Legendre nodes, the dense output over the whole step of length
-        # h and the partial step over [node, tau]; each is off the drive by at
-        # most M h^3 max|prod(u - u_i)| / 6 in each of the real and imaginary
-        # parts, M the largest third derivative in tau, over at most one step
-        # (measured at 0.03 of that bound on both paths)
-        proto, record = self.grown(path, spin32_ds)
-        k, c = rng.integers(0, 2048, 300), rng.uniform(0.0, 1.0, 300)
-        h = np.diff(record.nodes)[k]
-        dense = eff._dense_output(record, k, c)
-        partial = eff._partial_step(record, record.nodes[k] + c * h)
-        fine = np.linspace(0.0, 200.0, 8193)
-        third = np.abs(np.diff(record.drive(fine), 3, axis=0)).max() / (fine[1] - fine[0]) ** 3
-        u = np.linspace(0.0, 1.0, 1001)[:, None]
-        node_poly = np.abs(np.prod(u - eff._GL3_NODES, axis=1)).max()
-        bound = 2 * math.sqrt(2.0) * third * h.max() ** 4 * node_poly / 6
-        assert np.abs(dense - partial).max() <= bound
+    def test_match_the_evaluated_rows(self, monkeypatch, path, gammaT, gauged, rng):
+        # the quintic through two neighbouring steps' samples against H itself
+        # at random times, drives and dark block alike (measured at most 5.0e-15
+        # of the largest row, gammaT 150-12800); it evaluates nothing
+        proto, record = self.grown(path, gammaT, gauged)
+        taus = np.append(rng.uniform(0.0, gammaT, 2000), [0.0, gammaT, gammaT + 1e-9])
+        exact = eff._node_blocks(record, taus / gammaT)
+        monkeypatch.setattr(eff, "_node_blocks", None)
+        got = record.sample(taus)
+        assert np.abs(got - exact).max() <= 2e-14 * np.abs(exact).max()
+
+    def test_a_second_evolve_pass_evaluates_no_u(self):
+        # the first pass grows the protocol's record; the second finds every
+        # Gauss point's H0 and ell there
+        proto, calls = counting_u(spin32_protocol(smoothstep_path(1, 1), 200.0))
+        ds = dark_space(proto.L_rot)
+        rho = dark_state_from_bloch((0.0, 1.0, 0.0))
+        first = evolve_effective(rho, proto, ds, np.linspace(0.0, 200.0, 33))
+        calls.clear()
+        second = evolve_effective(rho, proto, ds, np.linspace(0.0, 200.0, 33))
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 class TestEffectiveRhs:
@@ -1575,11 +1588,10 @@ class TestRecordGrowth:
         record, = proto._cycle_records.values()
         assert record.extent == 256
 
-    def test_a_query_inside_the_record_evaluates_only_its_partial_steps(
-        self, monkeypatch, spin32_ds
-    ):
-        # after the first query's chunk, an off-node time costs the three nodes
-        # of its partial step, a node time (node 100) nothing, an empty array nothing
+    def test_a_query_inside_the_record_evaluates_nothing(self, monkeypatch, spin32_ds):
+        # after the first query's chunk, an off-node time's partial step reads
+        # the record's samples, and a node time (node 100) and an empty array
+        # read nothing more: no time evaluates H
         proto = self.fresh()
         effective_jump(proto, spin32_ds, 20.0)
         phases = []
@@ -1591,10 +1603,9 @@ class TestRecordGrowth:
 
         monkeypatch.setattr(eff, "_node_blocks", spied)
         effective_jump(proto, spin32_ds, 7.3)
-        assert phases == [3]
         effective_jump(proto, spin32_ds, float(200.0 * np.linspace(0.0, 1.0, 2049)[100]))
         c_tau(proto, spin32_ds, np.array([]))
-        assert phases == [3]
+        assert phases == []
 
     def test_an_adiabatic_query_allocates_no_blocks(self, spin32_ds):
         # the adiabatic source reads the record's modes alone: no block array
@@ -1603,12 +1614,12 @@ class TestRecordGrowth:
         proto, calls = counting_u(self.fresh())
         c_tau(proto, spin32_ds, 60.0, source="adiabatic")
         record, = proto._cycle_records.values()
-        assert (record.xs, record.samples, record.h0) == (None, None, None)
+        assert (record.xs, record.samples) == (None, None)
         assert calls == [1]
         effective_jump(proto, spin32_ds, 0.0)
         assert record.extent == 0 and calls == [1]
         assert record.xs.shape == (2049, 2, 2) and not record.xs.any()
-        assert record.samples.shape == (2048, 3, 2, 2) and record.h0.shape == (2048, 2, 2)
+        assert record.samples.shape == (2048, 3, 4, 2)
 
     @pytest.mark.parametrize("tau, extent", [(25.0, 256), (25.05, 512)])
     def test_the_propagator_grows_to_the_node_above_its_last_gauss_point(

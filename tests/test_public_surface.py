@@ -197,7 +197,8 @@ def test_only_the_frame_ends_see_the_gauge():
     # a gauge frame's (mode, drive row) pairs are recurrences of their own,
     # laid out by the record's constructor: only the drive (``_node_blocks``)
     # and the turn into ell (``_jumps``) read the gauge, and the kernel layer
-    # between them (``_gl3_steps``, ``_step_maps``, ``_kernel_grid``) has no pair axis
+    # between them (the record's ``grow`` and ``sample``, ``_partial_step``,
+    # ``_step_maps``, ``_kernel_grid``) has no pair axis
     defs = top_level_defs("effective")
     readers = {name for name, node in defs.items() for n in ast.walk(node)
                if isinstance(n, ast.Attribute) and n.attr == "gauge"
@@ -229,22 +230,43 @@ def is_affine_update(node: ast.AST) -> bool:
 
 
 def test_one_partial_step_and_one_recurrence_driver():
-    # the affine update that ends every partial step and every dense output,
-    # and starts every chunk of the recurrence from its carried block, is
-    # written once (``_affine``); the scan has one caller, the record's growth;
-    # the partial step serves the record's per-tau reads alone, the reduced
-    # propagator taking the dense output; the per-tau queries read the
-    # protocol's record and run no kernel pass of their own
+    # the affine update that ends every partial step, and starts every chunk
+    # of the recurrence from its carried block, is written once (``_affine``);
+    # the scan has one caller, the record's growth; the partial step is the
+    # one kernel path between the nodes, taken by the record's reads (``at``)
+    # for the per-tau queries and the reduced propagator alike, with no dense
+    # output beside it; the per-tau queries read the protocol's record and run
+    # no kernel pass of their own
     defs = top_level_defs("effective")
     owners = [name for name, node in defs.items() for n in ast.walk(node) if is_affine_update(n)]
     assert owners == ["_affine"]
-    assert callers_of(defs, "_affine") == {"_partial_step", "_dense_output", "_kernel_grid"}
+    assert callers_of(defs, "_affine") == {"_partial_step", "_kernel_grid"}
     assert callers_of(defs, "_partial_step") == {"_CycleRecord"}
-    assert callers_of(defs, "_dense_output") == {"_MagnusPropagator"}
     assert callers_of(defs, "_kernel_grid") == {"_CycleRecord"}
+    assert defs.keys() & {"_dense_output", "_gl3_steps"} == set()
     names = names_in(defs["_x_of"])
     assert "_cycle_record" in names
     assert names & {"_CycleRecord", "_KernelModes", "_partial_step"} == set()
+
+
+def test_h_between_the_nodes_comes_off_the_record():
+    # every row of the adiabatic Hamiltonian is evaluated by ``_node_blocks``,
+    # which only the record's growth, the quadrature oracle's ``drive`` and
+    # the holonomy's own midpoint pass call; every other reader of the reduced
+    # theory (the partial step, the record's ``sample`` and ``at``, the
+    # reduced propagator) reads H off the record's samples
+    defs = top_level_defs("effective")
+    assert callers_of(defs, "_node_blocks") == {"_CycleRecord", "berry_holonomy"}
+    methods = {node.name: node for node in defs["_CycleRecord"].body
+               if isinstance(node, ast.FunctionDef)}
+    assert callers_of(methods, "_node_blocks") == {"grow", "drive"}
+    evaluators = {"_node_blocks", "adiabatic_hamiltonian", "projected_hamiltonian"}
+    for reader in ("_MagnusPropagator", "_partial_step"):
+        assert names_in(defs[reader]) & evaluators == set(), reader
+    for module in MODULES + ("cli", "reporting"):
+        if module != "effective":
+            tree = ast.parse(Path(importlib.import_module(f"darklind.{module}").__file__).read_text())
+            assert "_node_blocks" not in names_in(tree), module
 
 
 def test_every_private_definition_is_used():

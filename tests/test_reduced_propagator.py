@@ -298,6 +298,21 @@ class TestFailsLoudly:
             with pytest.raises(ValueError, match="gammaT"):
                 evolve_effective(rho0, spin32_linear, spin32_ds, taus)
 
+    @pytest.mark.parametrize("rho0, named", [
+        (np.eye(3) / 3, r"shape \(3, 3\), not the dark block's \(2, 2\)"),
+        (np.eye(4) / 4, r"shape \(4, 4\), not the dark block's \(2, 2\)"),
+        (np.ones((1, 1)), r"shape \(1, 1\), not the dark block's \(2, 2\)"),
+        (np.array([[0.5, 0.0], [0.0, math.nan]]), r"non-finite entry \(nan\+0j\)"),
+    ], ids=["3x3", "full-space", "1x1", "nan"])
+    def test_rejects_a_start_that_is_not_a_finite_dark_block(self, spin32_ds, rho0, named):
+        # before any U call: a wrong shape would fail inside the first CF4
+        # product and a NaN only after every doubling level; a finite start
+        # that is not a state is evolved and reported instead (above)
+        proto, calls = counting_u(spin32_protocol(smoothstep_path(1, 1), 200.0))
+        with pytest.raises(ValueError, match=named):
+            evolve_effective(rho0, proto, spin32_ds, np.linspace(0.0, 200.0, 33))
+        assert calls == []
+
     @pytest.mark.parametrize("taus, bad", [
         ([5.0, math.nan, 10.0], "nan"), ([math.inf, 5.0], "inf"), ([5.0, -1.0, math.nan], "-1.0"),
     ])
@@ -321,17 +336,14 @@ def test_no_interval_evaluates_nothing(spin32_ds, taus):
 
 @pytest.mark.parametrize("path, bound", [
     (linear_path(1, 0), 1e-13),
-    (smoothstep_path(1, 1), 2e-11),
+    (smoothstep_path(1, 1), 1e-13),
 ], ids=["linear", "smoothstep"])
 def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, bound, spin32_ds):
-    # the ell that every CF4 step takes at its Gauss points, by dense output
-    # of the cycle step holding each, against the per-tau query's partial step
-    # at those times: on linear(1, 0) the drive is constant and both
-    # interpolants are exact, so they agree to roundoff; on smoothstep(1, 1)
-    # the dense output interpolates the drive over the whole cycle step, the
-    # partial step over [node, tau], and they differ by the interpolation
-    # error, measured 6.9e-12 of the largest ell (it was roundoff, within
-    # 1e-13, when each Gauss point took a partial step)
+    # the ell that every CF4 step takes at its Gauss points against the
+    # per-tau query at those times: both take the one partial step on the
+    # record's interpolated samples, so they agree to roundoff (measured 0;
+    # 6.9e-12 on smoothstep(1, 1) when the Gauss points took a quadratic
+    # dense output of their whole cycle step)
     proto = spin32_protocol(path, 200.0)
     seen = []
     gauss_blocks = eff._MagnusPropagator._gauss_blocks
