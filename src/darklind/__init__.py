@@ -43,7 +43,6 @@ from .effective import (
     c_tau,
     dark_space,
     effective_jump,
-    effective_rhs,
     end_of_cycle_state,
     evolve_effective,
     lab_generator,

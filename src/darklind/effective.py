@@ -15,7 +15,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,10 +22,8 @@ import numpy as np
 from .engine import (
     ConvergenceError,
     LindbladGenerator,
-    _check_tolerances,
     _dissipator,
     check_invariants,
-    lindblad_rhs,
     validate_density_matrix,
     vectorize,
 )
@@ -61,7 +58,6 @@ __all__ = [
     "c_tau",
     "c_tau_ode_residual",
     "effective_jump",
-    "effective_rhs",
     "berry_holonomy",
     "evolve_effective",
     "end_of_cycle_state",
@@ -455,29 +451,6 @@ def effective_jump(
     return ell if np.ndim(tau) else ell[0]
 
 
-def effective_rhs(
-    rho0: np.ndarray,
-    protocol: Protocol,
-    ds: DarkSpace,
-    tau: float,
-    source: str = "integral",
-) -> np.ndarray:
-    """Reduced evolution: Berry commutator at order eps, dissipator at eps^2, at one tau.
-
-    eps = 1/(gamma T); the commutator uses the dark block of the adiabatic
-    Hamiltonian at phase tau / (gamma T), the dissipator the effective jump
-    (``effective_jump``, read off the protocol's cycle record for
-    ``source="integral"``): the Lindblad generator with Hamiltonian H0,
-    prefactor eps and jump eps ell.
-    An array of times raises ValueError before any kernel work.
-    """
-    _one_time(tau)
-    eps = 1.0 / protocol.gammaT
-    ell = effective_jump(protocol, ds, tau, source)
-    h0 = projected_hamiltonian(adiabatic_hamiltonian(protocol, tau / protocol.gammaT), ds)
-    return lindblad_rhs(rho0, LindbladGenerator(h0, (eps * ell,), eps))
-
-
 def berry_holonomy(protocol: Protocol, ds: DarkSpace, tau: float) -> np.ndarray:
     """Holonomy V_tau: ordered exponential of -i H0 over phase [0, tau/gammaT].
 
@@ -529,8 +502,6 @@ def evolve_effective(
     ds: DarkSpace,
     taus: Sequence[float],
     mode: str = "full",
-    rtol: float = 1e-10,
-    atol: float = 1e-13,
 ) -> list[np.ndarray]:
     """Reduced dark-space states at the requested times, in ascending order of time.
 
@@ -560,38 +531,25 @@ def evolve_effective(
     queries, the end-of-cycle formula and eq. 12, so a second pass on a
     protocol evaluates no U at all.
 
-    The grid has the requested times as breakpoints.  Its first interval is
-    graded quadratically toward tau = 0, where the kernel's onset transient
-    (X_0 = 0, relaxing at half the slowest bright rate) lives, and is cut after
-    ``_ONSET_RELAXATION_TIMES`` = 30 relaxation times, where the transient is
-    e^{-30}: the kernel weights are exact in the decay, so one coarse step
-    can span many relaxation times, and a shorter onset would leave a
-    transient inside the first coarse step of both doubling grids, missed by
-    both and so by their comparison.  Each interval is stepped with n and 2n
-    steps, n doubling from ``_MAGNUS_FIRST_STEPS``, from the same state, until
-    the two states differ by at most ``atol + rtol * |rho|`` (Frobenius
-    norms of the d x d states); the 2n-step state is kept.  ``rtol`` and
-    ``atol`` set that target and nothing else; each must be finite and
-    non-negative, or a ValueError names it.  Every time must be a number in
-    [0, gammaT], or a ValueError names the first that is not, before any
-    evaluation of U; so does a jump that feeds the bright space back into
-    itself with d >= 2 (``_check_bright_feed``), in every mode.  When
-    ``_MAGNUS_MAX_DOUBLINGS`` doublings do not meet the target, a
-    ``ConvergenceError`` names the interval and the estimate; a returned state
-    outside the engine's Hermiticity, trace or positivity tolerances raises
-    ``InvariantViolationError`` at the first such breakpoint.  States are
-    never projected back.
-
-    No propagator depends on another, so the first two levels of every
-    interval are built in one batch (``_MagnusPropagator.states``), their CF4
-    steps formed _PHASE_BLOCK at a time.  The intervals are then walked in
-    order: each applies its propagators to its predecessor's state, and
-    builds finer levels only for itself.  Times that reach no further than 0
+    One CF4 step is taken per step of one fixed grid (``_graded_grid``): the
+    record's cycle nodes up to the last requested time, with the steps below
+    the end of the kernel's onset graded quadratically toward tau = 0, where
+    the onset transient (X_0 = 0, relaxing at half the slowest bright rate)
+    lives.  The state at a node is the product of the steps below it applied
+    to the start; a time between two nodes takes one partial CF4 step from
+    the node below it, as the per-tau queries take one partial kernel step.
+    So two calls with the same last time share every grid step, and the
+    state at gammaT is the same bits alone as with other times before it.  Every time
+    must be a number in [0, gammaT], or a ValueError names the first that is
+    not, before any evaluation of U; so does a jump that feeds the bright
+    space back into itself with d >= 2 (``_check_bright_feed``), in every
+    mode.  A state outside the engine's Hermiticity, trace or positivity
+    tolerances raises ``InvariantViolationError`` at the first such time.
+    States are never projected back.  Times that reach no further than 0
     give the start state, with no evaluation of U and no cycle record.
     """
     if mode not in _MODE_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_tolerances(rtol, atol)
     times = np.asarray(taus, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"taus must be a 1-D sequence of times, got shape {times.shape}")
@@ -602,18 +560,38 @@ def evolve_effective(
     if rho.shape != (ds.d, ds.d):
         raise ValueError(f"initial state has shape {rho.shape}, not the dark block's {(ds.d, ds.d)}")
     _require_each(np.isfinite(rho).ravel(), rho.ravel(), "initial state has a non-finite entry {}")
-    propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode], checkpoints)
-    reached = dict(zip(propagator.points, [rho.copy()] + propagator.states(rho, rtol, atol)))
+    points = sorted({t for t in checkpoints if t > 0.0})
+    reached = {0.0: rho.copy()}
+    if points:
+        propagator = _MagnusPropagator(protocol, ds, *_MODE_WEIGHTS[mode])
+        reached.update(zip(points, propagator.states(rho, np.array(points))))
     return [reached[t] for t in checkpoints]
 
 
 #: the weights of the Berry term and of the dissipator in each mode of ``evolve_effective``
 _MODE_WEIGHTS = {"full": (1.0, 1.0), "unitary": (1.0, 0.0), "dissipator": (0.0, 1.0)}
-#: steps per interval on the first try, and the doublings allowed after it
-_MAGNUS_FIRST_STEPS = 8
-_MAGNUS_MAX_DOUBLINGS = 12
-#: length of the graded onset interval, in relaxation times 2/rate of the slowest bright mode
+#: length of the graded onset, in relaxation times 2/rate of the slowest bright mode
 _ONSET_RELAXATION_TIMES = 30.0
+#: the fewest graded steps the onset takes, whatever the cycle steps it covers
+_ONSET_MIN_STEPS = 64
+
+
+def _graded_grid(nodes: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The cycle ``nodes`` with the kernel's onset graded quadratically toward tau = 0.
+
+    The onset ends ``_ONSET_RELAXATION_TIMES`` relaxation times 2/rate of the
+    slowest of the bright ``rates`` after tau = 0, where the transient is
+    e^{-30}.  The k steps below the first node at or above that end (all of
+    them, if the onset outlasts the cycle) are replaced by
+    max(_ONSET_MIN_STEPS, 2k) steps, the node at fraction u of the onset at
+    u^2 of its length; the later nodes are kept.  Without a bright rate
+    there is no onset, and the nodes are returned as they are.
+    """
+    if not rates.size:
+        return nodes
+    k = min(int(np.searchsorted(nodes, _ONSET_RELAXATION_TIMES * 2.0 / rates.min())), nodes.size - 1)
+    u = np.linspace(0.0, 1.0, max(_ONSET_MIN_STEPS, 2 * k) + 1)[:-1]
+    return np.concatenate([nodes[k] * (u * u), nodes[k:]])
 
 
 class _MagnusPropagator:
@@ -624,92 +602,65 @@ class _MagnusPropagator:
     path serves every mode; a term of weight 0 is built and multiplied by 0.
     Each Gauss-point generator is formed by ``vectorize`` and mapped once into
     the real coordinates of Hermitian d x d matrices (``coordinates``), where
-    the CF4 exponentials, the step products and the state walk run in
-    float64; the states return to d x d matrices at the points.
-    ``points`` holds 0, the checkpoints and, below the first of them, the end
-    of the dissipator's onset, at the slowest bright rate of the protocol's
-    cycle record: only a weighted dissipator with a bright rate has an onset
-    transient.  H0 and ell at the Gauss points are read off that record
-    (``_gauss_blocks``), which grows in whole chunks as the steps ask, so
-    the propagator evaluates no U of its own; a propagator with no point
-    past 0 takes no step and takes no record.
+    the CF4 exponentials, their products and the state updates run in
+    float64; the states return to d x d matrices at the requested times.
+    H0 and ell at the Gauss points are read off the protocol's cycle record
+    (``_gauss_blocks``), which grows in whole chunks as the steps ask, so the
+    propagator evaluates no U of its own.
     """
 
-    def __init__(
-        self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float,
-        checkpoints: list[float],
-    ):
+    def __init__(self, protocol: Protocol, ds: DarkSpace, berry: float, dissipation: float):
         self.berry, self.dissipation = berry, dissipation
         self.coordinates = _HermitianCoordinates(ds.d)
-        self.points = sorted({0.0, *checkpoints})
-        if len(self.points) > 1:
-            self.record = _cycle_record(protocol, ds)
-            rates = self.record.rates
-            if dissipation and rates.size:
-                onset = _ONSET_RELAXATION_TIMES * 2.0 / rates.min()
-                if onset < self.points[1]:
-                    self.points.insert(1, onset)
+        self.record = _cycle_record(protocol, ds)
 
-    def states(self, rho: np.ndarray, rtol: float, atol: float) -> list:
-        """The (d, d) states at points[1:] from rho at points[0] = 0, by step doubling.
+    def states(self, rho: np.ndarray, points: np.ndarray) -> list:
+        """The (d, d) states at the ascending, distinct times ``points`` > 0, from rho at 0.
 
-        The propagators of _MAGNUS_FIRST_STEPS and twice as many steps are
-        built for every interval in one batch; then the intervals are walked
-        in order, each doubling from the state its predecessor accepted and
-        building its finer propagators as it needs them.  The walk carries
-        the (d^2, 2) coordinates of the state's Hermitian and anti-Hermitian
-        parts (``_HermitianCoordinates.of``), and the doubling estimate and
-        target are the Frobenius norms of the d x d states they stand for.
+        The grid (``_graded_grid`` of the record) is cut at the last node at
+        or below the last point.  Its CF4 steps form one stack, and one scan
+        (``_scan``) gives their prefix products, each applied to the (d^2, 2)
+        coordinates of rho's Hermitian and anti-Hermitian parts
+        (``_HermitianCoordinates.of``).  A point between two nodes then takes
+        one partial CF4 step from the node below it.  The invariants are
+        checked at the points in ascending order; the first violation raises.
         """
-        spans = list(pairwise(self.points))
-        if not spans:
-            return []
-        first = (_MAGNUS_FIRST_STEPS, 2 * _MAGNUS_FIRST_STEPS)
-        built = self._propagators([(i, n) for i in range(len(spans)) for n in first])
-        coordinates = self.coordinates
-        found: list[np.ndarray] = []
-        state = coordinates.of(rho)
-        for i, span in enumerate(spans):
-            n = _MAGNUS_FIRST_STEPS
-            reached = {m: built.pop((i, m)) @ state for m in first}
-            for _ in range(_MAGNUS_MAX_DOUBLINGS):
-                if 2 * n not in reached:
-                    reached[2 * n] = self._propagators([(i, 2 * n)])[i, 2 * n] @ state
-                estimate = coordinates.norm(reached[2 * n] - reached[n])
-                target = atol + rtol * coordinates.norm(reached[2 * n])
-                if estimate <= target:
-                    break
-                n *= 2
-            else:
-                raise ConvergenceError(*span, estimate, target)
-            state = reached[2 * n]
-            found.append(coordinates.matrix(state))
-            check_invariants(span[1], found[-1])
+        record, coordinates = self.record, self.coordinates
+        grid = _graded_grid(record.nodes, record.rates)
+        grid = grid[:np.searchsorted(grid, points[-1], side="right")]
+        size = coordinates.d ** 2
+        prefix = np.empty((grid.size, size, size))
+        prefix[0] = np.eye(size)
+        prefix[1:] = _scan(self._steps(grid[:-1], np.diff(grid)), np.matmul)
+        below = np.searchsorted(grid, points, side="right") - 1
+        coords = prefix[below] @ coordinates.of(rho)
+        off = points > grid[below]
+        if off.any():
+            starts = grid[below[off]]
+            coords[off] = self._steps(starts, points[off] - starts) @ coords[off]
+        found = []
+        for t, c in zip(points, coords):
+            found.append(coordinates.matrix(c))
+            check_invariants(t, found[-1])
         return found
 
-    def _propagators(self, wanted: list[tuple[int, int]]) -> dict:
-        """The real d^2 x d^2 propagator of each (interval, step count) in ``wanted``, by that pair.
+    def _steps(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The real (n, d^2, d^2) CF4 steps of the given lengths from the given times.
 
-        The steps of all members are formed in one stack, _PHASE_BLOCK at a
-        time: H0 and ell at their Gauss points (``_gauss_blocks``), the
-        superoperators, each mapped into Hermitian coordinates
-        (``_HermitianCoordinates.generators``), and their CF4 exponentials.
-        Each member's steps are then multiplied pairwise.
+        Formed _PHASE_BLOCK at a time: H0 and ell at the steps' Gauss points
+        (``_gauss_blocks``), the superoperators, each mapped into Hermitian
+        coordinates (``_HermitianCoordinates.generators``), and their CF4
+        exponentials.
         """
         d, eps = self.coordinates.d, 1.0 / self.record.protocol.gammaT
-        grids = [self._grid(self.points[i], self.points[i + 1], n) for i, n in wanted]
-        lengths = np.concatenate([np.diff(grid) for grid in grids])
-        gauss = np.concatenate([grid[:-1, None] + np.diff(grid)[:, None] * CF4_NODES
-                                for grid in grids])
 
-        def block(h, t):
+        def block(h, t0):
+            t = t0[:, None] + h[:, None] * CF4_NODES
             h0, ell = (a.reshape(t.shape + (d, d)) for a in self._gauss_blocks(t.ravel()))
             gens = vectorize(LindbladGenerator(self.berry * h0, (self.dissipation * eps * ell,), eps))
             return _cf4_steps(self.coordinates.generators(gens, t), h)
 
-        steps = _blockwise(block, (d * d, d * d), lengths, gauss, dtype=float)
-        ends = np.cumsum([n for _, n in wanted])[:-1]
-        return {w: _ordered_product(own) for w, own in zip(wanted, np.split(steps, ends))}
+        return _blockwise(block, (d * d, d * d), lengths, starts, dtype=float)
 
     def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H0 and ell at the 1-D array of times t, the (n, d, d) stacks, off the cycle record.
@@ -722,12 +673,6 @@ class _MagnusPropagator:
         """
         record = self.record
         return record.sample(t)[:, record.rates.size:], _jumps(record, t, record.at(t))
-
-    @staticmethod
-    def _grid(t0: float, t1: float, n: int) -> np.ndarray:
-        """n steps from t0 to t1, graded toward tau = 0 on the first interval."""
-        u = np.linspace(0.0, 1.0, n + 1)
-        return t0 + (t1 - t0) * (u * u if t0 == 0.0 else u)
 
 
 class _HermitianCoordinates:
@@ -753,10 +698,9 @@ class _HermitianCoordinates:
         back[np.arange(d) * (d + 1), np.arange(d)] = 1.0
         back[upper, cols] = back[lower, cols] = 1.0
         back[upper, cols + i.size], back[lower, cols + i.size] = 1j, -1j
-        #: back^dag back is diagonal, 1 on the diagonal coordinates and 2 on the others,
-        #: so |A|_F^2 = sum_k weight_k r_k^2 for a Hermitian A
-        self.weights = np.concatenate([np.ones(d), np.full(2 * i.size, 2.0)])[:, None]
-        self.back, self.to = back, dagger(back) / self.weights
+        # back^dag back is diagonal, 1 on the diagonal coordinates and 2 on the others
+        weights = np.concatenate([np.ones(d), np.full(2 * i.size, 2.0)])[:, None]
+        self.back, self.to = back, dagger(back) / weights
         # vec(to S back) = kron(to, back^T) vec(S) for the row-major vec, written as
         # one real map of the interleaved real and imaginary parts of vec(S)
         kron = np.kron(self.to, back.T)
@@ -772,10 +716,6 @@ class _HermitianCoordinates:
     def matrix(self, coords: np.ndarray) -> np.ndarray:
         """The d x d matrix H + iK of the (d^2, 2) coordinates [r(H) | r(K)]."""
         return (self.back @ coords.view(complex)).reshape(self.d, self.d)
-
-    def norm(self, coords: np.ndarray) -> float:
-        """Frobenius norm of the d x d matrix of (d^2, 2) coordinates, |H + iK|^2 = |H|^2 + |K|^2."""
-        return math.sqrt(float(np.sum(self.weights * coords * coords)))
 
     def generators(self, gens: np.ndarray, t: np.ndarray) -> np.ndarray:
         """The real stack ``to`` S ``back`` of each superoperator S of ``gens``, at the times t.
@@ -830,7 +770,9 @@ def end_of_cycle_state(
 ) -> np.ndarray:
     """Reduced state after one full cycle.
 
-    ``method="integrate"`` drives the effective equation across the period;
+    ``method="integrate"`` drives the effective equation across the period
+    (``evolve_effective`` to gammaT: one CF4 step per step of the graded cycle
+    grid, the same bits as the last of any checkpoints that end at gammaT);
     ``method="formula"`` evaluates the closed expression V [rho + eps^2
     int (l rho l^dag - {l^dag l, rho}/2) dtau] V^dag with l = V^dag ell V,
     which freezes rho at its initial value.  V_end and the frozen-state
@@ -895,7 +837,9 @@ class _CycleRecord:
     alone, by a quintic through two neighbouring steps' (``sample``): the
     dark block at the reduced propagator's Gauss points, and the drive of
     the one partial step that takes each time off the nodes to its kernel
-    block (``at``).
+    block (``at``).  The nodes are also the reduced propagator's grid, its
+    onset graded (``_graded_grid``): one CF4 step per step, and one partial
+    CF4 step to each requested time off them.
     The grid only has to resolve the drive, whatever a step's rate h: 2048
     steps on the smoothstep gammaT = 200 cycle match the quadrature kernel
     to 1e-13.

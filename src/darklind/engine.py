@@ -79,13 +79,12 @@ class GaplessLindbladianError(RuntimeError):
 class ConvergenceError(RuntimeError):
     """A numerical scheme stopped with its error estimate still above target.
 
-    ``cause`` says where it stopped: the step-doubling cap by default.
+    ``cause`` says where and why it stopped, as the end of the message: the
+    quadrature oracle (``effective.x_tau_integral``) passes its ``quad_vec``
+    status.
     """
 
-    def __init__(
-        self, t0: float, t1: float, estimate: float, target: float,
-        cause: str = "at the step-doubling cap",
-    ):
+    def __init__(self, t0: float, t1: float, estimate: float, target: float, cause: str):
         super().__init__(
             f"no convergence on tau in [{t0:.6g}, {t1:.6g}]: error estimate {estimate:.3g} "
             f"above target {target:.3g} {cause}"

@@ -323,8 +323,8 @@ def _cf4_steps(generators: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     The fourth-order commutator-free Magnus step, a1,2 = 1/4 -+ sqrt(3)/6,
     with G1, G2 the generator at the step's Gauss points t + CF4_NODES h.
     ``generators`` is a (..., 2, d, d) stack of pairs (G1, G2) and ``lengths``
-    the (...) step lengths h; returns the (..., d, d) steps, which
-    ``_ordered_product`` multiplies in order.
+    the (...) step lengths h; returns the (..., d, d) steps, whose prefix
+    products the reduced propagator takes by ``_scan``.
     """
     g1, g2 = generators[..., 0, :, :], generators[..., 1, :, :]
     a1, a2 = CF4_WEIGHTS

@@ -598,8 +598,9 @@ class TestSweep:
 
     def test_one_kernel_pass_per_gammaT(self, monkeypatch):
         # the reduced run grows the cycle record of each gammaT's protocol over
-        # the whole cycle, and eq. 12 reads it: one pass over the 2,049 cycle
-        # nodes per gammaT
+        # the whole cycle, block by block of its CF4 steps, and eq. 12 reads
+        # it: one pass over the 2,049 cycle nodes per gammaT, each span grown
+        # once and from where the last one ended
         grown = []
         grow = eff._CycleRecord.grow
 
@@ -611,7 +612,11 @@ class TestSweep:
 
         monkeypatch.setattr(eff._CycleRecord, "grow", spied)
         convergence_sweep(spin32_protocol(linear_path(1, 0), 200.0), [100.0, 200.0], (0.0, 0.0, 1.0))
-        assert grown == [(100.0, 0, 2048), (200.0, 0, 2048)]
+        for gammaT in (100.0, 200.0):
+            spans = [(lo, hi) for g, lo, hi in grown if g == gammaT]
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == 2048
+        assert [g for g, _, _ in grown] == sorted(g for g, _, _ in grown)
 
     def test_one_drive_pass_per_gammaT(self, monkeypatch):
         # with the brute force stubbed out, U is asked per gammaT for the 64

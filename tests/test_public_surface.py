@@ -296,9 +296,9 @@ def test_one_formula_for_the_effective_jump():
 
 
 def test_one_cf4_driver():
-    # the reduced propagator's CF4 steps, multiplied by ``_ordered_product``,
-    # are the package's one CF4 path; ``ordered_exponential`` keeps the
-    # midpoint rule alone and starts at the identity
+    # the reduced propagator's CF4 steps, multiplied by the prefix scan, are
+    # the package's one CF4 path; ``ordered_exponential`` keeps the midpoint
+    # rule alone and starts at the identity
     callers = {(module, name) for module in MODULES + ("cli", "reporting")
                for name in callers_of(top_level_defs(module), "_cf4_steps")}
     assert callers == {("effective", "_MagnusPropagator")}
@@ -306,6 +306,18 @@ def test_one_cf4_driver():
     args = defs["ordered_exponential"].args
     assert "start" not in {a.arg for a in args.args + args.kwonlyargs}
     assert names_in(defs["_ordered_steps"]) & {"_cf4_steps", "CF4_NODES", "CF4_WEIGHTS"} == set()
+
+
+def test_one_cf4_grid():
+    # the reduced propagator steps one fixed grid, the graded cycle nodes of
+    # ``_graded_grid``: it takes no tolerance and keeps no doubling constant
+    defs = top_level_defs("effective")
+    args = defs["evolve_effective"].args
+    assert {a.arg for a in args.args + args.kwonlyargs} & {"rtol", "atol"} == set()
+    assert callers_of(defs, "_graded_grid") == {"_MagnusPropagator"}
+    assert names_in(defs["_MagnusPropagator"]) & {"_check_tolerances", "ConvergenceError"} == set()
+    effective = vars(importlib.import_module("darklind.effective"))
+    assert effective.keys() & {"_MAGNUS_FIRST_STEPS", "_MAGNUS_MAX_DOUBLINGS"} == set()
 
 
 def test_the_cli_reads_its_config_once():

@@ -24,7 +24,7 @@ import darklind.effective as eff
 import darklind.linalg as linalg
 from darklind.analysis import dark_state_from_bloch, trace_distance
 from darklind.effective import dark_space, evolve_effective
-from darklind.engine import NUMERICAL_ERRORS, ConvergenceError, InvariantViolationError
+from darklind.engine import InvariantViolationError
 from darklind.linalg import _norms, dagger
 from darklind.protocols import (
     custom_protocol,
@@ -209,8 +209,8 @@ def test_custom_protocol_matches_joint_ode():
     m_phi=st.integers(0, 1),
     gammaT=st.floats(20.0, 40.0),
 )
-# the kernel start must come from the previous interval's accepted grid: a start
-# carried from its 16-step chain misses this case's gate (1.5e-9)
+# a path whose onset missed this gate (1.5e-9) when a propagator carried the kernel
+# start between its intervals, each of them stepped on a coarse chain of its own
 @example(theta_knots=[0.0, 0.25], phi_knots=[], m_phi=1, gammaT=20.0)
 def test_random_fourier_paths(theta_knots, phi_knots, m_phi, gammaT):
     path = fourier_path(1, m_phi, theta_knots=theta_knots, phi_knots=phi_knots)
@@ -227,70 +227,11 @@ def test_random_fourier_paths(theta_knots, phi_knots, m_phi, gammaT):
 
 
 class TestFailsLoudly:
-    def test_doubling_cap_names_interval_and_estimate(self, monkeypatch):
-        monkeypatch.setattr(eff, "_MAGNUS_MAX_DOUBLINGS", 4)  # the cap is reached sooner
-        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
-        ds = dark_space(proto.L_rot)
-        with pytest.raises(ConvergenceError, match=r"tau in \[0, 0\.5\]: error estimate") as info:
-            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds, [0.5],
-                             mode="unitary", rtol=0.0, atol=0.0)
-        assert info.value.interval == (0.0, 0.5)
-        assert info.value.tau == 0.0
-        assert info.value.estimate > 0.0
-        assert isinstance(info.value, NUMERICAL_ERRORS)
-
-    def test_doubling_builds_finer_levels_for_one_interval_only(self, monkeypatch):
-        # an unreachable target fails the first of 33 intervals; only it may go past 16 steps
-        monkeypatch.setattr(eff, "_MAGNUS_MAX_DOUBLINGS", 4)
-        built = []
-        propagators = eff._MagnusPropagator._propagators
-
-        def counting(self, wanted):
-            built.extend(wanted)
-            return propagators(self, wanted)
-
-        monkeypatch.setattr(eff._MagnusPropagator, "_propagators", counting)
-        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
-        ds = dark_space(proto.L_rot)
-        with pytest.raises(ConvergenceError) as info:
-            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, ds,
-                             np.linspace(0.0, 20.0, 33), mode="unitary", rtol=0.0, atol=0.0)
-        assert info.value.interval == (0.0, 0.625)
-        assert sorted(w for w in built if w[1] > 16) == [(0, 32), (0, 64), (0, 128)]
-        assert len(built) == 2 * 32 + 3
-
-    @pytest.mark.parametrize("tolerances", [(-1e-10, 1e-13), (1e-10, -1e-13), (math.nan, 1e-13)])
-    def test_rejects_negative_tolerances(self, tolerances, spin32_linear, spin32_ds):
-        rtol, atol = tolerances
-        with pytest.raises(ValueError, match="non-negative"):
-            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), spin32_linear, spin32_ds,
-                             [200.0], rtol=rtol, atol=atol)
-
-    @pytest.mark.parametrize("rtol, atol, named", [
-        (math.inf, 1e-13, "rtol is inf"), (1e-10, math.inf, "atol is inf"),
-        (math.nan, 1e-13, "rtol is nan"), (1e-10, math.nan, "atol is nan"),
-    ])
-    def test_rejects_non_finite_tolerances(self, rtol, atol, named, spin32_linear, spin32_ds):
-        # unchecked, an infinite rtol returns a state with no error control
-        with pytest.raises(ValueError, match=named):
-            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), spin32_linear, spin32_ds,
-                             [5.0], rtol=rtol, atol=atol)
-
-    def test_tolerances_take_effect(self, spin32_ds):
-        proto = spin32_protocol(smoothstep_path(1, 1), 20.0)
-        rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
-        oracle = joint_ode_states(rho0, proto, spin32_ds, [20.0], rtol=1e-10)[-1]
-        errors = []
-        for rtol, atol in ((1e-4, 1e-13), (1e-10, 1e-13), (0.0, 1e-4), (0.0, 1e-10)):
-            final = evolve_effective(rho0, proto, spin32_ds, [20.0], rtol=rtol, atol=atol)[-1]
-            errors.append(trace_distance(final, oracle))
-        assert errors[1] < errors[0] and errors[3] < errors[2]
-
     def test_unphysical_state_is_reported_not_projected(self, spin32_linear, spin32_ds):
         rho0 = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(InvariantViolationError, match="positivity violated at tau=") as info:
             evolve_effective(rho0, spin32_linear, spin32_ds, np.linspace(0.0, 200.0, 33))
-        assert 0.0 < info.value.tau <= 6.25  # at the first breakpoint
+        assert info.value.tau == 6.25  # at the first checkpoint
 
     def test_rejects_times_outside_the_cycle(self, spin32_linear, spin32_ds):
         rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
@@ -305,9 +246,10 @@ class TestFailsLoudly:
         (np.array([[0.5, 0.0], [0.0, math.nan]]), r"non-finite entry \(nan\+0j\)"),
     ], ids=["3x3", "full-space", "1x1", "nan"])
     def test_rejects_a_start_that_is_not_a_finite_dark_block(self, spin32_ds, rho0, named):
-        # before any U call: a wrong shape would fail inside the first CF4
-        # product and a NaN only after every doubling level; a finite start
-        # that is not a state is evolved and reported instead (above)
+        # before any U call: a wrong shape would fail only when the prefix
+        # products meet the start, after every step is formed, and a NaN at
+        # the first invariant check; a finite start that is not a state is
+        # evolved and reported instead (above)
         proto, calls = counting_u(spin32_protocol(smoothstep_path(1, 1), 200.0))
         with pytest.raises(ValueError, match=named):
             evolve_effective(rho0, proto, spin32_ds, np.linspace(0.0, 200.0, 33))
@@ -359,27 +301,86 @@ def test_gauss_point_jumps_are_the_effective_jump(monkeypatch, path, bound, spin
     t = np.concatenate([t for t, _ in seen])
     used = np.concatenate([ell for _, ell in seen])
     expected = eff.effective_jump(proto, spin32_ds, t)
-    assert t.size >= 8 * (8 + 16) * 2  # both first levels of the 8 intervals
+    assert t.size == 2 * 2253  # two per step of the graded grid to gammaT (CF4_STEPS)
     assert np.abs(used - expected).max() <= bound * np.abs(expected).max()
 
 
-
-#: CF4 steps built from z with 33 checkpoints on each reduced path, rejected
-#: doubling levels included: every doubling decision is pinned
-CF4_STEPS = {"linear-200": 864, "linear-800": 824, "smoothstep-200": 1952, "fourier-200": 1120}
+#: CF4 steps from z with 33 checkpoints on each reduced path: the 2048 cycle
+#: steps with the 205 (52 at gammaT 800) below the onset end, 60/rate = 20,
+#: replaced by twice as many graded ones, and at gammaT 200 one partial step
+#: for each of the three checkpoints inside the onset, which are no nodes
+CF4_STEPS = {"linear-200": 2256, "linear-800": 2100, "smoothstep-200": 2256, "fourier-200": 2256}
 
 
 def spy_steps(monkeypatch) -> list:
-    """Record the step count of every propagator ``_MagnusPropagator._propagators`` builds."""
+    """Record the number of CF4 steps of every stack ``_MagnusPropagator._steps`` forms."""
     steps = []
-    propagators = eff._MagnusPropagator._propagators
+    form = eff._MagnusPropagator._steps
 
-    def counting(self, wanted):
-        steps.extend(n for _, n in wanted)
-        return propagators(self, wanted)
+    def counting(self, starts, lengths):
+        steps.append(lengths.size)
+        return form(self, starts, lengths)
 
-    monkeypatch.setattr(eff._MagnusPropagator, "_propagators", counting)
+    monkeypatch.setattr(eff._MagnusPropagator, "_steps", counting)
     return steps
+
+
+def halved(grid: np.ndarray) -> np.ndarray:
+    """The grid with the midpoint of every step inserted."""
+    out = np.empty(2 * grid.size - 1)
+    out[0::2], out[1::2] = grid, 0.5 * (grid[:-1] + grid[1:])
+    return out
+
+
+#: the paths of the halved-step test, each at gammaT 200 and 12800
+HALVED_PATHS = {
+    "linear": linear_path(1, 0),
+    "smoothstep": smoothstep_path(1, 1),
+    "fourier": fourier_path(1, 0, theta_knots=(0.17,), phi_knots=(-0.2,)),
+}
+
+
+class TestOneGrid:
+    @pytest.mark.parametrize("gammaT", [200.0, 12800.0])
+    @pytest.mark.parametrize("name", list(HALVED_PATHS))
+    def test_halving_every_step_moves_no_state(self, monkeypatch, name, gammaT):
+        # the same record on a grid of twice the steps, from z and y: the
+        # fourth-order steps leave the normal grid within 1e-12 of it
+        proto = spin32_protocol(HALVED_PATHS[name], gammaT)
+        ds = dark_space(proto.L_rot)
+        taus = np.linspace(0.0, gammaT, 33)
+        starts = [dark_state_from_bloch(n0) for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
+        normal = [evolve_effective(rho0, proto, ds, taus) for rho0 in starts]
+        graded = eff._graded_grid
+        monkeypatch.setattr(eff, "_graded_grid", lambda nodes, rates: halved(graded(nodes, rates)))
+        for rho0, states in zip(starts, normal):
+            finer = evolve_effective(rho0, proto, ds, taus)
+            assert max(np.abs(a - b).max() for a, b in zip(states, finer)) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(REDUCED_PATHS))
+    def test_the_end_state_alone_is_the_last_checkpoint(self, name):
+        # both runs step the same grid to gammaT and take the same prefix products
+        path, gammaT = REDUCED_PATHS[name]
+        proto = spin32_protocol(path, gammaT)
+        ds = dark_space(proto.L_rot)
+        rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
+        alone = evolve_effective(rho0, proto, ds, [gammaT])[-1]
+        assert np.array_equal(alone, evolve_effective(rho0, proto, ds, np.linspace(0.0, gammaT, 33))[-1])
+
+    def test_a_checkpoint_off_the_nodes_takes_one_partial_step(self, monkeypatch, spin32_ds):
+        # 5.0 lies between two nodes of the graded onset: the run steps the
+        # grid of a run to the node below it, then takes one partial step
+        proto = spin32_protocol(linear_path(1, 0), 200.0)
+        record = eff._cycle_record(proto, spin32_ds)
+        grid = eff._graded_grid(record.nodes, record.rates)
+        below = grid[np.searchsorted(grid, 5.0) - 1]
+        assert below < 5.0
+        steps = spy_steps(monkeypatch)
+        rho0 = dark_state_from_bloch((0.0, 1.0, 0.0))
+        at_node, off_node = (evolve_effective(rho0, proto, spin32_ds, [t])[-1] for t in (below, 5.0))
+        assert steps[0] == steps[1] and steps[2:] == [1]
+        assert not np.array_equal(off_node, at_node)
+        assert trace_distance(off_node, joint_ode_states(rho0, proto, spin32_ds, [5.0])[-1]) <= GATE
 
 
 class TestHermitianCoordinates:
@@ -417,10 +418,9 @@ class TestHermitianCoordinates:
         assert coords.shape == (d * d, 2) and coords.dtype == float
         assert np.array_equal(coords[:, 1], np.zeros(d * d))
         assert np.array_equal(coordinates.matrix(coords), h)
-        # a general matrix H + iK: both parts kept, and the norm is the Frobenius norm
+        # a general matrix H + iK: both parts kept
         both = coordinates.of(h + 1j * k)
         assert np.allclose(coordinates.matrix(both), h + 1j * k, rtol=0.0, atol=1e-15)
-        assert abs(coordinates.norm(both) - np.linalg.norm(h + 1j * k)) <= 1e-14 * np.linalg.norm(h)
 
     def test_generator_that_breaks_hermiticity_raises(self, monkeypatch, spin32_ds):
         # vectorize maps any H0 and ell to rho -> A rho + rho A^dag + ell rho ell^dag,
