@@ -647,20 +647,29 @@ class _MagnusPropagator:
     def _steps(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """The real (n, d^2, d^2) CF4 steps of the given lengths from the given times.
 
-        Formed _PHASE_BLOCK at a time: H0 and ell at the steps' Gauss points
-        (``_gauss_blocks``), the superoperators, each mapped into Hermitian
-        coordinates (``_HermitianCoordinates.generators``), and their CF4
-        exponentials.
+        Formed _PHASE_BLOCK at a time: the superoperators at the steps' Gauss
+        points (``_generators``), each mapped into Hermitian coordinates
+        (``_HermitianCoordinates.generators``), and their CF4 exponentials.
         """
-        d, eps = self.coordinates.d, 1.0 / self.record.protocol.gammaT
+        size = self.coordinates.d ** 2
 
         def block(h, t0):
             t = t0[:, None] + h[:, None] * CF4_NODES
-            h0, ell = (a.reshape(t.shape + (d, d)) for a in self._gauss_blocks(t.ravel()))
-            gens = vectorize(LindbladGenerator(self.berry * h0, (self.dissipation * eps * ell,), eps))
+            gens = self._generators(t.ravel()).reshape(t.shape + (size, size))
             return _cf4_steps(self.coordinates.generators(gens, t), h)
 
-        return _blockwise(block, (d * d, d * d), lengths, starts, dtype=float)
+        return _blockwise(block, (size, size), lengths, starts, dtype=float)
+
+    def _generators(self, t: np.ndarray) -> np.ndarray:
+        """The (n, d^2, d^2) superoperators S(tau) of the reduced equation at the 1-D times t.
+
+        S vec(rho) = vec(-i eps berry [H0, rho] + eps^2 dissipation^2 D_ell(rho))
+        for the row-major vec (``vectorize``), eps = 1/(gamma T), with H0 and
+        ell off the cycle record (``_gauss_blocks``).
+        """
+        h0, ell = self._gauss_blocks(t)
+        eps = 1.0 / self.record.protocol.gammaT
+        return vectorize(LindbladGenerator(self.berry * h0, (self.dissipation * eps * ell,), eps))
 
     def _gauss_blocks(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """H0 and ell at the 1-D array of times t, the (n, d, d) stacks, off the cycle record.

@@ -1001,6 +1001,60 @@ class TestInterpolatedSamples:
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
+def reduced_rhs(rho, proto, ds, tau):
+    """d rho/d tau of the reduced equation at tau, by the superoperator the CF4 propagator steps."""
+    s = eff._MagnusPropagator(proto, ds, 1.0, 1.0)._generators(np.array([float(tau)]))[0]
+    return (s @ rho.reshape(-1)).reshape(rho.shape)
+
+
+class TestEffectiveRhs:
+    def test_scalar_jump_and_commuting_state(self):
+        proto = phi_only_protocol()
+        ds = dark_space(proto.L_rot)
+        rho = 0.5 * np.eye(2, dtype=complex)  # commutes with any dark-block H0
+        out = reduced_rhs(rho, proto, ds, 120.0)
+        assert np.linalg.norm(out) <= 1e-10
+
+    def test_pure_dephasing_dissipator(self, spin32_linear, spin32_ds):
+        rho = dark_state_from_bloch((1.0, 0.0, 0.0))
+        tau = 150.0
+        eps = 1.0 / spin32_linear.gammaT
+        out = reduced_rhs(rho, spin32_linear, spin32_ds, tau)
+        from darklind.effective import projected_hamiltonian
+
+        h0 = projected_hamiltonian(
+            adiabatic_hamiltonian(spin32_linear, tau / spin32_linear.gammaT), spin32_ds
+        )
+        dissipator = out + 1j * eps * (h0 @ rho - rho @ h0)
+        expected = -((2 * math.pi * eps) ** 2) * SX
+        assert np.linalg.norm(dissipator - expected) <= 1e-8
+
+    def test_is_berry_commutator_plus_dissipator(self, spin32_linear, spin32_ds):
+        from darklind.effective import projected_hamiltonian
+
+        rho = dark_state_from_bloch((0.6, -0.3, 0.5))
+        tau = 37.0
+        eps = 1.0 / spin32_linear.gammaT
+        h0 = projected_hamiltonian(
+            adiabatic_hamiltonian(spin32_linear, tau / spin32_linear.gammaT), spin32_ds
+        )
+        ell = effective_jump(spin32_linear, spin32_ds, tau)
+        ld_l = dagger(ell) @ ell
+        expected = -1j * eps * (h0 @ rho - rho @ h0) + eps**2 * (
+            ell @ rho @ dagger(ell) - 0.5 * (ld_l @ rho + rho @ ld_l)
+        )
+        out = reduced_rhs(rho, spin32_linear, spin32_ds, tau)
+        assert np.linalg.norm(out - expected) <= 1e-15 * np.linalg.norm(expected)
+
+    def test_traceless(self, rng, spin32_linear, spin32_ds):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ dagger(a)
+        rho /= np.trace(rho).real
+        out = reduced_rhs(rho, spin32_linear, spin32_ds, 42.0)
+        assert abs(np.trace(out)) <= 1e-12
+        assert np.linalg.norm(out - dagger(out)) <= 1e-12
+
+
 class TestBerryHolonomy:
     def test_identity_at_start(self, spin32_linear, spin32_ds):
         v = berry_holonomy(spin32_linear, spin32_ds, 0.0)

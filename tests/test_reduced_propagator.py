@@ -265,6 +265,16 @@ class TestFailsLoudly:
             evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, spin32_ds, taus)
         assert calls == []
 
+    @pytest.mark.parametrize("tau", [300.0, -50.0, 200.0 + 1e-6, math.nan, math.inf, -math.inf])
+    def test_every_mode_rejects_a_time_outside_the_cycle(self, spin32_ds, tau):
+        # the per-tau queries' bad times, each named in every mode before any U call
+        proto, calls = counting_u(spin32_protocol(linear_path(1, 0), 200.0))
+        rho0 = dark_state_from_bloch((0.0, 0.0, 1.0))
+        for mode in eff._MODE_WEIGHTS:
+            with pytest.raises(ValueError, match=rf"time {tau} outside \[0, gammaT = 200.0\]"):
+                evolve_effective(rho0, proto, spin32_ds, [100.0, tau], mode=mode)
+        assert calls == []
+
 
 @pytest.mark.parametrize("taus", [[], [0.0]], ids=["none", "start"])
 def test_no_interval_evaluates_nothing(spin32_ds, taus):
@@ -381,6 +391,52 @@ class TestOneGrid:
         assert steps[0] == steps[1] and steps[2:] == [1]
         assert not np.array_equal(off_node, at_node)
         assert trace_distance(off_node, joint_ode_states(rho0, proto, spin32_ds, [5.0])[-1]) <= GATE
+
+    @pytest.mark.parametrize("gammaT, scale, onset, graded", [
+        (20.0, 1.0, 2048, 4096), (200.0, 1.0, 205, 410), (800.0, 1.0, 52, 104),
+        (12800.0, 1.0, 4, 64), (200.0, 16.0, 13, 64),
+    ], ids=["whole-cycle", "200", "800", "12800", "fast-jump"])
+    def test_the_onset_takes_graded_steps(self, spin32_ds, gammaT, scale, onset, graded):
+        # the k cycle steps below the first node at or above 60/rate_min (20
+        # for the spin-3/2 jump, 1.25 with the rates x16 of the jump x4), or
+        # all of them, give way to max(64, 2k) steps at u^2 of the onset
+        record = eff._cycle_record(spin32_protocol(linear_path(1, 0), gammaT), spin32_ds)
+        nodes, rates = record.nodes, scale * record.rates
+        end = 60.0 / rates.min()
+        assert nodes[onset - 1] < end and (nodes[onset] >= end or onset == nodes.size - 1)
+        grid = eff._graded_grid(nodes, rates)
+        assert grid.size == graded + nodes.size - onset
+        assert np.array_equal(grid[graded:], nodes[onset:])
+        u = np.sqrt(grid[:graded] / nodes[onset])
+        assert grid[0] == 0.0 and np.abs(u - np.arange(graded) / graded).max() <= 1e-15
+        assert np.all(np.diff(grid) > 0.0)
+
+    def test_a_record_without_a_bright_rate_keeps_its_nodes(self, spin32_linear, spin32_ds):
+        nodes = eff._cycle_record(spin32_linear, spin32_ds).nodes
+        assert eff._graded_grid(nodes, np.empty(0)) is nodes
+
+    def test_every_mode_steps_the_same_grid(self, monkeypatch, spin32_ds):
+        # a mode weights the two terms and leaves the grid and the partial steps alone
+        proto = spin32_protocol(smoothstep_path(1, 1), 200.0)
+        steps = spy_steps(monkeypatch)
+        counts = []
+        for mode in eff._MODE_WEIGHTS:
+            steps.clear()
+            evolve_effective(dark_state_from_bloch((0.0, 0.0, 1.0)), proto, spin32_ds,
+                             np.linspace(0.0, 200.0, 33), mode=mode)
+            counts.append(list(steps))
+        assert counts[0] == counts[1] == counts[2] and sum(counts[0]) == CF4_STEPS["smoothstep-200"]
+
+    @pytest.mark.parametrize("name", list(HALVED_PATHS))
+    def test_the_full_generator_is_the_sum_of_its_terms(self, spin32_ds, name):
+        # S is linear in the weighted H0 and in the weighted jump's dissipator,
+        # so the full mode's superoperator is the unitary's plus the dissipator's
+        proto = spin32_protocol(HALVED_PATHS[name], 200.0)
+        t = np.linspace(0.0, 200.0, 41)
+        full, unitary, dissipator = (eff._MagnusPropagator(proto, spin32_ds, *w)._generators(t)
+                                     for w in eff._MODE_WEIGHTS.values())
+        assert np.abs(unitary).max() > 0.0 and np.abs(dissipator).max() > 0.0
+        assert np.abs(full - (unitary + dissipator)).max() <= 1e-15 * np.abs(full).max()
 
 
 class TestHermitianCoordinates:
