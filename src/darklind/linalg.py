@@ -249,11 +249,7 @@ def ordered_exponential(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
     to roundoff.  The fourth-order CF4 steps of the reduced propagator are
     ``_cf4_steps``.
     """
-    steps = _ordered_steps(generators, grid)
-    out = np.empty((steps.shape[0] + 1,) + steps.shape[1:], dtype=complex)
-    out[0] = np.eye(steps.shape[-1])
-    out[1:] = _scan(steps, np.matmul)
-    return out
+    return _prefix_products(_ordered_steps(generators, grid))
 
 
 def _ordered_steps(generators: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -303,6 +299,17 @@ def _scan(x: np.ndarray, combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     return running.reshape((blocks * size,) + x.shape[1:])[:n]
 
 
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """The (n + 1, d, d) products steps[k-1] ... steps[0], k = 0..n, of the (n, d, d) steps.
+
+    Entry 0 is the identity, the rest one ``_scan``; the dtype is the steps'.
+    """
+    out = np.empty((steps.shape[0] + 1,) + steps.shape[1:], dtype=steps.dtype)
+    out[0] = np.eye(steps.shape[-1])
+    out[1:] = _scan(steps, np.matmul)
+    return out
+
+
 def _compose_affine(late: np.ndarray, early: np.ndarray) -> np.ndarray:
     """The map x -> a_l (a_e x + b_e) + b_l of [a_l | b_l] after [a_e | b_e], along the last axis."""
     out = late[..., :1] * early
@@ -324,7 +331,7 @@ def _cf4_steps(generators: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     with G1, G2 the generator at the step's Gauss points t + CF4_NODES h.
     ``generators`` is a (..., 2, d, d) stack of pairs (G1, G2) and ``lengths``
     the (...) step lengths h; returns the (..., d, d) steps, whose prefix
-    products the reduced propagator takes by ``_scan``.
+    products the reduced propagator takes by ``_prefix_products``.
     """
     g1, g2 = generators[..., 0, :, :], generators[..., 1, :, :]
     a1, a2 = CF4_WEIGHTS

@@ -187,18 +187,30 @@ def test_every_mode_matches_joint_ode(path, mode):
     assert worst_distance(rho0, proto, taus, mode=mode) <= GATE
 
 
-def test_custom_protocol_matches_joint_ode():
-    # two generators, the theta angle wiggling, phi winding once
+def wiggling_protocol(gammaT: float, windings: int = 1):
+    """Two generators, the theta angle wiggling, phi winding ``windings`` times."""
     _, sy, sz = spin_operators(3)
     turn = 2.0 * math.pi
-    proto = custom_protocol(
+    return custom_protocol(
         [sy, sz],
-        [lambda s: turn * s + 0.3 * np.sin(turn * s), lambda s: turn * s],
+        [lambda s: turn * s + 0.3 * np.sin(turn * s), lambda s: windings * turn * s],
         spin32_jump(),
-        20.0,
-        dangles=[lambda s: turn * (1.0 + 0.3 * np.cos(turn * s)), lambda s: turn],
+        gammaT,
+        dangles=[lambda s: turn * (1.0 + 0.3 * np.cos(turn * s)), lambda s: windings * turn],
     )
+
+
+def test_custom_protocol_matches_joint_ode():
     taus = [0.0, 2.5, 10.0, 20.0]
+    proto = wiggling_protocol(20.0)
+    assert worst_distance(dark_state_from_bloch((0.0, 1.0, 0.0)), proto, taus) <= GATE
+
+
+def test_a_fast_winding_drive_matches_joint_ode():
+    # phi winds 8 times over the cycle record's 2048 steps, one CF4 step each
+    # (measured 3.1e-11; 2.1e-9 at 32 windings, past the gate)
+    taus = [0.0, 50.0, 200.0]
+    proto = wiggling_protocol(200.0, windings=8)
     assert worst_distance(dark_state_from_bloch((0.0, 1.0, 0.0)), proto, taus) <= GATE
 
 
@@ -342,7 +354,7 @@ def halved(grid: np.ndarray) -> np.ndarray:
     return out
 
 
-#: the paths of the halved-step test, each at gammaT 200 and 12800
+#: the spin-3/2 paths of the halved-step test, each at gammaT 200 and 12800
 HALVED_PATHS = {
     "linear": linear_path(1, 0),
     "smoothstep": smoothstep_path(1, 1),
@@ -352,11 +364,16 @@ HALVED_PATHS = {
 
 class TestOneGrid:
     @pytest.mark.parametrize("gammaT", [200.0, 12800.0])
-    @pytest.mark.parametrize("name", list(HALVED_PATHS))
+    @pytest.mark.parametrize("name", list(HALVED_PATHS) + ["wiggling"])
     def test_halving_every_step_moves_no_state(self, monkeypatch, name, gammaT):
         # the same record on a grid of twice the steps, from z and y: the
-        # fourth-order steps leave the normal grid within 1e-12 of it
-        proto = spin32_protocol(HALVED_PATHS[name], gammaT)
+        # fourth-order steps leave the normal grid within 1e-12 of it, for
+        # the custom drive too (measured 2.6e-13); no estimate guards a
+        # faster drive (5e-12 with phi winding 4 times)
+        if name == "wiggling":
+            proto = wiggling_protocol(gammaT)
+        else:
+            proto = spin32_protocol(HALVED_PATHS[name], gammaT)
         ds = dark_space(proto.L_rot)
         taus = np.linspace(0.0, gammaT, 33)
         starts = [dark_state_from_bloch(n0) for n0 in ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0))]
